@@ -18,7 +18,10 @@
 // strategy.
 package accum
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Accumulator combines intermediate products of one output row.
 type Accumulator interface {
@@ -140,6 +143,19 @@ func (h *Hash) Flush(cols []int32, vals []float64) ([]int32, []float64) {
 	sortPairs(cols[start:], vals[start:])
 	h.Reset()
 	return cols, vals
+}
+
+// FlushCols appends the distinct columns in ascending order — the
+// structure-only Flush of a symbolic pass, sorting bare keys instead of
+// (key, value) pairs — and resets.
+func (h *Hash) FlushCols(cols []int32) []int32 {
+	start := len(cols)
+	for _, i := range h.used {
+		cols = append(cols, h.keys[i])
+	}
+	slices.Sort(cols[start:])
+	h.Reset()
+	return cols
 }
 
 // FlushSymbolic reports the count and resets.

@@ -99,6 +99,21 @@ func (b *Bitmap) Flush(cols []int32, vals []float64) ([]int32, []float64) {
 	return cols, vals
 }
 
+// FlushCols appends the distinct columns in ascending order (the
+// structure-only Flush: the same bit scan, no value reads) and resets.
+func (b *Bitmap) FlushCols(cols []int32) []int32 {
+	for w, word := range b.bits {
+		base := int32(w << 6)
+		for word != 0 {
+			cols = append(cols, base+int32(bits.TrailingZeros64(word)))
+			word &= word - 1
+		}
+		b.bits[w] = 0
+	}
+	b.n = 0
+	return cols
+}
+
 // FlushSymbolic reports the count and resets.
 func (b *Bitmap) FlushSymbolic() int {
 	n := b.n

@@ -2,6 +2,7 @@ package accum
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -216,6 +217,21 @@ func (c *CSeg) Flush(cols []int32, vals []float64) ([]int32, []float64) {
 	}
 	c.Reset()
 	return cols, vals
+}
+
+// FlushCols appends the distinct columns in ascending order (the
+// structure-only Flush: segments sorted by id, bits low-to-high) and
+// resets.
+func (c *CSeg) FlushCols(cols []int32) []int32 {
+	slices.SortFunc(c.used, func(x, y int32) int { return int(c.segs[x] - c.segs[y]) })
+	for _, s := range c.used {
+		base := c.segs[s] << 6
+		for word := c.masks[s]; word != 0; word &= word - 1 {
+			cols = append(cols, base+int32(bits.TrailingZeros64(word)))
+		}
+	}
+	c.Reset()
+	return cols
 }
 
 // FlushSymbolic reports the count and resets.

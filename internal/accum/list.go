@@ -1,5 +1,7 @@
 package accum
 
+import "slices"
+
 // List is a linear-scan accumulator for rows expected to stay very
 // sparse: intermediate products land in a short unordered array that
 // is scanned on every insert. For a handful of distinct columns the
@@ -74,6 +76,16 @@ func (l *List) Flush(cols []int32, vals []float64) ([]int32, []float64) {
 	sortPairs(cols[start:], vals[start:])
 	l.Reset()
 	return cols, vals
+}
+
+// FlushCols appends the distinct columns in ascending order (the
+// structure-only Flush) and resets.
+func (l *List) FlushCols(cols []int32) []int32 {
+	start := len(cols)
+	cols = append(cols, l.cols...)
+	slices.Sort(cols[start:])
+	l.Reset()
+	return cols
 }
 
 // FlushSymbolic reports the count and resets.

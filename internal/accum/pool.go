@@ -183,3 +183,47 @@ func (s *Sort) Grow(capacity int) {
 		s.vals = make([]float64, 0, capacity)
 	}
 }
+
+// Scratch is the warm numeric replay's accumulator: a dense value
+// array with generation stamps for assign-on-first-touch (the same
+// semantics the cold accumulators have, so every float64 sum
+// associates identically and the output stays bit-for-bit equal —
+// without the stamps a lone -0.0 product would surface as +0.0). The
+// replay loops index Vals and Stamp directly; the structure they
+// gather through is already known, so no touched list is kept.
+type Scratch struct {
+	Vals  []float64
+	Stamp []uint32
+	gen   uint32
+}
+
+var scratchPool = sync.Pool{New: func() any { return &Scratch{} }}
+
+// GetScratch returns a pooled scratch covering columns [0, width).
+// Stamps left by earlier users are harmless: NextGen never hands out a
+// generation a live stamp can still hold.
+func GetScratch(width int) *Scratch {
+	s := scratchPool.Get().(*Scratch)
+	if len(s.Vals) < width {
+		s.Vals = make([]float64, width)
+		s.Stamp = make([]uint32, width)
+		s.gen = 0
+	}
+	return s
+}
+
+// PutScratch returns s to the pool.
+func PutScratch(s *Scratch) { scratchPool.Put(s) }
+
+// NextGen starts a new row: it advances the generation, clearing the
+// stamps on wrap-around.
+func (s *Scratch) NextGen() uint32 {
+	s.gen++
+	if s.gen == 0 {
+		for i := range s.Stamp {
+			s.Stamp[i] = 0
+		}
+		s.gen = 1
+	}
+	return s.gen
+}

@@ -2,6 +2,7 @@ package accum
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -96,4 +97,83 @@ func TestSortGrowReserves(t *testing.T) {
 
 func TestPutDropsUnknownImplementations(t *testing.T) {
 	Put(nil) // must not panic
+}
+
+// TestFlushColsMatchesFlush checks the structure-only flush of the four
+// row-kernel accumulators: the same ascending columns Flush emits, with
+// the accumulator left empty, whether the columns arrived one by one or
+// (Bitmap, CSeg) as segment masks.
+func TestFlushColsMatchesFlush(t *testing.T) {
+	type colFlusher interface {
+		Accumulator
+		FlushCols([]int32) []int32
+	}
+	rng := rand.New(rand.NewSource(2))
+	const width = 1 << 12
+	for round := 0; round < 20; round++ {
+		n := 1 + rng.Intn(300)
+		if round%2 == 0 {
+			n = 1 + rng.Intn(20) // list-sized rows
+		}
+		cols := make([]int32, n)
+		for i := range cols {
+			cols[i] = int32(rng.Intn(width))
+		}
+		ref := NewHash(n)
+		for _, c := range cols {
+			ref.AddSymbolic(c)
+		}
+		want, _ := ref.Flush(nil, nil)
+		for name, acc := range map[string]colFlusher{
+			"list": NewList(n), "hash": NewHash(16), "bitmap": NewBitmap(width), "cseg": NewCSeg(4),
+		} {
+			for _, c := range cols {
+				acc.AddSymbolic(c)
+			}
+			got := acc.FlushCols([]int32{-1})
+			if got[0] != -1 || !slices.Equal(got[1:], want) {
+				t.Fatalf("round %d %s: FlushCols = %v, want -1 then %v", round, name, got, want)
+			}
+			if acc.Len() != 0 || len(acc.FlushCols(nil)) != 0 {
+				t.Fatalf("round %d %s: not empty after FlushCols", round, name)
+			}
+		}
+		for name, acc := range map[string]interface {
+			colFlusher
+			AddSegment(int32, uint64)
+		}{"bitmap": NewBitmap(width), "cseg": NewCSeg(4)} {
+			for _, c := range cols {
+				acc.AddSegment(c>>6, 1<<uint(c&63))
+			}
+			if got := acc.FlushCols(nil); !slices.Equal(got, want) {
+				t.Fatalf("round %d %s: FlushCols after AddSegment = %v, want %v", round, name, got, want)
+			}
+		}
+	}
+}
+
+// TestScratchGenerations checks the pooled warm-replay scratch: it
+// covers the requested width after serving a narrower one, never hands
+// out a generation a stale stamp still holds, and clears the stamps
+// when the generation counter wraps.
+func TestScratchGenerations(t *testing.T) {
+	s := GetScratch(8)
+	g := s.NextGen()
+	s.Stamp[3] = g
+	PutScratch(s)
+	s = GetScratch(64)
+	if len(s.Vals) < 64 || len(s.Stamp) < 64 {
+		t.Fatalf("scratch covers %d/%d columns, want 64", len(s.Vals), len(s.Stamp))
+	}
+	for i := 0; i < 3; i++ {
+		if next := s.NextGen(); s.Stamp[3] == next {
+			t.Fatalf("generation %d reuses a live stamp", next)
+		}
+	}
+	s.gen = ^uint32(0)
+	s.Stamp[5] = 1
+	if next := s.NextGen(); next != 1 || s.Stamp[5] != 0 {
+		t.Fatalf("wrap-around: generation %d, stale stamp %d; want 1 and a cleared stamp", next, s.Stamp[5])
+	}
+	PutScratch(s)
 }

@@ -110,6 +110,12 @@ type Options struct {
 	// Estimator tunes the estimation path; the zero value uses the
 	// defaults.
 	Estimator speck.EstimatorConfig
+	// Analysis is the whole-matrix row analysis of A·B when the caller
+	// already has it (the grid planner computes one to size the chunks).
+	// Like the planned grid it is derived from the inputs, not a
+	// setting: nil means "compute it where it is first needed", and a
+	// non-nil value must come from the same operand patterns.
+	Analysis *speck.RowAnalysis
 }
 
 func (o Options) withDefaults() Options {
@@ -411,6 +417,27 @@ func (e *Engine) ChunkFlops() []int64 {
 		pc.setFlops(e.plan, out)
 	}
 	return out
+}
+
+// RowAnalysis returns the whole-matrix row analysis of the engine's
+// operands, which the hybrid engines' host cost model prices the CPU
+// worker from: the one handed in through Options.Analysis, else the one
+// cached with the plan, else computed here — once per run, and with a
+// plan cache once per pattern.
+func (e *Engine) RowAnalysis(a, b *csr.Matrix) *speck.RowAnalysis {
+	ra := e.Opts.Analysis
+	if ra == nil && e.plan != nil {
+		ra = e.Opts.PlanCache.analysis(e.plan)
+	}
+	if ra == nil {
+		stop := e.Opts.Metrics.StartWall("host", "row analysis")
+		ra = speck.Analyze(a, b)
+		stop()
+	}
+	if e.plan != nil {
+		e.Opts.PlanCache.setAnalysis(e.plan, ra)
+	}
+	return ra
 }
 
 // PlanWarm reports whether the engine was built from a plan-cache hit.

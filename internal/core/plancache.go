@@ -52,8 +52,10 @@ type planEntry struct {
 	key planKey
 	rps []partition.RowPanel
 	cps []partition.ColPanel
-	// chunkFlops is filled on first ChunkFlops call against the plan.
+	// chunkFlops is filled on first ChunkFlops call against the plan,
+	// analysis on the first RowAnalysis call.
 	chunkFlops []int64
+	analysis   *speck.RowAnalysis
 	// syms holds per-chunk symbolic results, filled as cold chunks
 	// complete; a warm run finding one skips the chunk's symbolic
 	// device phases. symsEst marks the subset recorded by the
@@ -233,6 +235,27 @@ func (pc *PlanCache) setFlops(ent *planEntry, flops []int64) {
 	grow := int64(len(flops)) * 8
 	ent.bytes += grow
 	pc.bytes += grow
+	pc.evictLocked()
+}
+
+// analysis returns the cached whole-matrix row analysis, or nil.
+func (pc *PlanCache) analysis(ent *planEntry) *speck.RowAnalysis {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	return ent.analysis
+}
+
+// setAnalysis records the row analysis a cold run computed or was
+// handed; the first one recorded stays.
+func (pc *PlanCache) setAnalysis(ent *planEntry, ra *speck.RowAnalysis) {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	if ent.analysis != nil {
+		return
+	}
+	ent.analysis = ra
+	ent.bytes += ra.Bytes()
+	pc.bytes += ra.Bytes()
 	pc.evictLocked()
 }
 

@@ -3,12 +3,16 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/csr"
 	"repro/internal/faults"
+	"repro/internal/gpusim"
 	"repro/internal/matgen"
 	"repro/internal/metrics"
+	"repro/internal/sim"
+	"repro/internal/speck"
 )
 
 // withFreshValues returns a copy of m sharing the sparsity pattern
@@ -253,5 +257,63 @@ func TestPlanCacheDynamicAllocStaysCold(t *testing.T) {
 	hits, misses, _ := pc.Counters()
 	if hits != 0 || misses != 0 || pc.Len() != 0 {
 		t.Fatalf("dynamic mode touched the plan cache: hits=%d misses=%d len=%d", hits, misses, pc.Len())
+	}
+}
+
+// TestPlanCacheRowAnalysis pins the row analysis' place in the plan
+// entry: the first engine on a pattern computes it (or is handed it)
+// and records it beside the chunk flops, byte-accounted; every later
+// engine on the pattern gets the same value back without a symbolic
+// pass; Invalidate drops it with the entry.
+func TestPlanCacheRowAnalysis(t *testing.T) {
+	a := matgen.RMAT(8, 8, 0.57, 0.19, 0.19, 31)
+	pc := NewPlanCache(0)
+	analyze := func(opts Options) (*speck.RowAnalysis, int) {
+		opts.RowPanels, opts.ColPanels, opts.PlanCache = 2, 2, pc
+		opts.Metrics = metrics.New()
+		eng, err := NewEngine(gpusim.NewDevice(sim.NewEnv(), testCfg(64<<20)), a, a, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Teardown()
+		ra := eng.RowAnalysis(a, a)
+		passes := 0
+		for _, s := range opts.Metrics.Spans() {
+			if s.Domain == metrics.Wall && s.Label == "row analysis" {
+				passes++
+			}
+		}
+		return ra, passes
+	}
+
+	cold, passes := analyze(Options{})
+	if passes != 1 {
+		t.Fatalf("cold engine ran %d row analyses, want 1", passes)
+	}
+	if want := speck.Analyze(a, a); !reflect.DeepEqual(cold, want) {
+		t.Fatal("engine's row analysis differs from speck.Analyze")
+	}
+	withAnalysis := pc.Bytes()
+	warm, passes := analyze(Options{})
+	if warm != cold || passes != 0 {
+		t.Fatalf("warm engine: same analysis %v, %d symbolic passes; want the cached value and none", warm == cold, passes)
+	}
+	if pc.Bytes() != withAnalysis {
+		t.Fatalf("re-recording the analysis grew the cache: %d -> %d", withAnalysis, pc.Bytes())
+	}
+
+	if n := pc.Invalidate(csr.Fingerprint(a)); n != 1 || pc.Bytes() != 0 {
+		t.Fatalf("Invalidate dropped %d entries leaving %d bytes, want 1 and 0", n, pc.Bytes())
+	}
+	// A handed-in analysis (the planner's) is taken as is and recorded.
+	handed, passes := analyze(Options{Analysis: cold})
+	if handed != cold || passes != 0 {
+		t.Fatal("engine recomputed an analysis it was handed")
+	}
+	if pc.Bytes() != withAnalysis {
+		t.Fatalf("cache holds %d bytes with a handed-in analysis, want %d", pc.Bytes(), withAnalysis)
+	}
+	if again, passes := analyze(Options{}); again != cold || passes != 0 {
+		t.Fatal("handed-in analysis was not recorded on the plan entry")
 	}
 }

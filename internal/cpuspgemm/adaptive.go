@@ -17,60 +17,13 @@ import (
 // every row of a chunk through one accumulator sized to the chunk's
 // worst-case row — a hub row inflated its whole chunk's hash table,
 // and uniformly tiny rows still paid full hash probes. This file
-// instead bins every row through speck.PickClass (the same work-class
-// selection the estimation path uses) and sizes each row's accumulator
-// from its own bound: list scans for tiny rows, bitmap-dense scatter
-// for dense rows in narrow panels, the CSeg-style compressed segment
-// accumulator when B's pattern clusters or the panel is too wide for a
-// bitmap, and a per-row-presized hash for the sparse remainder. The
-// symbolic phase additionally consumes B in segment-compressed form
-// (csr.Segments): one word-OR per segment instead of one probe per
-// column. Every class accumulates same-column products in first-touch
-// arrival order and flushes sorted, so the product is bit-for-bit the
-// one the seed path produced.
-
-const (
-	// bitmapDirectMax is the widest B panel served by the direct Bitmap
-	// accumulator; beyond it the width-proportional flush scan and reset
-	// stop amortizing and dense-class rows fall through to CSeg, whose
-	// cost tracks touched segments instead of panel width.
-	bitmapDirectMax = 1 << 16
-	// csegSymbolicRatio is the minimum B segment-compression ratio at
-	// which hash-class rows run their symbolic pass on the compressed
-	// accumulator: below it a segment rarely covers more than one
-	// column, so the per-segment probe saves nothing over the hash.
-	csegSymbolicRatio = 1.5
-	// csegNumericRatio is the (stricter) ratio at which hash-class rows
-	// also run their numeric pass on CSeg. The numeric pass touches
-	// every product regardless, so the win is only the smaller, hotter
-	// segment table; it needs real clustering to beat the presized hash.
-	csegNumericRatio = 4.0
-	// compressMinFlopsPerNnz gates the O(nnz(B)) segment-compression
-	// pass: multiplies doing fewer than this many flops per B non-zero
-	// cannot amortize building the compressed form. The pass itself is
-	// one shift/OR per non-zero, and a clustered symbolic phase saves
-	// roughly one probe per product (flops/2), so it breaks even near
-	// flops ≈ nnz(B); 2 leaves margin for the unclustered worst case.
-	compressMinFlopsPerNnz = 2
-)
-
-// kernelKind names the accumulator actually used for a row — the three
-// speck work classes, with the compressed accumulator split out so the
-// benchmark can report it separately.
-type kernelKind uint8
-
-const (
-	kindList kernelKind = iota
-	kindHash
-	kindDense
-	kindCSeg
-	numKinds
-)
-
-var kindNames = [numKinds]string{"list", "hash", "dense", "cseg"}
-
-// String names the kind as the benchmark reports it.
-func (k kernelKind) String() string { return kindNames[k] }
+// instead drives the per-row-class row kernel of internal/speck
+// (rowkernel.go: the same binning and symbolic pass speck's per-chunk
+// products and the whole-matrix row analysis use) over dynamically
+// claimed chunks, one accumulator Kit per worker, and re-bins each row
+// from its exact size for the numeric phase. Every class accumulates
+// same-column products in first-touch arrival order and flushes sorted,
+// so the product is bit-for-bit the one the seed path produced.
 
 // ClassStat aggregates one kernel class's share of a multiply.
 type ClassStat struct {
@@ -84,13 +37,13 @@ type ClassStat struct {
 // per row per phase), so attach it only to instrumented runs — the
 // benchmark uses a dedicated pass, never the timed reps.
 type ClassStats struct {
-	Classes [numKinds]ClassStat
+	Classes [speck.NumKinds]ClassStat
 }
 
 // Names returns the class names in Classes order.
-func (s *ClassStats) Names() [numKinds]string { return kindNames }
+func (s *ClassStats) Names() [speck.NumKinds]string { return speck.KindNames }
 
-func (s *ClassStats) add(k kernelKind, rows, flops, nnz, symNs, numNs int64) {
+func (s *ClassStats) add(k speck.Kind, rows, flops, nnz, symNs, numNs int64) {
 	c := &s.Classes[k]
 	atomic.AddInt64(&c.Rows, rows)
 	atomic.AddInt64(&c.Flops, flops)
@@ -140,98 +93,6 @@ func forChunksLogged(nt int, bounds []int, log *ChunkLog, symbolic bool, fn func
 	parallel.ForChunksW(nt, bounds, body)
 }
 
-// workerKit is one worker's lazily pooled accumulator set, fetched at
-// most once per accumulator class per phase and reused across every
-// chunk the worker claims — per-chunk pool traffic was one of the
-// costs that let the static ablation beat the dynamic scheduler.
-type workerKit struct {
-	list  *accum.List
-	hash  *accum.Hash
-	dense *accum.Bitmap
-	cseg  *accum.CSeg
-}
-
-func (k *workerKit) release() {
-	if k.list != nil {
-		accum.PutList(k.list)
-	}
-	if k.hash != nil {
-		accum.PutHash(k.hash)
-	}
-	if k.dense != nil {
-		accum.PutBitmap(k.dense)
-	}
-	if k.cseg != nil {
-		accum.PutCSeg(k.cseg)
-	}
-	*k = workerKit{}
-}
-
-// get returns the worker's accumulator for kind, sized for a row with
-// at most bound distinct output columns in a width-column panel. bound
-// must be the row's own bound (upper bound in the symbolic phase, the
-// exact count in the numeric phase) — never a chunk-wide maximum.
-func (k *workerKit) get(kind kernelKind, bound int64, width int) accum.Accumulator {
-	switch kind {
-	case kindList:
-		if k.list == nil {
-			k.list = accum.GetList(speck.ListClassMax)
-		}
-		return k.list
-	case kindDense:
-		if k.dense == nil {
-			k.dense = accum.GetBitmap(width)
-		}
-		return k.dense
-	case kindCSeg:
-		if k.cseg == nil {
-			k.cseg = accum.GetCSeg(16)
-		}
-		segBound := bound
-		if w := int64(width+63) / 64; segBound > w {
-			segBound = w
-		}
-		k.cseg.Grow(int(segBound))
-		return k.cseg
-	default:
-		if k.hash == nil {
-			k.hash = accum.GetHash(16)
-		}
-		if bound > int64(width) {
-			bound = int64(width)
-		}
-		if bound < 16 {
-			bound = 16
-		}
-		k.hash.Grow(int(bound))
-		return k.hash
-	}
-}
-
-// pickKind maps a row's speck work class to the kernel that serves it,
-// given the panel width and B's segment-compression ratio. numeric
-// selects the stricter compression threshold (see csegNumericRatio).
-func pickKind(rowFlops, estNnz, width int64, segRatio float64, numeric bool) kernelKind {
-	switch speck.PickClass(rowFlops, estNnz, width) {
-	case speck.ListClass:
-		return kindList
-	case speck.DenseClass:
-		if width <= bitmapDirectMax {
-			return kindDense
-		}
-		return kindCSeg
-	default:
-		gate := csegSymbolicRatio
-		if numeric {
-			gate = csegNumericRatio
-		}
-		if segRatio >= gate {
-			return kindCSeg
-		}
-		return kindHash
-	}
-}
-
 // multiplyAdaptive is the exact two-phase pipeline with per-row
 // adaptive kernel selection — the Hash method's implementation behind
 // Multiply. rowFlops, when non-nil, is the precomputed row analysis.
@@ -252,22 +113,10 @@ func multiplyAdaptive(a, b *csr.Matrix, opts Options, rowFlops []int64) (*csr.Ma
 	}
 	bounds := parallel.CostBounds(rowFlops, chunkNT)
 
-	// Segment-compress B once when the multiply can amortize the
-	// O(nnz(B)) pass; the symbolic phase then does one word-OR per
-	// segment instead of one accumulator update per column.
-	var segs *csr.Segments
-	segRatio := 1.0
-	if nnzB := int64(len(b.ColIDs)); nnzB > 0 && totalFlops >= compressMinFlopsPerNnz*nnzB {
-		segs = csr.Compress(b)
-		segRatio = segs.Ratio()
-	}
+	// Bin every row to its symbolic kernel and segment-compress B when
+	// the multiply can amortize the O(nnz(B)) pass.
+	pass := speck.NewSymbolicPass(a, b, rowFlops)
 	width := int64(b.Cols)
-	// Expected output sizes drive the symbolic-phase class binning
-	// (the numeric phase re-bins from the exact counts).
-	estNnz := make([]int64, a.Rows)
-	for i := range rowFlops {
-		estNnz[i] = speck.ExpectedDistinct(width, rowFlops[i]/2)
-	}
 	stopAnalysis()
 
 	var poolGets0, poolNews0 int64
@@ -278,7 +127,7 @@ func multiplyAdaptive(a, b *csr.Matrix, opts Options, rowFlops []int64) (*csr.Ma
 	c := &csr.Matrix{Rows: a.Rows, Cols: b.Cols, RowOffsets: make([]int64, a.Rows+1)}
 	rowNnz := make([]int64, a.Rows)
 	var werr firstErr
-	kits := make([]workerKit, parallel.Workers(nt))
+	kits := make([]speck.Kit, parallel.Workers(nt))
 
 	// Symbolic phase: count distinct columns per output row, each row
 	// on the kernel its class picks, consuming compressed B rows where
@@ -294,44 +143,16 @@ func multiplyAdaptive(a, b *csr.Matrix, opts Options, rowFlops []int64) (*csr.Ma
 		}
 		kit := &kits[w]
 		t0 := time.Now()
-		var classNs [numKinds]int64
-		var classRows, classFlops [numKinds]int64
+		var classNs [speck.NumKinds]int64
+		var classRows, classFlops [speck.NumKinds]int64
 		for i := lo; i < hi; i++ {
 			if rowFlops[i] == 0 {
 				continue
 			}
-			kind := pickKind(rowFlops[i], estNnz[i], width, segRatio, false)
-			acc := kit.get(kind, rowFlops[i]/2, b.Cols)
-			ac, _ := a.Row(i)
-			switch acc := acc.(type) {
-			case *accum.Bitmap:
-				if segs != nil {
-					for _, k := range ac {
-						sids, masks := segs.Row(int(k))
-						for j, sid := range sids {
-							acc.AddSegment(sid, masks[j])
-						}
-					}
-				} else {
-					addSymbolicCols(acc, a, b, ac)
-				}
-			case *accum.CSeg:
-				if segs != nil {
-					for _, k := range ac {
-						sids, masks := segs.Row(int(k))
-						for j, sid := range sids {
-							acc.AddSegment(sid, masks[j])
-						}
-					}
-				} else {
-					addSymbolicCols(acc, a, b, ac)
-				}
-			default:
-				addSymbolicCols(acc, a, b, ac)
-			}
-			rowNnz[i] = int64(acc.FlushSymbolic())
+			rowNnz[i] = int64(pass.Count(kit, i))
 			if opts.ClassStats != nil {
 				t1 := time.Now()
+				kind := pass.Kind(i)
 				classNs[kind] += t1.Sub(t0).Nanoseconds()
 				t0 = t1
 				classRows[kind]++
@@ -339,7 +160,7 @@ func multiplyAdaptive(a, b *csr.Matrix, opts Options, rowFlops []int64) (*csr.Ma
 			}
 		}
 		if opts.ClassStats != nil {
-			for k := kernelKind(0); k < numKinds; k++ {
+			for k := speck.Kind(0); k < speck.NumKinds; k++ {
 				if classRows[k] != 0 || classNs[k] != 0 {
 					opts.ClassStats.add(k, classRows[k], classFlops[k], 0, classNs[k], 0)
 				}
@@ -371,14 +192,14 @@ func multiplyAdaptive(a, b *csr.Matrix, opts Options, rowFlops []int64) (*csr.Ma
 		}
 		kit := &kits[w]
 		t0 := time.Now()
-		var classNs [numKinds]int64
-		var classRows, classNnz [numKinds]int64
+		var classNs [speck.NumKinds]int64
+		var classRows, classNnz [speck.NumKinds]int64
 		for i := lo; i < hi; i++ {
 			if rowFlops[i] == 0 {
 				continue
 			}
-			kind := pickKind(rowFlops[i], rowNnz[i], width, segRatio, true)
-			acc := kit.get(kind, rowNnz[i], b.Cols)
+			kind := speck.PickKind(rowFlops[i], rowNnz[i], width, pass.SegRatio, true)
+			acc := kit.Get(kind, rowNnz[i], b.Cols)
 			ac, av := a.Row(i)
 			for p := range ac {
 				bc, bv := b.Row(int(ac[p]))
@@ -404,7 +225,7 @@ func multiplyAdaptive(a, b *csr.Matrix, opts Options, rowFlops []int64) (*csr.Ma
 			}
 		}
 		if opts.ClassStats != nil {
-			for k := kernelKind(0); k < numKinds; k++ {
+			for k := speck.Kind(0); k < speck.NumKinds; k++ {
 				if classRows[k] != 0 || classNs[k] != 0 {
 					opts.ClassStats.add(k, 0, 0, classNnz[k], 0, classNs[k])
 				}
@@ -427,19 +248,8 @@ func multiplyAdaptive(a, b *csr.Matrix, opts Options, rowFlops []int64) (*csr.Ma
 	return c, nil
 }
 
-// addSymbolicCols runs the uncompressed symbolic inner loop for one A
-// row: every contributing B column hits the accumulator once.
-func addSymbolicCols(acc accum.Accumulator, a, b *csr.Matrix, ac []int32) {
-	for _, k := range ac {
-		bc, _ := b.Row(int(k))
-		for _, col := range bc {
-			acc.AddSymbolic(col)
-		}
-	}
-}
-
-func releaseKits(kits []workerKit) {
+func releaseKits(kits []speck.Kit) {
 	for i := range kits {
-		kits[i].release()
+		kits[i].Release()
 	}
 }

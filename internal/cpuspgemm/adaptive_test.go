@@ -7,6 +7,7 @@ import (
 	"repro/internal/csr"
 	"repro/internal/matgen"
 	"repro/internal/parallel"
+	"repro/internal/speck"
 )
 
 // TestAdaptivePropertyBitIdentical is the adaptive exact path's
@@ -63,7 +64,7 @@ func TestAdaptiveClassStats(t *testing.T) {
 	if totalRows == 0 || totalRows > int64(er.Rows) {
 		t.Fatalf("class rows sum %d outside (0, %d]", totalRows, er.Rows)
 	}
-	if stats.Classes[kindCSeg].Rows == 0 {
+	if stats.Classes[speck.KindCSeg].Rows == 0 {
 		t.Fatalf("clustered multiply used no cseg rows: %+v", stats)
 	}
 
@@ -74,10 +75,10 @@ func TestAdaptiveClassStats(t *testing.T) {
 	if _, err := Multiply(rmat, rmat, Options{Method: Hash, ClassStats: &stats}); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Classes[kindList].Rows == 0 {
+	if stats.Classes[speck.KindList].Rows == 0 {
 		t.Fatalf("rmat multiply used no list rows: %+v", stats)
 	}
-	if names := stats.Names(); names[kindCSeg] != "cseg" || names[kindList] != "list" {
+	if names := stats.Names(); names[speck.KindCSeg] != "cseg" || names[speck.KindList] != "list" {
 		t.Fatalf("class names = %v", names)
 	}
 }

@@ -69,7 +69,7 @@ func estimatedMultiply(a, b *csr.Matrix, opts Options, rowFlops []int64) (*csr.M
 	// worker claims in both the fallback and numeric loops — per-chunk
 	// pool round-trips were part of what kept the dynamic scheduler
 	// from beating the static split (see parallel.ForChunksW).
-	kits := make([]workerKit, parallel.Workers(nt))
+	kits := make([]speck.Kit, parallel.Workers(nt))
 	defer releaseKits(kits)
 
 	// Exact symbolic counting, but only for the rows the confidence
@@ -89,7 +89,7 @@ func estimatedMultiply(a, b *csr.Matrix, opts Options, rowFlops []int64) (*csr.M
 				if !est.Fallback[i] {
 					continue
 				}
-				acc := kits[w].get(kindHash, ub[i], b.Cols)
+				acc := kits[w].Get(speck.KindHash, ub[i], b.Cols)
 				ac, _ := a.Row(i)
 				for _, k := range ac {
 					bc, _ := b.Row(int(k))
@@ -150,11 +150,11 @@ func estimatedMultiply(a, b *csr.Matrix, opts Options, rowFlops []int64) (*csr.M
 			var acc accum.Accumulator
 			switch speck.PickClass(rowFlops[i], estN, width) {
 			case speck.ListClass:
-				acc = kit.get(kindList, estN, b.Cols)
+				acc = kit.Get(speck.KindList, estN, b.Cols)
 			case speck.DenseClass:
-				acc = kit.get(kindDense, estN, b.Cols)
+				acc = kit.Get(speck.KindDense, estN, b.Cols)
 			default:
-				acc = kit.get(kindHash, est.Caps[i], b.Cols)
+				acc = kit.Get(speck.KindHash, est.Caps[i], b.Cols)
 			}
 			ac, av := a.Row(i)
 			for p := range ac {

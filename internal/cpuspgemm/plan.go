@@ -2,8 +2,8 @@ package cpuspgemm
 
 import (
 	"fmt"
-	"sync"
 
+	"repro/internal/accum"
 	"repro/internal/csr"
 	"repro/internal/metrics"
 	"repro/internal/parallel"
@@ -72,41 +72,6 @@ func MultiplyPlanned(a, b *csr.Matrix, opts Options) (*csr.Matrix, *SymbolicResu
 	return c, sym, nil
 }
 
-// denseScratch is the warm numeric path's per-worker accumulator: a
-// dense value array with generation stamps for assign-on-first-touch
-// (the same semantics the cold accumulators have, so every float64 sum
-// associates identically and the output stays bit-for-bit equal —
-// without the stamps a lone -0.0 product would surface as +0.0).
-type denseScratch struct {
-	vals  []float64
-	stamp []uint32
-	gen   uint32
-}
-
-var scratchPool = sync.Pool{New: func() any { return &denseScratch{} }}
-
-func getScratch(width int) *denseScratch {
-	s := scratchPool.Get().(*denseScratch)
-	if len(s.vals) < width {
-		s.vals = make([]float64, width)
-		s.stamp = make([]uint32, width)
-		s.gen = 0
-	}
-	return s
-}
-
-// nextGen advances the generation, clearing the stamps on wrap-around.
-func (s *denseScratch) nextGen() uint32 {
-	s.gen++
-	if s.gen == 0 {
-		for i := range s.stamp {
-			s.stamp[i] = 0
-		}
-		s.gen = 1
-	}
-	return s.gen
-}
-
 // Numeric re-runs only value accumulation against a cached symbolic
 // plan: per output row the intermediate products scatter into a dense
 // scratch array in the same order the cold accumulators apply them,
@@ -142,11 +107,11 @@ func Numeric(sym *SymbolicResult, a, b *csr.Matrix, opts Options) (*csr.Matrix, 
 	// One scratch per worker, fetched on the worker's first chunk and
 	// reused across all chunks it claims (not one pool round-trip per
 	// chunk — see parallel.ForChunksW).
-	scratch := make([]*denseScratch, parallel.Workers(nt))
+	scratch := make([]*accum.Scratch, parallel.Workers(nt))
 	defer func() {
 		for _, s := range scratch {
 			if s != nil {
-				scratchPool.Put(s)
+				accum.PutScratch(s)
 			}
 		}
 	}()
@@ -160,7 +125,7 @@ func Numeric(sym *SymbolicResult, a, b *csr.Matrix, opts Options) (*csr.Matrix, 
 			return
 		}
 		if scratch[w] == nil {
-			scratch[w] = getScratch(sym.Cols)
+			scratch[w] = accum.GetScratch(sym.Cols)
 		}
 		s := scratch[w]
 		for i := lo; i < hi; i++ {
@@ -168,22 +133,22 @@ func Numeric(sym *SymbolicResult, a, b *csr.Matrix, opts Options) (*csr.Matrix, 
 			if off == end {
 				continue
 			}
-			gen := s.nextGen()
+			gen := s.NextGen()
 			ac, av := a.Row(i)
 			for p := range ac {
 				bc, bv := b.Row(int(ac[p]))
 				for q := range bc {
 					col := bc[q]
-					if s.stamp[col] != gen {
-						s.stamp[col] = gen
-						s.vals[col] = av[p] * bv[q]
+					if s.Stamp[col] != gen {
+						s.Stamp[col] = gen
+						s.Vals[col] = av[p] * bv[q]
 					} else {
-						s.vals[col] += av[p] * bv[q]
+						s.Vals[col] += av[p] * bv[q]
 					}
 				}
 			}
 			for j := off; j < end; j++ {
-				c.Data[j] = s.vals[sym.ColIDs[j]]
+				c.Data[j] = s.Vals[sym.ColIDs[j]]
 			}
 		}
 	})

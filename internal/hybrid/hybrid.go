@@ -74,6 +74,12 @@ func (h HostModel) ChunkSeconds(hashFlops, denseFlops, outputBytes int64) float6
 	return s
 }
 
+// WholeSeconds prices the whole product A·B on the CPU worker from its
+// row analysis; the hybrid engines prorate it over chunks by flops.
+func (h HostModel) WholeSeconds(ra *speck.RowAnalysis) float64 {
+	return h.ChunkSeconds(ra.HashFlops, ra.DenseFlops, ra.OutNnz()*12+int64(len(ra.RowOffsets))*8)
+}
+
 // Options configures a hybrid run.
 type Options struct {
 	// Core configures the chunk grid and the GPU pipeline. Async
@@ -223,12 +229,11 @@ func Run(a, b *csr.Matrix, cfg gpusim.DeviceConfig, opts Options) (*csr.Matrix, 
 	// global structure), so per-chunk durations are the matrix-level
 	// time prorated by flops — consistent with the paper's use of
 	// flops as the workload indicator for both devices.
-	hashF, denseF, outNnz := speck.ClassifyFlops(a, b)
 	var total int64
 	for _, f := range flops {
 		total += f
 	}
-	wholeSec := opts.Host.ChunkSeconds(hashF, denseF, outNnz*12+int64(a.Rows+1)*8)
+	wholeSec := opts.Host.WholeSeconds(eng.RowAnalysis(a, b))
 
 	// cpuChunk runs one chunk on the real multi-core CPU engine and
 	// registers the result under a simulated span of the given label.
@@ -352,7 +357,9 @@ func RunCPUOnly(a, b *csr.Matrix, cfg gpusim.DeviceConfig, host HostModel) (*csr
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	hashF, denseF, _ := speck.ClassifyFlops(a, b)
+	// The product is in hand, so its row offsets are the exact symbolic
+	// result: no second pass.
+	hashF, denseF := speck.SplitFlops(csr.RowFlops(a, b), c.RowOffsets)
 	flops := hashF + denseF
 	total := host.ChunkSeconds(hashF, denseF, c.Bytes())
 	st := Stats{

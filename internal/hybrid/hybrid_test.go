@@ -8,6 +8,7 @@ import (
 	"repro/internal/csr"
 	"repro/internal/gpusim"
 	"repro/internal/matgen"
+	"repro/internal/speck"
 )
 
 func cfg() gpusim.DeviceConfig { return gpusim.ScaledV100Config(256 << 20) }
@@ -160,6 +161,12 @@ func TestRunCPUOnly(t *testing.T) {
 	}
 	if st.Flops != csr.Flops(a, a) {
 		t.Fatalf("flops %d, want %d", st.Flops, csr.Flops(a, a))
+	}
+	// The split read off the finished product is the one a symbolic
+	// pass would have classified.
+	ra := speck.Analyze(a, a)
+	if want := DefaultHostModel().ChunkSeconds(ra.HashFlops, ra.DenseFlops, got.Bytes()); st.TotalSec != want {
+		t.Fatalf("simulated seconds %v, want %v from the row analysis", st.TotalSec, want)
 	}
 }
 

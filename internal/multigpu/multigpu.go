@@ -32,7 +32,6 @@ import (
 	"repro/internal/hybrid"
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/speck"
 )
 
 // maxRedistributes bounds how many times one chunk may bounce between
@@ -347,8 +346,7 @@ func Run(a, b *csr.Matrix, cfg gpusim.DeviceConfig, opts Options) (*csr.Matrix, 
 	}
 	if spawnCPU {
 		env.Spawn("cpu", func(p *sim.Proc) {
-			hashF, denseF, outNnz := speck.ClassifyFlops(a, b)
-			wholeSec := opts.Host.ChunkSeconds(hashF, denseF, outNnz*12+int64(a.Rows+1)*8)
+			wholeSec := opts.Host.WholeSeconds(engines[0].RowAnalysis(a, b))
 			runIDs := func(ids []int, label string) error {
 				for _, id := range ids {
 					if d := opts.Core.DeadlineSec; d > 0 && sim.SecondsAt(env.Now()) > d {

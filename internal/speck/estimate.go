@@ -344,21 +344,15 @@ func ComputeEstimated(a, b *csr.Matrix, cm CostModel, cfg EstimatorConfig) (*Res
 	capTotal := est.CapTotal
 	if est.FallbackRows > 0 {
 		// Exact symbolic counting, but only for the gated rows.
-		hash := accum.NewHash(64)
-		for r := 0; r < a.Rows; r++ {
-			if !est.Fallback[r] {
-				continue
+		pass := NewSymbolicPass(a, b, sym.RowFlops)
+		var kit Kit
+		for r, fallback := range est.Fallback {
+			if fallback {
+				est.Caps[r] = int64(pass.Count(&kit, r))
+				capTotal += est.Caps[r]
 			}
-			ac, _ := a.Row(r)
-			for _, k := range ac {
-				bc, _ := b.Row(int(k))
-				for _, col := range bc {
-					hash.AddSymbolic(col)
-				}
-			}
-			est.Caps[r] = int64(hash.FlushSymbolic())
-			capTotal += est.Caps[r]
 		}
+		kit.Release()
 	}
 
 	// One adaptive numeric pass: accumulate values directly, reading
@@ -366,13 +360,14 @@ func ComputeEstimated(a, b *csr.Matrix, cm CostModel, cfg EstimatorConfig) (*Res
 	// estimates; every class sums in first-touch insertion order, so
 	// the bits match the exact path regardless of the class picked.
 	width := int64(b.Cols)
-	rowNnz := make([]int64, a.Rows)
+	offs := make([]int64, a.Rows+1)
 	colIDs := make([]int32, 0, capTotal)
 	data := make([]float64, 0, capTotal)
 	var hash *accum.Hash
 	var dense *accum.Bitmap
 	var list *accum.List
 	for r := 0; r < a.Rows; r++ {
+		offs[r+1] = offs[r]
 		if sym.UpperBounds[r] == 0 {
 			continue
 		}
@@ -414,11 +409,11 @@ func ComputeEstimated(a, b *csr.Matrix, cm CostModel, cfg EstimatorConfig) (*Res
 		if !est.Fallback[r] && n > est.Caps[r] {
 			stats.OverflowRows++ // append below regrows past the estimate
 		}
-		rowNnz[r] = n
+		offs[r+1] += n
 		colIDs, data = acc.Flush(colIDs, data)
 	}
 	sym.ColIDs = colIDs
-	finalizeSymbolic(sym, rowNnz, b.Cols, cm)
+	finalizeSymbolic(sym, offs, b.Cols, cm)
 
 	c := &csr.Matrix{
 		Rows:       sym.Rows,

@@ -18,7 +18,6 @@
 package speck
 
 import (
-	"repro/internal/accum"
 	"repro/internal/csr"
 	"repro/internal/gpusim"
 )
@@ -126,36 +125,6 @@ func Compute(a, b *csr.Matrix, cm CostModel) (*Result, error) {
 		return nil, err
 	}
 	return Numeric(sym, a, b)
-}
-
-// ClassifyFlops splits the flops of A·B into the hash-row and
-// dense-row shares under the same compression-ratio rule the kernels
-// use, so other cost models (e.g. the hybrid engine's CPU model) see
-// the same structure without running the full numeric computation. It
-// also reports the exact output non-zero count (a symbolic pass).
-func ClassifyFlops(a, b *csr.Matrix) (hashFlops, denseFlops, outNnz int64) {
-	rf := csr.RowFlops(a, b)
-	acc := accum.NewHash(64)
-	for i := 0; i < a.Rows; i++ {
-		if rf[i] == 0 {
-			continue
-		}
-		ac, _ := a.Row(i)
-		for _, k := range ac {
-			bc, _ := b.Row(int(k))
-			for _, col := range bc {
-				acc.AddSymbolic(col)
-			}
-		}
-		nnz := int64(acc.FlushSymbolic())
-		outNnz += nnz
-		if nnz > 0 && rf[i] >= denseCRThreshold*nnz {
-			denseFlops += rf[i]
-		} else {
-			hashFlops += rf[i]
-		}
-	}
-	return hashFlops, denseFlops, outNnz
 }
 
 // workspaceBytes estimates the device workspace: each of the

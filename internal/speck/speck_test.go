@@ -250,12 +250,13 @@ func TestGroupKindString(t *testing.T) {
 	}
 }
 
-func TestClassifyFlopsConsistentWithCompute(t *testing.T) {
+func TestAnalyzeConsistentWithCompute(t *testing.T) {
 	for _, gen := range []*csr.Matrix{
 		matgen.RMAT(9, 8, 0.57, 0.19, 0.19, 60),
 		matgen.Band(500, 5, 61),
 	} {
-		hashF, denseF, outNnz := ClassifyFlops(gen, gen)
+		ra := Analyze(gen, gen)
+		hashF, denseF, outNnz := ra.HashFlops, ra.DenseFlops, ra.OutNnz()
 		res, err := Compute(gen, gen, model())
 		if err != nil {
 			t.Fatal(err)

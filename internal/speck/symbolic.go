@@ -69,43 +69,23 @@ func SymbolicCompute(a, b *csr.Matrix, cm CostModel) (*Symbolic, error) {
 		UpperBounds: csr.RowUpperBounds(a, b),
 	}
 
-	// Symbolic phase: exact output structure. The hash accumulator's
-	// Flush emits each row's distinct columns sorted — the same order
-	// the numeric accumulators emit — so the structure recorded here is
-	// bit-for-bit the structure a cold multiply produces.
-	width := b.Cols
-	rowNnz := make([]int64, a.Rows)
-	hash := accum.NewHash(64)
-	var colBuf []int32
-	var valBuf []float64
-	colIDs := make([]int32, 0, a.Rows)
-	for r := 0; r < a.Rows; r++ {
-		if sym.UpperBounds[r] == 0 {
-			continue
-		}
-		ac, _ := a.Row(r)
-		for _, k := range ac {
-			bc, _ := b.Row(int(k))
-			for _, col := range bc {
-				hash.AddSymbolic(col)
-			}
-		}
-		colBuf, valBuf = hash.Flush(colBuf[:0], valBuf[:0])
-		rowNnz[r] = int64(len(colBuf))
-		colIDs = append(colIDs, colBuf...)
-	}
-	sym.ColIDs = colIDs
-	finalizeSymbolic(sym, rowNnz, width, cm)
+	// Symbolic phase: exact output structure, each row on the kernel its
+	// class picks. Every class flushes ascending — the order the numeric
+	// accumulators emit — so the structure recorded here is bit-for-bit
+	// the structure a cold multiply produces.
+	var offs []int64
+	offs, sym.ColIDs = NewSymbolicPass(a, b, sym.RowFlops).All(true)
+	finalizeSymbolic(sym, offs, b.Cols, cm)
 	return sym, nil
 }
 
 // finalizeSymbolic fills everything downstream of the structure scan —
 // host grouping, exact offsets, simulated durations, transfer and
 // workspace sizes — from the per-row output counts. It is shared by
-// the exact path (counts from the symbolic hash pass) and the
-// estimated path (counts read off the adaptive numeric pass), so both
-// produce field-identical Symbolic plans.
-func finalizeSymbolic(sym *Symbolic, rowNnz []int64, width int, cm CostModel) {
+// the exact path (offsets from the symbolic pass) and the estimated
+// path (offsets read off the adaptive numeric pass), so both produce
+// field-identical Symbolic plans.
+func finalizeSymbolic(sym *Symbolic, rowOffsets []int64, width int, cm CostModel) {
 	// Host re-grouping for the numeric phase: bin rows by (kind, size
 	// class), where kind is dense accumulation for rows whose
 	// flops-per-output ratio amortizes the dense array.
@@ -120,7 +100,7 @@ func finalizeSymbolic(sym *Symbolic, rowNnz []int64, width int, cm CostModel) {
 			continue // empty output row: no kernel work
 		}
 		kind := HashGroup
-		if rowNnz[r] > 0 && sym.RowFlops[r] >= denseCRThreshold*rowNnz[r] {
+		if denseRow(sym.RowFlops[r], rowOffsets[r+1]-rowOffsets[r]) {
 			kind = DenseGroup
 		}
 		sc := bits.Len64(uint64(sym.UpperBounds[r]))
@@ -144,11 +124,7 @@ func finalizeSymbolic(sym *Symbolic, rowNnz []int64, width int, cm CostModel) {
 		sym.Groups = append(sym.Groups, *bins[k])
 	}
 
-	// Exact offsets from the symbolic counts.
-	sym.RowOffsets = make([]int64, sym.Rows+1)
-	for r := 0; r < sym.Rows; r++ {
-		sym.RowOffsets[r+1] = sym.RowOffsets[r] + rowNnz[r]
-	}
+	sym.RowOffsets = rowOffsets
 
 	// Cost model.
 	var numeric float64
@@ -193,29 +169,20 @@ func Numeric(sym *Symbolic, a, b *csr.Matrix) (*Result, error) {
 		ColIDs:     sym.ColIDs,
 		Data:       make([]float64, sym.RowOffsets[sym.Rows]),
 	}
-	var scratch []float64
-	var stamp []uint32
-	if sym.Cols > 0 {
-		scratch = make([]float64, sym.Cols)
-		stamp = make([]uint32, sym.Cols)
-	}
 	// Generation stamps give assign-on-first-touch semantics, exactly
 	// like the cold accumulators (hash insert, dense stamp): without
 	// them a lone -0.0 product would come out as +0.0 (0 + -0.0) and
-	// break bit-identity with the cold path.
-	gen := uint32(0)
+	// break bit-identity with the cold path. The scratch is pooled, so
+	// a run's chunks share one pair of panel-width arrays.
+	s := accum.GetScratch(sym.Cols)
+	defer accum.PutScratch(s)
+	scratch, stamp := s.Vals, s.Stamp
 	for r := 0; r < sym.Rows; r++ {
 		off, end := sym.RowOffsets[r], sym.RowOffsets[r+1]
 		if off == end {
 			continue
 		}
-		gen++
-		if gen == 0 { // wrap-around: clear and restart
-			for i := range stamp {
-				stamp[i] = 0
-			}
-			gen = 1
-		}
+		gen := s.NextGen()
 		ac, av := a.Row(r)
 		for p := range ac {
 			bc, bv := b.Row(int(ac[p]))

@@ -122,16 +122,18 @@ func (o RunOptions) device() DeviceConfig {
 // plan resolves the chunk grid for a's and b's structures, through
 // the plan cache's memoized planner when one is configured. The
 // symbolic mode decides whether the grid is sized by the exact
-// symbolic pass or the sampled estimator.
+// symbolic pass or the sampled estimator. An exact planning pass hands
+// its row analysis on in the returned options, so the engine that runs
+// the grid (and EstimateCost's write-back) reuses it.
 func (o RunOptions) plan(a, b *Matrix) (OutOfCoreOptions, error) {
 	estimated := o.Symbolic != SymbolicExact
 	if o.PlanCache != nil {
-		return o.PlanCache.plan(a, b, o.device(), estimated)
+		return o.PlanCache.plan(a, b, o.device(), estimated, o.Metrics)
 	}
 	if estimated {
 		return PlanEstimated(a, b, o.device())
 	}
-	return Plan(a, b, o.device())
+	return planExact(a, b, o.device(), o.Metrics)
 }
 
 // coreOptions resolves the out-of-core options: an explicit grid is

@@ -261,8 +261,10 @@ func (p *PlanCache) storeCPU(key cpuPlanKey, sym *cpuspgemm.SymbolicResult) bool
 // sampled-estimator planner (PlanEstimated) over the exact one; a memo
 // planned from the estimator satisfies estimated requests but not
 // exact ones — an exact request re-plans and upgrades the memo in
-// place, and an exact memo serves everyone.
-func (p *PlanCache) plan(a, b *Matrix, cfg DeviceConfig, estimated bool) (OutOfCoreOptions, error) {
+// place, and an exact memo serves everyone. The memo keeps the grid
+// only: the row analysis an exact pass hands to its caller is cached,
+// byte-accounted, with the device plan (core.PlanCache).
+func (p *PlanCache) plan(a, b *Matrix, cfg DeviceConfig, estimated bool, m *Collector) (OutOfCoreOptions, error) {
 	key := gridKey{fpA: csr.Fingerprint(a), fpB: csr.Fingerprint(b), memBytes: cfg.MemoryBytes}
 	p.mu.Lock()
 	if ent, ok := p.grids[key]; ok && (!ent.estimated || estimated) {
@@ -275,20 +277,25 @@ func (p *PlanCache) plan(a, b *Matrix, cfg DeviceConfig, estimated bool) (OutOfC
 	if estimated {
 		opts, err = PlanEstimated(a, b, cfg)
 	} else {
-		opts, err = Plan(a, b, cfg)
+		opts, err = planExact(a, b, cfg, m)
 	}
 	if err != nil {
 		return OutOfCoreOptions{}, err
 	}
+	memo := opts
+	memo.Analysis = nil
 	p.mu.Lock()
 	if cur, ok := p.grids[key]; ok && !cur.estimated {
-		// A concurrent exact planning pass won; keep its memo.
-		opts = cur.opts
+		// A concurrent exact planning pass won; keep its memo (an exact
+		// pass of our own planned the same grid and keeps its analysis).
+		if estimated {
+			opts = cur.opts
+		}
 	} else {
 		if ok && cur.estimated && !estimated {
 			p.upgrades++
 		}
-		p.grids[key] = gridEntry{opts: opts, estimated: estimated}
+		p.grids[key] = gridEntry{opts: memo, estimated: estimated}
 	}
 	p.mu.Unlock()
 	return opts, nil

@@ -60,18 +60,18 @@ func TestPlanCacheGridUpgrade(t *testing.T) {
 	cfg := V100WithMemory(1 << 20)
 	pc := NewPlanCache(0)
 
-	est1, err := pc.plan(a, a, cfg, true)
+	est1, err := pc.plan(a, a, cfg, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	est2, err := pc.plan(a, a, cfg, true)
+	est2, err := pc.plan(a, a, cfg, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if est1 != est2 {
 		t.Fatal("estimated memo did not serve a repeated estimated request")
 	}
-	exact, err := pc.plan(a, a, cfg, false)
+	exact, err := pc.plan(a, a, cfg, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,12 +82,18 @@ func TestPlanCacheGridUpgrade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if exact.Analysis == nil || wantExact.Analysis == nil {
+		t.Fatal("an exact planning pass did not hand its row analysis on")
+	}
+	// The memo keeps the grid only; the analysis travels with the call
+	// that computed it.
+	exact.Analysis, wantExact.Analysis = nil, nil
 	if exact != wantExact {
 		t.Fatalf("upgraded memo %+v != exact plan %+v", exact, wantExact)
 	}
 	// The exact memo now serves estimated requests too, with no further
 	// upgrade churn.
-	served, err := pc.plan(a, a, cfg, true)
+	served, err := pc.plan(a, a, cfg, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

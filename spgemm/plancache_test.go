@@ -3,6 +3,7 @@ package spgemm
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/metrics"
@@ -47,12 +48,28 @@ func mustBitIdentical(t *testing.T, cold, warm *Matrix) {
 	}
 }
 
+// symbolicWallSpans counts the run's wall-clock spans that name a
+// symbolic pass (row analysis, symbolic phase, classification).
+func symbolicWallSpans(col *Collector) int {
+	n := 0
+	for _, s := range col.Spans() {
+		if s.Domain == metrics.Wall && (strings.Contains(s.Label, "analysis") ||
+			strings.Contains(s.Label, "symbolic") || strings.Contains(s.Label, "classify")) {
+			n++
+		}
+	}
+	return n
+}
+
 // TestPlanCacheEngines runs each cache-aware registry engine twice on
 // a fixed pattern with refreshed values: the second run must hit the
 // cache and stay byte-identical to an uncached run of the same inputs.
+// A cold device run pays exactly one whole-matrix symbolic pass (where
+// it plans the grid); a warm one pays none — the row analysis the
+// hybrid engines' host cost model needs comes back with the plan.
 func TestPlanCacheEngines(t *testing.T) {
 	a := RMAT(9, 8, 0.57, 0.19, 0.19, 41)
-	for _, name := range []string{"cpu", "gpu", "gpu-sync", "hybrid"} {
+	for _, name := range []string{"cpu", "gpu", "gpu-sync", "hybrid", "multigpu"} {
 		pc := NewPlanCache(0)
 		eng, err := ByName(name)
 		if err != nil {
@@ -60,9 +77,14 @@ func TestPlanCacheEngines(t *testing.T) {
 		}
 		opts := runOptsFor(name)
 		opts.PlanCache = pc
+		opts.Metrics = NewCollector()
 		if _, _, err := eng.Run(a, a, opts); err != nil {
 			t.Fatalf("%s cold: %v", name, err)
 		}
+		if n := symbolicWallSpans(opts.Metrics); DeviceBacked(name) && n != 1 {
+			t.Fatalf("%s cold: %d whole-matrix symbolic passes, want 1", name, n)
+		}
+		opts.Metrics = NewCollector()
 		fresh := refreshValues(a, 42)
 		cold, _, err := eng.Run(fresh, fresh, runOptsFor(name))
 		if err != nil {
@@ -76,6 +98,9 @@ func TestPlanCacheEngines(t *testing.T) {
 		hits, misses, _ := pc.Counters()
 		if hits == 0 {
 			t.Fatalf("%s: no plan cache hits after a repeat run (misses=%d)", name, misses)
+		}
+		if n := symbolicWallSpans(opts.Metrics); n != 0 {
+			t.Fatalf("%s warm: %d symbolic wall spans, want none", name, n)
 		}
 	}
 }

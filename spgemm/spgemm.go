@@ -212,13 +212,24 @@ func MultiplyHybrid(a, b *Matrix, cfg DeviceConfig, opts HybridOptions) (*Matrix
 // grid whose double-buffered pipeline fits the device memory, assuming
 // chunk outputs up to skew x the average (graph matrices concentrate
 // output in hub chunks). It runs a symbolic pass to size the output
-// exactly.
+// exactly, and hands that pass's row analysis on in the returned
+// options (Analysis) so the engine run that follows does not repeat it.
 func Plan(a, b *Matrix, cfg DeviceConfig) (OutOfCoreOptions, error) {
+	return planExact(a, b, cfg, nil)
+}
+
+// planExact is Plan with an optional metrics sink for the symbolic
+// pass's wall span.
+func planExact(a, b *Matrix, cfg DeviceConfig, m *Collector) (OutOfCoreOptions, error) {
 	if a.Cols != b.Rows {
 		return OutOfCoreOptions{}, fmt.Errorf("spgemm: dimension mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
 	}
-	_, _, outNnz := speck.ClassifyFlops(a, b)
-	return planFromNnz(a, b, cfg, outNnz)
+	stop := m.StartWall("host", "row analysis")
+	ra := speck.Analyze(a, b)
+	stop()
+	opts, err := planFromNnz(a, b, cfg, ra.OutNnz())
+	opts.Analysis = ra
+	return opts, err
 }
 
 // PlanEstimated chooses a chunk grid like Plan but sizes the output
@@ -326,11 +337,11 @@ func runAuto(a, b *Matrix, cfg DeviceConfig, m *Collector, pc *PlanCache, mode S
 	var err error
 	switch {
 	case pc != nil:
-		opts, err = pc.plan(a, b, cfg, estimated)
+		opts, err = pc.plan(a, b, cfg, estimated, m)
 	case estimated:
 		opts, err = PlanEstimated(a, b, cfg)
 	default:
-		opts, err = Plan(a, b, cfg)
+		opts, err = planExact(a, b, cfg, m)
 	}
 	if err != nil {
 		return nil, Stats{}, err
