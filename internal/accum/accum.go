@@ -18,10 +18,7 @@
 // strategy.
 package accum
 
-import (
-	"slices"
-	"sort"
-)
+import "slices"
 
 // Accumulator combines intermediate products of one output row.
 type Accumulator interface {
@@ -48,7 +45,8 @@ type Accumulator interface {
 type Hash struct {
 	keys  []int32 // -1 = empty
 	vals  []float64
-	used  []int32 // indices of occupied slots, in insertion order
+	used  []int32  // indices of occupied slots, in insertion order
+	order []uint64 // Flush's sort keys, reused across rows
 	mask  uint32
 	count int
 }
@@ -135,12 +133,12 @@ func (h *Hash) Len() int { return h.count }
 
 // Flush emits the sorted (column, value) pairs and resets.
 func (h *Hash) Flush(cols []int32, vals []float64) ([]int32, []float64) {
-	start := len(cols)
+	order := h.order[:0]
 	for _, i := range h.used {
-		cols = append(cols, h.keys[i])
-		vals = append(vals, h.vals[i])
+		order = append(order, packKey(h.keys[i], i))
 	}
-	sortPairs(cols[start:], vals[start:])
+	h.order = order
+	cols, vals = flushKeys(order, h.vals, cols, vals)
 	h.Reset()
 	return cols, vals
 }
@@ -220,7 +218,7 @@ func (d *Dense) Len() int { return len(d.touched) }
 
 // Flush emits the sorted (column, value) pairs and resets.
 func (d *Dense) Flush(cols []int32, vals []float64) ([]int32, []float64) {
-	sort.Slice(d.touched, func(i, j int) bool { return d.touched[i] < d.touched[j] })
+	slices.Sort(d.touched)
 	for _, c := range d.touched {
 		cols = append(cols, c)
 		vals = append(vals, d.vals[c])
@@ -248,21 +246,35 @@ func (d *Dense) Reset() {
 	}
 }
 
-// sortPairs sorts cols ascending, permuting vals identically.
-func sortPairs(cols []int32, vals []float64) {
-	sort.Sort(&pairSorter{cols, vals})
+// packKey packs a column id and the index its value lives at into one
+// sort key, so sorting keys by value sorts pairs by column.
+func packKey(col, idx int32) uint64 { return uint64(uint32(col))<<32 | uint64(uint32(idx)) }
+
+// flushKeys sorts keys and appends the (column, value) pairs they name,
+// the values read from src.
+func flushKeys(keys []uint64, src []float64, cols []int32, vals []float64) ([]int32, []float64) {
+	sortKeys(keys)
+	for _, k := range keys {
+		cols = append(cols, int32(k>>32))
+		vals = append(vals, src[uint32(k)])
+	}
+	return cols, vals
 }
 
-type pairSorter struct {
-	cols []int32
-	vals []float64
-}
-
-func (p *pairSorter) Len() int           { return len(p.cols) }
-func (p *pairSorter) Less(i, j int) bool { return p.cols[i] < p.cols[j] }
-func (p *pairSorter) Swap(i, j int) {
-	p.cols[i], p.cols[j] = p.cols[j], p.cols[i]
-	p.vals[i], p.vals[j] = p.vals[j], p.vals[i]
+// sortKeys is the accumulators' pair sort — typed and allocation-free:
+// insertion sort up to 24 keys, slices.Sort beyond.
+func sortKeys(keys []uint64) {
+	if len(keys) > 24 {
+		slices.Sort(keys)
+		return
+	}
+	for i := 1; i < len(keys); i++ {
+		k, j := keys[i], i
+		for ; j > 0 && keys[j-1] > k; j-- {
+			keys[j] = keys[j-1]
+		}
+		keys[j] = k
+	}
 }
 
 // Interface conformance checks.

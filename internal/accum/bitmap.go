@@ -58,15 +58,6 @@ func (b *Bitmap) Add(col int32, val float64) {
 	b.vals[col] += val
 }
 
-// AddSegment ORs a whole 64-column occupancy mask into the word for
-// segment seg (column ids [seg*64, seg*64+64)) — the compressed
-// symbolic step over csr.Segments rows: one OR plus a popcount covers
-// every column the segment holds, with no per-column branch at all.
-func (b *Bitmap) AddSegment(seg int32, mask uint64) {
-	b.n += bits.OnesCount64(mask &^ b.bits[seg])
-	b.bits[seg] |= mask
-}
-
 // AddSymbolic records the column without a value.
 func (b *Bitmap) AddSymbolic(col int32) {
 	w, m := col>>6, uint64(1)<<(col&63)

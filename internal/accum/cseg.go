@@ -3,7 +3,6 @@ package accum
 import (
 	"math/bits"
 	"slices"
-	"sort"
 )
 
 // CSeg is a two-level compressed hash accumulator in the style of
@@ -193,7 +192,7 @@ func (c *CSeg) Len() int { return c.count }
 // populated only symbolically (no value block) emit zero values, per
 // the Accumulator contract ("the value written is undefined").
 func (c *CSeg) Flush(cols []int32, vals []float64) ([]int32, []float64) {
-	sort.Slice(c.used, func(i, j int) bool { return c.segs[c.used[i]] < c.segs[c.used[j]] })
+	c.sortUsed()
 	for _, s := range c.used {
 		word := c.masks[s]
 		if word == 0 {
@@ -219,11 +218,16 @@ func (c *CSeg) Flush(cols []int32, vals []float64) ([]int32, []float64) {
 	return cols, vals
 }
 
+// sortUsed orders the occupied slots by segment id.
+func (c *CSeg) sortUsed() {
+	slices.SortFunc(c.used, func(x, y int32) int { return int(c.segs[x] - c.segs[y]) })
+}
+
 // FlushCols appends the distinct columns in ascending order (the
 // structure-only Flush: segments sorted by id, bits low-to-high) and
 // resets.
 func (c *CSeg) FlushCols(cols []int32) []int32 {
-	slices.SortFunc(c.used, func(x, y int32) int { return int(c.segs[x] - c.segs[y]) })
+	c.sortUsed()
 	for _, s := range c.used {
 		base := c.segs[s] << 6
 		for word := c.masks[s]; word != 0; word &= word - 1 {

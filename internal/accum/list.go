@@ -16,8 +16,9 @@ import "slices"
 // accumulated by List is bit-for-bit the row Hash or Dense would have
 // produced.
 type List struct {
-	cols []int32
-	vals []float64
+	cols  []int32
+	vals  []float64
+	order []uint64 // Flush's packed sort keys, reused across rows
 }
 
 // NewList creates a list accumulator with room for capacity distinct
@@ -70,10 +71,12 @@ func (l *List) Len() int { return len(l.cols) }
 
 // Flush emits the sorted (column, value) pairs and resets.
 func (l *List) Flush(cols []int32, vals []float64) ([]int32, []float64) {
-	start := len(cols)
-	cols = append(cols, l.cols...)
-	vals = append(vals, l.vals...)
-	sortPairs(cols[start:], vals[start:])
+	order := l.order[:0]
+	for i, c := range l.cols {
+		order = append(order, packKey(c, int32(i)))
+	}
+	l.order = order
+	cols, vals = flushKeys(order, l.vals, cols, vals)
 	l.Reset()
 	return cols, vals
 }

@@ -89,8 +89,8 @@ func TestDenseGrowWidens(t *testing.T) {
 func TestSortGrowReserves(t *testing.T) {
 	s := GetSort(8)
 	s.Grow(4096)
-	if cap(s.cols) < 4096 {
-		t.Fatalf("cap %d after Grow(4096)", cap(s.cols))
+	if cap(s.keys) < 4096 {
+		t.Fatalf("cap %d after Grow(4096)", cap(s.keys))
 	}
 	PutSort(s)
 }
@@ -138,16 +138,12 @@ func TestFlushColsMatchesFlush(t *testing.T) {
 				t.Fatalf("round %d %s: not empty after FlushCols", round, name)
 			}
 		}
-		for name, acc := range map[string]interface {
-			colFlusher
-			AddSegment(int32, uint64)
-		}{"bitmap": NewBitmap(width), "cseg": NewCSeg(4)} {
-			for _, c := range cols {
-				acc.AddSegment(c>>6, 1<<uint(c&63))
-			}
-			if got := acc.FlushCols(nil); !slices.Equal(got, want) {
-				t.Fatalf("round %d %s: FlushCols after AddSegment = %v, want %v", round, name, got, want)
-			}
+		cseg := NewCSeg(4)
+		for _, c := range cols {
+			cseg.AddSegment(c>>6, 1<<uint(c&63))
+		}
+		if got := cseg.FlushCols(nil); !slices.Equal(got, want) {
+			t.Fatalf("round %d cseg: FlushCols after AddSegment = %v, want %v", round, got, want)
 		}
 	}
 }

@@ -1,7 +1,5 @@
 package accum
 
-import "sort"
-
 // Sort is an expand-sort-compress (ESC) accumulator in the style of
 // Bell et al. [7,9] (the paper's related work): intermediate products
 // are appended unsorted to an expansion buffer; on Flush the buffer is
@@ -10,8 +8,8 @@ import "sort"
 // intermediate product twice; it is the classic baseline the hash and
 // dense accumulators are measured against.
 type Sort struct {
-	cols []int32
-	vals []float64
+	keys []uint64  // packKey(column, arrival index) per product
+	vals []float64 // products in arrival order
 	// distinct caches the Len computation between calls; -1 = dirty.
 	distinct int
 }
@@ -19,26 +17,18 @@ type Sort struct {
 // NewSort creates an ESC accumulator with the given initial expansion
 // capacity.
 func NewSort(capacity int) *Sort {
-	return &Sort{
-		cols:     make([]int32, 0, capacity),
-		vals:     make([]float64, 0, capacity),
-		distinct: 0,
-	}
+	return &Sort{keys: make([]uint64, 0, capacity), vals: make([]float64, 0, capacity)}
 }
 
 // Add appends an intermediate product to the expansion buffer.
 func (s *Sort) Add(col int32, val float64) {
-	s.cols = append(s.cols, col)
+	s.keys = append(s.keys, packKey(col, int32(len(s.vals))))
 	s.vals = append(s.vals, val)
 	s.distinct = -1
 }
 
 // AddSymbolic appends a column to the expansion buffer.
-func (s *Sort) AddSymbolic(col int32) {
-	s.cols = append(s.cols, col)
-	s.vals = append(s.vals, 0)
-	s.distinct = -1
-}
+func (s *Sort) AddSymbolic(col int32) { s.Add(col, 0) }
 
 // Len reports the number of distinct columns, sorting the buffer if
 // needed (ESC has no cheaper way to know).
@@ -46,10 +36,10 @@ func (s *Sort) Len() int {
 	if s.distinct >= 0 {
 		return s.distinct
 	}
-	s.sortBuffer()
+	sortKeys(s.keys)
 	n := 0
-	for i := range s.cols {
-		if i == 0 || s.cols[i] != s.cols[i-1] {
+	for i, k := range s.keys {
+		if i == 0 || k>>32 != s.keys[i-1]>>32 {
 			n++
 		}
 	}
@@ -57,20 +47,18 @@ func (s *Sort) Len() int {
 	return n
 }
 
-func (s *Sort) sortBuffer() {
-	sort.Sort(&pairSorter{s.cols, s.vals})
-}
-
-// Flush sorts, compresses and appends the (column, value) pairs.
+// Flush sorts, compresses and appends the (column, value) pairs. Keys
+// order by column, then arrival, so a column's products sum in arrival
+// order.
 func (s *Sort) Flush(cols []int32, vals []float64) ([]int32, []float64) {
-	s.sortBuffer()
-	for i := 0; i < len(s.cols); {
-		c := s.cols[i]
-		v := s.vals[i]
-		for i++; i < len(s.cols) && s.cols[i] == c; i++ {
-			v += s.vals[i]
+	sortKeys(s.keys)
+	for i := 0; i < len(s.keys); {
+		c := s.keys[i] >> 32
+		v := s.vals[uint32(s.keys[i])]
+		for i++; i < len(s.keys) && s.keys[i]>>32 == c; i++ {
+			v += s.vals[uint32(s.keys[i])]
 		}
-		cols = append(cols, c)
+		cols = append(cols, int32(c))
 		vals = append(vals, v)
 	}
 	s.Reset()
@@ -86,7 +74,7 @@ func (s *Sort) FlushSymbolic() int {
 
 // Reset clears the expansion buffer, retaining capacity.
 func (s *Sort) Reset() {
-	s.cols = s.cols[:0]
+	s.keys = s.keys[:0]
 	s.vals = s.vals[:0]
 	s.distinct = 0
 }

@@ -1,7 +1,6 @@
 package cpuspgemm
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,17 +12,14 @@ import (
 	"repro/internal/speck"
 )
 
-// The exact-path adaptive kernel layer. The seed's exact pipeline ran
-// every row of a chunk through one accumulator sized to the chunk's
-// worst-case row — a hub row inflated its whole chunk's hash table,
-// and uniformly tiny rows still paid full hash probes. This file
-// instead drives the per-row-class row kernel of internal/speck
-// (rowkernel.go: the same binning and symbolic pass speck's per-chunk
-// products and the whole-matrix row analysis use) over dynamically
-// claimed chunks, one accumulator Kit per worker, and re-bins each row
-// from its exact size for the numeric phase. Every class accumulates
-// same-column products in first-touch arrival order and flushes sorted,
-// so the product is bit-for-bit the one the seed path produced.
+// The exact-path kernel layer: the row kernel of internal/speck
+// (rowkernel.go, shared with speck's per-chunk products and the
+// whole-matrix row analysis) driven over dynamically claimed chunks, one
+// Kit per worker. The symbolic phase emits every row's ascending column
+// ids; the numeric phase is the stamped-scratch replay a warm Numeric
+// call runs (replay, in plan.go) over the structure just emitted.
+// Same-column products sum in first-touch arrival order, so the product
+// is bit-for-bit the one the seed's uniform-hash path produced.
 
 // ClassStat aggregates one kernel class's share of a multiply.
 type ClassStat struct {
@@ -43,13 +39,16 @@ type ClassStats struct {
 // Names returns the class names in Classes order.
 func (s *ClassStats) Names() [speck.NumKinds]string { return speck.KindNames }
 
-func (s *ClassStats) add(k speck.Kind, rows, flops, nnz, symNs, numNs int64) {
-	c := &s.Classes[k]
-	atomic.AddInt64(&c.Rows, rows)
-	atomic.AddInt64(&c.Flops, flops)
-	atomic.AddInt64(&c.Nnz, nnz)
-	atomic.AddInt64(&c.SymbolicNs, symNs)
-	atomic.AddInt64(&c.NumericNs, numNs)
+// merge adds one chunk's locally gathered shares.
+func (s *ClassStats) merge(part *[speck.NumKinds]ClassStat) {
+	for k := range part {
+		c, p := &s.Classes[k], &part[k]
+		atomic.AddInt64(&c.Rows, p.Rows)
+		atomic.AddInt64(&c.Flops, p.Flops)
+		atomic.AddInt64(&c.Nnz, p.Nnz)
+		atomic.AddInt64(&c.SymbolicNs, p.SymbolicNs)
+		atomic.AddInt64(&c.NumericNs, p.NumericNs)
+	}
 }
 
 // ChunkSpan is one dynamically claimed chunk's measured execution.
@@ -93,9 +92,36 @@ func forChunksLogged(nt int, bounds []int, log *ChunkLog, symbolic bool, fn func
 	parallel.ForChunksW(nt, bounds, body)
 }
 
-// multiplyAdaptive is the exact two-phase pipeline with per-row
-// adaptive kernel selection — the Hash method's implementation behind
-// Multiply. rowFlops, when non-nil, is the precomputed row analysis.
+// colSpan holds the column ids of rows [lo, hi), in row order, where the
+// symbolic phase staged them.
+type colSpan struct {
+	lo, hi int
+	ids    []int32
+}
+
+// colStage is one worker's staged structure: rows are emitted into
+// pooled fixed-size blocks, a span ending where a chunk ends or where
+// the next row might not fit the current block's tail.
+type colStage struct {
+	tail   []int32 // the current block's free tail (length 0)
+	spans  []colSpan
+	blocks []*[]int32
+}
+
+// newBlock returns an empty buffer with room for n ids: a pooled block,
+// or a buffer of its own for a row wider than one.
+func (s *colStage) newBlock(n int) []int32 {
+	if n > accum.ColBlockLen {
+		return make([]int32, 0, n)
+	}
+	p := accum.GetColBlock()
+	s.blocks = append(s.blocks, p)
+	return (*p)[:0]
+}
+
+// multiplyAdaptive is the exact two-phase pipeline — symbolic emit,
+// then the numeric replay — behind Multiply's Hash method. rowFlops,
+// when non-nil, is the precomputed row analysis.
 func multiplyAdaptive(a, b *csr.Matrix, opts Options, rowFlops []int64) (*csr.Matrix, error) {
 	nt := opts.threads()
 	chunkNT := nt
@@ -107,16 +133,11 @@ func multiplyAdaptive(a, b *csr.Matrix, opts Options, rowFlops []int64) (*csr.Ma
 	if rowFlops == nil {
 		rowFlops = csr.RowFlops(a, b)
 	}
-	var totalFlops int64
-	for _, f := range rowFlops {
-		totalFlops += f
-	}
 	bounds := parallel.CostBounds(rowFlops, chunkNT)
 
-	// Bin every row to its symbolic kernel and segment-compress B when
+	// Label every row with its work class and segment-compress B when
 	// the multiply can amortize the O(nnz(B)) pass.
 	pass := speck.NewSymbolicPass(a, b, rowFlops)
-	width := int64(b.Cols)
 	stopAnalysis()
 
 	var poolGets0, poolNews0 int64
@@ -128,10 +149,11 @@ func multiplyAdaptive(a, b *csr.Matrix, opts Options, rowFlops []int64) (*csr.Ma
 	rowNnz := make([]int64, a.Rows)
 	var werr firstErr
 	kits := make([]speck.Kit, parallel.Workers(nt))
+	stages := make([]colStage, len(kits))
+	defer releaseKits(kits)
 
-	// Symbolic phase: count distinct columns per output row, each row
-	// on the kernel its class picks, consuming compressed B rows where
-	// the kernel supports the segment OR.
+	// Symbolic phase: each worker stages its rows' ascending column ids;
+	// the row sizes fall out of the append.
 	stopSymbolic := opts.Metrics.StartWall("cpu", "symbolic")
 	forChunksLogged(nt, bounds, opts.ChunkLog, true, func(w, lo, hi int) {
 		if werr.get() != nil {
@@ -141,110 +163,72 @@ func multiplyAdaptive(a, b *csr.Matrix, opts Options, rowFlops []int64) (*csr.Ma
 			werr.set(ErrCanceled)
 			return
 		}
-		kit := &kits[w]
+		kit, st := &kits[w], &stages[w]
+		buf, first := st.tail, lo
 		t0 := time.Now()
-		var classNs [speck.NumKinds]int64
-		var classRows, classFlops [speck.NumKinds]int64
+		var part [speck.NumKinds]ClassStat
 		for i := lo; i < hi; i++ {
 			if rowFlops[i] == 0 {
 				continue
 			}
-			rowNnz[i] = int64(pass.Count(kit, i))
+			// A row holds at most one id per product and per column.
+			if bound := int(min(rowFlops[i]/2, int64(b.Cols))); cap(buf)-len(buf) < bound {
+				st.spans = append(st.spans, colSpan{first, i, buf})
+				buf, first = st.newBlock(bound), i
+			}
+			n := len(buf)
+			buf = pass.AppendCols(kit, i, buf)
+			rowNnz[i] = int64(len(buf) - n)
 			if opts.ClassStats != nil {
 				t1 := time.Now()
-				kind := pass.Kind(i)
-				classNs[kind] += t1.Sub(t0).Nanoseconds()
+				c := &part[pass.Kind(i)]
+				c.SymbolicNs += t1.Sub(t0).Nanoseconds()
 				t0 = t1
-				classRows[kind]++
-				classFlops[kind] += rowFlops[i]
+				c.Rows++
+				c.Flops += rowFlops[i]
+				c.Nnz += rowNnz[i]
 			}
 		}
+		st.spans = append(st.spans, colSpan{first, hi, buf})
+		st.tail = buf[len(buf):]
 		if opts.ClassStats != nil {
-			for k := speck.Kind(0); k < speck.NumKinds; k++ {
-				if classRows[k] != 0 || classNs[k] != 0 {
-					opts.ClassStats.add(k, classRows[k], classFlops[k], 0, classNs[k], 0)
-				}
-			}
+			opts.ClassStats.merge(&part)
 		}
 	})
 	stopSymbolic()
 	if err := werr.get(); err != nil {
-		releaseKits(kits)
 		return nil, err
 	}
 
-	// Prefix sum gives the final row offsets; allocation is now exact.
+	// Prefix sum gives the final row offsets; allocation is now exact,
+	// and each span's ids move from its staging block into place (a
+	// failed multiply leaves its blocks to the collector instead).
 	parallel.PrefixSum(nt, c.RowOffsets, rowNnz)
 	nnz := c.RowOffsets[a.Rows]
 	c.ColIDs = make([]int32, nnz)
 	c.Data = make([]float64, nnz)
-
-	// Numeric phase: recompute with values, each row re-binned from its
-	// now-exact output size and its accumulator sized to exactly that.
-	stopNumeric := opts.Metrics.StartWall("cpu", "numeric")
-	forChunksLogged(nt, bounds, opts.ChunkLog, false, func(w, lo, hi int) {
-		if werr.get() != nil {
-			return
+	parallel.Run(len(stages), func(w int) {
+		for _, sp := range stages[w].spans {
+			copy(c.ColIDs[c.RowOffsets[sp.lo]:c.RowOffsets[sp.hi]], sp.ids)
 		}
-		if opts.canceled() {
-			werr.set(ErrCanceled)
-			return
-		}
-		kit := &kits[w]
-		t0 := time.Now()
-		var classNs [speck.NumKinds]int64
-		var classRows, classNnz [speck.NumKinds]int64
-		for i := lo; i < hi; i++ {
-			if rowFlops[i] == 0 {
-				continue
-			}
-			kind := speck.PickKind(rowFlops[i], rowNnz[i], width, pass.SegRatio, true)
-			acc := kit.Get(kind, rowNnz[i], b.Cols)
-			ac, av := a.Row(i)
-			for p := range ac {
-				bc, bv := b.Row(int(ac[p]))
-				for q := range bc {
-					acc.Add(bc[q], av[p]*bv[q])
-				}
-			}
-			if int64(acc.Len()) != rowNnz[i] {
-				// Non-finite or NaN inputs can legitimately collapse
-				// accumulator slots between phases, so a mismatch is a
-				// data-dependent failure, not an invariant worth dying on.
-				werr.set(fmt.Errorf("cpuspgemm: row %d numeric nnz %d != symbolic %d", i, acc.Len(), rowNnz[i]))
-				return
-			}
-			off, end := c.RowOffsets[i], c.RowOffsets[i+1]
-			acc.Flush(c.ColIDs[off:off:end], c.Data[off:off:end])
-			if opts.ClassStats != nil {
-				t1 := time.Now()
-				classNs[kind] += t1.Sub(t0).Nanoseconds()
-				t0 = t1
-				classRows[kind]++
-				classNnz[kind] += rowNnz[i]
-			}
-		}
-		if opts.ClassStats != nil {
-			for k := speck.Kind(0); k < speck.NumKinds; k++ {
-				if classRows[k] != 0 || classNs[k] != 0 {
-					opts.ClassStats.add(k, 0, 0, classNnz[k], 0, classNs[k])
-				}
-			}
+		for _, p := range stages[w].blocks {
+			accum.PutColBlock(p)
 		}
 	})
+
+	// Numeric phase: replay the values into the structure.
+	stopNumeric := opts.Metrics.StartWall("cpu", "numeric")
+	err := replay(c, a, b, bounds, opts, pass)
 	stopNumeric()
-	releaseKits(kits)
-	if err := werr.get(); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	if m := opts.Metrics; m.Enabled() {
 		gets, news := accum.PoolCounters()
 		m.Add(metrics.CounterPoolGets, gets-poolGets0)
 		m.Add(metrics.CounterPoolNews, news-poolNews0)
-		m.Add(metrics.CounterFlops, totalFlops)
-		m.Add(metrics.CounterRows, int64(a.Rows))
-		m.Add(metrics.CounterNnzC, nnz)
 	}
+	opts.countProduct(rowFlops, nnz)
 	return c, nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/csr"
 	"repro/internal/matgen"
 	"repro/internal/parallel"
 	"repro/internal/speck"
@@ -16,15 +15,7 @@ import (
 // — structure and values — to MultiplyStatic, the seed's uniform-hash
 // static-schedule pipeline kept unchanged as the reference.
 func TestAdaptivePropertyBitIdentical(t *testing.T) {
-	mats := map[string]*csr.Matrix{
-		"rmat":     matgen.RMAT(10, 8, 0.57, 0.19, 0.19, 71),
-		"er":       matgen.ER(300, 300, 0.03, 72),
-		"band":     matgen.Band(600, 5, 73),
-		"diag":     matgen.BlockDiag(20, 8, 74),
-		"stencil":  matgen.Stencil2D(24, 24),
-		"skewrmat": matgen.RMAT(9, 16, 0.7, 0.12, 0.12, 75),
-	}
-	for mname, a := range mats {
+	for mname, a := range families() {
 		want, err := MultiplyStatic(a, a, Options{Method: Hash, Threads: 1})
 		if err != nil {
 			t.Fatal(err)

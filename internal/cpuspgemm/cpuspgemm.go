@@ -104,8 +104,8 @@ type Options struct {
 	// the exact symbolic phase behind the sampled row estimator with a
 	// single adaptive numeric pass (output bit-identical to exact);
 	// ModeAuto estimates only multiplies large enough to amortize it.
-	// The ESC method ignores estimation and always runs exact (its
-	// unstable sort already excludes it from every reuse fast path).
+	// The ESC method ignores estimation and always runs exact (the
+	// baseline stays outside every reuse fast path).
 	Symbolic speck.Mode
 	// Estimator tunes the estimation path; the zero value uses the
 	// defaults (see speck.EstimatorConfig).
@@ -133,10 +133,25 @@ func (o Options) threads() int {
 	return parallel.Workers(o.Threads)
 }
 
+// countProduct adds a finished product's flop, row and output counters.
+func (o Options) countProduct(rowFlops []int64, nnz int64) {
+	if m := o.Metrics; m.Enabled() {
+		var flops int64
+		for _, f := range rowFlops {
+			flops += f
+		}
+		m.Add(metrics.CounterFlops, flops)
+		m.Add(metrics.CounterRows, int64(len(rowFlops)))
+		m.Add(metrics.CounterNnzC, nnz)
+	}
+}
+
 // Sequential computes C = A·B with the straightforward sequential
 // Gustavson row-row algorithm (Algorithm 1 of the paper), using a plain
 // map accumulator. It is the correctness reference for every other
-// engine in this repository.
+// engine in this repository, bit for bit: like every kernel it assigns a
+// column's first product and adds the rest in arrival order (0 + -0.0
+// would turn a lone -0.0 product into +0.0).
 func Sequential(a, b *csr.Matrix) (*csr.Matrix, error) {
 	if a.Cols != b.Rows {
 		return nil, errDims(a, b)
@@ -148,8 +163,12 @@ func Sequential(a, b *csr.Matrix) (*csr.Matrix, error) {
 		for p := range ac {
 			k := ac[p]
 			bc, bv := b.Row(int(k))
-			for q := range bc {
-				row[bc[q]] += av[p] * bv[q]
+			for q, col := range bc {
+				if v, seen := row[col]; seen {
+					row[col] = v + av[p]*bv[q]
+				} else {
+					row[col] = av[p] * bv[q]
+				}
 			}
 		}
 		for c, v := range row {
@@ -287,9 +306,6 @@ func multiplyExact(a, b *csr.Matrix, opts Options, rowFlops []int64) (*csr.Matri
 				}
 			}
 			if int64(acc.Len()) != rowNnz[i] {
-				// Non-finite or NaN inputs can legitimately collapse
-				// accumulator slots between phases, so a mismatch is a
-				// data-dependent failure, not an invariant worth dying on.
 				werr.set(fmt.Errorf("cpuspgemm: row %d numeric nnz %d != symbolic %d", i, acc.Len(), rowNnz[i]))
 				return
 			}
@@ -307,14 +323,8 @@ func multiplyExact(a, b *csr.Matrix, opts Options, rowFlops []int64) (*csr.Matri
 		gets, news := accum.PoolCounters()
 		m.Add(metrics.CounterPoolGets, gets-poolGets0)
 		m.Add(metrics.CounterPoolNews, news-poolNews0)
-		var flops int64
-		for _, f := range rowFlops {
-			flops += f
-		}
-		m.Add(metrics.CounterFlops, flops)
-		m.Add(metrics.CounterRows, int64(a.Rows))
-		m.Add(metrics.CounterNnzC, nnz)
 	}
+	opts.countProduct(rowFlops, nnz)
 	return c, nil
 }
 

@@ -2,11 +2,12 @@ package cpuspgemm
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/accum"
 	"repro/internal/csr"
-	"repro/internal/metrics"
 	"repro/internal/parallel"
+	"repro/internal/speck"
 )
 
 // SymbolicResult is the values-independent half of a CPU multiply: the
@@ -39,13 +40,12 @@ func (s *SymbolicResult) Bytes() int64 {
 	return int64(len(s.RowFlops))*8 + int64(len(s.RowOffsets))*8 + int64(len(s.ColIDs))*4
 }
 
-// MultiplyPlanned computes C = A·B exactly like Multiply and
-// additionally captures the symbolic plan of the multiply. The capture
-// is nearly free: the product's structure arrays are shared with the
-// plan (not copied), and only the row-analysis pass is re-run. This is
-// the cold half of the structure-reuse fast path — the first multiply
-// of a pattern pays full price once and hands back the plan that every
-// later Numeric call reuses.
+// MultiplyPlanned computes C = A·B exactly like Multiply and hands back
+// the symbolic plan as the by-product it is: the row analysis the
+// multiply ran and the structure arrays its symbolic phase emitted,
+// shared with the product, not copied. This is the cold half of the
+// structure-reuse fast path — every later Numeric call of the pattern
+// replays into this plan.
 func MultiplyPlanned(a, b *csr.Matrix, opts Options) (*csr.Matrix, *SymbolicResult, error) {
 	if a.Cols != b.Rows {
 		return nil, nil, errDims(a, b)
@@ -73,26 +73,20 @@ func MultiplyPlanned(a, b *csr.Matrix, opts Options) (*csr.Matrix, *SymbolicResu
 }
 
 // Numeric re-runs only value accumulation against a cached symbolic
-// plan: per output row the intermediate products scatter into a dense
-// scratch array in the same order the cold accumulators apply them,
-// then gather out through the cached column ids. The product shares
-// the plan's structure arrays and allocates only its value array.
-//
-// The output is bit-for-bit identical to a cold Multiply with the
-// Hash or Dense method (both accumulate same-column products in
-// insertion order, as the scratch array does). ESC sorts products with
-// an unstable sort before summing, so against it the warm path agrees
-// exactly in structure and to rounding in values.
+// plan — replay, the numeric phase a cold Multiply itself ends with, so
+// the output is bit-for-bit a cold product's by construction (and the
+// Dense method's, which sums in the same arrival order). The product
+// shares the plan's structure arrays and allocates only its value array.
 //
 // The operands must carry the same sparsity pattern the plan was built
-// from; Numeric checks the shape, while pattern equality is the
-// caller's contract — the plan cache enforces it by fingerprint.
+// from; Numeric checks the shape and each row's first-touch count, while
+// pattern equality is the caller's contract — the plan cache enforces it
+// by fingerprint.
 func Numeric(sym *SymbolicResult, a, b *csr.Matrix, opts Options) (*csr.Matrix, error) {
 	if a.Rows != sym.Rows || a.Cols != sym.ACols || b.Rows != sym.ACols || b.Cols != sym.Cols {
 		return nil, fmt.Errorf("cpuspgemm: numeric shape %dx%d · %dx%d does not match plan %dx%d · %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, sym.Rows, sym.ACols, sym.ACols, sym.Cols)
 	}
-	nt := opts.threads()
 	nnz := sym.RowOffsets[sym.Rows]
 	c := &csr.Matrix{
 		Rows:       sym.Rows,
@@ -101,22 +95,32 @@ func Numeric(sym *SymbolicResult, a, b *csr.Matrix, opts Options) (*csr.Matrix, 
 		ColIDs:     sym.ColIDs,
 		Data:       make([]float64, nnz),
 	}
-	bounds := parallel.CostBounds(sym.RowFlops, nt)
-	var werr firstErr
-
-	// One scratch per worker, fetched on the worker's first chunk and
-	// reused across all chunks it claims (not one pool round-trip per
-	// chunk — see parallel.ForChunksW).
-	scratch := make([]*accum.Scratch, parallel.Workers(nt))
-	defer func() {
-		for _, s := range scratch {
-			if s != nil {
-				accum.PutScratch(s)
-			}
-		}
-	}()
 	stopNumeric := opts.Metrics.StartWall("cpu", "numeric (warm)")
-	parallel.ForChunksW(nt, bounds, func(w, lo, hi int) {
+	err := replay(c, a, b, parallel.CostBounds(sym.RowFlops, opts.threads()), opts, nil)
+	stopNumeric()
+	if err != nil {
+		return nil, err
+	}
+	opts.countProduct(sym.RowFlops, nnz)
+	return c, nil
+}
+
+// replay is the numeric phase of every exact product, cold and warm:
+// speck.NumericRows over c's fixed structure in dynamically claimed
+// chunks, writing c.Data, one pooled scratch per worker fetched on its
+// first chunk (see parallel.ForChunksW). pass, non-nil on the cold path,
+// turns on Options.ChunkLog and labels rows for Options.ClassStats, under
+// which the kernel runs one row per call so each can be timed.
+func replay(c, a, b *csr.Matrix, bounds []int, opts Options, pass *speck.SymbolicPass) error {
+	nt := opts.threads()
+	var log *ChunkLog
+	var stats *ClassStats
+	if pass != nil {
+		log, stats = opts.ChunkLog, opts.ClassStats
+	}
+	var werr firstErr
+	scratch := make([]*accum.Scratch, parallel.Workers(nt))
+	forChunksLogged(nt, bounds, log, false, func(w, lo, hi int) {
 		if werr.get() != nil {
 			return
 		}
@@ -125,45 +129,33 @@ func Numeric(sym *SymbolicResult, a, b *csr.Matrix, opts Options) (*csr.Matrix, 
 			return
 		}
 		if scratch[w] == nil {
-			scratch[w] = accum.GetScratch(sym.Cols)
+			scratch[w] = accum.GetScratch(c.Cols)
 		}
-		s := scratch[w]
-		for i := lo; i < hi; i++ {
-			off, end := sym.RowOffsets[i], sym.RowOffsets[i+1]
-			if off == end {
-				continue
+		step := hi - lo
+		if stats != nil {
+			step = 1
+		}
+		t0 := time.Now()
+		var part [speck.NumKinds]ClassStat
+		for i := lo; i < hi; i += step {
+			if err := speck.NumericRows(a, b, c.RowOffsets, c.ColIDs, c.Data, scratch[w], i, i+step); err != nil {
+				werr.set(fmt.Errorf("cpuspgemm: numeric: %w", err))
+				return
 			}
-			gen := s.NextGen()
-			ac, av := a.Row(i)
-			for p := range ac {
-				bc, bv := b.Row(int(ac[p]))
-				for q := range bc {
-					col := bc[q]
-					if s.Stamp[col] != gen {
-						s.Stamp[col] = gen
-						s.Vals[col] = av[p] * bv[q]
-					} else {
-						s.Vals[col] += av[p] * bv[q]
-					}
-				}
+			if stats != nil && c.RowOffsets[i] != c.RowOffsets[i+1] {
+				t1 := time.Now()
+				part[pass.Kind(i)].NumericNs += t1.Sub(t0).Nanoseconds()
+				t0 = t1
 			}
-			for j := off; j < end; j++ {
-				c.Data[j] = s.Vals[sym.ColIDs[j]]
-			}
+		}
+		if stats != nil {
+			stats.merge(&part)
 		}
 	})
-	stopNumeric()
-	if err := werr.get(); err != nil {
-		return nil, err
-	}
-	if m := opts.Metrics; m.Enabled() {
-		var flops int64
-		for _, f := range sym.RowFlops {
-			flops += f
+	for _, s := range scratch {
+		if s != nil {
+			accum.PutScratch(s)
 		}
-		m.Add(metrics.CounterFlops, flops)
-		m.Add(metrics.CounterRows, int64(sym.Rows))
-		m.Add(metrics.CounterNnzC, nnz)
 	}
-	return c, nil
+	return werr.get()
 }

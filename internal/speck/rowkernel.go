@@ -1,41 +1,46 @@
 package speck
 
 import (
+	"fmt"
+
 	"repro/internal/accum"
 	"repro/internal/csr"
 )
 
-// The symbolic row kernel: one definition of "count (and optionally
-// emit) the distinct output columns of row i of A·B on the accumulator
-// that suits the row", shared by the multi-core CPU engine
-// (cpuspgemm.multiplyAdaptive, one Kit per worker), the per-chunk
-// device arithmetic (SymbolicCompute) and the whole-matrix row analysis
-// (Analyze). Rows are binned through PickClass and each row's
-// accumulator is sized from its own bound: list scans for tiny rows,
-// bitmap-dense scatter for dense rows in narrow panels, the CSeg-style
-// compressed segment accumulator when B's pattern clusters or the panel
-// is too wide for a bitmap, and a per-row-presized hash for the sparse
-// remainder. Bitmap and CSeg rows consume B in segment-compressed form
-// (csr.Segments): one word-OR per segment instead of one probe per
-// column. Every class flushes in ascending column order, so the
-// structure is the same whichever class serves a row.
+// The row kernel: one definition of each half of a row of A·B, shared
+// by the multi-core CPU engine (cpuspgemm), the per-chunk device
+// arithmetic (SymbolicCompute, Numeric) and the whole-matrix row
+// analysis (Analyze).
+//
+// Symbolic half (SymbolicPass): count, or emit ascending, row i's
+// distinct output columns. For B panels up to bitmapTierMax columns
+// every row ORs into the worker's accum.TwoLevel — segment masks when B
+// was compressed (csr.Segments), column bits otherwise — whose flush
+// walks touched words only: no probe, no presizing, no sort. Wider
+// panels bin rows by kind to a list, CSeg or presized hash accumulator.
+//
+// Numeric half (NumericRows): scatter a row range's products into a
+// stamped scratch in arrival order and gather them through the structure
+// the symbolic half fixed. Cold and warm products are this one loop over
+// one structure, hence bit-identical by construction.
 
 const (
-	// bitmapDirectMax is the widest B panel served by the direct Bitmap
-	// accumulator; beyond it the width-proportional flush scan and reset
-	// stop amortizing and dense-class rows fall through to CSeg, whose
-	// cost tracks touched segments instead of panel width.
+	// bitmapTierMax is the widest B panel whose rows all accumulate into
+	// the two-level bitmap (128 KiB of words + 2 KiB of summary per
+	// worker; 256 summary reads per row). Measured against the kind-binned
+	// route on unclustered rows (DESIGN.md §13): rows of 1024 products win
+	// 2.5-4.8x from 2^18 columns up, rows of 36 win 1.35x at 2^20 and break
+	// even at 2^22, rows of 9 break even at 2^18, lose 1.25x at 2^20 and
+	// 2.1x at 2^22 (the summary walk outweighs nine ORs).
+	bitmapTierMax = 1 << 20
+	// bitmapDirectMax is the panel width up to which a dense-class row
+	// is labelled KindDense rather than KindCSeg.
 	bitmapDirectMax = 1 << 16
 	// csegSymbolicRatio is the minimum B segment-compression ratio at
-	// which hash-class rows run their symbolic pass on the compressed
-	// accumulator: below it a segment rarely covers more than one
-	// column, so the per-segment probe saves nothing over the hash.
+	// which hash-class rows are labelled (and, past bitmapTierMax, run
+	// on) the compressed accumulator: below it a segment rarely covers
+	// more than one column, so the per-segment probe saves nothing.
 	csegSymbolicRatio = 1.5
-	// csegNumericRatio is the (stricter) ratio at which hash-class rows
-	// also run their numeric pass on CSeg. The numeric pass touches
-	// every product regardless, so the win is only the smaller, hotter
-	// segment table; it needs real clustering to beat the presized hash.
-	csegNumericRatio = 4.0
 	// compressMinFlopsPerNnz gates the O(nnz(B)) segment-compression
 	// pass: multiplies doing fewer than this many flops per B non-zero
 	// cannot amortize building the compressed form. The pass itself is
@@ -45,9 +50,10 @@ const (
 	compressMinFlopsPerNnz = 2
 )
 
-// Kind names the accumulator actually used for a row — the three work
-// classes, with the compressed accumulator split out so the benchmark
-// can report it separately.
+// Kind is a row's work-class label — the three work classes, with the
+// compressed accumulator split out so the benchmark can report it
+// separately. ClassStats aggregates by it; for panels wider than
+// bitmapTierMax it also names the accumulator that serves the row.
 type Kind uint8
 
 const (
@@ -71,14 +77,15 @@ type RowAccumulator interface {
 }
 
 // Kit is one worker's lazily pooled accumulator set, fetched at most
-// once per accumulator class and reused across every row and chunk the
-// worker claims — per-chunk pool traffic was one of the costs that let
+// once per member and reused across every row and chunk the worker
+// claims — per-chunk pool traffic was one of the costs that let
 // the static ablation beat the dynamic scheduler.
 type Kit struct {
 	list  *accum.List
 	hash  *accum.Hash
 	dense *accum.Bitmap
 	cseg  *accum.CSeg
+	two   *accum.TwoLevel
 }
 
 // Release returns the kit's accumulators to their pools.
@@ -95,13 +102,15 @@ func (k *Kit) Release() {
 	if k.cseg != nil {
 		accum.PutCSeg(k.cseg)
 	}
+	if k.two != nil {
+		accum.PutTwoLevel(k.two)
+	}
 	*k = Kit{}
 }
 
 // Get returns the worker's accumulator for kind, sized for a row with
-// at most bound distinct output columns in a width-column panel. bound
-// must be the row's own bound (upper bound in the symbolic phase, the
-// exact count in the numeric phase) — never a chunk-wide maximum.
+// at most bound distinct output columns in a width-column panel — the
+// row's own bound, never a chunk-wide maximum.
 func (k *Kit) Get(kind Kind, bound int64, width int) RowAccumulator {
 	switch kind {
 	case KindList:
@@ -139,10 +148,9 @@ func (k *Kit) Get(kind Kind, bound int64, width int) RowAccumulator {
 	}
 }
 
-// PickKind maps a row's work class to the kernel that serves it, given
-// the panel width and B's segment-compression ratio. numeric selects
-// the stricter compression threshold (see csegNumericRatio).
-func PickKind(rowFlops, estNnz, width int64, segRatio float64, numeric bool) Kind {
+// PickKind maps a row's work class to its kind, given the panel width
+// and B's segment-compression ratio.
+func PickKind(rowFlops, estNnz, width int64, segRatio float64) Kind {
 	switch PickClass(rowFlops, estNnz, width) {
 	case ListClass:
 		return KindList
@@ -152,11 +160,7 @@ func PickKind(rowFlops, estNnz, width int64, segRatio float64, numeric bool) Kin
 		}
 		return KindCSeg
 	default:
-		gate := csegSymbolicRatio
-		if numeric {
-			gate = csegNumericRatio
-		}
-		if segRatio >= gate {
+		if segRatio >= csegSymbolicRatio {
 			return KindCSeg
 		}
 		return KindHash
@@ -164,69 +168,87 @@ func PickKind(rowFlops, estNnz, width int64, segRatio float64, numeric bool) Kin
 }
 
 // SymbolicPass is the symbolic row kernel prepared for one operand
-// pair: every row's kernel, binned from its expected output size, and
-// B's segment-compressed form when the multiply amortizes building it.
+// pair: every row's kind, binned from its expected output size, and B's
+// segment-compressed form when the multiply amortizes building it.
 type SymbolicPass struct {
 	a, b     *csr.Matrix
 	rowFlops []int64
 	kinds    []Kind
 	segs     *csr.Segments
-	// SegRatio is B's segment-compression ratio (1 when B was not
-	// compressed); the numeric phase re-bins rows against it.
-	SegRatio float64
 }
 
 // NewSymbolicPass prepares the kernel from the row analysis of A·B.
 func NewSymbolicPass(a, b *csr.Matrix, rowFlops []int64) *SymbolicPass {
-	p := &SymbolicPass{a: a, b: b, rowFlops: rowFlops, kinds: make([]Kind, len(rowFlops)), SegRatio: 1}
+	p := &SymbolicPass{a: a, b: b, rowFlops: rowFlops, kinds: make([]Kind, len(rowFlops))}
 	var total int64
 	for _, f := range rowFlops {
 		total += f
 	}
+	segRatio := 1.0
 	if nnzB := int64(len(b.ColIDs)); nnzB > 0 && total >= compressMinFlopsPerNnz*nnzB {
 		p.segs = csr.Compress(b)
-		p.SegRatio = p.segs.Ratio()
+		segRatio = p.segs.Ratio()
 	}
 	width := int64(b.Cols)
 	for i, f := range rowFlops {
-		p.kinds[i] = PickKind(f, ExpectedDistinct(width, f/2), width, p.SegRatio, false)
+		p.kinds[i] = PickKind(f, ExpectedDistinct(width, f/2), width, segRatio)
 	}
 	return p
 }
 
-// Kind reports the kernel that serves row i.
+// Kind reports row i's work-class label.
 func (p *SymbolicPass) Kind(i int) Kind { return p.kinds[i] }
 
-// load runs row i's symbolic accumulation on kit's accumulator for the
-// row's kind and returns it, holding the row's distinct columns.
-func (p *SymbolicPass) load(kit *Kit, i int) RowAccumulator {
-	kind := p.kinds[i]
+// loadedRow is an accumulator holding one row's distinct columns: count
+// it or emit it; either resets.
+type loadedRow interface {
+	FlushSymbolic() int
+	FlushCols(cols []int32) []int32
+}
+
+// load runs row i's symbolic accumulation on kit and returns the
+// accumulator holding the row's distinct columns.
+func (p *SymbolicPass) load(kit *Kit, i int) loadedRow {
 	b, segs := p.b, p.segs
-	acc := kit.Get(kind, p.rowFlops[i]/2, b.Cols)
 	ac, _ := p.a.Row(i)
-	switch {
-	case segs == nil || kind == KindList || kind == KindHash:
-		for _, k := range ac {
-			bc, _ := b.Row(int(k))
-			for _, col := range bc {
-				acc.AddSymbolic(col)
+	if b.Cols <= bitmapTierMax {
+		if kit.two == nil {
+			kit.two = accum.GetTwoLevel(b.Cols)
+		}
+		two := kit.two
+		if segs != nil {
+			for _, k := range ac {
+				sids, masks := segs.Row(int(k))
+				for j, sid := range sids {
+					two.AddSegment(sid, masks[j])
+				}
+			}
+		} else {
+			for _, k := range ac {
+				bc, _ := b.Row(int(k))
+				for _, col := range bc {
+					two.AddSymbolic(col)
+				}
 			}
 		}
-	case kind == KindDense:
-		dense := kit.dense
-		for _, k := range ac {
-			sids, masks := segs.Row(int(k))
-			for j, sid := range sids {
-				dense.AddSegment(sid, masks[j])
-			}
-		}
-	default:
+		return two
+	}
+	kind := p.kinds[i]
+	acc := kit.Get(kind, p.rowFlops[i]/2, b.Cols)
+	if segs != nil && kind == KindCSeg {
 		cseg := kit.cseg
 		for _, k := range ac {
 			sids, masks := segs.Row(int(k))
 			for j, sid := range sids {
 				cseg.AddSegment(sid, masks[j])
 			}
+		}
+		return acc
+	}
+	for _, k := range ac {
+		bc, _ := b.Row(int(k))
+		for _, col := range bc {
+			acc.AddSymbolic(col)
 		}
 	}
 	return acc
@@ -261,6 +283,59 @@ func (p *SymbolicPass) All(emit bool) (offs []int64, cols []int32) {
 		}
 	}
 	return offs, cols
+}
+
+// StructureError reports a row whose products touch a different number
+// of distinct columns than its symbolic structure holds: the operands do
+// not carry the structure's pattern. No value (NaN, ±Inf, -0.0) causes it.
+type StructureError struct {
+	Row           int
+	Touched, Want int64
+}
+
+func (e *StructureError) Error() string {
+	return fmt.Sprintf("row %d touches %d distinct columns, its symbolic structure holds %d", e.Row, e.Touched, e.Want)
+}
+
+// NumericRows is the numeric row kernel: for each row i in [lo, hi) of
+// A·B, whose structure is cols[offs[i]:offs[i+1]], it scatters the
+// products into s (covering B's columns) in arrival order — generation
+// stamps assign on first touch, so a lone -0.0 product stays -0.0 — and
+// gathers data[offs[i]:offs[i+1]] through the column ids. A row whose
+// first-touch count is not its structure's size stops the range with a
+// *StructureError. It takes the product's three arrays, not the matrix:
+// the variant taking *csr.Matrix replayed short rows 20 % slower
+// (band_wide warm, 1.65 against 1.38 ns per product).
+func NumericRows(a, b *csr.Matrix, offs []int64, cols []int32, data []float64, s *accum.Scratch, lo, hi int) error {
+	vals, stamp := s.Vals, s.Stamp
+	for i := lo; i < hi; i++ {
+		off, end := offs[i], offs[i+1]
+		gen := s.NextGen()
+		var touched int64
+		ac, av := a.Row(i)
+		for p, k := range ac {
+			bc, bv := b.Row(int(k))
+			bv = bv[:len(bc)]
+			x := av[p]
+			for q, col := range bc {
+				if stamp[col] != gen {
+					stamp[col] = gen
+					vals[col] = x * bv[q]
+					touched++
+				} else {
+					vals[col] += x * bv[q]
+				}
+			}
+		}
+		if touched != end-off {
+			return &StructureError{Row: i, Touched: touched, Want: end - off}
+		}
+		out := data[off:end]
+		for j, col := range cols[off:end] {
+			out[j] = vals[col]
+		}
+	}
+	return nil
 }
 
 // RowAnalysis is the whole-matrix, values-independent analysis of A·B:

@@ -1,8 +1,12 @@
 package speck
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/accum"
@@ -145,6 +149,130 @@ func TestRowKernelMatchesOracle(t *testing.T) {
 		if !u {
 			t.Errorf("no test input reaches the %s kernel", Kind(k))
 		}
+	}
+}
+
+// requirePassMatchesOracle drives the symbolic pass row by row on one
+// kit — counting even rows, emitting odd ones, so both flushes hand the
+// accumulator to the other — against the single-Hash oracle's
+// structure, and checks the kit's bitmap is empty after every flush.
+func requirePassMatchesOracle(t *testing.T, name string, a, b *csr.Matrix) *SymbolicPass {
+	t.Helper()
+	want, _ := oracleCompute(a, b, model())
+	pass := NewSymbolicPass(a, b, want.RowFlops)
+	var kit Kit
+	defer kit.Release()
+	for i := 0; i < a.Rows; i++ {
+		wantCols := want.ColIDs[want.RowOffsets[i]:want.RowOffsets[i+1]]
+		if i%2 == 0 {
+			if got := pass.Count(&kit, i); got != len(wantCols) {
+				t.Fatalf("%s: row %d count %d, oracle %d", name, i, got, len(wantCols))
+			}
+		} else if got := pass.AppendCols(&kit, i, nil); !slices.Equal(got, wantCols) {
+			t.Fatalf("%s: row %d emits %d columns, oracle %d", name, i, len(got), len(wantCols))
+		}
+		if kit.two != nil {
+			if left := kit.two.FlushSymbolic(); left != 0 {
+				t.Fatalf("%s: row %d left %d columns in the bitmap", name, i, left)
+			}
+		}
+	}
+	return pass
+}
+
+// TestBitmapTierWidths runs the kernel over the panel widths where an
+// occupancy word, a summary word and the tier itself end, on operands
+// with empty rows and a hub row that touches every occupancy word, with
+// B consumed compressed and uncompressed. One past the cap the rows
+// must leave the bitmap for the CSeg/hash route.
+func TestBitmapTierWidths(t *testing.T) {
+	for _, width := range []int{1, 63, 64, 65, 4095, 4096, 4097, bitmapTierMax, bitmapTierMax + 1} {
+		// B: a few random rows, one empty row, and row 0 holding one
+		// column in every 64-column word (every word of the bitmap).
+		const inner = 48
+		var eb []csr.Entry
+		for c := 0; c < width; c += 64 {
+			eb = append(eb, csr.Entry{Row: 0, Col: int32(c), Val: 1.5})
+		}
+		rng := rand.New(rand.NewSource(int64(width)))
+		for r := 1; r < inner-1; r++ { // row inner-1 stays empty
+			for k := 0; k < 5; k++ {
+				eb = append(eb, csr.Entry{Row: int32(r), Col: int32(rng.Intn(width)), Val: float64(k) - 1.25})
+			}
+		}
+		b, err := csr.FromEntries(inner, width, dedup(eb))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Heavy A (every row selects many B rows, the hub row included)
+		// amortizes compressing B; thin A (one entry in every other row)
+		// does not.
+		for _, heavy := range []bool{true, false} {
+			var ea []csr.Entry
+			for r := 0; r < 40; r++ {
+				switch {
+				case r%5 == 4: // empty A row
+				case !heavy:
+					if r%2 == 0 {
+						ea = append(ea, csr.Entry{Row: int32(r), Col: int32(r % inner), Val: 2})
+					}
+				default:
+					// Rows 0..2 and every B row r selects; inner-1 is the
+					// empty B row (flops 0 for that entry).
+					for _, k := range []int{0, 1, 2, r % inner, inner - 1} {
+						ea = append(ea, csr.Entry{Row: int32(r), Col: int32(k), Val: float64(r) + 0.5})
+					}
+				}
+			}
+			a, err := csr.FromEntries(40, inner, dedup(ea))
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("width=%d/heavy=%v", width, heavy)
+			pass := requirePassMatchesOracle(t, name, a, b)
+			requireMatchesOracle(t, name, a, b)
+			if compressed := pass.segs != nil; compressed != heavy {
+				t.Fatalf("%s: B compressed = %v, want %v (compressMinFlopsPerNnz)", name, compressed, heavy)
+			}
+			used := kindsUsed(a, b)
+			if width > bitmapTierMax && (used[KindDense] || !(used[KindCSeg] || used[KindHash] || used[KindList])) {
+				t.Fatalf("%s: kinds %v past the tier, want the cseg/hash/list route", name, used)
+			}
+		}
+	}
+}
+
+// dedup keeps the first entry of every (row, col) pair.
+func dedup(es []csr.Entry) []csr.Entry {
+	seen := map[[2]int32]bool{}
+	out := es[:0]
+	for _, e := range es {
+		if k := [2]int32{e.Row, e.Col}; !seen[k] {
+			seen[k] = true
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// TestNumericRowsStructureError pins the kernel's one invariant: a row
+// whose products touch a different number of distinct columns than its
+// structure holds is a typed error from both drivers, never a panic or
+// a silently short row.
+func TestNumericRowsStructureError(t *testing.T) {
+	a := matgen.ER(30, 30, 0.2, 91)
+	sym, err := SymbolicCompute(a, a, model())
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := matgen.ER(30, 30, 0.2, 92) // same shape, another pattern
+	_, err = Numeric(sym, other, other)
+	var se *StructureError
+	if !errors.As(err, &se) {
+		t.Fatalf("err = %v, want a *StructureError", err)
+	}
+	if se.Touched == se.Want || se.Row < 0 || se.Row >= a.Rows {
+		t.Fatalf("implausible structure error %+v", se)
 	}
 }
 

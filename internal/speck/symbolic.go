@@ -147,16 +147,15 @@ func finalizeSymbolic(sym *Symbolic, rowOffsets []int64, width int, cm CostModel
 }
 
 // Numeric re-runs only value accumulation against a pre-computed
-// symbolic structure: for each row, the intermediate products scatter
-// into a dense scratch array in the same order the cold accumulators
-// apply them (so every float64 sum associates identically), then
-// gather out through the cached column ids. The product shares the
-// symbolic structure arrays and allocates only its value array.
+// symbolic structure — NumericRows over every row, on a pooled scratch
+// so a run's chunks share one pair of panel-width arrays. The product
+// shares the symbolic structure arrays and allocates only its value
+// array.
 //
 // The operands must carry the same sparsity pattern the symbolic
-// result was computed from; Numeric checks shape and non-zero layout
-// cheaply (dimensions and output fit), while pattern equality is the
-// caller's contract — the plan cache enforces it by fingerprint.
+// result was computed from; Numeric checks the shape and each row's
+// first-touch count, while pattern equality is the caller's contract —
+// the plan cache enforces it by fingerprint.
 func Numeric(sym *Symbolic, a, b *csr.Matrix) (*Result, error) {
 	if a.Rows != sym.Rows || a.Cols != sym.ACols || b.Rows != sym.ACols || b.Cols != sym.Cols {
 		return nil, fmt.Errorf("speck: numeric shape %dx%d · %dx%d does not match plan %dx%d · %dx%d",
@@ -169,36 +168,10 @@ func Numeric(sym *Symbolic, a, b *csr.Matrix) (*Result, error) {
 		ColIDs:     sym.ColIDs,
 		Data:       make([]float64, sym.RowOffsets[sym.Rows]),
 	}
-	// Generation stamps give assign-on-first-touch semantics, exactly
-	// like the cold accumulators (hash insert, dense stamp): without
-	// them a lone -0.0 product would come out as +0.0 (0 + -0.0) and
-	// break bit-identity with the cold path. The scratch is pooled, so
-	// a run's chunks share one pair of panel-width arrays.
 	s := accum.GetScratch(sym.Cols)
 	defer accum.PutScratch(s)
-	scratch, stamp := s.Vals, s.Stamp
-	for r := 0; r < sym.Rows; r++ {
-		off, end := sym.RowOffsets[r], sym.RowOffsets[r+1]
-		if off == end {
-			continue
-		}
-		gen := s.NextGen()
-		ac, av := a.Row(r)
-		for p := range ac {
-			bc, bv := b.Row(int(ac[p]))
-			for q := range bc {
-				col := bc[q]
-				if stamp[col] != gen {
-					stamp[col] = gen
-					scratch[col] = av[p] * bv[q]
-				} else {
-					scratch[col] += av[p] * bv[q]
-				}
-			}
-		}
-		for i := off; i < end; i++ {
-			c.Data[i] = scratch[sym.ColIDs[i]]
-		}
+	if err := NumericRows(a, b, c.RowOffsets, c.ColIDs, c.Data, s, 0, sym.Rows); err != nil {
+		return nil, fmt.Errorf("speck: numeric: %w", err)
 	}
 	return resultFrom(sym, c), nil
 }

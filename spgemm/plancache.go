@@ -187,8 +187,8 @@ func (p *PlanCache) coreCache() *core.PlanCache {
 
 // multiplyCPU is the cpu engine's cached path: a warm call replays
 // only the numeric phase into the cached symbolic structure. The ESC
-// accumulator is bypassed (its unstable sort makes cold bits
-// unreproducible), so warm output stays byte-identical to cold.
+// baseline is bypassed (it stays outside the reuse fast paths), so warm
+// output stays byte-identical to cold.
 func (p *PlanCache) multiplyCPU(a, b *Matrix, opts cpuspgemm.Options) (*Matrix, error) {
 	if opts.Method == cpuspgemm.ESC {
 		return cpuspgemm.Multiply(a, b, opts)
