@@ -245,7 +245,9 @@ func main() {
 		drain = srv.Drain
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: handler}
+	// Bodies are bounded per route (apiv1's readers); the header timeout
+	// bounds the one read that happens before any handler runs.
+	httpSrv := &http.Server{Addr: *addr, Handler: handler, ReadHeaderTimeout: 10 * time.Second}
 	go func() {
 		if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 			log.Fatal("spgemm-serve: ", err)

@@ -472,12 +472,12 @@ func batchHandles(req *apiv1.BatchRequest) []string {
 // --- placement and spill ----------------------------------------------
 
 // recordSpill remembers a stored matrix and where it lives.
-func (c *Coordinator) recordSpill(handle string, m *spgemm.Matrix, replica string) {
+func (c *Coordinator) recordSpill(handle string, m *spgemm.Matrix, structFP uint64, replica string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ent := c.spill[handle]
 	if ent == nil {
-		ent = &spillEntry{m: m, structFP: spgemm.Fingerprint(m), placed: map[string]bool{}}
+		ent = &spillEntry{m: m, structFP: structFP, placed: map[string]bool{}}
 		c.spill[handle] = ent
 	}
 	ent.placed[replica] = true
@@ -554,13 +554,13 @@ func (c *Coordinator) StoreFromRequest(req apiv1.MatrixRequest) (*apiv1.MatrixRe
 	default:
 		return nil, fmt.Errorf("cluster: matrix request needs spec or handle")
 	}
-	handle, err := c.StoreMatrix(m)
+	handle, structFP, err := c.storeMatrix(m)
 	if err != nil {
 		return nil, err
 	}
 	return &apiv1.MatrixResponse{
 		Handle: handle, Rows: m.Rows, Cols: m.Cols, Nnz: m.Nnz(), Bytes: m.Bytes(),
-		StructureFP: fmt.Sprintf("%016x", spgemm.Fingerprint(m)),
+		StructureFP: fmt.Sprintf("%016x", structFP),
 	}, nil
 }
 
@@ -585,11 +585,19 @@ func (c *Coordinator) StoreBulk(req apiv1.MatrixBatchRequest) (*apiv1.MatrixBatc
 // copy. Failing owners are condemned and the walk continues to their
 // successors.
 func (c *Coordinator) StoreMatrix(m *spgemm.Matrix) (string, error) {
+	handle, _, err := c.storeMatrix(m)
+	return handle, err
+}
+
+// storeMatrix is StoreMatrix returning the structural fingerprint it
+// routed by as well: the one hash serves the ring key, the spill
+// record and the response.
+func (c *Coordinator) storeMatrix(m *spgemm.Matrix) (string, uint64, error) {
 	c.col.Add(metrics.CounterClusterRequests, 1)
 	key := spgemm.Fingerprint(m)
 	cands := c.candidates(key)
 	if len(cands) == 0 {
-		return "", noHealthyReplica()
+		return "", 0, noHealthyReplica()
 	}
 	c.noteDegradedIfFunneling(len(cands))
 	var lastErr error
@@ -604,17 +612,17 @@ func (c *Coordinator) StoreMatrix(m *spgemm.Matrix) (string, error) {
 				c.col.Add(metrics.CounterClusterFailovers, 1)
 			}
 			c.col.Add(metrics.CounterClusterRoutes, 1)
-			c.recordSpill(handle, m, name)
-			return handle, nil
+			c.recordSpill(handle, m, key, name)
+			return handle, key, nil
 		}
 		lastErr = err
 		if errors.Is(err, faults.ErrReplicaDown) {
 			c.noteFailure(name, err)
 			continue
 		}
-		return "", err
+		return "", 0, err
 	}
-	return "", lastErr
+	return "", 0, lastErr
 }
 
 // DeleteMatrix drops a handle everywhere it might live, plus the
@@ -705,7 +713,7 @@ func (c *Coordinator) multiplyOn(name string, req apiv1.MultiplyRequest, handles
 		// The stored product is cluster state now: spill it so failover
 		// can re-home it like any client upload.
 		if m, ok := b.Matrix(resp.CHandle); ok {
-			c.recordSpill(resp.CHandle, m, name)
+			c.recordSpill(resp.CHandle, m, spgemm.Fingerprint(m), name)
 		}
 	}
 	return resp, err

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
@@ -30,7 +29,9 @@ import (
 //
 // Errors ride the shared apiv1 envelope via serve.WriteError, with the
 // cluster-specific replica_down code (503 + Retry-After) when no
-// replica could take a request.
+// replica could take a request. Bodies go through the same apiv1
+// readers and writers as the single server's, so the caps and the
+// binary matrix encoding are identical here.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", guard(http.MethodGet, c.handleHealthz))
@@ -48,6 +49,11 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("/v1/admin/drain", guard(http.MethodPost, c.handleAdminDrain))
 	return mux
 }
+
+// matrixBodyBudget bounds the matrix uploads the coordinator reads. It
+// keeps spill copies, not a budgeted store, so it applies the budget
+// its replicas default to.
+const matrixBodyBudget = serve.DefaultMatrixStoreBytes
 
 func guard(method string, h http.HandlerFunc) http.HandlerFunc {
 	return guardMethods(map[string]http.HandlerFunc{method: h})
@@ -67,7 +73,7 @@ func guardMethods(handlers map[string]http.HandlerFunc) http.HandlerFunc {
 		h, ok := handlers[r.Method]
 		if !ok {
 			w.Header().Set("Allow", allow)
-			writeJSON(w, http.StatusMethodNotAllowed, apiv1.ErrorResponse{
+			apiv1.WriteJSON(w, http.StatusMethodNotAllowed, apiv1.ErrorResponse{
 				Code:  apiv1.CodeMethodNotAllowed,
 				Error: fmt.Sprintf("method %s not allowed (use %s)", r.Method, allow),
 			})
@@ -77,14 +83,8 @@ func guardMethods(handlers map[string]http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	apiv1.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleReadyz serves the aggregated readiness: the same wire statuses
@@ -96,7 +96,7 @@ func (c *Coordinator) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	if body.Status == apiv1.ReadyStatusDraining {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, body)
+	apiv1.WriteJSON(w, status, body)
 }
 
 func (c *Coordinator) handleMetricsz(w http.ResponseWriter, _ *http.Request) {
@@ -106,13 +106,12 @@ func (c *Coordinator) handleMetricsz(w http.ResponseWriter, _ *http.Request) {
 		body[k] = v
 	}
 	body["cluster_replicas"] = c.Health()
-	writeJSON(w, http.StatusOK, body)
+	apiv1.WriteJSON(w, http.StatusOK, body)
 }
 
 func (c *Coordinator) handleMultiply(w http.ResponseWriter, r *http.Request) {
 	var req apiv1.MultiplyRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiv1.ErrorResponse{Code: apiv1.CodeBadRequest, Error: "bad request body: " + err.Error()})
+	if !apiv1.ReadJSON(w, r, &req) {
 		return
 	}
 	resp, err := c.Multiply(req)
@@ -120,13 +119,12 @@ func (c *Coordinator) handleMultiply(w http.ResponseWriter, r *http.Request) {
 		serve.WriteError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	apiv1.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req apiv1.BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiv1.ErrorResponse{Code: apiv1.CodeBadRequest, Error: "bad request body: " + err.Error()})
+	if !apiv1.ReadJSON(w, r, &req) {
 		return
 	}
 	resp, err := c.Batch(&req)
@@ -134,13 +132,12 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 		serve.WriteError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	apiv1.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (c *Coordinator) handleMatrices(w http.ResponseWriter, r *http.Request) {
-	var req apiv1.MatrixRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiv1.ErrorResponse{Code: apiv1.CodeBadRequest, Error: "bad request body: " + err.Error()})
+	req, ok := apiv1.ReadMatrixRequest(w, r, matrixBodyBudget)
+	if !ok {
 		return
 	}
 	resp, err := c.StoreFromRequest(req)
@@ -148,15 +145,14 @@ func (c *Coordinator) handleMatrices(w http.ResponseWriter, r *http.Request) {
 		serve.WriteError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	apiv1.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleMatricesBulk places several matrices in one request — the same
 // bulk surface the replicas expose, so a client can speak to either.
 func (c *Coordinator) handleMatricesBulk(w http.ResponseWriter, r *http.Request) {
-	var req apiv1.MatrixBatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiv1.ErrorResponse{Code: apiv1.CodeBadRequest, Error: "bad request body: " + err.Error()})
+	req, ok := apiv1.ReadMatrixBatchRequest(w, r, matrixBodyBudget)
+	if !ok {
 		return
 	}
 	resp, err := c.StoreBulk(req)
@@ -164,7 +160,7 @@ func (c *Coordinator) handleMatricesBulk(w http.ResponseWriter, r *http.Request)
 		serve.WriteError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	apiv1.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleMatrixGet answers from the coordinator's spill copy — the
@@ -179,7 +175,7 @@ func (c *Coordinator) handleMatrixGet(w http.ResponseWriter, r *http.Request) {
 		serve.WriteError(w, &serve.UnknownHandleError{Handle: handle})
 		return
 	}
-	writeJSON(w, http.StatusOK, apiv1.MatrixDataFrom(ent.m))
+	apiv1.WriteMatrix(w, r, apiv1.MatrixDataFrom(ent.m))
 }
 
 func (c *Coordinator) handleMatrixDelete(w http.ResponseWriter, r *http.Request) {
@@ -188,14 +184,13 @@ func (c *Coordinator) handleMatrixDelete(w http.ResponseWriter, r *http.Request)
 		serve.WriteError(w, &serve.UnknownHandleError{Handle: handle})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"deleted": handle})
+	apiv1.WriteJSON(w, http.StatusOK, map[string]string{"deleted": handle})
 }
 
 // handleJoin serves replica registration and heartbeat.
 func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var req apiv1.JoinRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiv1.ErrorResponse{Code: apiv1.CodeBadRequest, Error: "bad request body: " + err.Error()})
+	if !apiv1.ReadJSON(w, r, &req) {
 		return
 	}
 	resp, err := c.Join(req)
@@ -203,20 +198,19 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 		serve.WriteError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	apiv1.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleAdminDrain drains the whole cluster and answers the merged
 // final counters — the reconciliation snapshot of the soak harness.
 func (c *Coordinator) handleAdminDrain(w http.ResponseWriter, r *http.Request) {
 	var req apiv1.DrainRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiv1.ErrorResponse{Code: apiv1.CodeBadRequest, Error: "bad request body: " + err.Error()})
+	if !apiv1.ReadJSON(w, r, &req) {
 		return
 	}
 	timeout := 30 * time.Second
 	if req.TimeoutSec > 0 {
 		timeout = time.Duration(req.TimeoutSec * float64(time.Second))
 	}
-	writeJSON(w, http.StatusOK, apiv1.DrainResponse{Counters: c.Drain(timeout)})
+	apiv1.WriteJSON(w, http.StatusOK, apiv1.DrainResponse{Counters: c.Drain(timeout)})
 }

@@ -217,6 +217,9 @@ func (m *Matrix) Validate() error {
 		if m.RowOffsets[r+1] < m.RowOffsets[r] {
 			return fmt.Errorf("csr: RowOffsets not monotone at row %d", r)
 		}
+		if m.RowOffsets[r+1] > nnz {
+			return fmt.Errorf("csr: RowOffsets[%d] = %d exceeds nnz %d", r+1, m.RowOffsets[r+1], nnz)
+		}
 		prev := int32(-1)
 		for p := m.RowOffsets[r]; p < m.RowOffsets[r+1]; p++ {
 			c := m.ColIDs[p]

@@ -98,6 +98,14 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		t.Fatal("expected error for non-monotone offsets")
 	}
 
+	// An interior offset past nnz must be an error, not an index panic:
+	// with ascending columns nothing else stops the row scan first.
+	m, _ = FromEntries(3, 3, []Entry{{0, 0, 1}, {0, 1, 2}, {2, 2, 3}})
+	m.RowOffsets[1] = 5
+	if err := m.Validate(); err == nil {
+		t.Fatal("expected error for an offset past nnz")
+	}
+
 	m = mk()
 	m.ColIDs[1] = 9
 	if err := m.Validate(); err == nil {

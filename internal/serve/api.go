@@ -100,10 +100,10 @@ func (s *Server) StoreFromRequest(req apiv1.MatrixRequest) (*apiv1.MatrixRespons
 	default:
 		return nil, fmt.Errorf("serve: matrix request needs data, spec or handle")
 	}
-	m, _ := s.Matrix(handle)
+	m, structFP, _ := s.store.getFP(handle)
 	return &apiv1.MatrixResponse{
 		Handle: handle, Rows: m.Rows, Cols: m.Cols, Nnz: m.Nnz(), Bytes: m.Bytes(),
-		StructureFP: fmt.Sprintf("%016x", spgemm.Fingerprint(m)),
+		StructureFP: fmt.Sprintf("%016x", structFP),
 	}, nil
 }
 

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -48,7 +47,11 @@ type (
 //
 // Every route answers a wrong method with 405, an Allow header and the
 // shared error envelope; every error path emits the envelope with a
-// machine-readable code from the apiv1 taxonomy.
+// machine-readable code from the apiv1 taxonomy. Bodies are read and
+// answers written through apiv1's helpers, which bound every body
+// (control routes by a constant, matrix routes from the store budget)
+// and speak the binary matrix encoding on the three matrix routes when
+// the request's Content-Type / Accept names it.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", guarded(http.MethodGet, s.handleHealthz))
@@ -86,7 +89,7 @@ func guardedMethods(handlers map[string]http.HandlerFunc) http.HandlerFunc {
 		h, ok := handlers[r.Method]
 		if !ok {
 			w.Header().Set("Allow", allow)
-			writeJSON(w, http.StatusMethodNotAllowed, errorResponse{
+			apiv1.WriteJSON(w, http.StatusMethodNotAllowed, errorResponse{
 				Code:  apiv1.CodeMethodNotAllowed,
 				Error: fmt.Sprintf("method %s not allowed (use %s)", r.Method, allow),
 			})
@@ -96,19 +99,8 @@ func guardedMethods(handlers map[string]http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// writeBadRequest emits the envelope for a client-side request error.
-func writeBadRequest(w http.ResponseWriter, msg string) {
-	writeJSON(w, http.StatusBadRequest, errorResponse{Code: apiv1.CodeBadRequest, Error: msg})
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	apiv1.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleReadyz serves the readiness body. The Status string is the
@@ -121,7 +113,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	if body.Status == apiv1.ReadyStatusDraining {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, body)
+	apiv1.WriteJSON(w, status, body)
 }
 
 func (s *Server) handleMetricsz(w http.ResponseWriter, _ *http.Request) {
@@ -143,15 +135,14 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, _ *http.Request) {
 	// Estimation hit rate: the share of non-empty output rows sized by
 	// the sampled estimator rather than the exact-symbolic fallback.
 	body["symbolic_estimation_hit_rate"] = rate(snap[metrics.CounterSymbolicEstimatedRows], snap[metrics.CounterSymbolicFallbackRows])
-	writeJSON(w, http.StatusOK, body)
+	apiv1.WriteJSON(w, http.StatusOK, body)
 }
 
 // handleMatrices stores a matrix from a spec, or re-values a stored
 // handle when the body names one.
 func (s *Server) handleMatrices(w http.ResponseWriter, r *http.Request) {
-	var req MatrixRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeBadRequest(w, "bad request body: "+err.Error())
+	req, ok := apiv1.ReadMatrixRequest(w, r, s.store.max)
+	if !ok {
 		return
 	}
 	resp, err := s.StoreFromRequest(req)
@@ -159,15 +150,14 @@ func (s *Server) handleMatrices(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	apiv1.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleMatricesBulk serves POST /v1/matrices/bulk: several stores in
 // one round trip (the cluster failover re-upload path).
 func (s *Server) handleMatricesBulk(w http.ResponseWriter, r *http.Request) {
-	var req apiv1.MatrixBatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeBadRequest(w, "bad request body: "+err.Error())
+	req, ok := apiv1.ReadMatrixBatchRequest(w, r, s.store.max)
+	if !ok {
 		return
 	}
 	resp, err := s.StoreBulk(req)
@@ -175,7 +165,7 @@ func (s *Server) handleMatricesBulk(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	apiv1.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleMatrixGet serves GET /v1/matrices/{handle}: the stored CSR
@@ -187,7 +177,7 @@ func (s *Server) handleMatrixGet(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, &UnknownHandleError{Handle: handle})
 		return
 	}
-	writeJSON(w, http.StatusOK, apiv1.MatrixDataFrom(m))
+	apiv1.WriteMatrix(w, r, apiv1.MatrixDataFrom(m))
 }
 
 // handleMatrixDelete serves DELETE /v1/matrices/{handle}.
@@ -197,7 +187,7 @@ func (s *Server) handleMatrixDelete(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, &UnknownHandleError{Handle: handle})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"deleted": handle})
+	apiv1.WriteJSON(w, http.StatusOK, map[string]string{"deleted": handle})
 }
 
 // handleAdminDrain serves POST /v1/admin/drain: stop admitting, wait
@@ -206,21 +196,19 @@ func (s *Server) handleMatrixDelete(w http.ResponseWriter, r *http.Request) {
 // draining server just waits again and re-reads the counters.
 func (s *Server) handleAdminDrain(w http.ResponseWriter, r *http.Request) {
 	var req apiv1.DrainRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeBadRequest(w, "bad request body: "+err.Error())
+	if !apiv1.ReadJSON(w, r, &req) {
 		return
 	}
 	timeout := 30 * time.Second
 	if req.TimeoutSec > 0 {
 		timeout = time.Duration(req.TimeoutSec * float64(time.Second))
 	}
-	writeJSON(w, http.StatusOK, apiv1.DrainResponse{Counters: s.Drain(timeout)})
+	apiv1.WriteJSON(w, http.StatusOK, apiv1.DrainResponse{Counters: s.Drain(timeout)})
 }
 
 func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 	var req MultiplyRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeBadRequest(w, "bad request body: "+err.Error())
+	if !apiv1.ReadJSON(w, r, &req) {
 		return
 	}
 	resp, err := s.Multiply(req)
@@ -228,15 +216,14 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	apiv1.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleBatch serves POST /v1/batch: one DAG of multiplies, admitted
 // as a unit, with per-node statuses in the response.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req apiv1.BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeBadRequest(w, "bad request body: "+err.Error())
+	if !apiv1.ReadJSON(w, r, &req) {
 		return
 	}
 	resp, err := s.SubmitBatch(&req)
@@ -244,7 +231,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	apiv1.WriteJSON(w, http.StatusOK, resp)
 }
 
 // writeError keeps the handler call sites short.
@@ -293,7 +280,7 @@ func WriteError(w http.ResponseWriter, err error) {
 	default:
 		status = http.StatusBadRequest
 	}
-	writeJSON(w, status, resp)
+	apiv1.WriteJSON(w, status, resp)
 }
 
 // ErrorCode maps a serving error onto the machine-readable envelope

@@ -94,18 +94,25 @@ func (s *matrixStore) put(m *spgemm.Matrix) (string, error) {
 
 // get resolves a handle, counting hits and misses.
 func (s *matrixStore) get(handle string) (*spgemm.Matrix, bool) {
+	m, _, ok := s.getFP(handle)
+	return m, ok
+}
+
+// getFP is get plus the structural fingerprint put computed for the
+// entry, so describing a stored matrix does not hash it again.
+func (s *matrixStore) getFP(handle string) (*spgemm.Matrix, uint64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ent := s.entries[handle]
 	if ent == nil {
 		s.misses++
 		s.col.Add(metrics.CounterMatrixStoreMisses, 1)
-		return nil, false
+		return nil, 0, false
 	}
 	s.hits++
 	s.col.Add(metrics.CounterMatrixStoreHits, 1)
 	s.touchLocked(handle)
-	return ent.m, true
+	return ent.m, ent.structFP, true
 }
 
 // getPin resolves a handle and pins it in one critical section, so a

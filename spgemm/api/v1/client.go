@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"sync"
@@ -65,7 +66,11 @@ type RetryPolicy struct {
 }
 
 // Client is the thin Go client of the /v1 API: one method per
-// endpoint, JSON in, JSON out, every non-2xx decoded into *APIError.
+// endpoint, every non-2xx decoded into *APIError. Requests and
+// responses are JSON, except matrix payloads: an upload carrying Data
+// is sent as MediaTypeCSR frames, and FetchMatrix asks for the frame
+// and decodes whichever encoding the server answered with. The choice
+// follows from the request alone; there is nothing to configure.
 type Client struct {
 	// BaseURL is the server root, e.g. "http://127.0.0.1:8097".
 	BaseURL string
@@ -180,24 +185,58 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any, idemp
 	}
 }
 
+// encodeBody picks the request representation from what the request
+// carries: a MatrixRequest with Data (Data wins over Handle and Spec,
+// so the frame is the whole request) and a bulk upload made only of
+// such requests go as binary frames; everything else is JSON.
+func encodeBody(in any) (contentType string, body []byte, err error) {
+	var buf bytes.Buffer
+	switch req := in.(type) {
+	case MatrixRequest:
+		if req.Data != nil {
+			buf.Grow(int(BinarySize(req.Data)))
+			err = WriteMatrixBinary(&buf, req.Data)
+			return MediaTypeCSR, buf.Bytes(), err
+		}
+	case MatrixBatchRequest:
+		ds := make([]*MatrixData, 0, len(req.Matrices))
+		size := int64(4)
+		for i := range req.Matrices {
+			if d := req.Matrices[i].Data; d != nil {
+				ds = append(ds, d)
+				size += BinarySize(d)
+			}
+		}
+		if len(ds) == len(req.Matrices) && len(ds) > 0 {
+			buf.Grow(int(size))
+			err = writeBulkBinary(&buf, ds)
+			return MediaTypeCSR, buf.Bytes(), err
+		}
+	}
+	body, err = json.Marshal(in)
+	return "application/json", body, err
+}
+
 // doOnce is one request/response exchange under the given context.
 func (c *Client) doOnce(ctx context.Context, method, path string, in, out any) error {
-	var body *bytes.Reader
+	var body []byte
+	var contentType string
 	if in != nil {
-		data, err := json.Marshal(in)
-		if err != nil {
+		var err error
+		if contentType, body, err = encodeBody(in); err != nil {
 			return err
 		}
-		body = bytes.NewReader(data)
-	} else {
-		body = bytes.NewReader(nil)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, body)
+	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
 	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", contentType)
+	}
+	matrix, wantsMatrix := out.(*MatrixData)
+	if wantsMatrix {
+		req.Header.Set("Accept", MediaTypeCSR+", application/json")
 	}
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
@@ -213,6 +252,21 @@ func (c *Client) doOnce(ctx context.Context, method, path string, in, out any) e
 		}
 	}
 	if out == nil {
+		return nil
+	}
+	// The response's own Content-Type decides: a server that ignored
+	// Accept (an older one) answered JSON and is read as such.
+	if wantsMatrix && isMediaType(resp.Header.Get("Content-Type"), MediaTypeCSR) {
+		// The body length the server declared bounds the frame in it.
+		limit := resp.ContentLength
+		if limit < 0 {
+			limit = math.MaxInt64
+		}
+		d, err := ReadMatrixBinary(resp.Body, limit)
+		if err != nil {
+			return err
+		}
+		*matrix = *d
 		return nil
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
@@ -285,7 +339,8 @@ func (c *Client) StoreMatrixBulk(ctx context.Context, req MatrixBatchRequest) (*
 }
 
 // FetchMatrix downloads a stored matrix's raw CSR payload via GET
-// /v1/matrices/{handle}.
+// /v1/matrices/{handle}, as a binary frame when the server offers one
+// (the only encoding that carries NaN and ±Inf values).
 func (c *Client) FetchMatrix(ctx context.Context, handle string) (*MatrixData, error) {
 	var out MatrixData
 	if err := c.do(ctx, http.MethodGet, "/v1/matrices/"+handle, nil, &out, true); err != nil {

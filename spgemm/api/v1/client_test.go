@@ -1,10 +1,12 @@
 package apiv1
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -249,5 +251,82 @@ func TestClientRoundTrips(t *testing.T) {
 	}
 	if err := cli.WaitHealthy(time.Second); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestClientChoosesEncodingFromTheRequest: the zero-value client sends
+// a matrix upload carrying Data as binary frames and everything else as
+// JSON, asks for the binary fetch, and reads whichever encoding the
+// server answered with — so it still fetches from a JSON-only server.
+func TestClientChoosesEncodingFromTheRequest(t *testing.T) {
+	want := &goldenMatrix
+	var seen []string // "path content-type accept"
+	var uploaded []*MatrixData
+	binaryFetch := false
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		seen = append(seen, r.URL.Path+" "+r.Header.Get("Content-Type")+" "+r.Header.Get("Accept"))
+		switch {
+		case r.Method == http.MethodGet && binaryFetch:
+			WriteMatrix(w, r, want)
+		case r.Method == http.MethodGet:
+			// A server that has never heard of the binary type.
+			_ = json.NewEncoder(w).Encode(want)
+		case r.URL.Path == "/v1/matrices":
+			req, ok := ReadMatrixRequest(w, r, 1<<20)
+			if !ok {
+				return
+			}
+			uploaded = append(uploaded, req.Data)
+			WriteJSON(w, http.StatusOK, MatrixResponse{Handle: "h"})
+		default:
+			req, ok := ReadMatrixBatchRequest(w, r, 1<<20)
+			if !ok {
+				return
+			}
+			for _, m := range req.Matrices {
+				uploaded = append(uploaded, m.Data)
+			}
+			WriteJSON(w, http.StatusOK, MatrixBatchResponse{Matrices: make([]MatrixResponse, len(req.Matrices))})
+		}
+	}))
+	defer ts.Close()
+	cli := &Client{BaseURL: ts.URL}
+	ctx := context.Background()
+
+	if _, err := cli.StoreMatrix(MatrixRequest{Data: want}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cli.StoreMatrix(MatrixRequest{Spec: &MatrixSpec{Kind: "er"}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cli.StoreMatrixBulk(ctx, MatrixBatchRequest{Matrices: []MatrixRequest{{Data: want}, {Data: want}}}); err != nil {
+		t.Fatal(err)
+	}
+	// One entry without Data: the whole bulk stays JSON.
+	if _, err := cli.StoreMatrixBulk(ctx, MatrixBatchRequest{Matrices: []MatrixRequest{{Data: want}, {Handle: "h", ValuesSeed: 2}}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, binaryFetch = range []bool{false, true} {
+		got, err := cli.FetchMatrix(ctx, "h")
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("fetch (binary server: %v) = %+v, %v", binaryFetch, got, err)
+		}
+	}
+	accept := MediaTypeCSR + ", application/json"
+	wantSeen := []string{
+		"/v1/matrices " + MediaTypeCSR + " ",
+		"/v1/matrices application/json ",
+		"/v1/matrices/bulk " + MediaTypeCSR + " ",
+		"/v1/matrices/bulk application/json ",
+		"/v1/matrices/h  " + accept,
+		"/v1/matrices/h  " + accept,
+	}
+	if !reflect.DeepEqual(seen, wantSeen) {
+		t.Fatalf("requests:\n got %q\nwant %q", seen, wantSeen)
+	}
+	// Data, nil (spec), Data, Data, Data, nil (revalue).
+	if len(uploaded) != 6 || !reflect.DeepEqual(uploaded[0], want) || uploaded[1] != nil ||
+		!reflect.DeepEqual(uploaded[3], want) || !reflect.DeepEqual(uploaded[4], want) || uploaded[5] != nil {
+		t.Fatalf("server decoded %d uploads: %+v", len(uploaded), uploaded)
 	}
 }

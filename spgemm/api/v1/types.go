@@ -1,13 +1,21 @@
-// Package apiv1 is the versioned wire-type package of the serving
-// layer: the JSON request, response and error-envelope types spoken on
-// every /v1/* endpoint, shared by the server (internal/serve), the
-// drive harnesses of cmd/spgemm-serve, the batch benchmark and the
-// thin Client in this package.
+// Package apiv1 is the versioned wire package of the serving layer:
+// the request, response and error-envelope types spoken on every /v1/*
+// endpoint, their two encodings, the server-side body readers and
+// response writers both HTTP surfaces (internal/serve, internal/cluster)
+// are built on, and the thin Client.
 //
-// The field names are the wire contract. They are covered by a
-// stability test (wire_test.go) and must never change within v1;
-// additions are allowed, renames and removals get a new version
-// package.
+// Everything is JSON, and the JSON field names are the wire contract.
+// They are covered by a stability test (wire_test.go) and must never
+// change within v1; additions are allowed, renames and removals get a
+// new version package.
+//
+// Matrix payloads (MatrixData) have a second, binary encoding —
+// MediaTypeCSR: a fixed header and the three CSR arrays verbatim,
+// written by WriteMatrixBinary and read by the bounded, validating
+// ReadMatrixBinary. Which one a message uses follows from its headers
+// alone (Content-Type on uploads, Accept on fetches); a client that
+// sets neither sees JSON exactly as before. The frame layout is pinned
+// byte for byte beside the field names.
 //
 // Every error, on every endpoint, is the same envelope
 // (ErrorResponse): a machine-readable code from the Code* taxonomy, a
@@ -133,9 +141,11 @@ type MultiplyRequest struct {
 // a coordinator re-uploading its spill copy of a stored matrix to a
 // failover successor ships the actual bytes, not a recipe — but any
 // client may use it to upload real data instead of a generator spec.
-// encoding/json round-trips float64 exactly, so an upload and its
-// re-download are byte-identical (content-addressed handles depend on
-// this).
+// Both encodings round-trip float64 exactly — encoding/json by
+// shortest-representation printing, the binary frame by bit pattern —
+// so an upload and its re-download are byte-identical
+// (content-addressed handles depend on this). Only the binary frame
+// can carry NaN and ±Inf.
 type MatrixData struct {
 	Rows       int       `json:"rows"`
 	Cols       int       `json:"cols"`
@@ -232,10 +242,10 @@ type ReadyResponse struct {
 	// Status is "ready" (serving normally), "degraded" (serving, but
 	// through a fallback path: an open breaker, or a cluster with
 	// replicas down), or "draining" (shutting down, not admitting).
-	Status        string            `json:"status"`
-	Draining      bool              `json:"draining"`
-	InflightJobs  int               `json:"inflight_jobs"`
-	InflightFlops int64             `json:"inflight_flops"`
+	Status        string `json:"status"`
+	Draining      bool   `json:"draining"`
+	InflightJobs  int    `json:"inflight_jobs"`
+	InflightFlops int64  `json:"inflight_flops"`
 	// Breakers maps engine name to circuit state
 	// (closed/open/half-open) on a single server.
 	Breakers map[string]string `json:"breakers,omitempty"`
@@ -355,4 +365,8 @@ const (
 	// down or draining (HTTP 503 with Retry-After; the request was
 	// never admitted anywhere and is safe to retry).
 	CodeReplicaDown = "replica_down"
+	// CodeNotAcceptable is a response JSON cannot represent — a stored
+	// matrix holding NaN or ±Inf fetched without Accept: MediaTypeCSR
+	// (HTTP 406; ask for the binary encoding).
+	CodeNotAcceptable = "not_acceptable"
 )

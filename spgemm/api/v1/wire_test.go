@@ -1,6 +1,7 @@
 package apiv1
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
 	"strings"
@@ -149,6 +150,59 @@ func TestMatrixDataRoundTrip(t *testing.T) {
 	d.RowOffsets[len(d.RowOffsets)-1]++
 	if _, err := d.Matrix(); err == nil {
 		t.Fatal("corrupt matrix data was accepted")
+	}
+}
+
+// goldenMatrix is the hand-written 2x3 matrix [[1.5 0 -2] [0 0.25 0]]
+// and goldenFrame its binary frame, byte for byte.
+var (
+	goldenMatrix = MatrixData{
+		Rows: 2, Cols: 3,
+		RowOffsets: []int64{0, 2, 3},
+		ColIDs:     []int32{0, 2, 1},
+		Values:     []float64{1.5, -2, 0.25},
+	}
+	goldenFrame = []byte{
+		'S', 'P', 'G', 'M', 'C', 'S', 'R', 1, // magic, version
+		2, 0, 0, 0, 0, 0, 0, 0, // rows
+		3, 0, 0, 0, 0, 0, 0, 0, // cols
+		3, 0, 0, 0, 0, 0, 0, 0, // nnz
+		0, 0, 0, 0, 0, 0, 0, 0, // row_offsets[0]
+		2, 0, 0, 0, 0, 0, 0, 0, // row_offsets[1]
+		3, 0, 0, 0, 0, 0, 0, 0, // row_offsets[2]
+		0, 0, 0, 0, // col_ids[0]
+		2, 0, 0, 0, // col_ids[1]
+		1, 0, 0, 0, // col_ids[2]
+		0, 0, 0, 0, 0, 0, 0xf8, 0x3f, // 1.5
+		0, 0, 0, 0, 0, 0, 0x00, 0xc0, // -2
+		0, 0, 0, 0, 0, 0, 0xd0, 0x3f, // 0.25
+	}
+)
+
+// TestBinaryFrameStability pins the application/x-spgemm-csr layout
+// the way TestWireFieldStability pins the JSON names: the media type
+// string and every byte of a known frame. A failure here is a
+// wire-breaking change and needs a new version byte.
+func TestBinaryFrameStability(t *testing.T) {
+	if MediaTypeCSR != "application/x-spgemm-csr" {
+		t.Fatalf("media type changed: %q", MediaTypeCSR)
+	}
+	var buf bytes.Buffer
+	if err := WriteMatrixBinary(&buf, &goldenMatrix); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), goldenFrame) {
+		t.Fatalf("frame layout changed:\n got %v\nwant %v", buf.Bytes(), goldenFrame)
+	}
+	if int64(len(goldenFrame)) != BinarySize(&goldenMatrix) {
+		t.Fatalf("BinarySize = %d, frame is %d bytes", BinarySize(&goldenMatrix), len(goldenFrame))
+	}
+	got, err := ReadMatrixBinary(bytes.NewReader(goldenFrame), 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(*got, goldenMatrix) {
+		t.Fatalf("golden frame decoded to %+v", *got)
 	}
 }
 
