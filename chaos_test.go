@@ -369,92 +369,28 @@ func TestChaosDeadline(t *testing.T) {
 	}
 }
 
-// TestChaosEstimationDeterminism: the estimation path under fault
-// injection must replay bit-for-bit per seed — the estimator samples at
-// a deterministic stride (no RNG), so a seeded faulty run in estimation
-// mode reproduces identical statistics and simulated timelines, and the
-// product still matches the CPU reference.
-func TestChaosEstimationDeterminism(t *testing.T) {
-	a := spgemm.RMAT(7, 8, 0.57, 0.19, 0.19, 13)
-	cfg := spgemm.V100WithMemory(1 << 20)
-	run := func() (*spgemm.Matrix, spgemm.Stats, []metrics.Span) {
-		col := spgemm.NewCollector()
-		opts := spgemm.OutOfCoreOptions{
-			RowPanels: 4, ColPanels: 2, Async: true,
-			Symbolic: spgemm.SymbolicEstimate,
-			Faults:   spgemm.FaultConfig{Seed: 17, TransferRate: 0.05, KernelRate: 0.03, StragglerRate: 0.05},
-			Metrics:  col,
-		}
-		c, st, err := spgemm.MultiplyOutOfCore(a, a, cfg, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c, st, simSpans(col.Spans())
-	}
-	c1, st1, tl1 := run()
-	c2, st2, tl2 := run()
-	if st1 != st2 {
-		t.Fatalf("estimation stats differ across identical fault seeds:\n%+v\n%+v", st1, st2)
-	}
-	if !reflect.DeepEqual(tl1, tl2) {
-		t.Fatal("estimation timelines differ across identical fault seeds")
-	}
-	if !spgemm.Equal(c1, c2, 0) {
-		t.Fatal("estimation products differ across identical fault seeds")
-	}
-	if ref := reference(t, a); !spgemm.Equal(c1, ref, 1e-9) {
-		t.Fatal("faulty estimation product differs from CPU reference")
-	}
-}
-
-// TestChaosEstimationFaultFreeIdentity: with the fault layer off, the
-// estimation-elided out-of-core run must be bit-identical to the exact
-// one — structure, values, and the injected-fault counters all empty.
-func TestChaosEstimationFaultFreeIdentity(t *testing.T) {
-	a := spgemm.RMAT(7, 8, 0.57, 0.19, 0.19, 15)
-	cfg := spgemm.V100WithMemory(1 << 20)
-	run := func(mode spgemm.SymbolicMode) *spgemm.Matrix {
-		c, _, err := spgemm.MultiplyOutOfCore(a, a, cfg, spgemm.OutOfCoreOptions{
-			RowPanels: 4, ColPanels: 2, Symbolic: mode,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	exact := run(spgemm.SymbolicExact)
-	est := run(spgemm.SymbolicEstimate)
-	if !spgemm.Equal(exact, est, 0) {
-		t.Fatal("fault-free estimation product differs from exact")
-	}
-}
-
-// TestChaosServeEstimationPlanCacheBypass: at the serving layer,
-// fault-injected jobs must stay out of the shared plan cache even in
-// estimation mode (a faulty run's plan is suspect by policy), while the
-// same fault-free job populates it.
-func TestChaosServeEstimationPlanCacheBypass(t *testing.T) {
-	s := serve.New(serve.Config{
-		MaxConcurrent: 1,
-		Base:          spgemm.RunOptions{Symbolic: spgemm.SymbolicEstimate},
-	})
+// TestChaosServeFaultyJobPlanCacheBypass: at the serving layer,
+// fault-injected jobs must stay out of the shared plan cache (a faulty
+// run's plan is suspect by policy), while the same fault-free job
+// populates it.
+func TestChaosServeFaultyJobPlanCacheBypass(t *testing.T) {
+	s := serve.New(serve.Config{MaxConcurrent: 1})
 	defer s.Drain(0)
 	a, _ := chaosMatrix(1)
 	faulty := &spgemm.RunOptions{
-		Symbolic: spgemm.SymbolicEstimate,
-		Faults:   spgemm.FaultConfig{Seed: 5, TransferRate: 0.05, KernelRate: 0.03},
+		Faults: spgemm.FaultConfig{Seed: 5, TransferRate: 0.05, KernelRate: 0.03},
 	}
 	if _, err := s.Submit(serve.Job{Engine: "gpu", A: a, B: a, Opts: faulty}); err != nil {
 		t.Fatal(err)
 	}
 	if n := s.PlanCache().Len(); n != 0 {
-		t.Fatalf("fault-injected estimation job left %d plan cache entries", n)
+		t.Fatalf("fault-injected job left %d plan cache entries", n)
 	}
 	if _, err := s.Submit(serve.Job{Engine: "gpu", A: a, B: a}); err != nil {
 		t.Fatal(err)
 	}
 	if n := s.PlanCache().Len(); n == 0 {
-		t.Fatal("fault-free estimation job did not populate the plan cache")
+		t.Fatal("fault-free job did not populate the plan cache")
 	}
 }
 

@@ -5,8 +5,8 @@
 // Usage:
 //
 //	benchcmp -baseline BENCH_iter.json -current new.json \
-//	    -tol 0.25 -skip cpu.cold_seconds,threads -min cpu.speedup=2 \
-//	    -max cpu_estimated.cold_over_warm=4
+//	    -tol 0.25 -skip cpu.cold_seconds,threads \
+//	    -min gpu.plan_cache_hit_rate=0.8 -max latency_ratio=0.7
 //
 // Both files are flattened to dotted numeric paths
 // (engines.hash.seconds, gpu.speedup, ...). Every numeric field
@@ -15,7 +15,7 @@
 // fields are machine-dependent and belong in -skip; ratios and the
 // simulated-device numbers are stable enough to gate on. -min and -max
 // add absolute floors and ceilings (repeatable) that hold regardless
-// of the baseline, e.g. the warm-path speedup acceptance target.
+// of the baseline, e.g. the plan-cache hit-rate acceptance target.
 //
 // Forward compatibility: a baseline field missing from the current
 // report is a failure only when no -skip substring matches it, and

@@ -43,7 +43,6 @@ func main() {
 		verify   = flag.Bool("verify", false, "cross-check the product against the multi-core CPU engine")
 		faults   = flag.String("faults", "", "fault-injection spec, e.g. seed=7,rate=0.02,straggler=0.05,loseafter=40 (device engines)")
 		deadline = flag.Float64("deadline", 0, "abort the run after this many seconds (simulated for device engines, wall for cpu); 0 = none")
-		symbolic = flag.String("symbolic", "exact", "symbolic strategy: exact, estimate (sampled elision, identical output) or auto")
 		chain    = flag.Int("chain", 0, "multiply a k-stage chain (((A·B)·B)·B)... through one shared plan cache, reporting per-stage time and plan reuse (0/1 = single multiply)")
 	)
 	flag.Parse()
@@ -80,9 +79,6 @@ func main() {
 		UseCPU:      *gpus > 0,
 		SUMMA:       spgemm.SUMMAConfig{Q: *q, Pipelined: true},
 		DeadlineSec: *deadline,
-	}
-	if opts.Symbolic, err = spgemm.ParseSymbolicMode(*symbolic); err != nil {
-		fail(err)
 	}
 	if *faults != "" {
 		fc, err := spgemm.ParseFaultSpec(*faults)

@@ -111,7 +111,6 @@ func main() {
 	cooldownJobs := flag.Int("cooldown-jobs", 0, "breaker: degraded jobs before a half-open probe (0 = default)")
 	planCacheBytes := flag.Int64("plan-cache-bytes", 0, "structure-reuse plan cache budget in bytes (0 = default, negative disables)")
 	storeBytes := flag.Int64("matrix-store-bytes", 0, "content-addressed matrix store budget in bytes (0 = 512 MiB)")
-	symbolic := flag.String("symbolic", "exact", "base symbolic strategy jobs inherit: exact, estimate or auto")
 
 	driveURL := flag.String("drive", "", "drive mode: base URL of a running spgemm-serve to load-test")
 	clients := flag.Int("clients", 4, "drive mode: concurrent clients")
@@ -176,11 +175,6 @@ func main() {
 		registerPanicky(*panicEvery)
 	}
 	base := spgemm.RunOptions{}
-	mode, err := spgemm.ParseSymbolicMode(*symbolic)
-	if err != nil {
-		log.Fatal("spgemm-serve: ", err)
-	}
-	base.Symbolic = mode
 	if *devmem > 0 {
 		cfg := spgemm.V100WithMemory(*devmem)
 		base.Device = &cfg

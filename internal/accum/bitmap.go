@@ -5,11 +5,11 @@ import "math/bits"
 // Bitmap is a dense accumulator that tracks occupancy in a bitset
 // instead of a touched list: values scatter into a width-sized array
 // and Flush walks the set bits in ascending order, so the row comes
-// out sorted with NO per-row sort at all. That makes it the workhorse
-// of the estimation-elided numeric pass — the exact engines' Dense
-// accumulator pays an O(nnz log nnz) sort per row at flush, which is
-// the bulk of what separates a cold multiply from the warm numeric
-// replay; the bit scan replaces it with width/64 word reads.
+// out sorted with NO per-row sort at all: where the Dense accumulator
+// pays an O(nnz log nnz) sort per row at flush, the bit scan costs
+// width/64 word reads. No engine runs on it (the row kernel uses the
+// two-level variant, TwoLevel); it stays as the one-level baseline the
+// benchmark's accumulator probe times.
 //
 // Like Hash, Dense and List, Bitmap assigns on first touch and
 // accumulates in product-arrival order, and its ascending-bit Flush

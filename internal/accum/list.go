@@ -7,9 +7,9 @@ import "slices"
 // is scanned on every insert. For a handful of distinct columns the
 // scan beats both the hash probe (no hashing, no collisions, perfect
 // locality) and the dense array (no width-sized state to touch). The
-// adaptive estimation path routes rows whose estimated output is tiny
-// here — the "merge-like" small-row class of its dense/hash/list
-// selection.
+// row kernel routes rows whose expected output is tiny here in panels
+// too wide for its bitmap tier — the "merge-like" small-row class of
+// its dense/hash/list selection.
 //
 // Like Hash and Dense, List assigns on first touch and accumulates in
 // product-arrival order, and Flush emits the columns sorted — so a row

@@ -23,7 +23,6 @@ var (
 	densePool = sync.Pool{New: func() any { poolNews.Add(1); return NewDense(0) }}
 	sortPool  = sync.Pool{New: func() any { poolNews.Add(1); return NewSort(16) }}
 	listPool  = sync.Pool{New: func() any { poolNews.Add(1); return NewList(16) }}
-	bmapPool  = sync.Pool{New: func() any { poolNews.Add(1); return NewBitmap(0) }}
 	csegPool  = sync.Pool{New: func() any { poolNews.Add(1); return NewCSeg(16) }}
 	twoPool   = sync.Pool{New: func() any { poolNews.Add(1); return &TwoLevel{} }}
 
@@ -102,21 +101,6 @@ func PutList(l *List) {
 	listPool.Put(l)
 }
 
-// GetBitmap returns an empty pooled bitmap accumulator covering
-// columns [0, width).
-func GetBitmap(width int) *Bitmap {
-	poolGets.Add(1)
-	b := bmapPool.Get().(*Bitmap)
-	b.Grow(width)
-	return b
-}
-
-// PutBitmap resets b and returns it to the pool.
-func PutBitmap(b *Bitmap) {
-	b.Reset()
-	bmapPool.Put(b)
-}
-
 // GetCSeg returns an empty pooled compressed-segment accumulator able
 // to hold at least capacity distinct segments before growing.
 func GetCSeg(capacity int) *CSeg {
@@ -159,8 +143,6 @@ func Put(a Accumulator) {
 		PutSort(acc)
 	case *List:
 		PutList(acc)
-	case *Bitmap:
-		PutBitmap(acc)
 	case *CSeg:
 		PutCSeg(acc)
 	}

@@ -99,17 +99,6 @@ type Options struct {
 	// when several devices share one cache (multigpu); empty means
 	// "dev".
 	PlanDevice string
-	// Symbolic selects the per-chunk symbolic strategy: ModeExact (the
-	// default) runs the exact symbolic kernels on every cold chunk;
-	// ModeEstimate elides them behind the sampled row estimator
-	// (speck.ComputeEstimated — output bit-identical); ModeAuto
-	// estimates only chunks whose flop count clears the estimator's
-	// auto threshold. Warm chunks never care: a cached symbolic result
-	// replays numerically regardless of how it was first captured.
-	Symbolic speck.Mode
-	// Estimator tunes the estimation path; the zero value uses the
-	// defaults.
-	Estimator speck.EstimatorConfig
 	// Analysis is the whole-matrix row analysis of A·B when the caller
 	// already has it (the grid planner computes one to size the chunks).
 	// Like the planned grid it is derived from the inputs, not a
@@ -452,13 +441,6 @@ func (e *Engine) PlanWarm() bool { return e.planWarm }
 // bit-identical chunks.
 func (e *Engine) chunkResult(id int, rp partition.RowPanel, cp partition.ColPanel) (res *speck.Result, warm bool, err error) {
 	if e.plan == nil {
-		if e.useEstimation(rp, cp) {
-			res, _, st, err := speck.ComputeEstimated(rp.M, cp.M, e.cm, e.Opts.Estimator)
-			if err == nil {
-				e.noteEstimation(st)
-			}
-			return res, false, err
-		}
 		res, err = speck.Compute(rp.M, cp.M, e.cm)
 		return res, false, err
 	}
@@ -466,15 +448,6 @@ func (e *Engine) chunkResult(id int, rp partition.RowPanel, cp partition.ColPane
 	if sym := pc.symbolic(e.plan, id); sym != nil {
 		res, err = speck.Numeric(sym, rp.M, cp.M)
 		return res, err == nil, err
-	}
-	if e.useEstimation(rp, cp) {
-		res, sym, st, err := speck.ComputeEstimated(rp.M, cp.M, e.cm, e.Opts.Estimator)
-		if err != nil {
-			return nil, false, err
-		}
-		e.noteEstimation(st)
-		pc.addSymbolic(e.plan, id, sym, true)
-		return res, false, nil
 	}
 	sym, err := speck.SymbolicCompute(rp.M, cp.M, e.cm)
 	if err != nil {
@@ -484,30 +457,8 @@ func (e *Engine) chunkResult(id int, rp partition.RowPanel, cp partition.ColPane
 	if err != nil {
 		return nil, false, err
 	}
-	pc.addSymbolic(e.plan, id, sym, false)
+	pc.addSymbolic(e.plan, id, sym)
 	return res, false, nil
-}
-
-// useEstimation resolves the symbolic mode for one chunk; ModeAuto
-// compares the chunk's flop count against the estimator threshold, so
-// a grid can mix estimated heavy chunks with exact light ones.
-func (e *Engine) useEstimation(rp partition.RowPanel, cp partition.ColPanel) bool {
-	switch e.Opts.Symbolic {
-	case speck.ModeEstimate:
-		return true
-	case speck.ModeAuto:
-		return e.Opts.Symbolic.Estimates(csr.Flops(rp.M, cp.M), e.Opts.Estimator)
-	}
-	return false
-}
-
-// noteEstimation publishes the estimation counters of one cold chunk.
-func (e *Engine) noteEstimation(st speck.EstStats) {
-	if m := e.Opts.Metrics; m.Enabled() {
-		m.Add(metrics.CounterSymbolicEstimatedRows, st.EstimatedRows)
-		m.Add(metrics.CounterSymbolicFallbackRows, st.FallbackRows)
-		m.Add(metrics.CounterSymbolicOverflowRows, st.OverflowRows)
-	}
 }
 
 // ScheduleOrder returns the chunk ids in execution order: row-major by

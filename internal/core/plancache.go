@@ -30,7 +30,6 @@ type PlanCache struct {
 	order   []planKey // LRU order, most recently used last
 
 	hits, misses, evictions int64
-	upgrades                int64
 }
 
 // planKey identifies a cached plan: the structural fingerprints of
@@ -58,11 +57,8 @@ type planEntry struct {
 	analysis   *speck.RowAnalysis
 	// syms holds per-chunk symbolic results, filled as cold chunks
 	// complete; a warm run finding one skips the chunk's symbolic
-	// device phases. symsEst marks the subset recorded by the
-	// estimation-elided path — the structure is exact either way, but
-	// an exact run later upgrades the provenance in place.
-	syms    map[int]*speck.Symbolic
-	symsEst map[int]bool
+	// device phases.
+	syms map[int]*speck.Symbolic
 	// resident records, per device namespace (Options.PlanDevice), the
 	// input-panel keys left device-resident by the last run; a device
 	// loss clears the namespace so no run trusts stale residency.
@@ -179,7 +175,6 @@ func (pc *PlanCache) store(key planKey, rps []partition.RowPanel, cps []partitio
 		rps:      make([]partition.RowPanel, len(rps)),
 		cps:      make([]partition.ColPanel, len(cps)),
 		syms:     map[int]*speck.Symbolic{},
-		symsEst:  map[int]bool{},
 		resident: map[string]map[string]struct{}{},
 		refs:     1,
 	}
@@ -266,46 +261,19 @@ func (pc *PlanCache) symbolic(ent *planEntry, id int) *speck.Symbolic {
 	return ent.syms[id]
 }
 
-// addSymbolic records a chunk's symbolic result from a cold run.
-// estimated marks results captured by the estimation-elided path; an
-// exact result arriving for a chunk whose record is estimated upgrades
-// it in place (same pattern, exact provenance), while an estimated
-// result never displaces an exact one.
-func (pc *PlanCache) addSymbolic(ent *planEntry, id int, sym *speck.Symbolic, estimated bool) {
+// addSymbolic records a chunk's symbolic result from a cold run; of
+// concurrent cold runs of one pattern the first store wins.
+func (pc *PlanCache) addSymbolic(ent *planEntry, id int, sym *speck.Symbolic) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	if old := ent.syms[id]; old != nil {
-		if !ent.symsEst[id] || estimated {
-			return
-		}
-		delete(ent.symsEst, id)
-		grow := sym.Bytes() - old.Bytes()
-		ent.syms[id] = sym
-		ent.bytes += grow
-		pc.bytes += grow
-		pc.upgrades++
-		pc.evictLocked()
+	if ent.syms[id] != nil {
 		return
 	}
 	ent.syms[id] = sym
-	if estimated {
-		ent.symsEst[id] = true
-	}
 	grow := sym.Bytes()
 	ent.bytes += grow
 	pc.bytes += grow
 	pc.evictLocked()
-}
-
-// Upgrades reports how many estimated chunk plans were upgraded in
-// place by exact results.
-func (pc *PlanCache) Upgrades() int64 {
-	if pc == nil {
-		return 0
-	}
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return pc.upgrades
 }
 
 // residentSet returns a copy of the panel keys recorded as

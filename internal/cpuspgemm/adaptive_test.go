@@ -1,13 +1,34 @@
 package cpuspgemm
 
 import (
+	"math"
+	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/csr"
 	"repro/internal/matgen"
 	"repro/internal/parallel"
 	"repro/internal/speck"
 )
+
+func requireBitsEqual(t *testing.T, got, want *csr.Matrix, label string) {
+	t.Helper()
+	if got.Rows != want.Rows || got.Cols != want.Cols {
+		t.Fatalf("%s: shape %dx%d, want %dx%d", label, got.Rows, got.Cols, want.Rows, want.Cols)
+	}
+	if !reflect.DeepEqual(got.RowOffsets, want.RowOffsets) {
+		t.Fatalf("%s: RowOffsets differ", label)
+	}
+	if !reflect.DeepEqual(got.ColIDs, want.ColIDs) {
+		t.Fatalf("%s: ColIDs differ", label)
+	}
+	for i := range got.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("%s: Data[%d] bits differ", label, i)
+		}
+	}
+}
 
 // TestAdaptivePropertyBitIdentical is the adaptive exact path's
 // property test: across matrix families and thread counts, Multiply

@@ -26,7 +26,6 @@ import (
 	"repro/internal/csr"
 	"repro/internal/metrics"
 	"repro/internal/parallel"
-	"repro/internal/speck"
 )
 
 // ErrCanceled is returned when Options.Cancel stops a multiplication
@@ -99,24 +98,13 @@ type Options struct {
 	// returns true the multiplication stops and returns ErrCanceled.
 	// It must be safe to call from multiple goroutines.
 	Cancel func() bool
-	// Symbolic selects the symbolic strategy: ModeExact (the zero
-	// value) runs the classic two-phase pipeline; ModeEstimate elides
-	// the exact symbolic phase behind the sampled row estimator with a
-	// single adaptive numeric pass (output bit-identical to exact);
-	// ModeAuto estimates only multiplies large enough to amortize it.
-	// The ESC method ignores estimation and always runs exact (the
-	// baseline stays outside every reuse fast path).
-	Symbolic speck.Mode
-	// Estimator tunes the estimation path; the zero value uses the
-	// defaults (see speck.EstimatorConfig).
-	Estimator speck.EstimatorConfig
-	// ClassStats, when non-nil, accumulates the adaptive exact path's
+	// ClassStats, when non-nil, accumulates the adaptive path's
 	// per-kernel-class row/flop/nnz shares and per-phase times. The
 	// per-row clock reads cost a few percent, so attach it only to
 	// instrumented runs, never timed repetitions.
 	ClassStats *ClassStats
 	// ChunkLog, when non-nil, records each dynamically claimed chunk's
-	// wall duration per exact phase (see ChunkLog for the scheduled-
+	// wall duration per phase (see ChunkLog for the scheduled-
 	// speedup replay the CPU benchmark builds from it).
 	ChunkLog *ChunkLog
 	// ChunkWorkers, when positive, overrides the worker count used to
@@ -184,45 +172,19 @@ func Sequential(a, b *csr.Matrix) (*csr.Matrix, error) {
 // per-row flops (so a skewed row cannot strand one worker behind a
 // static range), both phases claim chunks dynamically, and the
 // accumulators come from the shared pool instead of being rebuilt per
-// worker per phase. Options.Symbolic can replace the exact symbolic
-// phase with the estimation-based elision; the product is bit-for-bit
-// identical either way.
+// worker per phase.
 func Multiply(a, b *csr.Matrix, opts Options) (*csr.Matrix, error) {
 	if a.Cols != b.Rows {
 		return nil, errDims(a, b)
 	}
-	if opts.Method != ESC && opts.Symbolic != speck.ModeExact {
-		rowFlops := csr.RowFlops(a, b)
-		if opts.useEstimation(rowFlops) {
-			c, _, _, err := estimatedMultiply(a, b, opts, rowFlops)
-			return c, err
-		}
-		return multiplyExact(a, b, opts, rowFlops)
-	}
 	return multiplyExact(a, b, opts, nil)
 }
 
-// useEstimation resolves the symbolic mode against the row-analysis
-// output (ModeAuto needs the total flop count).
-func (o Options) useEstimation(rowFlops []int64) bool {
-	if o.Method == ESC || o.Symbolic == speck.ModeExact {
-		return false
-	}
-	if o.Symbolic == speck.ModeEstimate {
-		return true
-	}
-	var total int64
-	for _, f := range rowFlops {
-		total += f
-	}
-	return o.Symbolic.Estimates(total, o.Estimator)
-}
-
-// multiplyExact is the two-phase exact pipeline behind Multiply.
-// rowFlops, when non-nil, is the precomputed row analysis (the mode
-// dispatcher already paid for it). The Hash method runs the adaptive
-// per-row kernel pipeline (adaptive.go); Dense and ESC keep the
-// uniform single-accumulator loop their methods pin by definition.
+// multiplyExact is the two-phase pipeline behind Multiply. rowFlops,
+// when non-nil, is the precomputed row analysis (MultiplyPlanned keeps
+// it for the plan). The Hash method runs the adaptive per-row kernel
+// pipeline (adaptive.go); Dense and ESC keep the uniform
+// single-accumulator loop their methods pin by definition.
 func multiplyExact(a, b *csr.Matrix, opts Options, rowFlops []int64) (*csr.Matrix, error) {
 	if opts.Method == Hash {
 		return multiplyAdaptive(a, b, opts, rowFlops)

@@ -26,13 +26,6 @@ type SymbolicResult struct {
 	// shares them with every product it emits; treat them as read-only.
 	RowOffsets []int64
 	ColIDs     []int32
-	// Estimated records the plan's provenance: true when the structure
-	// came from the estimation-elided path. The structure is exact
-	// either way (the numeric pass observed every row), so warm replays
-	// never care — the flag exists for observability and so plan caches
-	// can upgrade an estimated entry in place when an exact plan for
-	// the same pattern arrives.
-	Estimated bool
 }
 
 // Bytes reports the memory the plan retains, for cache accounting.
@@ -51,12 +44,6 @@ func MultiplyPlanned(a, b *csr.Matrix, opts Options) (*csr.Matrix, *SymbolicResu
 		return nil, nil, errDims(a, b)
 	}
 	rowFlops := csr.RowFlops(a, b)
-	if opts.useEstimation(rowFlops) {
-		// The estimated cold path captures its plan for free: the
-		// structure falls out of the adaptive numeric pass.
-		c, sym, _, err := estimatedMultiply(a, b, opts, rowFlops)
-		return c, sym, err
-	}
 	c, err := multiplyExact(a, b, opts, rowFlops)
 	if err != nil {
 		return nil, nil, err

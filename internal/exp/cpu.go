@@ -163,10 +163,6 @@ func CPUBench() (*Table, *CPUBenchReport, error) {
 		{"merge", func() (*csr.Matrix, error) {
 			return cpuspgemm.MultiplyMerge(a, a, 0)
 		}},
-		{"hash-estimate", func() (*csr.Matrix, error) {
-			c, _, _, err := cpuspgemm.MultiplyEstimated(a, a, cpuspgemm.Options{})
-			return c, err
-		}},
 	}
 
 	t := &Table{

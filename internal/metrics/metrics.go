@@ -290,21 +290,6 @@ const (
 	CounterPlanCacheHits      = "plan_cache_hits"
 	CounterPlanCacheMisses    = "plan_cache_misses"
 	CounterPlanCacheEvictions = "plan_cache_evictions"
-	// CounterPlanCacheUpgrades counts estimated plans replaced in place
-	// by exact plans for the same pattern (provenance upgrade; the
-	// cached structure itself is exact either way).
-	CounterPlanCacheUpgrades = "plan_cache_upgrades"
-
-	// Symbolic-estimation counters, published by the estimation-elided
-	// cold path (Ocean-style sampled sizing). EstimatedRows counts
-	// non-empty output rows sized from the sampled estimator,
-	// FallbackRows those the confidence gate sent to exact symbolic
-	// counting, and OverflowRows the estimated rows that outgrew their
-	// buffer and took the spill path. The estimation hit rate is
-	// estimated / (estimated + fallback).
-	CounterSymbolicEstimatedRows = "symbolic_estimated_rows"
-	CounterSymbolicFallbackRows  = "symbolic_fallback_rows"
-	CounterSymbolicOverflowRows  = "symbolic_overflow_rows"
 
 	// Matrix-store counters, published by internal/serve's
 	// content-addressed store behind handle-based re-multiply.

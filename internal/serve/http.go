@@ -132,9 +132,6 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, _ *http.Request) {
 	}
 	body["plan_cache_hit_rate"] = rate(snap[metrics.CounterPlanCacheHits], snap[metrics.CounterPlanCacheMisses])
 	body["matrix_store_hit_rate"] = rate(snap[metrics.CounterMatrixStoreHits], snap[metrics.CounterMatrixStoreMisses])
-	// Estimation hit rate: the share of non-empty output rows sized by
-	// the sampled estimator rather than the exact-symbolic fallback.
-	body["symbolic_estimation_hit_rate"] = rate(snap[metrics.CounterSymbolicEstimatedRows], snap[metrics.CounterSymbolicFallbackRows])
 	apiv1.WriteJSON(w, http.StatusOK, body)
 }
 

@@ -318,14 +318,6 @@ func (s *Server) jobOptions(job Job) *spgemm.RunOptions {
 		if o.DeadlineSec == 0 {
 			o.DeadlineSec = s.cfg.Base.DeadlineSec
 		}
-		if o.Symbolic == spgemm.SymbolicExact {
-			// Exact is the zero value, so a job can't distinguish "unset"
-			// from "explicitly exact" — HTTP jobs carry no symbolic field
-			// and inherit the server's base mode, as the -symbolic flag
-			// documents.
-			o.Symbolic = s.cfg.Base.Symbolic
-			o.Estimator = s.cfg.Base.Estimator
-		}
 	}
 	if o.PlanCache == nil && !o.Faults.Enabled() {
 		// Jobs share the server's plan cache: repeated patterns across
@@ -431,8 +423,7 @@ func (s *Server) settleLocked(t *task, res *Result) {
 		s.metrics.Add(metrics.CounterServeFailed, 1)
 	}
 	for k, v := range res.Snapshot {
-		if strings.HasPrefix(k, "recovery_") || strings.HasPrefix(k, "plan_cache_") ||
-			strings.HasPrefix(k, "symbolic_") {
+		if strings.HasPrefix(k, "recovery_") || strings.HasPrefix(k, "plan_cache_") {
 			s.metrics.Add(k, v)
 		}
 	}

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/metrics"
@@ -262,8 +264,21 @@ func TestHTTPMatrixEndpoints(t *testing.T) {
 	if rate, _ := metricsBody["plan_cache_hit_rate"].(float64); rate != 0.5 {
 		t.Fatalf("plan_cache_hit_rate = %v, want 0.5", metricsBody["plan_cache_hit_rate"])
 	}
-	if _, ok := metricsBody["matrix_store_hit_rate"]; !ok {
-		t.Fatal("metricsz missing matrix_store_hit_rate")
+	// Beyond the counter snapshot the endpoint derives exactly the two
+	// hit rates, and nothing it emits describes a symbolic strategy.
+	snap := s.Snapshot()
+	var derived []string
+	for k := range metricsBody {
+		if _, counter := snap[k]; !counter {
+			derived = append(derived, k)
+		}
+		if strings.HasPrefix(k, "symbolic_") || k == "plan_cache_upgrades" {
+			t.Fatalf("metricsz emits %q", k)
+		}
+	}
+	slices.Sort(derived)
+	if want := []string{"matrix_store_hit_rate", "plan_cache_hit_rate"}; !slices.Equal(derived, want) {
+		t.Fatalf("metricsz derived keys = %v, want %v", derived, want)
 	}
 
 	// Delete; a multiply by the dead handle is a 404.

@@ -2,6 +2,7 @@ package speck
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/accum"
 	"repro/internal/csr"
@@ -81,11 +82,10 @@ type RowAccumulator interface {
 // claims — per-chunk pool traffic was one of the costs that let
 // the static ablation beat the dynamic scheduler.
 type Kit struct {
-	list  *accum.List
-	hash  *accum.Hash
-	dense *accum.Bitmap
-	cseg  *accum.CSeg
-	two   *accum.TwoLevel
+	list *accum.List
+	hash *accum.Hash
+	cseg *accum.CSeg
+	two  *accum.TwoLevel
 }
 
 // Release returns the kit's accumulators to their pools.
@@ -95,9 +95,6 @@ func (k *Kit) Release() {
 	}
 	if k.hash != nil {
 		accum.PutHash(k.hash)
-	}
-	if k.dense != nil {
-		accum.PutBitmap(k.dense)
 	}
 	if k.cseg != nil {
 		accum.PutCSeg(k.cseg)
@@ -110,7 +107,8 @@ func (k *Kit) Release() {
 
 // Get returns the worker's accumulator for kind, sized for a row with
 // at most bound distinct output columns in a width-column panel — the
-// row's own bound, never a chunk-wide maximum.
+// row's own bound, never a chunk-wide maximum. Its callers serve panels
+// wider than bitmapTierMax, where PickKind labels no row KindDense.
 func (k *Kit) Get(kind Kind, bound int64, width int) RowAccumulator {
 	switch kind {
 	case KindList:
@@ -118,11 +116,6 @@ func (k *Kit) Get(kind Kind, bound int64, width int) RowAccumulator {
 			k.list = accum.GetList(ListClassMax)
 		}
 		return k.list
-	case KindDense:
-		if k.dense == nil {
-			k.dense = accum.GetBitmap(width)
-		}
-		return k.dense
 	case KindCSeg:
 		if k.cseg == nil {
 			k.cseg = accum.GetCSeg(16)
@@ -146,6 +139,76 @@ func (k *Kit) Get(kind Kind, bound int64, width int) RowAccumulator {
 		k.hash.Grow(int(bound))
 		return k.hash
 	}
+}
+
+// ExpectedDistinct is the balls-in-bins collision correction: throwing
+// `products` candidate columns uniformly at `width` slots yields
+// width*(1-(1-1/width)^products) expected distinct columns. Skewed
+// column distributions produce fewer distinct columns than uniform
+// ones, so the uniform assumption errs toward over-allocation — the
+// safe direction. Clamped to [1, min(products, width)].
+func ExpectedDistinct(width, products int64) int64 {
+	if width <= 0 || products <= 0 {
+		return 0
+	}
+	if width == 1 {
+		return 1
+	}
+	w := float64(width)
+	e := w * -math.Expm1(float64(products)*math.Log1p(-1/w))
+	n := int64(math.Ceil(e))
+	if n < 1 {
+		n = 1
+	}
+	if n > products {
+		n = products
+	}
+	if n > width {
+		n = width
+	}
+	return n
+}
+
+// ListClassMax, denseClassCR and bitmapScanDiv bin rows into the three
+// work classes: rows expected to stay tiny are list rows; rows whose
+// flops revisit each output slot denseClassCR times (the same
+// compression rule as denseCRThreshold) or whose expected output is at
+// least width/bitmapScanDiv are dense rows — a bitmap's sort-free
+// ascending-bit flush costs width/64 word reads, so it amortizes once
+// the row holds one output per bitmapScanDiv/64 words; everything else
+// (sparse rows in very wide panels) is a hash row.
+const (
+	// ListClassMax is the largest expected row nnz served by the list
+	// accumulator.
+	ListClassMax  = 24
+	denseClassCR  = denseCRThreshold
+	bitmapScanDiv = 256
+)
+
+// Class is a row's work class, picked from its expected output size and
+// flop count. Every accumulator flushes a row's columns ascending, so
+// the class choice never changes the output bits.
+type Class int
+
+const (
+	// ListClass rows are small enough for a linear-scan list.
+	ListClass Class = iota
+	// HashClass rows are sparse in a wide panel: a presized hash table.
+	HashClass
+	// DenseClass rows amortize a bitmap's sort-free ascending bit scan.
+	DenseClass
+)
+
+// PickClass bins one row. estNnz is the row's expected output size
+// (ExpectedDistinct of its product count).
+func PickClass(rowFlops, estNnz, width int64) Class {
+	if estNnz <= ListClassMax {
+		return ListClass
+	}
+	if rowFlops >= denseClassCR*estNnz || estNnz >= width/bitmapScanDiv {
+		return DenseClass
+	}
+	return HashClass
 }
 
 // PickKind maps a row's work class to its kind, given the panel width

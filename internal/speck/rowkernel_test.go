@@ -345,3 +345,49 @@ func TestAnalyzeEqualsChunkGrid(t *testing.T) {
 		t.Fatalf("Bytes = %d", ra.Bytes())
 	}
 }
+
+func TestExpectedDistinct(t *testing.T) {
+	cases := []struct {
+		width, products, wantMin, wantMax int64
+	}{
+		{0, 5, 0, 0},
+		{10, 0, 0, 0},
+		{1, 100, 1, 1},
+		{100, 1, 1, 1},
+		{1000, 10, 9, 10},   // few balls: nearly all distinct
+		{10, 10000, 10, 10}, // saturated: the full width
+		{100, 100, 60, 100}, // 1-1/e of the width, roughly
+	}
+	for _, c := range cases {
+		got := ExpectedDistinct(c.width, c.products)
+		if got < c.wantMin || got > c.wantMax {
+			t.Fatalf("ExpectedDistinct(%d, %d) = %d, want [%d, %d]",
+				c.width, c.products, got, c.wantMin, c.wantMax)
+		}
+	}
+}
+
+func TestPickClass(t *testing.T) {
+	const width = 1024
+	if got := PickClass(100, ListClassMax, width); got != ListClass {
+		t.Fatalf("tiny row classed %v", got)
+	}
+	// Sparse row in a very wide panel: the bitmap flush scan would not
+	// amortize, so the hash class serves it.
+	if got := PickClass(500, 100, 1<<20); got != HashClass {
+		t.Fatalf("sparse wide-panel row classed %v", got)
+	}
+	// Flop-heavy: each output slot revisited many times.
+	if got := PickClass(100*8, 100, 1<<20); got != DenseClass {
+		t.Fatalf("flop-heavy row classed %v", got)
+	}
+	// Dense enough for the bitmap scan to amortize (estNnz = width/256)
+	// without tripping the flop-heaviness rule.
+	if got := PickClass(64, 32, 8192); got != DenseClass {
+		t.Fatalf("bitmap-amortized row classed %v", got)
+	}
+	// Wide output: covers an eighth of the panel.
+	if got := PickClass(200, width/8, width); got != DenseClass {
+		t.Fatalf("wide row classed %v", got)
+	}
+}

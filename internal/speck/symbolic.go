@@ -81,10 +81,7 @@ func SymbolicCompute(a, b *csr.Matrix, cm CostModel) (*Symbolic, error) {
 
 // finalizeSymbolic fills everything downstream of the structure scan —
 // host grouping, exact offsets, simulated durations, transfer and
-// workspace sizes — from the per-row output counts. It is shared by
-// the exact path (offsets from the symbolic pass) and the estimated
-// path (offsets read off the adaptive numeric pass), so both produce
-// field-identical Symbolic plans.
+// workspace sizes — from the exact output row offsets.
 func finalizeSymbolic(sym *Symbolic, rowOffsets []int64, width int, cm CostModel) {
 	// Host re-grouping for the numeric phase: bin rows by (kind, size
 	// class), where kind is dense accumulation for rows whose

@@ -81,18 +81,6 @@ type RunOptions struct {
 	// clock for device engines and SUMMA, the wall clock for the cpu
 	// engine. 0 means no deadline.
 	DeadlineSec float64
-	// Symbolic selects the symbolic strategy of every engine that runs
-	// a cold symbolic phase: SymbolicExact (the default) keeps the
-	// classic two-phase pipeline, SymbolicEstimate elides the exact
-	// symbolic pass behind the sampled row estimator (the product is
-	// bit-for-bit identical), SymbolicAuto estimates only multiplies
-	// (or chunks) large enough to amortize it. EstimateCost and the
-	// grid planner follow the same setting, pricing jobs from the
-	// estimator instead of an exact symbolic pass.
-	Symbolic SymbolicMode
-	// Estimator tunes the estimation path; the zero value uses the
-	// defaults documented on speck.EstimatorConfig.
-	Estimator EstimatorConfig
 }
 
 // wallDeadline converts DeadlineSec into a wall-clock cancellation
@@ -120,20 +108,11 @@ func (o RunOptions) device() DeviceConfig {
 }
 
 // plan resolves the chunk grid for a's and b's structures, through
-// the plan cache's memoized planner when one is configured. The
-// symbolic mode decides whether the grid is sized by the exact
-// symbolic pass or the sampled estimator. An exact planning pass hands
-// its row analysis on in the returned options, so the engine that runs
-// the grid (and EstimateCost's write-back) reuses it.
+// the plan cache's memoized planner when one is configured. A planning
+// pass hands its row analysis on in the returned options, so the engine
+// that runs the grid (and EstimateCost's write-back) reuses it.
 func (o RunOptions) plan(a, b *Matrix) (OutOfCoreOptions, error) {
-	estimated := o.Symbolic != SymbolicExact
-	if o.PlanCache != nil {
-		return o.PlanCache.plan(a, b, o.device(), estimated, o.Metrics)
-	}
-	if estimated {
-		return PlanEstimated(a, b, o.device())
-	}
-	return planExact(a, b, o.device(), o.Metrics)
+	return o.PlanCache.plan(a, b, o.device(), o.Metrics)
 }
 
 // coreOptions resolves the out-of-core options: an explicit grid is
@@ -153,8 +132,6 @@ func (o RunOptions) coreOptions(a, b *Matrix, async bool) (OutOfCoreOptions, err
 	opts.Faults = o.Faults
 	opts.ChunkRetries = o.ChunkRetries
 	opts.DeadlineSec = o.DeadlineSec
-	opts.Symbolic = o.Symbolic
-	opts.Estimator = o.Estimator
 	if pc := o.PlanCache.coreCache(); pc != nil {
 		opts.PlanCache = pc // an explicitly set Core.PlanCache is kept otherwise
 	}
@@ -372,7 +349,6 @@ func init() {
 			c, st, err := cpuEngine(a, b, func() (*Matrix, error) {
 				copts := cpuspgemm.Options{
 					Threads: o.Threads, Metrics: o.Metrics, Cancel: o.wallDeadline(),
-					Symbolic: o.Symbolic, Estimator: o.Estimator,
 				}
 				if o.PlanCache != nil {
 					return o.PlanCache.multiplyCPU(a, b, copts)
@@ -506,7 +482,7 @@ func init() {
 		device:   true,
 		describe: "out-of-core GPU with automatic chunk-grid planning and refinement",
 		run: func(a, b *Matrix, o RunOptions) (*Matrix, Report, error) {
-			c, st, err := runAuto(a, b, o.device(), o.Metrics, o.PlanCache, o.Symbolic)
+			c, st, err := runAuto(a, b, o.device(), o.Metrics, o.PlanCache)
 			if err != nil {
 				return nil, nil, err
 			}

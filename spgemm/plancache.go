@@ -48,10 +48,9 @@ type PlanCache struct {
 	bytes   int64
 	entries map[cpuPlanKey]*cpuPlanEntry
 	order   []cpuPlanKey // LRU: oldest first
-	grids   map[gridKey]gridEntry
+	grids   map[gridKey]OutOfCoreOptions
 
 	hits, misses, evictions int64
-	upgrades                int64
 }
 
 type cpuPlanKey struct {
@@ -69,16 +68,6 @@ type gridKey struct {
 	memBytes int64
 }
 
-// gridEntry is one memoized chunk grid, tagged with its provenance: a
-// grid planned from the estimator may differ from the exact one (the
-// estimate over-sizes skewed outputs), so an exact planning pass later
-// upgrades the memo in place; an exact grid is never displaced by an
-// estimated request.
-type gridEntry struct {
-	opts      OutOfCoreOptions
-	estimated bool
-}
-
 // NewPlanCache returns a plan cache bounded to maxBytes of cached
 // structure (0 means a default of 256 MiB split between the CPU and
 // device halves).
@@ -90,7 +79,7 @@ func NewPlanCache(maxBytes int64) *PlanCache {
 		dev:     core.NewPlanCache(maxBytes / 2),
 		max:     maxBytes / 2,
 		entries: map[cpuPlanKey]*cpuPlanEntry{},
-		grids:   map[gridKey]gridEntry{},
+		grids:   map[gridKey]OutOfCoreOptions{},
 	}
 }
 
@@ -206,9 +195,7 @@ func (p *PlanCache) multiplyCPU(a, b *Matrix, opts cpuspgemm.Options) (*Matrix, 
 	if err != nil {
 		return nil, err
 	}
-	if p.storeCPU(key, sym) {
-		opts.Metrics.Add(metrics.CounterPlanCacheUpgrades, 1)
-	}
+	p.storeCPU(key, sym)
 	return c, nil
 }
 
@@ -225,25 +212,13 @@ func (p *PlanCache) acquireCPU(key cpuPlanKey) *cpuspgemm.SymbolicResult {
 	return ent.sym
 }
 
-// storeCPU records a cold run's plan. Provenance rules: a first store
-// wins against concurrent cold runs on one pattern, except that an
-// exact plan upgrades an estimated entry in place (the cached
-// structure is exact either way — the upgrade flips the provenance so
-// observability and the estimated-vs-exact accounting stay truthful);
-// an estimated plan never displaces an exact one. The boolean reports
-// whether an upgrade happened.
-func (p *PlanCache) storeCPU(key cpuPlanKey, sym *cpuspgemm.SymbolicResult) bool {
+// storeCPU records a cold run's plan; of concurrent cold runs on one
+// pattern the first store wins.
+func (p *PlanCache) storeCPU(key cpuPlanKey, sym *cpuspgemm.SymbolicResult) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if ent := p.entries[key]; ent != nil {
-		if !ent.sym.Estimated || sym.Estimated {
-			return false // concurrent cold runs on one pattern: first store wins
-		}
-		p.bytes += sym.Bytes() - ent.bytes
-		ent.sym = sym
-		ent.bytes = sym.Bytes()
-		p.upgrades++
-		return true
+	if p.entries[key] != nil {
+		return
 	}
 	p.entries[key] = &cpuPlanEntry{sym: sym, bytes: sym.Bytes()}
 	p.order = append(p.order, key)
@@ -252,66 +227,36 @@ func (p *PlanCache) storeCPU(key cpuPlanKey, sym *cpuspgemm.SymbolicResult) bool
 		p.dropLocked(0)
 		p.evictions++
 	}
-	return false
 }
 
 // plan memoizes the chunk-grid planner per structure pair and device
 // memory size, so repeated jobs (and the admission controller sizing
-// them) pay the planning scan once per pattern. estimated selects the
-// sampled-estimator planner (PlanEstimated) over the exact one; a memo
-// planned from the estimator satisfies estimated requests but not
-// exact ones — an exact request re-plans and upgrades the memo in
-// place, and an exact memo serves everyone. The memo keeps the grid
-// only: the row analysis an exact pass hands to its caller is cached,
-// byte-accounted, with the device plan (core.PlanCache).
-func (p *PlanCache) plan(a, b *Matrix, cfg DeviceConfig, estimated bool, m *Collector) (OutOfCoreOptions, error) {
+// them) pay the planning scan once per pattern. The memo keeps the grid
+// only: the row analysis a planning pass hands to its caller is cached,
+// byte-accounted, with the device plan (core.PlanCache). Concurrent
+// planning passes of one key plan the same grid, so any store is right.
+// A nil cache plans every time.
+func (p *PlanCache) plan(a, b *Matrix, cfg DeviceConfig, m *Collector) (OutOfCoreOptions, error) {
+	if p == nil {
+		return planExact(a, b, cfg, m)
+	}
 	key := gridKey{fpA: csr.Fingerprint(a), fpB: csr.Fingerprint(b), memBytes: cfg.MemoryBytes}
 	p.mu.Lock()
-	if ent, ok := p.grids[key]; ok && (!ent.estimated || estimated) {
-		p.mu.Unlock()
-		return ent.opts, nil
-	}
+	memo, ok := p.grids[key]
 	p.mu.Unlock()
-	var opts OutOfCoreOptions
-	var err error
-	if estimated {
-		opts, err = PlanEstimated(a, b, cfg)
-	} else {
-		opts, err = planExact(a, b, cfg, m)
+	if ok {
+		return memo, nil
 	}
+	opts, err := planExact(a, b, cfg, m)
 	if err != nil {
 		return OutOfCoreOptions{}, err
 	}
-	memo := opts
+	memo = opts
 	memo.Analysis = nil
 	p.mu.Lock()
-	if cur, ok := p.grids[key]; ok && !cur.estimated {
-		// A concurrent exact planning pass won; keep its memo (an exact
-		// pass of our own planned the same grid and keeps its analysis).
-		if estimated {
-			opts = cur.opts
-		}
-	} else {
-		if ok && cur.estimated && !estimated {
-			p.upgrades++
-		}
-		p.grids[key] = gridEntry{opts: memo, estimated: estimated}
-	}
+	p.grids[key] = memo
 	p.mu.Unlock()
 	return opts, nil
-}
-
-// Upgrades reports how many estimated plans (CPU symbolic entries,
-// device chunk plans and grid memos) were upgraded in place by exact
-// ones.
-func (p *PlanCache) Upgrades() int64 {
-	if p == nil {
-		return 0
-	}
-	n := p.dev.Upgrades()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return n + p.upgrades
 }
 
 func (p *PlanCache) touchLocked(key cpuPlanKey) {

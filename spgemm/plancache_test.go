@@ -4,8 +4,10 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/cpuspgemm"
 	"repro/internal/metrics"
 )
 
@@ -128,6 +130,111 @@ func TestPlanCacheCPUCounters(t *testing.T) {
 	}
 	if got := col.Counter(metrics.CounterPlanCacheMisses); got != misses {
 		t.Fatalf("metrics miss counter %d != cache %d", got, misses)
+	}
+}
+
+// TestPlanCacheGridMemo pins the grid memo's contract: the planning call
+// hands its row analysis on, the memo keeps the grid only, a repeated
+// plan() of the same pair and device size is served from the memo
+// without a second row-analysis pass, and the device size is part of
+// the key.
+func TestPlanCacheGridMemo(t *testing.T) {
+	a := RMAT(9, 8, 0.57, 0.19, 0.19, 52)
+	cfg := V100WithMemory(1 << 20)
+	pc := NewPlanCache(0)
+
+	col := NewCollector()
+	planned, err := pc.plan(a, a, cfg, col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if planned.Analysis == nil {
+		t.Fatal("the planning pass did not hand its row analysis on")
+	}
+	if n := symbolicWallSpans(col); n != 1 {
+		t.Fatalf("planning pass: %d row-analysis wall spans, want 1", n)
+	}
+	want, err := Plan(a, a, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.Analysis = nil
+	key := gridKey{fpA: Fingerprint(a), fpB: Fingerprint(a), memBytes: cfg.MemoryBytes}
+	if memo, ok := pc.grids[key]; !ok || memo != want {
+		t.Fatalf("memo %+v (present=%v), want the planned grid without its analysis %+v", memo, ok, want)
+	}
+
+	col = NewCollector()
+	served, err := pc.plan(a, a, cfg, col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if served != want {
+		t.Fatalf("repeated plan() returned %+v, want the memoised grid %+v", served, want)
+	}
+	if n := symbolicWallSpans(col); n != 0 {
+		t.Fatalf("memoised plan(): %d row-analysis wall spans, want none", n)
+	}
+
+	col = NewCollector()
+	if _, err := pc.plan(a, a, V100WithMemory(2<<20), col); err != nil {
+		t.Fatal(err)
+	}
+	if n := symbolicWallSpans(col); n != 1 || len(pc.grids) != 2 {
+		t.Fatalf("a different device size: %d row-analysis spans, %d memos; want 1 and 2", n, len(pc.grids))
+	}
+}
+
+// TestPlanCacheConcurrentColdRuns starts N cpu-engine runs of one
+// pattern on an empty shared cache: however many of them miss and plan,
+// the cache ends with one entry accounted once (first store wins), each
+// run counts as exactly one hit or miss, and every product is the same.
+func TestPlanCacheConcurrentColdRuns(t *testing.T) {
+	a := RMAT(10, 8, 0.57, 0.19, 0.19, 44)
+	pc := NewPlanCache(0)
+	eng, _ := ByName("cpu")
+	const runs = 8
+	products := make([]*Matrix, runs)
+	errs := make([]error, runs)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < runs; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			products[i], _, errs[i] = eng.Run(a, a, &RunOptions{PlanCache: pc})
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		mustBitIdentical(t, products[0], products[i])
+	}
+	hits, misses, _ := pc.Counters()
+	if misses < 1 || hits+misses != runs {
+		t.Fatalf("hits=%d misses=%d, want %d in total with at least one miss", hits, misses, runs)
+	}
+	if pc.Len() != 1 {
+		t.Fatalf("Len = %d, want 1", pc.Len())
+	}
+	key := cpuPlanKey{fpA: Fingerprint(a), fpB: Fingerprint(a), rows: a.Rows, aCols: a.Cols, cols: a.Cols}
+	stored := pc.acquireCPU(key)
+	if stored == nil || pc.bytes != stored.Bytes() {
+		t.Fatalf("cache accounts %d bytes, want one plan's %d", pc.bytes, stored.Bytes())
+	}
+	// A late store of the same pattern — what a run that missed beside
+	// the winner does — changes neither the entry nor the account.
+	_, late, err := cpuspgemm.MultiplyPlanned(a, a, cpuspgemm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc.storeCPU(key, late)
+	if got := pc.acquireCPU(key); got != stored || pc.bytes != stored.Bytes() || pc.Len() != 1 {
+		t.Fatal("a second store of one pattern displaced or double-counted the first")
 	}
 }
 

@@ -130,32 +130,6 @@ type OutOfCoreOptions = core.Options
 // Stats reports simulated-time statistics of an out-of-core run.
 type Stats = core.Stats
 
-// SymbolicMode selects the symbolic strategy of a multiply: exact
-// two-phase analysis, estimation-based elision (Ocean-style sampled
-// sizing with over-allocation and compaction — output bit-identical
-// to exact), or automatic selection by problem size.
-type SymbolicMode = speck.Mode
-
-const (
-	// SymbolicExact runs the exact symbolic phase (the default).
-	SymbolicExact = speck.ModeExact
-	// SymbolicEstimate elides the symbolic phase behind the sampled
-	// row-nnz estimator wherever the confidence gate allows.
-	SymbolicEstimate = speck.ModeEstimate
-	// SymbolicAuto estimates only multiplies (or chunks) whose flop
-	// count clears the estimator's auto threshold.
-	SymbolicAuto = speck.ModeAuto
-)
-
-// EstimatorConfig tunes the estimation path (sample size, safety
-// factor, confidence gate, fallback thresholds); the zero value uses
-// the defaults.
-type EstimatorConfig = speck.EstimatorConfig
-
-// ParseSymbolicMode parses the -symbolic CLI spelling
-// (exact|estimate|auto).
-func ParseSymbolicMode(s string) (SymbolicMode, error) { return speck.ParseMode(s) }
-
 // HybridOptions configures the CPU-GPU hybrid engine.
 type HybridOptions = hybrid.Options
 
@@ -227,31 +201,7 @@ func planExact(a, b *Matrix, cfg DeviceConfig, m *Collector) (OutOfCoreOptions, 
 	stop := m.StartWall("host", "row analysis")
 	ra := speck.Analyze(a, b)
 	stop()
-	opts, err := planFromNnz(a, b, cfg, ra.OutNnz())
-	opts.Analysis = ra
-	return opts, err
-}
-
-// PlanEstimated chooses a chunk grid like Plan but sizes the output
-// from the sampled estimator instead of an exact symbolic pass —
-// O(nnz) instead of O(flops), which is what admission control wants
-// when it must price a job before deciding to run it. The estimate
-// errs toward over-allocation (more chunks than strictly needed), the
-// safe direction for fitting device memory; the memoizing plan cache
-// upgrades an estimated grid in place when an exact plan for the same
-// pattern is computed later.
-func PlanEstimated(a, b *Matrix, cfg DeviceConfig) (OutOfCoreOptions, error) {
-	if a.Cols != b.Rows {
-		return OutOfCoreOptions{}, fmt.Errorf("spgemm: dimension mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	outNnz := speck.EstimateTotalNnz(a, b, speck.EstimatorConfig{})
-	return planFromNnz(a, b, cfg, outNnz)
-}
-
-// planFromNnz is the shared planning arithmetic behind Plan and
-// PlanEstimated, parameterized only by the output-size figure.
-func planFromNnz(a, b *Matrix, cfg DeviceConfig, outNnz int64) (OutOfCoreOptions, error) {
-	outBytes := outNnz*12 + int64(a.Rows+1)*8
+	outBytes := ra.OutNnz()*12 + int64(a.Rows+1)*8
 	inputs := a.Bytes() + b.Bytes()
 	// Workspace and per-chunk row-info margins.
 	margin := inputs/4 + int64(a.Rows)*24 + (1 << 16)
@@ -266,7 +216,7 @@ func planFromNnz(a, b *Matrix, cfg DeviceConfig, outNnz int64) (OutOfCoreOptions
 	if chunks < 1 {
 		chunks = 1
 	}
-	opts := OutOfCoreOptions{Async: true, Reorder: true}
+	opts := OutOfCoreOptions{Async: true, Reorder: true, Analysis: ra}
 	opts.RowPanels, opts.ColPanels = gridFor(chunks, a.Rows, b.Cols)
 	return opts, nil
 }
@@ -325,30 +275,18 @@ func MultiplySUMMA(a, b *Matrix, cfg SUMMAConfig) (*Matrix, SUMMAStats, error) {
 // out not to fit the device arena — the situation the paper notes when
 // "certain chunks are extremely dense and require large allocation".
 func MultiplyAuto(a, b *Matrix, cfg DeviceConfig) (*Matrix, Stats, error) {
-	return runAuto(a, b, cfg, nil, nil, SymbolicExact)
+	return runAuto(a, b, cfg, nil, nil)
 }
 
-// runAuto is MultiplyAuto with an optional metrics sink, plan cache
-// and symbolic mode (the "auto" registry engine threads all three
-// through here).
-func runAuto(a, b *Matrix, cfg DeviceConfig, m *Collector, pc *PlanCache, mode SymbolicMode) (*Matrix, Stats, error) {
-	estimated := mode != SymbolicExact
-	var opts OutOfCoreOptions
-	var err error
-	switch {
-	case pc != nil:
-		opts, err = pc.plan(a, b, cfg, estimated, m)
-	case estimated:
-		opts, err = PlanEstimated(a, b, cfg)
-	default:
-		opts, err = planExact(a, b, cfg, m)
-	}
+// runAuto is MultiplyAuto with an optional metrics sink and plan cache
+// (the "auto" registry engine threads both through here).
+func runAuto(a, b *Matrix, cfg DeviceConfig, m *Collector, pc *PlanCache) (*Matrix, Stats, error) {
+	opts, err := pc.plan(a, b, cfg, m)
 	if err != nil {
 		return nil, Stats{}, err
 	}
 	opts.Metrics = m
 	opts.PlanCache = pc.coreCache()
-	opts.Symbolic = mode
 	var lastErr error
 	for attempt := 0; attempt < 4; attempt++ {
 		c, st, err := MultiplyOutOfCore(a, b, cfg, opts)
