@@ -395,9 +395,8 @@ func TestChaosServeFaultyJobPlanCacheBypass(t *testing.T) {
 }
 
 // buildChaosCluster assembles an n-replica coordinator over in-process
-// serve servers wrapped in seeded chaos backends — the same wiring as
-// spgemm-serve -cluster — with retry backoff sleeps stubbed out so the
-// sweep runs at full speed.
+// serve servers wrapped in seeded chaos backends, with retry backoff
+// sleeps stubbed out so the sweep runs at full speed.
 func buildChaosCluster(n int) (*cluster.Coordinator, []*cluster.ChaosBackend) {
 	backends := make([]cluster.Backend, n)
 	chaos := make([]*cluster.ChaosBackend, n)
@@ -412,16 +411,20 @@ func buildChaosCluster(n int) (*cluster.Coordinator, []*cluster.ChaosBackend) {
 	return cluster.New(cluster.Config{Sleep: func(time.Duration) {}}, backends...), chaos
 }
 
-// runClusterKillScenario streams requests through a 3-replica cluster,
-// kills one replica mid-stream, and checks the coordinator's promise:
-// zero requests lost (every one of them succeeds, through failover or
-// not), the admission ledger reconciles (each request admitted exactly
-// once across the replica set), and the health state machine records
-// exactly one down and one up transition for the kill and the revival.
-// It returns the merged counter snapshot for determinism comparison.
-func runClusterKillScenario(t *testing.T, victim int) map[string]int64 {
+// runClusterKillScenario streams requests through a 3-replica cluster
+// and kills replicas mid-stream on a schedule: after a warm phase, each
+// phase boundary revives the previous victim (plus a probe round, so it
+// takes traffic again) and kills the next; the last victim stays dead
+// for two phases. It checks the coordinator's promise: zero requests
+// lost (every one of them succeeds, through failover or not), the
+// admission ledger reconciles (each request admitted exactly once
+// across the replica set), and the health state machine records exactly
+// one down and one up transition per kill. It returns the merged
+// counter snapshot for determinism comparison.
+func runClusterKillScenario(t *testing.T, schedule []int) map[string]int64 {
 	t.Helper()
-	const requests = 30
+	const phase = 10
+	requests := phase * (len(schedule) + 2)
 	coord, chaos := buildChaosCluster(3)
 	defer coord.Drain(time.Second)
 
@@ -431,11 +434,17 @@ func runClusterKillScenario(t *testing.T, victim int) map[string]int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
+	victim := -1
 	for i := 0; i < requests; i++ {
-		if i == requests/3 {
+		if k := i/phase - 1; i%phase == 0 && k >= 0 && k < len(schedule) {
+			if victim >= 0 {
+				chaos[victim].Revive()
+				coord.Probe()
+			}
 			// Mid-stream kill, no probe: the request path itself must
 			// discover the dead replica (ErrReplicaDown on first touch),
 			// condemn it, and fail over to the ring successor.
+			victim = schedule[k]
 			chaos[victim].Kill()
 		}
 		var resp *apiv1.MultiplyResponse
@@ -465,32 +474,37 @@ func runClusterKillScenario(t *testing.T, victim int) map[string]int64 {
 	counters := coord.Counters()
 	// Reconciliation: every request admitted exactly once across the
 	// replica set — failover re-routes only never-admitted requests.
-	if got := counters[metrics.CounterServeAccepted]; got != requests {
-		t.Fatalf("kill r%d: %d requests admitted across replicas, want %d", victim, got, requests)
+	if got := counters[metrics.CounterServeAccepted]; got != int64(requests) {
+		t.Fatalf("kill %v: %d requests admitted across replicas, want %d", schedule, got, requests)
 	}
 	if counters[metrics.CounterServeFailed] != 0 || counters[metrics.CounterServePanicked] != 0 {
-		t.Fatalf("kill r%d: replica-side failures under a clean kill: %v", victim, counters)
+		t.Fatalf("kill %v: replica-side failures under a clean kill: %v", schedule, counters)
 	}
 	if counters[metrics.CounterClusterFailovers] == 0 {
-		t.Fatalf("kill r%d: no failovers recorded; the kill was never exercised: %v", victim, counters)
+		t.Fatalf("kill %v: no failovers recorded; the kill was never exercised: %v", schedule, counters)
 	}
-	if d, u := counters[metrics.CounterClusterReplicaDown], counters[metrics.CounterClusterReplicaUp]; d != 1 || u != 1 {
-		t.Fatalf("kill r%d: down/up transitions = %d/%d, want 1/1", victim, d, u)
+	kills := int64(len(schedule))
+	if d, u := counters[metrics.CounterClusterReplicaDown], counters[metrics.CounterClusterReplicaUp]; d != kills || u != kills {
+		t.Fatalf("kill %v: down/up transitions = %d/%d, want %d/%d", schedule, d, u, kills, kills)
 	}
 	return counters
 }
 
-// TestChaosClusterKillAnyReplica kills each replica of three in turn:
-// whichever one dies mid-stream, no admitted request may be lost and
-// the recovery counters must reconcile. Each scenario runs twice and
-// the merged counter snapshots must match exactly — the coordinator's
-// failover path is as seeded-deterministic as the fault injector's.
+// TestChaosClusterKillAnyReplica kills each replica of three in turn,
+// then all three on a rolling schedule within one stream: whichever one
+// dies mid-stream, no admitted request may be lost and the recovery
+// counters must reconcile. Each scenario runs twice and the merged
+// counter snapshots must match exactly — the coordinator's failover
+// path is as seeded-deterministic as the fault injector's.
 func TestChaosClusterKillAnyReplica(t *testing.T) {
-	for victim := 0; victim < 3; victim++ {
-		victim := victim
-		t.Run(fmt.Sprintf("kill_r%d", victim), func(t *testing.T) {
-			first := runClusterKillScenario(t, victim)
-			second := runClusterKillScenario(t, victim)
+	for _, schedule := range [][]int{{0}, {1}, {2}, {0, 1, 2}} {
+		name := "kill"
+		for _, v := range schedule {
+			name += fmt.Sprintf("_r%d", v)
+		}
+		t.Run(name, func(t *testing.T) {
+			first := runClusterKillScenario(t, schedule)
+			second := runClusterKillScenario(t, schedule)
 			if !reflect.DeepEqual(first, second) {
 				t.Fatalf("cluster kill scenario not deterministic:\n%v\n%v", first, second)
 			}

@@ -58,9 +58,7 @@ type Config struct {
 	VirtualNodes int
 	// ShedRetries is how many times a shed request (429-class) is
 	// retried against the same replica before the rejection surfaces to
-	// the client. Default 2. (The legacy negative sentinel still
-	// disables retries, but DisableShedRetries is the explicit,
-	// zero-value-safe way to say it.)
+	// the client. Default 2; DisableShedRetries turns them off.
 	ShedRetries int
 	// DisableShedRetries turns shed retries off outright. It wins over
 	// any ShedRetries value, so a zero-valued Config stays on the
@@ -76,10 +74,6 @@ type Config struct {
 	// request-path failures) that moves a replica suspect → down.
 	// Default 2; the first failure always moves up → suspect.
 	DownAfter int
-	// Hedge duplicates spec-only multiplies to the next ring successor
-	// and takes the first answer — tail-latency insurance bought with
-	// duplicate work, so it is opt-in.
-	Hedge bool
 	// Heartbeat is the cadence the coordinator hands to joining
 	// replicas (0 = 2s): miss enough heartbeats and the probe loop's
 	// evidence condemns as usual — the join protocol adds membership,
@@ -101,7 +95,7 @@ func (c Config) withDefaults() Config {
 	if c.ShedRetries == 0 {
 		c.ShedRetries = 2
 	}
-	if c.ShedRetries < 0 || c.DisableShedRetries {
+	if c.DisableShedRetries {
 		c.ShedRetries = 0
 	}
 	if c.Heartbeat <= 0 {
@@ -661,10 +655,6 @@ func (c *Coordinator) Multiply(req apiv1.MultiplyRequest) (*apiv1.MultiplyRespon
 	}
 	c.noteDegradedIfFunneling(len(cands))
 
-	if c.cfg.Hedge && len(handles) == 0 && len(cands) > 1 {
-		return c.hedgedMultiply(req, cands)
-	}
-
 	var lastErr error
 	for i, name := range cands {
 		resp, err := c.multiplyOn(name, req, handles)
@@ -761,53 +751,6 @@ func (c *Coordinator) withShedRetry(call func() (*apiv1.MultiplyResponse, error)
 		c.col.Add(metrics.CounterClusterRetries, 1)
 		c.cfg.Sleep(delay)
 	}
-}
-
-// hedgedMultiply races the owner against its first successor and takes
-// the first success; the duplicate work is the price of the tail
-// latency bound. Only spec-only requests hedge (no placement needed,
-// and the duplicate cannot mutate stored state).
-func (c *Coordinator) hedgedMultiply(req apiv1.MultiplyRequest, cands []string) (*apiv1.MultiplyResponse, error) {
-	c.col.Add(metrics.CounterClusterHedges, 1)
-	type answer struct {
-		resp *apiv1.MultiplyResponse
-		err  error
-		from int
-	}
-	ch := make(chan answer, 2)
-	for i := 0; i < 2; i++ {
-		name := cands[i]
-		i := i
-		b := c.backendOf(name)
-		go func() {
-			if b == nil {
-				ch <- answer{err: noHealthyReplica(), from: i}
-				return
-			}
-			resp, err := b.Multiply(req)
-			if err != nil && errors.Is(err, faults.ErrReplicaDown) {
-				c.noteFailure(name, err)
-			}
-			ch <- answer{resp: resp, err: err, from: i}
-		}()
-	}
-	first := <-ch
-	if first.err == nil {
-		if first.from == 1 {
-			c.col.Add(metrics.CounterClusterHedgesWon, 1)
-		}
-		c.col.Add(metrics.CounterClusterRoutes, 1)
-		return first.resp, nil
-	}
-	second := <-ch
-	if second.err == nil {
-		if second.from == 1 {
-			c.col.Add(metrics.CounterClusterHedgesWon, 1)
-		}
-		c.col.Add(metrics.CounterClusterRoutes, 1)
-		return second.resp, nil
-	}
-	return nil, first.err
 }
 
 // Batch routes one DAG as a unit, with the same failover walk as

@@ -346,7 +346,7 @@ func TestClusterProbeSeesDraining(t *testing.T) {
 
 // --- shed retry -------------------------------------------------------
 
-// stubBackend scripts one replica's answers for retry/hedge tests.
+// stubBackend scripts one replica's answers for retry tests.
 type stubBackend struct {
 	name       string
 	multiplyFn func(apiv1.MultiplyRequest) (*apiv1.MultiplyResponse, error)
@@ -430,8 +430,7 @@ func TestClusterShedRetryExhaustion(t *testing.T) {
 
 // TestClusterShedRetriesConfig pins the retry-count configuration
 // surface: zero value means the default policy, DisableShedRetries is
-// the explicit off switch (and wins over any count), and the legacy
-// negative sentinel still disables.
+// the explicit off switch (and wins over any count).
 func TestClusterShedRetriesConfig(t *testing.T) {
 	cases := []struct {
 		name string
@@ -440,7 +439,6 @@ func TestClusterShedRetriesConfig(t *testing.T) {
 	}{
 		{"zero value keeps default", Config{}, 2},
 		{"explicit count", Config{ShedRetries: 5}, 5},
-		{"legacy negative sentinel disables", Config{ShedRetries: -1}, 0},
 		{"explicit disable", Config{DisableShedRetries: true}, 0},
 		{"disable wins over a count", Config{ShedRetries: 5, DisableShedRetries: true}, 0},
 	}
@@ -507,39 +505,6 @@ func TestClusterDrainingNotRetried(t *testing.T) {
 	}
 	if got := c.Health()["r0"]; got != HealthDraining {
 		t.Fatalf("r0 health %q, want draining", got)
-	}
-}
-
-// --- hedging ----------------------------------------------------------
-
-func TestClusterHedgedMultiply(t *testing.T) {
-	gate := make(chan struct{})
-	mk := func(name string, slow bool) *stubBackend {
-		return &stubBackend{name: name, multiplyFn: func(apiv1.MultiplyRequest) (*apiv1.MultiplyResponse, error) {
-			if slow {
-				<-gate
-			}
-			return &apiv1.MultiplyResponse{Engine: name}, nil
-		}}
-	}
-	// Decide the route order first, then make the owner the slow one so
-	// the hedge observably wins.
-	probe := New(Config{}, mk("r0", false), mk("r1", false))
-	req := apiv1.MultiplyRequest{Engine: "cpu", A: apiv1.MatrixSpec{Kind: "er", Rows: 8, Cols: 8, Density: 0.5, Seed: 7}}
-	order := probe.candidates(multiplyKey(req))
-
-	c := New(Config{Hedge: true}, mk(order[0], true), mk(order[1], false))
-	resp, err := c.Multiply(req)
-	if err != nil {
-		t.Fatalf("hedged multiply: %v", err)
-	}
-	close(gate)
-	if resp.Engine != order[1] {
-		t.Fatalf("winner %q, want the hedge %q", resp.Engine, order[1])
-	}
-	snap := c.Snapshot()
-	if snap[metrics.CounterClusterHedges] != 1 || snap[metrics.CounterClusterHedgesWon] != 1 {
-		t.Fatalf("hedge counters: %v", snap)
 	}
 }
 

@@ -299,11 +299,10 @@ const (
 
 	// Cluster counters, published by internal/cluster's coordinator.
 	// Requests/routes count client requests and the replica sends made
-	// for them (a failover or hedge sends more than once); failover
+	// for them (a failover sends more than once); failover
 	// counts re-routes to a ring successor after a replica failure;
 	// retries counts shed-retry attempts against the same replica;
-	// hedges/hedges_won count duplicate tail-latency sends and how many
-	// beat the primary; rebalance_moves counts spill-copy re-uploads
+	// rebalance_moves counts spill-copy re-uploads
 	// that moved a pattern to a new owner; degraded counts requests
 	// funneled through a lone surviving replica; the replica_* pair
 	// counts health-state-machine transitions into down and back up;
@@ -312,8 +311,6 @@ const (
 	CounterClusterRoutes        = "cluster_routes_total"
 	CounterClusterFailovers     = "cluster_failover_total"
 	CounterClusterRetries       = "cluster_retries_total"
-	CounterClusterHedges        = "cluster_hedges_total"
-	CounterClusterHedgesWon     = "cluster_hedges_won_total"
 	CounterClusterRebalances    = "cluster_rebalance_moves_total"
 	CounterClusterDegraded      = "cluster_degraded_requests_total"
 	CounterClusterReplicaDown   = "cluster_replica_transitions_down"
