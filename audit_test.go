@@ -45,9 +45,9 @@ func settleGoroutines(baseline int) int {
 func TestAuditDeadlineNoLeaks(t *testing.T) {
 	a, _ := chaosMatrix(0)
 	cfg := spgemm.V100WithMemory(1 << 20)
-	// Engines whose run loops check the deadline; the rest (cpu-merge,
-	// cpu-outer, auto, summa on this tiny input) may finish first, but
-	// must never return any *other* error or leak.
+	// Engines whose run loops check the deadline; the rest (auto and
+	// summa on this tiny input) may finish first, but must never return
+	// any *other* error or leak.
 	mustDeadline := map[string]bool{
 		"cpu": true, "gpu": true, "gpu-sync": true, "hybrid": true, "multigpu": true,
 	}

@@ -5,158 +5,110 @@
 // Usage:
 //
 //	spgemm-bench -exp=all
-//	spgemm-bench -exp=fig7,table3
-//	spgemm-bench -engine=hybrid -trace=hybrid.json
+//	spgemm-bench -exp=fig7,table3 -csv=out
 //
-// Experiments: table1, table2, fig4, fig7, fig8, fig9, fig10, table3.
-// -engine benchmarks one registered engine (see spgemm.Engines()) and
-// writes BENCH_<name>.json; -trace additionally writes the run's
-// Chrome trace-event profile.
+// -h lists the experiments.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/trace"
-	"repro/spgemm"
 )
 
+// experiment is one named entry of -exp. run returns the table to
+// print (and write as CSV), or nil when it printed its own output.
+type experiment struct {
+	name string
+	run  func(runs []*exp.Run) (*exp.Table, error)
+}
+
+// experiments drives the -exp help text, the unknown-name error and the
+// dispatch, in output order.
+var experiments = []experiment{
+	{"timeline", func(runs []*exp.Run) (*exp.Table, error) { return nil, printTimeline(runs) }},
+	{"table1", func([]*exp.Run) (*exp.Table, error) { return exp.Table1(), nil }},
+	{"table2", func(runs []*exp.Run) (*exp.Table, error) { return exp.Table2(runs), nil }},
+	{"fig4", exp.Fig4},
+	{"fig7", exp.Fig7},
+	{"fig8", exp.Fig8},
+	{"fig9", exp.Fig9},
+	{"fig10", func(runs []*exp.Run) (*exp.Table, error) { return exp.Fig10(runs) }},
+	{"table3", exp.Table3},
+	{"scaling", func(runs []*exp.Run) (*exp.Table, error) { return exp.FigScaling(runs) }},
+	{"ablation-ub", func(runs []*exp.Run) (*exp.Table, error) { return exp.AblationUpperBound(runs), nil }},
+	{"ablation-um", exp.AblationUnifiedMemory},
+	{"ablation-split", func(runs []*exp.Run) (*exp.Table, error) { return exp.AblationSplitFraction(runs) }},
+	{"gridsweep", func(runs []*exp.Run) (*exp.Table, error) { return exp.GridSweep(runs, "com-lj") }},
+	{"distributed", func(runs []*exp.Run) (*exp.Table, error) { return exp.FigDistributed(runs) }},
+	{"formulation", exp.AblationFormulation},
+	{"locality", func([]*exp.Run) (*exp.Table, error) { return exp.AblationLocality() }},
+	{"sensitivity", func(runs []*exp.Run) (*exp.Table, error) { return exp.SensitivityBandwidth(runs, "com-lj") }},
+	{"phases", exp.PhaseBreakdown},
+}
+
+// experimentNames lists the table's names, comma-separated.
+func experimentNames() string {
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
+	return strings.Join(names, ", ")
+}
+
+// selectExperiments resolves a comma-separated -exp value to table
+// entries, in table order. "all" selects every entry; a name the table
+// does not hold is an error naming it and the valid set.
+func selectExperiments(spec string) ([]experiment, error) {
+	want := map[string]bool{}
+	for _, tok := range strings.Split(spec, ",") {
+		name := strings.ToLower(strings.TrimSpace(tok))
+		if name != "all" && !slices.ContainsFunc(experiments, func(e experiment) bool { return e.name == name }) {
+			return nil, fmt.Errorf("unknown experiment %q (valid: %s, all)", name, experimentNames())
+		}
+		want[name] = true
+	}
+	if want["all"] {
+		return experiments, nil
+	}
+	var picked []experiment
+	for _, e := range experiments {
+		if want[e.name] {
+			picked = append(picked, e)
+		}
+	}
+	return picked, nil
+}
+
 func main() {
-	expFlag := flag.String("exp", "all", "comma-separated experiments to run (cpu,iter,batch,table1,table2,fig4,fig7,fig8,fig9,fig10,table3,scaling,distributed,gridsweep,ablation-ub,ablation-um,ablation-split,timeline,all)")
+	expFlag := flag.String("exp", "all", "comma-separated experiments to run: "+experimentNames()+", or all")
 	csvDir := flag.String("csv", "", "also write each experiment's table as CSV into this directory")
-	engFlag := flag.String("engine", "", "benchmark one registered engine ("+strings.Join(spgemm.Engines(), ", ")+") and write BENCH_<name>.json")
-	traceFlag := flag.String("trace", "", "with -engine: write the run's Chrome trace-event JSON to this file")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the selected experiments to this file")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile (after the selected experiments) to this file")
 	flag.Parse()
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fail(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fail(err)
-		}
-		// The experiment paths exit through fail() on error, so the
-		// profile is flushed there too (see fail).
-		stopProfile = func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}
-		defer stopProfile()
+	// Names are checked before anything is prepared or run, so a typo
+	// is an error up front rather than a silently skipped experiment.
+	picked, err := selectExperiments(*expFlag)
+	if err != nil {
+		fail(err)
 	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "spgemm-bench:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // report live allocations, not garbage
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "spgemm-bench:", err)
-			}
-		}()
-	}
-
-	if *engFlag != "" {
-		if err := runEngineBench(*engFlag, *traceFlag, *csvDir); err != nil {
-			fail(err)
-		}
-		return
-	}
-	if *traceFlag != "" {
-		fail(fmt.Errorf("-trace requires -engine"))
-	}
-
-	want := map[string]bool{}
-	for _, e := range strings.Split(*expFlag, ",") {
-		want[strings.TrimSpace(strings.ToLower(e))] = true
-	}
-	all := want["all"]
-	pick := func(name string) bool { return all || want[name] }
-
-	// The CPU and iterative benchmarks need no suite preparation, so
-	// run them before the (expensive) Suite call and exit early if
-	// nothing else is requested.
-	ran := 0
-	if pick("cpu") {
-		if err := runCPUBench(*csvDir); err != nil {
-			fail(err)
-		}
-		ran++
-	}
-	if pick("iter") {
-		if err := runIterBench(*csvDir); err != nil {
-			fail(err)
-		}
-		ran++
-	}
-	if pick("batch") {
-		if err := runBatchBench(*csvDir); err != nil {
-			fail(err)
-		}
-		ran++
-	}
-	if !all && ran == len(want) {
-		return
-	}
-
 	runs, err := exp.Suite()
 	if err != nil {
 		fail(err)
 	}
-
-	type experiment struct {
-		name string
-		run  func() (*exp.Table, error)
-	}
-	experiments := []experiment{
-		{"table1", func() (*exp.Table, error) { return exp.Table1(), nil }},
-		{"table2", func() (*exp.Table, error) { return exp.Table2(runs), nil }},
-		{"fig4", func() (*exp.Table, error) { return exp.Fig4(runs) }},
-		{"fig7", func() (*exp.Table, error) { return exp.Fig7(runs) }},
-		{"fig8", func() (*exp.Table, error) { return exp.Fig8(runs) }},
-		{"fig9", func() (*exp.Table, error) { return exp.Fig9(runs) }},
-		{"fig10", func() (*exp.Table, error) { return exp.Fig10(runs) }},
-		{"table3", func() (*exp.Table, error) { return exp.Table3(runs) }},
-		{"scaling", func() (*exp.Table, error) { return exp.FigScaling(runs) }},
-		{"ablation-ub", func() (*exp.Table, error) { return exp.AblationUpperBound(runs), nil }},
-		{"ablation-um", func() (*exp.Table, error) { return exp.AblationUnifiedMemory(runs) }},
-		{"ablation-split", func() (*exp.Table, error) { return exp.AblationSplitFraction(runs) }},
-		{"gridsweep", func() (*exp.Table, error) { return exp.GridSweep(runs, "com-lj") }},
-		{"distributed", func() (*exp.Table, error) { return exp.FigDistributed(runs) }},
-		{"formulation", func() (*exp.Table, error) { return exp.AblationFormulation(runs) }},
-		{"locality", func() (*exp.Table, error) { return exp.AblationLocality() }},
-		{"sensitivity", func() (*exp.Table, error) { return exp.SensitivityBandwidth(runs, "com-lj") }},
-		{"phases", func() (*exp.Table, error) { return exp.PhaseBreakdown(runs) }},
-	}
-
-	if pick("timeline") {
-		if err := printTimeline(runs); err != nil {
-			fail(err)
-		}
-		ran++
-	}
-	for _, e := range experiments {
-		if !pick(e.name) {
-			continue
-		}
-		t, err := e.run()
+	for _, e := range picked {
+		t, err := e.run(runs)
 		if err != nil {
 			fail(fmt.Errorf("%s: %w", e.name, err))
+		}
+		if t == nil {
+			continue
 		}
 		if err := t.Fprint(os.Stdout); err != nil {
 			fail(err)
@@ -166,129 +118,7 @@ func main() {
 				fail(err)
 			}
 		}
-		ran++
 	}
-	if ran == 0 {
-		fail(fmt.Errorf("no experiment matches %q", *expFlag))
-	}
-}
-
-// runEngineBench benchmarks one registered engine with the metrics
-// layer attached, prints the table, writes BENCH_<name>.json and
-// optionally the Chrome trace.
-func runEngineBench(name, traceFile, csvDir string) error {
-	var traceOut io.Writer
-	var traceF *os.File
-	if traceFile != "" {
-		f, err := os.Create(traceFile)
-		if err != nil {
-			return err
-		}
-		traceF, traceOut = f, f
-	}
-	t, rep, err := exp.EngineBench(name, traceOut)
-	if traceF != nil {
-		if cerr := traceF.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
-		return err
-	}
-	if err := t.Fprint(os.Stdout); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	out := "BENCH_" + name + ".json"
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Println("wrote " + out)
-	if traceFile != "" {
-		fmt.Printf("wrote %s (load at chrome://tracing)\n", traceFile)
-	}
-	if csvDir != "" {
-		return writeCSV(csvDir, "engine-"+name, t)
-	}
-	return nil
-}
-
-// runCPUBench times every real CPU engine plus chunk assembly,
-// prints the table and writes the machine-readable BENCH_cpu.json
-// next to the working directory (and a CSV if -csv is set).
-func runCPUBench(csvDir string) error {
-	t, rep, err := exp.CPUBench()
-	if err != nil {
-		return err
-	}
-	if err := t.Fprint(os.Stdout); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile("BENCH_cpu.json", append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Println("wrote BENCH_cpu.json")
-	if csvDir != "" {
-		return writeCSV(csvDir, "cpu", t)
-	}
-	return nil
-}
-
-// runIterBench times the structure-reuse fast path (cold full
-// multiply vs warm numeric-only re-multiply) on the CPU and simulated
-// GPU engines, prints the table and writes BENCH_iter.json.
-func runIterBench(csvDir string) error {
-	t, rep, err := exp.IterBench()
-	if err != nil {
-		return err
-	}
-	if err := t.Fprint(os.Stdout); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile("BENCH_iter.json", append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Println("wrote BENCH_iter.json")
-	if csvDir != "" {
-		return writeCSV(csvDir, "iter", t)
-	}
-	return nil
-}
-
-// runBatchBench times the /v1/batch DAG surface against sequential
-// per-request multiplies on the 6-stage chain workload, prints the
-// table and writes BENCH_batch.json.
-func runBatchBench(csvDir string) error {
-	t, rep, err := exp.BatchBench()
-	if err != nil {
-		return err
-	}
-	if err := t.Fprint(os.Stdout); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile("BENCH_batch.json", append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Println("wrote BENCH_batch.json")
-	if csvDir != "" {
-		return writeCSV(csvDir, "batch", t)
-	}
-	return nil
 }
 
 // printTimeline renders the Figure 5/6-style schedules: the first
@@ -341,14 +171,7 @@ func writeCSV(dir, name string, t *exp.Table) error {
 	return f.Close()
 }
 
-// stopProfile flushes the CPU profile; set only when -cpuprofile is
-// given. fail calls it because os.Exit skips deferred calls.
-var stopProfile func()
-
 func fail(err error) {
-	if stopProfile != nil {
-		stopProfile()
-	}
 	fmt.Fprintln(os.Stderr, "spgemm-bench:", err)
 	os.Exit(1)
 }

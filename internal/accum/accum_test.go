@@ -27,7 +27,6 @@ func accumulators(width int) map[string]Accumulator {
 	return map[string]Accumulator{
 		"hash":  NewHash(8),
 		"dense": NewDense(width),
-		"sort":  NewSort(8),
 	}
 }
 

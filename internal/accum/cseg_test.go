@@ -174,11 +174,6 @@ func TestCSegPoolReuse(t *testing.T) {
 		t.Fatalf("reused CSeg flush = (%v, %v)", cols, vals)
 	}
 	PutCSeg(r)
-
-	// Put via the generic dispatcher must also accept CSeg.
-	g := GetCSeg(8)
-	g.Add(5, 1)
-	Put(g)
 }
 
 // TestCSegGrowPreservesEmptyContract verifies Grow on an empty (reset)

@@ -8,23 +8,22 @@ import (
 // Accumulator pooling. The SpGEMM survey literature identifies per-row
 // accumulator allocation churn as a recurring CPU bottleneck: a
 // two-phase engine that allocates one accumulator per worker per phase
-// per call rebuilds the same hash tables and dense arrays over and
-// over. These pools recycle accumulators across rows, phases,
-// Multiply calls and engines (the hybrid CPU worker multiplies many
-// chunks in a row, hitting the same pooled tables each time).
-// sync.Pool keeps per-P caches, so Get/Put on the hot path almost
-// never contends.
+// per call rebuilds the same hash tables and bitmaps over and over.
+// These pools recycle the row kernel's accumulators (speck.Kit) across
+// rows, phases, Multiply calls and engines (the hybrid CPU worker
+// multiplies many chunks in a row, hitting the same pooled tables each
+// time). sync.Pool keeps per-P caches, so Get/Put on the hot path
+// almost never contends.
 //
-// Accumulators returned by the Get functions are empty; Put resets
-// before pooling so a pooled accumulator never leaks a previous row.
+// Accumulators returned by the Get functions are empty; the Put
+// functions reset before pooling so a pooled accumulator never leaks a
+// previous row.
 
 var (
-	hashPool  = sync.Pool{New: func() any { poolNews.Add(1); return NewHash(16) }}
-	densePool = sync.Pool{New: func() any { poolNews.Add(1); return NewDense(0) }}
-	sortPool  = sync.Pool{New: func() any { poolNews.Add(1); return NewSort(16) }}
-	listPool  = sync.Pool{New: func() any { poolNews.Add(1); return NewList(16) }}
-	csegPool  = sync.Pool{New: func() any { poolNews.Add(1); return NewCSeg(16) }}
-	twoPool   = sync.Pool{New: func() any { poolNews.Add(1); return &TwoLevel{} }}
+	hashPool = sync.Pool{New: func() any { poolNews.Add(1); return NewHash(16) }}
+	listPool = sync.Pool{New: func() any { poolNews.Add(1); return NewList(16) }}
+	csegPool = sync.Pool{New: func() any { poolNews.Add(1); return NewCSeg(16) }}
+	twoPool  = sync.Pool{New: func() any { poolNews.Add(1); return &TwoLevel{} }}
 
 	// poolGets counts Get* calls and poolNews the pool misses that fell
 	// through to a fresh allocation, so the observability layer can
@@ -54,36 +53,6 @@ func GetHash(capacity int) *Hash {
 func PutHash(h *Hash) {
 	h.Reset()
 	hashPool.Put(h)
-}
-
-// GetDense returns an empty pooled dense accumulator covering columns
-// [0, width).
-func GetDense(width int) *Dense {
-	poolGets.Add(1)
-	d := densePool.Get().(*Dense)
-	d.Grow(width)
-	return d
-}
-
-// PutDense resets d and returns it to the pool.
-func PutDense(d *Dense) {
-	d.Reset()
-	densePool.Put(d)
-}
-
-// GetSort returns an empty pooled ESC accumulator with at least the
-// given expansion capacity.
-func GetSort(capacity int) *Sort {
-	poolGets.Add(1)
-	s := sortPool.Get().(*Sort)
-	s.Grow(capacity)
-	return s
-}
-
-// PutSort resets s and returns it to the pool.
-func PutSort(s *Sort) {
-	s.Reset()
-	sortPool.Put(s)
 }
 
 // GetList returns an empty pooled list accumulator with room for at
@@ -131,23 +100,6 @@ func PutTwoLevel(t *TwoLevel) {
 	twoPool.Put(t)
 }
 
-// Put returns any accumulator obtained from a Get function to its
-// pool. Unknown implementations are dropped.
-func Put(a Accumulator) {
-	switch acc := a.(type) {
-	case *Hash:
-		PutHash(acc)
-	case *Dense:
-		PutDense(acc)
-	case *Sort:
-		PutSort(acc)
-	case *List:
-		PutList(acc)
-	case *CSeg:
-		PutCSeg(acc)
-	}
-}
-
 // Grow resizes the table so at least capacity distinct columns fit
 // before rehashing. It must only be called on an empty accumulator
 // (freshly constructed or after Reset).
@@ -171,15 +123,6 @@ func (d *Dense) Grow(width int) {
 	d.stamp = make([]uint32, width)
 	d.gen = 1
 	d.touched = d.touched[:0]
-}
-
-// Grow reserves expansion capacity. It must only be called on an empty
-// accumulator.
-func (s *Sort) Grow(capacity int) {
-	if cap(s.keys) < capacity {
-		s.keys = make([]uint64, 0, capacity)
-		s.vals = make([]float64, 0, capacity)
-	}
 }
 
 // ColBlockLen is the capacity of a pooled column-id staging block

@@ -29,12 +29,15 @@ func TestPooledAccumulatorsAreEmptyAndCorrect(t *testing.T) {
 		for i := range cols {
 			want[cols[i]] += vals[i]
 		}
-		for _, get := range []func() Accumulator{
-			func() Accumulator { return GetHash(n) },
-			func() Accumulator { return GetDense(64) },
-			func() Accumulator { return GetSort(n) },
+		for _, pooled := range []struct {
+			get func() Accumulator
+			put func(Accumulator)
+		}{
+			{func() Accumulator { return GetHash(n) }, func(a Accumulator) { PutHash(a.(*Hash)) }},
+			{func() Accumulator { return GetList(n) }, func(a Accumulator) { PutList(a.(*List)) }},
+			{func() Accumulator { return GetCSeg(n) }, func(a Accumulator) { PutCSeg(a.(*CSeg)) }},
 		} {
-			a := get()
+			a := pooled.get()
 			if a.Len() != 0 {
 				t.Fatalf("round %d: pooled accumulator not empty: %d", round, a.Len())
 			}
@@ -50,7 +53,7 @@ func TestPooledAccumulatorsAreEmptyAndCorrect(t *testing.T) {
 					t.Fatalf("round %d: col %d = %g, want %g", round, gc[i], gv[i], want[gc[i]])
 				}
 			}
-			Put(a)
+			pooled.put(a)
 		}
 	}
 }
@@ -72,9 +75,8 @@ func TestHashGrowPreservesEmptyInvariant(t *testing.T) {
 }
 
 func TestDenseGrowWidens(t *testing.T) {
-	d := GetDense(4)
-	PutDense(d)
-	d = GetDense(1000)
+	d := NewDense(4)
+	d.Grow(1000)
 	if d.Width() < 1000 {
 		t.Fatalf("width %d after Grow(1000)", d.Width())
 	}
@@ -83,20 +85,6 @@ func TestDenseGrowWidens(t *testing.T) {
 	if len(c) != 1 || c[0] != 999 || v[0] != 1.5 {
 		t.Fatalf("dense after grow: %v %v", c, v)
 	}
-	PutDense(d)
-}
-
-func TestSortGrowReserves(t *testing.T) {
-	s := GetSort(8)
-	s.Grow(4096)
-	if cap(s.keys) < 4096 {
-		t.Fatalf("cap %d after Grow(4096)", cap(s.keys))
-	}
-	PutSort(s)
-}
-
-func TestPutDropsUnknownImplementations(t *testing.T) {
-	Put(nil) // must not panic
 }
 
 // TestFlushColsMatchesFlush checks the structure-only flush of the four

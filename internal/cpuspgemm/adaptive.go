@@ -12,14 +12,14 @@ import (
 	"repro/internal/speck"
 )
 
-// The exact-path kernel layer: the row kernel of internal/speck
-// (rowkernel.go, shared with speck's per-chunk products and the
-// whole-matrix row analysis) driven over dynamically claimed chunks, one
-// Kit per worker. The symbolic phase emits every row's ascending column
-// ids; the numeric phase is the stamped-scratch replay a warm Numeric
-// call runs (replay, in plan.go) over the structure just emitted.
-// Same-column products sum in first-touch arrival order, so the product
-// is bit-for-bit the one the seed's uniform-hash path produced.
+// The kernel layer: the row kernel of internal/speck (rowkernel.go,
+// shared with speck's per-chunk products and the whole-matrix row
+// analysis) driven over dynamically claimed chunks, one Kit per worker.
+// The symbolic phase emits every row's ascending column ids; the numeric
+// phase is the stamped-scratch replay a warm Numeric call runs (replay,
+// in plan.go) over the structure just emitted. Same-column products sum
+// in first-touch arrival order, so the product is bit-for-bit
+// Sequential's.
 
 // ClassStat aggregates one kernel class's share of a multiply.
 type ClassStat struct {
@@ -27,11 +27,11 @@ type ClassStat struct {
 	SymbolicNs, NumericNs int64
 }
 
-// ClassStats is the per-class breakdown of an adaptive multiply,
-// accumulated atomically across workers when Options.ClassStats is
-// set. The per-phase nanoseconds are measured per row (two clock reads
-// per row per phase), so attach it only to instrumented runs — the
-// benchmark uses a dedicated pass, never the timed reps.
+// ClassStats is the per-class breakdown of a multiply, accumulated
+// atomically across workers when Options.ClassStats is set. The
+// per-phase nanoseconds are measured per row (two clock reads per row
+// per phase), so attach it only to instrumented runs — bench/ uses a
+// dedicated pass, never the timed repetitions.
 type ClassStats struct {
 	Classes [speck.NumKinds]ClassStat
 }
@@ -57,11 +57,11 @@ type ChunkSpan struct {
 	Seconds float64
 }
 
-// ChunkLog records per-chunk wall durations of the two exact phases
-// when attached via Options.ChunkLog. The benchmark replays these
-// measured durations through parallel.ListSchedule to report the
-// scheduled speedup at thread counts the machine cannot physically
-// host (see BENCH_cpu.json's thread_scaling).
+// ChunkLog records per-chunk wall durations of the two phases when
+// attached via Options.ChunkLog. Replaying the measured durations
+// through parallel.ListSchedule gives the scheduled speedup at thread
+// counts the machine cannot physically host
+// (TestAdaptiveChunkLogAndWorkers holds its floors).
 type ChunkLog struct {
 	mu       sync.Mutex
 	Symbolic []ChunkSpan
@@ -119,9 +119,10 @@ func (s *colStage) newBlock(n int) []int32 {
 	return (*p)[:0]
 }
 
-// multiplyAdaptive is the exact two-phase pipeline — symbolic emit,
-// then the numeric replay — behind Multiply's Hash method. rowFlops,
-// when non-nil, is the precomputed row analysis.
+// multiplyAdaptive is the two-phase pipeline — symbolic emit, then the
+// numeric replay — behind Multiply and MultiplyPlanned. rowFlops, when
+// non-nil, is the precomputed row analysis (MultiplyPlanned keeps it
+// for the plan).
 func multiplyAdaptive(a, b *csr.Matrix, opts Options, rowFlops []int64) (*csr.Matrix, error) {
 	nt := opts.threads()
 	chunkNT := nt

@@ -4,7 +4,6 @@ import (
 	"math"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/csr"
 	"repro/internal/matgen"
@@ -30,19 +29,18 @@ func requireBitsEqual(t *testing.T, got, want *csr.Matrix, label string) {
 	}
 }
 
-// TestAdaptivePropertyBitIdentical is the adaptive exact path's
-// property test: across matrix families and thread counts, Multiply
-// (per-row adaptive kernels, dynamic scheduling) must be bit-identical
-// — structure and values — to MultiplyStatic, the seed's uniform-hash
-// static-schedule pipeline kept unchanged as the reference.
+// TestAdaptivePropertyBitIdentical is the kernel's property test:
+// across matrix families and thread counts, Multiply (per-row adaptive
+// kernels, dynamic scheduling) must be bit-identical — structure and
+// values — to Sequential, the one reference.
 func TestAdaptivePropertyBitIdentical(t *testing.T) {
 	for mname, a := range families() {
-		want, err := MultiplyStatic(a, a, Options{Method: Hash, Threads: 1})
+		want, err := Sequential(a, a)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, threads := range []int{1, 4, 8} {
-			got, err := Multiply(a, a, Options{Method: Hash, Threads: threads})
+			got, err := Multiply(a, a, Options{Threads: threads})
 			if err != nil {
 				t.Fatalf("%s/threads=%d: %v", mname, threads, err)
 			}
@@ -66,7 +64,7 @@ func TestAdaptiveClassStats(t *testing.T) {
 	er := matgen.ER(n, n, 3.0/float64(n), 9)
 	band := matgen.Band(n, 14, 10)
 	var stats ClassStats
-	if _, err := Multiply(er, band, Options{Method: Hash, ClassStats: &stats}); err != nil {
+	if _, err := Multiply(er, band, Options{ClassStats: &stats}); err != nil {
 		t.Fatal(err)
 	}
 	var totalRows int64
@@ -84,7 +82,7 @@ func TestAdaptiveClassStats(t *testing.T) {
 	// must see some rows.
 	rmat := matgen.RMAT(10, 8, 0.57, 0.19, 0.19, 71)
 	stats = ClassStats{}
-	if _, err := Multiply(rmat, rmat, Options{Method: Hash, ClassStats: &stats}); err != nil {
+	if _, err := Multiply(rmat, rmat, Options{ClassStats: &stats}); err != nil {
 		t.Fatal(err)
 	}
 	if stats.Classes[speck.KindList].Rows == 0 {
@@ -95,42 +93,63 @@ func TestAdaptiveClassStats(t *testing.T) {
 	}
 }
 
-// TestAdaptiveChunkLogAndWorkers checks the scheduled-speedup plumbing:
-// ChunkWorkers cuts N-worker granularity while running serially, every
-// row appears in exactly one chunk per phase, and the logged durations
-// replay through ListSchedule to a sane makespan.
+// TestAdaptiveChunkLogAndWorkers checks the scheduled-speedup plumbing
+// and holds the scheduler's scaling floors: ChunkWorkers cuts N-worker
+// granularity while running serially (so every logged duration is a
+// true single-thread measurement, on any machine), every row appears in
+// exactly one chunk per phase, and the logged durations replayed through
+// ListSchedule at N equal workers reach a work-weighted sum/makespan of
+// at least 2.5 at 4 workers and 4.0 at 8 (1 means no overlap, N perfect
+// balance). Best of three logs, since scheduler noise only ever inflates
+// a chunk's time.
 func TestAdaptiveChunkLogAndWorkers(t *testing.T) {
-	a := matgen.RMAT(10, 8, 0.57, 0.19, 0.19, 71)
-	var log ChunkLog
-	if _, err := Multiply(a, a, Options{Method: Hash, Threads: 1, ChunkWorkers: 4, ChunkLog: &log}); err != nil {
-		t.Fatal(err)
-	}
-	for phase, spans := range map[string][]ChunkSpan{"symbolic": log.Symbolic, "numeric": log.Numeric} {
-		if len(spans) < 4 {
-			t.Fatalf("%s: only %d chunks logged with ChunkWorkers=4", phase, len(spans))
-		}
-		covered := make([]int, a.Rows)
-		durations := make([]float64, 0, len(spans))
-		for _, s := range spans {
-			if s.Seconds < 0 {
-				t.Fatalf("%s: negative duration %v", phase, s.Seconds)
+	a := matgen.RMAT(12, 16, 0.6, 0.19, 0.19, 7)
+	for _, tc := range []struct {
+		workers int
+		floor   float64
+	}{{4, 2.5}, {8, 4.0}} {
+		best := 0.0
+		for rep := 0; rep < 3; rep++ {
+			var log ChunkLog
+			if _, err := Multiply(a, a, Options{Threads: 1, ChunkWorkers: tc.workers, ChunkLog: &log}); err != nil {
+				t.Fatal(err)
 			}
-			durations = append(durations, s.Seconds)
-			for i := s.Lo; i < s.Hi; i++ {
-				covered[i]++
+			var sum, makespan float64
+			for phase, spans := range map[string][]ChunkSpan{"symbolic": log.Symbolic, "numeric": log.Numeric} {
+				if len(spans) < tc.workers {
+					t.Fatalf("%s: only %d chunks logged with ChunkWorkers=%d", phase, len(spans), tc.workers)
+				}
+				covered := make([]int, a.Rows)
+				durations := make([]float64, 0, len(spans))
+				var phaseSum float64
+				for _, s := range spans {
+					if s.Seconds < 0 {
+						t.Fatalf("%s: negative duration %v", phase, s.Seconds)
+					}
+					durations = append(durations, s.Seconds)
+					phaseSum += s.Seconds
+					for i := s.Lo; i < s.Hi; i++ {
+						covered[i]++
+					}
+				}
+				for i, c := range covered {
+					if c != 1 {
+						t.Fatalf("%s: row %d covered %d times", phase, i, c)
+					}
+				}
+				mk := parallel.ListSchedule(durations, tc.workers)
+				if mk > phaseSum || mk < phaseSum/float64(tc.workers) {
+					t.Fatalf("%s: makespan %v outside [sum/%d, sum] = [%v, %v]",
+						phase, mk, tc.workers, phaseSum/float64(tc.workers), phaseSum)
+				}
+				sum += phaseSum
+				makespan += mk
 			}
+			best = max(best, sum/makespan)
 		}
-		for i, c := range covered {
-			if c != 1 {
-				t.Fatalf("%s: row %d covered %d times", phase, i, c)
-			}
-		}
-		var sum float64
-		for _, d := range durations {
-			sum += d
-		}
-		if mk := parallel.ListSchedule(durations, 4); mk > sum || mk < sum/4 {
-			t.Fatalf("%s: makespan %v outside [sum/4, sum] = [%v, %v]", phase, mk, sum/4, sum)
+		t.Logf("%d workers: scheduled speedup %.2f (floor %.1f)", tc.workers, best, tc.floor)
+		if best < tc.floor {
+			t.Fatalf("%d workers: scheduled speedup %.2f below floor %.1f", tc.workers, best, tc.floor)
 		}
 	}
 }
@@ -139,48 +158,8 @@ func TestAdaptiveChunkLogAndWorkers(t *testing.T) {
 // adaptive pipeline.
 func TestAdaptiveCancel(t *testing.T) {
 	a := matgen.RMAT(9, 8, 0.57, 0.19, 0.19, 13)
-	_, err := Multiply(a, a, Options{Method: Hash, Threads: 2, Cancel: func() bool { return true }})
+	_, err := Multiply(a, a, Options{Threads: 2, Cancel: func() bool { return true }})
 	if err != ErrCanceled {
 		t.Fatalf("err = %v, want ErrCanceled", err)
-	}
-}
-
-// TestDynamicNeverLosesToStatic is the regression test for the
-// speedup_hash_vs_static < 1 finding this PR fixes: the dynamic
-// scheduler's only per-chunk overhead is now the atomic claim (see the
-// oversample comment in internal/parallel), so Multiply must not lose
-// measurably to the static-schedule MultiplyStatic ablation. Timing
-// on shared CI hosts is noisy, so it takes the best of 5 runs per
-// engine and allows a 1.25x band before failing.
-func TestDynamicNeverLosesToStatic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing test")
-	}
-	a := matgen.RMAT(11, 8, 0.57, 0.19, 0.19, 29)
-	best := func(fn func() error) float64 {
-		b := 1e18
-		for rep := 0; rep < 5; rep++ {
-			t0 := time.Now()
-			if err := fn(); err != nil {
-				t.Fatal(err)
-			}
-			if s := time.Since(t0).Seconds(); s < b {
-				b = s
-			}
-		}
-		return b
-	}
-	dyn := best(func() error {
-		_, err := Multiply(a, a, Options{Method: Hash, Threads: 2})
-		return err
-	})
-	static := best(func() error {
-		_, err := MultiplyStatic(a, a, Options{Method: Hash, Threads: 2})
-		return err
-	})
-	ratio := dyn / static
-	t.Logf("dynamic %.4fs static %.4fs ratio %.3f", dyn, static, ratio)
-	if ratio > 1.25 {
-		t.Fatalf("dynamic scheduler lost to static ablation: ratio %.3f > 1.25", ratio)
 	}
 }

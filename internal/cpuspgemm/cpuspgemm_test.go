@@ -76,25 +76,23 @@ func TestSequentialAgainstDense(t *testing.T) {
 
 func TestMultiplyMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for _, method := range []Method{Hash, Dense, ESC} {
-		for _, threads := range []int{1, 2, 4, 7} {
-			for trial := 0; trial < 5; trial++ {
-				a := randomMatrix(rng, 40+rng.Intn(30), 35, 0.15)
-				b := randomMatrix(rng, 35, 45, 0.15)
-				want, err := Sequential(a, b)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := Multiply(a, b, Options{Threads: threads, Method: method})
-				if err != nil {
-					t.Fatalf("%v/%d: %v", method, threads, err)
-				}
-				if err := got.Validate(); err != nil {
-					t.Fatalf("%v/%d: invalid: %v", method, threads, err)
-				}
-				if !csr.Equal(got, want, 1e-12) {
-					t.Fatalf("%v/%d: %s", method, threads, csr.Diff(got, want, 1e-12))
-				}
+	for _, threads := range []int{1, 2, 4, 7} {
+		for trial := 0; trial < 5; trial++ {
+			a := randomMatrix(rng, 40+rng.Intn(30), 35, 0.15)
+			b := randomMatrix(rng, 35, 45, 0.15)
+			want, err := Sequential(a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Multiply(a, b, Options{Threads: threads})
+			if err != nil {
+				t.Fatalf("threads=%d: %v", threads, err)
+			}
+			if err := got.Validate(); err != nil {
+				t.Fatalf("threads=%d: invalid: %v", threads, err)
+			}
+			if !csr.Equal(got, want, 1e-12) {
+				t.Fatalf("threads=%d: %s", threads, csr.Diff(got, want, 1e-12))
 			}
 		}
 	}
@@ -106,14 +104,12 @@ func TestMultiplyRMATSquare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, method := range []Method{Hash, Dense, ESC} {
-		got, err := Multiply(a, a, Options{Method: method})
-		if err != nil {
-			t.Fatalf("%v: %v", method, err)
-		}
-		if !csr.Equal(got, want, 1e-9) {
-			t.Fatalf("%v: %s", method, csr.Diff(got, want, 1e-9))
-		}
+	got, err := Multiply(a, a, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !csr.Equal(got, want, 1e-9) {
+		t.Fatal(csr.Diff(got, want, 1e-9))
 	}
 }
 
@@ -130,14 +126,12 @@ func TestMultiplyDimensionMismatch(t *testing.T) {
 
 func TestMultiplyEmptyInputs(t *testing.T) {
 	a := csr.New(4, 4)
-	for _, method := range []Method{Hash, Dense, ESC} {
-		c, err := Multiply(a, a, Options{Method: method})
-		if err != nil {
-			t.Fatalf("%v: %v", method, err)
-		}
-		if c.Nnz() != 0 || c.Rows != 4 || c.Cols != 4 {
-			t.Fatalf("%v: empty product wrong: nnz=%d dims %dx%d", method, c.Nnz(), c.Rows, c.Cols)
-		}
+	c, err := Multiply(a, a, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Nnz() != 0 || c.Rows != 4 || c.Cols != 4 {
+		t.Fatalf("empty product wrong: nnz=%d dims %dx%d", c.Nnz(), c.Rows, c.Cols)
 	}
 }
 
@@ -163,21 +157,19 @@ func TestMultiplyIdentity(t *testing.T) {
 	id, _ := csr.FromEntries(n, n, es)
 	rng := rand.New(rand.NewSource(5))
 	a := randomMatrix(rng, n, n, 0.1)
-	for _, method := range []Method{Hash, Dense, ESC} {
-		c, err := Multiply(a, id, Options{Method: method})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !csr.Equal(c, a, 0) {
-			t.Fatalf("%v: A·I != A: %s", method, csr.Diff(c, a, 0))
-		}
-		c, err = Multiply(id, a, Options{Method: method})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !csr.Equal(c, a, 0) {
-			t.Fatalf("%v: I·A != A", method)
-		}
+	c, err := Multiply(a, id, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !csr.Equal(c, a, 0) {
+		t.Fatalf("A·I != A: %s", csr.Diff(c, a, 0))
+	}
+	c, err = Multiply(id, a, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !csr.Equal(c, a, 0) {
+		t.Fatal("I·A != A")
 	}
 }
 
@@ -275,32 +267,6 @@ func TestBalanceRowsEdgeCases(t *testing.T) {
 	}
 }
 
-// TestMultiplyStaticMatchesSequential anchors the kept static-range
-// baseline to the same ground truth as the work-stealing Multiply.
-func TestMultiplyStaticMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, method := range []Method{Hash, Dense, ESC} {
-		for trial := 0; trial < 3; trial++ {
-			a := randomMatrix(rng, 40+rng.Intn(30), 35, 0.15)
-			b := randomMatrix(rng, 35, 45, 0.15)
-			want, err := Sequential(a, b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := MultiplyStatic(a, b, Options{Threads: 4, Method: method})
-			if err != nil {
-				t.Fatalf("%v: %v", method, err)
-			}
-			if !csr.Equal(got, want, 1e-12) {
-				t.Fatalf("%v: %s", method, csr.Diff(got, want, 1e-12))
-			}
-		}
-	}
-	if _, err := MultiplyStatic(csr.New(3, 4), csr.New(5, 3), Options{}); err == nil {
-		t.Fatal("expected dimension mismatch error")
-	}
-}
-
 // TestMultiplyReusesPooledAccumulators runs repeated multiplications
 // to exercise the cross-call accumulator reuse path under the race
 // detector.
@@ -311,74 +277,33 @@ func TestMultiplyReusesPooledAccumulators(t *testing.T) {
 		t.Fatal(err)
 	}
 	for round := 0; round < 4; round++ {
-		for _, method := range []Method{Hash, Dense, ESC} {
-			got, err := Multiply(a, a, Options{Threads: 3, Method: method})
-			if err != nil {
-				t.Fatalf("round %d %v: %v", round, method, err)
-			}
-			if !csr.Equal(got, want, 1e-9) {
-				t.Fatalf("round %d %v: %s", round, method, csr.Diff(got, want, 1e-9))
-			}
+		got, err := Multiply(a, a, Options{Threads: 3})
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if !csr.Equal(got, want, 1e-9) {
+			t.Fatalf("round %d: %s", round, csr.Diff(got, want, 1e-9))
 		}
 	}
 }
 
-func TestMethodString(t *testing.T) {
-	if Hash.String() != "hash" || Dense.String() != "dense" || ESC.String() != "esc" {
-		t.Fatal("Method.String wrong")
-	}
-	if Method(9).String() == "" {
-		t.Fatal("unknown method should still format")
-	}
-}
-
-func BenchmarkMultiplyHashRMAT(b *testing.B) {
+func BenchmarkMultiplyRMAT(b *testing.B) {
 	a := matgen.RMAT(11, 8, 0.57, 0.19, 0.19, 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Multiply(a, a, Options{Method: Hash}); err != nil {
+		if _, err := Multiply(a, a, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkMultiplyDenseBand(b *testing.B) {
+func BenchmarkMultiplyBand(b *testing.B) {
 	a := matgen.Band(4000, 5, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Multiply(a, a, Options{Method: Dense}); err != nil {
+		if _, err := Multiply(a, a, Options{}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkMultiplyMethods compares the three accumulation strategies
-// (hash, dense, ESC) on a graph and a regular matrix — the trade-off
-// discussed in the paper's Section II-B.
-func BenchmarkMultiplyMethods(b *testing.B) {
-	inputs := map[string]func() *csr.Matrix{
-		"rmat": func() *csr.Matrix { return matgen.RMAT(11, 8, 0.57, 0.19, 0.19, 3) },
-		"band": func() *csr.Matrix { return matgen.Band(4000, 5, 1) },
-	}
-	for name, gen := range inputs {
-		a := gen()
-		for _, method := range []Method{Hash, Dense, ESC} {
-			method := method
-			b.Run(name+"/"+method.String(), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := Multiply(a, a, Options{Method: method}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-		b.Run(name+"/merge", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := MultiplyMerge(a, a, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 
@@ -395,35 +320,5 @@ func BenchmarkMultiplyThreadScaling(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkMultiplySchedulers compares the seed's static flops-balanced
-// ranges (MultiplyStatic) against the work-stealing runtime (Multiply)
-// on a skewed RMAT matrix — the acceptance benchmark of the runtime
-// retrofit. cmd/spgemm-bench -exp=cpu records the same comparison in
-// BENCH_cpu.json.
-func BenchmarkMultiplySchedulers(b *testing.B) {
-	a := matgen.RMAT(12, 16, 0.6, 0.19, 0.19, 7)
-	for _, threads := range []int{1, 8} {
-		for _, engine := range []struct {
-			name string
-			fn   func() (*csr.Matrix, error)
-		}{
-			{"static", func() (*csr.Matrix, error) {
-				return MultiplyStatic(a, a, Options{Threads: threads, Method: Hash})
-			}},
-			{"stealing", func() (*csr.Matrix, error) {
-				return Multiply(a, a, Options{Threads: threads, Method: Hash})
-			}},
-		} {
-			b.Run(fmt.Sprintf("%s/threads=%d", engine.name, threads), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := engine.fn(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
 	}
 }

@@ -44,7 +44,7 @@ func MultiplyPlanned(a, b *csr.Matrix, opts Options) (*csr.Matrix, *SymbolicResu
 		return nil, nil, errDims(a, b)
 	}
 	rowFlops := csr.RowFlops(a, b)
-	c, err := multiplyExact(a, b, opts, rowFlops)
+	c, err := multiplyAdaptive(a, b, opts, rowFlops)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -61,9 +61,9 @@ func MultiplyPlanned(a, b *csr.Matrix, opts Options) (*csr.Matrix, *SymbolicResu
 
 // Numeric re-runs only value accumulation against a cached symbolic
 // plan — replay, the numeric phase a cold Multiply itself ends with, so
-// the output is bit-for-bit a cold product's by construction (and the
-// Dense method's, which sums in the same arrival order). The product
-// shares the plan's structure arrays and allocates only its value array.
+// the output is bit-for-bit a cold product's by construction. The
+// product shares the plan's structure arrays and allocates only its
+// value array.
 //
 // The operands must carry the same sparsity pattern the plan was built
 // from; Numeric checks the shape and each row's first-touch count, while

@@ -55,9 +55,7 @@ func assertBitIdentical(t *testing.T, cold, warm *csr.Matrix) {
 // TestNumericByteIdenticalToMultiply is the CPU fast path's contract:
 // a warm numeric-only re-multiply against a captured plan is
 // bit-for-bit what a cold Multiply of the same inputs returns, across
-// repeated value refreshes. The contract covers the insertion-order
-// accumulators (Hash, Dense); the ESC baseline stays outside the
-// contract — TestNumericMatchesESCApprox covers it.
+// repeated value refreshes.
 func TestNumericByteIdenticalToMultiply(t *testing.T) {
 	mats := []*csr.Matrix{
 		matgen.RMAT(9, 8, 0.57, 0.19, 0.19, 11),
@@ -65,64 +63,29 @@ func TestNumericByteIdenticalToMultiply(t *testing.T) {
 		matgen.ER(150, 150, 0.04, 13),
 	}
 	for _, m := range mats {
-		for _, method := range []Method{Hash, Dense} {
-			opts := Options{Threads: 4, Method: method}
-			cold0, sym, err := MultiplyPlanned(m, m, opts)
+		opts := Options{Threads: 4}
+		cold0, sym, err := MultiplyPlanned(m, m, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The captured plan's first product must itself match a
+		// plain Multiply of the same inputs.
+		ref, err := Multiply(m, m, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertBitIdentical(t, ref, cold0)
+		for it := int64(0); it < 3; it++ {
+			fresh := freshValues(m, 700+it)
+			cold, err := Multiply(fresh, fresh, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The captured plan's first product must itself match a
-			// plain Multiply of the same inputs.
-			ref, err := Multiply(m, m, opts)
+			warm, err := Numeric(sym, fresh, fresh, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertBitIdentical(t, ref, cold0)
-			for it := int64(0); it < 3; it++ {
-				fresh := freshValues(m, 700+it)
-				cold, err := Multiply(fresh, fresh, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				warm, err := Numeric(sym, fresh, fresh, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertBitIdentical(t, cold, warm)
-			}
-		}
-	}
-}
-
-// TestNumericMatchesESCApprox covers the ESC method: structure is
-// still exact (the plan determines it), and values are held to
-// rounding only: the baseline is outside the bit-identity contract.
-func TestNumericMatchesESCApprox(t *testing.T) {
-	m := matgen.ER(120, 120, 0.05, 19)
-	opts := Options{Threads: 4, Method: ESC}
-	cold, sym, err := MultiplyPlanned(m, m, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := Numeric(sym, m, m, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range cold.RowOffsets {
-		if cold.RowOffsets[i] != warm.RowOffsets[i] {
-			t.Fatalf("row offset %d: %d != %d", i, cold.RowOffsets[i], warm.RowOffsets[i])
-		}
-	}
-	for i := range cold.ColIDs {
-		if cold.ColIDs[i] != warm.ColIDs[i] {
-			t.Fatalf("col id %d: %d != %d", i, cold.ColIDs[i], warm.ColIDs[i])
-		}
-	}
-	for i := range cold.Data {
-		diff := math.Abs(cold.Data[i] - warm.Data[i])
-		scale := math.Abs(cold.Data[i]) + math.Abs(warm.Data[i]) + 1
-		if diff/scale > 1e-12 {
-			t.Fatalf("value %d: %v vs %v", i, cold.Data[i], warm.Data[i])
+			assertBitIdentical(t, cold, warm)
 		}
 	}
 }

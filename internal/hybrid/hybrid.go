@@ -247,7 +247,7 @@ func Run(a, b *csr.Matrix, cfg gpusim.DeviceConfig, opts Options) (*csr.Matrix, 
 		nc := len(eng.ColPanels)
 		rp, cp := eng.RowPanels[id/nc], eng.ColPanels[id%nc]
 		c, err := cpuspgemm.Multiply(rp.M, cp.M, cpuspgemm.Options{
-			Threads: opts.Host.Threads, Method: cpuspgemm.Hash,
+			Threads: opts.Host.Threads,
 		})
 		if err != nil {
 			return err
@@ -353,7 +353,7 @@ func RunCPUOnly(a, b *csr.Matrix, cfg gpusim.DeviceConfig, host HostModel) (*csr
 	if host == (HostModel{}) {
 		host = DefaultHostModel()
 	}
-	c, err := cpuspgemm.Multiply(a, b, cpuspgemm.Options{Threads: host.Threads, Method: cpuspgemm.Hash})
+	c, err := cpuspgemm.Multiply(a, b, cpuspgemm.Options{Threads: host.Threads})
 	if err != nil {
 		return nil, Stats{}, err
 	}

@@ -12,8 +12,8 @@
 //
 //   - a Chrome trace-event JSON file loadable in chrome://tracing /
 //     Perfetto (WriteChromeTrace),
-//   - a flat key/value snapshot consumed by the experiment harness and
-//     the BENCH_*.json files (Snapshot),
+//   - a flat key/value snapshot consumed by spgemm-run and the serving
+//     tier's /metricsz (Snapshot),
 //   - the text Gantt and per-lane utilization tables that
 //     internal/trace renders (Gantt, Utilizations).
 //
@@ -338,8 +338,8 @@ const (
 // Snapshot flattens the collector into sorted key/value pairs: every
 // counter plus, per domain present, "<domain>.<lane>_busy_ns" for each
 // lane and "<domain>.makespan_ns". This is the machine-readable form
-// the experiment harness and BENCH_*.json consume instead of
-// recomputing per-phase totals from raw timelines.
+// spgemm-run and /metricsz consume instead of recomputing per-phase
+// totals from raw timelines.
 func (c *Collector) Snapshot() map[string]int64 {
 	if c == nil {
 		return nil

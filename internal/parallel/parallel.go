@@ -123,10 +123,9 @@ func ForChunks(workers int, bounds []int, fn func(lo, hi int)) {
 // ForChunksW is ForChunks with the claiming worker's index passed to
 // fn (w in [0, workers)). A given w is never active on two chunks at
 // once, so callers can keep per-worker state — pooled accumulators,
-// scratch arrays — fetched once per phase instead of once per chunk.
-// That per-chunk re-fetch (and the re-Grow churn it caused) is what
-// made the dynamic scheduler measurably lose to the static ablation on
-// balanced inputs before this existed.
+// scratch arrays — fetched once per phase instead of once per chunk
+// (a per-chunk re-fetch, and the re-Grow churn it causes, costs a
+// balanced input more than dynamic claiming saves it).
 func ForChunksW(workers int, bounds []int, fn func(w, lo, hi int)) {
 	chunks := len(bounds) - 1
 	if chunks <= 0 {

@@ -275,7 +275,8 @@ func TestListSchedule(t *testing.T) {
 
 // TestListScheduleBalancedNearPerfect: on CostBounds-shaped chunk lists
 // (many similar chunks), the scheduled speedup must approach the worker
-// count — the property BENCH_cpu.json's thread_scaling gates assert.
+// count — the property cpuspgemm's TestAdaptiveChunkLogAndWorkers
+// floors on measured chunk durations.
 func TestListScheduleBalancedNearPerfect(t *testing.T) {
 	durations := make([]float64, 64)
 	for i := range durations {

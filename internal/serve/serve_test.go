@@ -16,6 +16,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/spgemm"
+	apiv1 "repro/spgemm/api/v1"
 )
 
 // --- test engines -----------------------------------------------------
@@ -555,15 +556,21 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Fatalf("multiply = %d %+v", resp.StatusCode, mr)
 	}
 
-	// Unknown engine is a client error, not a crash.
-	resp, err = http.Post(ts.URL+"/v1/multiply", "application/json",
-		strings.NewReader(`{"engine":"warp-drive","a":{"kind":"er","rows":8,"cols":8}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown engine = %d, want 400", resp.StatusCode)
+	// Unknown engine is a typed client error, not a crash.
+	for _, engine := range []string{"warp-drive", "cpu-merge"} {
+		resp, err = http.Post(ts.URL+"/v1/multiply", "application/json",
+			strings.NewReader(`{"engine":"`+engine+`","a":{"kind":"er","rows":8,"cols":8}}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var er apiv1.ErrorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || er.Code != apiv1.CodeBadRequest {
+			t.Fatalf("engine %q = %d %+v, want 400 %s", engine, resp.StatusCode, er, apiv1.CodeBadRequest)
+		}
 	}
 
 	if code, body := get("/metricsz"); code != http.StatusOK || body[metrics.CounterServeAccepted] != float64(1) {

@@ -79,8 +79,7 @@ type RowAccumulator interface {
 
 // Kit is one worker's lazily pooled accumulator set, fetched at most
 // once per member and reused across every row and chunk the worker
-// claims — per-chunk pool traffic was one of the costs that let
-// the static ablation beat the dynamic scheduler.
+// claims, so pool traffic does not scale with the chunk count.
 type Kit struct {
 	list *accum.List
 	hash *accum.Hash

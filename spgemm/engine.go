@@ -329,56 +329,27 @@ func cpuStatsFor(a, b, c *Matrix, elapsed time.Duration) CPUStats {
 	return st
 }
 
-// cpuEngine wraps one of the real-CPU multiplies (already validated)
-// as a registry engine with wall-clock stats.
-func cpuEngine(a, b *Matrix,
-	multiply func() (*Matrix, error)) (*Matrix, Report, error) {
-	start := time.Now()
-	c, err := multiply()
-	if err != nil {
-		return nil, nil, err
-	}
-	return c, cpuStatsFor(a, b, c, time.Since(start)), nil
-}
-
 func init() {
 	Register(&engine{
 		name:     "cpu",
 		describe: "real multi-core two-phase SpGEMM with per-row accumulator selection (Nagasaka et al.)",
 		run: func(a, b *Matrix, o RunOptions) (*Matrix, Report, error) {
-			c, st, err := cpuEngine(a, b, func() (*Matrix, error) {
-				copts := cpuspgemm.Options{
-					Threads: o.Threads, Metrics: o.Metrics, Cancel: o.wallDeadline(),
-				}
-				if o.PlanCache != nil {
-					return o.PlanCache.multiplyCPU(a, b, copts)
-				}
-				return cpuspgemm.Multiply(a, b, copts)
-			})
+			copts := cpuspgemm.Options{
+				Threads: o.Threads, Metrics: o.Metrics, Cancel: o.wallDeadline(),
+			}
+			multiply := cpuspgemm.Multiply
+			if o.PlanCache != nil {
+				multiply = o.PlanCache.multiplyCPU
+			}
+			start := time.Now()
+			c, err := multiply(a, b, copts)
 			if errors.Is(err, cpuspgemm.ErrCanceled) {
 				err = fmt.Errorf("spgemm: cpu engine: %w: %w", ErrDeadline, err)
 			}
-			return c, st, err
-		},
-	})
-	Register(&engine{
-		name:     "cpu-merge",
-		describe: "real multi-core SpGEMM with k-way merge accumulation (RMerge family)",
-		run: func(a, b *Matrix, o RunOptions) (*Matrix, Report, error) {
-			return cpuEngine(a, b, func() (*Matrix, error) {
-				defer o.Metrics.StartWall("host", "cpu-merge")()
-				return cpuspgemm.MultiplyMerge(a, b, o.Threads)
-			})
-		},
-	})
-	Register(&engine{
-		name:     "cpu-outer",
-		describe: "real multi-core outer-product (column-row) SpGEMM",
-		run: func(a, b *Matrix, o RunOptions) (*Matrix, Report, error) {
-			return cpuEngine(a, b, func() (*Matrix, error) {
-				defer o.Metrics.StartWall("host", "cpu-outer")()
-				return cpuspgemm.OuterProduct(a, b, o.Threads)
-			})
+			if err != nil {
+				return nil, nil, err
+			}
+			return c, cpuStatsFor(a, b, c, time.Since(start)), nil
 		},
 	})
 	Register(&engine{

@@ -27,7 +27,7 @@ func runOptsFor(name string) *RunOptions {
 
 func TestEngineRegistry(t *testing.T) {
 	names := Engines()
-	want := []string{"auto", "cpu", "cpu-merge", "cpu-outer", "gpu", "gpu-sync", "hybrid", "multigpu", "summa"}
+	want := []string{"auto", "cpu", "gpu", "gpu-sync", "hybrid", "multigpu", "summa"}
 	if len(names) != len(want) {
 		t.Fatalf("Engines() = %v, want %v", names, want)
 	}

@@ -175,13 +175,9 @@ func (p *PlanCache) coreCache() *core.PlanCache {
 }
 
 // multiplyCPU is the cpu engine's cached path: a warm call replays
-// only the numeric phase into the cached symbolic structure. The ESC
-// baseline is bypassed (it stays outside the reuse fast paths), so warm
-// output stays byte-identical to cold.
+// only the numeric phase into the cached symbolic structure, so warm
+// output is byte-identical to cold.
 func (p *PlanCache) multiplyCPU(a, b *Matrix, opts cpuspgemm.Options) (*Matrix, error) {
-	if opts.Method == cpuspgemm.ESC {
-		return cpuspgemm.Multiply(a, b, opts)
-	}
 	key := cpuPlanKey{
 		fpA: csr.Fingerprint(a), fpB: csr.Fingerprint(b),
 		rows: a.Rows, aCols: a.Cols, cols: b.Cols,

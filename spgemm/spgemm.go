@@ -317,22 +317,3 @@ func Permute(a *Matrix, perm []int32) (*Matrix, error) { return reorder.Permute(
 
 // Bandwidth reports max |i-j| over the stored entries.
 func Bandwidth(a *Matrix) int { return reorder.Bandwidth(a) }
-
-// MultiplyCPUMerge computes A·B with k-way merge accumulation
-// (RMerge-style), the third accumulation family of the paper's related
-// work.
-func MultiplyCPUMerge(a, b *Matrix, threads int) (*Matrix, error) {
-	if err := validateInputs(a, b); err != nil {
-		return nil, err
-	}
-	return cpuspgemm.MultiplyMerge(a, b, threads)
-}
-
-// MultiplyCPUOuter computes A·B with the outer-product (column-row)
-// formulation of the paper's Section II-B taxonomy.
-func MultiplyCPUOuter(a, b *Matrix, threads int) (*Matrix, error) {
-	if err := validateInputs(a, b); err != nil {
-		return nil, err
-	}
-	return cpuspgemm.OuterProduct(a, b, threads)
-}

@@ -223,34 +223,3 @@ func TestReorderFacade(t *testing.T) {
 			Bandwidth(p), Bandwidth(a))
 	}
 }
-
-func TestAlternativeCPUEngines(t *testing.T) {
-	a := RMAT(9, 7, 0.57, 0.19, 0.19, 48)
-	want, err := Multiply(a, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	merge, err := MultiplyCPUMerge(a, a, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !Equal(merge, want, 1e-9) {
-		t.Fatal("merge engine differs")
-	}
-	outer, err := MultiplyCPUOuter(a, a, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !Equal(outer, want, 1e-9) {
-		t.Fatal("outer-product engine differs")
-	}
-	// Boundary validation applies here too.
-	bad := a.Clone()
-	bad.ColIDs[0] = 32000
-	if _, err := MultiplyCPUMerge(bad, a, 1); err == nil {
-		t.Fatal("corrupt input accepted by merge engine")
-	}
-	if _, err := MultiplyCPUOuter(a, bad, 1); err == nil {
-		t.Fatal("corrupt input accepted by outer engine")
-	}
-}
