@@ -5,38 +5,30 @@ import (
 
 	"repro/internal/csr"
 	"repro/internal/parallel"
-	"repro/internal/speck"
 )
 
-// Assemble merges all chunk results into the final product matrix on
-// the host. Because chunks of one row panel cover disjoint, ordered
-// column ranges, each output row is the concatenation of its chunk
-// rows in column-panel order, with column ids rebased to global.
+// Assemble returns the product once every chunk is marked done. There
+// is nothing to merge: each chunk was computed into its own windows of
+// the matrix the engine has held since the first one. A run with a
+// chunk still missing returns no matrix.
 func (e *Engine) Assemble() (*csr.Matrix, error) {
-	nc := len(e.ColPanels)
-	for id := 0; id < e.NumChunks(); id++ {
-		if e.Results[id] == nil {
-			return nil, fmt.Errorf("core: chunk %d missing (processed %d of %d)", id, len(e.Results), e.NumChunks())
+	for id, ok := range e.prod.done {
+		if !ok {
+			return nil, fmt.Errorf("core: chunk %d of %d missing", id, e.NumChunks())
 		}
 	}
-	defer e.Opts.Metrics.StartWall("host", "assemble")()
-	return AssembleChunks(e.rows, e.cols, len(e.RowPanels), nc,
-		func(r, c int) *csr.Matrix { return e.Results[r*nc+c].C },
-		func(r int) int { return e.RowPanels[r].Start },
-		func(c int) int { return e.ColPanels[c].Start },
-	)
+	return e.product(), nil
 }
 
 // AssembleChunks builds the final rows x cols matrix from a grid of
-// chunk matrices. chunk(r,c) returns the chunk of row panel r and
-// column panel c (panel-local columns); rowStart and colStart give the
-// global offsets of each panel.
+// separately computed chunk matrices, as distributed SUMMA's blocks are
+// (the out-of-core engines compute in place). chunk(r,c) returns the
+// chunk of row panel r and column panel c (panel-local columns);
+// rowStart and colStart give the global offsets of each panel.
 //
-// Assembly is the sequential tail of every out-of-core, hybrid and
-// multi-GPU run, so both passes run row-parallel on the shared
-// runtime: every output row is owned by exactly one goroutine (its
-// chunks cover disjoint column ranges), and the row-offset array comes
-// from a parallel prefix sum.
+// Both passes run row-parallel on the shared runtime: every output row
+// is owned by exactly one goroutine (its chunks cover disjoint column
+// ranges), and the row-offset array comes from a parallel prefix sum.
 func AssembleChunks(rows, cols, numRow, numCol int,
 	chunk func(r, c int) *csr.Matrix,
 	rowStart func(r int) int,
@@ -116,15 +108,4 @@ func rowEnd(r, numRow, rows int, rowStart func(int) int) int {
 		return rowStart(r + 1)
 	}
 	return rows
-}
-
-// PutCPUResult gives the hybrid package a uniform way to register a
-// chunk computed on the CPU: it wraps a bare product matrix in a
-// speck.Result carrying its flop count.
-func (e *Engine) PutCPUResult(id int, c *csr.Matrix, flops int64) {
-	e.Results[id] = &speck.Result{
-		C:           c,
-		Flops:       flops,
-		OutputBytes: c.Bytes(),
-	}
 }

@@ -92,7 +92,7 @@ func (e *Engine) processAsync(p *sim.Proc, ids []int) []int {
 
 	type pending struct {
 		id     int
-		res    *speck.Result
+		res    *speck.Symbolic
 		slot   int
 		p1Sent bool
 		p2Sent bool
@@ -144,12 +144,11 @@ loop:
 			break
 		}
 		rp, cp := e.chunkPanels(id)
-		res, warm, err := e.chunkResult(id, rp, cp)
-		if err != nil {
+		res, warm := e.chunkMeta(id)
+		if err := e.compute(id, 1); err != nil {
 			e.fail(err) // host-side arithmetic failure is terminal
 			break
 		}
-		e.Results[id] = res
 		if res.Flops == 0 {
 			// Empty chunk: known from the host-side flop analysis, no
 			// device work or transfer required.
@@ -185,7 +184,7 @@ loop:
 		}
 
 		// Inputs stay resident between chunks while the arena allows.
-		aBytes, bBytes := inputBytes(rp, cp)
+		aBytes, bBytes := rp.M.Bytes(), cp.M.Bytes()
 		aKey, bKey := panelKeys(rp, cp)
 		capacityLeft := func() int64 { return arena - arenaUsed }
 		if err := cache.ensure(p, id, aKey, lbl("A panel", id), aBytes, capacityLeft, aKey, bKey); err != nil {

@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/cpuspgemm"
 	"repro/internal/csr"
 	"repro/internal/faults"
 	"repro/internal/gpusim"
@@ -88,12 +89,12 @@ type Options struct {
 	// simulated clock passes it. 0 means no deadline.
 	DeadlineSec float64
 	// PlanCache, when non-nil, caches the values-independent half of
-	// runs (partitions, chunk flops, symbolic results, panel residency)
-	// across engines keyed by the operands' structural fingerprints.
-	// A warm run re-values the cached partitions and skips the
-	// symbolic device pipeline. Ignored with DynamicAlloc (that mode
-	// models unmodified spECK, which re-plans every run by design).
-	// Nil leaves every run byte-identical to a build without caching.
+	// runs (partitions, chunk flops, the product's structure, chunk
+	// metadata, panel residency) across engines keyed by the operands'
+	// structural fingerprints. A warm run re-values the cached
+	// partitions and does no symbolic work on the host or the device.
+	// Ignored with DynamicAlloc (unmodified spECK re-plans every run by
+	// design). Nil leaves every run byte-identical to a build without it.
 	PlanCache *PlanCache
 	// PlanDevice namespaces the plan cache's device-residency record
 	// when several devices share one cache (multigpu); empty means
@@ -205,6 +206,11 @@ func (s Stats) Counters() map[string]int64 {
 // Engine drives the out-of-core multiplication of one (A, B) pair on a
 // device. It is exported so the hybrid package can schedule a subset of
 // chunks on the GPU while a CPU worker takes the rest.
+//
+// The engine owns the product from the start, as the paper's pipeline
+// owns its device memory (Section IV: nothing is allocated once chunks
+// flow): C's structure and values exist before the first chunk runs, and
+// ProcessChunks and HostChunk write numeric results into its windows.
 type Engine struct {
 	Dev  *gpusim.Device
 	Opts Options
@@ -212,10 +218,9 @@ type Engine struct {
 	RowPanels []partition.RowPanel
 	ColPanels []partition.ColPanel
 
-	cm speck.CostModel
-
-	// Results maps chunk id (row*ColPanels+col) to the computed chunk.
-	Results map[int]*speck.Result
+	a, b *csr.Matrix
+	cm   speck.CostModel
+	prod *product // shared with the engines OnDevice derives
 
 	// err records the first failure inside simulation processes.
 	err error
@@ -237,17 +242,23 @@ type Engine struct {
 	// their accounting when the run ends on any path.
 	live map[*gpusim.Alloc]struct{}
 
-	// plan is the engine's pinned plan-cache entry (nil without a
-	// cache); planWarm marks a cache hit. planResident carries the
-	// panel keys the previous run on this pattern left device-resident
-	// (those skip their H2D transfer); endResident collects the final
-	// residency this run writes back at Teardown.
+	// plan is the values-independent half of the run, pinned in cache or
+	// private when cache is nil. planResident carries the panel keys the
+	// previous run on this pattern left device-resident (those skip
+	// their H2D transfer); endResident collects the final residency this
+	// run writes back at Teardown.
 	plan         *planEntry
-	planWarm     bool
+	cache        *PlanCache
 	planResident map[string]struct{}
 	endResident  []string
+}
 
-	rows, cols int // dimensions of C
+// product is C while it is computed: c is nil until the first chunk
+// needs it; done[id] tells whether chunk id's windows of c.Data hold its
+// values. A recovered chunk overwrites the windows its failed try wrote.
+type product struct {
+	c    *csr.Matrix
+	done []bool
 }
 
 // NewEngine partitions the inputs (host-side, real work) and prepares
@@ -272,7 +283,6 @@ func NewEngine(dev *gpusim.Device, a, b *csr.Matrix, opts Options) (*Engine, err
 	var rps []partition.RowPanel
 	var cps []partition.ColPanel
 	var ent *planEntry
-	warm := false
 	var key planKey
 	if pc != nil {
 		stopFP := opts.Metrics.StartWall("host", "fingerprint")
@@ -293,7 +303,6 @@ func NewEngine(dev *gpusim.Device, a, b *csr.Matrix, opts Options) (*Engine, err
 		rps = revalueRowPanels(ent.rps, a)
 		cps = revalueColPanels(ent.cps, b)
 		stopRevalue()
-		warm = true
 		opts.Metrics.Add(metrics.CounterPlanCacheHits, 1)
 	} else {
 		stopPartition := opts.Metrics.StartWall("host", "partition")
@@ -310,32 +319,53 @@ func NewEngine(dev *gpusim.Device, a, b *csr.Matrix, opts Options) (*Engine, err
 		if pc != nil {
 			ent = pc.store(key, rps, cps)
 			opts.Metrics.Add(metrics.CounterPlanCacheMisses, 1)
+		} else {
+			ent = &planEntry{syms: map[int]*speck.Symbolic{}}
 		}
 	}
-	if opts.Faults.Enabled() && dev.Faults() == nil {
-		// Attach the injector unless the caller (multigpu) already
-		// installed a per-device derived one.
-		dev.SetFaults(faults.New(opts.Faults))
-	}
 	e := &Engine{
-		Dev:       dev,
 		Opts:      opts,
 		RowPanels: rps,
 		ColPanels: cps,
+		a:         a,
+		b:         b,
 		cm:        cm,
-		Results:   map[int]*speck.Result{},
-		failed:    map[int]error{},
-		retries:   map[int]int{},
-		live:      map[*gpusim.Alloc]struct{}{},
+		prod:      &product{done: make([]bool, len(rps)*len(cps))},
 		plan:      ent,
-		planWarm:  warm,
-		rows:      a.Rows,
-		cols:      b.Cols,
+		cache:     pc,
 	}
-	if warm {
-		e.planResident = pc.residentSet(ent, opts.PlanDevice)
-	}
+	e.bind(dev)
 	return e, nil
+}
+
+// bind attaches the engine to its device with fresh per-device state.
+func (e *Engine) bind(dev *gpusim.Device) {
+	if e.Opts.Faults.Enabled() && dev.Faults() == nil {
+		// Attach the injector unless the caller (multigpu) already
+		// installed a per-device derived one.
+		dev.SetFaults(faults.New(e.Opts.Faults))
+	}
+	e.Dev = dev
+	e.failed = map[int]error{}
+	e.retries = map[int]int{}
+	e.live = map[*gpusim.Alloc]struct{}{}
+	if e.cache != nil {
+		e.planResident = e.cache.residentSet(e.plan, e.Opts.PlanDevice)
+	}
+}
+
+// OnDevice derives, before any chunk runs, an engine working on the same
+// product from another device: it shares e's panels, plan and product
+// and has its own device state (panel residency under the planDevice
+// namespace) and Teardown.
+func (e *Engine) OnDevice(dev *gpusim.Device, planDevice string) *Engine {
+	d := *e
+	d.Opts.PlanDevice = planDevice
+	if d.cache != nil {
+		d.cache.retain(d.plan)
+	}
+	d.bind(dev)
+	return &d
 }
 
 // trackAlloc and untrackAlloc maintain the live-allocation set behind
@@ -358,15 +388,14 @@ func (e *Engine) Teardown() int64 {
 	}
 	e.live = map[*gpusim.Alloc]struct{}{}
 	e.arenaAllocated = false
-	if e.plan != nil {
+	if pc := e.cache; pc != nil {
 		// Write back device residency for the next run on this
 		// pattern — unless the device was lost, which invalidates any
 		// recorded residency (its memory is gone; trusting it would
 		// serve stale panels).
-		pc := e.Opts.PlanCache
 		pc.setResident(e.plan, e.Opts.PlanDevice, e.endResident, e.DeviceLost())
 		pc.release(e.plan)
-		e.plan = nil
+		e.cache = nil
 		e.planResident = nil
 		e.endResident = nil
 	}
@@ -386,79 +415,171 @@ func (e *Engine) chunkPanels(id int) (partition.RowPanel, partition.ColPanel) {
 	return e.RowPanels[id/nc], e.ColPanels[id%nc]
 }
 
-// ChunkFlops computes the flop count of every chunk (GetFlops of
-// Algorithm 4), indexed by chunk id in row-major order. Flop counts
-// depend only on structure, so with a plan cache a warm run returns
-// the cached counts without re-walking the panels.
+// chunkRowFlops returns every chunk's per-row flop counts by chunk id
+// (row-major): the one row analysis a chunk gets, behind its flop
+// count, its scheduling metadata and the CPU worker's load balance.
+func (e *Engine) chunkRowFlops() [][]int64 {
+	pl := e.plan
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	if pl.rowFlops == nil {
+		pl.rowFlops = make([][]int64, e.NumChunks())
+		pl.chunkFlops = make([]int64, e.NumChunks())
+		var bytes int64
+		for id := range pl.rowFlops {
+			rp, cp := e.chunkPanels(id)
+			pl.rowFlops[id] = csr.RowFlops(rp.M, cp.M)
+			for _, f := range pl.rowFlops[id] {
+				pl.chunkFlops[id] += f
+			}
+			bytes += int64(rp.M.Rows+1) * 8
+		}
+		e.cache.grow(pl, bytes)
+	}
+	return pl.rowFlops
+}
+
+// ChunkFlops returns the flop count of every chunk (GetFlops of
+// Algorithm 4), indexed by chunk id in row-major order.
 func (e *Engine) ChunkFlops() []int64 {
-	pc := e.Opts.PlanCache
-	if e.plan != nil {
-		if f := pc.flops(e.plan); f != nil {
-			return f
+	e.chunkRowFlops()
+	return e.plan.chunkFlops
+}
+
+// RowAnalysis returns the whole-matrix row analysis of the operands —
+// C's exact row offsets, and what the hybrid engines' host cost model
+// prices the CPU worker from: the plan's, else the one handed in through
+// Options.Analysis, else computed here, once per pattern.
+func (e *Engine) RowAnalysis() *speck.RowAnalysis {
+	pl := e.plan
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	if pl.analysis == nil {
+		if pl.analysis = e.Opts.Analysis; pl.analysis == nil {
+			stop := e.Opts.Metrics.StartWall("host", "row analysis")
+			pl.analysis = speck.Analyze(e.a, e.b)
+			stop()
+		}
+		e.cache.grow(pl, pl.analysis.Bytes())
+	}
+	return pl.analysis
+}
+
+// product returns C, sized and allocated on first call: the value array
+// is the run's one allocation for the result, the structure is the
+// plan's — the column ids one symbolic emit pass per pattern wrote into
+// exactly the size the row analysis counted, and the split table that
+// refines the row offsets by column panel (ids ascend within a row, so
+// each boundary is a binary search; with one panel it is the offsets).
+func (e *Engine) product() *csr.Matrix {
+	if e.prod.c != nil {
+		return e.prod.c
+	}
+	ra, nc := e.RowAnalysis(), len(e.ColPanels)
+	pl := e.plan
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	if pl.colIDs == nil {
+		stop := e.Opts.Metrics.StartWall("host", "structure")
+		offs := ra.RowOffsets
+		pl.colIDs = speck.NewSymbolicPass(e.a, e.b, ra.RowFlops).Emit(offs)
+		pl.split = offs
+		if nc > 1 {
+			// One sentinel row past the last, so that a zero-row operand's
+			// empty panel has (empty) windows to address as well.
+			pl.split = make([]int64, (e.a.Rows+1)*nc)
+			for i := 0; i <= e.a.Rows; i++ {
+				row := pl.colIDs[offs[i]:offs[min(i+1, e.a.Rows)]]
+				for k, cp := range e.ColPanels {
+					pl.split[i*nc+k] = offs[i] + int64(sort.Search(len(row), func(j int) bool { return int(row[j]) >= cp.Start }))
+				}
+			}
+			e.cache.grow(pl, int64(len(pl.split))*8)
+		}
+		stop()
+		e.cache.grow(pl, int64(len(pl.colIDs))*4)
+	}
+	e.prod.c = &csr.Matrix{
+		Rows: e.a.Rows, Cols: e.b.Cols,
+		RowOffsets: ra.RowOffsets, ColIDs: pl.colIDs,
+		Data: make([]float64, len(pl.colIDs)),
+	}
+	return e.prod.c
+}
+
+// window returns chunk id's windows in C.
+func (e *Engine) window(id int) speck.Window {
+	c, nc := e.product(), len(e.ColPanels)
+	rp, cp := e.chunkPanels(id)
+	return speck.Window{
+		Offs: e.plan.split[rp.Start*nc+id%nc:], Stride: nc,
+		Cols: c.ColIDs, Data: c.Data, ColBase: cp.Start, Width: c.Cols,
+	}
+}
+
+// chunkMeta returns chunk id's simulated inputs (row groups, phase
+// durations, transfer and workspace sizes), derived from its row flops
+// and the chunk-local row offsets its window sizes sum to. warm reports
+// that a cached plan already held them: the pipelines then skip the
+// chunk's symbolic device phases.
+func (e *Engine) chunkMeta(id int) (sym *speck.Symbolic, warm bool) {
+	rowFlops, w := e.chunkRowFlops()[id], e.window(id)
+	pl := e.plan
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	if sym = pl.syms[id]; sym != nil {
+		return sym, e.cache != nil
+	}
+	rp, cp := e.chunkPanels(id)
+	offs := make([]int64, rp.M.Rows+1)
+	for i := 0; i < rp.M.Rows; i++ {
+		offs[i+1] = offs[i] + w.RowNnz(i)
+	}
+	sym = speck.NewSymbolic(rp.M, cp.M, rowFlops, offs, e.cm)
+	pl.syms[id] = sym
+	e.cache.grow(pl, sym.Bytes())
+	return sym, false
+}
+
+// compute performs chunk id's real arithmetic — the chunked replay of
+// the numeric row kernel straight into the chunk's windows — and marks
+// it done; the device path runs it on one thread.
+func (e *Engine) compute(id, threads int) error {
+	if e.ChunkFlops()[id] > 0 {
+		rp, cp := e.chunkPanels(id)
+		err := cpuspgemm.NumericInto(e.window(id), rp.M, cp.M, e.chunkRowFlops()[id], cpuspgemm.Options{Threads: threads})
+		if err != nil {
+			return fmt.Errorf("core: chunk %d: %w", id, err)
 		}
 	}
-	out := make([]int64, e.NumChunks())
-	for id := range out {
-		rp, cp := e.chunkPanels(id)
-		out[id] = csr.Flops(rp.M, cp.M)
-	}
-	if e.plan != nil {
-		pc.setFlops(e.plan, out)
-	}
-	return out
+	e.prod.done[id] = true
+	return nil
 }
 
-// RowAnalysis returns the whole-matrix row analysis of the engine's
-// operands, which the hybrid engines' host cost model prices the CPU
-// worker from: the one handed in through Options.Analysis, else the one
-// cached with the plan, else computed here — once per run, and with a
-// plan cache once per pattern.
-func (e *Engine) RowAnalysis(a, b *csr.Matrix) *speck.RowAnalysis {
-	ra := e.Opts.Analysis
-	if ra == nil && e.plan != nil {
-		ra = e.Opts.PlanCache.analysis(e.plan)
+// HostChunk computes chunk id on the hybrid engines' CPU worker under a
+// simulated "cpu" span, unless the run's deadline has passed; like
+// ProcessChunks it records a terminal error on the engine (see Err). The
+// worker's throughput is a property of the whole matrix, so the span is
+// wholeSec (the host cost model's) prorated by flops, the paper's
+// workload indicator for both processors.
+func (e *Engine) HostChunk(p *sim.Proc, id int, label string, wholeSec float64, threads int) error {
+	if e.pastDeadline() {
+		return e.err
 	}
-	if ra == nil {
-		stop := e.Opts.Metrics.StartWall("host", "row analysis")
-		ra = speck.Analyze(a, b)
-		stop()
+	if err := e.compute(id, threads); err != nil {
+		e.fail(err)
+		return err
 	}
-	if e.plan != nil {
-		e.Opts.PlanCache.setAnalysis(e.plan, ra)
+	flops, sec := e.ChunkFlops(), 0.0
+	if flops[id] > 0 {
+		var total int64
+		for _, f := range flops {
+			total += f
+		}
+		sec = wholeSec * float64(flops[id]) / float64(total)
 	}
-	return ra
-}
-
-// PlanWarm reports whether the engine was built from a plan-cache hit.
-func (e *Engine) PlanWarm() bool { return e.planWarm }
-
-// chunkResult computes one chunk's result. With a cached symbolic
-// plan for the chunk it runs only the numeric half (warm=true tells
-// the pipelines to skip the chunk's symbolic device phases); otherwise
-// it runs the full computation and, when a plan entry is active,
-// records the symbolic half for future runs. Compute is exactly
-// SymbolicCompute followed by Numeric, so both paths produce
-// bit-identical chunks.
-func (e *Engine) chunkResult(id int, rp partition.RowPanel, cp partition.ColPanel) (res *speck.Result, warm bool, err error) {
-	if e.plan == nil {
-		res, err = speck.Compute(rp.M, cp.M, e.cm)
-		return res, false, err
-	}
-	pc := e.Opts.PlanCache
-	if sym := pc.symbolic(e.plan, id); sym != nil {
-		res, err = speck.Numeric(sym, rp.M, cp.M)
-		return res, err == nil, err
-	}
-	sym, err := speck.SymbolicCompute(rp.M, cp.M, e.cm)
-	if err != nil {
-		return nil, false, err
-	}
-	res, err = speck.Numeric(sym, rp.M, cp.M)
-	if err != nil {
-		return nil, false, err
-	}
-	pc.addSymbolic(e.plan, id, sym)
-	return res, false, nil
+	p.Span("cpu", fmt.Sprintf("%s %d", label, id), sim.Seconds(sec))
+	return nil
 }
 
 // ScheduleOrder returns the chunk ids in execution order: row-major by
@@ -485,12 +606,12 @@ func (e *Engine) fail(err error) {
 	}
 }
 
-// failChunk marks one chunk as not completed on the device. Its result
-// is dropped so the schedule stays honest: a failed chunk contributes
-// no output until a recovery path (CPU fallback, another device)
-// recomputes it.
+// failChunk marks one chunk as not completed on the device. It is
+// unmarked in the done-set so the schedule stays honest: a failed chunk
+// contributes no output until a recovery path (CPU fallback, another
+// device) recomputes it into the same windows.
 func (e *Engine) failChunk(id int, err error) {
-	delete(e.Results, id)
+	e.prod.done[id] = false
 	e.failed[id] = err
 }
 
@@ -610,7 +731,7 @@ func RunTraced(a, b *csr.Matrix, cfg gpusim.DeviceConfig, opts Options) (*csr.Ma
 // Callers that drive the environment themselves (hybrid, multigpu)
 // invoke it after computing their stats so instrumentation lands once,
 // here, rather than per engine.
-func (e *Engine) PublishMetrics(env *sim.Env, st Stats) {
+func (e *Engine) PublishMetrics(env *sim.Env, st metrics.Report) {
 	c := e.Opts.Metrics
 	if c == nil {
 		return
@@ -627,8 +748,8 @@ func (e *Engine) PublishMetrics(env *sim.Env, st Stats) {
 // stats collects run statistics from the environment.
 func (e *Engine) stats(env *sim.Env, c *csr.Matrix) Stats {
 	var flops int64
-	for _, r := range e.Results {
-		flops += r.Flops
+	for _, f := range e.ChunkFlops() {
+		flops += f
 	}
 	total := sim.SecondsAt(env.Now())
 	transfer := sim.SecondsOf(e.Dev.TransferBusy())
@@ -670,6 +791,7 @@ func (e *Engine) ProcessChunks(p *sim.Proc, ids []int) []int {
 	if len(ids) == 0 {
 		return nil
 	}
+	e.product() // C is sized and allocated before the pipeline starts
 	if e.Opts.Async {
 		return e.processAsync(p, ids)
 	}
@@ -685,9 +807,4 @@ func (e *Engine) DeviceLost() bool { return e.Dev.Faults().Lost() }
 // like a missed deadline).
 func IsRecoverable(err error) bool {
 	return err != nil && !errors.Is(err, faults.ErrDeadline)
-}
-
-// inputBytes reports the device footprint of a chunk's input panels.
-func inputBytes(rp partition.RowPanel, cp partition.ColPanel) (aBytes, bBytes int64) {
-	return rp.M.Bytes(), cp.M.Bytes()
 }

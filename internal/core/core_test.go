@@ -284,7 +284,4 @@ func TestEngineAccessors(t *testing.T) {
 	if eng.NumChunks() != 4 {
 		t.Fatalf("NumChunks = %d", eng.NumChunks())
 	}
-	// PutCPUResult feeds assembly like the hybrid engine does.
-	prod, _ := cpuspgemm.Sequential(a, a)
-	_ = prod
 }

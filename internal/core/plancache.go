@@ -9,14 +9,14 @@ import (
 )
 
 // PlanCache stores the values-independent half of out-of-core runs —
-// the chunk grid (re-valuable partitions), per-chunk flop counts and
-// per-chunk symbolic results (output structure, row groups, transfer
-// sizes) — keyed by the structural fingerprints of the operands. A
-// warm run skips host-side partitioning and the per-chunk symbolic
-// pipeline (analysis and symbolic kernels, row-info and nnz-info
-// transfers), running only numeric kernels and output transfers, and
-// reuses device residency of input panels recorded by the previous
-// run on the same pattern.
+// the chunk grid (re-valuable partitions), per-chunk row flops, the
+// product's structure with its per-panel split table, and per-chunk
+// scheduling metadata (row groups, transfer sizes) — keyed by the
+// structural fingerprints of the operands. A warm run skips host-side
+// partitioning, every symbolic pass on either processor and the
+// per-chunk symbolic device pipeline (analysis and symbolic kernels,
+// info transfers), running only numeric kernels and output transfers,
+// and reuses the input-panel residency the previous run recorded.
 //
 // The cache is LRU-bounded by bytes and safe for concurrent use; the
 // serving layer shares one across jobs. A nil *PlanCache disables
@@ -43,25 +43,39 @@ type planKey struct {
 	cm                   speck.CostModel
 }
 
-// planEntry is one cached plan. Partitions are stored structure-only
-// (Data nil): warm runs re-value row panels by reslicing A's value
-// array (rows are contiguous in CSR) and col panels by one sequential
-// copy pass driven by the cached panel row offsets — no index work.
+// planEntry is the values-independent half of a run; every engine has
+// one, pinned in a cache or private to the run. Partitions are stored
+// structure-only (Data nil): warm runs re-value row panels by reslicing
+// A's value array (rows are contiguous in CSR) and col panels by one
+// sequential copy pass driven by the cached panel row offsets — no
+// index work.
 type planEntry struct {
 	key planKey
 	rps []partition.RowPanel
 	cps []partition.ColPanel
-	// chunkFlops is filled on first ChunkFlops call against the plan,
-	// analysis on the first RowAnalysis call.
+
+	// mu guards the fields below, each derived on first need by the
+	// engine and then read-only; holding it while deriving makes
+	// concurrent cold runs of one pattern share the work.
+	mu sync.Mutex
+	// rowFlops is every chunk's per-row flop counts, chunkFlops their
+	// sums; analysis the whole-matrix row analysis, whose RowOffsets are
+	// C's; colIDs C's column ids and split its per-panel split table.
+	// Products returned by runs on this entry share the structure arrays.
+	rowFlops   [][]int64
 	chunkFlops []int64
 	analysis   *speck.RowAnalysis
-	// syms holds per-chunk symbolic results, filled as cold chunks
-	// complete; a warm run finding one skips the chunk's symbolic
-	// device phases.
+	colIDs     []int32
+	split      []int64
+	// syms holds per-chunk scheduling metadata (no column ids), filled as
+	// chunks first reach the device; a run on a cached entry finding one
+	// skips the chunk's symbolic device phases.
 	syms map[int]*speck.Symbolic
+
 	// resident records, per device namespace (Options.PlanDevice), the
 	// input-panel keys left device-resident by the last run; a device
 	// loss clears the namespace so no run trusts stale residency.
+	// resident, bytes and refs are guarded by the cache's lock.
 	resident map[string]map[string]struct{}
 	bytes    int64
 	refs     int
@@ -212,67 +226,27 @@ func (pc *PlanCache) release(ent *planEntry) {
 	pc.evictLocked()
 }
 
-// flops returns the cached per-chunk flop counts, or nil.
-func (pc *PlanCache) flops(ent *planEntry) []int64 {
+// retain pins an entry once more, for an engine derived from the one
+// that acquired it.
+func (pc *PlanCache) retain(ent *planEntry) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	return ent.chunkFlops
+	ent.refs++
 }
 
-// setFlops records the per-chunk flop counts computed by a cold run.
-func (pc *PlanCache) setFlops(ent *planEntry, flops []int64) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if ent.chunkFlops != nil {
+// grow accounts n more bytes retained by an entry; a private entry (nil
+// cache) or one Invalidate already dropped is not accounted.
+func (pc *PlanCache) grow(ent *planEntry, n int64) {
+	if pc == nil {
 		return
 	}
-	ent.chunkFlops = flops
-	grow := int64(len(flops)) * 8
-	ent.bytes += grow
-	pc.bytes += grow
-	pc.evictLocked()
-}
-
-// analysis returns the cached whole-matrix row analysis, or nil.
-func (pc *PlanCache) analysis(ent *planEntry) *speck.RowAnalysis {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	return ent.analysis
-}
-
-// setAnalysis records the row analysis a cold run computed or was
-// handed; the first one recorded stays.
-func (pc *PlanCache) setAnalysis(ent *planEntry, ra *speck.RowAnalysis) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if ent.analysis != nil {
+	if pc.entries[ent.key] != ent {
 		return
 	}
-	ent.analysis = ra
-	ent.bytes += ra.Bytes()
-	pc.bytes += ra.Bytes()
-	pc.evictLocked()
-}
-
-// symbolic returns the cached symbolic result of a chunk, or nil.
-func (pc *PlanCache) symbolic(ent *planEntry, id int) *speck.Symbolic {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return ent.syms[id]
-}
-
-// addSymbolic records a chunk's symbolic result from a cold run; of
-// concurrent cold runs of one pattern the first store wins.
-func (pc *PlanCache) addSymbolic(ent *planEntry, id int, sym *speck.Symbolic) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if ent.syms[id] != nil {
-		return
-	}
-	ent.syms[id] = sym
-	grow := sym.Bytes()
-	ent.bytes += grow
-	pc.bytes += grow
+	ent.bytes += n
+	pc.bytes += n
 	pc.evictLocked()
 }
 

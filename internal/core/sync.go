@@ -60,12 +60,11 @@ func (e *Engine) processSync(p *sim.Proc, ids []int) []int {
 			break
 		}
 		rp, cp := e.chunkPanels(id)
-		res, warm, err := e.chunkResult(id, rp, cp)
-		if err != nil {
+		res, warm := e.chunkMeta(id)
+		if err := e.compute(id, 1); err != nil {
 			e.fail(err) // host-side arithmetic failure is terminal
 			break
 		}
-		e.Results[id] = res
 		if res.Flops == 0 {
 			// The host already knows the chunk is empty from the flop
 			// analysis (Algorithm 4's GetFlops); no device work needed.
@@ -84,7 +83,7 @@ func (e *Engine) processSync(p *sim.Proc, ids []int) []int {
 			return false
 		}
 
-		aBytes, bBytes := inputBytes(rp, cp)
+		aBytes, bBytes := rp.M.Bytes(), cp.M.Bytes()
 		aKey, bKey := panelKeys(rp, cp)
 		capacityLeft := func() int64 { return arena - arenaUsed }
 		if err := cache.ensure(p, id, aKey, lbl("A panel", id), aBytes, capacityLeft, aKey, bKey); err != nil {
@@ -140,7 +139,7 @@ func (e *Engine) processSync(p *sim.Proc, ids []int) []int {
 // symbolic structure served from the plan cache) skips the analysis
 // and symbolic kernels and their info transfers: only numeric kernels
 // and the output transfer touch the device.
-func (e *Engine) syncChunkPrealloc(p *sim.Proc, id int, res *speck.Result, warm bool) error {
+func (e *Engine) syncChunkPrealloc(p *sim.Proc, id int, res *speck.Symbolic, warm bool) error {
 	dev := e.Dev
 	if !warm {
 		if err := e.devOp(p, id, func() error {
@@ -177,7 +176,7 @@ func (e *Engine) syncChunkPrealloc(p *sim.Proc, id int, res *speck.Result, warm 
 // variant cannot be made asynchronous. On failure the allocations made
 // so far are still freed, so an abandoned chunk leaks no device
 // memory.
-func (e *Engine) syncChunkDynamic(p *sim.Proc, id int, res *speck.Result) (err error) {
+func (e *Engine) syncChunkDynamic(p *sim.Proc, id int, res *speck.Symbolic) (err error) {
 	dev := e.Dev
 	var held []*gpusim.Alloc
 	defer func() {
@@ -238,7 +237,7 @@ func (e *Engine) syncChunkDynamic(p *sim.Proc, id int, res *speck.Result) (err e
 // launchGroupKernels launches one kernel per row group, splitting the
 // phase duration across groups in proportion to their flops (spECK
 // launches a kernel per group; Figure 3's symbolic/numeric boxes).
-func (e *Engine) launchGroupKernels(p *sim.Proc, id int, res *speck.Result, phase string) error {
+func (e *Engine) launchGroupKernels(p *sim.Proc, id int, res *speck.Symbolic, phase string) error {
 	total := res.NumericSec
 	if phase == "symbolic" {
 		total = res.SymbolicSec

@@ -219,7 +219,7 @@ func multiplyAdaptive(a, b *csr.Matrix, opts Options, rowFlops []int64) (*csr.Ma
 
 	// Numeric phase: replay the values into the structure.
 	stopNumeric := opts.Metrics.StartWall("cpu", "numeric")
-	err := replay(c, a, b, bounds, opts, pass)
+	err := replay(speck.WholeWindow(c), a, b, bounds, opts, pass)
 	stopNumeric()
 	if err != nil {
 		return nil, err

@@ -83,7 +83,7 @@ func Numeric(sym *SymbolicResult, a, b *csr.Matrix, opts Options) (*csr.Matrix, 
 		Data:       make([]float64, nnz),
 	}
 	stopNumeric := opts.Metrics.StartWall("cpu", "numeric (warm)")
-	err := replay(c, a, b, parallel.CostBounds(sym.RowFlops, opts.threads()), opts, nil)
+	err := NumericInto(speck.WholeWindow(c), a, b, sym.RowFlops, opts)
 	stopNumeric()
 	if err != nil {
 		return nil, err
@@ -92,13 +92,22 @@ func Numeric(sym *SymbolicResult, a, b *csr.Matrix, opts Options) (*csr.Matrix, 
 	return c, nil
 }
 
+// NumericInto is Numeric writing into storage the caller owns: the
+// values of A·B land in w, whose structure must be the product's. The
+// out-of-core engines' CPU worker computes a chunk this way, w being
+// the chunk's windows in the whole product; rowFlops balances the
+// chunked replay as in Numeric.
+func NumericInto(w speck.Window, a, b *csr.Matrix, rowFlops []int64, opts Options) error {
+	return replay(w, a, b, parallel.CostBounds(rowFlops, opts.threads()), opts, nil)
+}
+
 // replay is the numeric phase of every exact product, cold and warm:
-// speck.NumericRows over c's fixed structure in dynamically claimed
-// chunks, writing c.Data, one pooled scratch per worker fetched on its
+// speck.NumericRows over w's fixed structure in dynamically claimed
+// chunks, writing w.Data, one pooled scratch per worker fetched on its
 // first chunk (see parallel.ForChunksW). pass, non-nil on the cold path,
 // turns on Options.ChunkLog and labels rows for Options.ClassStats, under
 // which the kernel runs one row per call so each can be timed.
-func replay(c, a, b *csr.Matrix, bounds []int, opts Options, pass *speck.SymbolicPass) error {
+func replay(w speck.Window, a, b *csr.Matrix, bounds []int, opts Options, pass *speck.SymbolicPass) error {
 	nt := opts.threads()
 	var log *ChunkLog
 	var stats *ClassStats
@@ -107,7 +116,7 @@ func replay(c, a, b *csr.Matrix, bounds []int, opts Options, pass *speck.Symboli
 	}
 	var werr firstErr
 	scratch := make([]*accum.Scratch, parallel.Workers(nt))
-	forChunksLogged(nt, bounds, log, false, func(w, lo, hi int) {
+	forChunksLogged(nt, bounds, log, false, func(wk, lo, hi int) {
 		if werr.get() != nil {
 			return
 		}
@@ -115,8 +124,8 @@ func replay(c, a, b *csr.Matrix, bounds []int, opts Options, pass *speck.Symboli
 			werr.set(ErrCanceled)
 			return
 		}
-		if scratch[w] == nil {
-			scratch[w] = accum.GetScratch(c.Cols)
+		if scratch[wk] == nil {
+			scratch[wk] = accum.GetScratch(w.Width)
 		}
 		step := hi - lo
 		if stats != nil {
@@ -125,11 +134,11 @@ func replay(c, a, b *csr.Matrix, bounds []int, opts Options, pass *speck.Symboli
 		t0 := time.Now()
 		var part [speck.NumKinds]ClassStat
 		for i := lo; i < hi; i += step {
-			if err := speck.NumericRows(a, b, c.RowOffsets, c.ColIDs, c.Data, scratch[w], i, i+step); err != nil {
+			if err := speck.NumericRows(a, b, &w, scratch[wk], i, i+step); err != nil {
 				werr.set(fmt.Errorf("cpuspgemm: numeric: %w", err))
 				return
 			}
-			if stats != nil && c.RowOffsets[i] != c.RowOffsets[i+1] {
+			if stats != nil && w.RowNnz(i) != 0 {
 				t1 := time.Now()
 				part[pass.Kind(i)].NumericNs += t1.Sub(t0).Nanoseconds()
 				t0 = t1

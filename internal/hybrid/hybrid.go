@@ -11,13 +11,11 @@
 package hybrid
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/core"
 	"repro/internal/cpuspgemm"
 	"repro/internal/csr"
-	"repro/internal/faults"
 	"repro/internal/gpusim"
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -193,7 +191,7 @@ func Run(a, b *csr.Matrix, cfg gpusim.DeviceConfig, opts Options) (*csr.Matrix, 
 	// The GPU worker's own chunk list is already ordered by the split;
 	// core-level reordering must not permute it again.
 	opts.Core.Reorder = false
-	// The engine records host-side wall phases (partition, assemble)
+	// The engine records host-side wall phases (partition, structure)
 	// into the same collector; counters and the timeline are published
 	// once, below, after the run completes.
 	opts.Core.Metrics = opts.Metrics
@@ -224,48 +222,10 @@ func Run(a, b *csr.Matrix, cfg gpusim.DeviceConfig, opts Options) (*csr.Matrix, 
 		st.CPUFlops += flops[id]
 	}
 
-	// The CPU worker's throughput is a property of the whole matrix
-	// (the multicore implementation's cache behavior is set by B's
-	// global structure), so per-chunk durations are the matrix-level
-	// time prorated by flops — consistent with the paper's use of
-	// flops as the workload indicator for both devices.
-	var total int64
-	for _, f := range flops {
-		total += f
-	}
-	wholeSec := opts.Host.WholeSeconds(eng.RowAnalysis(a, b))
+	// The CPU worker is priced from the whole matrix's row analysis;
+	// Engine.HostChunk prorates it over the chunks it computes.
+	wholeSec := opts.Host.WholeSeconds(eng.RowAnalysis())
 
-	// cpuChunk runs one chunk on the real multi-core CPU engine and
-	// registers the result under a simulated span of the given label.
-	// The hash implementation is the one the paper takes from Nagasaka
-	// et al.; it runs on the shared work-stealing runtime and recycles
-	// its accumulators through the internal/accum pool, so successive
-	// chunks reuse the tables the previous chunk grew. Its own metrics
-	// stay off: the hybrid run publishes one combined counter set
-	// below, and the CPU share is already the timeline's "cpu" lane.
-	cpuChunk := func(p *sim.Proc, id int, label string) error {
-		nc := len(eng.ColPanels)
-		rp, cp := eng.RowPanels[id/nc], eng.ColPanels[id%nc]
-		c, err := cpuspgemm.Multiply(rp.M, cp.M, cpuspgemm.Options{
-			Threads: opts.Host.Threads,
-		})
-		if err != nil {
-			return err
-		}
-		sec := 0.0
-		if total > 0 {
-			sec = wholeSec * float64(flops[id]) / float64(total)
-		}
-		p.Span("cpu", fmt.Sprintf("%s %d", label, id), sim.Seconds(sec))
-		eng.PutCPUResult(id, c, flops[id])
-		return nil
-	}
-	pastDeadline := func() (float64, bool) {
-		now := sim.SecondsAt(env.Now())
-		return now, opts.Core.DeadlineSec > 0 && now > opts.Core.DeadlineSec
-	}
-
-	var cpuErr error
 	gpuDone := &sim.Signal{}
 	env.Spawn("gpu", func(p *sim.Proc) {
 		eng.ProcessChunks(p, gpuIDs)
@@ -274,14 +234,8 @@ func Run(a, b *csr.Matrix, cfg gpusim.DeviceConfig, opts Options) (*csr.Matrix, 
 	})
 	env.Spawn("cpu", func(p *sim.Proc) {
 		for _, id := range cpuIDs {
-			if now, late := pastDeadline(); late {
-				cpuErr = fmt.Errorf("hybrid: cpu worker: %w: simulated clock at %.6fs past %.6fs",
-					faults.ErrDeadline, now, opts.Core.DeadlineSec)
-				return
-			}
-			if err := cpuChunk(p, id, "chunk"); err != nil {
-				cpuErr = err
-				return
+			if eng.HostChunk(p, id, "chunk", wholeSec, opts.Host.Threads) != nil {
+				return // recorded on the engine
 			}
 		}
 		st.CPUSec = sim.SecondsAt(env.Now())
@@ -303,14 +257,8 @@ func Run(a, b *csr.Matrix, cfg gpusim.DeviceConfig, opts Options) (*csr.Matrix, 
 		}
 		sort.Ints(orphans)
 		for _, id := range orphans {
-			if now, late := pastDeadline(); late {
-				cpuErr = fmt.Errorf("hybrid: fallback: %w: simulated clock at %.6fs past %.6fs",
-					faults.ErrDeadline, now, opts.Core.DeadlineSec)
-				return
-			}
-			if err := cpuChunk(p, id, "fallback chunk"); err != nil {
-				cpuErr = err
-				return
+			if eng.HostChunk(p, id, "fallback chunk", wholeSec, opts.Host.Threads) != nil {
+				return // recorded on the engine
 			}
 			eng.ClearFailed(id)
 			st.FallbackChunks++
@@ -323,9 +271,6 @@ func Run(a, b *csr.Matrix, cfg gpusim.DeviceConfig, opts Options) (*csr.Matrix, 
 	if eng.Err() != nil {
 		return nil, Stats{}, eng.Err()
 	}
-	if cpuErr != nil {
-		return nil, Stats{}, cpuErr
-	}
 	if err := eng.FailedError(); err != nil {
 		return nil, Stats{}, err
 	}
@@ -334,15 +279,7 @@ func Run(a, b *csr.Matrix, cfg gpusim.DeviceConfig, opts Options) (*csr.Matrix, 
 		return nil, Stats{}, err
 	}
 	st.Stats = eng.StatsFor(env, c)
-	if m := opts.Metrics; m != nil {
-		m.ImportSim(env.Timeline)
-		for k, v := range st.Counters() {
-			m.Add(k, v)
-		}
-		for kind, n := range dev.Faults().Counts() {
-			m.Add("faults_injected_"+kind, n)
-		}
-	}
+	eng.PublishMetrics(env, st)
 	return c, st, nil
 }
 

@@ -25,7 +25,6 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/cpuspgemm"
 	"repro/internal/csr"
 	"repro/internal/faults"
 	"repro/internal/gpusim"
@@ -244,27 +243,26 @@ func Run(a, b *csr.Matrix, cfg gpusim.DeviceConfig, opts Options) (*csr.Matrix, 
 
 	env := sim.NewEnv()
 
-	// One engine per GPU, each with an independently seeded injector.
-	// The first engine also assembles the result.
+	// One engine per GPU, each with an independently seeded injector,
+	// all working on the first one's product. Each GPU records
+	// plan-cache panel residency under its own namespace; a shared one
+	// would let one device's residency masquerade as another's.
 	engines := make([]*core.Engine, opts.NumGPUs)
+	opts.Core.PlanDevice = "dev0"
+	var err error
 	for g := range engines {
 		dev := gpusim.NewDevice(env, cfg)
 		if opts.Core.Faults.Enabled() {
 			dev.SetFaults(faults.New(opts.Core.Faults.Derive(g)))
 		}
-		coreOpts := opts.Core
-		// Each GPU records plan-cache panel residency under its own
-		// namespace; a shared one would let one device's residency
-		// masquerade as another's.
-		coreOpts.PlanDevice = fmt.Sprintf("dev%d", g)
-		eng, err := core.NewEngine(dev, a, b, coreOpts)
-		if err != nil {
+		if g > 0 {
+			engines[g] = engines[0].OnDevice(dev, fmt.Sprintf("dev%d", g))
+		} else if engines[0], err = core.NewEngine(dev, a, b, opts.Core); err != nil {
 			return nil, Stats{}, err
 		}
-		engines[g] = eng
 		// Release each device's allocations and publish the leak-audit
 		// counter on every exit path, including deadline aborts.
-		defer eng.Teardown()
+		defer engines[g].Teardown()
 	}
 	flops := engines[0].ChunkFlops()
 	var totalFlops int64
@@ -307,7 +305,6 @@ func Run(a, b *csr.Matrix, cfg gpusim.DeviceConfig, opts Options) (*csr.Matrix, 
 		ctl.busy++
 	}
 
-	var cpuErr error
 	for g := range engines {
 		g := g
 		st.GPUChunks[g] = len(shares[g])
@@ -346,30 +343,16 @@ func Run(a, b *csr.Matrix, cfg gpusim.DeviceConfig, opts Options) (*csr.Matrix, 
 	}
 	if spawnCPU {
 		env.Spawn("cpu", func(p *sim.Proc) {
-			wholeSec := opts.Host.WholeSeconds(engines[0].RowAnalysis(a, b))
+			wholeSec := opts.Host.WholeSeconds(engines[0].RowAnalysis())
 			runIDs := func(ids []int, label string) error {
 				for _, id := range ids {
-					if d := opts.Core.DeadlineSec; d > 0 && sim.SecondsAt(env.Now()) > d {
-						return fmt.Errorf("multigpu: cpu worker: %w: simulated clock at %.6fs past %.6fs",
-							faults.ErrDeadline, sim.SecondsAt(env.Now()), d)
-					}
-					nc := len(engines[0].ColPanels)
-					rp, cp := engines[0].RowPanels[id/nc], engines[0].ColPanels[id%nc]
-					c, err := cpuspgemm.Multiply(rp.M, cp.M, cpuspgemm.Options{Threads: opts.Host.Threads})
-					if err != nil {
+					if err := engines[0].HostChunk(p, id, label, wholeSec, opts.Host.Threads); err != nil {
 						return err
 					}
-					sec := 0.0
-					if totalFlops > 0 {
-						sec = wholeSec * float64(flops[id]) / float64(totalFlops)
-					}
-					p.Span("cpu", fmt.Sprintf("%s %d", label, id), sim.Seconds(sec))
-					engines[0].PutCPUResult(id, c, flops[id])
 				}
 				return nil
 			}
-			if err := runIDs(cpuIDs, "chunk"); err != nil {
-				cpuErr = err
+			if runIDs(cpuIDs, "chunk") != nil { // recorded on the engine
 				ctl.busy--
 				ctl.wake(p)
 				return
@@ -391,8 +374,7 @@ func Run(a, b *csr.Matrix, cfg gpusim.DeviceConfig, opts Options) (*csr.Matrix, 
 				}
 				// Adopted chunks run on the real CPU engine — the exact
 				// product either way, only the schedule pays.
-				if err := runIDs(batch, "fallback chunk"); err != nil {
-					cpuErr = err
+				if runIDs(batch, "fallback chunk") != nil {
 					ctl.busy--
 					ctl.wake(p)
 					return
@@ -409,9 +391,6 @@ func Run(a, b *csr.Matrix, cfg gpusim.DeviceConfig, opts Options) (*csr.Matrix, 
 		if eng.Err() != nil {
 			return nil, Stats{}, eng.Err()
 		}
-	}
-	if cpuErr != nil {
-		return nil, Stats{}, cpuErr
 	}
 	st.Failovers = ctl.failovers
 	st.LostGPUs = opts.NumGPUs - ctl.aliveGPU
@@ -440,12 +419,6 @@ func Run(a, b *csr.Matrix, cfg gpusim.DeviceConfig, opts Options) (*csr.Matrix, 
 			len(ids), ids[0], ctl.stranded[ids[0]])
 	}
 
-	// Merge all results into engine 0 and assemble.
-	for g := 1; g < len(engines); g++ {
-		for id, res := range engines[g].Results {
-			engines[0].Results[id] = res
-		}
-	}
 	c, err := engines[0].Assemble()
 	if err != nil {
 		return nil, Stats{}, err

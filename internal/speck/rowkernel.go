@@ -3,6 +3,7 @@ package speck
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"repro/internal/accum"
 	"repro/internal/csr"
@@ -239,8 +240,16 @@ type SymbolicPass struct {
 	segs     *csr.Segments
 }
 
+var passesBuilt atomic.Int64
+
+// SymbolicPasses counts NewSymbolicPass calls, process-wide and monotonic
+// like accum.PoolCounters; tests diff it around a run to pin that a
+// plan-cache hit does no symbolic work.
+func SymbolicPasses() int64 { return passesBuilt.Load() }
+
 // NewSymbolicPass prepares the kernel from the row analysis of A·B.
 func NewSymbolicPass(a, b *csr.Matrix, rowFlops []int64) *SymbolicPass {
+	passesBuilt.Add(1)
 	p := &SymbolicPass{a: a, b: b, rowFlops: rowFlops, kinds: make([]Kind, len(rowFlops))}
 	var total int64
 	for _, f := range rowFlops {
@@ -324,27 +333,35 @@ func (p *SymbolicPass) AppendCols(kit *Kit, i int, cols []int32) []int32 {
 	return p.load(kit, i).FlushCols(cols)
 }
 
-// All runs the pass serially over every row and returns the exact
-// output row offsets, with the column ids when emit is set.
-func (p *SymbolicPass) All(emit bool) (offs []int64, cols []int32) {
+// Offsets runs the count walk serially over every row and returns the
+// exact output row offsets.
+func (p *SymbolicPass) Offsets() []int64 {
 	var kit Kit
 	defer kit.Release()
-	offs = make([]int64, len(p.rowFlops)+1)
-	if emit {
-		cols = make([]int32, 0, len(p.rowFlops))
-	}
+	offs := make([]int64, len(p.rowFlops)+1)
 	for i, f := range p.rowFlops {
 		offs[i+1] = offs[i]
-		switch {
-		case f == 0:
-		case emit:
-			cols = p.AppendCols(&kit, i, cols)
-			offs[i+1] = int64(len(cols))
-		default:
+		if f != 0 {
 			offs[i+1] += int64(p.Count(&kit, i))
 		}
 	}
-	return offs, cols
+	return offs
+}
+
+// Emit returns every row's column ids, ascending, row i's at
+// [offs[i], offs[i+1]), given the offsets a count walk of the same
+// operands produced: one allocation of the final size, where appending
+// doubled its way there at twice the cost of count and emit together.
+func (p *SymbolicPass) Emit(offs []int64) []int32 {
+	var kit Kit
+	defer kit.Release()
+	cols := make([]int32, offs[len(p.rowFlops)])
+	for i, f := range p.rowFlops {
+		if f != 0 {
+			p.AppendCols(&kit, i, cols[offs[i]:offs[i]:offs[i+1]])
+		}
+	}
+	return cols
 }
 
 // StructureError reports a row whose products touch a different number
@@ -359,19 +376,45 @@ func (e *StructureError) Error() string {
 	return fmt.Sprintf("row %d touches %d distinct columns, its symbolic structure holds %d", e.Row, e.Touched, e.Want)
 }
 
+// Window is where a row range's numeric results land, addressed so that
+// the product of an A row panel and a B column panel can be written in
+// place into the whole matrix it is a chunk of: row i's ids and values
+// are [Offs[i*Stride], Offs[i*Stride+1]) of Cols and Data, B's column 0
+// is the product's column ColBase, and Cols (whole-product ids) span
+// [0, Width). A product computed on its own is WholeWindow.
+type Window struct {
+	Offs    []int64
+	Stride  int
+	Cols    []int32
+	Data    []float64
+	ColBase int
+	Width   int
+}
+
+// WholeWindow addresses all of c.
+func WholeWindow(c *csr.Matrix) Window {
+	return Window{Offs: c.RowOffsets, Stride: 1, Cols: c.ColIDs, Data: c.Data, Width: c.Cols}
+}
+
+// RowNnz reports the size of row i's window.
+func (w Window) RowNnz(i int) int64 { return w.Offs[i*w.Stride+1] - w.Offs[i*w.Stride] }
+
 // NumericRows is the numeric row kernel: for each row i in [lo, hi) of
-// A·B, whose structure is cols[offs[i]:offs[i+1]], it scatters the
-// products into s (covering B's columns) in arrival order — generation
-// stamps assign on first touch, so a lone -0.0 product stays -0.0 — and
-// gathers data[offs[i]:offs[i+1]] through the column ids. A row whose
-// first-touch count is not its structure's size stops the range with a
-// *StructureError. It takes the product's three arrays, not the matrix:
-// the variant taking *csr.Matrix replayed short rows 20 % slower
-// (band_wide warm, 1.65 against 1.38 ns per product).
-func NumericRows(a, b *csr.Matrix, offs []int64, cols []int32, data []float64, s *accum.Scratch, lo, hi int) error {
-	vals, stamp := s.Vals, s.Stamp
+// A·B, whose structure is row i of w, it scatters the products into s
+// (covering w.Width columns, B's at w.ColBase) in arrival order —
+// generation stamps assign on first touch, so a lone -0.0 product stays
+// -0.0 — and gathers the row's values through its column ids. A row
+// whose first-touch count is not its structure's size stops the range
+// with a *StructureError.
+//
+// The window is read through the pointer once per row, after the
+// scatter, into locals for the gather loop — both measured: with its
+// slices live across the scatter (passed by value) the inner loop
+// reloads the stamp pointer per product (band_wide warm +6 %), and a
+// gather indexing through *csr.Matrix replayed short rows 20 % slower.
+func NumericRows(a, b *csr.Matrix, w *Window, s *accum.Scratch, lo, hi int) error {
+	vals, stamp := s.Vals[w.ColBase:], s.Stamp[w.ColBase:]
 	for i := lo; i < hi; i++ {
-		off, end := offs[i], offs[i+1]
 		gen := s.NextGen()
 		var touched int64
 		ac, av := a.Row(i)
@@ -389,12 +432,14 @@ func NumericRows(a, b *csr.Matrix, offs []int64, cols []int32, data []float64, s
 				}
 			}
 		}
+		at := i * w.Stride
+		off, end := w.Offs[at], w.Offs[at+1]
 		if touched != end-off {
 			return &StructureError{Row: i, Touched: touched, Want: end - off}
 		}
-		out := data[off:end]
-		for j, col := range cols[off:end] {
-			out[j] = vals[col]
+		out, cols, all := w.Data[off:end], w.Cols[off:end], s.Vals
+		for j, col := range cols {
+			out[j] = all[col]
 		}
 	}
 	return nil
@@ -420,7 +465,7 @@ func (r *RowAnalysis) Bytes() int64 { return int64(len(r.RowFlops)+len(r.RowOffs
 // Analyze runs the whole-matrix symbolic pass behind RowAnalysis.
 func Analyze(a, b *csr.Matrix) *RowAnalysis {
 	r := &RowAnalysis{RowFlops: csr.RowFlops(a, b)}
-	r.RowOffsets, _ = NewSymbolicPass(a, b, r.RowFlops).All(false)
+	r.RowOffsets = NewSymbolicPass(a, b, r.RowFlops).Offsets()
 	r.HashFlops, r.DenseFlops = SplitFlops(r.RowFlops, r.RowOffsets)
 	return r
 }

@@ -74,31 +74,12 @@ type Group struct {
 }
 
 // Result is the outcome of one chunk multiplication: the exact product
-// plus everything the out-of-core scheduler needs (sizes, groupings and
-// per-phase simulated durations).
+// plus everything the out-of-core scheduler needs — the Symbolic it was
+// computed against (sizes, groupings and per-phase simulated durations).
 type Result struct {
 	// C is the exact chunk product with panel-local column ids.
 	C *csr.Matrix
-	// RowFlops and UpperBounds are the row-analysis outputs.
-	RowFlops    []int64
-	UpperBounds []int64
-	// Groups is the host-side row grouping.
-	Groups []Group
-	// Flops is the total flop count; HashFlops and DenseFlops split it
-	// by accumulator kind (the split also drives the CPU cost model).
-	Flops, HashFlops, DenseFlops int64
-
-	// AnalysisSec, SymbolicSec and NumericSec are the simulated kernel
-	// durations for the three phases.
-	AnalysisSec, SymbolicSec, NumericSec float64
-
-	// RowInfoBytes is the size of the row-analysis output transferred
-	// to the host; NnzInfoBytes the symbolic output; OutputBytes the
-	// size of the chunk's CSR arrays (the dominant D2H transfer).
-	RowInfoBytes, NnzInfoBytes, OutputBytes int64
-	// WorkspaceBytes models the device workspace (hash tables and
-	// dense accumulators) the kernels need while processing the chunk.
-	WorkspaceBytes int64
+	*Symbolic
 }
 
 // denseCRThreshold: after the symbolic phase, a row is assigned to a

@@ -61,22 +61,34 @@ func SymbolicCompute(a, b *csr.Matrix, cm CostModel) (*Symbolic, error) {
 	if a.Cols != b.Rows {
 		return nil, fmt.Errorf("speck: dimension mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
 	}
-	sym := &Symbolic{
-		Rows:        a.Rows,
-		ACols:       a.Cols,
-		Cols:        b.Cols,
-		RowFlops:    csr.RowFlops(a, b),
-		UpperBounds: csr.RowUpperBounds(a, b),
-	}
-
 	// Symbolic phase: exact output structure, each row on the kernel its
 	// class picks. Every class flushes ascending — the order the numeric
 	// accumulators emit — so the structure recorded here is bit-for-bit
 	// the structure a cold multiply produces.
-	var offs []int64
-	offs, sym.ColIDs = NewSymbolicPass(a, b, sym.RowFlops).All(true)
-	finalizeSymbolic(sym, offs, b.Cols, cm)
+	rowFlops := csr.RowFlops(a, b)
+	pass := NewSymbolicPass(a, b, rowFlops)
+	sym := NewSymbolic(a, b, rowFlops, pass.Offsets(), cm)
+	sym.ColIDs = pass.Emit(sym.RowOffsets)
 	return sym, nil
+}
+
+// NewSymbolic derives a chunk's scheduling metadata — upper bounds, host
+// grouping, simulated durations, transfer and workspace sizes — from its
+// row flops and exact output row offsets, leaving ColIDs unset: the
+// out-of-core engine holds the whole product's column ids once.
+func NewSymbolic(a, b *csr.Matrix, rowFlops, rowOffsets []int64, cm CostModel) *Symbolic {
+	sym := &Symbolic{
+		Rows:        a.Rows,
+		ACols:       a.Cols,
+		Cols:        b.Cols,
+		RowFlops:    rowFlops,
+		UpperBounds: make([]int64, len(rowFlops)),
+	}
+	for i, f := range rowFlops {
+		sym.UpperBounds[i] = f / 2 // csr.RowUpperBounds without its walk
+	}
+	finalizeSymbolic(sym, rowOffsets, b.Cols, cm)
+	return sym
 }
 
 // finalizeSymbolic fills everything downstream of the structure scan —
@@ -167,29 +179,9 @@ func Numeric(sym *Symbolic, a, b *csr.Matrix) (*Result, error) {
 	}
 	s := accum.GetScratch(sym.Cols)
 	defer accum.PutScratch(s)
-	if err := NumericRows(a, b, c.RowOffsets, c.ColIDs, c.Data, s, 0, sym.Rows); err != nil {
+	w := WholeWindow(c)
+	if err := NumericRows(a, b, &w, s, 0, sym.Rows); err != nil {
 		return nil, fmt.Errorf("speck: numeric: %w", err)
 	}
-	return resultFrom(sym, c), nil
-}
-
-// resultFrom assembles the full Result a chunk consumer expects from a
-// symbolic plan and its computed product.
-func resultFrom(sym *Symbolic, c *csr.Matrix) *Result {
-	return &Result{
-		C:              c,
-		RowFlops:       sym.RowFlops,
-		UpperBounds:    sym.UpperBounds,
-		Groups:         sym.Groups,
-		Flops:          sym.Flops,
-		HashFlops:      sym.HashFlops,
-		DenseFlops:     sym.DenseFlops,
-		AnalysisSec:    sym.AnalysisSec,
-		SymbolicSec:    sym.SymbolicSec,
-		NumericSec:     sym.NumericSec,
-		RowInfoBytes:   sym.RowInfoBytes,
-		NnzInfoBytes:   sym.NnzInfoBytes,
-		OutputBytes:    sym.OutputBytes,
-		WorkspaceBytes: sym.WorkspaceBytes,
-	}
+	return &Result{C: c, Symbolic: sym}, nil
 }

@@ -51,11 +51,12 @@ func mustBitIdentical(t *testing.T, cold, warm *Matrix) {
 }
 
 // symbolicWallSpans counts the run's wall-clock spans that name a
-// symbolic pass (row analysis, symbolic phase, classification).
+// symbolic pass (row analysis, the product's structure emit, symbolic
+// phase, classification).
 func symbolicWallSpans(col *Collector) int {
 	n := 0
 	for _, s := range col.Spans() {
-		if s.Domain == metrics.Wall && (strings.Contains(s.Label, "analysis") ||
+		if s.Domain == metrics.Wall && (strings.Contains(s.Label, "analysis") || s.Label == "structure" ||
 			strings.Contains(s.Label, "symbolic") || strings.Contains(s.Label, "classify")) {
 			n++
 		}
@@ -66,9 +67,10 @@ func symbolicWallSpans(col *Collector) int {
 // TestPlanCacheEngines runs each cache-aware registry engine twice on
 // a fixed pattern with refreshed values: the second run must hit the
 // cache and stay byte-identical to an uncached run of the same inputs.
-// A cold device run pays exactly one whole-matrix symbolic pass (where
-// it plans the grid); a warm one pays none — the row analysis the
-// hybrid engines' host cost model needs comes back with the plan.
+// A cold device run pays exactly two whole-matrix symbolic passes — the
+// count where it plans the grid, the emit of C's structure before the
+// first chunk — however many chunks the grid has; a warm one pays none:
+// the row analysis and the structure come back with the plan.
 func TestPlanCacheEngines(t *testing.T) {
 	a := RMAT(9, 8, 0.57, 0.19, 0.19, 41)
 	for _, name := range []string{"cpu", "gpu", "gpu-sync", "hybrid", "multigpu"} {
@@ -83,8 +85,8 @@ func TestPlanCacheEngines(t *testing.T) {
 		if _, _, err := eng.Run(a, a, opts); err != nil {
 			t.Fatalf("%s cold: %v", name, err)
 		}
-		if n := symbolicWallSpans(opts.Metrics); DeviceBacked(name) && n != 1 {
-			t.Fatalf("%s cold: %d whole-matrix symbolic passes, want 1", name, n)
+		if n := symbolicWallSpans(opts.Metrics); DeviceBacked(name) && n != 2 {
+			t.Fatalf("%s cold: %d whole-matrix symbolic passes, want 2 (count, emit)", name, n)
 		}
 		opts.Metrics = NewCollector()
 		fresh := refreshValues(a, 42)
