@@ -130,9 +130,13 @@ func main() {
 		drain = srv.Drain
 	}
 
-	// Bodies are bounded per route (apiv1's readers); the header timeout
-	// bounds the one read that happens before any handler runs.
-	httpSrv := &http.Server{Handler: handler, ReadHeaderTimeout: 10 * time.Second}
+	// Bodies are bounded in bytes per route (apiv1's readers); the two
+	// timeouts bound them in time: the header read that happens before
+	// any handler runs, and the whole request, so a client trickling a
+	// body cannot hold a connection and its decode buffers open forever.
+	// Two minutes carries the largest body a matrix route accepts under
+	// the default store budget (2 GiB of JSON) at 18 MB/s.
+	httpSrv := &http.Server{Handler: handler, ReadHeaderTimeout: 10 * time.Second, ReadTimeout: 2 * time.Minute}
 	go func() {
 		if err := httpSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
 			log.Fatal("spgemm-serve: ", err)

@@ -106,6 +106,12 @@ type Options struct {
 	// setting: nil means "compute it where it is first needed", and a
 	// non-nil value must come from the same operand patterns.
 	Analysis *speck.RowAnalysis
+	// AID and BID are the operands' identity records when the caller
+	// has them (a matrix store that validated and hashed the operands
+	// once). Operand metadata like Analysis: a record of its operand
+	// supplies the plan-cache key in O(1), nil or a record of another
+	// matrix means "hash the operand here".
+	AID, BID *csr.Identity
 }
 
 func (o Options) withDefaults() Options {
@@ -287,8 +293,10 @@ func NewEngine(dev *gpusim.Device, a, b *csr.Matrix, opts Options) (*Engine, err
 	if pc != nil {
 		stopFP := opts.Metrics.StartWall("host", "fingerprint")
 		key = planKey{
-			fpA: csr.Fingerprint(a), fpB: csr.Fingerprint(b),
+			fpA:   csr.StructOf(a, opts.AID, opts.Metrics),
+			fpB:   csr.StructOf(b, opts.BID, opts.Metrics),
 			aRows: a.Rows, aCols: a.Cols, bCols: b.Cols,
+			aNnz: a.Nnz(), bNnz: b.Nnz(),
 			rowPanels: opts.RowPanels, colPanels: opts.ColPanels,
 			cm: cm,
 		}

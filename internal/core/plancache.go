@@ -33,12 +33,14 @@ type PlanCache struct {
 }
 
 // planKey identifies a cached plan: the structural fingerprints of
-// both operands, their dimensions (a fingerprint collision can then at
-// worst alias two same-shape patterns, never misindex), the chunk grid
-// and the device cost model (symbolic durations depend on it).
+// both operands, their dimensions and non-zero counts (a fingerprint
+// collision can then at worst alias two patterns of one shape and
+// size, never misindex), the chunk grid and the device cost model
+// (symbolic durations depend on it).
 type planKey struct {
 	fpA, fpB             uint64
 	aRows, aCols, bCols  int
+	aNnz, bNnz           int64
 	rowPanels, colPanels int
 	cm                   speck.CostModel
 }

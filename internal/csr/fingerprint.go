@@ -35,9 +35,12 @@ func fpMix(h, v uint64) uint64 {
 // The hash mixes one machine word at a time (column ids are packed in
 // pairs), making it cheap — one linear pass, no allocation — relative
 // to the symbolic work it lets callers skip. Collisions are improbable
-// enough for cache keying; the plan cache additionally stores the
-// dimensions so a collision can at worst alias two patterns of
-// identical shape, never cause an out-of-bounds plan.
+// by accident but constructible (fpMix is a bijection per word), so a
+// match is a lookup, never a proof: the plan caches additionally key on
+// the dimensions and non-zero counts, so a collision can at worst alias
+// two patterns of identical shape and size, never cause an
+// out-of-bounds plan, and the serving layer's matrix store compares
+// content before it lets two uploads share a handle or a pattern.
 func Fingerprint(m *Matrix) uint64 {
 	h := fpMix(fpOffset, uint64(m.Rows))
 	h = fpMix(h, uint64(m.Cols))

@@ -291,6 +291,13 @@ const (
 	CounterPlanCacheMisses    = "plan_cache_misses"
 	CounterPlanCacheEvictions = "plan_cache_evictions"
 
+	// CounterIdentityPasses counts the O(nnz) passes spent establishing
+	// what an operand is rather than multiplying it: one per structure
+	// hash, values hash, validation or flop scan. An operand that comes
+	// with its csr.Identity costs none; the serving layer aggregates the
+	// per-job counts like plan_cache_*.
+	CounterIdentityPasses = "identity_passes"
+
 	// Matrix-store counters, published by internal/serve's
 	// content-addressed store behind handle-based re-multiply.
 	CounterMatrixStoreHits      = "matrix_store_hits"
@@ -326,13 +333,13 @@ const (
 	// replica back — healthy heartbeats count neither; the
 	// spill_reupload pair counts batched failover re-uploads and the
 	// payload bytes they pipelined.
-	CounterClusterRemoteRefused       = "cluster_remote_conn_refused"
-	CounterClusterRemoteTimeouts      = "cluster_remote_timeouts"
-	CounterClusterRemoteResets        = "cluster_remote_resets"
-	CounterClusterJoins               = "cluster_join_total"
-	CounterClusterRejoins             = "cluster_rejoin_total"
-	CounterClusterSpillReuploadBatch  = "cluster_spill_reupload_batches"
-	CounterClusterSpillReuploadBytes  = "cluster_spill_reupload_bytes"
+	CounterClusterRemoteRefused      = "cluster_remote_conn_refused"
+	CounterClusterRemoteTimeouts     = "cluster_remote_timeouts"
+	CounterClusterRemoteResets       = "cluster_remote_resets"
+	CounterClusterJoins              = "cluster_join_total"
+	CounterClusterRejoins            = "cluster_rejoin_total"
+	CounterClusterSpillReuploadBatch = "cluster_spill_reupload_batches"
+	CounterClusterSpillReuploadBytes = "cluster_spill_reupload_bytes"
 )
 
 // Snapshot flattens the collector into sorted key/value pairs: every

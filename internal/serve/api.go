@@ -44,7 +44,7 @@ func (s *Server) Multiply(req apiv1.MultiplyRequest) (*apiv1.MultiplyResponse, e
 	res, err := s.Submit(Job{
 		Engine: req.Engine, A: a, B: b,
 		AHandle: req.AHandle, BHandle: bHandle,
-		Opts: opts,
+		Opts: opts, wantCID: req.StoreC,
 	})
 	if err != nil {
 		return nil, err
@@ -59,7 +59,7 @@ func (s *Server) Multiply(req apiv1.MultiplyRequest) (*apiv1.MultiplyResponse, e
 		resp.GFLOPS = res.Report.Throughput()
 	}
 	if req.StoreC {
-		if resp.CHandle, err = s.StoreMatrix(res.C); err != nil {
+		if resp.CHandle, err = s.store.put(res.C, res.CID); err != nil {
 			return nil, err
 		}
 	}
@@ -75,11 +75,12 @@ func (s *Server) StoreFromRequest(req apiv1.MatrixRequest) (*apiv1.MatrixRespons
 	var err error
 	switch {
 	case req.Data != nil:
-		// Raw upload: the cluster's spill re-homing path. Validated
-		// before storing; the handle is content-addressed, so an upload
-		// of bytes the server already holds is a no-op dedup.
+		// Raw upload: the cluster's spill re-homing path. Validated once,
+		// by the store, where its identity is minted; the handle is
+		// content-addressed, so an upload of bytes the server already
+		// holds is a no-op dedup.
 		var m *spgemm.Matrix
-		if m, err = req.Data.Matrix(); err == nil {
+		if m, err = req.Data.Unchecked(); err == nil {
 			handle, err = s.StoreMatrix(m)
 		}
 		if err != nil {
@@ -100,10 +101,10 @@ func (s *Server) StoreFromRequest(req apiv1.MatrixRequest) (*apiv1.MatrixRespons
 	default:
 		return nil, fmt.Errorf("serve: matrix request needs data, spec or handle")
 	}
-	m, structFP, _ := s.store.getFP(handle)
+	m, id, _ := s.store.get(handle)
 	return &apiv1.MatrixResponse{
 		Handle: handle, Rows: m.Rows, Cols: m.Cols, Nnz: m.Nnz(), Bytes: m.Bytes(),
-		StructureFP: fmt.Sprintf("%016x", structFP),
+		StructureFP: fmt.Sprintf("%016x", id.Fingerprint()),
 	}, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/csr"
 	"repro/internal/metrics"
 	"repro/spgemm"
 	apiv1 "repro/spgemm/api/v1"
@@ -90,8 +91,9 @@ func (s *Server) SubmitBatch(req *apiv1.BatchRequest) (*apiv1.BatchResponse, err
 		s: s, req: req, nodes: nodes,
 		results: make([]apiv1.NodeResult, len(nodes)),
 		outputs: make([]*spgemm.Matrix, len(nodes)),
+		outIDs:  make([]*csr.Identity, len(nodes)),
 		ready:   make(chan int, len(nodes)),
-		groups:  map[planGroupKey]chan struct{}{},
+		groups:  map[spgemm.PlanKey]chan struct{}{},
 	}
 	start := time.Now()
 	run.execute()
@@ -104,8 +106,10 @@ func (s *Server) SubmitBatch(req *apiv1.BatchRequest) (*apiv1.BatchResponse, err
 type bnode struct {
 	node apiv1.BatchNode
 	// a and b are concrete operands (handle or spec); nil when the
-	// operand is an upstream node's output.
-	a, b *spgemm.Matrix
+	// operand is an upstream node's output. aID and bID are the identity
+	// records of handle operands.
+	a, b     *spgemm.Matrix
+	aID, bID *csr.Identity
 	// aFrom/bFrom index the upstream node an operand comes from (-1 for
 	// concrete operands).
 	aFrom, bFrom int
@@ -113,6 +117,9 @@ type bnode struct {
 	// unresolved ones during execution.
 	deps    []int
 	pending int
+	// consumed marks a node whose output another node reads: its
+	// product's identity is worth asking the plan for.
+	consumed bool
 	// outRows/outCols is the statically known output shape; estFlops
 	// the admission estimate (0 when unknowable because an input
 	// already failed validation).
@@ -164,7 +171,7 @@ func (s *Server) planBatch(req *apiv1.BatchRequest) ([]*bnode, []string, int64, 
 	for i, n := range req.Nodes {
 		bn := &bnode{node: n, aFrom: -1, bFrom: -1}
 		var err error
-		if bn.a, bn.aFrom, err = s.resolveOperand(n.A, n.ID, "a", index, bn, &pinned); err != nil {
+		if bn.a, bn.aID, bn.aFrom, err = s.resolveOperand(n.A, n.ID, "a", index, bn, &pinned); err != nil {
 			return fail(err)
 		}
 		b := n.B
@@ -172,7 +179,7 @@ func (s *Server) planBatch(req *apiv1.BatchRequest) ([]*bnode, []string, int64, 
 			// B defaults to the same operand as A (the A·A convention).
 			b = &n.A
 		}
-		if bn.b, bn.bFrom, err = s.resolveOperand(*b, n.ID, "b", index, bn, &pinned); err != nil {
+		if bn.b, bn.bID, bn.bFrom, err = s.resolveOperand(*b, n.ID, "b", index, bn, &pinned); err != nil {
 			return fail(err)
 		}
 		seen := map[int]bool{}
@@ -188,6 +195,11 @@ func (s *Server) planBatch(req *apiv1.BatchRequest) ([]*bnode, []string, int64, 
 	order, err := topoOrder(nodes)
 	if err != nil {
 		return fail(err)
+	}
+	for _, bn := range nodes {
+		for _, d := range bn.deps {
+			nodes[d].consumed = true
+		}
 	}
 
 	// Shape propagation in topological order: every output shape is
@@ -228,11 +240,12 @@ func (s *Server) planBatch(req *apiv1.BatchRequest) ([]*bnode, []string, int64, 
 }
 
 // resolveOperand checks the exactly-one-field rule, resolves node
-// references against the id index, and materializes concrete operands.
+// references against the id index, and materializes concrete operands
+// (a handle's with the identity record the store minted for it).
 // Handle misses and spec errors are per-node failures recorded on bn;
 // structural problems (no field, two fields, unknown node id) reject
 // the whole batch.
-func (s *Server) resolveOperand(op apiv1.Operand, nodeID, side string, index map[string]int, bn *bnode, pinned *[]string) (*spgemm.Matrix, int, error) {
+func (s *Server) resolveOperand(op apiv1.Operand, nodeID, side string, index map[string]int, bn *bnode, pinned *[]string) (*spgemm.Matrix, *csr.Identity, int, error) {
 	set := 0
 	if op.Handle != "" {
 		set++
@@ -244,7 +257,7 @@ func (s *Server) resolveOperand(op apiv1.Operand, nodeID, side string, index map
 		set++
 	}
 	if set != 1 {
-		return nil, -1, &BatchError{
+		return nil, nil, -1, &BatchError{
 			Code: apiv1.CodeInvalidDAG, Node: nodeID,
 			Reason: fmt.Sprintf("operand %s must set exactly one of handle, node, spec (got %d)", side, set),
 		}
@@ -253,29 +266,29 @@ func (s *Server) resolveOperand(op apiv1.Operand, nodeID, side string, index map
 	case op.Node != "":
 		from, ok := index[op.Node]
 		if !ok {
-			return nil, -1, &BatchError{
+			return nil, nil, -1, &BatchError{
 				Code: apiv1.CodeInvalidDAG, Node: nodeID,
 				Reason: fmt.Sprintf("operand %s references unknown node %q", side, op.Node),
 			}
 		}
-		return nil, from, nil
+		return nil, nil, from, nil
 	case op.Handle != "":
 		// Resolve-and-pin in one store critical section: from here until
 		// the batch finishes, eviction pressure cannot drop this handle.
-		m, ok := s.store.getPin(op.Handle)
+		m, id, ok := s.store.getPin(op.Handle)
 		if !ok {
 			bn.fail(apiv1.CodeUnknownHandle, (&UnknownHandleError{Handle: op.Handle}).Error())
-			return nil, -1, nil
+			return nil, nil, -1, nil
 		}
 		*pinned = append(*pinned, op.Handle)
-		return m, -1, nil
+		return m, id, -1, nil
 	default:
 		m, err := op.Spec.Build()
 		if err != nil {
 			bn.fail(apiv1.CodeBadRequest, err.Error())
-			return nil, -1, nil
+			return nil, nil, -1, nil
 		}
-		return m, -1, nil
+		return m, nil, -1, nil
 	}
 }
 
@@ -338,15 +351,6 @@ func topoOrder(nodes []*bnode) ([]int, error) {
 	return order, nil
 }
 
-// planGroupKey identifies a plan-sharing group: nodes whose operands
-// share both structural fingerprints and dimensions hit the same plan
-// cache entry, so exactly one of them needs to run the cold symbolic
-// phase.
-type planGroupKey struct {
-	fpA, fpB          uint64
-	rows, aCols, cols int
-}
-
 // batchRun is the execution state of one admitted batch.
 type batchRun struct {
 	s     *Server
@@ -356,8 +360,9 @@ type batchRun struct {
 	mu       sync.Mutex
 	results  []apiv1.NodeResult
 	outputs  []*spgemm.Matrix
+	outIDs   []*csr.Identity // outputs' identity records, where known
 	resolved int
-	groups   map[planGroupKey]chan struct{}
+	groups   map[spgemm.PlanKey]chan struct{}
 
 	ready chan int
 }
@@ -381,8 +386,8 @@ func (r *batchRun) execute() {
 		go func() {
 			defer wg.Done()
 			for i := range r.ready {
-				res, out := r.runNode(i)
-				r.resolve(i, res, out)
+				res, out, id := r.runNode(i)
+				r.resolve(i, res, out, id)
 			}
 		}()
 	}
@@ -391,11 +396,11 @@ func (r *batchRun) execute() {
 
 // resolve publishes a node's result and releases its dependents; the
 // last resolution closes the ready channel and ends the pool.
-func (r *batchRun) resolve(i int, res apiv1.NodeResult, out *spgemm.Matrix) {
+func (r *batchRun) resolve(i int, res apiv1.NodeResult, out *spgemm.Matrix, id *csr.Identity) {
 	var unblocked []int
 	r.mu.Lock()
 	r.results[i] = res
-	r.outputs[i] = out
+	r.outputs[i], r.outIDs[i] = out, id
 	r.resolved++
 	for j, bn := range r.nodes {
 		for _, d := range bn.deps {
@@ -419,15 +424,19 @@ func (r *batchRun) resolve(i int, res apiv1.NodeResult, out *spgemm.Matrix) {
 
 // runNode executes one ready node: skip on failed upstream, route
 // through the breaker, serialize the cold symbolic phase within its
-// plan group, run with full per-job isolation, optionally persist.
-func (r *batchRun) runNode(i int) (apiv1.NodeResult, *spgemm.Matrix) {
+// plan group, run with full per-job isolation, optionally persist. A
+// node's output carries its identity record (the plan's, when the
+// product came from a cached plan) to its consumers and into the
+// store, so a chain over one pattern validates and hashes nothing past
+// its first cold product.
+func (r *batchRun) runNode(i int) (apiv1.NodeResult, *spgemm.Matrix, *csr.Identity) {
 	s := r.s
 	bn := r.nodes[i]
 	res := apiv1.NodeResult{ID: bn.node.ID}
 	if bn.failed != nil {
 		res.Status = apiv1.StatusFailed
 		res.Error = bn.failed
-		return res, nil
+		return res, nil, nil
 	}
 	// A failed or skipped dependency skips this node before any work.
 	r.mu.Lock()
@@ -440,15 +449,15 @@ func (r *batchRun) runNode(i int) (apiv1.NodeResult, *spgemm.Matrix) {
 				Code:  apiv1.CodeUpstreamFailed,
 				Error: fmt.Sprintf("serve: upstream node %q did not complete", dep),
 			}
-			return res, nil
+			return res, nil, nil
 		}
 	}
-	a, b := bn.a, bn.b
+	a, aID, b, bID := bn.a, bn.aID, bn.b, bn.bID
 	if a == nil {
-		a = r.outputs[bn.aFrom]
+		a, aID = r.outputs[bn.aFrom], r.outIDs[bn.aFrom]
 	}
 	if b == nil {
-		b = r.outputs[bn.bFrom]
+		b, bID = r.outputs[bn.bFrom], r.outIDs[bn.bFrom]
 	}
 	r.mu.Unlock()
 
@@ -466,6 +475,7 @@ func (r *batchRun) runNode(i int) (apiv1.NodeResult, *spgemm.Matrix) {
 	}})
 	col := metrics.New()
 	opts.Metrics = col
+	opts.AID, opts.BID = aID, bID
 
 	// Breaker routing, exactly as single-job admission does it.
 	s.mu.Lock()
@@ -490,7 +500,7 @@ func (r *batchRun) runNode(i int) (apiv1.NodeResult, *spgemm.Matrix) {
 	if err != nil {
 		res.Status = apiv1.StatusFailed
 		res.Error = &apiv1.ErrorResponse{Code: ErrorCode(err), Error: err.Error()}
-		return res, nil
+		return res, nil, nil
 	}
 
 	if release := r.acquireGroup(a, b, opts); release != nil {
@@ -501,7 +511,7 @@ func (r *batchRun) runNode(i int) (apiv1.NodeResult, *spgemm.Matrix) {
 		a: a, b: b,
 		requested: requested, engine: engine,
 		degraded: degraded, probe: probe,
-		cost: cost, opts: opts, col: col,
+		cost: cost, opts: opts, col: col, wantCID: bn.consumed || bn.node.Store,
 		done: make(chan *Result, 1),
 	}
 	out := s.run(t)
@@ -513,7 +523,7 @@ func (r *batchRun) runNode(i int) (apiv1.NodeResult, *spgemm.Matrix) {
 	if out.Err != nil {
 		res.Status = apiv1.StatusFailed
 		res.Error = &apiv1.ErrorResponse{Code: ErrorCode(out.Err), Error: out.Err.Error()}
-		return res, nil
+		return res, nil, nil
 	}
 	res.Status = apiv1.StatusOK
 	res.Rows, res.Cols, res.NnzC = out.C.Rows, out.C.Cols, out.C.Nnz()
@@ -523,19 +533,19 @@ func (r *batchRun) runNode(i int) (apiv1.NodeResult, *spgemm.Matrix) {
 	}
 	res.PlanCacheHit = out.Snapshot[metrics.CounterPlanCacheHits] > 0
 	if bn.node.Store {
-		handle, err := s.StoreMatrix(out.C)
+		handle, err := s.store.put(out.C, out.CID)
 		if err != nil {
 			res.Status = apiv1.StatusFailed
 			res.Error = &apiv1.ErrorResponse{Code: ErrorCode(err), Error: err.Error()}
-			return res, nil
+			return res, nil, nil
 		}
 		res.Handle = handle
 	}
-	return res, out.C
+	return res, out.C, out.CID
 }
 
 // acquireGroup serializes the cold symbolic phase within a plan group:
-// the first node of a group (by operand fingerprints and dimensions)
+// the first node of a group (nodes under one spgemm.PlanKey)
 // runs alone and the rest wait for its plan, so an N-node group pays
 // one cold symbolic phase and N-1 numeric-only replays. Groups whose
 // pattern is already warm in the shared cache — and nodes not using it
@@ -548,11 +558,8 @@ func (r *batchRun) acquireGroup(a, b *spgemm.Matrix, opts *spgemm.RunOptions) fu
 	if plans == nil || opts.PlanCache != plans {
 		return nil
 	}
-	key := planGroupKey{
-		fpA: spgemm.Fingerprint(a), fpB: spgemm.Fingerprint(b),
-		rows: a.Rows, aCols: a.Cols, cols: b.Cols,
-	}
-	if plans.HasPlanKey(key.fpA, key.fpB, key.rows, key.aCols, key.cols) {
+	key := opts.PlanKey(a, b)
+	if plans.HasPlan(key) {
 		return nil
 	}
 	r.mu.Lock()

@@ -83,6 +83,28 @@ func (e *UnknownHandleError) Error() string {
 	return fmt.Sprintf("serve: unknown matrix handle %q (re-upload via /v1/matrices)", e.Handle)
 }
 
+// CollisionError refuses an upload whose 64-bit fingerprints match a
+// resident matrix or sparsity pattern it is not bit-for-bit equal to.
+// Content addresses are lookups, not proofs: aliasing the upload to the
+// resident handle (or letting it share the pattern's cached plans)
+// would hand later jobs the wrong matrix, so it is stored nowhere.
+type CollisionError struct {
+	// Handle is the content address the upload hashes to.
+	Handle string
+	// Structure is true when the sparsity patterns differ under one
+	// structural fingerprint, false when the patterns are equal and
+	// the values differ under one values fingerprint.
+	Structure bool
+}
+
+func (e *CollisionError) Error() string {
+	what := "values"
+	if e.Structure {
+		what = "sparsity pattern"
+	}
+	return fmt.Sprintf("serve: matrix hashes to %s but its %s differs from the resident copy (fingerprint collision); not stored", e.Handle, what)
+}
+
 // BatchError rejects a whole /v1/batch request before admission: the
 // DAG cannot be scheduled (invalid graph or an operand shape
 // mismatch). Code is the apiv1 envelope code; the HTTP layer maps any

@@ -49,6 +49,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/csr"
 	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/spgemm"
@@ -104,6 +105,9 @@ type Job struct {
 	// admission.
 	AHandle, BHandle string
 	Opts             *spgemm.RunOptions
+	// wantCID asks for the product's identity record in Result.CID (a
+	// caller about to store the product).
+	wantCID bool
 }
 
 // Result is a finished (or abandoned) job. Err is also returned by
@@ -122,6 +126,9 @@ type Result struct {
 	Cost      spgemm.Cost
 	Snapshot  map[string]int64
 	Err       error
+	// CID is C's identity record when the job asked for it and the
+	// product came from a cached CPU plan; nil otherwise.
+	CID *csr.Identity
 }
 
 // task is a Job after admission: routed, costed, instrumented.
@@ -134,6 +141,7 @@ type task struct {
 	cost      spgemm.Cost
 	opts      *spgemm.RunOptions
 	col       *metrics.Collector
+	wantCID   bool
 	done      chan *Result
 }
 
@@ -208,23 +216,27 @@ func (s *Server) Submit(job Job) (*Result, error) {
 	return res, res.Err
 }
 
-// admit performs the whole admission decision under one critical
-// section, so a concurrent Drain cannot close the queue between the
-// draining check and the enqueue.
+// admit resolves, routes, sizes and enqueues one job. The cost estimate
+// (an O(nnz) flop scan and, for a device engine, the grid planner on a
+// plan miss) runs outside the server mutex; the draining re-check, the
+// budget check and the enqueue that follow it are one critical section,
+// so a concurrent Drain cannot close the queue between the draining
+// check and the enqueue. Operands resolved from the store come with
+// their identity records, with which the estimate and the run validate,
+// hash and scan nothing.
 func (s *Server) admit(job Job) (*task, error) {
+	opts := s.jobOptions(job)
 	if job.AHandle != "" {
-		m, ok := s.store.get(job.AHandle)
-		if !ok {
+		var ok bool
+		if job.A, opts.AID, ok = s.store.get(job.AHandle); !ok {
 			return nil, &UnknownHandleError{Handle: job.AHandle}
 		}
-		job.A = m
 	}
 	if job.BHandle != "" {
-		m, ok := s.store.get(job.BHandle)
-		if !ok {
+		var ok bool
+		if job.B, opts.BID, ok = s.store.get(job.BHandle); !ok {
 			return nil, &UnknownHandleError{Handle: job.BHandle}
 		}
-		job.B = m
 	}
 	if job.A == nil || job.B == nil {
 		return nil, fmt.Errorf("serve: nil input matrix")
@@ -233,31 +245,40 @@ func (s *Server) admit(job Job) (*task, error) {
 	if requested == "" {
 		requested = s.cfg.FallbackEngine
 	}
-	opts := s.jobOptions(job)
 	col := opts.Metrics
 	if col == nil {
 		col = metrics.New()
 		opts.Metrics = col
 	}
 
+	// Route under the lock, estimate outside it, and come back: the loop
+	// ends holding the lock, not draining, with an estimate made for the
+	// route that holds now. The breaker can only have moved in between if
+	// another admit took the half-open probe; the estimate then sized the
+	// wrong engine and is made again.
+	var engine string
+	var degraded, probe bool
+	var cost spgemm.Cost
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
-		s.metrics.Add(metrics.CounterServeRejectedDraining, 1)
-		return nil, &DrainingError{}
-	}
-	engine, degraded, probe := requested, false, false
-	if br := s.breakerFor(requested); br != nil {
-		fallback, p := br.route()
-		if fallback {
-			engine, degraded = s.cfg.FallbackEngine, true
+	for {
+		if s.draining {
+			s.metrics.Add(metrics.CounterServeRejectedDraining, 1)
+			s.mu.Unlock()
+			return nil, &DrainingError{}
 		}
-		probe = p
+		e, d, p := s.routeLocked(requested)
+		if e == engine && d == degraded && p == probe {
+			break
+		}
+		engine, degraded, probe = e, d, p
+		s.mu.Unlock()
+		var err error
+		if cost, err = spgemm.EstimateCost(engine, job.A, job.B, opts); err != nil {
+			return nil, err
+		}
+		s.mu.Lock()
 	}
-	cost, err := spgemm.EstimateCost(engine, job.A, job.B, opts)
-	if err != nil {
-		return nil, err
-	}
+	defer s.mu.Unlock()
 	if lim := s.cfg.MaxInflightFlops; lim > 0 && s.inflight > 0 && s.inflightFlops+cost.Flops > lim {
 		s.metrics.Add(metrics.CounterServeRejectedOverload, 1)
 		return nil, &OverloadError{
@@ -271,7 +292,7 @@ func (s *Server) admit(job Job) (*task, error) {
 		a: job.A, b: job.B,
 		requested: requested, engine: engine,
 		degraded: degraded, probe: probe,
-		cost: cost, opts: opts, col: col,
+		cost: cost, opts: opts, col: col, wantCID: job.wantCID,
 		done: make(chan *Result, 1),
 	}
 	select {
@@ -293,6 +314,21 @@ func (s *Server) admit(job Job) (*task, error) {
 		br.committed(degraded, probe)
 	}
 	return t, nil
+}
+
+// routeLocked asks the requested engine's breaker where the next job
+// goes: the engine itself (possibly as the half-open probe) or the
+// fallback. It changes no state; committed does, once the job is in.
+func (s *Server) routeLocked(requested string) (engine string, degraded, probe bool) {
+	engine = requested
+	if br := s.breakerFor(requested); br != nil {
+		fallback, p := br.route()
+		if fallback {
+			engine, degraded = s.cfg.FallbackEngine, true
+		}
+		probe = p
+	}
+	return engine, degraded, probe
 }
 
 // jobOptions merges a job's options over the server base: nil inherits
@@ -389,6 +425,9 @@ func (s *Server) run(t *task) *Result {
 			}
 		}()
 		res.C, res.Report, res.Err = eng.Run(t.a, t.b, t.opts)
+		if res.Err == nil && t.wantCID {
+			res.CID = t.opts.PlanCache.ProductIdentity(t.a, t.b, res.C, *t.opts)
+		}
 	}()
 	res.Snapshot = t.col.Snapshot()
 	return res
@@ -406,7 +445,7 @@ func (s *Server) finish(t *task, res *Result) {
 }
 
 // settleLocked publishes a finished task's outcome counters,
-// aggregates its recovery/plan-cache/symbolic counters, and feeds its
+// aggregates its recovery/plan-cache/identity counters, and feeds its
 // recovery signal to the engine's breaker. It does NOT touch the
 // admission accounting — finish does that per job; the batch executor
 // accounts a whole DAG as one unit and settles each node through here.
@@ -423,7 +462,7 @@ func (s *Server) settleLocked(t *task, res *Result) {
 		s.metrics.Add(metrics.CounterServeFailed, 1)
 	}
 	for k, v := range res.Snapshot {
-		if strings.HasPrefix(k, "recovery_") || strings.HasPrefix(k, "plan_cache_") {
+		if strings.HasPrefix(k, "recovery_") || strings.HasPrefix(k, "plan_cache_") || k == metrics.CounterIdentityPasses {
 			s.metrics.Add(k, v)
 		}
 	}
@@ -496,10 +535,13 @@ func (s *Server) Snapshot() map[string]int64 {
 
 // StoreMatrix uploads a matrix into the content-addressed store and
 // returns its handle. Identical content is idempotent.
-func (s *Server) StoreMatrix(m *spgemm.Matrix) (string, error) { return s.store.put(m) }
+func (s *Server) StoreMatrix(m *spgemm.Matrix) (string, error) { return s.store.put(m, nil) }
 
 // Matrix resolves a stored handle.
-func (s *Server) Matrix(handle string) (*spgemm.Matrix, bool) { return s.store.get(handle) }
+func (s *Server) Matrix(handle string) (*spgemm.Matrix, bool) {
+	m, _, ok := s.store.get(handle)
+	return m, ok
+}
 
 // RevalueMatrix stores a fresh-valued copy of a stored pattern (same
 // structure, deterministic new values from seed) and returns the new

@@ -1,9 +1,13 @@
 package serve
 
 import (
+	"container/list"
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 
+	"repro/internal/csr"
 	"repro/internal/metrics"
 	"repro/spgemm"
 )
@@ -17,7 +21,14 @@ import (
 // plus the values fingerprint — so re-uploading identical content is
 // idempotent, and a values-only refresh yields a new handle that
 // still shares the structural fingerprint (and therefore the cached
-// plan) of its pattern.
+// plan) of its pattern. A 64-bit match is a lookup, never an identity:
+// put compares an upload bit for bit with the resident matrix or
+// pattern it matched and refuses one that differs (CollisionError).
+//
+// put is also where a matrix's identity is minted (csr.Identify: the
+// one validation and the one structure hash of its life in the store);
+// every resident matrix of a pattern shares the pattern's structure
+// arrays and its record, which jobs carry to the engines.
 //
 // The store is LRU-bounded by matrix bytes. When the last stored
 // matrix carrying a given sparsity pattern leaves the store (eviction
@@ -25,21 +36,34 @@ import (
 // invalidated with it: a plan without any resident operand can never
 // get a warm hit again, it is pure dead weight.
 type matrixStore struct {
-	mu      sync.Mutex
-	max     int64
-	bytes   int64
-	entries map[string]*storeEntry
-	order   []string // LRU: oldest first
-	col     *metrics.Collector
-	pc      *spgemm.PlanCache
+	mu       sync.Mutex
+	max      int64
+	bytes    int64
+	entries  map[string]*storeEntry
+	patterns map[uint64]*pattern
+	order    list.List // of *storeEntry, LRU: oldest first
+	col      *metrics.Collector
+	pc       *spgemm.PlanCache
 
 	hits, misses, evictions int64
 }
 
+// pattern is one resident sparsity pattern: the identity minted for the
+// first matrix stored with it, that matrix's structure arrays (every
+// later one is compared with them once and then shares them) and the
+// count of resident matrices carrying it.
+type pattern struct {
+	id        *csr.Identity
+	structure *spgemm.Matrix // no Data
+	n         int
+}
+
 type storeEntry struct {
-	m        *spgemm.Matrix
-	structFP uint64
-	bytes    int64
+	handle string
+	m      *spgemm.Matrix
+	pat    *pattern
+	bytes  int64
+	elem   *list.Element
 	// pins counts admitted-but-unfinished jobs and batch nodes holding
 	// this handle; LRU eviction never drops a pinned entry, so a
 	// running batch cannot lose a handle (or its pattern's cached
@@ -55,7 +79,10 @@ func newMatrixStore(maxBytes int64, col *metrics.Collector, pc *spgemm.PlanCache
 	if maxBytes <= 0 {
 		maxBytes = DefaultMatrixStoreBytes
 	}
-	return &matrixStore{max: maxBytes, entries: map[string]*storeEntry{}, col: col, pc: pc}
+	return &matrixStore{
+		max: maxBytes, entries: map[string]*storeEntry{}, patterns: map[uint64]*pattern{},
+		col: col, pc: pc,
+	}
 }
 
 // handleFor derives the content address.
@@ -64,18 +91,40 @@ func handleFor(structFP, valuesFP uint64) string {
 }
 
 // put stores a matrix and returns its handle. Identical content
-// returns the existing handle without a second copy.
-func (s *matrixStore) put(m *spgemm.Matrix) (string, error) {
-	if err := m.Validate(); err != nil {
-		return "", fmt.Errorf("serve: matrix rejected by store: %w", err)
+// returns the existing handle without a second copy. id is m's
+// identity record when the caller has one (a product of a cached plan):
+// m is then neither validated nor structurally hashed again, only its
+// values are hashed.
+func (s *matrixStore) put(m *spgemm.Matrix, id *csr.Identity) (string, error) {
+	if !id.Of(m) {
+		s.col.Add(metrics.CounterIdentityPasses, 2)
+		var err error
+		if id, err = csr.Identify(m); err != nil {
+			return "", fmt.Errorf("serve: matrix rejected by store: %w", err)
+		}
 	}
-	structFP := spgemm.Fingerprint(m)
-	h := handleFor(structFP, spgemm.FingerprintValues(m))
+	s.col.Add(metrics.CounterIdentityPasses, 1)
+	fp := id.Fingerprint()
+	h := handleFor(fp, spgemm.FingerprintValues(m))
 	bytes := m.Bytes()
+
+	// Whatever the fingerprints matched is compared with m outside the
+	// lock (resident arrays are immutable); the loop ends once the store
+	// still holds exactly what was compared.
+	var pat *pattern
+	var ent *storeEntry
 	s.mu.Lock()
+	for s.patterns[fp] != pat || s.entries[h] != ent {
+		pat, ent = s.patterns[fp], s.entries[h]
+		s.mu.Unlock()
+		if err := collision(h, m, pat, ent); err != nil {
+			return "", err
+		}
+		s.mu.Lock()
+	}
 	defer s.mu.Unlock()
-	if s.entries[h] != nil {
-		s.touchLocked(h)
+	if ent != nil {
+		s.order.MoveToBack(ent.elem)
 		return h, nil
 	}
 	if bytes > s.max {
@@ -86,52 +135,83 @@ func (s *matrixStore) put(m *spgemm.Matrix) (string, error) {
 			return "", fmt.Errorf("serve: matrix store full (%d of %d bytes)", s.bytes, s.max)
 		}
 	}
-	s.entries[h] = &storeEntry{m: m, structFP: structFP, bytes: bytes}
-	s.order = append(s.order, h)
+	if pat = s.patterns[fp]; pat == nil { // eviction may have retired it
+		pat = &pattern{id: id, structure: &spgemm.Matrix{
+			Rows: m.Rows, Cols: m.Cols, RowOffsets: m.RowOffsets, ColIDs: m.ColIDs,
+		}}
+		s.patterns[fp] = pat
+	} else if !pat.id.Of(m) {
+		m = &spgemm.Matrix{
+			Rows: m.Rows, Cols: m.Cols,
+			RowOffsets: pat.structure.RowOffsets, ColIDs: pat.structure.ColIDs, Data: m.Data,
+		}
+	}
+	pat.n++
+	ent = &storeEntry{handle: h, m: m, pat: pat, bytes: bytes}
+	ent.elem = s.order.PushBack(ent)
+	s.entries[h] = ent
 	s.bytes += bytes
 	return h, nil
 }
 
-// get resolves a handle, counting hits and misses.
-func (s *matrixStore) get(handle string) (*spgemm.Matrix, bool) {
-	m, _, ok := s.getFP(handle)
-	return m, ok
+// collision compares an upload with the resident pattern and entry its
+// fingerprints matched (either may be nil) and reports a mismatch.
+// Arrays the upload shares with the resident copy compare in O(1).
+func collision(h string, m *spgemm.Matrix, pat *pattern, ent *storeEntry) error {
+	if pat != nil && !pat.id.Of(m) &&
+		!(slices.Equal(pat.structure.RowOffsets, m.RowOffsets) && slices.Equal(pat.structure.ColIDs, m.ColIDs)) {
+		return &CollisionError{Handle: h, Structure: true}
+	}
+	if ent != nil && !sameBits(ent.m.Data, m.Data) {
+		return &CollisionError{Handle: h}
+	}
+	return nil
 }
 
-// getFP is get plus the structural fingerprint put computed for the
-// entry, so describing a stored matrix does not hash it again.
-func (s *matrixStore) getFP(handle string) (*spgemm.Matrix, uint64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ent := s.entries[handle]
-	if ent == nil {
-		s.misses++
-		s.col.Add(metrics.CounterMatrixStoreMisses, 1)
-		return nil, 0, false
+// sameBits compares two value arrays bit for bit (NaN payloads and the
+// sign of zero included, as the values fingerprint hashes them).
+func sameBits(x, y []float64) bool {
+	if len(x) != len(y) {
+		return false
 	}
-	s.hits++
-	s.col.Add(metrics.CounterMatrixStoreHits, 1)
-	s.touchLocked(handle)
-	return ent.m, ent.structFP, true
+	if len(x) == 0 || &x[0] == &y[0] {
+		return true
+	}
+	for i, v := range x {
+		if math.Float64bits(v) != math.Float64bits(y[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// get resolves a handle to its matrix and identity record, counting
+// hits and misses.
+func (s *matrixStore) get(handle string) (*spgemm.Matrix, *csr.Identity, bool) {
+	return s.resolve(handle, 0)
 }
 
 // getPin resolves a handle and pins it in one critical section, so a
 // concurrent eviction cannot race between resolution and pinning. The
 // caller must balance with unpin.
-func (s *matrixStore) getPin(handle string) (*spgemm.Matrix, bool) {
+func (s *matrixStore) getPin(handle string) (*spgemm.Matrix, *csr.Identity, bool) {
+	return s.resolve(handle, 1)
+}
+
+func (s *matrixStore) resolve(handle string, pin int) (*spgemm.Matrix, *csr.Identity, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ent := s.entries[handle]
 	if ent == nil {
 		s.misses++
 		s.col.Add(metrics.CounterMatrixStoreMisses, 1)
-		return nil, false
+		return nil, nil, false
 	}
 	s.hits++
 	s.col.Add(metrics.CounterMatrixStoreHits, 1)
-	s.touchLocked(handle)
-	ent.pins++
-	return ent.m, true
+	s.order.MoveToBack(ent.elem)
+	ent.pins += pin
+	return ent.m, ent.pat.id, true
 }
 
 // unpin releases one pin; a handle explicitly deleted while pinned is
@@ -153,24 +233,16 @@ func (s *matrixStore) unpinAll(handles []string) {
 
 // revalue stores a fresh-valued copy of the handle's matrix: the same
 // sparsity pattern, values drawn deterministically from seed. The new
-// handle shares the pattern's structural fingerprint, so plans cached
-// for the original stay valid — this is the "new values, old plan"
-// entry point of the iterative workloads.
+// handle shares the pattern's structure arrays and identity, so nothing
+// is validated or structurally hashed and plans cached for the original
+// stay valid — this is the "new values, old plan" entry point of the
+// iterative workloads.
 func (s *matrixStore) revalue(handle string, seed int64) (string, error) {
-	s.mu.Lock()
-	ent := s.entries[handle]
-	if ent == nil {
-		s.misses++
-		s.col.Add(metrics.CounterMatrixStoreMisses, 1)
-		s.mu.Unlock()
+	src, id, ok := s.get(handle)
+	if !ok {
 		return "", &UnknownHandleError{Handle: handle}
 	}
-	s.hits++
-	s.col.Add(metrics.CounterMatrixStoreHits, 1)
-	s.touchLocked(handle)
-	src := ent.m
-	s.mu.Unlock()
-	return s.put(spgemm.Revalue(src, seed))
+	return s.put(spgemm.Revalue(src, seed), id)
 }
 
 // delete removes a handle and reports whether it existed. Plan-cache
@@ -182,12 +254,7 @@ func (s *matrixStore) delete(handle string) bool {
 	if ent == nil {
 		return false
 	}
-	for i, h := range s.order {
-		if h == handle {
-			s.dropLocked(i)
-			break
-		}
-	}
+	s.dropLocked(ent)
 	return true
 }
 
@@ -196,11 +263,12 @@ func (s *matrixStore) delete(handle string) bool {
 // evictable and the incoming put fails instead — shrinking a running
 // batch's working set would be worse than rejecting the upload.
 func (s *matrixStore) evictLocked() bool {
-	for i := range s.order {
-		if s.entries[s.order[i]].pins > 0 {
+	for e := s.order.Front(); e != nil; e = e.Next() {
+		ent := e.Value.(*storeEntry)
+		if ent.pins > 0 {
 			continue
 		}
-		s.dropLocked(i)
+		s.dropLocked(ent)
 		s.evictions++
 		s.col.Add(metrics.CounterMatrixStoreEvictions, 1)
 		return true
@@ -208,29 +276,17 @@ func (s *matrixStore) evictLocked() bool {
 	return false
 }
 
-// dropLocked removes order[i] and, when no other stored matrix shares
-// its sparsity pattern, invalidates the pattern's cached plans.
-func (s *matrixStore) dropLocked(i int) {
-	h := s.order[i]
-	s.order = append(s.order[:i:i], s.order[i+1:]...)
-	ent := s.entries[h]
-	delete(s.entries, h)
+// dropLocked removes an entry and, when it was the last resident matrix
+// of its sparsity pattern, retires the pattern and invalidates its
+// cached plans.
+func (s *matrixStore) dropLocked(ent *storeEntry) {
+	s.order.Remove(ent.elem)
+	delete(s.entries, ent.handle)
 	s.bytes -= ent.bytes
-	for _, other := range s.entries {
-		if other.structFP == ent.structFP {
-			return // pattern still resident under another handle
-		}
-	}
-	s.pc.Invalidate(ent.structFP)
-}
-
-// touchLocked moves a handle to the LRU tail.
-func (s *matrixStore) touchLocked(h string) {
-	for i, k := range s.order {
-		if k == h {
-			s.order = append(append(s.order[:i:i], s.order[i+1:]...), h)
-			return
-		}
+	if ent.pat.n--; ent.pat.n == 0 {
+		fp := ent.pat.id.Fingerprint()
+		delete(s.patterns, fp)
+		s.pc.Invalidate(fp)
 	}
 }
 

@@ -179,14 +179,30 @@ func TestMatrixStoreLRUEviction(t *testing.T) {
 	if planned == 0 {
 		t.Fatal("no plan cached for stored pattern")
 	}
-	if _, err := s.StoreMatrix(spgemm.ER(64, 64, 0.05, 11)); err != nil {
+	hb, err := s.StoreMatrix(spgemm.ER(64, 64, 0.05, 11))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.StoreMatrix(spgemm.ER(64, 64, 0.05, 12)); err != nil {
+	hc, err := s.StoreMatrix(spgemm.ER(64, 64, 0.05, 12))
+	if err != nil {
 		t.Fatal(err) // evicts ha (LRU)
 	}
 	if _, ok := s.Matrix(ha); ok {
 		t.Fatal("LRU matrix survived eviction")
+	}
+	// The order is by use, not by arrival: resolving hb makes hc the
+	// oldest, so the next upload evicts hc and keeps hb.
+	if _, ok := s.Matrix(hb); !ok {
+		t.Fatal("hb evicted before the store was full")
+	}
+	if _, err := s.StoreMatrix(spgemm.ER(64, 64, 0.05, 14)); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Matrix(hc); ok {
+		t.Fatal("the least recently used matrix (hc) survived the second eviction")
+	}
+	if _, ok := s.Matrix(hb); !ok {
+		t.Fatal("the recently resolved matrix (hb) was evicted instead of the oldest")
 	}
 	if s.PlanCache().Len() != 0 {
 		t.Fatalf("evicted pattern's plans survived: %d entries", s.PlanCache().Len())

@@ -43,9 +43,11 @@ var (
 	// wrong magic or version, dimensions out of range, inconsistent row
 	// offsets, a column outside the matrix, truncation, trailing bytes.
 	ErrBinaryMalformed = errors.New("apiv1: malformed binary matrix")
-	// ErrBinaryTooLarge is a frame whose header declares more payload
-	// bytes than the caller's cap. It is raised before any allocation.
-	ErrBinaryTooLarge = errors.New("apiv1: binary matrix exceeds the byte cap")
+	// ErrBinaryTooLarge is a matrix that declares more payload bytes
+	// than the caller's cap: a frame by its header, a JSON data object by
+	// its dimensions and array lengths. It is raised before any
+	// allocation sized from the declaration.
+	ErrBinaryTooLarge = errors.New("apiv1: matrix payload exceeds the byte cap")
 )
 
 func malformed(format string, args ...any) error {

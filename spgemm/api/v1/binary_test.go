@@ -6,8 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/spgemm"
@@ -187,6 +190,96 @@ func TestBinaryRejectsHostileInput(t *testing.T) {
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got > 2<<20+4*binaryBlock {
 		t.Fatalf("1 MiB of offsets allocated %d bytes", got)
+	}
+}
+
+// TestJSONMatrixRoutesRejectHostileData is the JSON counterpart of the
+// table above, on both routes that carry a data object: dimensions and
+// array lengths are held against each other and against the caller's
+// byte budget before anything is sized from them. The first case is 38
+// bytes standing for a 24 GB row_offsets array; refusing any of them
+// allocates next to nothing.
+func TestJSONMatrixRoutesRejectHostileData(t *testing.T) {
+	const budget = 1 << 20
+	const small = `{"rows":2,"cols":3,"row_offsets":[0,2,3],"col_ids":[0,2,1],"values":[1,2,3]}`
+	cases := map[string]struct {
+		data   string
+		status int // 0: accepted
+	}{
+		"3e9 rows, nothing else":        {`{"rows":3000000000,"cols":1}`, http.StatusBadRequest},
+		"2e9 rows, nothing else":        {`{"rows":2000000000,"cols":1}`, http.StatusRequestEntityTooLarge},
+		"rows = MaxInt64":               {`{"rows":9223372036854775807,"cols":1}`, http.StatusBadRequest},
+		"rows past the budget":          {`{"rows":131072,"cols":1}`, http.StatusRequestEntityTooLarge},
+		"negative rows":                 {`{"rows":-1,"cols":1}`, http.StatusBadRequest},
+		"negative cols":                 {`{"rows":1,"cols":-1,"row_offsets":[0,0]}`, http.StatusBadRequest},
+		"cols = 2^31":                   {`{"rows":1,"cols":2147483648,"row_offsets":[0,0]}`, http.StatusBadRequest},
+		"offsets longer than rows+1":    {`{"rows":1,"cols":3,"row_offsets":[0,1,1],"col_ids":[0],"values":[1]}`, http.StatusBadRequest},
+		"offsets shorter than rows+1":   {`{"rows":3,"cols":3,"row_offsets":[0,1],"col_ids":[0],"values":[1]}`, http.StatusBadRequest},
+		"more col_ids than values":      {`{"rows":1,"cols":3,"row_offsets":[0,2],"col_ids":[0,1],"values":[1]}`, http.StatusBadRequest},
+		"non-zeros without row_offsets": {`{"rows":1,"cols":3,"col_ids":[0],"values":[1]}`, http.StatusBadRequest},
+		"empty rows inside the budget":  {`{"rows":1000,"cols":1}`, 0},
+		"a small matrix":                {small, 0},
+	}
+	post := func(t *testing.T, bulk bool, body string) (status int, code string, alloc uint64) {
+		t.Helper()
+		r := httptest.NewRequest(http.MethodPost, "/v1/matrices", strings.NewReader(body))
+		w := httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		var ok bool
+		if bulk {
+			_, ok = ReadMatrixBatchRequest(w, r, budget)
+		} else {
+			_, ok = ReadMatrixRequest(w, r, budget)
+		}
+		runtime.ReadMemStats(&after)
+		if ok {
+			return 0, "", after.TotalAlloc - before.TotalAlloc
+		}
+		var env ErrorResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil {
+			t.Fatalf("refusal is not the envelope: %v: %s", err, w.Body.Bytes())
+		}
+		return w.Code, env.Code, after.TotalAlloc - before.TotalAlloc
+	}
+	wantCode := map[int]string{0: "", http.StatusBadRequest: CodeBadRequest, http.StatusRequestEntityTooLarge: CodeOOM}
+	for name, tc := range cases {
+		for _, bulk := range []bool{false, true} {
+			body := `{"data":` + tc.data + `}`
+			if bulk {
+				// Behind a good entry: every entry is checked.
+				body = `{"matrices":[{"data":` + small + `},` + body + `]}`
+			}
+			status, code, alloc := post(t, bulk, body)
+			if status != tc.status || code != wantCode[tc.status] {
+				t.Errorf("%s (bulk %v): status %d code %q, want %d %q", name, bulk, status, code, tc.status, wantCode[tc.status])
+			}
+			if alloc > 256<<10 {
+				t.Errorf("%s (bulk %v): reading it allocated %d bytes", name, bulk, alloc)
+			}
+		}
+	}
+	// The budget is one for the whole bulk body, as for frames.
+	half := `{"data":{"rows":70000,"cols":1}}`
+	if status, _, _ := post(t, true, `{"matrices":[`+half+`]}`); status != 0 {
+		t.Errorf("one 560 KB entry under a 1 MiB budget: status %d", status)
+	}
+	if status, _, _ := post(t, true, `{"matrices":[`+half+`,`+half+`]}`); status != http.StatusRequestEntityTooLarge {
+		t.Errorf("two 560 KB entries under a 1 MiB budget: status %d, want 413", status)
+	}
+	// Off the server (a client reading a fetched payload) the shape
+	// checks alone stand between a lying payload and make.
+	for name, tc := range cases {
+		if tc.status != http.StatusBadRequest {
+			continue
+		}
+		var d MatrixData
+		if err := json.Unmarshal([]byte(tc.data), &d); err != nil {
+			t.Fatal(err)
+		}
+		if m, err := d.Matrix(); err == nil {
+			t.Errorf("%s: Matrix() accepted %dx%d", name, m.Rows, m.Cols)
+		}
 	}
 }
 

@@ -112,22 +112,24 @@ func matrixBody(w http.ResponseWriter, r *http.Request, storeBytes int64) (body 
 // (the request is then {Data: frame}) iff Content-Type is MediaTypeCSR,
 // otherwise the JSON MatrixRequest. storeBytes is the matrix store's
 // budget: a frame declaring a payload that could never be stored is
-// refused with 413 before it is read. On failure it has answered the
-// envelope and returns false.
+// refused with 413 before it is read, and so is a JSON data object
+// whose dimensions declare one (rows alone do: nil row_offsets stand
+// for rows+1 zeros somebody has to allocate). On failure it has
+// answered the envelope and returns false.
 func ReadMatrixRequest(w http.ResponseWriter, r *http.Request, storeBytes int64) (MatrixRequest, bool) {
 	var req MatrixRequest
 	var err error
 	if body, frames := matrixBody(w, r, storeBytes); frames {
 		req.Data, err = ReadMatrixBinary(body, storeBytes)
-	} else {
-		err = json.NewDecoder(body).Decode(&req)
+	} else if err = json.NewDecoder(body).Decode(&req); err == nil && req.Data != nil {
+		err = req.Data.charge(&storeBytes)
 	}
 	return req, bodyOK(w, err)
 }
 
 // ReadMatrixBatchRequest is ReadMatrixRequest for POST
 // /v1/matrices/bulk: a u32 count then that many frames, or the JSON
-// MatrixBatchRequest. storeBytes caps the frames' payloads together.
+// MatrixBatchRequest. storeBytes caps the matrices' payloads together.
 func ReadMatrixBatchRequest(w http.ResponseWriter, r *http.Request, storeBytes int64) (MatrixBatchRequest, bool) {
 	var req MatrixBatchRequest
 	var err error
@@ -137,8 +139,14 @@ func ReadMatrixBatchRequest(w http.ResponseWriter, r *http.Request, storeBytes i
 		for _, d := range ds {
 			req.Matrices = append(req.Matrices, MatrixRequest{Data: d})
 		}
-	} else {
-		err = json.NewDecoder(body).Decode(&req)
+	} else if err = json.NewDecoder(body).Decode(&req); err == nil {
+		for i := 0; err == nil && i < len(req.Matrices); i++ {
+			if d := req.Matrices[i].Data; d != nil {
+				if err = d.charge(&storeBytes); err != nil {
+					err = fmt.Errorf("bulk entry %d: %w", i, err)
+				}
+			}
+		}
 	}
 	return req, bodyOK(w, err)
 }

@@ -25,6 +25,7 @@ package apiv1
 
 import (
 	"fmt"
+	"math"
 
 	"repro/spgemm"
 )
@@ -166,6 +167,29 @@ func MatrixDataFrom(m *spgemm.Matrix) *MatrixData {
 // Matrix validates the payload and returns it as a matrix. The matrix
 // aliases the payload slices.
 func (d *MatrixData) Matrix() (*spgemm.Matrix, error) {
+	m, err := d.Unchecked()
+	if err != nil {
+		return nil, err
+	}
+	if err := m.Validate(); err != nil {
+		return nil, fmt.Errorf("apiv1: matrix data rejected: %w", err)
+	}
+	return m, nil
+}
+
+// Unchecked returns the payload as a matrix aliasing its slices after
+// the O(1) checks only: dimensions in range and array lengths
+// consistent with them and each other. The content — monotone offsets,
+// sorted in-range columns — is NOT validated: this is for the consumer
+// that validates where it mints the matrix's identity (the serving
+// layer's matrix store); everyone else wants Matrix. Nil RowOffsets
+// stand for the all-empty-rows offsets and are only legal without
+// non-zeros; a server bounds that allocation before it gets here
+// (ReadMatrixRequest).
+func (d *MatrixData) Unchecked() (*spgemm.Matrix, error) {
+	if err := d.checkShape(); err != nil {
+		return nil, fmt.Errorf("apiv1: matrix data rejected: %w", err)
+	}
 	m := &spgemm.Matrix{
 		Rows: d.Rows, Cols: d.Cols,
 		RowOffsets: d.RowOffsets, ColIDs: d.ColIDs, Data: d.Values,
@@ -173,10 +197,42 @@ func (d *MatrixData) Matrix() (*spgemm.Matrix, error) {
 	if m.RowOffsets == nil {
 		m.RowOffsets = make([]int64, d.Rows+1)
 	}
-	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("apiv1: matrix data rejected: %w", err)
-	}
 	return m, nil
+}
+
+// checkShape holds the payload's dimensions and array lengths against
+// each other, allocating nothing.
+func (d *MatrixData) checkShape() error {
+	switch {
+	case d.Rows < 0 || d.Cols < 0 || d.Rows > math.MaxInt32 || d.Cols > math.MaxInt32:
+		return fmt.Errorf("dimensions %dx%d out of range (max %d)", d.Rows, d.Cols, math.MaxInt32)
+	case len(d.ColIDs) != len(d.Values):
+		return fmt.Errorf("%d col_ids but %d values", len(d.ColIDs), len(d.Values))
+	case d.RowOffsets == nil && len(d.ColIDs) != 0:
+		return fmt.Errorf("%d non-zeros but no row_offsets", len(d.ColIDs))
+	case d.RowOffsets != nil && len(d.RowOffsets) != d.Rows+1:
+		return fmt.Errorf("row_offsets length %d, want rows+1 = %d", len(d.RowOffsets), d.Rows+1)
+	}
+	return nil
+}
+
+// charge is the server-side guard of a JSON-decoded payload, the
+// counterpart of the binary decoder's header check: the shape must be
+// consistent and the CSR bytes it stands for — 8(rows+1)+12·nnz, what
+// Matrix.Bytes reports and Unchecked may have to allocate for nil
+// row_offsets — must fit what is left of budget, from which they are
+// deducted.
+func (d *MatrixData) charge(budget *int64) error {
+	if err := d.checkShape(); err != nil {
+		return fmt.Errorf("apiv1: matrix data rejected: %w", err)
+	}
+	payload := 8*(int64(d.Rows)+1) + 12*int64(len(d.ColIDs))
+	if payload > *budget {
+		return fmt.Errorf("%w: %dx%d with %d non-zeros, %d payload bytes left",
+			ErrBinaryTooLarge, d.Rows, d.Cols, len(d.ColIDs), max(*budget, 0))
+	}
+	*budget -= payload
+	return nil
 }
 
 // MatrixRequest is the POST /v1/matrices body: a spec to build and

@@ -81,6 +81,14 @@ type RunOptions struct {
 	// clock for device engines and SUMMA, the wall clock for the cpu
 	// engine. 0 means no deadline.
 	DeadlineSec float64
+	// AID and BID are the operands' identity records when the caller
+	// holds them (the serving layer's matrix store mints one per stored
+	// matrix, the plan cache one per product pattern). They are operand
+	// metadata, not a setting: no value changes a product. An operand
+	// its record is of (Identity.Of, an O(1) check) is not validated,
+	// hashed or flop-scanned again; nil, or a record of another matrix,
+	// means exactly the behaviour without one.
+	AID, BID *Identity
 }
 
 // wallDeadline converts DeadlineSec into a wall-clock cancellation
@@ -112,7 +120,7 @@ func (o RunOptions) device() DeviceConfig {
 // pass hands its row analysis on in the returned options, so the engine
 // that runs the grid (and EstimateCost's write-back) reuses it.
 func (o RunOptions) plan(a, b *Matrix) (OutOfCoreOptions, error) {
-	return o.PlanCache.plan(a, b, o.device(), o.Metrics)
+	return o.PlanCache.plan(a, b, o)
 }
 
 // coreOptions resolves the out-of-core options: an explicit grid is
@@ -132,6 +140,7 @@ func (o RunOptions) coreOptions(a, b *Matrix, async bool) (OutOfCoreOptions, err
 	opts.Faults = o.Faults
 	opts.ChunkRetries = o.ChunkRetries
 	opts.DeadlineSec = o.DeadlineSec
+	opts.AID, opts.BID = o.AID, o.BID
 	if pc := o.PlanCache.coreCache(); pc != nil {
 		opts.PlanCache = pc // an explicitly set Core.PlanCache is kept otherwise
 	}
@@ -164,10 +173,11 @@ type engine struct {
 func (e *engine) Name() string     { return e.name }
 func (e *engine) Describe() string { return e.describe }
 func (e *engine) Run(a, b *Matrix, opts *RunOptions) (*Matrix, Report, error) {
-	if err := validateInputs(a, b); err != nil {
+	o := opts.withDefaults()
+	if err := validateOperands(a, b, o.AID, o.BID, o.Metrics); err != nil {
 		return nil, nil, err
 	}
-	return e.run(a, b, opts.withDefaults())
+	return e.run(a, b, o)
 }
 
 var registry = map[string]*engine{}
@@ -230,8 +240,8 @@ func DeviceBacked(name string) bool {
 // Cost is a job's pre-execution footprint estimate — the signal an
 // admission controller needs before accepting work (the
 // memory-footprint-first discipline of the heterogeneous SpGEMM
-// frameworks this repo follows). Flops is exact (a host-side scan);
-// the device fields are the planned out-of-core grid for
+// frameworks this repo follows). Flops is exact (a host-side scan, or
+// the plan cache's memo of one); the device fields are the planned out-of-core grid for
 // device-backed engines and zero otherwise.
 type Cost struct {
 	// Flops is the multiply-add flop count (x2) of A·B.
@@ -259,14 +269,14 @@ func EstimateCost(engineName string, a, b *Matrix, opts *RunOptions) (Cost, erro
 	if _, ok := registry[engineName]; !ok {
 		return Cost{}, fmt.Errorf("spgemm: unknown engine %q (have %v)", engineName, Engines())
 	}
-	if err := validateInputs(a, b); err != nil {
+	o := opts.withDefaults()
+	if err := validateOperands(a, b, o.AID, o.BID, o.Metrics); err != nil {
 		return Cost{}, err
 	}
 	if a.Cols != b.Rows {
 		return Cost{}, fmt.Errorf("spgemm: dimension mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
 	}
-	o := opts.withDefaults()
-	cost := Cost{Flops: Flops(a, b), DeviceBacked: DeviceBacked(engineName)}
+	cost := Cost{Flops: o.flops(a, b), DeviceBacked: DeviceBacked(engineName)}
 	if !cost.DeviceBacked {
 		return cost, nil
 	}
@@ -320,9 +330,22 @@ func (s CPUStats) Counters() map[string]int64 {
 	}
 }
 
-// cpuStatsFor measures a finished CPU multiply.
-func cpuStatsFor(a, b, c *Matrix, elapsed time.Duration) CPUStats {
-	st := CPUStats{TotalSec: elapsed.Seconds(), Flops: Flops(a, b), NnzC: c.Nnz()}
+// flops is the pair's flop count: the plan cache's memo when the
+// operands come with their records and the pattern has a CPU plan (an
+// O(1) probe that moves no counter), one scan otherwise.
+func (o RunOptions) flops(a, b *Matrix) int64 {
+	if o.AID.Of(a) && o.BID.Of(b) {
+		if ent := o.PlanCache.peekCPU(o.PlanKey(a, b)); ent != nil {
+			return ent.flops
+		}
+	}
+	o.Metrics.Add(metrics.CounterIdentityPasses, 1)
+	return Flops(a, b)
+}
+
+// cpuStatsFor measures a finished CPU multiply of flops flops.
+func cpuStatsFor(c *Matrix, flops int64, elapsed time.Duration) CPUStats {
+	st := CPUStats{TotalSec: elapsed.Seconds(), Flops: flops, NnzC: c.Nnz()}
 	if st.TotalSec > 0 {
 		st.GFLOPS = float64(st.Flops) / st.TotalSec / 1e9
 	}
@@ -337,19 +360,27 @@ func init() {
 			copts := cpuspgemm.Options{
 				Threads: o.Threads, Metrics: o.Metrics, Cancel: o.wallDeadline(),
 			}
-			multiply := cpuspgemm.Multiply
-			if o.PlanCache != nil {
-				multiply = o.PlanCache.multiplyCPU
-			}
+			var c *Matrix
+			var flops int64
+			var err error
 			start := time.Now()
-			c, err := multiply(a, b, copts)
+			if o.PlanCache != nil {
+				c, flops, err = o.PlanCache.multiplyCPU(a, b, o, copts)
+			} else {
+				c, err = cpuspgemm.Multiply(a, b, copts)
+			}
 			if errors.Is(err, cpuspgemm.ErrCanceled) {
 				err = fmt.Errorf("spgemm: cpu engine: %w: %w", ErrDeadline, err)
 			}
 			if err != nil {
 				return nil, nil, err
 			}
-			return c, cpuStatsFor(a, b, c, time.Since(start)), nil
+			elapsed := time.Since(start)
+			if o.PlanCache == nil {
+				o.Metrics.Add(metrics.CounterIdentityPasses, 1)
+				flops = Flops(a, b)
+			}
+			return c, cpuStatsFor(c, flops, elapsed), nil
 		},
 	})
 	Register(&engine{
@@ -453,7 +484,7 @@ func init() {
 		device:   true,
 		describe: "out-of-core GPU with automatic chunk-grid planning and refinement",
 		run: func(a, b *Matrix, o RunOptions) (*Matrix, Report, error) {
-			c, st, err := runAuto(a, b, o.device(), o.Metrics, o.PlanCache)
+			c, st, err := runAuto(a, b, o)
 			if err != nil {
 				return nil, nil, err
 			}

@@ -1,6 +1,7 @@
 package spgemm
 
 import (
+	"container/list"
 	"sync"
 
 	"repro/internal/core"
@@ -28,7 +29,8 @@ func FingerprintValues(m *Matrix) uint64 { return csr.FingerprintValues(m) }
 //     product's row pointers, column indices and per-row flop counts),
 //     so a warm multiply re-runs only the numeric accumulation —
 //     byte-identical to the cold path for the Hash and Dense
-//     accumulators.
+//     accumulators — and beside it what else is structural about the
+//     pair: its flop count and the product's identity record.
 //   - For the device engines (gpu, gpu-sync, hybrid, multigpu) it
 //     holds the core.PlanCache: chunk grid partitions, per-chunk flop
 //     counts, per-chunk symbolic results and cross-job device
@@ -46,26 +48,55 @@ type PlanCache struct {
 	mu      sync.Mutex
 	max     int64
 	bytes   int64
-	entries map[cpuPlanKey]*cpuPlanEntry
-	order   []cpuPlanKey // LRU: oldest first
+	entries map[PlanKey]*cpuPlanEntry
+	order   list.List // of *cpuPlanEntry, LRU: oldest first
 	grids   map[gridKey]OutOfCoreOptions
 
 	hits, misses, evictions int64
 }
 
-type cpuPlanKey struct {
+// PlanKey identifies a structure pair, which is what a plan is cached
+// under: both structural fingerprints plus the shape and non-zero
+// counts, so a fingerprint collision can at worst alias two patterns of
+// one shape and size. Comparable; the serving layer's batch planner
+// groups nodes by it.
+type PlanKey struct {
 	fpA, fpB          uint64
 	rows, aCols, cols int
+	nnzA, nnzB        int64
 }
 
+// cpuPlanEntry is one cached CPU plan and what else is structural about
+// its pair: flops, the sum of the plan's RowFlops taken when it is
+// stored, and — minted on first request — the identity of the product,
+// whose structure arrays are the plan's own (every Numeric product
+// shares them). bytes charges the record with the plan.
 type cpuPlanEntry struct {
+	key   PlanKey
 	sym   *cpuspgemm.SymbolicResult
+	flops int64
 	bytes int64
+	elem  *list.Element
+
+	mu  sync.Mutex
+	cid *Identity
 }
 
 type gridKey struct {
-	fpA, fpB uint64
-	memBytes int64
+	fpA, fpB   uint64
+	nnzA, nnzB int64
+	memBytes   int64
+}
+
+// PlanKey is the plan-cache key of the pair: O(1) for operands that
+// come with their records, one counted hash each otherwise.
+func (o RunOptions) PlanKey(a, b *Matrix) PlanKey {
+	return PlanKey{
+		fpA:  csr.StructOf(a, o.AID, o.Metrics),
+		fpB:  csr.StructOf(b, o.BID, o.Metrics),
+		rows: a.Rows, aCols: a.Cols, cols: b.Cols,
+		nnzA: a.Nnz(), nnzB: b.Nnz(),
+	}
 }
 
 // NewPlanCache returns a plan cache bounded to maxBytes of cached
@@ -78,7 +109,7 @@ func NewPlanCache(maxBytes int64) *PlanCache {
 	return &PlanCache{
 		dev:     core.NewPlanCache(maxBytes / 2),
 		max:     maxBytes / 2,
-		entries: map[cpuPlanKey]*cpuPlanEntry{},
+		entries: map[PlanKey]*cpuPlanEntry{},
 		grids:   map[gridKey]OutOfCoreOptions{},
 	}
 }
@@ -122,14 +153,11 @@ func (p *PlanCache) Invalidate(fp uint64) int {
 	n := p.dev.Invalidate(fp)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for i := 0; i < len(p.order); {
-		key := p.order[i]
+	for key, ent := range p.entries {
 		if key.fpA == fp || key.fpB == fp {
-			p.dropLocked(i)
+			p.dropLocked(ent)
 			n++
-			continue
 		}
-		i++
 	}
 	for key := range p.grids {
 		if key.fpA == fp || key.fpB == fp {
@@ -140,30 +168,47 @@ func (p *PlanCache) Invalidate(fp uint64) int {
 	return n
 }
 
-// HasPlan reports whether the cache already holds a plan for the
-// structure pair (a, b) — a CPU symbolic entry or a device chunk plan
-// under any grid. The serving layer's batch planner probes it so plan
-// groups whose pattern is already warm skip leader serialization.
-func (p *PlanCache) HasPlan(a, b *Matrix) bool {
+// HasPlan reports whether the cache already holds a plan under key — a
+// CPU symbolic entry or a device chunk plan under any grid. The serving
+// layer's batch planner probes it so plan groups whose pattern is
+// already warm skip leader serialization; the probe moves no counter.
+func (p *PlanCache) HasPlan(key PlanKey) bool {
 	if p == nil {
 		return false
 	}
-	return p.HasPlanKey(csr.Fingerprint(a), csr.Fingerprint(b), a.Rows, a.Cols, b.Cols)
+	return p.peekCPU(key) != nil || p.dev.Has(key.fpA, key.fpB)
 }
 
-// HasPlanKey is HasPlan for a caller that already fingerprinted the
-// operands (fpA, fpB structural fingerprints; rows×aCols · aCols×cols
-// the multiply's dimensions), so the probe costs two map lookups and
-// no re-hashing.
-func (p *PlanCache) HasPlanKey(fpA, fpB uint64, rows, aCols, cols int) bool {
-	if p == nil {
-		return false
+// ProductIdentity returns the identity of c when c is a product of the
+// cache's CPU plan for (a, b) — it then shares the plan's structure
+// arrays, whose record is minted once per plan (one validation and one
+// hash, counted into o.Metrics) and handed to every later product in
+// O(1). It returns nil, doing no work, when the operands do not come
+// with their records in o, no such plan is cached, or c is not the
+// plan's product; the caller then treats c like any other matrix.
+func (p *PlanCache) ProductIdentity(a, b, c *Matrix, o RunOptions) *Identity {
+	if !o.AID.Of(a) || !o.BID.Of(b) {
+		return nil
 	}
-	key := cpuPlanKey{fpA: fpA, fpB: fpB, rows: rows, aCols: aCols, cols: cols}
-	p.mu.Lock()
-	_, ok := p.entries[key]
-	p.mu.Unlock()
-	return ok || p.dev.Has(fpA, fpB)
+	ent := p.peekCPU(o.PlanKey(a, b))
+	if ent == nil {
+		return nil
+	}
+	ent.mu.Lock()
+	if ent.cid == nil {
+		o.Metrics.Add(metrics.CounterIdentityPasses, 2)
+		// The error case is a c.Data of the wrong length: not a product.
+		ent.cid, _ = csr.Identify(&Matrix{
+			Rows: ent.sym.Rows, Cols: ent.sym.Cols,
+			RowOffsets: ent.sym.RowOffsets, ColIDs: ent.sym.ColIDs, Data: c.Data,
+		})
+	}
+	cid := ent.cid
+	ent.mu.Unlock()
+	if !cid.Of(c) {
+		return nil
+	}
+	return cid
 }
 
 // coreCache exposes the device half for core.Options threading.
@@ -176,26 +221,24 @@ func (p *PlanCache) coreCache() *core.PlanCache {
 
 // multiplyCPU is the cpu engine's cached path: a warm call replays
 // only the numeric phase into the cached symbolic structure, so warm
-// output is byte-identical to cold.
-func (p *PlanCache) multiplyCPU(a, b *Matrix, opts cpuspgemm.Options) (*Matrix, error) {
-	key := cpuPlanKey{
-		fpA: csr.Fingerprint(a), fpB: csr.Fingerprint(b),
-		rows: a.Rows, aCols: a.Cols, cols: b.Cols,
-	}
-	if sym := p.acquireCPU(key); sym != nil {
+// output is byte-identical to cold. It also returns the pair's flop
+// count, which the plan memoizes.
+func (p *PlanCache) multiplyCPU(a, b *Matrix, o RunOptions, opts cpuspgemm.Options) (*Matrix, int64, error) {
+	key := o.PlanKey(a, b)
+	if ent := p.acquireCPU(key); ent != nil {
 		opts.Metrics.Add(metrics.CounterPlanCacheHits, 1)
-		return cpuspgemm.Numeric(sym, a, b, opts)
+		c, err := cpuspgemm.Numeric(ent.sym, a, b, opts)
+		return c, ent.flops, err
 	}
 	opts.Metrics.Add(metrics.CounterPlanCacheMisses, 1)
 	c, sym, err := cpuspgemm.MultiplyPlanned(a, b, opts)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	p.storeCPU(key, sym)
-	return c, nil
+	return c, p.storeCPU(key, sym), nil
 }
 
-func (p *PlanCache) acquireCPU(key cpuPlanKey) *cpuspgemm.SymbolicResult {
+func (p *PlanCache) acquireCPU(key PlanKey) *cpuPlanEntry {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	ent := p.entries[key]
@@ -204,25 +247,43 @@ func (p *PlanCache) acquireCPU(key cpuPlanKey) *cpuspgemm.SymbolicResult {
 		return nil
 	}
 	p.hits++
-	p.touchLocked(key)
-	return ent.sym
+	p.order.MoveToBack(ent.elem)
+	return ent
 }
 
-// storeCPU records a cold run's plan; of concurrent cold runs on one
-// pattern the first store wins.
-func (p *PlanCache) storeCPU(key cpuPlanKey, sym *cpuspgemm.SymbolicResult) {
+// peekCPU looks an entry up without counting a hit or a miss and
+// without touching the LRU order: admission estimates and the batch
+// planner probe, they do not use the plan.
+func (p *PlanCache) peekCPU(key PlanKey) *cpuPlanEntry {
+	if p == nil {
+		return nil
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.entries[key]
+}
+
+// storeCPU records a cold run's plan and returns the pair's flop count;
+// of concurrent cold runs on one pattern the first store wins.
+func (p *PlanCache) storeCPU(key PlanKey, sym *cpuspgemm.SymbolicResult) int64 {
+	var flops int64
+	for _, f := range sym.RowFlops {
+		flops += f
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.entries[key] != nil {
-		return
+		return flops
 	}
-	p.entries[key] = &cpuPlanEntry{sym: sym, bytes: sym.Bytes()}
-	p.order = append(p.order, key)
-	p.bytes += sym.Bytes()
-	for p.bytes > p.max && len(p.order) > 1 {
-		p.dropLocked(0)
+	ent := &cpuPlanEntry{key: key, sym: sym, flops: flops, bytes: sym.Bytes() + csr.IdentityBytes}
+	ent.elem = p.order.PushBack(ent)
+	p.entries[key] = ent
+	p.bytes += ent.bytes
+	for p.bytes > p.max && p.order.Len() > 1 {
+		p.dropLocked(p.order.Front().Value.(*cpuPlanEntry))
 		p.evictions++
 	}
+	return flops
 }
 
 // plan memoizes the chunk-grid planner per structure pair and device
@@ -232,11 +293,15 @@ func (p *PlanCache) storeCPU(key cpuPlanKey, sym *cpuspgemm.SymbolicResult) {
 // byte-accounted, with the device plan (core.PlanCache). Concurrent
 // planning passes of one key plan the same grid, so any store is right.
 // A nil cache plans every time.
-func (p *PlanCache) plan(a, b *Matrix, cfg DeviceConfig, m *Collector) (OutOfCoreOptions, error) {
+func (p *PlanCache) plan(a, b *Matrix, o RunOptions) (OutOfCoreOptions, error) {
+	cfg, m := o.device(), o.Metrics
 	if p == nil {
 		return planExact(a, b, cfg, m)
 	}
-	key := gridKey{fpA: csr.Fingerprint(a), fpB: csr.Fingerprint(b), memBytes: cfg.MemoryBytes}
+	key := gridKey{
+		fpA: csr.StructOf(a, o.AID, m), fpB: csr.StructOf(b, o.BID, m),
+		nnzA: a.Nnz(), nnzB: b.Nnz(), memBytes: cfg.MemoryBytes,
+	}
 	p.mu.Lock()
 	memo, ok := p.grids[key]
 	p.mu.Unlock()
@@ -255,20 +320,8 @@ func (p *PlanCache) plan(a, b *Matrix, cfg DeviceConfig, m *Collector) (OutOfCor
 	return opts, nil
 }
 
-func (p *PlanCache) touchLocked(key cpuPlanKey) {
-	for i, k := range p.order {
-		if k == key {
-			p.order = append(append(p.order[:i:i], p.order[i+1:]...), key)
-			return
-		}
-	}
-}
-
-func (p *PlanCache) dropLocked(i int) {
-	key := p.order[i]
-	p.order = append(p.order[:i:i], p.order[i+1:]...)
-	if ent := p.entries[key]; ent != nil {
-		p.bytes -= ent.bytes
-		delete(p.entries, key)
-	}
+func (p *PlanCache) dropLocked(ent *cpuPlanEntry) {
+	p.order.Remove(ent.elem)
+	p.bytes -= ent.bytes
+	delete(p.entries, ent.key)
 }

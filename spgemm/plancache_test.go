@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/cpuspgemm"
+	"repro/internal/csr"
 	"repro/internal/metrics"
 )
 
@@ -146,7 +147,7 @@ func TestPlanCacheGridMemo(t *testing.T) {
 	pc := NewPlanCache(0)
 
 	col := NewCollector()
-	planned, err := pc.plan(a, a, cfg, col)
+	planned, err := pc.plan(a, a, RunOptions{Device: &cfg, Metrics: col})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,13 +162,13 @@ func TestPlanCacheGridMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 	want.Analysis = nil
-	key := gridKey{fpA: Fingerprint(a), fpB: Fingerprint(a), memBytes: cfg.MemoryBytes}
+	key := gridKey{fpA: Fingerprint(a), fpB: Fingerprint(a), nnzA: a.Nnz(), nnzB: a.Nnz(), memBytes: cfg.MemoryBytes}
 	if memo, ok := pc.grids[key]; !ok || memo != want {
 		t.Fatalf("memo %+v (present=%v), want the planned grid without its analysis %+v", memo, ok, want)
 	}
 
 	col = NewCollector()
-	served, err := pc.plan(a, a, cfg, col)
+	served, err := pc.plan(a, a, RunOptions{Device: &cfg, Metrics: col})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +180,8 @@ func TestPlanCacheGridMemo(t *testing.T) {
 	}
 
 	col = NewCollector()
-	if _, err := pc.plan(a, a, V100WithMemory(2<<20), col); err != nil {
+	bigger := V100WithMemory(2 << 20)
+	if _, err := pc.plan(a, a, RunOptions{Device: &bigger, Metrics: col}); err != nil {
 		t.Fatal(err)
 	}
 	if n := symbolicWallSpans(col); n != 1 || len(pc.grids) != 2 {
@@ -223,10 +225,10 @@ func TestPlanCacheConcurrentColdRuns(t *testing.T) {
 	if pc.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", pc.Len())
 	}
-	key := cpuPlanKey{fpA: Fingerprint(a), fpB: Fingerprint(a), rows: a.Rows, aCols: a.Cols, cols: a.Cols}
+	key := RunOptions{}.PlanKey(a, a)
 	stored := pc.acquireCPU(key)
-	if stored == nil || pc.bytes != stored.Bytes() {
-		t.Fatalf("cache accounts %d bytes, want one plan's %d", pc.bytes, stored.Bytes())
+	if stored == nil || pc.bytes != stored.bytes || stored.bytes != stored.sym.Bytes()+csr.IdentityBytes {
+		t.Fatalf("cache accounts %d bytes, want one plan's %d", pc.bytes, stored.bytes)
 	}
 	// A late store of the same pattern — what a run that missed beside
 	// the winner does — changes neither the entry nor the account.
@@ -235,7 +237,7 @@ func TestPlanCacheConcurrentColdRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	pc.storeCPU(key, late)
-	if got := pc.acquireCPU(key); got != stored || pc.bytes != stored.Bytes() || pc.Len() != 1 {
+	if got := pc.acquireCPU(key); got != stored || pc.bytes != stored.bytes || pc.Len() != 1 {
 		t.Fatal("a second store of one pattern displaced or double-counted the first")
 	}
 }

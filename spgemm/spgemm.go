@@ -40,6 +40,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/gpusim"
 	"repro/internal/hybrid"
+	"repro/internal/metrics"
 	"repro/internal/mmio"
 	"repro/internal/multigpu"
 	"repro/internal/reorder"
@@ -139,15 +140,32 @@ type HybridStats = hybrid.Stats
 // HostModel is the simulated multi-core CPU cost model.
 type HostModel = hybrid.HostModel
 
+// Identity is proof that a matrix's structure arrays were validated
+// and hash to a structural fingerprint; see csr.Identity. The serving
+// layer's matrix store and the plan cache mint them; RunOptions.AID and
+// BID carry them to the engines.
+type Identity = csr.Identity
+
 // validateInputs rejects structurally corrupt matrices at the API
 // boundary, where the cost (one O(nnz) scan per operand) is paid once
 // rather than as a crash deep inside an engine.
-func validateInputs(a, b *Matrix) error {
-	if err := a.Validate(); err != nil {
-		return fmt.Errorf("spgemm: left operand invalid: %w", err)
+func validateInputs(a, b *Matrix) error { return validateOperands(a, b, nil, nil, nil) }
+
+// validateOperands is validateInputs for operands that may come with
+// their identity records: an operand its record is of was validated
+// where the record was minted and is not scanned again.
+func validateOperands(a, b *Matrix, aid, bid *Identity, m *Collector) error {
+	if !aid.Of(a) {
+		m.Add(metrics.CounterIdentityPasses, 1)
+		if err := a.Validate(); err != nil {
+			return fmt.Errorf("spgemm: left operand invalid: %w", err)
+		}
 	}
-	if err := b.Validate(); err != nil {
-		return fmt.Errorf("spgemm: right operand invalid: %w", err)
+	if !bid.Of(b) {
+		m.Add(metrics.CounterIdentityPasses, 1)
+		if err := b.Validate(); err != nil {
+			return fmt.Errorf("spgemm: right operand invalid: %w", err)
+		}
 	}
 	return nil
 }
@@ -168,7 +186,7 @@ func Multiply(a, b *Matrix) (*Matrix, error) { return MultiplyCPU(a, b, 0) }
 // a simulated device, returning the exact product and the simulated
 // statistics.
 func MultiplyOutOfCore(a, b *Matrix, cfg DeviceConfig, opts OutOfCoreOptions) (*Matrix, Stats, error) {
-	if err := validateInputs(a, b); err != nil {
+	if err := validateOperands(a, b, opts.AID, opts.BID, opts.Metrics); err != nil {
 		return nil, Stats{}, err
 	}
 	return core.Run(a, b, cfg, opts)
@@ -176,7 +194,7 @@ func MultiplyOutOfCore(a, b *Matrix, cfg DeviceConfig, opts OutOfCoreOptions) (*
 
 // MultiplyHybrid computes A·B with the CPU-GPU hybrid engine.
 func MultiplyHybrid(a, b *Matrix, cfg DeviceConfig, opts HybridOptions) (*Matrix, HybridStats, error) {
-	if err := validateInputs(a, b); err != nil {
+	if err := validateOperands(a, b, opts.Core.AID, opts.Core.BID, opts.Metrics); err != nil {
 		return nil, HybridStats{}, err
 	}
 	return hybrid.Run(a, b, cfg, opts)
@@ -248,7 +266,7 @@ type MultiGPUStats = multigpu.Stats
 // optionally the CPU) — the scaling extension beyond the paper's
 // single-GPU node.
 func MultiplyMultiGPU(a, b *Matrix, cfg DeviceConfig, opts MultiGPUOptions) (*Matrix, MultiGPUStats, error) {
-	if err := validateInputs(a, b); err != nil {
+	if err := validateOperands(a, b, opts.Core.AID, opts.Core.BID, opts.Metrics); err != nil {
 		return nil, MultiGPUStats{}, err
 	}
 	return multigpu.Run(a, b, cfg, opts)
@@ -275,18 +293,21 @@ func MultiplySUMMA(a, b *Matrix, cfg SUMMAConfig) (*Matrix, SUMMAStats, error) {
 // out not to fit the device arena — the situation the paper notes when
 // "certain chunks are extremely dense and require large allocation".
 func MultiplyAuto(a, b *Matrix, cfg DeviceConfig) (*Matrix, Stats, error) {
-	return runAuto(a, b, cfg, nil, nil)
+	return runAuto(a, b, RunOptions{Device: &cfg})
 }
 
-// runAuto is MultiplyAuto with an optional metrics sink and plan cache
-// (the "auto" registry engine threads both through here).
-func runAuto(a, b *Matrix, cfg DeviceConfig, m *Collector, pc *PlanCache) (*Matrix, Stats, error) {
-	opts, err := pc.plan(a, b, cfg, m)
+// runAuto is MultiplyAuto with the run's metrics sink, plan cache and
+// operand records (the "auto" registry engine threads them through
+// here).
+func runAuto(a, b *Matrix, o RunOptions) (*Matrix, Stats, error) {
+	cfg := o.device()
+	opts, err := o.plan(a, b)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	opts.Metrics = m
-	opts.PlanCache = pc.coreCache()
+	opts.Metrics = o.Metrics
+	opts.PlanCache = o.PlanCache.coreCache()
+	opts.AID, opts.BID = o.AID, o.BID
 	var lastErr error
 	for attempt := 0; attempt < 4; attempt++ {
 		c, st, err := MultiplyOutOfCore(a, b, cfg, opts)
