@@ -16,7 +16,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exp"
-	"repro/internal/hybrid"
+	"repro/internal/multigpu"
 	"repro/internal/summa"
 )
 
@@ -123,11 +123,11 @@ func BenchmarkFig9Reordering(b *testing.B) {
 		b.Run(r.Entry.Abbr, func(b *testing.B) {
 			var gain float64
 			for i := 0; i < b.N; i++ {
-				_, def, err := hybrid.Run(r.A, r.A, r.Cfg(), hybrid.Options{Core: r.CoreOpts(), Reorder: false})
+				_, def, err := multigpu.Run(r.A, r.A, r.Cfg(), r.HybridOpts(false))
 				if err != nil {
 					b.Fatal(err)
 				}
-				_, reord, err := hybrid.Run(r.A, r.A, r.Cfg(), hybrid.Options{Core: r.CoreOpts(), Reorder: true})
+				_, reord, err := multigpu.Run(r.A, r.A, r.Cfg(), r.HybridOpts(true))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -152,9 +152,9 @@ func BenchmarkFig10RatioSweep(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/ratio=%.0f%%", abbr, ratio*100), func(b *testing.B) {
 				var gf float64
 				for i := 0; i < b.N; i++ {
-					_, st, err := hybrid.Run(r.A, r.A, r.Cfg(), hybrid.Options{
-						Core: r.CoreOpts(), Reorder: true, Ratio: ratio,
-					})
+					opts := r.HybridOpts(true)
+					opts.Ratio = ratio
+					_, st, err := multigpu.Run(r.A, r.A, r.Cfg(), opts)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -184,7 +184,12 @@ func runScenario(t *testing.T, i int, sc chaosScenario) {
 		t.Fatalf("scenario %d [%s on %s, faults %+v]: %d faults injected but %d retried + %d abandoned",
 			i, sc.engine, desc, sc.cfg, injected, snap["recovery_retries"], snap["recovery_abandoned"])
 	}
-	_ = report
+	// chunks is the grid size on every device engine, however many times
+	// a chunk was retried, adopted or recomputed on the way.
+	if got, want := report.Counters()["chunks"], int64(opts.Core.RowPanels*opts.Core.ColPanels); got != want {
+		t.Fatalf("scenario %d [%s on %s, faults %+v]: chunks = %d for a %d-chunk grid",
+			i, sc.engine, desc, sc.cfg, got, want)
+	}
 }
 
 // TestChaosSoak runs the seeded scenario sweep: the full >=50 matrix
@@ -204,30 +209,52 @@ func TestChaosSoak(t *testing.T) {
 }
 
 // TestChaosDeterminism: the same fault seed must reproduce the run
-// bit-for-bit — identical statistics and identical simulated timeline.
+// bit-for-bit — identical counters and identical simulated timeline —
+// on the GPU pipeline alone and through the driver's controller, whose
+// every routing decision (adoption by a surviving GPU, fallback to the
+// CPU, device loss) must land in the same order.
 func TestChaosDeterminism(t *testing.T) {
 	a := spgemm.RMAT(7, 8, 0.57, 0.19, 0.19, 7)
 	cfg := spgemm.V100WithMemory(1 << 20)
-	run := func() (spgemm.Stats, []metrics.Span) {
-		col := spgemm.NewCollector()
-		opts := spgemm.OutOfCoreOptions{
-			RowPanels: 4, ColPanels: 2, Async: true,
-			Faults:  spgemm.FaultConfig{Seed: 11, TransferRate: 0.05, KernelRate: 0.03, StragglerRate: 0.05},
-			Metrics: col,
-		}
-		_, st, err := spgemm.MultiplyOutOfCore(a, a, cfg, opts)
+	for _, tc := range []struct {
+		engine string
+		gpus   int
+		faults spgemm.FaultConfig
+	}{
+		{"gpu", 0, spgemm.FaultConfig{Seed: 11, TransferRate: 0.05, KernelRate: 0.03, StragglerRate: 0.05}},
+		{"hybrid", 0, spgemm.FaultConfig{Seed: 11, TransferRate: 0.06, KernelRate: 0.04, LossAfterOps: 40}},
+		{"multigpu", 2, spgemm.FaultConfig{Seed: 11, TransferRate: 0.06, KernelRate: 0.04, LossAfterOps: 40}},
+	} {
+		eng, err := spgemm.ByName(tc.engine)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return st, simSpans(col.Spans())
-	}
-	st1, tl1 := run()
-	st2, tl2 := run()
-	if st1 != st2 {
-		t.Fatalf("stats differ across identical fault seeds:\n%+v\n%+v", st1, st2)
-	}
-	if !reflect.DeepEqual(tl1, tl2) {
-		t.Fatal("simulated timelines differ across identical fault seeds")
+		run := func() (map[string]int64, []metrics.Span) {
+			col := spgemm.NewCollector()
+			_, report, err := eng.Run(a, a, &spgemm.RunOptions{
+				Device:  &cfg,
+				Core:    spgemm.OutOfCoreOptions{RowPanels: 4, ColPanels: 2},
+				Faults:  tc.faults,
+				NumGPUs: tc.gpus,
+				UseCPU:  tc.gpus > 0,
+				Metrics: col,
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", tc.engine, err)
+			}
+			return report.Counters(), simSpans(col.Spans())
+		}
+		c1, tl1 := run()
+		c2, tl2 := run()
+		if !reflect.DeepEqual(c1, c2) {
+			t.Fatalf("%s: counters differ across identical fault seeds:\n%v\n%v", tc.engine, c1, c2)
+		}
+		if !reflect.DeepEqual(tl1, tl2) {
+			t.Fatalf("%s: simulated timelines differ across identical fault seeds", tc.engine)
+		}
+		if tc.engine != "gpu" && c1["recovery_fallbacks"] == 0 {
+			t.Fatalf("%s: no chunk reached the CPU worker; the case must exercise the controller: %v", tc.engine, c1)
+		}
 	}
 }
 
@@ -327,6 +354,9 @@ func TestChaosMultiGPUFailover(t *testing.T) {
 	}
 	if counters["recovery_failovers"] == 0 {
 		t.Fatalf("expected failovers after device loss; counters %v", counters)
+	}
+	if want := int64(opts.Core.RowPanels * opts.Core.ColPanels); counters["chunks"] != want {
+		t.Fatalf("chunks = %d for a %d-chunk grid: adopted chunks counted twice; counters %v", counters["chunks"], want, counters)
 	}
 }
 

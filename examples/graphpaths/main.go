@@ -33,7 +33,7 @@ func main() {
 	stats := report.(spgemm.HybridStats)
 	fmt.Printf("A²: %d vertex pairs connected by 2-hop paths\n", a2.Nnz())
 	fmt.Printf("hybrid run: %d chunks on GPU, %d on CPU, %.3f ms simulated, %.3f GFLOPS\n",
-		stats.GPUChunks, stats.CPUChunks, stats.TotalSec*1e3, stats.GFLOPS)
+		stats.GPUChunks[0], stats.CPUChunks, stats.TotalSec*1e3, stats.GFLOPS)
 
 	// Total number of length-2 paths = sum of all A² entries.
 	var totalPaths float64

@@ -32,17 +32,14 @@ func main() {
 
 	bestRatio, bestGF := 0.0, 0.0
 	for ratio := 0.30; ratio <= 0.96; ratio += 0.05 {
-		_, st, err := spgemm.MultiplyHybrid(a, a, cfg, spgemm.HybridOptions{
-			Core:    core,
-			Reorder: true,
-			Ratio:   ratio,
-		})
+		// Plan's options already schedule chunks flop-sorted (Reorder).
+		_, st, err := spgemm.MultiplyHybrid(a, a, cfg, spgemm.HybridOptions{Core: core, Ratio: ratio})
 		if err != nil {
 			log.Fatal(err)
 		}
 		bar := strings.Repeat("#", int(st.GFLOPS*20))
 		fmt.Printf("%4.0f%%  %10d  %10d  %6.3f  %6.3f %s\n",
-			ratio*100, st.GPUChunks, st.CPUChunks, st.TotalSec*1e3, st.GFLOPS, bar)
+			ratio*100, st.GPUChunks[0], st.CPUChunks, st.TotalSec*1e3, st.GFLOPS, bar)
 		if st.GFLOPS > bestGF {
 			bestRatio, bestGF = ratio, st.GFLOPS
 		}

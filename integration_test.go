@@ -166,7 +166,7 @@ func TestLargeScaleSmoke(t *testing.T) {
 		t.Fatalf("not out-of-core: %d chunks", st.Chunks)
 	}
 
-	hy, _, err := spgemm.MultiplyHybrid(a, a, cfg, spgemm.HybridOptions{Core: opts, Reorder: true})
+	hy, _, err := spgemm.MultiplyHybrid(a, a, cfg, spgemm.HybridOptions{Core: opts})
 	if err != nil {
 		t.Fatal(err)
 	}

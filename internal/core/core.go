@@ -149,21 +149,15 @@ func (o Options) withDefaults() Options {
 
 // Stats summarizes a run in simulated time.
 type Stats struct {
-	// TotalSec is the simulated makespan, including all output
+	// Totals: TotalSec is the simulated makespan, including all output
 	// transfers (the paper's GFLOPS definition).
-	TotalSec float64
+	metrics.Totals
 	// TransferSec is the total time the two DMA engines were busy;
 	// TransferFraction is TransferSec / TotalSec (Figure 4's metric).
 	TransferSec      float64
 	TransferFraction float64
 	// ComputeSec is the time the kernel engine was busy.
 	ComputeSec float64
-	// Flops is the multiply-add flop count (x2) of the whole product.
-	Flops int64
-	// GFLOPS is Flops / TotalSec / 1e9.
-	GFLOPS float64
-	// NnzC is the number of non-zeros of the product.
-	NnzC int64
 	// MemPeakBytes is the device memory high-water mark.
 	MemPeakBytes int64
 	// Mallocs counts device allocations (1 in pre-allocated mode).
@@ -182,18 +176,6 @@ type Stats struct {
 	Retries, Abandoned int64
 }
 
-// Seconds returns the simulated makespan; part of metrics.Report.
-func (s Stats) Seconds() float64 { return s.TotalSec }
-
-// FlopCount returns the multiply-add flop count (x2) of the product.
-func (s Stats) FlopCount() int64 { return s.Flops }
-
-// Throughput returns the run's GFLOPS.
-func (s Stats) Throughput() float64 { return s.GFLOPS }
-
-// OutputNnz returns the product's non-zero count.
-func (s Stats) OutputNnz() int64 { return s.NnzC }
-
 // Counters returns the flat key/value snapshot of the run.
 func (s Stats) Counters() map[string]int64 {
 	return map[string]int64{
@@ -210,8 +192,9 @@ func (s Stats) Counters() map[string]int64 {
 }
 
 // Engine drives the out-of-core multiplication of one (A, B) pair on a
-// device. It is exported so the hybrid package can schedule a subset of
-// chunks on the GPU while a CPU worker takes the rest.
+// device. It is exported so the multi-worker driver (internal/multigpu)
+// can schedule a subset of chunks on each GPU while a CPU worker takes
+// the rest.
 //
 // The engine owns the product from the start, as the paper's pipeline
 // owns its device memory (Section IV: nothing is allocated once chunks
@@ -232,9 +215,9 @@ type Engine struct {
 	err error
 
 	// failed maps chunk ids that did not complete on the device to the
-	// error that stopped them; callers recover them (hybrid falls back
-	// to the CPU, multigpu fails over to a surviving device) or the run
-	// surfaces them as a typed error.
+	// error that stopped them; callers recover them (the multi-worker
+	// driver fails over to another live device or falls back to the CPU
+	// worker) or the run surfaces them as a typed error.
 	failed map[int]error
 	// retries tracks the per-chunk retry budget already spent;
 	// nRetries and nAbandoned are the run totals behind Stats.
@@ -455,8 +438,8 @@ func (e *Engine) ChunkFlops() []int64 {
 }
 
 // RowAnalysis returns the whole-matrix row analysis of the operands —
-// C's exact row offsets, and what the hybrid engines' host cost model
-// prices the CPU worker from: the plan's, else the one handed in through
+// C's exact row offsets, and what the driver's host cost model prices
+// the CPU worker from: the plan's, else the one handed in through
 // Options.Analysis, else computed here, once per pattern.
 func (e *Engine) RowAnalysis() *speck.RowAnalysis {
 	pl := e.plan
@@ -564,7 +547,7 @@ func (e *Engine) compute(id, threads int) error {
 	return nil
 }
 
-// HostChunk computes chunk id on the hybrid engines' CPU worker under a
+// HostChunk computes chunk id on the driver's CPU worker under a
 // simulated "cpu" span, unless the run's deadline has passed; like
 // ProcessChunks it records a terminal error on the engine (see Err). The
 // worker's throughput is a property of the whole matrix, so the span is
@@ -631,13 +614,6 @@ func (e *Engine) Failed() map[int]error { return e.failed }
 // ClearFailed removes a chunk from the failed set after a recovery
 // path has produced its result elsewhere.
 func (e *Engine) ClearFailed(id int) { delete(e.failed, id) }
-
-// Retries reports the transient faults absorbed by retrying so far.
-func (e *Engine) Retries() int64 { return e.nRetries }
-
-// Abandoned reports the transient faults that exhausted a chunk's
-// retry budget so far.
-func (e *Engine) Abandoned() int64 { return e.nAbandoned }
 
 // devOp runs one device operation under the chunk's retry budget:
 // transient faults (ErrTransfer, ErrKernel) retry after an exponential
@@ -729,16 +705,16 @@ func RunTraced(a, b *csr.Matrix, cfg gpusim.DeviceConfig, opts Options) (*csr.Ma
 	if err != nil {
 		return nil, Stats{}, nil, err
 	}
-	st := eng.stats(env, c)
+	st := eng.StatsFor(env, c)
 	eng.PublishMetrics(env, st)
 	return c, st, env.Timeline, nil
 }
 
 // PublishMetrics exports the run's simulated timeline and counters
 // into the engine's metrics collector (no-op when none is configured).
-// Callers that drive the environment themselves (hybrid, multigpu)
-// invoke it after computing their stats so instrumentation lands once,
-// here, rather than per engine.
+// Callers that drive the environment themselves (the multi-worker
+// driver) invoke it after computing their stats so instrumentation
+// lands once, here, rather than per engine.
 func (e *Engine) PublishMetrics(env *sim.Env, st metrics.Report) {
 	c := e.Opts.Metrics
 	if c == nil {
@@ -748,24 +724,31 @@ func (e *Engine) PublishMetrics(env *sim.Env, st metrics.Report) {
 	for k, v := range st.Counters() {
 		c.Add(k, v)
 	}
+	e.PublishFaults()
+}
+
+// PublishFaults exports the engine's device's injected-fault counts; a
+// run over several devices calls it for each one PublishMetrics was not
+// called on.
+func (e *Engine) PublishFaults() {
 	for kind, n := range e.Dev.Faults().Counts() {
-		c.Add("faults_injected_"+kind, n)
+		e.Opts.Metrics.Add("faults_injected_"+kind, n)
 	}
 }
 
-// stats collects run statistics from the environment.
-func (e *Engine) stats(env *sim.Env, c *csr.Matrix) Stats {
+// StatsFor collects the run statistics of the engine's device from the
+// environment, for Run and for callers (the multi-worker driver) that
+// drive the environment themselves.
+func (e *Engine) StatsFor(env *sim.Env, c *csr.Matrix) Stats {
 	var flops int64
 	for _, f := range e.ChunkFlops() {
 		flops += f
 	}
-	total := sim.SecondsAt(env.Now())
 	transfer := sim.SecondsOf(e.Dev.TransferBusy())
 	st := Stats{
-		TotalSec:     total,
+		Totals:       metrics.NewTotals(sim.SecondsAt(env.Now()), flops, c.Nnz()),
 		TransferSec:  transfer,
 		ComputeSec:   sim.SecondsOf(e.Dev.ComputeBusy()),
-		Flops:        flops,
 		MemPeakBytes: e.Dev.MemPeak(),
 		Mallocs:      e.Dev.Mallocs(),
 		Chunks:       e.NumChunks(),
@@ -774,19 +757,11 @@ func (e *Engine) stats(env *sim.Env, c *csr.Matrix) Stats {
 		Retries:      e.nRetries,
 		Abandoned:    e.nAbandoned,
 	}
-	if c != nil {
-		st.NnzC = c.Nnz()
-	}
-	if total > 0 {
-		st.TransferFraction = transfer / total
-		st.GFLOPS = float64(flops) / total / 1e9
+	if st.TotalSec > 0 {
+		st.TransferFraction = transfer / st.TotalSec
 	}
 	return st
 }
-
-// StatsFor exposes stats computation for callers (like the hybrid
-// engine) that drive the environment themselves.
-func (e *Engine) StatsFor(env *sim.Env, c *csr.Matrix) Stats { return e.stats(env, c) }
 
 // ProcessChunks executes the given chunks on the device in order,
 // using the synchronous or asynchronous pipeline per Options. It must

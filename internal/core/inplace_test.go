@@ -33,16 +33,17 @@ var inPlaceEngines = []struct {
 		return m, err
 	}},
 	{"hybrid", func(c propCase, cfg gpusim.DeviceConfig, reorder bool) (*csr.Matrix, error) {
-		m, _, err := hybrid.Run(c.A, c.B, cfg, hybrid.Options{
-			Core: core.Options{RowPanels: c.RowPanels, ColPanels: c.ColPanels}, Reorder: reorder,
+		m, _, err := multigpu.Run(c.A, c.B, cfg, multigpu.Options{
+			Core:    core.Options{RowPanels: c.RowPanels, ColPanels: c.ColPanels, Reorder: reorder},
+			NumGPUs: 1, UseCPU: true,
 		})
 		return m, err
 	}},
-	{"multigpu", func(c propCase, cfg gpusim.DeviceConfig, _ bool) (*csr.Matrix, error) {
+	{"multigpu", func(c propCase, cfg gpusim.DeviceConfig, reorder bool) (*csr.Matrix, error) {
 		host := hybrid.DefaultHostModel()
 		host.Threads = 4
 		m, _, err := multigpu.Run(c.A, c.B, cfg, multigpu.Options{
-			Core:    core.Options{RowPanels: c.RowPanels, ColPanels: c.ColPanels},
+			Core:    core.Options{RowPanels: c.RowPanels, ColPanels: c.ColPanels, Reorder: reorder},
 			NumGPUs: 2, UseCPU: true, Host: host,
 		})
 		return m, err

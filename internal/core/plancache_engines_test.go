@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/csr"
 	"repro/internal/gpusim"
-	"repro/internal/hybrid"
 	"repro/internal/matgen"
 	"repro/internal/multigpu"
 	"repro/internal/speck"
@@ -30,10 +29,12 @@ var cachedEngines = []cachedEngine{
 		return c, st.BytesH2D, st.BytesD2H, st.TotalSec, err
 	}},
 	{"hybrid", func(a *csr.Matrix, cfg gpusim.DeviceConfig, opts core.Options) (*csr.Matrix, int64, int64, float64, error) {
-		c, st, err := hybrid.Run(a, a, cfg, hybrid.Options{Core: opts, Reorder: true})
+		opts.Reorder = true
+		c, st, err := multigpu.Run(a, a, cfg, multigpu.Options{Core: opts, NumGPUs: 1, UseCPU: true})
 		return c, st.BytesH2D, st.BytesD2H, st.TotalSec, err
 	}},
 	{"multigpu", func(a *csr.Matrix, cfg gpusim.DeviceConfig, opts core.Options) (*csr.Matrix, int64, int64, float64, error) {
+		opts.Reorder = true
 		c, st, err := multigpu.Run(a, a, cfg, multigpu.Options{Core: opts, NumGPUs: 2, UseCPU: true})
 		return c, st.BytesH2D, st.BytesD2H, st.TotalSec, err
 	}},

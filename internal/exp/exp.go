@@ -19,6 +19,7 @@ import (
 	"repro/internal/csr"
 	"repro/internal/gpusim"
 	"repro/internal/matgen"
+	"repro/internal/multigpu"
 )
 
 // Table is a printable experiment result.
@@ -142,6 +143,15 @@ func (r *Run) Cfg() gpusim.DeviceConfig {
 // CoreOpts returns the grid portion of the core options.
 func (r *Run) CoreOpts() core.Options {
 	return core.Options{RowPanels: r.GridR, ColPanels: r.GridC}
+}
+
+// HybridOpts returns the paper's CPU-GPU node on the run's grid — the
+// out-of-core driver with one GPU beside the CPU worker — scheduling
+// chunks flop-sorted or (Figure 9's "default implementation") row-major.
+func (r *Run) HybridOpts(reorder bool) multigpu.Options {
+	opts := multigpu.Options{Core: r.CoreOpts(), NumGPUs: 1, UseCPU: true}
+	opts.Core.Reorder = reorder
+	return opts
 }
 
 var (

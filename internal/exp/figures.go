@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gpusim"
 	"repro/internal/hybrid"
+	"repro/internal/multigpu"
 )
 
 // Table1 prints the simulated device specification (the paper's
@@ -108,7 +109,7 @@ func Fig7Data(runs []*Run) ([]Fig7Row, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fig7 gpu %s: %w", r.Entry.Abbr, err)
 		}
-		_, hySt, err := hybrid.Run(r.A, r.A, r.Cfg(), hybrid.Options{Core: r.CoreOpts(), Reorder: true})
+		_, hySt, err := multigpu.Run(r.A, r.A, r.Cfg(), r.HybridOpts(true))
 		if err != nil {
 			return nil, fmt.Errorf("fig7 hybrid %s: %w", r.Entry.Abbr, err)
 		}
@@ -196,11 +197,11 @@ func Fig9(runs []*Run) (*Table, error) {
 		Notes:  []string{"reordering gains concentrate on the skewed (graph) matrices"},
 	}
 	for _, r := range runs {
-		_, def, err := hybrid.Run(r.A, r.A, r.Cfg(), hybrid.Options{Core: r.CoreOpts(), Reorder: false})
+		_, def, err := multigpu.Run(r.A, r.A, r.Cfg(), r.HybridOpts(false))
 		if err != nil {
 			return nil, fmt.Errorf("fig9 default %s: %w", r.Entry.Abbr, err)
 		}
-		_, reord, err := hybrid.Run(r.A, r.A, r.Cfg(), hybrid.Options{Core: r.CoreOpts(), Reorder: true})
+		_, reord, err := multigpu.Run(r.A, r.A, r.Cfg(), r.HybridOpts(true))
 		if err != nil {
 			return nil, fmt.Errorf("fig9 reorder %s: %w", r.Entry.Abbr, err)
 		}
@@ -235,7 +236,9 @@ func Fig10(runs []*Run, abbrs ...string) (*Table, error) {
 		}
 		row := []string{abbr}
 		for _, ratio := range Fig10Ratios {
-			_, st, err := hybrid.Run(r.A, r.A, r.Cfg(), hybrid.Options{Core: r.CoreOpts(), Reorder: true, Ratio: ratio})
+			opts := r.HybridOpts(true)
+			opts.Ratio = ratio
+			_, st, err := multigpu.Run(r.A, r.A, r.Cfg(), opts)
 			if err != nil {
 				return nil, fmt.Errorf("fig10 %s ratio %.2f: %w", abbr, ratio, err)
 			}
@@ -270,16 +273,18 @@ func Table3Data(runs []*Run) ([]Table3Row, error) {
 	for _, r := range runs {
 		row := Table3Row{Abbr: r.Entry.Abbr}
 
-		_, fixedSt, err := hybrid.Run(r.A, r.A, r.Cfg(), hybrid.Options{Core: r.CoreOpts(), Reorder: true, Ratio: hybrid.DefaultRatio})
+		_, fixedSt, err := multigpu.Run(r.A, r.A, r.Cfg(), r.HybridOpts(true))
 		if err != nil {
 			return nil, fmt.Errorf("table3 %s: %w", r.Entry.Abbr, err)
 		}
-		row.FixedChunks = fixedSt.GPUChunks
+		row.FixedChunks = fixedSt.GPUChunks[0]
 
 		best := -1.0
 		total := r.GridR * r.GridC
 		for n := 1; n <= total; n++ {
-			_, st, err := hybrid.Run(r.A, r.A, r.Cfg(), hybrid.Options{Core: r.CoreOpts(), Reorder: true, ForceGPUChunks: n})
+			opts := r.HybridOpts(true)
+			opts.ForceGPUChunks = n
+			_, st, err := multigpu.Run(r.A, r.A, r.Cfg(), opts)
 			if err != nil {
 				return nil, fmt.Errorf("table3 %s n=%d: %w", r.Entry.Abbr, n, err)
 			}

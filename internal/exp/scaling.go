@@ -36,16 +36,18 @@ func FigScaling(runs []*Run, abbrs ...string) (*Table, error) {
 		}
 		row := []string{abbr}
 		for _, n := range ScalingGPUCounts {
-			_, st, err := multigpu.Run(r.A, r.A, r.Cfg(), multigpu.Options{Core: r.CoreOpts(), NumGPUs: n})
+			opts := multigpu.Options{Core: r.CoreOpts(), NumGPUs: n}
+			opts.Core.Reorder = true
+			_, st, err := multigpu.Run(r.A, r.A, r.Cfg(), opts)
 			if err != nil {
 				return nil, fmt.Errorf("scaling %s n=%d: %w", abbr, n, err)
 			}
 			row = append(row, fmt.Sprintf("%.3f", st.GFLOPS))
 		}
 		nMax := ScalingGPUCounts[len(ScalingGPUCounts)-1]
-		_, st, err := multigpu.Run(r.A, r.A, r.Cfg(), multigpu.Options{
-			Core: r.CoreOpts(), NumGPUs: nMax, UseCPU: true,
-		})
+		opts := r.HybridOpts(true)
+		opts.NumGPUs = nMax
+		_, st, err := multigpu.Run(r.A, r.A, r.Cfg(), opts)
 		if err != nil {
 			return nil, fmt.Errorf("scaling %s cpu-assist: %w", abbr, err)
 		}

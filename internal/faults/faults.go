@@ -103,11 +103,11 @@ type RecoverySignal struct {
 // SignalFromCounters extracts a RecoverySignal from a flat counter
 // snapshot (Collector.Snapshot or Report.Counters output). Lost
 // devices are visible through two counters that may disagree:
-// "recovery_devices_lost" (engines with a failover path, e.g.
-// multigpu) and "faults_injected_lost" (every injector, including
-// engines like hybrid that absorb the loss via CPU fallback without a
-// failover counter). The signal takes the larger so a loss is never
-// invisible to a breaker, and never double-counted.
+// "recovery_devices_lost" (the engines with a failover path: hybrid and
+// multigpu, through their one driver) and "faults_injected_lost" (every
+// injector, including the GPU-only engines, whose run a loss ends).
+// The signal takes the larger so a loss is never invisible to a
+// breaker, and never double-counted.
 func SignalFromCounters(c map[string]int64, err error) RecoverySignal {
 	lost := c["recovery_devices_lost"]
 	if v := c["faults_injected_lost"]; v > lost {

@@ -1,4 +1,4 @@
-package hybrid
+package hybrid_test
 
 import (
 	"testing"
@@ -7,17 +7,26 @@ import (
 	"repro/internal/cpuspgemm"
 	"repro/internal/csr"
 	"repro/internal/gpusim"
+	"repro/internal/hybrid"
 	"repro/internal/matgen"
+	"repro/internal/multigpu"
 	"repro/internal/speck"
 )
 
 func cfg() gpusim.DeviceConfig { return gpusim.ScaledV100Config(256 << 20) }
 
-func grid(r, c int) core.Options { return core.Options{RowPanels: r, ColPanels: c} }
+// node is the paper's hybrid node on an r x c grid: the one driver with
+// one GPU beside the CPU worker, chunks flop-sorted or row-major.
+func node(r, c int, reorder bool) multigpu.Options {
+	return multigpu.Options{
+		Core:    core.Options{RowPanels: r, ColPanels: c, Reorder: reorder},
+		NumGPUs: 1, UseCPU: true,
+	}
+}
 
 func TestSplitBasic(t *testing.T) {
 	flops := []int64{10, 40, 30, 20} // total 100
-	gpu, cpu := Split(flops, 0.65, true)
+	gpu, cpu := hybrid.Split(flops, 0.65, true)
 	// Sorted desc: 1(40), 2(30), 3(20), 0(10); prefix >= 65 at 40+30=70.
 	if len(gpu) != 2 || gpu[0] != 1 || gpu[1] != 2 {
 		t.Fatalf("gpu = %v", gpu)
@@ -26,7 +35,7 @@ func TestSplitBasic(t *testing.T) {
 		t.Fatalf("cpu = %v", cpu)
 	}
 
-	gpu, cpu = Split(flops, 0.65, false)
+	gpu, cpu = hybrid.Split(flops, 0.65, false)
 	// Default order: 10+40+30 = 80 >= 65 at index 2.
 	if len(gpu) != 3 || gpu[0] != 0 || gpu[2] != 2 {
 		t.Fatalf("default gpu = %v", gpu)
@@ -37,16 +46,16 @@ func TestSplitBasic(t *testing.T) {
 }
 
 func TestSplitEdgeCases(t *testing.T) {
-	gpu, cpu := Split(nil, 0.65, true)
+	gpu, cpu := hybrid.Split(nil, 0.65, true)
 	if len(gpu) != 0 || len(cpu) != 0 {
 		t.Fatal("empty split wrong")
 	}
-	gpu, cpu = Split([]int64{0, 0}, 0.65, true)
+	gpu, cpu = hybrid.Split([]int64{0, 0}, 0.65, true)
 	if len(gpu) != 2 || len(cpu) != 0 {
 		t.Fatalf("zero-flop split: gpu=%v cpu=%v", gpu, cpu)
 	}
 	// Ratio 1.0: everything on GPU.
-	gpu, cpu = Split([]int64{5, 5}, 1.0, true)
+	gpu, cpu = hybrid.Split([]int64{5, 5}, 1.0, true)
 	if len(gpu) != 2 || len(cpu) != 0 {
 		t.Fatalf("ratio 1: gpu=%v cpu=%v", gpu, cpu)
 	}
@@ -63,7 +72,7 @@ func TestHybridMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, reorder := range []bool{false, true} {
-			got, st, err := Run(a, a, cfg(), Options{Core: grid(3, 3), Reorder: reorder})
+			got, st, err := multigpu.Run(a, a, cfg(), node(3, 3, reorder))
 			if err != nil {
 				t.Fatalf("matrix %d reorder=%v: %v", mi, reorder, err)
 			}
@@ -73,8 +82,8 @@ func TestHybridMatchesSequential(t *testing.T) {
 			if !csr.Equal(got, want, 1e-9) {
 				t.Fatalf("matrix %d reorder=%v: %s", mi, reorder, csr.Diff(got, want, 1e-9))
 			}
-			if st.GPUChunks+st.CPUChunks != 9 {
-				t.Fatalf("chunks %d + %d != 9", st.GPUChunks, st.CPUChunks)
+			if st.GPUChunks[0]+st.CPUChunks != 9 {
+				t.Fatalf("chunks %d + %d != 9", st.GPUChunks[0], st.CPUChunks)
 			}
 			if st.GPUFlops+st.CPUFlops != st.Flops {
 				t.Fatalf("flop split %d+%d != %d", st.GPUFlops, st.CPUFlops, st.Flops)
@@ -85,7 +94,9 @@ func TestHybridMatchesSequential(t *testing.T) {
 
 func TestHybridFlopShareRespectsRatio(t *testing.T) {
 	a := matgen.RMAT(10, 10, 0.57, 0.19, 0.19, 23)
-	_, st, err := Run(a, a, cfg(), Options{Core: grid(3, 4), Reorder: true, Ratio: 0.65})
+	opts := node(3, 4, true)
+	opts.Ratio = 0.65
+	_, st, err := multigpu.Run(a, a, cfg(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +117,7 @@ func TestHybridFasterThanGPUOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, hySt, err := Run(a, a, cfg(), Options{Core: grid(3, 3), Reorder: true})
+	_, hySt, err := multigpu.Run(a, a, cfg(), node(3, 3, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,11 +131,11 @@ func TestReorderingEffect(t *testing.T) {
 	// default row-major order mixes empty and diagonal chunks) and stay
 	// within chunk-granularity noise of the default on skewed graphs.
 	band := matgen.Band(6000, 5, 29)
-	_, def, err := Run(band, band, cfg(), Options{Core: grid(5, 4), Reorder: false})
+	_, def, err := multigpu.Run(band, band, cfg(), node(5, 4, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, reord, err := Run(band, band, cfg(), Options{Core: grid(5, 4), Reorder: true})
+	_, reord, err := multigpu.Run(band, band, cfg(), node(5, 4, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +144,11 @@ func TestReorderingEffect(t *testing.T) {
 	}
 
 	rmat := matgen.RMAT(11, 12, 0.6, 0.17, 0.17, 25)
-	_, def, err = Run(rmat, rmat, cfg(), Options{Core: grid(4, 4), Reorder: false})
+	_, def, err = multigpu.Run(rmat, rmat, cfg(), node(4, 4, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, reord, err = Run(rmat, rmat, cfg(), Options{Core: grid(4, 4), Reorder: true})
+	_, reord, err = multigpu.Run(rmat, rmat, cfg(), node(4, 4, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +160,7 @@ func TestReorderingEffect(t *testing.T) {
 func TestRunCPUOnly(t *testing.T) {
 	a := matgen.Band(600, 4, 26)
 	want, _ := cpuspgemm.Sequential(a, a)
-	got, st, err := RunCPUOnly(a, a, cfg(), HostModel{})
+	got, st, err := hybrid.RunCPUOnly(a, a, cfg(), hybrid.HostModel{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +176,7 @@ func TestRunCPUOnly(t *testing.T) {
 	// The split read off the finished product is the one a symbolic
 	// pass would have classified.
 	ra := speck.Analyze(a, a)
-	if want := DefaultHostModel().ChunkSeconds(ra.HashFlops, ra.DenseFlops, got.Bytes()); st.TotalSec != want {
+	if want := hybrid.DefaultHostModel().ChunkSeconds(ra.HashFlops, ra.DenseFlops, got.Bytes()); st.TotalSec != want {
 		t.Fatalf("simulated seconds %v, want %v from the row analysis", st.TotalSec, want)
 	}
 }
@@ -178,7 +189,7 @@ func TestGPUBeatsCPUBaseline(t *testing.T) {
 		func() *csr.Matrix { return matgen.Band(4000, 5, 28) },
 	} {
 		a := gen()
-		_, cpuSt, err := RunCPUOnly(a, a, cfg(), HostModel{})
+		_, cpuSt, err := hybrid.RunCPUOnly(a, a, cfg(), hybrid.HostModel{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,11 +206,11 @@ func TestGPUBeatsCPUBaseline(t *testing.T) {
 }
 
 func TestChunkSeconds(t *testing.T) {
-	h := HostModel{HashRate: 2, DenseRate: 4, OutputBandwidth: 8}
+	h := hybrid.HostModel{HashRate: 2, DenseRate: 4, OutputBandwidth: 8}
 	if got := h.ChunkSeconds(4, 8, 16); got != 6 {
 		t.Fatalf("ChunkSeconds = %v, want 6", got)
 	}
-	var zero HostModel
+	var zero hybrid.HostModel
 	if zero.ChunkSeconds(100, 100, 100) != 0 {
 		t.Fatal("zero model must cost nothing")
 	}
@@ -207,7 +218,7 @@ func TestChunkSeconds(t *testing.T) {
 
 func TestSplitCount(t *testing.T) {
 	flops := []int64{10, 40, 30, 20}
-	gpu, cpu := SplitCount(flops, 2, true)
+	gpu, cpu := hybrid.SplitCount(flops, 2, true)
 	if len(gpu) != 2 || gpu[0] != 1 || gpu[1] != 2 {
 		t.Fatalf("gpu = %v", gpu)
 	}
@@ -215,12 +226,12 @@ func TestSplitCount(t *testing.T) {
 		t.Fatalf("cpu = %v", cpu)
 	}
 	// Unsorted variant keeps original order.
-	gpu, _ = SplitCount(flops, 3, false)
+	gpu, _ = hybrid.SplitCount(flops, 3, false)
 	if gpu[0] != 0 || gpu[1] != 1 || gpu[2] != 2 {
 		t.Fatalf("unsorted gpu = %v", gpu)
 	}
 	// Over-length count is clamped.
-	gpu, cpu = SplitCount(flops, 99, true)
+	gpu, cpu = hybrid.SplitCount(flops, 99, true)
 	if len(gpu) != 4 || len(cpu) != 0 {
 		t.Fatalf("clamped: gpu=%v cpu=%v", gpu, cpu)
 	}
@@ -230,12 +241,14 @@ func TestForceGPUChunks(t *testing.T) {
 	a := matgen.RMAT(9, 8, 0.57, 0.19, 0.19, 51)
 	want, _ := cpuspgemm.Sequential(a, a)
 	for _, n := range []int{1, 4, 9} {
-		got, st, err := Run(a, a, cfg(), Options{Core: grid(3, 3), Reorder: true, ForceGPUChunks: n})
+		opts := node(3, 3, true)
+		opts.ForceGPUChunks = n
+		got, st, err := multigpu.Run(a, a, cfg(), opts)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		if st.GPUChunks != n {
-			t.Fatalf("n=%d: GPUChunks = %d", n, st.GPUChunks)
+		if st.GPUChunks[0] != n {
+			t.Fatalf("n=%d: GPUChunks = %v", n, st.GPUChunks)
 		}
 		if !csr.Equal(got, want, 1e-9) {
 			t.Fatalf("n=%d: wrong product", n)

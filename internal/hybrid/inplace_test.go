@@ -1,4 +1,4 @@
-package hybrid
+package hybrid_test
 
 import (
 	"runtime"
@@ -8,7 +8,9 @@ import (
 	"repro/internal/csr"
 	"repro/internal/faults"
 	"repro/internal/gpusim"
+	"repro/internal/hybrid"
 	"repro/internal/matgen"
+	"repro/internal/multigpu"
 )
 
 // TestFallbackOverwritesWindows: with no retries, a fault on any device
@@ -18,19 +20,19 @@ import (
 // bit-identical to a fault-free run's.
 func TestFallbackOverwritesWindows(t *testing.T) {
 	a := matgen.RMAT(9, 8, 0.57, 0.19, 0.19, 52)
-	want, _, err := Run(a, a, cfg(), Options{Core: grid(4, 3), Reorder: true})
+	opts := node(4, 3, true)
+	want, _, err := multigpu.Run(a, a, cfg(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Core: grid(4, 3), Reorder: true}
 	opts.Core.ChunkRetries = -1
 	opts.Core.Faults = faults.Config{Seed: 3, TransferRate: 0.05, KernelRate: 0.05}
-	got, st, err := Run(a, a, cfg(), opts)
+	got, st, err := multigpu.Run(a, a, cfg(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fb := st.Counters()["recovery_fallbacks"]; fb < 1 || fb >= int64(st.GPUChunks) {
-		t.Fatalf("%d of %d GPU chunks fell back; the case needs both device-completed and recovered chunks", fb, st.GPUChunks)
+	if fb := st.Counters()["recovery_fallbacks"]; fb < 1 || fb >= int64(st.GPUChunks[0]) {
+		t.Fatalf("%d of %d GPU chunks fell back; the case needs both device-completed and recovered chunks", fb, st.GPUChunks[0])
 	}
 	if !csr.Equal(got, want, 0) {
 		t.Fatalf("product after %d fallbacks: %s", st.FallbackChunks, csr.Diff(got, want, 0))
@@ -47,12 +49,13 @@ func TestFallbackOverwritesWindows(t *testing.T) {
 func TestAllocationCeiling(t *testing.T) {
 	a := matgen.RMAT(10, 24, 0.57, 0.19, 0.19, 5)
 	dev := gpusim.ScaledV100Config(4 << 20)
-	opts := Options{Core: grid(4, 3), Reorder: true, Host: DefaultHostModel()}
+	opts := node(4, 3, true)
+	opts.Host = hybrid.DefaultHostModel()
 	opts.Host.Threads = 1
 	run := func() (c *csr.Matrix, allocated int64) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		c, _, err := Run(a, a, dev, opts)
+		c, _, err := multigpu.Run(a, a, dev, opts)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)

@@ -23,3 +23,39 @@ type Report interface {
 	// Counters is the flat key/value snapshot of the run's counters.
 	Counters() map[string]int64
 }
+
+// Totals is the part of a run's statistics every engine reports and the
+// four Report methods read; an engine's Stats embeds it and adds its own
+// Counters.
+type Totals struct {
+	// TotalSec is the makespan in the engine's time domain.
+	TotalSec float64
+	// Flops is the multiply-add flop count (x2) of the whole product.
+	Flops int64
+	// GFLOPS is Flops / TotalSec / 1e9.
+	GFLOPS float64
+	// NnzC is the number of non-zeros of the product.
+	NnzC int64
+}
+
+// NewTotals fills in GFLOPS, the paper's definition: all flops over the
+// whole makespan (zero for an instantaneous run).
+func NewTotals(sec float64, flops, nnzC int64) Totals {
+	t := Totals{TotalSec: sec, Flops: flops, NnzC: nnzC}
+	if sec > 0 {
+		t.GFLOPS = float64(flops) / sec / 1e9
+	}
+	return t
+}
+
+// Seconds returns the makespan; part of Report.
+func (t Totals) Seconds() float64 { return t.TotalSec }
+
+// FlopCount returns the multiply-add flop count (x2) of the product.
+func (t Totals) FlopCount() int64 { return t.Flops }
+
+// Throughput returns the run's GFLOPS.
+func (t Totals) Throughput() float64 { return t.GFLOPS }
+
+// OutputNnz returns the product's non-zero count.
+func (t Totals) OutputNnz() int64 { return t.NnzC }

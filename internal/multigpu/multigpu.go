@@ -1,23 +1,30 @@
-// Package multigpu extends the out-of-core framework to several GPUs
-// on one node — the scaling direction the paper's conclusion points to
+// Package multigpu is the one multi-worker out-of-core driver: any
+// number of simulated GPUs on one node, optionally beside the CPU worker.
+// With one GPU and the CPU it is the paper's hybrid engine (Section
+// III-C, Algorithm 4: the split policy lives in internal/hybrid); with
+// more GPUs it is the scaling direction the paper's conclusion points to
 // ("our ultimate goal of continuing to scale SpGEMM computations to
 // arbitrarily large matrices").
 //
 // The chunk grid of Algorithm 3 already makes chunks independent, so
-// multi-GPU execution is a scheduling problem: chunks are sorted by
-// decreasing flops and assigned greedily to the least-loaded GPU (LPT
-// scheduling), each GPU runs the asynchronous out-of-core pipeline
-// over its share, and an optional CPU worker takes a trailing share of
-// the flops exactly as in the hybrid engine. Every simulated GPU has
+// multi-worker execution is a scheduling problem: the flop count of
+// every chunk is computed up front, chunks are sorted by decreasing
+// flops, the leading share — Ratio = N·S/(N·S+1) of the flops for N GPUs
+// each S times the CPU's speed, the paper's S/(S+1) at N = 1 — is
+// assigned greedily to the least-loaded GPU (LPT scheduling) and the
+// trailing chunks to the CPU worker (the multi-core hash SpGEMM of
+// Nagasaka et al.). Each GPU runs the asynchronous out-of-core pipeline
+// over its share while the CPU worker processes the remainder
+// concurrently; the run ends when all finish. Every simulated GPU has
 // its own DMA engines (cards on separate PCIe slots); all share one
 // virtual clock.
 //
-// Chunk independence is also what makes the engine fault-tolerant: a
+// Chunk independence is also what makes the driver fault-tolerant: a
 // chunk that fails on one device (retries exhausted, or the device
 // lost mid-run) is handed to a small controller that redistributes it
-// — to a surviving GPU while one exists and the chunk's redistribution
-// budget lasts, otherwise to the CPU worker. Only chunks with no
-// remaining healthy worker strand the run in a typed error.
+// — to the GPUs while another one is alive and the chunk's
+// redistribution budget lasts, otherwise to the CPU worker. Only chunks
+// with no remaining healthy worker strand the run in a typed error.
 package multigpu
 
 import (
@@ -38,99 +45,80 @@ import (
 // livelock where an unlucky chunk ping-pongs among degraded devices.
 const maxRedistributes = 2
 
-// Options configures a multi-GPU run.
+// Options configures a run of the driver.
 type Options struct {
-	// Core configures the chunk grid and the per-GPU pipeline (Async
-	// is forced on). Core.Faults seeds a per-device injector derived
-	// from the base seed, so each GPU replays an independent but
-	// deterministic fault stream.
+	// Core configures the chunk grid and the per-GPU pipeline (Async is
+	// forced on). Core.Reorder schedules chunks by decreasing flops — the
+	// paper's design — before they are split and placed; false is the
+	// row-major "default implementation" of Figure 9. Core.Faults seeds
+	// device 0's injector, and every further device's is derived from
+	// it, so each GPU replays an independent but deterministic fault
+	// stream. Core.Metrics receives the shared timeline of all workers
+	// plus the run's counters.
 	Core core.Options
 	// NumGPUs is the device count; 0 means 1.
 	NumGPUs int
 	// UseCPU adds a CPU worker taking the trailing (1-Ratio) share of
-	// flops.
+	// flops. One GPU and the CPU worker is the paper's hybrid engine.
 	UseCPU bool
 	// Ratio is the collective GPU flop share when UseCPU is set; zero
-	// means hybrid.DefaultRatio.
+	// means N·S/(N·S+1) for the S behind hybrid.DefaultRatio.
 	Ratio float64
 	// Host is the CPU cost model; zero value means the default.
 	Host hybrid.HostModel
-	// Metrics is an optional observability sink receiving the shared
-	// timeline of all devices plus aggregate counters.
-	Metrics *metrics.Collector
+	// ForceGPUChunks, when positive and UseCPU is set, overrides Ratio
+	// and assigns exactly this many chunks (in schedule order) to the
+	// GPUs. The exhaustive search behind the paper's Table III uses it.
+	ForceGPUChunks int
 }
 
-// Stats reports a multi-GPU run.
+// Stats extends the core stats — time and flop totals, and the
+// per-device counters summed over the GPUs (MemPeakBytes: their maximum)
+// — with the split between the workers.
 type Stats struct {
-	// TotalSec is the simulated makespan; Flops and GFLOPS as usual.
-	TotalSec float64
-	Flops    int64
-	GFLOPS   float64
-	NnzC     int64
-	// GPUChunks[i] is the chunk count scheduled on GPU i (its initial
-	// share plus any chunks it adopted); CPUChunks the CPU worker's
-	// count.
-	GPUChunks []int
-	CPUChunks int
-	// GPUBusySec[i] is the finish time of GPU i's worker.
-	GPUBusySec []float64
-	// BytesH2D and BytesD2H sum the payload bytes moved by all devices.
-	BytesH2D, BytesD2H int64
-	// Retries and Abandoned sum the per-device transient-fault
-	// recovery counters (see core.Stats).
-	Retries, Abandoned int64
+	core.Stats
+	// GPUChunks[i] and CPUChunks count the chunks the split placed on
+	// GPU i and on the CPU worker, GPUFlops and CPUFlops the flops on
+	// either side of it; chunks that moved afterwards are counted below.
+	GPUChunks          []int
+	CPUChunks          int
+	GPUFlops, CPUFlops int64
 	// Failovers counts chunk redistributions off a failing device;
-	// FallbackChunks the subset absorbed by the CPU worker; LostGPUs
-	// the devices that died mid-run.
+	// FallbackChunks the subset absorbed by the CPU worker (graceful
+	// degradation); LostGPUs the devices that died mid-run.
 	Failovers      int
 	FallbackChunks int
 	LostGPUs       int
 }
 
-// Seconds returns the simulated makespan; part of metrics.Report.
-func (s Stats) Seconds() float64 { return s.TotalSec }
-
-// FlopCount returns the multiply-add flop count (x2) of the product.
-func (s Stats) FlopCount() int64 { return s.Flops }
-
-// Throughput returns the run's GFLOPS.
-func (s Stats) Throughput() float64 { return s.GFLOPS }
-
-// OutputNnz returns the product's non-zero count.
-func (s Stats) OutputNnz() int64 { return s.NnzC }
-
-// Counters returns the flat key/value snapshot of the run.
+// Counters extends the core counters with the split, keeping Stats a
+// metrics.Report (Seconds, FlopCount, ... promote from core.Stats).
 func (s Stats) Counters() map[string]int64 {
 	var gpuChunks int64
 	for _, n := range s.GPUChunks {
 		gpuChunks += int64(n)
 	}
-	return map[string]int64{
-		metrics.CounterFlops:       s.Flops,
-		metrics.CounterBytesH2D:    s.BytesH2D,
-		metrics.CounterBytesD2H:    s.BytesD2H,
-		metrics.CounterChunks:      gpuChunks + int64(s.CPUChunks),
-		metrics.CounterNnzC:        s.NnzC,
-		"gpus":                     int64(len(s.GPUChunks)),
-		"gpu_chunks":               gpuChunks,
-		"cpu_chunks":               int64(s.CPUChunks),
-		metrics.CounterRetries:     s.Retries,
-		metrics.CounterAbandoned:   s.Abandoned,
-		metrics.CounterFailovers:   int64(s.Failovers),
-		metrics.CounterFallbacks:   int64(s.FallbackChunks),
-		metrics.CounterDevicesLost: int64(s.LostGPUs),
-	}
+	out := s.Stats.Counters()
+	out["gpus"] = int64(len(s.GPUChunks))
+	out["gpu_chunks"] = gpuChunks
+	out["cpu_chunks"] = int64(s.CPUChunks)
+	out["gpu_flops"] = s.GPUFlops
+	out["cpu_flops"] = s.CPUFlops
+	out[metrics.CounterFailovers] = int64(s.Failovers)
+	out[metrics.CounterFallbacks] = int64(s.FallbackChunks)
+	out[metrics.CounterDevicesLost] = int64(s.LostGPUs)
+	return out
 }
 
-// Assign distributes chunk ids over n workers with longest-processing-
-// time-first greedy scheduling on their flop counts. It returns one id
-// list per worker, each sorted by decreasing flops (the §IV-C order).
+// Assign places chunk ids on n workers greedily, each on the least-
+// loaded worker so far by flops, in the order given: over ids sorted by
+// decreasing flops (hybrid.Split with reorder) that is longest-
+// processing-time-first scheduling and every share comes out in the
+// §IV-C order; over row-major ids every share stays row-major.
 func Assign(ids []int, flops []int64, n int) [][]int {
-	sorted := append([]int(nil), ids...)
-	sort.SliceStable(sorted, func(i, j int) bool { return flops[sorted[i]] > flops[sorted[j]] })
 	out := make([][]int, n)
 	load := make([]int64, n)
-	for _, id := range sorted {
+	for _, id := range ids {
 		// Least-loaded worker (ties to the lowest index).
 		w := 0
 		for i := 1; i < n; i++ {
@@ -169,11 +157,15 @@ func (c *controller) wake(p *sim.Proc) {
 	old.Fire(p)
 }
 
-// route disposes of the chunks a worker reports as failed: recoverable
-// ones go back into circulation (surviving GPUs first, then the CPU),
-// the rest are stranded. The reporting engine's failed set is cleared
-// — the chunks are the controller's problem now.
-func (c *controller) route(eng *core.Engine, failed []int, fromGPU bool) {
+// route disposes of the chunks a GPU worker reports as failed:
+// recoverable ones go back into circulation, the rest are stranded. A
+// chunk goes back to the GPUs only while a GPU other than the reporter
+// is alive (and its redistribution budget lasts) — the device that just
+// spent the chunk's retry budget is not handed it again as the only
+// candidate — and otherwise to the CPU; with one GPU that is the paper's
+// hybrid degradation, straight to the CPU worker. The reporting engine's
+// failed set is cleared — the chunks are the controller's problem now.
+func (c *controller) route(eng *core.Engine, failed []int) {
 	for _, id := range failed {
 		err := eng.Failed()[id]
 		eng.ClearFailed(id)
@@ -181,12 +173,10 @@ func (c *controller) route(eng *core.Engine, failed []int, fromGPU bool) {
 			c.stranded[id] = err
 			continue
 		}
-		if fromGPU {
-			c.failovers++
-		}
+		c.failovers++
 		c.tries[id]++
 		switch {
-		case c.aliveGPU > 0 && c.tries[id] <= maxRedistributes:
+		case c.aliveGPU > 1 && c.tries[id] <= maxRedistributes:
 			c.orphans = append(c.orphans, id)
 		case c.hasCPU:
 			c.cpuQueue = append(c.cpuQueue, id)
@@ -200,18 +190,60 @@ func (c *controller) route(eng *core.Engine, failed []int, fromGPU bool) {
 // pushed to the CPU queue (or stranded when there is no CPU worker).
 func (c *controller) gpuDied(p *sim.Proc) {
 	c.aliveGPU--
-	c.busy--
 	if c.aliveGPU == 0 {
 		for _, id := range c.orphans {
 			if c.hasCPU {
 				c.cpuQueue = append(c.cpuQueue, id)
 			} else {
-				c.stranded[id] = fmt.Errorf("multigpu: chunk %d: no surviving worker: %w", id, faults.ErrDeviceLost)
+				c.stranded[id] = strandedErr(id)
 			}
 		}
 		c.orphans = nil
 	}
+	c.leave(p)
+}
+
+// cpuFailed retires the CPU worker after a terminal error (recorded on
+// the engine, so the run returns it): what is queued for it, or routed
+// its way from now on, has no worker left.
+func (c *controller) cpuFailed(p *sim.Proc) {
+	c.hasCPU = false
+	c.cpuQueue = nil
+	c.leave(p)
+}
+
+// leave retires a worker that will take no more work.
+func (c *controller) leave(p *sim.Proc) {
+	c.busy--
 	c.wake(p)
+}
+
+// next returns the worker's next batch from its queue, in arrival order.
+// An empty queue parks the worker until redistributed work arrives; nil
+// means global termination — every worker idle and nothing queued for
+// any of them — and the caller exits. The last worker to go idle rouses
+// the others either way: to exit with it, or because what it just routed
+// sits in a parked worker's queue. (Idle workers alone do not end the
+// run: a worker woken beside the one the queued work is for would leave,
+// and be missing when that work fails over to it in turn.)
+func (c *controller) next(p *sim.Proc, q *[]int) []int {
+	batch := take(q)
+	if batch != nil {
+		return batch
+	}
+	c.busy--
+	for batch == nil {
+		if c.busy == 0 {
+			c.wake(p)
+			if len(c.orphans)+len(c.cpuQueue) == 0 {
+				return nil
+			}
+		}
+		p.Await(c.sig)
+		batch = take(q)
+	}
+	c.busy++
+	return batch
 }
 
 // take empties one of the controller's queues, preserving order.
@@ -221,8 +253,14 @@ func take(q *[]int) []int {
 	return batch
 }
 
+func strandedErr(id int) error {
+	return fmt.Errorf("multigpu: chunk %d: no surviving worker: %w", id, faults.ErrDeviceLost)
+}
+
 // Run multiplies A·B across NumGPUs simulated devices (plus optionally
-// the CPU) and returns the exact product and statistics.
+// the CPU) and returns the exact product and statistics. It is the one
+// multi-worker out-of-core driver: the paper's hybrid engine is NumGPUs
+// 1 with UseCPU.
 func Run(a, b *csr.Matrix, cfg gpusim.DeviceConfig, opts Options) (*csr.Matrix, Stats, error) {
 	if opts.NumGPUs < 1 {
 		opts.NumGPUs = 1
@@ -239,23 +277,24 @@ func Run(a, b *csr.Matrix, cfg gpusim.DeviceConfig, opts Options) (*csr.Matrix, 
 		opts.Host = hybrid.DefaultHostModel()
 	}
 	opts.Core.Async = true
-	opts.Core.Reorder = false // Assign already orders each share
 
 	env := sim.NewEnv()
 
-	// One engine per GPU, each with an independently seeded injector,
-	// all working on the first one's product. Each GPU records
-	// plan-cache panel residency under its own namespace; a shared one
-	// would let one device's residency masquerade as another's.
+	// One engine per GPU, all working on the first one's product. Device
+	// 0 keeps the base fault seed (core attaches it), so a one-GPU run
+	// replays the stream the gpu engine does on that seed; every further
+	// device derives its own. Each GPU records plan-cache panel residency
+	// under its own namespace; a shared one would let one device's
+	// residency masquerade as another's.
 	engines := make([]*core.Engine, opts.NumGPUs)
 	opts.Core.PlanDevice = "dev0"
 	var err error
 	for g := range engines {
 		dev := gpusim.NewDevice(env, cfg)
-		if opts.Core.Faults.Enabled() {
-			dev.SetFaults(faults.New(opts.Core.Faults.Derive(g)))
-		}
 		if g > 0 {
+			if opts.Core.Faults.Enabled() {
+				dev.SetFaults(faults.New(opts.Core.Faults.Derive(g)))
+			}
 			engines[g] = engines[0].OnDevice(dev, fmt.Sprintf("dev%d", g))
 		} else if engines[0], err = core.NewEngine(dev, a, b, opts.Core); err != nil {
 			return nil, Stats{}, err
@@ -264,29 +303,29 @@ func Run(a, b *csr.Matrix, cfg gpusim.DeviceConfig, opts Options) (*csr.Matrix, 
 		// counter on every exit path, including deadline aborts.
 		defer engines[g].Teardown()
 	}
-	flops := engines[0].ChunkFlops()
-	var totalFlops int64
-	for _, f := range flops {
-		totalFlops += f
-	}
+	eng0 := engines[0]
+	flops := eng0.ChunkFlops()
 
-	// Optional CPU share: the trailing chunks by flops, as in the
-	// hybrid engine.
-	all := make([]int, len(flops))
-	for i := range all {
-		all[i] = i
+	// Algorithm 4: the schedule order's prefix goes to the GPUs, the
+	// trailing chunks to the CPU worker; without one the GPUs take all.
+	prefix := opts.ForceGPUChunks
+	if !opts.UseCPU {
+		prefix = len(flops)
 	}
-	gpuIDs, cpuIDs := all, []int(nil)
-	if opts.UseCPU {
-		gpuIDs, cpuIDs = hybrid.Split(flops, opts.Ratio, true)
+	var gpuIDs, cpuIDs []int
+	if prefix > 0 {
+		gpuIDs, cpuIDs = hybrid.SplitCount(flops, prefix, opts.Core.Reorder)
+	} else {
+		gpuIDs, cpuIDs = hybrid.Split(flops, opts.Ratio, opts.Core.Reorder)
 	}
 	shares := Assign(gpuIDs, flops, opts.NumGPUs)
 
-	st := Stats{
-		Flops:      totalFlops,
-		GPUChunks:  make([]int, opts.NumGPUs),
-		GPUBusySec: make([]float64, opts.NumGPUs),
-		CPUChunks:  len(cpuIDs),
+	st := Stats{GPUChunks: make([]int, opts.NumGPUs), CPUChunks: len(cpuIDs)}
+	for _, id := range gpuIDs {
+		st.GPUFlops += flops[id]
+	}
+	for _, id := range cpuIDs {
+		st.CPUFlops += flops[id]
 	}
 
 	// The CPU worker exists when it has an initial share, or (under
@@ -301,86 +340,54 @@ func Run(a, b *csr.Matrix, cfg gpusim.DeviceConfig, opts Options) (*csr.Matrix, 
 		hasCPU:   spawnCPU,
 		sig:      &sim.Signal{},
 	}
-	if spawnCPU {
-		ctl.busy++
-	}
 
 	for g := range engines {
-		g := g
-		st.GPUChunks[g] = len(shares[g])
+		eng, share := engines[g], shares[g]
+		st.GPUChunks[g] = len(share)
 		env.Spawn(fmt.Sprintf("gpu%d", g), func(p *sim.Proc) {
-			eng := engines[g]
-			failed := eng.ProcessChunks(p, shares[g])
-			st.GPUBusySec[g] = sim.SecondsAt(env.Now())
+			batch := share
 			for {
-				ctl.route(eng, failed, true)
-				failed = nil
+				ctl.route(eng, eng.ProcessChunks(p, batch))
 				if eng.DeviceLost() {
 					ctl.gpuDied(p)
 					return
 				}
-				batch := take(&ctl.orphans)
-				if batch == nil {
-					// Nothing to adopt; wait for redistributed work or
-					// for every worker to go idle (global termination).
-					ctl.busy--
-					for batch == nil {
-						if ctl.busy == 0 {
-							ctl.wake(p)
-							return
-						}
-						sig := ctl.sig
-						p.Await(sig)
-						batch = take(&ctl.orphans)
-					}
-					ctl.busy++
+				if batch = ctl.next(p, &ctl.orphans); batch == nil {
+					return
 				}
-				failed = eng.ProcessChunks(p, batch)
-				st.GPUBusySec[g] = sim.SecondsAt(env.Now())
-				st.GPUChunks[g] += len(batch)
 			}
 		})
 	}
 	if spawnCPU {
+		ctl.busy++
 		env.Spawn("cpu", func(p *sim.Proc) {
-			wholeSec := opts.Host.WholeSeconds(engines[0].RowAnalysis())
-			runIDs := func(ids []int, label string) error {
+			// The CPU worker is priced from the whole matrix's row
+			// analysis; Engine.HostChunk prorates it over the chunks it
+			// computes.
+			wholeSec := opts.Host.WholeSeconds(eng0.RowAnalysis())
+			runIDs := func(ids []int, label string) bool {
 				for _, id := range ids {
-					if err := engines[0].HostChunk(p, id, label, wholeSec, opts.Host.Threads); err != nil {
-						return err
+					if eng0.HostChunk(p, id, label, wholeSec, opts.Host.Threads) != nil {
+						ctl.cpuFailed(p)
+						return false
 					}
 				}
-				return nil
+				return true
 			}
-			if runIDs(cpuIDs, "chunk") != nil { // recorded on the engine
-				ctl.busy--
-				ctl.wake(p)
+			if !runIDs(cpuIDs, "chunk") {
 				return
 			}
+			// Graceful degradation: chunks the GPUs gave up on (retries
+			// exhausted, arena misfits, a lost device) drain to this
+			// worker instead of failing the run. The same exact
+			// arithmetic runs either way, so the product is unchanged —
+			// only the simulated schedule pays.
 			for {
-				batch := take(&ctl.cpuQueue)
-				if batch == nil {
-					ctl.busy--
-					for batch == nil {
-						if ctl.busy == 0 {
-							ctl.wake(p)
-							return
-						}
-						sig := ctl.sig
-						p.Await(sig)
-						batch = take(&ctl.cpuQueue)
-					}
-					ctl.busy++
-				}
-				// Adopted chunks run on the real CPU engine — the exact
-				// product either way, only the schedule pays.
-				if runIDs(batch, "fallback chunk") != nil {
-					ctl.busy--
-					ctl.wake(p)
+				batch := ctl.next(p, &ctl.cpuQueue)
+				if batch == nil || !runIDs(batch, "fallback chunk") {
 					return
 				}
 				st.FallbackChunks += len(batch)
-				st.CPUChunks += len(batch)
 			}
 		})
 	}
@@ -392,17 +399,10 @@ func Run(a, b *csr.Matrix, cfg gpusim.DeviceConfig, opts Options) (*csr.Matrix, 
 			return nil, Stats{}, eng.Err()
 		}
 	}
-	st.Failovers = ctl.failovers
-	st.LostGPUs = opts.NumGPUs - ctl.aliveGPU
-	for _, eng := range engines {
-		st.Retries += eng.Retries()
-		st.Abandoned += eng.Abandoned()
-	}
 	// Anything still failed or queued at this point has no worker left
 	// to run it: surface a typed error instead of a partial product.
-	leftover := append(take(&ctl.orphans), take(&ctl.cpuQueue)...)
-	for _, id := range leftover {
-		ctl.stranded[id] = fmt.Errorf("multigpu: chunk %d: no surviving worker: %w", id, faults.ErrDeviceLost)
+	for _, id := range append(take(&ctl.orphans), take(&ctl.cpuQueue)...) {
+		ctl.stranded[id] = strandedErr(id)
 	}
 	for _, eng := range engines {
 		if err := eng.FailedError(); err != nil {
@@ -419,29 +419,31 @@ func Run(a, b *csr.Matrix, cfg gpusim.DeviceConfig, opts Options) (*csr.Matrix, 
 			len(ids), ids[0], ctl.stranded[ids[0]])
 	}
 
-	c, err := engines[0].Assemble()
+	c, err := eng0.Assemble()
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	st.TotalSec = sim.SecondsAt(env.Now())
-	st.NnzC = c.Nnz()
+	st.Stats = eng0.StatsFor(env, c)
+	for _, eng := range engines[1:] {
+		d := eng.StatsFor(env, c)
+		st.TransferSec += d.TransferSec
+		st.ComputeSec += d.ComputeSec
+		st.MemPeakBytes = max(st.MemPeakBytes, d.MemPeakBytes)
+		st.Mallocs += d.Mallocs
+		st.BytesH2D += d.BytesH2D
+		st.BytesD2H += d.BytesD2H
+		st.Retries += d.Retries
+		st.Abandoned += d.Abandoned
+	}
 	if st.TotalSec > 0 {
-		st.GFLOPS = float64(totalFlops) / st.TotalSec / 1e9
+		st.TransferFraction = st.TransferSec / st.TotalSec / float64(len(engines))
 	}
-	for _, eng := range engines {
-		st.BytesH2D += eng.Dev.BytesH2D()
-		st.BytesD2H += eng.Dev.BytesD2H()
-	}
-	if m := opts.Metrics; m != nil {
-		m.ImportSim(env.Timeline)
-		for k, v := range st.Counters() {
-			m.Add(k, v)
-		}
-		for _, eng := range engines {
-			for kind, n := range eng.Dev.Faults().Counts() {
-				m.Add("faults_injected_"+kind, n)
-			}
-		}
+	st.Failovers = ctl.failovers
+	st.LostGPUs = opts.NumGPUs - ctl.aliveGPU
+	// One publication, of exactly the returned report's counters.
+	eng0.PublishMetrics(env, st)
+	for _, eng := range engines[1:] {
+		eng.PublishFaults()
 	}
 	return c, st, nil
 }

@@ -1,20 +1,25 @@
 package multigpu
 
 import (
+	"sort"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/cpuspgemm"
 	"repro/internal/csr"
 	"repro/internal/gpusim"
+	"repro/internal/hybrid"
 	"repro/internal/matgen"
 )
 
 func cfg() gpusim.DeviceConfig { return gpusim.ScaledV100Config(64 << 20) }
 
 func TestAssignBalanced(t *testing.T) {
-	flops := []int64{100, 90, 50, 40, 30, 20, 10, 10}
-	ids := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	// Assign places ids greedily in the order given; the driver hands it
+	// the flop-sorted order of hybrid.Split, which makes the placement
+	// LPT and leaves every share flop-sorted.
+	flops := []int64{30, 100, 10, 90, 40, 20, 50, 10}
+	ids, _ := hybrid.SplitCount(flops, len(flops), true)
 	shares := Assign(ids, flops, 2)
 	if len(shares) != 2 {
 		t.Fatalf("%d shares", len(shares))
@@ -45,6 +50,14 @@ func TestAssignBalanced(t *testing.T) {
 	}
 	if diff > 20 {
 		t.Fatalf("imbalanced loads %v", loads)
+	}
+
+	// Row-major ids (Figure 9's default order) are placed as they come,
+	// not re-sorted: every share stays in ascending id order.
+	for w, share := range Assign([]int{0, 1, 2, 3, 4, 5, 6, 7}, flops, 2) {
+		if !sort.IntsAreSorted(share) {
+			t.Fatalf("worker %d share %v not in the order given", w, share)
+		}
 	}
 }
 

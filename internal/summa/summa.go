@@ -80,32 +80,16 @@ func (c Config) withDefaults() Config {
 
 // Stats reports a distributed run.
 type Stats struct {
-	// TotalSec is the simulated makespan of all stages.
-	TotalSec float64
+	// Totals: TotalSec is the simulated makespan of all stages.
+	metrics.Totals
 	// CommSec and CompSec are the maximum per-node communication and
 	// computation times (the critical path splits).
 	CommSec, CompSec float64
-	// Flops, GFLOPS and NnzC as elsewhere.
-	Flops  int64
-	GFLOPS float64
-	NnzC   int64
 	// Nodes is Q*Q.
 	Nodes int
 	// NetBytes is the total payload broadcast over the fabric.
 	NetBytes int64
 }
-
-// Seconds returns the simulated makespan; part of metrics.Report.
-func (s Stats) Seconds() float64 { return s.TotalSec }
-
-// FlopCount returns the multiply-add flop count (x2) of the product.
-func (s Stats) FlopCount() int64 { return s.Flops }
-
-// Throughput returns the run's GFLOPS.
-func (s Stats) Throughput() float64 { return s.GFLOPS }
-
-// OutputNnz returns the product's non-zero count.
-func (s Stats) OutputNnz() int64 { return s.NnzC }
 
 // Counters returns the flat key/value snapshot of the run.
 func (s Stats) Counters() map[string]int64 {
@@ -290,7 +274,7 @@ func Run(a, b *csr.Matrix, cfg Config) (*csr.Matrix, Stats, error) {
 		return nil, Stats{}, err
 	}
 
-	st := Stats{Nodes: q * q, TotalSec: sim.SecondsAt(env.Now())}
+	st := Stats{Nodes: q * q}
 	for i := 0; i < q; i++ {
 		for j := 0; j < q; j++ {
 			n := &nodes[i][j]
@@ -322,11 +306,7 @@ func Run(a, b *csr.Matrix, cfg Config) (*csr.Matrix, Stats, error) {
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	st.Flops = csr.Flops(a, b)
-	st.NnzC = c.Nnz()
-	if st.TotalSec > 0 {
-		st.GFLOPS = float64(st.Flops) / st.TotalSec / 1e9
-	}
+	st.Totals = metrics.NewTotals(sim.SecondsAt(env.Now()), csr.Flops(a, b), c.Nnz())
 	if m := cfg.Metrics; m != nil {
 		m.ImportSim(env.Timeline)
 		for k, v := range st.Counters() {

@@ -300,27 +300,9 @@ func EstimateCost(engineName string, a, b *Matrix, opts *RunOptions) (Cost, erro
 	return cost, nil
 }
 
-// CPUStats reports a wall-clock run of one of the real-CPU engines.
-type CPUStats struct {
-	// TotalSec is the measured wall-clock duration of the multiply.
-	TotalSec float64
-	// Flops, GFLOPS and NnzC as elsewhere in the framework.
-	Flops  int64
-	GFLOPS float64
-	NnzC   int64
-}
-
-// Seconds returns the wall-clock duration; part of Report.
-func (s CPUStats) Seconds() float64 { return s.TotalSec }
-
-// FlopCount returns the multiply-add flop count (x2) of the product.
-func (s CPUStats) FlopCount() int64 { return s.Flops }
-
-// Throughput returns the run's GFLOPS.
-func (s CPUStats) Throughput() float64 { return s.GFLOPS }
-
-// OutputNnz returns the product's non-zero count.
-func (s CPUStats) OutputNnz() int64 { return s.NnzC }
+// CPUStats reports a wall-clock run of the real-CPU engine: TotalSec is
+// the measured duration of the multiply.
+type CPUStats struct{ metrics.Totals }
 
 // Counters returns the flat key/value snapshot of the run.
 func (s CPUStats) Counters() map[string]int64 {
@@ -343,13 +325,32 @@ func (o RunOptions) flops(a, b *Matrix) int64 {
 	return Flops(a, b)
 }
 
-// cpuStatsFor measures a finished CPU multiply of flops flops.
-func cpuStatsFor(c *Matrix, flops int64, elapsed time.Duration) CPUStats {
-	st := CPUStats{TotalSec: elapsed.Seconds(), Flops: flops, NnzC: c.Nnz()}
-	if st.TotalSec > 0 {
-		st.GFLOPS = float64(st.Flops) / st.TotalSec / 1e9
-	}
-	return st
+// nodeEngine is an engine over the one multi-worker out-of-core driver,
+// flop-sorted as the paper designs it. The node's shape is the run's
+// NumGPUs and UseCPU, unless the engine is the paper's hybrid: one GPU
+// beside the CPU worker.
+func nodeEngine(name, describe string, hybridNode bool) *engine {
+	return &engine{name: name, device: true, describe: describe,
+		run: func(a, b *Matrix, o RunOptions) (*Matrix, Report, error) {
+			opts, err := o.coreOptions(a, b, true)
+			if err != nil {
+				return nil, nil, err
+			}
+			opts.Reorder = true
+			nopts := MultiGPUOptions{Core: opts, NumGPUs: o.NumGPUs, UseCPU: o.UseCPU, Ratio: o.Ratio}
+			if hybridNode {
+				nopts.NumGPUs, nopts.UseCPU = 1, true
+			}
+			if o.Threads != 0 {
+				nopts.Host = hybrid.DefaultHostModel()
+				nopts.Host.Threads = o.Threads
+			}
+			c, st, err := MultiplyMultiGPU(a, b, o.device(), nopts)
+			if err != nil {
+				return nil, nil, err
+			}
+			return c, st, nil
+		}}
 }
 
 func init() {
@@ -380,7 +381,7 @@ func init() {
 				o.Metrics.Add(metrics.CounterIdentityPasses, 1)
 				flops = Flops(a, b)
 			}
-			return c, cpuStatsFor(c, flops, elapsed), nil
+			return c, CPUStats{metrics.NewTotals(elapsed.Seconds(), flops, c.Nnz())}, nil
 		},
 	})
 	Register(&engine{
@@ -415,51 +416,8 @@ func init() {
 			return c, st, nil
 		},
 	})
-	Register(&engine{
-		name:     "hybrid",
-		device:   true,
-		describe: "CPU-GPU hybrid with flop-sorted chunk distribution (paper Algorithm 4)",
-		run: func(a, b *Matrix, o RunOptions) (*Matrix, Report, error) {
-			opts, err := o.coreOptions(a, b, true)
-			if err != nil {
-				return nil, nil, err
-			}
-			hopts := HybridOptions{Core: opts, Ratio: o.Ratio, Reorder: true, Metrics: o.Metrics}
-			if o.Threads != 0 {
-				hopts.Host = hybrid.DefaultHostModel()
-				hopts.Host.Threads = o.Threads
-			}
-			c, st, err := MultiplyHybrid(a, b, o.device(), hopts)
-			if err != nil {
-				return nil, nil, err
-			}
-			return c, st, nil
-		},
-	})
-	Register(&engine{
-		name:     "multigpu",
-		device:   true,
-		describe: "LPT-scheduled chunks across several simulated GPUs, optional CPU worker",
-		run: func(a, b *Matrix, o RunOptions) (*Matrix, Report, error) {
-			opts, err := o.coreOptions(a, b, true)
-			if err != nil {
-				return nil, nil, err
-			}
-			mopts := MultiGPUOptions{
-				Core: opts, NumGPUs: o.NumGPUs, UseCPU: o.UseCPU,
-				Ratio: o.Ratio, Metrics: o.Metrics,
-			}
-			if o.Threads != 0 {
-				mopts.Host = hybrid.DefaultHostModel()
-				mopts.Host.Threads = o.Threads
-			}
-			c, st, err := MultiplyMultiGPU(a, b, o.device(), mopts)
-			if err != nil {
-				return nil, nil, err
-			}
-			return c, st, nil
-		},
-	})
+	Register(nodeEngine("hybrid", "CPU-GPU hybrid with flop-sorted chunk distribution (paper Algorithm 4)", true))
+	Register(nodeEngine("multigpu", "LPT-scheduled chunks across several simulated GPUs, optional CPU worker", false))
 	Register(&engine{
 		name:     "summa",
 		describe: "2-D sparse SUMMA on a simulated cluster (distributed counterpart, reference [33])",

@@ -39,11 +39,10 @@ func ExampleMultiplyHybrid() {
 	a := spgemm.Band(2000, 4, 7)
 	cfg := spgemm.V100WithMemory(4 << 20)
 	c, stats, _ := spgemm.MultiplyHybrid(a, a, cfg, spgemm.HybridOptions{
-		Core:    spgemm.OutOfCoreOptions{RowPanels: 3, ColPanels: 3},
-		Reorder: true,
+		Core: spgemm.OutOfCoreOptions{RowPanels: 3, ColPanels: 3, Reorder: true},
 	})
 	fmt.Println("nnz:", c.Nnz() > 0)
-	fmt.Println("both devices used:", stats.GPUChunks > 0 && stats.CPUChunks > 0)
+	fmt.Println("both devices used:", stats.GPUChunks[0] > 0 && stats.CPUChunks > 0)
 	// Output:
 	// nnz: true
 	// both devices used: true

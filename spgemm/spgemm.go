@@ -131,12 +131,6 @@ type OutOfCoreOptions = core.Options
 // Stats reports simulated-time statistics of an out-of-core run.
 type Stats = core.Stats
 
-// HybridOptions configures the CPU-GPU hybrid engine.
-type HybridOptions = hybrid.Options
-
-// HybridStats extends Stats with the device split.
-type HybridStats = hybrid.Stats
-
 // HostModel is the simulated multi-core CPU cost model.
 type HostModel = hybrid.HostModel
 
@@ -190,14 +184,6 @@ func MultiplyOutOfCore(a, b *Matrix, cfg DeviceConfig, opts OutOfCoreOptions) (*
 		return nil, Stats{}, err
 	}
 	return core.Run(a, b, cfg, opts)
-}
-
-// MultiplyHybrid computes A·B with the CPU-GPU hybrid engine.
-func MultiplyHybrid(a, b *Matrix, cfg DeviceConfig, opts HybridOptions) (*Matrix, HybridStats, error) {
-	if err := validateOperands(a, b, opts.Core.AID, opts.Core.BID, opts.Metrics); err != nil {
-		return nil, HybridStats{}, err
-	}
-	return hybrid.Run(a, b, cfg, opts)
 }
 
 // Plan chooses a chunk grid for the out-of-core engine: the smallest
@@ -256,20 +242,37 @@ func gridFor(chunks, rows, cols int) (r, c int) {
 	return r, c
 }
 
-// MultiGPUOptions configures the multi-GPU extension engine.
-type MultiGPUOptions = multigpu.Options
+// MultiGPUOptions configures the one multi-worker out-of-core driver:
+// any number of simulated GPUs, optionally beside the CPU worker.
+// HybridOptions is the same set under the paper's name for one GPU plus
+// the CPU; MultiplyHybrid pins those two fields.
+type (
+	MultiGPUOptions = multigpu.Options
+	HybridOptions   = multigpu.Options
+)
 
-// MultiGPUStats reports a multi-GPU run.
-type MultiGPUStats = multigpu.Stats
+// MultiGPUStats reports a run of the driver: Stats plus the split
+// between the workers. HybridStats is the same type.
+type (
+	MultiGPUStats = multigpu.Stats
+	HybridStats   = multigpu.Stats
+)
 
 // MultiplyMultiGPU computes A·B across several simulated GPUs (plus
 // optionally the CPU) — the scaling extension beyond the paper's
 // single-GPU node.
 func MultiplyMultiGPU(a, b *Matrix, cfg DeviceConfig, opts MultiGPUOptions) (*Matrix, MultiGPUStats, error) {
-	if err := validateOperands(a, b, opts.Core.AID, opts.Core.BID, opts.Metrics); err != nil {
+	if err := validateOperands(a, b, opts.Core.AID, opts.Core.BID, opts.Core.Metrics); err != nil {
 		return nil, MultiGPUStats{}, err
 	}
 	return multigpu.Run(a, b, cfg, opts)
+}
+
+// MultiplyHybrid computes A·B with the paper's CPU-GPU hybrid engine
+// (Algorithm 4): the driver with one GPU beside the CPU worker.
+func MultiplyHybrid(a, b *Matrix, cfg DeviceConfig, opts HybridOptions) (*Matrix, HybridStats, error) {
+	opts.NumGPUs, opts.UseCPU = 1, true
+	return MultiplyMultiGPU(a, b, cfg, opts)
 }
 
 // SUMMAConfig configures the distributed sparse-SUMMA engine.

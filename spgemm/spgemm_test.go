@@ -44,15 +44,15 @@ func TestEnginesAgree(t *testing.T) {
 	if st.GFLOPS <= 0 || st.Flops != Flops(a, a) {
 		t.Fatalf("bad stats %+v", st)
 	}
-	hy, hst, err := MultiplyHybrid(a, a, cfg, HybridOptions{Core: OutOfCoreOptions{RowPanels: 3, ColPanels: 3}, Reorder: true})
+	hy, hst, err := MultiplyHybrid(a, a, cfg, HybridOptions{Core: OutOfCoreOptions{RowPanels: 3, ColPanels: 3, Reorder: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !Equal(cpu, hy, 1e-9) {
 		t.Fatal("CPU and hybrid products differ")
 	}
-	if hst.GPUChunks+hst.CPUChunks != 9 {
-		t.Fatalf("hybrid chunk split %d+%d", hst.GPUChunks, hst.CPUChunks)
+	if hst.GPUChunks[0]+hst.CPUChunks != 9 {
+		t.Fatalf("hybrid chunk split %d+%d", hst.GPUChunks[0], hst.CPUChunks)
 	}
 }
 
