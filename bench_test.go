@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/multigpu"
 	"repro/internal/summa"
@@ -53,7 +52,7 @@ func BenchmarkFig4TransferFraction(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				opts := r.CoreOpts()
 				opts.DynamicAlloc = true
-				_, st, err := core.Run(r.A, r.A, r.Cfg(), opts)
+				_, st, err := multigpu.Run(r.A, r.A, r.Cfg(), multigpu.Options{Core: opts})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -97,14 +96,14 @@ func BenchmarkFig8AsyncSpeedup(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				syncOpts := r.CoreOpts()
 				syncOpts.DynamicAlloc = true
-				_, syncSt, err := core.Run(r.A, r.A, r.Cfg(), syncOpts)
+				_, syncSt, err := multigpu.Run(r.A, r.A, r.Cfg(), multigpu.Options{Core: syncOpts})
 				if err != nil {
 					b.Fatal(err)
 				}
 				asyncOpts := r.CoreOpts()
 				asyncOpts.Async = true
 				asyncOpts.Reorder = true
-				_, asyncSt, err := core.Run(r.A, r.A, r.Cfg(), asyncOpts)
+				_, asyncSt, err := multigpu.Run(r.A, r.A, r.Cfg(), multigpu.Options{Core: asyncOpts})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -220,7 +219,7 @@ func BenchmarkAblationUnifiedMemory(b *testing.B) {
 				opts := r.CoreOpts()
 				opts.Async = true
 				opts.Reorder = true
-				_, st, err := core.Run(r.A, r.A, r.Cfg(), opts)
+				_, st, err := multigpu.Run(r.A, r.A, r.Cfg(), multigpu.Options{Core: opts})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -298,7 +297,7 @@ func BenchmarkAblationSplitFraction(b *testing.B) {
 					opts.Async = true
 					opts.Reorder = true
 					opts.SplitFraction = f
-					_, st, err := core.Run(r.A, r.A, r.Cfg(), opts)
+					_, st, err := multigpu.Run(r.A, r.A, r.Cfg(), multigpu.Options{Core: opts})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -325,13 +324,13 @@ func BenchmarkAblationPinnedMemory(b *testing.B) {
 				opts := r.CoreOpts()
 				opts.Async = true
 				opts.Reorder = true
-				_, pinned, err := core.Run(r.A, r.A, r.Cfg(), opts)
+				_, pinned, err := multigpu.Run(r.A, r.A, r.Cfg(), multigpu.Options{Core: opts})
 				if err != nil {
 					b.Fatal(err)
 				}
 				cfg := r.Cfg()
 				cfg.PageableHostMemory = true
-				_, pageable, err := core.Run(r.A, r.A, cfg, opts)
+				_, pageable, err := multigpu.Run(r.A, r.A, cfg, multigpu.Options{Core: opts})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -23,19 +24,6 @@ import (
 	"repro/spgemm"
 	apiv1 "repro/spgemm/api/v1"
 )
-
-// simSpans filters a collector's timeline down to the simulated-clock
-// domain: wall-domain spans carry real timestamps and legitimately
-// differ between otherwise identical runs.
-func simSpans(spans []metrics.Span) []metrics.Span {
-	var out []metrics.Span
-	for _, s := range spans {
-		if s.Domain == metrics.Sim {
-			out = append(out, s)
-		}
-	}
-	return out
-}
 
 // chaosMatrix rotates over small but structurally distinct inputs:
 // scale-free (hub rows), uniform random, and banded.
@@ -222,6 +210,7 @@ func TestChaosDeterminism(t *testing.T) {
 		faults spgemm.FaultConfig
 	}{
 		{"gpu", 0, spgemm.FaultConfig{Seed: 11, TransferRate: 0.05, KernelRate: 0.03, StragglerRate: 0.05}},
+		{"gpu-sync", 0, spgemm.FaultConfig{Seed: 11, TransferRate: 0.05, KernelRate: 0.03, StragglerRate: 0.05}},
 		{"hybrid", 0, spgemm.FaultConfig{Seed: 11, TransferRate: 0.06, KernelRate: 0.04, LossAfterOps: 40}},
 		{"multigpu", 2, spgemm.FaultConfig{Seed: 11, TransferRate: 0.06, KernelRate: 0.04, LossAfterOps: 40}},
 	} {
@@ -242,7 +231,9 @@ func TestChaosDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", tc.engine, err)
 			}
-			return report.Counters(), simSpans(col.Spans())
+			// Wall-domain spans carry real timestamps and legitimately
+			// differ between otherwise identical runs.
+			return report.Counters(), col.SpansIn(metrics.Sim)
 		}
 		c1, tl1 := run()
 		c2, tl2 := run()
@@ -252,7 +243,7 @@ func TestChaosDeterminism(t *testing.T) {
 		if !reflect.DeepEqual(tl1, tl2) {
 			t.Fatalf("%s: simulated timelines differ across identical fault seeds", tc.engine)
 		}
-		if tc.engine != "gpu" && c1["recovery_fallbacks"] == 0 {
+		if !strings.HasPrefix(tc.engine, "gpu") && c1["recovery_fallbacks"] == 0 {
 			t.Fatalf("%s: no chunk reached the CPU worker; the case must exercise the controller: %v", tc.engine, c1)
 		}
 	}
@@ -271,7 +262,7 @@ func TestChaosFaultFreeIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return st, simSpans(col.Spans()), col.Snapshot()
+		return st, col.SpansIn(metrics.Sim), col.Snapshot()
 	}
 	stOff, tlOff, snapOff := run(spgemm.FaultConfig{})
 	// Seeded but all-zero rates: the injector is disabled entirely.

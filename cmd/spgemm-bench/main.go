@@ -20,7 +20,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exp"
-	"repro/internal/trace"
+	"repro/internal/metrics"
+	"repro/internal/multigpu"
 )
 
 // experiment is one named entry of -exp. run returns the table to
@@ -141,13 +142,15 @@ func printTimeline(runs []*exp.Run) error {
 			return o
 		}},
 	} {
-		_, _, tl, err := core.RunTraced(r.A, r.A, r.Cfg(), mode.opts())
-		if err != nil {
+		opts := mode.opts()
+		opts.Metrics = metrics.New()
+		if _, _, err := multigpu.Run(r.A, r.A, r.Cfg(), multigpu.Options{Core: opts}); err != nil {
 			return err
 		}
 		fmt.Printf("== Timeline: %s on %s ==\n", mode.name, r.Entry.Abbr)
-		fmt.Print(trace.Gantt(tl, 100))
-		if err := trace.FprintUtilization(os.Stdout, tl); err != nil {
+		tl := opts.Metrics.SpansIn(metrics.Sim)
+		fmt.Print(metrics.Gantt(tl, 100))
+		if err := metrics.FprintUtilization(os.Stdout, tl); err != nil {
 			return err
 		}
 		fmt.Println()

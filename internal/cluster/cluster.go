@@ -699,11 +699,16 @@ func (c *Coordinator) multiplyOn(name string, req apiv1.MultiplyRequest, handles
 	if errors.As(err, &uh) && c.reupload(name, handles) {
 		resp, err = c.withShedRetry(func() (*apiv1.MultiplyResponse, error) { return b.Multiply(req) })
 	}
-	if err == nil && req.StoreC && resp.CHandle != "" {
+	if err == nil && req.StoreC {
 		// The stored product is cluster state now: spill it so failover
-		// can re-home it like any client upload.
-		if m, ok := b.Matrix(resp.CHandle); ok {
-			c.recordSpill(resp.CHandle, m, spgemm.Fingerprint(m), name)
+		// can re-home it like any client upload. Its handle carries the
+		// structural fingerprint the replica's store hashed; a handle
+		// that does not parse is not spilled, as the ring could not
+		// route it either.
+		if fp, ok := handleStructFP(resp.CHandle); ok {
+			if m, ok := b.Matrix(resp.CHandle); ok {
+				c.recordSpill(resp.CHandle, m, fp, name)
+			}
 		}
 	}
 	return resp, err

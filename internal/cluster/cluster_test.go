@@ -164,6 +164,38 @@ func TestClusterFailoverOnKilledReplica(t *testing.T) {
 	if snap[metrics.CounterClusterReplicaUp] != 1 {
 		t.Fatalf("up transitions = %d, want 1", snap[metrics.CounterClusterReplicaUp])
 	}
+
+	// A store_c product is cluster state as well: the spill record keeps
+	// the structural fingerprint its handle carries, and once the replica
+	// holding the product dies, the product is re-homed from the spill.
+	stored, err := tc.c.Multiply(apiv1.MultiplyRequest{Engine: "cpu", AHandle: handle, StoreC: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc.c.mu.Lock()
+	ent := tc.c.spill[stored.CHandle]
+	tc.c.mu.Unlock()
+	if ent == nil || ent.structFP != spgemm.Fingerprint(want) || len(ent.placed) != 1 {
+		t.Fatalf("spill of product %q is %+v, want one placement and fingerprint %x", stored.CHandle, ent, spgemm.Fingerprint(want))
+	}
+	for holder := range ent.placed {
+		tc.chaos[holder].Kill()
+	}
+	want2, err := spgemm.Multiply(want, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebalances := tc.c.Snapshot()[metrics.CounterClusterRebalances]
+	resp, err = tc.c.Multiply(apiv1.MultiplyRequest{Engine: "cpu", AHandle: stored.CHandle})
+	if err != nil {
+		t.Fatalf("multiply of the product after its holder died: %v", err)
+	}
+	if resp.NnzC != want2.Nnz() {
+		t.Fatalf("product of the re-homed product has nnz %d, want %d", resp.NnzC, want2.Nnz())
+	}
+	if tc.c.Snapshot()[metrics.CounterClusterRebalances] == rebalances {
+		t.Fatal("the product was not re-uploaded from the spill")
+	}
 }
 
 func TestClusterBatchFailover(t *testing.T) {

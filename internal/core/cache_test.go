@@ -17,7 +17,7 @@ func cacheHarness(t *testing.T, memBytes int64, dynamic bool, fn func(e *Engine,
 	t.Helper()
 	a := matgen.ER(50, 50, 0.1, 99)
 	env := sim.NewEnv()
-	dev := gpusim.NewDevice(env, testCfg(memBytes))
+	dev := gpusim.NewDevice(env, gpusim.ScaledV100Config(memBytes))
 	eng, err := NewEngine(dev, a, a, Options{RowPanels: 2, ColPanels: 2, DynamicAlloc: dynamic})
 	if err != nil {
 		t.Fatal(err)
@@ -137,35 +137,4 @@ func TestInputCacheDynamicOOMEvictRetry(t *testing.T) {
 			t.Errorf("oversized panel error is %v, want ErrOOM", err)
 		}
 	})
-}
-
-// TestInputCacheEvictionUnderShrunkenArena: co-tenant pressure
-// (Faults.OOMShrink) shrinks usable capacity; a run that fit before
-// must now evict panels FIFO mid-run yet still produce the product.
-func TestInputCacheEvictionUnderShrunkenArena(t *testing.T) {
-	a := matgen.RMAT(8, 8, 0.57, 0.19, 0.19, 98)
-	roomy, _, err := Run(a, a, testCfg(24<<20), Options{RowPanels: 3, ColPanels: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shrunk, st, err := Run(a, a, testCfg(24<<20), Options{
-		RowPanels: 3, ColPanels: 3,
-		Faults: faults.Config{Seed: 5, OOMShrink: 0.5},
-	})
-	if err != nil {
-		t.Fatalf("shrunken-arena run failed: %v", err)
-	}
-	requireBitIdentical(t, roomy, shrunk)
-	// Evicted panels are re-transferred on their next use, so the
-	// shrunken run moves at least as many H2D bytes.
-	roomySt, err2 := func() (Stats, error) {
-		_, s, e := Run(a, a, testCfg(24<<20), Options{RowPanels: 3, ColPanels: 3})
-		return s, e
-	}()
-	if err2 != nil {
-		t.Fatal(err2)
-	}
-	if st.BytesH2D < roomySt.BytesH2D {
-		t.Fatalf("shrunken arena moved fewer H2D bytes (%d) than the roomy run (%d)", st.BytesH2D, roomySt.BytesH2D)
-	}
 }

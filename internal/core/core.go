@@ -9,6 +9,10 @@
 // Chunks are computed on the (simulated) GPU with the spECK-style
 // in-core algorithm and streamed back to host memory.
 //
+// The package is the engine library: the one program that runs it is
+// the out-of-core driver (internal/multigpu), whose GPU-only case — one
+// device, no CPU worker — is the paper's out-of-core GPU framework.
+//
 // Two execution modes are provided:
 //
 //   - Synchronous (Async=false): the partitioned-spECK baseline of
@@ -96,10 +100,6 @@ type Options struct {
 	// Ignored with DynamicAlloc (unmodified spECK re-plans every run by
 	// design). Nil leaves every run byte-identical to a build without it.
 	PlanCache *PlanCache
-	// PlanDevice namespaces the plan cache's device-residency record
-	// when several devices share one cache (multigpu); empty means
-	// "dev".
-	PlanDevice string
 	// Analysis is the whole-matrix row analysis of A·B when the caller
 	// already has it (the grid planner computes one to size the chunks).
 	// Like the planned grid it is derived from the inputs, not a
@@ -192,9 +192,8 @@ func (s Stats) Counters() map[string]int64 {
 }
 
 // Engine drives the out-of-core multiplication of one (A, B) pair on a
-// device. It is exported so the multi-worker driver (internal/multigpu)
-// can schedule a subset of chunks on each GPU while a CPU worker takes
-// the rest.
+// device. It is exported so the driver (internal/multigpu) can schedule
+// a subset of chunks on each GPU while a CPU worker takes the rest.
 //
 // The engine owns the product from the start, as the paper's pipeline
 // owns its device memory (Section IV: nothing is allocated once chunks
@@ -235,9 +234,12 @@ type Engine struct {
 	// private when cache is nil. planResident carries the panel keys the
 	// previous run on this pattern left device-resident (those skip
 	// their H2D transfer); endResident collects the final residency this
-	// run writes back at Teardown.
+	// run writes back at Teardown. planDev namespaces that record per
+	// device: "dev0" for the engine NewEngine returns, the name OnDevice
+	// is given for the others.
 	plan         *planEntry
 	cache        *PlanCache
+	planDev      string
 	planResident map[string]struct{}
 	endResident  []string
 }
@@ -264,9 +266,6 @@ func NewEngine(dev *gpusim.Device, a, b *csr.Matrix, opts Options) (*Engine, err
 	pc := opts.PlanCache
 	if opts.DynamicAlloc {
 		pc = nil // unmodified-spECK mode re-plans every run by design
-	}
-	if opts.PlanDevice == "" {
-		opts.PlanDevice = "dev"
 	}
 
 	var rps []partition.RowPanel
@@ -324,6 +323,7 @@ func NewEngine(dev *gpusim.Device, a, b *csr.Matrix, opts Options) (*Engine, err
 		prod:      &product{done: make([]bool, len(rps)*len(cps))},
 		plan:      ent,
 		cache:     pc,
+		planDev:   "dev0",
 	}
 	e.bind(dev)
 	return e, nil
@@ -341,7 +341,7 @@ func (e *Engine) bind(dev *gpusim.Device) {
 	e.retries = map[int]int{}
 	e.live = map[*gpusim.Alloc]struct{}{}
 	if e.cache != nil {
-		e.planResident = e.cache.residentSet(e.plan, e.Opts.PlanDevice)
+		e.planResident = e.cache.residentSet(e.plan, e.planDev)
 	}
 }
 
@@ -351,7 +351,7 @@ func (e *Engine) bind(dev *gpusim.Device) {
 // namespace) and Teardown.
 func (e *Engine) OnDevice(dev *gpusim.Device, planDevice string) *Engine {
 	d := *e
-	d.Opts.PlanDevice = planDevice
+	d.planDev = planDevice
 	if d.cache != nil {
 		d.cache.retain(d.plan)
 	}
@@ -384,7 +384,7 @@ func (e *Engine) Teardown() int64 {
 		// pattern — unless the device was lost, which invalidates any
 		// recorded residency (its memory is gone; trusting it would
 		// serve stale panels).
-		pc.setResident(e.plan, e.Opts.PlanDevice, e.endResident, e.DeviceLost())
+		pc.setResident(e.plan, e.planDev, e.endResident, e.DeviceLost())
 		pc.release(e.plan)
 		e.cache = nil
 		e.planResident = nil
@@ -573,20 +573,6 @@ func (e *Engine) HostChunk(p *sim.Proc, id int, label string, wholeSec float64, 
 	return nil
 }
 
-// ScheduleOrder returns the chunk ids in execution order: row-major by
-// default, decreasing flops when Opts.Reorder is set.
-func (e *Engine) ScheduleOrder() []int {
-	ids := make([]int, e.NumChunks())
-	for i := range ids {
-		ids[i] = i
-	}
-	if e.Opts.Reorder {
-		flops := e.ChunkFlops()
-		sort.SliceStable(ids, func(i, j int) bool { return flops[ids[i]] > flops[ids[j]] })
-	}
-	return ids
-}
-
 // Err returns the first error recorded by a simulation process.
 func (e *Engine) Err() error { return e.err }
 
@@ -665,56 +651,11 @@ func (e *Engine) FailedError() error {
 		len(ids), e.NumChunks(), ids[0], e.failed[ids[0]])
 }
 
-// Run multiplies A·B out-of-core on a fresh simulated device and
-// returns the exact product plus simulated-time statistics. It is the
-// package's main entry point for GPU-only execution.
-func Run(a, b *csr.Matrix, cfg gpusim.DeviceConfig, opts Options) (*csr.Matrix, Stats, error) {
-	c, st, _, err := RunTraced(a, b, cfg, opts)
-	return c, st, err
-}
-
-// RunTraced is Run, additionally returning the simulated timeline
-// (kernel, DMA and barrier spans) for schedule inspection — the data
-// behind the paper's Figures 5 and 6.
-func RunTraced(a, b *csr.Matrix, cfg gpusim.DeviceConfig, opts Options) (*csr.Matrix, Stats, []sim.Span, error) {
-	env := sim.NewEnv()
-	dev := gpusim.NewDevice(env, cfg)
-	eng, err := NewEngine(dev, a, b, opts)
-	if err != nil {
-		return nil, Stats{}, nil, err
-	}
-	// End-of-run teardown on every exit path (success, deadline,
-	// abandonment): release remaining device allocations and publish
-	// the leak audit counter.
-	defer eng.Teardown()
-	env.Spawn("gpu", func(p *sim.Proc) {
-		eng.ProcessChunks(p, eng.ScheduleOrder())
-	})
-	if err := env.Run(); err != nil {
-		return nil, Stats{}, nil, err
-	}
-	if eng.err != nil {
-		return nil, Stats{}, nil, eng.err
-	}
-	if err := eng.FailedError(); err != nil {
-		// GPU-only execution has no fallback device; abandoned or
-		// orphaned chunks surface as a typed error.
-		return nil, Stats{}, nil, err
-	}
-	c, err := eng.Assemble()
-	if err != nil {
-		return nil, Stats{}, nil, err
-	}
-	st := eng.StatsFor(env, c)
-	eng.PublishMetrics(env, st)
-	return c, st, env.Timeline, nil
-}
-
 // PublishMetrics exports the run's simulated timeline and counters
 // into the engine's metrics collector (no-op when none is configured).
-// Callers that drive the environment themselves (the multi-worker
-// driver) invoke it after computing their stats so instrumentation
-// lands once, here, rather than per engine.
+// The driver (internal/multigpu) invokes it once per run, on device 0's
+// engine, after computing the run's stats, so instrumentation lands
+// once, here, rather than per engine.
 func (e *Engine) PublishMetrics(env *sim.Env, st metrics.Report) {
 	c := e.Opts.Metrics
 	if c == nil {
@@ -737,8 +678,7 @@ func (e *Engine) PublishFaults() {
 }
 
 // StatsFor collects the run statistics of the engine's device from the
-// environment, for Run and for callers (the multi-worker driver) that
-// drive the environment themselves.
+// environment the driver ran.
 func (e *Engine) StatsFor(env *sim.Env, c *csr.Matrix) Stats {
 	var flops int64
 	for _, f := range e.ChunkFlops() {

@@ -1,21 +1,45 @@
-package core
+package core_test
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/cpuspgemm"
 	"repro/internal/csr"
+	"repro/internal/faults"
 	"repro/internal/gpusim"
 	"repro/internal/matgen"
-	"repro/internal/sim"
+	"repro/internal/metrics"
+	"repro/internal/multigpu"
 )
 
 // testCfg returns a device sized so the test matrices are genuinely
 // out-of-core (the whole product cannot fit at once).
 func testCfg(memBytes int64) gpusim.DeviceConfig {
 	return gpusim.ScaledV100Config(memBytes)
+}
+
+// run multiplies A·B on the driver's GPU-only node — one device, no CPU
+// worker, the paper's out-of-core GPU framework — and returns its core
+// stats, the whole report of such a run.
+func run(a, b *csr.Matrix, cfg gpusim.DeviceConfig, opts core.Options) (*csr.Matrix, core.Stats, error) {
+	c, st, err := multigpu.Run(a, b, cfg, multigpu.Options{Core: opts})
+	return c, st.Stats, err
+}
+
+// timeline is run returning the simulated timeline its metrics collector
+// received: the kernel, DMA and barrier spans behind Figures 5 and 6.
+func timeline(t *testing.T, a, b *csr.Matrix, cfg gpusim.DeviceConfig, opts core.Options) (*csr.Matrix, []metrics.Span) {
+	t.Helper()
+	opts.Metrics = metrics.New()
+	c, _, err := run(a, b, cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, opts.Metrics.SpansIn(metrics.Sim)
 }
 
 func TestRunMatchesSequentialAllModes(t *testing.T) {
@@ -34,14 +58,14 @@ func TestRunMatchesSequentialAllModes(t *testing.T) {
 		for _, g := range grids {
 			for _, mode := range []struct {
 				name string
-				opts Options
+				opts core.Options
 			}{
-				{"sync-prealloc", Options{RowPanels: g.r, ColPanels: g.c}},
-				{"sync-dynamic", Options{RowPanels: g.r, ColPanels: g.c, DynamicAlloc: true}},
-				{"async", Options{RowPanels: g.r, ColPanels: g.c, Async: true}},
-				{"async-reorder", Options{RowPanels: g.r, ColPanels: g.c, Async: true, Reorder: true}},
+				{"sync-prealloc", core.Options{RowPanels: g.r, ColPanels: g.c}},
+				{"sync-dynamic", core.Options{RowPanels: g.r, ColPanels: g.c, DynamicAlloc: true}},
+				{"async", core.Options{RowPanels: g.r, ColPanels: g.c, Async: true}},
+				{"async-reorder", core.Options{RowPanels: g.r, ColPanels: g.c, Async: true, Reorder: true}},
 			} {
-				got, st, err := Run(a, a, testCfg(64<<20), mode.opts)
+				got, st, err := run(a, a, testCfg(64<<20), mode.opts)
 				if err != nil {
 					t.Fatalf("matrix %d %s grid %dx%d: %v", mi, mode.name, g.r, g.c, err)
 				}
@@ -64,13 +88,13 @@ func TestRunMatchesSequentialAllModes(t *testing.T) {
 
 func TestAsyncFasterThanSync(t *testing.T) {
 	a := matgen.RMAT(11, 10, 0.57, 0.19, 0.19, 13)
-	opts := Options{RowPanels: 3, ColPanels: 3}
-	_, syncSt, err := Run(a, a, testCfg(256<<20), opts)
+	opts := core.Options{RowPanels: 3, ColPanels: 3}
+	_, syncSt, err := run(a, a, testCfg(256<<20), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Async = true
-	_, asyncSt, err := Run(a, a, testCfg(256<<20), opts)
+	_, asyncSt, err := run(a, a, testCfg(256<<20), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +112,7 @@ func TestSyncTransferFractionDominates(t *testing.T) {
 	// The motivation experiment (Figure 4): for graph-like matrices the
 	// transfer share of synchronous execution is very high.
 	a := matgen.RMAT(11, 10, 0.57, 0.19, 0.19, 14)
-	_, st, err := Run(a, a, testCfg(256<<20), Options{RowPanels: 3, ColPanels: 3, DynamicAlloc: true})
+	_, st, err := run(a, a, testCfg(256<<20), core.Options{RowPanels: 3, ColPanels: 3, DynamicAlloc: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,14 +123,14 @@ func TestSyncTransferFractionDominates(t *testing.T) {
 
 func TestMallocCounts(t *testing.T) {
 	a := matgen.Band(500, 2, 15)
-	_, st, err := Run(a, a, testCfg(64<<20), Options{RowPanels: 2, ColPanels: 2})
+	_, st, err := run(a, a, testCfg(64<<20), core.Options{RowPanels: 2, ColPanels: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Mallocs != 1 {
 		t.Fatalf("prealloc mode made %d mallocs, want 1", st.Mallocs)
 	}
-	_, st, err = Run(a, a, testCfg(64<<20), Options{RowPanels: 2, ColPanels: 2, DynamicAlloc: true})
+	_, st, err = run(a, a, testCfg(64<<20), core.Options{RowPanels: 2, ColPanels: 2, DynamicAlloc: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,27 +141,18 @@ func TestMallocCounts(t *testing.T) {
 	}
 }
 
+// TestScheduleOrder pins the order the GPU-only node runs chunks in, end
+// to end through the driver's split: the synchronous pipeline's kernels
+// visit the chunks row-major by default and by decreasing flops with
+// reordering.
 func TestScheduleOrder(t *testing.T) {
 	a := matgen.RMAT(9, 8, 0.57, 0.19, 0.19, 16)
-	dev := gpusim.NewDevice(nil, testCfg(64<<20))
-	eng, err := NewEngine(dev, a, a, Options{RowPanels: 2, ColPanels: 3})
+	opts := core.Options{RowPanels: 2, ColPanels: 3}
+	eng, err := core.NewEngine(gpusim.NewDevice(nil, testCfg(64<<20)), a, a, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	def := eng.ScheduleOrder()
-	for i, id := range def {
-		if id != i {
-			t.Fatalf("default order = %v", def)
-		}
-	}
-	eng.Opts.Reorder = true
 	flops := eng.ChunkFlops()
-	ord := eng.ScheduleOrder()
-	for i := 1; i < len(ord); i++ {
-		if flops[ord[i-1]] < flops[ord[i]] {
-			t.Fatalf("reorder not decreasing: %v (flops %v)", ord, flops)
-		}
-	}
 	var sum int64
 	for _, f := range flops {
 		sum += f
@@ -145,12 +160,34 @@ func TestScheduleOrder(t *testing.T) {
 	if want := csr.Flops(a, a); sum != want {
 		t.Fatalf("chunk flops sum %d, want %d", sum, want)
 	}
+	for _, reorder := range []bool{false, true} {
+		opts.Reorder = reorder
+		_, tl := timeline(t, a, a, testCfg(64<<20), opts)
+		var ord []int
+		for _, label := range laneOrder(tl, "kernel") {
+			var id int
+			if _, err := fmt.Sscanf(strings.Fields(label)[1], "c%d", &id); err != nil {
+				t.Fatalf("kernel label %q: %v", label, err)
+			}
+			if len(ord) == 0 || ord[len(ord)-1] != id {
+				ord = append(ord, id)
+			}
+		}
+		if len(ord) != len(flops) {
+			t.Fatalf("reorder=%v: kernels visited chunks %v, want each of %d once", reorder, ord, len(flops))
+		}
+		for i, id := range ord {
+			if !reorder && id != i || reorder && i > 0 && flops[ord[i-1]] < flops[id] {
+				t.Fatalf("reorder=%v: chunk order %v (flops %v)", reorder, ord, flops)
+			}
+		}
+	}
 }
 
 func TestTooSmallDeviceMemoryErrors(t *testing.T) {
 	a := matgen.RMAT(10, 10, 0.57, 0.19, 0.19, 17)
 	for _, async := range []bool{false, true} {
-		_, _, err := Run(a, a, testCfg(1<<16), Options{RowPanels: 1, ColPanels: 1, Async: async})
+		_, _, err := run(a, a, testCfg(1<<16), core.Options{RowPanels: 1, ColPanels: 1, Async: async})
 		if err == nil {
 			t.Fatalf("async=%v: expected out-of-memory error for tiny device", async)
 		}
@@ -161,7 +198,7 @@ func TestTooSmallDeviceMemoryErrors(t *testing.T) {
 }
 
 func TestDimensionMismatch(t *testing.T) {
-	_, _, err := Run(csr.New(3, 4), csr.New(5, 5), testCfg(1<<20), Options{})
+	_, _, err := run(csr.New(3, 4), csr.New(5, 5), testCfg(1<<20), core.Options{})
 	if err == nil {
 		t.Fatal("expected dimension mismatch")
 	}
@@ -171,7 +208,7 @@ func TestSplitFractionVariants(t *testing.T) {
 	a := matgen.RMAT(10, 8, 0.57, 0.19, 0.19, 18)
 	want, _ := cpuspgemm.Sequential(a, a)
 	for _, frac := range []float64{0.1, 0.33, 0.5, 0.9} {
-		got, _, err := Run(a, a, testCfg(128<<20), Options{RowPanels: 2, ColPanels: 2, Async: true, SplitFraction: frac})
+		got, _, err := run(a, a, testCfg(128<<20), core.Options{RowPanels: 2, ColPanels: 2, Async: true, SplitFraction: frac})
 		if err != nil {
 			t.Fatalf("frac %v: %v", frac, err)
 		}
@@ -182,7 +219,12 @@ func TestSplitFractionVariants(t *testing.T) {
 }
 
 func TestOptionsDefaults(t *testing.T) {
-	o := Options{Async: true, DynamicAlloc: true}.withDefaults()
+	a := matgen.Band(20, 1, 20)
+	eng, err := core.NewEngine(gpusim.NewDevice(nil, testCfg(1<<20)), a, a, core.Options{Async: true, DynamicAlloc: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := eng.Opts
 	if o.DynamicAlloc {
 		t.Fatal("Async must disable DynamicAlloc")
 	}
@@ -197,7 +239,7 @@ func TestOptionsDefaults(t *testing.T) {
 func TestAssembleMissingChunk(t *testing.T) {
 	a := matgen.Band(100, 2, 19)
 	dev := gpusim.NewDevice(nil, testCfg(64<<20))
-	eng, err := NewEngine(dev, a, a, Options{RowPanels: 2, ColPanels: 2})
+	eng, err := core.NewEngine(dev, a, a, core.Options{RowPanels: 2, ColPanels: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +250,7 @@ func TestAssembleMissingChunk(t *testing.T) {
 
 func TestEmptyMatrixRun(t *testing.T) {
 	a := csr.New(16, 16)
-	got, st, err := Run(a, a, testCfg(1<<20), Options{RowPanels: 2, ColPanels: 2, Async: true})
+	got, st, err := run(a, a, testCfg(1<<20), core.Options{RowPanels: 2, ColPanels: 2, Async: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,24 +276,16 @@ func TestTightMemoryForcesPanelEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	roomy := testCfg(64 << 20)
-	_, _, roomyTl, err := RunTraced(a, a, roomy, Options{RowPanels: 4, ColPanels: 4, Async: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, roomyTl := timeline(t, a, a, testCfg(64<<20), core.Options{RowPanels: 4, ColPanels: 4, Async: true})
 
 	// Tight: the combined input panels (~0.7 MB) cannot all fit next
 	// to the output slots, so panels churn.
-	tight := testCfg(400 << 10)
-	got, _, tightTl, err := RunTraced(a, a, tight, Options{RowPanels: 8, ColPanels: 8, Async: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, tightTl := timeline(t, a, a, testCfg(400<<10), core.Options{RowPanels: 8, ColPanels: 8, Async: true})
 	if !csr.Equal(got, want, 1e-9) {
 		t.Fatal("tight-memory run produced a wrong product")
 	}
 
-	h2d := func(tl []sim.Span) int {
+	h2d := func(tl []metrics.Span) int {
 		n := 0
 		for _, s := range tl {
 			if s.Lane == "h2d" {
@@ -271,10 +305,34 @@ func TestTightMemoryForcesPanelEviction(t *testing.T) {
 	}
 }
 
+// TestInputCacheEvictionUnderShrunkenArena: co-tenant pressure
+// (Faults.OOMShrink) shrinks usable capacity; a run that fit before
+// must now evict panels FIFO mid-run yet still produce the product.
+func TestInputCacheEvictionUnderShrunkenArena(t *testing.T) {
+	a := matgen.RMAT(8, 8, 0.57, 0.19, 0.19, 98)
+	roomy, roomySt, err := run(a, a, testCfg(24<<20), core.Options{RowPanels: 3, ColPanels: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shrunk, st, err := run(a, a, testCfg(24<<20), core.Options{
+		RowPanels: 3, ColPanels: 3,
+		Faults: faults.Config{Seed: 5, OOMShrink: 0.5},
+	})
+	if err != nil {
+		t.Fatalf("shrunken-arena run failed: %v", err)
+	}
+	requireBitIdentical(t, roomy, shrunk)
+	// Evicted panels are re-transferred on their next use, so the
+	// shrunken run moves at least as many H2D bytes.
+	if st.BytesH2D < roomySt.BytesH2D {
+		t.Fatalf("shrunken arena moved fewer H2D bytes (%d) than the roomy run (%d)", st.BytesH2D, roomySt.BytesH2D)
+	}
+}
+
 func TestEngineAccessors(t *testing.T) {
 	a := matgen.Band(100, 2, 46)
 	dev := gpusim.NewDevice(nil, testCfg(8<<20))
-	eng, err := NewEngine(dev, a, a, Options{RowPanels: 2, ColPanels: 2})
+	eng, err := core.NewEngine(dev, a, a, core.Options{RowPanels: 2, ColPanels: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,16 +25,16 @@ var inPlaceEngines = []struct {
 	run  func(c propCase, cfg gpusim.DeviceConfig, reorder bool) (*csr.Matrix, error)
 }{
 	{"sync", func(c propCase, cfg gpusim.DeviceConfig, reorder bool) (*csr.Matrix, error) {
-		m, _, err := core.Run(c.A, c.B, cfg, core.Options{RowPanels: c.RowPanels, ColPanels: c.ColPanels, Reorder: reorder})
+		m, _, err := run(c.A, c.B, cfg, core.Options{RowPanels: c.RowPanels, ColPanels: c.ColPanels, Reorder: reorder})
 		return m, err
 	}},
 	{"async", func(c propCase, cfg gpusim.DeviceConfig, reorder bool) (*csr.Matrix, error) {
-		m, _, err := core.Run(c.A, c.B, cfg, core.Options{RowPanels: c.RowPanels, ColPanels: c.ColPanels, Reorder: reorder, Async: true})
+		m, _, err := run(c.A, c.B, cfg, core.Options{RowPanels: c.RowPanels, ColPanels: c.ColPanels, Reorder: reorder, Async: true})
 		return m, err
 	}},
 	{"hybrid", func(c propCase, cfg gpusim.DeviceConfig, reorder bool) (*csr.Matrix, error) {
 		m, _, err := multigpu.Run(c.A, c.B, cfg, multigpu.Options{
-			Core:    core.Options{RowPanels: c.RowPanels, ColPanels: c.ColPanels, Reorder: reorder},
+			Core:    core.Options{RowPanels: c.RowPanels, ColPanels: c.ColPanels, Reorder: reorder, Async: true},
 			NumGPUs: 1, UseCPU: true,
 		})
 		return m, err
@@ -43,7 +43,7 @@ var inPlaceEngines = []struct {
 		host := hybrid.DefaultHostModel()
 		host.Threads = 4
 		m, _, err := multigpu.Run(c.A, c.B, cfg, multigpu.Options{
-			Core:    core.Options{RowPanels: c.RowPanels, ColPanels: c.ColPanels, Reorder: reorder},
+			Core:    core.Options{RowPanels: c.RowPanels, ColPanels: c.ColPanels, Reorder: reorder, Async: true},
 			NumGPUs: 2, UseCPU: true, Host: host,
 		})
 		return m, err
@@ -91,12 +91,12 @@ func TestFailedRunReturnsNoMatrix(t *testing.T) {
 		RowPanels: 4, ColPanels: 3, Async: true, ChunkRetries: -1,
 		Faults: faults.Config{Seed: 7, TransferRate: 0.9, KernelRate: 0.9},
 	}
-	c, _, err := core.Run(a, a, cfg, opts)
+	c, _, err := run(a, a, cfg, opts)
 	if c != nil || !errors.Is(err, faults.ErrChunkAbandoned) {
 		t.Fatalf("Run returned matrix %v, err %v; want no matrix and ErrChunkAbandoned", c != nil, err)
 	}
 	opts.DeadlineSec = 1e-9
-	if c, _, err = core.Run(a, a, cfg, opts); c != nil || !errors.Is(err, faults.ErrDeadline) {
+	if c, _, err = run(a, a, cfg, opts); c != nil || !errors.Is(err, faults.ErrDeadline) {
 		t.Fatalf("deadline run returned matrix %v, err %v; want no matrix and ErrDeadline", c != nil, err)
 	}
 	opts.DeadlineSec = 0
@@ -107,7 +107,8 @@ func TestFailedRunReturnsNoMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Teardown()
-	env.Spawn("gpu", func(p *sim.Proc) { eng.ProcessChunks(p, eng.ScheduleOrder()) })
+	ids, _ := hybrid.SplitCount(eng.ChunkFlops(), eng.NumChunks(), false)
+	env.Spawn("gpu", func(p *sim.Proc) { eng.ProcessChunks(p, ids) })
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -125,14 +125,14 @@ func check(c propCase, cfg gpusim.DeviceConfig, got *csr.Matrix) error {
 	if err != nil {
 		return err
 	}
-	if err := core.DiffBits(got, seq, false); err != nil {
+	if err := diffBits(got, seq, false); err != nil {
 		return fmt.Errorf("against Sequential: %w", err)
 	}
 	old, err := composed(c, cfg)
 	if err != nil {
 		return err
 	}
-	if err := core.DiffBits(got, old, true); err != nil {
+	if err := diffBits(got, old, true); err != nil {
 		return fmt.Errorf("against the per-chunk composition: %w", err)
 	}
 	return nil

@@ -74,7 +74,7 @@ type planEntry struct {
 	// skips the chunk's symbolic device phases.
 	syms map[int]*speck.Symbolic
 
-	// resident records, per device namespace (Options.PlanDevice), the
+	// resident records, per device namespace (Engine.planDev), the
 	// input-panel keys left device-resident by the last run; a device
 	// loss clears the namespace so no run trusts stale residency.
 	// resident, bytes and refs are guarded by the cache's lock.

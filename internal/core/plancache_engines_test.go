@@ -20,21 +20,21 @@ type cachedEngine struct {
 
 var cachedEngines = []cachedEngine{
 	{"sync", func(a *csr.Matrix, cfg gpusim.DeviceConfig, opts core.Options) (*csr.Matrix, int64, int64, float64, error) {
-		c, st, err := core.Run(a, a, cfg, opts)
+		c, st, err := run(a, a, cfg, opts)
 		return c, st.BytesH2D, st.BytesD2H, st.TotalSec, err
 	}},
 	{"async", func(a *csr.Matrix, cfg gpusim.DeviceConfig, opts core.Options) (*csr.Matrix, int64, int64, float64, error) {
 		opts.Async = true
-		c, st, err := core.Run(a, a, cfg, opts)
+		c, st, err := run(a, a, cfg, opts)
 		return c, st.BytesH2D, st.BytesD2H, st.TotalSec, err
 	}},
 	{"hybrid", func(a *csr.Matrix, cfg gpusim.DeviceConfig, opts core.Options) (*csr.Matrix, int64, int64, float64, error) {
-		opts.Reorder = true
+		opts.Async, opts.Reorder = true, true
 		c, st, err := multigpu.Run(a, a, cfg, multigpu.Options{Core: opts, NumGPUs: 1, UseCPU: true})
 		return c, st.BytesH2D, st.BytesD2H, st.TotalSec, err
 	}},
 	{"multigpu", func(a *csr.Matrix, cfg gpusim.DeviceConfig, opts core.Options) (*csr.Matrix, int64, int64, float64, error) {
-		opts.Reorder = true
+		opts.Async, opts.Reorder = true, true
 		c, st, err := multigpu.Run(a, a, cfg, multigpu.Options{Core: opts, NumGPUs: 2, UseCPU: true})
 		return c, st.BytesH2D, st.BytesD2H, st.TotalSec, err
 	}},
@@ -71,7 +71,7 @@ func TestPlanCacheWarmByteIdentical(t *testing.T) {
 				if n := speck.SymbolicPasses() - before; n != 0 {
 					t.Fatalf("warm run built %d symbolic passes, want none", n)
 				}
-				if err := core.DiffBits(warm, cold, true); err != nil {
+				if err := diffBits(warm, cold, true); err != nil {
 					t.Fatalf("warm vs uncached cold: %v", err)
 				}
 			}

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"fmt"
@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/csr"
 	"repro/internal/faults"
 	"repro/internal/gpusim"
@@ -15,10 +16,10 @@ import (
 	"repro/internal/speck"
 )
 
-// DiffBits reports the first difference between two matrices, values
+// diffBits reports the first difference between two matrices, values
 // compared by bit pattern (-0.0 differs from 0.0) and NaNs by payload
-// too when nanPayloads is set. Exported to the external test package.
-func DiffBits(got, want *csr.Matrix, nanPayloads bool) error {
+// too when nanPayloads is set.
+func diffBits(got, want *csr.Matrix, nanPayloads bool) error {
 	if got == nil {
 		return fmt.Errorf("no matrix")
 	}
@@ -48,7 +49,7 @@ func DiffBits(got, want *csr.Matrix, nanPayloads bool) error {
 
 func requireBitIdentical(t *testing.T, want, got *csr.Matrix) {
 	t.Helper()
-	if err := DiffBits(got, want, true); err != nil {
+	if err := diffBits(got, want, true); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -59,17 +60,17 @@ func requireBitIdentical(t *testing.T, want, got *csr.Matrix) {
 func TestPlanCacheCountersReconcile(t *testing.T) {
 	a := matgen.ER(200, 200, 0.03, 24)
 	b := matgen.ER(200, 200, 0.03, 25)
-	pc := NewPlanCache(0)
+	pc := core.NewPlanCache(0)
 	col := metrics.New()
-	opts := Options{RowPanels: 2, ColPanels: 2, PlanCache: pc, Metrics: col}
+	opts := core.Options{RowPanels: 2, ColPanels: 2, PlanCache: pc, Metrics: col}
 	const jobsA, jobsB = 4, 2
 	for i := 0; i < jobsA; i++ {
-		if _, _, err := Run(a, a, testCfg(64<<20), opts); err != nil {
+		if _, _, err := run(a, a, testCfg(64<<20), opts); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < jobsB; i++ {
-		if _, _, err := Run(b, b, testCfg(64<<20), opts); err != nil {
+		if _, _, err := run(b, b, testCfg(64<<20), opts); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -96,10 +97,10 @@ func TestPlanCacheCountersReconcile(t *testing.T) {
 func TestPlanCacheInvalidate(t *testing.T) {
 	a := matgen.ER(150, 150, 0.04, 26)
 	b := matgen.ER(150, 150, 0.04, 27)
-	pc := NewPlanCache(0)
-	opts := Options{RowPanels: 2, ColPanels: 2, PlanCache: pc}
+	pc := core.NewPlanCache(0)
+	opts := core.Options{RowPanels: 2, ColPanels: 2, PlanCache: pc}
 	for _, m := range []*csr.Matrix{a, b} {
-		if _, _, err := Run(m, m, testCfg(64<<20), opts); err != nil {
+		if _, _, err := run(m, m, testCfg(64<<20), opts); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -113,7 +114,7 @@ func TestPlanCacheInvalidate(t *testing.T) {
 		t.Fatalf("cache has %d entries after invalidate, want 1", pc.Len())
 	}
 	// b's plan must still be warm.
-	if _, _, err := Run(b, b, testCfg(64<<20), opts); err != nil {
+	if _, _, err := run(b, b, testCfg(64<<20), opts); err != nil {
 		t.Fatal(err)
 	}
 	hits, _, _ := pc.Counters()
@@ -127,19 +128,20 @@ func TestPlanCacheInvalidate(t *testing.T) {
 func TestPlanCacheLRUEviction(t *testing.T) {
 	a := matgen.ER(300, 300, 0.03, 28)
 	b := matgen.ER(300, 300, 0.03, 29)
-	pc := NewPlanCache(1) // smaller than any plan: every insert evicts the previous
-	opts := Options{RowPanels: 2, ColPanels: 2, PlanCache: pc}
-	if _, _, err := Run(a, a, testCfg(64<<20), opts); err != nil {
+	const budget = 1 // smaller than any plan: every insert evicts the previous
+	pc := core.NewPlanCache(budget)
+	opts := core.Options{RowPanels: 2, ColPanels: 2, PlanCache: pc}
+	if _, _, err := run(a, a, testCfg(64<<20), opts); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Run(b, b, testCfg(64<<20), opts); err != nil {
+	if _, _, err := run(b, b, testCfg(64<<20), opts); err != nil {
 		t.Fatal(err)
 	}
 	_, _, evictions := pc.Counters()
 	if evictions == 0 {
 		t.Fatal("no evictions under a 1-byte budget")
 	}
-	if pc.Bytes() > pc.max+1 && pc.Len() > 1 {
+	if pc.Bytes() > budget+1 && pc.Len() > 1 {
 		t.Fatalf("cache retains %d bytes across %d entries over budget", pc.Bytes(), pc.Len())
 	}
 }
@@ -151,11 +153,11 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 // still produce the exact product — never serve stale residency.
 func TestPlanCacheDeviceLossInvalidatesResidency(t *testing.T) {
 	a := matgen.RMAT(8, 8, 0.57, 0.19, 0.19, 30)
-	pc := NewPlanCache(0)
-	base := Options{RowPanels: 2, ColPanels: 2, PlanCache: pc}
+	pc := core.NewPlanCache(0)
+	base := core.Options{RowPanels: 2, ColPanels: 2, PlanCache: pc}
 
 	// Job 1: cold; records plan and panel residency.
-	want, _, err := Run(a, a, testCfg(64<<20), base)
+	want, _, err := run(a, a, testCfg(64<<20), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,14 +165,14 @@ func TestPlanCacheDeviceLossInvalidatesResidency(t *testing.T) {
 	// Job 2: warm, but the device is lost mid-run.
 	lossy := base
 	lossy.Faults = faults.Config{Seed: 1, LossAfterOps: 3}
-	if _, _, err := Run(a, a, testCfg(64<<20), lossy); err == nil {
+	if _, _, err := run(a, a, testCfg(64<<20), lossy); err == nil {
 		t.Fatal("device-loss run unexpectedly succeeded")
 	}
 
 	// Job 3: fault-free warm run. The plan structure is still valid,
 	// but residency must have been invalidated: the panels transfer
 	// again from the host.
-	got, st, err := Run(a, a, testCfg(64<<20), base)
+	got, st, err := run(a, a, testCfg(64<<20), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,10 +186,10 @@ func TestPlanCacheDeviceLossInvalidatesResidency(t *testing.T) {
 // never engages the plan cache.
 func TestPlanCacheDynamicAllocStaysCold(t *testing.T) {
 	a := matgen.ER(100, 100, 0.05, 31)
-	pc := NewPlanCache(0)
-	opts := Options{RowPanels: 2, ColPanels: 2, DynamicAlloc: true, PlanCache: pc}
+	pc := core.NewPlanCache(0)
+	opts := core.Options{RowPanels: 2, ColPanels: 2, DynamicAlloc: true, PlanCache: pc}
 	for i := 0; i < 2; i++ {
-		if _, _, err := Run(a, a, testCfg(64<<20), opts); err != nil {
+		if _, _, err := run(a, a, testCfg(64<<20), opts); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -204,11 +206,11 @@ func TestPlanCacheDynamicAllocStaysCold(t *testing.T) {
 // pass; Invalidate drops it with the entry.
 func TestPlanCacheRowAnalysis(t *testing.T) {
 	a := matgen.RMAT(8, 8, 0.57, 0.19, 0.19, 31)
-	pc := NewPlanCache(0)
-	analyze := func(opts Options) (*speck.RowAnalysis, int) {
+	pc := core.NewPlanCache(0)
+	analyze := func(opts core.Options) (*speck.RowAnalysis, int) {
 		opts.RowPanels, opts.ColPanels, opts.PlanCache = 2, 2, pc
 		opts.Metrics = metrics.New()
-		eng, err := NewEngine(gpusim.NewDevice(sim.NewEnv(), testCfg(64<<20)), a, a, opts)
+		eng, err := core.NewEngine(gpusim.NewDevice(sim.NewEnv(), testCfg(64<<20)), a, a, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +225,7 @@ func TestPlanCacheRowAnalysis(t *testing.T) {
 		return ra, passes
 	}
 
-	cold, passes := analyze(Options{})
+	cold, passes := analyze(core.Options{})
 	if passes != 1 {
 		t.Fatalf("cold engine ran %d row analyses, want 1", passes)
 	}
@@ -231,7 +233,7 @@ func TestPlanCacheRowAnalysis(t *testing.T) {
 		t.Fatal("engine's row analysis differs from speck.Analyze")
 	}
 	withAnalysis := pc.Bytes()
-	warm, passes := analyze(Options{})
+	warm, passes := analyze(core.Options{})
 	if warm != cold || passes != 0 {
 		t.Fatalf("warm engine: same analysis %v, %d symbolic passes; want the cached value and none", warm == cold, passes)
 	}
@@ -243,14 +245,14 @@ func TestPlanCacheRowAnalysis(t *testing.T) {
 		t.Fatalf("Invalidate dropped %d entries leaving %d bytes, want 1 and 0", n, pc.Bytes())
 	}
 	// A handed-in analysis (the planner's) is taken as is and recorded.
-	handed, passes := analyze(Options{Analysis: cold})
+	handed, passes := analyze(core.Options{Analysis: cold})
 	if handed != cold || passes != 0 {
 		t.Fatal("engine recomputed an analysis it was handed")
 	}
 	if pc.Bytes() != withAnalysis {
 		t.Fatalf("cache holds %d bytes with a handed-in analysis, want %d", pc.Bytes(), withAnalysis)
 	}
-	if again, passes := analyze(Options{}); again != cold || passes != 0 {
+	if again, passes := analyze(core.Options{}); again != cold || passes != 0 {
 		t.Fatal("handed-in analysis was not recorded on the plan entry")
 	}
 }

@@ -1,10 +1,11 @@
-package core
+package core_test
 
 import (
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/core"
 	"repro/internal/cpuspgemm"
 	"repro/internal/csr"
 	"repro/internal/matgen"
@@ -20,14 +21,14 @@ func TestQuickPipelineMatchesReference(t *testing.T) {
 		a := matgen.ER(n, n, 0.05+rng.Float64()*0.1, rng.Int63())
 		grids := [][2]int{{1, 1}, {1, 3}, {3, 1}, {2, 2}, {3, 4}, {4, 3}}
 		g := grids[int(gridSel)%len(grids)]
-		opts := Options{
+		opts := core.Options{
 			RowPanels:     g[0],
 			ColPanels:     g[1],
 			Async:         async,
 			Reorder:       reorder,
 			SplitFraction: 0.05 + float64(frac%90)/100,
 		}
-		got, _, err := Run(a, a, testCfg(64<<20), opts)
+		got, _, err := run(a, a, testCfg(64<<20), opts)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -48,13 +49,13 @@ func TestQuickPipelineMatchesReference(t *testing.T) {
 // harness rests on.
 func TestDeterministicSimulation(t *testing.T) {
 	a := matgen.RMAT(10, 9, 0.57, 0.19, 0.19, 71)
-	opts := Options{RowPanels: 3, ColPanels: 3, Async: true, Reorder: true}
-	_, first, err := Run(a, a, testCfg(128<<20), opts)
+	opts := core.Options{RowPanels: 3, ColPanels: 3, Async: true, Reorder: true}
+	_, first, err := run(a, a, testCfg(128<<20), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for trial := 0; trial < 3; trial++ {
-		_, st, err := Run(a, a, testCfg(128<<20), opts)
+		_, st, err := run(a, a, testCfg(128<<20), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +76,7 @@ func TestRectangularProducts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, async := range []bool{false, true} {
-		got, st, err := Run(a, b, testCfg(32<<20), Options{RowPanels: 3, ColPanels: 4, Async: async})
+		got, st, err := run(a, b, testCfg(32<<20), core.Options{RowPanels: 3, ColPanels: 4, Async: async})
 		if err != nil {
 			t.Fatalf("async=%v: %v", async, err)
 		}
@@ -95,10 +96,7 @@ func TestRectangularProducts(t *testing.T) {
 func TestZeroFlopChunksSkipped(t *testing.T) {
 	// Block-diagonal: off-diagonal chunks of a matching grid are empty.
 	a := matgen.BlockDiag(4, 30, 73)
-	_, _, tl, err := RunTraced(a, a, testCfg(32<<20), Options{RowPanels: 4, ColPanels: 4, Async: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, tl := timeline(t, a, a, testCfg(32<<20), core.Options{RowPanels: 4, ColPanels: 4, Async: true})
 	// Only 4 diagonal chunks carry work: exactly 4 outputs transfer
 	// (two portions each).
 	outs := 0

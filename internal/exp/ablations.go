@@ -3,9 +3,9 @@ package exp
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/csr"
 	"repro/internal/gpusim"
+	"repro/internal/multigpu"
 	"repro/internal/sim"
 	"repro/internal/speck"
 )
@@ -98,7 +98,7 @@ func AblationUnifiedMemory(runs []*Run) (*Table, error) {
 		opts := r.CoreOpts()
 		opts.Async = true
 		opts.Reorder = true
-		_, st, err := core.Run(r.A, r.A, r.Cfg(), opts)
+		_, st, err := multigpu.Run(r.A, r.A, r.Cfg(), multigpu.Options{Core: opts})
 		if err != nil {
 			return nil, fmt.Errorf("ooc %s: %w", r.Entry.Abbr, err)
 		}
@@ -142,7 +142,7 @@ func AblationSplitFraction(runs []*Run, abbrs ...string) (*Table, error) {
 			opts.Async = true
 			opts.Reorder = true
 			opts.SplitFraction = f
-			_, st, err := core.Run(r.A, r.A, r.Cfg(), opts)
+			_, st, err := multigpu.Run(r.A, r.A, r.Cfg(), multigpu.Options{Core: opts})
 			if err != nil {
 				return nil, fmt.Errorf("split %s f=%.2f: %w", abbr, f, err)
 			}

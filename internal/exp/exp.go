@@ -146,11 +146,12 @@ func (r *Run) CoreOpts() core.Options {
 }
 
 // HybridOpts returns the paper's CPU-GPU node on the run's grid — the
-// out-of-core driver with one GPU beside the CPU worker — scheduling
-// chunks flop-sorted or (Figure 9's "default implementation") row-major.
+// out-of-core driver with one asynchronous GPU beside the CPU worker —
+// scheduling chunks flop-sorted or (Figure 9's "default implementation")
+// row-major.
 func (r *Run) HybridOpts(reorder bool) multigpu.Options {
 	opts := multigpu.Options{Core: r.CoreOpts(), NumGPUs: 1, UseCPU: true}
-	opts.Core.Reorder = reorder
+	opts.Core.Async, opts.Core.Reorder = true, reorder
 	return opts
 }
 

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/gpusim"
 	"repro/internal/hybrid"
 	"repro/internal/multigpu"
@@ -73,7 +72,7 @@ func Fig4(runs []*Run) (*Table, error) {
 	for _, r := range runs {
 		opts := r.CoreOpts()
 		opts.DynamicAlloc = true
-		_, st, err := core.Run(r.A, r.A, r.Cfg(), opts)
+		_, st, err := multigpu.Run(r.A, r.A, r.Cfg(), multigpu.Options{Core: opts})
 		if err != nil {
 			return nil, fmt.Errorf("fig4 %s: %w", r.Entry.Abbr, err)
 		}
@@ -105,7 +104,7 @@ func Fig7Data(runs []*Run) ([]Fig7Row, error) {
 		gpuOpts := r.CoreOpts()
 		gpuOpts.Async = true
 		gpuOpts.Reorder = true
-		_, gpuSt, err := core.Run(r.A, r.A, r.Cfg(), gpuOpts)
+		_, gpuSt, err := multigpu.Run(r.A, r.A, r.Cfg(), multigpu.Options{Core: gpuOpts})
 		if err != nil {
 			return nil, fmt.Errorf("fig7 gpu %s: %w", r.Entry.Abbr, err)
 		}
@@ -167,14 +166,14 @@ func Fig8(runs []*Run) (*Table, error) {
 	for _, r := range runs {
 		syncOpts := r.CoreOpts()
 		syncOpts.DynamicAlloc = true
-		_, syncSt, err := core.Run(r.A, r.A, r.Cfg(), syncOpts)
+		_, syncSt, err := multigpu.Run(r.A, r.A, r.Cfg(), multigpu.Options{Core: syncOpts})
 		if err != nil {
 			return nil, fmt.Errorf("fig8 sync %s: %w", r.Entry.Abbr, err)
 		}
 		asyncOpts := r.CoreOpts()
 		asyncOpts.Async = true
 		asyncOpts.Reorder = true
-		_, asyncSt, err := core.Run(r.A, r.A, r.Cfg(), asyncOpts)
+		_, asyncSt, err := multigpu.Run(r.A, r.A, r.Cfg(), multigpu.Options{Core: asyncOpts})
 		if err != nil {
 			return nil, fmt.Errorf("fig8 async %s: %w", r.Entry.Abbr, err)
 		}

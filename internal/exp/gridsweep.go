@@ -10,6 +10,8 @@ import (
 	"repro/internal/csr"
 	"repro/internal/gpusim"
 	"repro/internal/matgen"
+	"repro/internal/metrics"
+	"repro/internal/multigpu"
 	"repro/internal/partition"
 	"repro/internal/reorder"
 )
@@ -36,13 +38,13 @@ func GridSweep(runs []*Run, abbr string) (*Table, error) {
 	}
 	for _, g := range GridSweepGrids {
 		syncOpts := core.Options{RowPanels: g[0], ColPanels: g[1], DynamicAlloc: true}
-		_, syncSt, err := core.Run(r.A, r.A, r.Cfg(), syncOpts)
+		_, syncSt, err := multigpu.Run(r.A, r.A, r.Cfg(), multigpu.Options{Core: syncOpts})
 		syncCell := "oom"
 		if err == nil {
 			syncCell = fmt.Sprintf("%.3f", syncSt.TotalSec*1e3)
 		}
 		asyncOpts := core.Options{RowPanels: g[0], ColPanels: g[1], Async: true, Reorder: true}
-		_, asyncSt, err := core.Run(r.A, r.A, r.Cfg(), asyncOpts)
+		_, asyncSt, err := multigpu.Run(r.A, r.A, r.Cfg(), multigpu.Options{Core: asyncOpts})
 		asyncCell, fracCell := "oom", "-"
 		if err == nil {
 			asyncCell = fmt.Sprintf("%.3f", asyncSt.TotalSec*1e3)
@@ -66,7 +68,7 @@ func BufferSweep(r *Run, counts []int) ([]float64, error) {
 		opts.Async = true
 		opts.Reorder = true
 		opts.OutputBuffers = n
-		_, st, err := core.Run(r.A, r.A, r.Cfg(), opts)
+		_, st, err := multigpu.Run(r.A, r.A, r.Cfg(), multigpu.Options{Core: opts})
 		if err != nil {
 			return nil, fmt.Errorf("buffers=%d: %w", n, err)
 		}
@@ -93,7 +95,7 @@ func AblationFormulation(runs []*Run) (*Table, error) {
 	run := func(r *Run, opts core.Options, devMem int64) string {
 		cfg := r.Cfg()
 		cfg.MemoryBytes = devMem
-		if _, st, err := core.Run(r.A, r.A, cfg, opts); err == nil {
+		if _, st, err := multigpu.Run(r.A, r.A, cfg, multigpu.Options{Core: opts}); err == nil {
 			return fmt.Sprintf("%.3f", st.TotalSec*1e3)
 		}
 		return "oom"
@@ -198,7 +200,7 @@ func AblationLocality() (*Table, error) {
 		m    *csr.Matrix
 	}{{"natural (banded)", base}, {"random shuffle", shuffled}, {"RCM recovered", recovered}} {
 		cfg := gpusim.ScaledV100Config(devMem)
-		_, st, err := core.Run(variant.m, variant.m, cfg, opts)
+		_, st, err := multigpu.Run(variant.m, variant.m, cfg, multigpu.Options{Core: opts})
 		cell := "oom"
 		if err == nil {
 			cell = fmt.Sprintf("%.3f", st.TotalSec*1e3)
@@ -238,13 +240,13 @@ func PhaseBreakdown(runs []*Run) (*Table, error) {
 		opts := r.CoreOpts()
 		opts.Async = true
 		opts.Reorder = true
-		_, _, tl, err := core.RunTraced(r.A, r.A, r.Cfg(), opts)
-		if err != nil {
+		opts.Metrics = metrics.New()
+		if _, _, err := multigpu.Run(r.A, r.A, r.Cfg(), multigpu.Options{Core: opts}); err != nil {
 			return nil, fmt.Errorf("phases %s: %w", r.Entry.Abbr, err)
 		}
 		var analysis, symbolic, numeric, h2d, d2h float64
 		var end float64
-		for _, s := range tl {
+		for _, s := range opts.Metrics.SpansIn(metrics.Sim) {
 			d := float64(s.End-s.Start) / 1e9
 			if e := float64(s.End) / 1e9; e > end {
 				end = e

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/hybrid"
 	"repro/internal/multigpu"
 	"repro/internal/summa"
@@ -37,7 +36,7 @@ func FigScaling(runs []*Run, abbrs ...string) (*Table, error) {
 		row := []string{abbr}
 		for _, n := range ScalingGPUCounts {
 			opts := multigpu.Options{Core: r.CoreOpts(), NumGPUs: n}
-			opts.Core.Reorder = true
+			opts.Core.Async, opts.Core.Reorder = true, true
 			_, st, err := multigpu.Run(r.A, r.A, r.Cfg(), opts)
 			if err != nil {
 				return nil, fmt.Errorf("scaling %s n=%d: %w", abbr, n, err)
@@ -145,14 +144,14 @@ func SensitivityBandwidth(runs []*Run, abbr string) (*Table, error) {
 
 		syncOpts := r.CoreOpts()
 		syncOpts.DynamicAlloc = true
-		_, syncSt, err := core.Run(r.A, r.A, cfg, syncOpts)
+		_, syncSt, err := multigpu.Run(r.A, r.A, cfg, multigpu.Options{Core: syncOpts})
 		if err != nil {
 			return nil, fmt.Errorf("sensitivity %s sync: %w", link.Name, err)
 		}
 		asyncOpts := r.CoreOpts()
 		asyncOpts.Async = true
 		asyncOpts.Reorder = true
-		_, asyncSt, err := core.Run(r.A, r.A, cfg, asyncOpts)
+		_, asyncSt, err := multigpu.Run(r.A, r.A, cfg, multigpu.Options{Core: asyncOpts})
 		if err != nil {
 			return nil, fmt.Errorf("sensitivity %s async: %w", link.Name, err)
 		}

@@ -1,6 +1,7 @@
 package hybrid_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -16,12 +17,19 @@ import (
 func cfg() gpusim.DeviceConfig { return gpusim.ScaledV100Config(256 << 20) }
 
 // node is the paper's hybrid node on an r x c grid: the one driver with
-// one GPU beside the CPU worker, chunks flop-sorted or row-major.
+// one asynchronous GPU beside the CPU worker, chunks flop-sorted or
+// row-major.
 func node(r, c int, reorder bool) multigpu.Options {
 	return multigpu.Options{
-		Core:    core.Options{RowPanels: r, ColPanels: c, Reorder: reorder},
+		Core:    core.Options{RowPanels: r, ColPanels: c, Async: true, Reorder: reorder},
 		NumGPUs: 1, UseCPU: true,
 	}
+}
+
+// gpuOnly is node without the CPU worker: the paper's out-of-core GPU
+// framework, the driver's zero node.
+func gpuOnly(r, c int) multigpu.Options {
+	return multigpu.Options{Core: core.Options{RowPanels: r, ColPanels: c, Async: true, Reorder: true}}
 }
 
 func TestSplitBasic(t *testing.T) {
@@ -113,7 +121,7 @@ func TestHybridFlopShareRespectsRatio(t *testing.T) {
 
 func TestHybridFasterThanGPUOnly(t *testing.T) {
 	a := matgen.RMAT(11, 10, 0.57, 0.19, 0.19, 24)
-	_, gpuSt, err := core.Run(a, a, cfg(), core.Options{RowPanels: 3, ColPanels: 3, Async: true, Reorder: true})
+	_, gpuSt, err := multigpu.Run(a, a, cfg(), gpuOnly(3, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +201,7 @@ func TestGPUBeatsCPUBaseline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, gpuSt, err := core.Run(a, a, cfg(), core.Options{RowPanels: 3, ColPanels: 3, Async: true, Reorder: true})
+		_, gpuSt, err := multigpu.Run(a, a, cfg(), gpuOnly(3, 3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,6 +242,14 @@ func TestSplitCount(t *testing.T) {
 	gpu, cpu = hybrid.SplitCount(flops, 99, true)
 	if len(gpu) != 4 || len(cpu) != 0 {
 		t.Fatalf("clamped: gpu=%v cpu=%v", gpu, cpu)
+	}
+	// The whole grid is the GPU-only node's order: row-major, or by
+	// decreasing flops with reordering.
+	for reorder, want := range map[bool][]int{false: {0, 1, 2, 3}, true: {1, 2, 3, 0}} {
+		gpu, cpu = hybrid.SplitCount(flops, len(flops), reorder)
+		if fmt.Sprint(gpu) != fmt.Sprint(want) || len(cpu) != 0 {
+			t.Fatalf("whole grid, reorder=%v: gpu=%v cpu=%v, want gpu=%v", reorder, gpu, cpu, want)
+		}
 	}
 }
 

@@ -14,8 +14,8 @@
 //     Perfetto (WriteChromeTrace),
 //   - a flat key/value snapshot consumed by spgemm-run and the serving
 //     tier's /metricsz (Snapshot),
-//   - the text Gantt and per-lane utilization tables that
-//     internal/trace renders (Gantt, Utilizations).
+//   - the text Gantt and per-lane utilization tables of one domain's
+//     spans (Gantt, Utilizations over SpansIn).
 //
 // Instrumentation is disabled by default and must cost ~nothing when
 // off: every method is safe on a nil *Collector and returns

@@ -268,6 +268,11 @@ func TestGanttAndUtilizations(t *testing.T) {
 			t.Fatalf("bad utilization %+v", u)
 		}
 	}
+	// A lane's busy time sums its spans.
+	us = Utilizations(append(spans, Span{Domain: Sim, Lane: "kernel", Label: "k2", Start: 75, End: 100}))
+	if u := us[1]; u.Lane != "kernel" || u.BusyNs != 75 || u.Fraction != 0.75 {
+		t.Fatalf("kernel utilization over two spans: %+v", u)
+	}
 	if Gantt(nil, 10) != "(empty timeline)\n" {
 		t.Fatal("empty gantt")
 	}
@@ -282,8 +287,12 @@ func TestImportSim(t *testing.T) {
 	if got := c.LaneBusy(Sim, "kernel"); got != 200 {
 		t.Fatalf("kernel busy = %d, want 200", got)
 	}
-	fs := FromSim([]sim.Span{{Lane: "x", Start: 1, End: 5}})
-	if len(fs) != 1 || fs[0].Domain != Sim || fs[0].Dur() != 4 {
-		t.Fatalf("FromSim wrong: %+v", fs)
+	c.StartWall("host", "assemble")()
+	fs := c.SpansIn(Sim)
+	if len(fs) != 2 || fs[0].Domain != Sim || fs[1].Label != "numeric c0" || fs[1].Dur() != 200 {
+		t.Fatalf("SpansIn(Sim) wrong: %+v", fs)
+	}
+	if ws := c.SpansIn(Wall); len(ws) != 1 || ws[0].Label != "assemble" {
+		t.Fatalf("SpansIn(Wall) wrong: %+v", ws)
 	}
 }

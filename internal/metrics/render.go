@@ -9,14 +9,12 @@ import (
 
 // Text rendering: the Gantt-style schedule view of the paper's
 // Figures 5 and 6 and the per-lane utilization table. These operate on
-// a plain span slice so internal/trace (simulated timelines) and the
-// Collector (either domain) share one renderer.
+// a plain span slice of one domain.
 
 // Gantt renders spans as one row per lane over width character cells
 // spanning [0, latest end]. Cells covered by a span show '#', idle
 // cells '.'. Spans from different domains should not be mixed in one
-// call (their clocks are unrelated); use Spans filtered by domain, or
-// the Collector.GanttFor helper.
+// call (their clocks are unrelated); pass Collector.SpansIn.
 func Gantt(spans []Span, width int) string {
 	if len(spans) == 0 {
 		return "(empty timeline)\n"
@@ -69,15 +67,17 @@ func Gantt(spans []Span, width int) string {
 	return b.String()
 }
 
-// GanttFor renders one domain of the collector's spans.
-func (c *Collector) GanttFor(d Domain, width int) string {
-	var filtered []Span
+// SpansIn returns a copy of the spans of one domain in recording order:
+// with Sim, a simulated run's timeline (kernel, DMA and barrier spans),
+// the input of Gantt and Utilizations.
+func (c *Collector) SpansIn(d Domain) []Span {
+	var out []Span
 	for _, s := range c.Spans() {
 		if s.Domain == d {
-			filtered = append(filtered, s)
+			out = append(out, s)
 		}
 	}
-	return Gantt(filtered, width)
+	return out
 }
 
 // Utilization reports one lane's busy time and its fraction of the

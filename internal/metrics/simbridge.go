@@ -21,13 +21,3 @@ func (c *Collector) ImportSim(tl []sim.Span) {
 	}
 	c.mu.Unlock()
 }
-
-// FromSim converts a simulated timeline to metrics spans without a
-// collector, for renderers that operate on raw timelines.
-func FromSim(tl []sim.Span) []Span {
-	out := make([]Span, len(tl))
-	for i, s := range tl {
-		out[i] = Span{Domain: Sim, Lane: s.Lane, Label: s.Label, Start: int64(s.Start), End: int64(s.End)}
-	}
-	return out
-}

@@ -15,7 +15,7 @@ import (
 // written, and the product is bit-identical to a fault-free run's.
 func TestFailoverOverwritesWindows(t *testing.T) {
 	a := matgen.RMAT(9, 8, 0.57, 0.19, 0.19, 65)
-	opts := Options{Core: core.Options{RowPanels: 4, ColPanels: 3}, NumGPUs: 2, UseCPU: true}
+	opts := Options{Core: core.Options{RowPanels: 4, ColPanels: 3, Async: true}, NumGPUs: 2, UseCPU: true}
 	want, _, err := Run(a, a, cfg(), opts)
 	if err != nil {
 		t.Fatal(err)

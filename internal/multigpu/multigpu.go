@@ -1,10 +1,12 @@
-// Package multigpu is the one multi-worker out-of-core driver: any
-// number of simulated GPUs on one node, optionally beside the CPU worker.
-// With one GPU and the CPU it is the paper's hybrid engine (Section
-// III-C, Algorithm 4: the split policy lives in internal/hybrid); with
-// more GPUs it is the scaling direction the paper's conclusion points to
-// ("our ultimate goal of continuing to scale SpGEMM computations to
-// arbitrarily large matrices").
+// Package multigpu is the one out-of-core driver: any number of
+// simulated GPUs on one node, optionally beside the CPU worker. Its zero
+// node — one GPU, no CPU worker — is the paper's out-of-core GPU
+// framework (Section III-B), in either pipeline mode. With one GPU and
+// the CPU it is the paper's hybrid engine (Section III-C, Algorithm 4:
+// the split policy lives in internal/hybrid); with more GPUs it is the
+// scaling direction the paper's conclusion points to ("our ultimate goal
+// of continuing to scale SpGEMM computations to arbitrarily large
+// matrices").
 //
 // The chunk grid of Algorithm 3 already makes chunks independent, so
 // multi-worker execution is a scheduling problem: the flop count of
@@ -13,11 +15,10 @@
 // each S times the CPU's speed, the paper's S/(S+1) at N = 1 — is
 // assigned greedily to the least-loaded GPU (LPT scheduling) and the
 // trailing chunks to the CPU worker (the multi-core hash SpGEMM of
-// Nagasaka et al.). Each GPU runs the asynchronous out-of-core pipeline
-// over its share while the CPU worker processes the remainder
-// concurrently; the run ends when all finish. Every simulated GPU has
-// its own DMA engines (cards on separate PCIe slots); all share one
-// virtual clock.
+// Nagasaka et al.). Each GPU runs the out-of-core pipeline over its
+// share while the CPU worker processes the remainder concurrently; the
+// run ends when all finish. Every simulated GPU has its own DMA engines
+// (cards on separate PCIe slots); all share one virtual clock.
 //
 // Chunk independence is also what makes the driver fault-tolerant: a
 // chunk that fails on one device (retries exhausted, or the device
@@ -47,8 +48,9 @@ const maxRedistributes = 2
 
 // Options configures a run of the driver.
 type Options struct {
-	// Core configures the chunk grid and the per-GPU pipeline (Async is
-	// forced on). Core.Reorder schedules chunks by decreasing flops — the
+	// Core configures the chunk grid and the per-GPU pipeline: Core.Async
+	// picks the paper's asynchronous pipeline over the synchronous
+	// baseline. Core.Reorder schedules chunks by decreasing flops — the
 	// paper's design — before they are split and placed; false is the
 	// row-major "default implementation" of Figure 9. Core.Faults seeds
 	// device 0's injector, and every further device's is derived from
@@ -259,8 +261,9 @@ func strandedErr(id int) error {
 
 // Run multiplies A·B across NumGPUs simulated devices (plus optionally
 // the CPU) and returns the exact product and statistics. It is the one
-// multi-worker out-of-core driver: the paper's hybrid engine is NumGPUs
-// 1 with UseCPU.
+// program that runs an out-of-core product: the paper's GPU-only
+// framework is the zero node (one GPU, no UseCPU), its hybrid engine
+// NumGPUs 1 with UseCPU.
 func Run(a, b *csr.Matrix, cfg gpusim.DeviceConfig, opts Options) (*csr.Matrix, Stats, error) {
 	if opts.NumGPUs < 1 {
 		opts.NumGPUs = 1
@@ -276,18 +279,16 @@ func Run(a, b *csr.Matrix, cfg gpusim.DeviceConfig, opts Options) (*csr.Matrix, 
 	if opts.Host == (hybrid.HostModel{}) {
 		opts.Host = hybrid.DefaultHostModel()
 	}
-	opts.Core.Async = true
 
 	env := sim.NewEnv()
 
 	// One engine per GPU, all working on the first one's product. Device
-	// 0 keeps the base fault seed (core attaches it), so a one-GPU run
-	// replays the stream the gpu engine does on that seed; every further
-	// device derives its own. Each GPU records plan-cache panel residency
-	// under its own namespace; a shared one would let one device's
+	// 0 keeps the base fault seed (core attaches it), so every node
+	// replays the same stream on GPU 0; every further device derives its
+	// own. Each GPU records plan-cache panel residency under its own
+	// namespace (dev0 for the first); a shared one would let one device's
 	// residency masquerade as another's.
 	engines := make([]*core.Engine, opts.NumGPUs)
-	opts.Core.PlanDevice = "dev0"
 	var err error
 	for g := range engines {
 		dev := gpusim.NewDevice(env, cfg)
@@ -440,7 +441,7 @@ func Run(a, b *csr.Matrix, cfg gpusim.DeviceConfig, opts Options) (*csr.Matrix, 
 	}
 	st.Failovers = ctl.failovers
 	st.LostGPUs = opts.NumGPUs - ctl.aliveGPU
-	// One publication, of exactly the returned report's counters.
+	// One publication, of Stats.Counters(): core.Stats' keys plus the split's.
 	eng0.PublishMetrics(env, st)
 	for _, eng := range engines[1:] {
 		eng.PublishFaults()

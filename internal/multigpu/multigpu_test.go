@@ -82,27 +82,29 @@ func TestRunMatchesSequential(t *testing.T) {
 	}
 	for _, gpus := range []int{1, 2, 3} {
 		for _, useCPU := range []bool{false, true} {
-			got, st, err := Run(a, a, cfg(), Options{
-				Core:    core.Options{RowPanels: 3, ColPanels: 3},
-				NumGPUs: gpus,
-				UseCPU:  useCPU,
-			})
-			if err != nil {
-				t.Fatalf("gpus=%d cpu=%v: %v", gpus, useCPU, err)
-			}
-			if !csr.Equal(got, want, 1e-9) {
-				t.Fatalf("gpus=%d cpu=%v: wrong product", gpus, useCPU)
-			}
-			var chunks int
-			for _, n := range st.GPUChunks {
-				chunks += n
-			}
-			chunks += st.CPUChunks
-			if chunks != 9 {
-				t.Fatalf("gpus=%d cpu=%v: %d chunks processed", gpus, useCPU, chunks)
-			}
-			if st.GFLOPS <= 0 {
-				t.Fatalf("gpus=%d: bad stats %+v", gpus, st)
+			for _, async := range []bool{false, true} {
+				got, st, err := Run(a, a, cfg(), Options{
+					Core:    core.Options{RowPanels: 3, ColPanels: 3, Async: async},
+					NumGPUs: gpus,
+					UseCPU:  useCPU,
+				})
+				if err != nil {
+					t.Fatalf("gpus=%d cpu=%v async=%v: %v", gpus, useCPU, async, err)
+				}
+				if !csr.Equal(got, want, 1e-9) {
+					t.Fatalf("gpus=%d cpu=%v async=%v: wrong product", gpus, useCPU, async)
+				}
+				var chunks int
+				for _, n := range st.GPUChunks {
+					chunks += n
+				}
+				chunks += st.CPUChunks
+				if chunks != 9 {
+					t.Fatalf("gpus=%d cpu=%v async=%v: %d chunks processed", gpus, useCPU, async, chunks)
+				}
+				if st.GFLOPS <= 0 {
+					t.Fatalf("gpus=%d: bad stats %+v", gpus, st)
+				}
 			}
 		}
 	}
@@ -113,7 +115,7 @@ func TestScalingImproves(t *testing.T) {
 	var prev float64
 	for _, gpus := range []int{1, 2, 4} {
 		_, st, err := Run(a, a, cfg(), Options{
-			Core:    core.Options{RowPanels: 4, ColPanels: 4},
+			Core:    core.Options{RowPanels: 4, ColPanels: 4, Async: true},
 			NumGPUs: gpus,
 		})
 		if err != nil {
@@ -129,11 +131,11 @@ func TestScalingImproves(t *testing.T) {
 func TestScalingEfficiencyBounded(t *testing.T) {
 	// Speedup cannot exceed the GPU count (no superlinear artifacts).
 	a := matgen.Band(6000, 5, 63)
-	_, one, err := Run(a, a, cfg(), Options{Core: core.Options{RowPanels: 4, ColPanels: 4}, NumGPUs: 1})
+	_, one, err := Run(a, a, cfg(), Options{Core: core.Options{RowPanels: 4, ColPanels: 4, Async: true}, NumGPUs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, four, err := Run(a, a, cfg(), Options{Core: core.Options{RowPanels: 4, ColPanels: 4}, NumGPUs: 4})
+	_, four, err := Run(a, a, cfg(), Options{Core: core.Options{RowPanels: 4, ColPanels: 4, Async: true}, NumGPUs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +150,7 @@ func TestScalingEfficiencyBounded(t *testing.T) {
 
 func TestCPUAssistHelps(t *testing.T) {
 	a := matgen.RMAT(11, 10, 0.57, 0.19, 0.19, 64)
-	opts := Options{Core: core.Options{RowPanels: 4, ColPanels: 4}, NumGPUs: 2}
+	opts := Options{Core: core.Options{RowPanels: 4, ColPanels: 4, Async: true}, NumGPUs: 2}
 	_, noCPU, err := Run(a, a, cfg(), opts)
 	if err != nil {
 		t.Fatal(err)

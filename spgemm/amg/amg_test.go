@@ -9,6 +9,7 @@ import (
 	"repro/internal/csr"
 	"repro/internal/gpusim"
 	"repro/internal/matgen"
+	"repro/internal/multigpu"
 )
 
 // laplacian2D builds the SPD 5-point Laplacian test problem.
@@ -180,7 +181,7 @@ func TestSolveWithOutOfCoreMultiplier(t *testing.T) {
 	aa.Data[0] += 1
 	cfg := gpusim.ScaledV100Config(8 << 20)
 	mult := func(x, y *csr.Matrix) (*csr.Matrix, error) {
-		c, _, err := core.Run(x, y, cfg, core.Options{RowPanels: 2, ColPanels: 2, Async: true})
+		c, _, err := multigpu.Run(x, y, cfg, multigpu.Options{Core: core.Options{RowPanels: 2, ColPanels: 2, Async: true}})
 		return c, err
 	}
 	h, err := Build(aa, Options{Multiply: mult})

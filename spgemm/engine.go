@@ -9,6 +9,8 @@ import (
 	"repro/internal/cpuspgemm"
 	"repro/internal/hybrid"
 	"repro/internal/metrics"
+	"repro/internal/multigpu"
+	"repro/internal/summa"
 )
 
 // Report is the common statistics interface every engine returns: the
@@ -325,29 +327,33 @@ func (o RunOptions) flops(a, b *Matrix) int64 {
 	return Flops(a, b)
 }
 
-// nodeEngine is an engine over the one multi-worker out-of-core driver,
-// flop-sorted as the paper designs it. The node's shape is the run's
-// NumGPUs and UseCPU, unless the engine is the paper's hybrid: one GPU
-// beside the CPU worker.
-func nodeEngine(name, describe string, hybridNode bool) *engine {
+// nodeEngine is an engine over the one out-of-core driver, in the given
+// pipeline mode. node shapes the run's workers: nil is the GPU-only
+// node of the gpu engines (one device, the run's schedule order, core
+// Stats reported); otherwise node gives the GPU count and CPU worker,
+// and chunks are flop-sorted as the paper designs the split.
+func nodeEngine(name, describe string, async bool, node func(o RunOptions) (gpus int, useCPU bool)) *engine {
 	return &engine{name: name, device: true, describe: describe,
 		run: func(a, b *Matrix, o RunOptions) (*Matrix, Report, error) {
-			opts, err := o.coreOptions(a, b, true)
+			opts, err := o.coreOptions(a, b, async)
 			if err != nil {
 				return nil, nil, err
 			}
-			opts.Reorder = true
-			nopts := MultiGPUOptions{Core: opts, NumGPUs: o.NumGPUs, UseCPU: o.UseCPU, Ratio: o.Ratio}
-			if hybridNode {
-				nopts.NumGPUs, nopts.UseCPU = 1, true
+			nopts := MultiGPUOptions{Core: opts}
+			if node != nil {
+				nopts.NumGPUs, nopts.UseCPU = node(o)
+				nopts.Core.Reorder, nopts.Ratio = true, o.Ratio
+				if o.Threads != 0 {
+					nopts.Host = hybrid.DefaultHostModel()
+					nopts.Host.Threads = o.Threads
+				}
 			}
-			if o.Threads != 0 {
-				nopts.Host = hybrid.DefaultHostModel()
-				nopts.Host.Threads = o.Threads
-			}
-			c, st, err := MultiplyMultiGPU(a, b, o.device(), nopts)
+			c, st, err := multigpu.Run(a, b, o.device(), nopts)
 			if err != nil {
 				return nil, nil, err
+			}
+			if node == nil {
+				return c, st.Stats, nil
 			}
 			return c, st, nil
 		}}
@@ -384,40 +390,12 @@ func init() {
 			return c, CPUStats{metrics.NewTotals(elapsed.Seconds(), flops, c.Nnz())}, nil
 		},
 	})
-	Register(&engine{
-		name:     "gpu",
-		device:   true,
-		describe: "out-of-core GPU framework, asynchronous pre-allocated pipeline (paper Section III-B)",
-		run: func(a, b *Matrix, o RunOptions) (*Matrix, Report, error) {
-			opts, err := o.coreOptions(a, b, true)
-			if err != nil {
-				return nil, nil, err
-			}
-			c, st, err := MultiplyOutOfCore(a, b, o.device(), opts)
-			if err != nil {
-				return nil, nil, err
-			}
-			return c, st, nil
-		},
-	})
-	Register(&engine{
-		name:     "gpu-sync",
-		device:   true,
-		describe: "out-of-core GPU framework, synchronous baseline (paper Algorithm 3)",
-		run: func(a, b *Matrix, o RunOptions) (*Matrix, Report, error) {
-			opts, err := o.coreOptions(a, b, false)
-			if err != nil {
-				return nil, nil, err
-			}
-			c, st, err := MultiplyOutOfCore(a, b, o.device(), opts)
-			if err != nil {
-				return nil, nil, err
-			}
-			return c, st, nil
-		},
-	})
-	Register(nodeEngine("hybrid", "CPU-GPU hybrid with flop-sorted chunk distribution (paper Algorithm 4)", true))
-	Register(nodeEngine("multigpu", "LPT-scheduled chunks across several simulated GPUs, optional CPU worker", false))
+	Register(nodeEngine("gpu", "out-of-core GPU framework, asynchronous pre-allocated pipeline (paper Section III-B)", true, nil))
+	Register(nodeEngine("gpu-sync", "out-of-core GPU framework, synchronous baseline (paper Algorithm 3)", false, nil))
+	Register(nodeEngine("hybrid", "CPU-GPU hybrid with flop-sorted chunk distribution (paper Algorithm 4)", true,
+		func(RunOptions) (int, bool) { return 1, true }))
+	Register(nodeEngine("multigpu", "LPT-scheduled chunks across several simulated GPUs, optional CPU worker", true,
+		func(o RunOptions) (int, bool) { return o.NumGPUs, o.UseCPU }))
 	Register(&engine{
 		name:     "summa",
 		describe: "2-D sparse SUMMA on a simulated cluster (distributed counterpart, reference [33])",
@@ -430,7 +408,7 @@ func init() {
 			if cfg.DeadlineSec == 0 {
 				cfg.DeadlineSec = o.DeadlineSec
 			}
-			c, st, err := MultiplySUMMA(a, b, cfg)
+			c, st, err := summa.Run(a, b, cfg)
 			if err != nil {
 				return nil, nil, err
 			}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/csr"
 	"repro/internal/gpusim"
+	"repro/internal/multigpu"
 )
 
 // undirected builds a symmetric 0/1 adjacency matrix from an edge list.
@@ -188,7 +189,7 @@ func TestMCLWithOutOfCoreMultiplier(t *testing.T) {
 	adj, _ := plantedPartition(t, 3, 12, 6)
 	cfg := gpusim.ScaledV100Config(4 << 20)
 	mult := func(a, b *csr.Matrix) (*csr.Matrix, error) {
-		c, _, err := core.Run(a, b, cfg, core.Options{RowPanels: 2, ColPanels: 2, Async: true})
+		c, _, err := multigpu.Run(a, b, cfg, multigpu.Options{Core: core.Options{RowPanels: 2, ColPanels: 2, Async: true}})
 		return c, err
 	}
 	got, err := MCL(adj, MCLOptions{Multiply: mult})

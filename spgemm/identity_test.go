@@ -105,6 +105,26 @@ func TestIdentityRecordsChangeNoProduct(t *testing.T) {
 	}
 }
 
+// TestDeviceEnginesValidateOnce: a registry engine validates its
+// operands once, at Engine.Run — not again in a Multiply* wrapper, nor
+// once per refinement attempt of auto — so a run with neither records
+// nor a plan cache does one identity pass per operand.
+func TestDeviceEnginesValidateOnce(t *testing.T) {
+	a := RMAT(8, 8, 0.57, 0.19, 0.19, 62)
+	for _, name := range []string{"gpu", "gpu-sync", "hybrid", "multigpu", "auto"} {
+		eng, _ := ByName(name)
+		opts := runOptsFor(name)
+		opts.Core = OutOfCoreOptions{RowPanels: 2, ColPanels: 2}
+		opts.Metrics = NewCollector()
+		if _, _, err := eng.Run(a, a, opts); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if n := passes(opts.Metrics); n != 2 {
+			t.Fatalf("%s: %d identity passes, want 2 (one per operand)", name, n)
+		}
+	}
+}
+
 // TestForeignIdentityRecordIsIgnored: a record minted for a different
 // matrix of the same shape and nnz, and one minted for a matrix since
 // copied and changed, are not of the operand, so the operand is

@@ -32,6 +32,7 @@
 package spgemm
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -178,12 +179,13 @@ func Multiply(a, b *Matrix) (*Matrix, error) { return MultiplyCPU(a, b, 0) }
 
 // MultiplyOutOfCore computes A·B with the out-of-core GPU framework on
 // a simulated device, returning the exact product and the simulated
-// statistics.
+// statistics: the driver's GPU-only node, one device and no CPU worker.
 func MultiplyOutOfCore(a, b *Matrix, cfg DeviceConfig, opts OutOfCoreOptions) (*Matrix, Stats, error) {
 	if err := validateOperands(a, b, opts.AID, opts.BID, opts.Metrics); err != nil {
 		return nil, Stats{}, err
 	}
-	return core.Run(a, b, cfg, opts)
+	c, st, err := multigpu.Run(a, b, cfg, multigpu.Options{Core: opts})
+	return c, st.Stats, err
 }
 
 // Plan chooses a chunk grid for the out-of-core engine: the smallest
@@ -260,16 +262,19 @@ type (
 
 // MultiplyMultiGPU computes A·B across several simulated GPUs (plus
 // optionally the CPU) — the scaling extension beyond the paper's
-// single-GPU node.
+// single-GPU node. Every GPU runs the asynchronous pipeline, whatever
+// opts.Core.Async says.
 func MultiplyMultiGPU(a, b *Matrix, cfg DeviceConfig, opts MultiGPUOptions) (*Matrix, MultiGPUStats, error) {
 	if err := validateOperands(a, b, opts.Core.AID, opts.Core.BID, opts.Core.Metrics); err != nil {
 		return nil, MultiGPUStats{}, err
 	}
+	opts.Core.Async = true
 	return multigpu.Run(a, b, cfg, opts)
 }
 
 // MultiplyHybrid computes A·B with the paper's CPU-GPU hybrid engine
-// (Algorithm 4): the driver with one GPU beside the CPU worker.
+// (Algorithm 4): the driver with one GPU, asynchronous, beside the CPU
+// worker.
 func MultiplyHybrid(a, b *Matrix, cfg DeviceConfig, opts HybridOptions) (*Matrix, HybridStats, error) {
 	opts.NumGPUs, opts.UseCPU = 1, true
 	return MultiplyMultiGPU(a, b, cfg, opts)
@@ -296,26 +301,33 @@ func MultiplySUMMA(a, b *Matrix, cfg SUMMAConfig) (*Matrix, SUMMAStats, error) {
 // out not to fit the device arena — the situation the paper notes when
 // "certain chunks are extremely dense and require large allocation".
 func MultiplyAuto(a, b *Matrix, cfg DeviceConfig) (*Matrix, Stats, error) {
+	if err := validateInputs(a, b); err != nil {
+		return nil, Stats{}, err
+	}
 	return runAuto(a, b, RunOptions{Device: &cfg})
 }
 
-// runAuto is MultiplyAuto with the run's metrics sink, plan cache and
-// operand records (the "auto" registry engine threads them through
-// here).
+// runAuto is MultiplyAuto on validated operands, with the run's options
+// (the "auto" registry engine threads them through here). Only a grid
+// that does not fit (ErrOOM) is refined; any other failure — a deadline,
+// a lost device — is the run's answer.
 func runAuto(a, b *Matrix, o RunOptions) (*Matrix, Stats, error) {
-	cfg := o.device()
-	opts, err := o.plan(a, b)
+	var err error
+	if o.Core, err = o.plan(a, b); err != nil {
+		return nil, Stats{}, err
+	}
+	opts, err := o.coreOptions(a, b, true)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	opts.Metrics = o.Metrics
-	opts.PlanCache = o.PlanCache.coreCache()
-	opts.AID, opts.BID = o.AID, o.BID
 	var lastErr error
 	for attempt := 0; attempt < 4; attempt++ {
-		c, st, err := MultiplyOutOfCore(a, b, cfg, opts)
+		c, st, err := multigpu.Run(a, b, o.device(), multigpu.Options{Core: opts})
 		if err == nil {
-			return c, st, nil
+			return c, st.Stats, nil
+		}
+		if !errors.Is(err, ErrOOM) {
+			return nil, Stats{}, err
 		}
 		lastErr = err
 		// Refine: more chunks shrink every per-chunk allocation.

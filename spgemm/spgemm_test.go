@@ -1,8 +1,11 @@
 package spgemm
 
 import (
+	"errors"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 func TestPublicAPIRoundTrip(t *testing.T) {
@@ -190,6 +193,30 @@ func TestMultiplyAuto(t *testing.T) {
 	}
 }
 
+// TestAutoReturnsDeadlineAtOnce: auto refines its grid only when a chunk
+// does not fit the device (ErrOOM). A run its deadline aborts is the
+// answer after one attempt — one partition of the operands — not four
+// attempts reported as "no chunk grid fits".
+func TestAutoReturnsDeadlineAtOnce(t *testing.T) {
+	a := RMAT(10, 10, 0.6, 0.17, 0.17, 37)
+	cfg := V100WithMemory(3 << 20)
+	eng, _ := ByName("auto")
+	col := NewCollector()
+	_, _, err := eng.Run(a, a, &RunOptions{Device: &cfg, Metrics: col, DeadlineSec: 1e-9})
+	if !errors.Is(err, ErrDeadline) {
+		t.Fatalf("err = %v, want ErrDeadline", err)
+	}
+	attempts := 0
+	for _, s := range col.SpansIn(metrics.Wall) {
+		if s.Lane == "host" && s.Label == "partition" {
+			attempts++
+		}
+	}
+	if attempts != 1 {
+		t.Fatalf("auto partitioned the operands %d times, want 1", attempts)
+	}
+}
+
 func TestCorruptInputRejected(t *testing.T) {
 	a := Band(50, 2, 40)
 	corrupt := a.Clone()
@@ -205,6 +232,9 @@ func TestCorruptInputRejected(t *testing.T) {
 	}
 	if _, _, err := MultiplyHybrid(corrupt, a, V100WithMemory(8<<20), HybridOptions{Core: OutOfCoreOptions{RowPanels: 2, ColPanels: 2}}); err == nil {
 		t.Fatal("corrupt operand accepted by hybrid engine")
+	}
+	if _, _, err := MultiplyAuto(corrupt, a, V100WithMemory(8<<20)); err == nil {
+		t.Fatal("corrupt operand accepted by auto engine")
 	}
 }
 
