@@ -7,11 +7,15 @@ import (
 	"repro/internal/parallel"
 )
 
-// Assemble returns the product once every chunk is marked done. There
-// is nothing to merge: each chunk was computed into its own windows of
-// the matrix the engine has held since the first one. A run with a
-// chunk still missing returns no matrix.
+// Assemble returns the product once every chunk is marked done and its
+// host lane joined. There is nothing to merge: each chunk was computed
+// into its own windows of the matrix the engine has held since the first
+// one. A run with a chunk still missing, or whose arithmetic failed on a
+// lane, returns no matrix.
 func (e *Engine) Assemble() (*csr.Matrix, error) {
+	if err := e.Join(); err != nil {
+		return nil, err
+	}
 	for id, ok := range e.prod.done {
 		if !ok {
 			return nil, fmt.Errorf("core: chunk %d of %d missing", id, e.NumChunks())

@@ -145,9 +145,8 @@ loop:
 		}
 		rp, cp := e.chunkPanels(id)
 		res, warm := e.chunkMeta(id)
-		if err := e.compute(id, 1); err != nil {
-			e.fail(err) // host-side arithmetic failure is terminal
-			break
+		if e.launch(id) != nil {
+			break // an earlier try's arithmetic failed: terminal, recorded
 		}
 		if res.Flops == 0 {
 			// Empty chunk: known from the host-side flop analysis, no

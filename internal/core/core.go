@@ -229,6 +229,9 @@ type Engine struct {
 	// in dynamic mode, cached input panels) so Teardown can release
 	// their accounting when the run ends on any path.
 	live map[*gpusim.Alloc]struct{}
+	// lane is the chunk this device launched last on its host lane; the
+	// next launch chains behind it (see launch).
+	lane *laneJob
 
 	// plan is the values-independent half of the run, pinned in cache or
 	// private when cache is nil. planResident carries the panel keys the
@@ -245,11 +248,20 @@ type Engine struct {
 }
 
 // product is C while it is computed: c is nil until the first chunk
-// needs it; done[id] tells whether chunk id's windows of c.Data hold its
-// values. A recovered chunk overwrites the windows its failed try wrote.
+// needs it; done[id] tells whether chunk id's windows of c.Data hold, or
+// (while jobs[id] is unjoined) are being given, its values. A recovered
+// chunk overwrites the windows its failed try wrote, after joining it.
 type product struct {
 	c    *csr.Matrix
 	done []bool
+	jobs []*laneJob
+}
+
+// laneJob is one chunk's arithmetic on a device's host lane: err is set
+// before done closes.
+type laneJob struct {
+	done chan struct{}
+	err  error
 }
 
 // NewEngine partitions the inputs (host-side, real work) and prepares
@@ -320,7 +332,7 @@ func NewEngine(dev *gpusim.Device, a, b *csr.Matrix, opts Options) (*Engine, err
 		a:         a,
 		b:         b,
 		cm:        cm,
-		prod:      &product{done: make([]bool, len(rps)*len(cps))},
+		prod:      &product{done: make([]bool, len(rps)*len(cps)), jobs: make([]*laneJob, len(rps)*len(cps))},
 		plan:      ent,
 		cache:     pc,
 		planDev:   "dev0",
@@ -340,6 +352,7 @@ func (e *Engine) bind(dev *gpusim.Device) {
 	e.failed = map[int]error{}
 	e.retries = map[int]int{}
 	e.live = map[*gpusim.Alloc]struct{}{}
+	e.lane = nil
 	if e.cache != nil {
 		e.planResident = e.cache.residentSet(e.plan, e.planDev)
 	}
@@ -370,8 +383,10 @@ func (e *Engine) untrackAlloc(a *gpusim.Alloc) { delete(e.live, a) }
 // accounted afterwards. Anything nonzero is a leak: an allocation the
 // engine lost track of on some exit path. Callers publish the result
 // as the mem_in_use_bytes counter, which the arena-leak audit pins to
-// zero even for deadline-aborted runs.
+// zero even for deadline-aborted runs. It joins every host lane first,
+// so no chunk's arithmetic outlives the run on any path.
 func (e *Engine) Teardown() int64 {
+	e.Join()
 	for a := range e.live {
 		// Double frees were already reported at the Free site; the
 		// teardown's job is only to return what is still held.
@@ -532,19 +547,98 @@ func (e *Engine) chunkMeta(id int) (sym *speck.Symbolic, warm bool) {
 	return sym, false
 }
 
-// compute performs chunk id's real arithmetic — the chunked replay of
-// the numeric row kernel straight into the chunk's windows — and marks
-// it done; the device path runs it on one thread.
-func (e *Engine) compute(id, threads int) error {
-	if e.ChunkFlops()[id] > 0 {
-		rp, cp := e.chunkPanels(id)
-		err := cpuspgemm.NumericInto(e.window(id), rp.M, cp.M, e.chunkRowFlops()[id], cpuspgemm.Options{Threads: threads})
-		if err != nil {
+// arithmetic returns chunk id's real arithmetic — the chunked replay of
+// the numeric row kernel straight into the chunk's windows — with its
+// inputs resolved here, on the simulation thread, so that running it
+// touches only the operands and those windows; nil for an empty chunk.
+func (e *Engine) arithmetic(id, threads int) func() error {
+	if e.ChunkFlops()[id] == 0 {
+		return nil
+	}
+	rp, cp := e.chunkPanels(id)
+	w, rowFlops := e.window(id), e.chunkRowFlops()[id]
+	return func() error {
+		if err := cpuspgemm.NumericInto(w, rp.M, cp.M, rowFlops, cpuspgemm.Options{Threads: threads}); err != nil {
 			return fmt.Errorf("core: chunk %d: %w", id, err)
+		}
+		return nil
+	}
+}
+
+// compute performs chunk id's arithmetic inline on `threads` threads and
+// marks it done: the CPU worker's path. A device runs its chunks through
+// launch instead, so a device run's host parallelism is the CPU worker's
+// threads plus one lane per simulated GPU (plus PartitionThreads while
+// the partitioner runs).
+func (e *Engine) compute(id, threads int) error {
+	if err := e.join(id); err != nil {
+		return err
+	}
+	if work := e.arithmetic(id, threads); work != nil {
+		if err := work(); err != nil {
+			return err
 		}
 	}
 	e.prod.done[id] = true
 	return nil
+}
+
+// launch starts chunk id's arithmetic on the engine's host lane — one
+// goroutine per chunk, chained behind the chunk this device launched
+// before it, so a device computes one chunk at a time on one thread —
+// and marks it done; the simulation goes on without waiting. The lane
+// writes only chunk id's windows; its error is joined (join) on the
+// simulation thread. A try of the chunk still on a lane (a failed
+// device's) is joined first, so two tries never write its windows at
+// once; an error from it is returned and terminal.
+func (e *Engine) launch(id int) error {
+	if err := e.join(id); err != nil {
+		return err
+	}
+	e.prod.done[id] = true
+	work := e.arithmetic(id, 1)
+	if work == nil {
+		return nil
+	}
+	job, prev := &laneJob{done: make(chan struct{})}, e.lane
+	e.lane, e.prod.jobs[id] = job, job
+	go func() {
+		if prev != nil {
+			<-prev.done
+		}
+		job.err = work()
+		close(job.done)
+	}()
+	return nil
+}
+
+// join waits for chunk id's arithmetic if a lane still holds it and
+// records its error as the run's terminal error (see Err).
+func (e *Engine) join(id int) error {
+	job := e.prod.jobs[id]
+	if job == nil {
+		return nil
+	}
+	<-job.done
+	e.prod.jobs[id] = nil
+	if job.err != nil {
+		e.fail(job.err)
+	}
+	return job.err
+}
+
+// Join waits for every chunk still on a host lane — any device's — and
+// returns the first arithmetic error in chunk order, also recorded on
+// the engine (see Err). The driver joins before it judges a run, so a
+// run's verdict never depends on when, in real time, a lane finished.
+func (e *Engine) Join() error {
+	var first error
+	for id := range e.prod.jobs {
+		if err := e.join(id); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 // HostChunk computes chunk id on the driver's CPU worker under a

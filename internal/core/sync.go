@@ -61,9 +61,8 @@ func (e *Engine) processSync(p *sim.Proc, ids []int) []int {
 		}
 		rp, cp := e.chunkPanels(id)
 		res, warm := e.chunkMeta(id)
-		if err := e.compute(id, 1); err != nil {
-			e.fail(err) // host-side arithmetic failure is terminal
-			break
+		if e.launch(id) != nil {
+			break // an earlier try's arithmetic failed: terminal, recorded
 		}
 		if res.Flops == 0 {
 			// The host already knows the chunk is empty from the flop

@@ -1,0 +1,33 @@
+package multigpu
+
+import (
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/gpusim"
+	"repro/internal/hybrid"
+	"repro/internal/matgen"
+)
+
+// BenchmarkHybridOOC is the benchmark's lib_hybrid_ooc operation in
+// process: the paper's hybrid node (one GPU beside the CPU worker) on
+// RMAT(10, 24)² with a 4 MiB device, hence a 4 × 3 grid, the CPU worker
+// on one thread. The GPU's chunks are computed on its host lane, so
+// `go test -bench HybridOOC -cpu 1,2` shows what the lane overlaps on
+// two cores and what it costs on one.
+func BenchmarkHybridOOC(b *testing.B) {
+	a := matgen.RMAT(10, 24, 0.57, 0.19, 0.19, 5)
+	dev := gpusim.ScaledV100Config(4 << 20)
+	opts := Options{
+		Core:    core.Options{RowPanels: 4, ColPanels: 3, Async: true, Reorder: true},
+		NumGPUs: 1, UseCPU: true, Host: hybrid.DefaultHostModel(),
+	}
+	opts.Host.Threads = 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := Run(a, a, dev, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -9,10 +9,12 @@ import (
 	"repro/internal/matgen"
 )
 
-// TestFailoverOverwritesWindows: both devices die mid-run; their
-// unfinished chunks move to the survivor and then to the CPU worker,
-// each recomputed into the windows the first attempt may already have
-// written, and the product is bit-identical to a fault-free run's.
+// TestFailoverOverwritesWindows: chunks move off failing devices — to
+// the survivor and then to the CPU worker when both devices die mid-run,
+// from one device to the other when their transient faults exhaust a
+// chunk's (zero) retries — each recomputed into the windows the first
+// attempt may already have written, or be writing on its device's host
+// lane, and the product is bit-identical to a fault-free run's.
 func TestFailoverOverwritesWindows(t *testing.T) {
 	a := matgen.RMAT(9, 8, 0.57, 0.19, 0.19, 65)
 	opts := Options{Core: core.Options{RowPanels: 4, ColPanels: 3, Async: true}, NumGPUs: 2, UseCPU: true}
@@ -20,15 +22,26 @@ func TestFailoverOverwritesWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Core.Faults = faults.Config{Seed: 5, LossAfterOps: 30}
-	got, st, err := Run(a, a, cfg(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.LostGPUs < 1 || st.Failovers < 1 {
-		t.Fatalf("lost %d devices, %d failovers; the case must exercise failover", st.LostGPUs, st.Failovers)
-	}
-	if !csr.Equal(got, want, 0) {
-		t.Fatalf("product after %d failovers (%d to the CPU): %s", st.Failovers, st.FallbackChunks, csr.Diff(got, want, 0))
+	for _, tc := range []struct {
+		name    string
+		faults  faults.Config
+		retries int
+	}{
+		{"loss", faults.Config{Seed: 5, LossAfterOps: 30}, 0},
+		{"transient", faults.Config{Seed: 2, TransferRate: 0.05, KernelRate: 0.05}, -1},
+	} {
+		opts.Core.Faults, opts.Core.ChunkRetries = tc.faults, tc.retries
+		got, st, err := Run(a, a, cfg(), opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		// A failover the CPU worker did not absorb went to the other GPU.
+		if lost := tc.faults.LossAfterOps > 0; lost && (st.LostGPUs < 1 || st.Failovers < 1) || !lost && st.Failovers <= st.FallbackChunks {
+			t.Fatalf("%s: lost %d devices, %d failovers (%d to the CPU); the case must exercise its failover",
+				tc.name, st.LostGPUs, st.Failovers, st.FallbackChunks)
+		}
+		if !csr.Equal(got, want, 0) {
+			t.Fatalf("%s: product after %d failovers (%d to the CPU): %s", tc.name, st.Failovers, st.FallbackChunks, csr.Diff(got, want, 0))
+		}
 	}
 }

@@ -395,6 +395,13 @@ func Run(a, b *csr.Matrix, cfg gpusim.DeviceConfig, opts Options) (*csr.Matrix, 
 	if err := env.Run(); err != nil {
 		return nil, Stats{}, err
 	}
+	// The GPUs' chunks are computed on host lanes that run beside the
+	// simulation; join them before judging the run, so that an arithmetic
+	// error wins over the schedule's own verdict whatever the lanes'
+	// real-time order.
+	if err := eng0.Join(); err != nil {
+		return nil, Stats{}, err
+	}
 	for _, eng := range engines {
 		if eng.Err() != nil {
 			return nil, Stats{}, eng.Err()

@@ -60,7 +60,8 @@ import (
 // queue depth), CPU fallback, default breaker thresholds.
 type Config struct {
 	// MaxConcurrent is the worker count — jobs running at once
-	// (0 means 2).
+	// (0 means 2). It counts jobs, not cores: one job takes its
+	// engine's host parallelism (spgemm.RunOptions.Threads).
 	MaxConcurrent int
 	// QueueDepth bounds the admission queue (0 means 2*MaxConcurrent).
 	QueueDepth int

@@ -40,9 +40,13 @@ func SnapshotKeys(snap map[string]int64) []string { return metrics.SnapshotKeys(
 // automatically planned chunk grid, default flop ratios and no
 // instrumentation.
 type RunOptions struct {
-	// Threads bounds the real CPU parallelism (0 = GOMAXPROCS). It
-	// applies to the cpu* engines and to the CPU workers of the hybrid
-	// and multi-GPU engines.
+	// Threads bounds the real CPU parallelism (0 = GOMAXPROCS) of the
+	// cpu engine and of the CPU worker of the hybrid and multigpu
+	// engines. A device engine's run also computes each simulated GPU's
+	// chunks on a host lane of its own (one thread per GPU, beside the
+	// CPU worker), and partitions B on Core.PartitionThreads, so its host
+	// parallelism is the CPU worker's Threads plus one thread per GPU
+	// (plus PartitionThreads while it partitions).
 	Threads int
 	// Device is the simulated GPU model; nil means V100().
 	Device *DeviceConfig
