@@ -35,9 +35,24 @@ func ladderRungs() []struct {
 	}
 }
 
-// BenchmarkLadder times a cold Multiply and a warm Numeric per rung.
+// BenchmarkLadder times a cold Multiply and a warm Numeric per rung, and
+// a warm Numeric of the block-diagonal shapes the warm workloads replay
+// (cluster_batch_chain's BlockDiag(256, 32), serve_small_warm's
+// BlockDiag(512, 8)), every row of which NumericRows computes in groups.
 func BenchmarkLadder(b *testing.B) {
 	opts := Options{Threads: 1}
+	warm := func(b *testing.B, x, y *csr.Matrix) {
+		_, sym, err := MultiplyPlanned(x, y, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := Numeric(sym, x, y, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 	for _, r := range ladderRungs() {
 		b.Run("cold/"+r.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -46,17 +61,9 @@ func BenchmarkLadder(b *testing.B) {
 				}
 			}
 		})
-		b.Run("warm/"+r.name, func(b *testing.B) {
-			_, sym, err := MultiplyPlanned(r.a, r.b, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := Numeric(sym, r.a, r.b, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		b.Run("warm/"+r.name, func(b *testing.B) { warm(b, r.a, r.b) })
 	}
+	block32, block8 := matgen.BlockDiag(256, 32, 906), matgen.BlockDiag(512, 8, 907)
+	b.Run("warm/block32", func(b *testing.B) { warm(b, block32, block32) })
+	b.Run("warm/block8", func(b *testing.B) { warm(b, block8, block8) })
 }

@@ -264,6 +264,37 @@ func TestNonFiniteOperands(t *testing.T) {
 		{Row: 4, Col: 1, Val: nan1}, {Row: 5, Col: 1, Val: 0},
 	})
 
+	// A block-diagonal pair, whose warm rows NumericRows computes four at
+	// a time: full blocks of A against lower-triangular blocks of B, six
+	// rows each (a group and two rows left over). Block 0 adds an Inf to
+	// finite products, block 1's last column is a lone -0.0 product, row
+	// 13 alone holds a NaN, block 3 sums +Inf and -Inf in every row.
+	var ea, eb []csr.Entry
+	for base := 0; base < 24; base += 6 {
+		for i := 0; i < 6; i++ {
+			for j := 0; j < 6; j++ {
+				r, c, v := int32(base+i), int32(base+j), 1+float64((5*i+j)%7)/8
+				ea = append(ea, csr.Entry{Row: r, Col: c, Val: v})
+				if j <= i {
+					eb = append(eb, csr.Entry{Row: r, Col: c, Val: v})
+				}
+			}
+		}
+	}
+	ea[13*6+0].Val = nan
+	for k, e := range eb {
+		switch [2]int32{e.Row, e.Col} {
+		case [2]int32{3, 1}, [2]int32{19, 18}:
+			eb[k].Val = inf
+		case [2]int32{20, 18}:
+			eb[k].Val = -inf
+		case [2]int32{11, 11}:
+			eb[k].Val = negZero
+		}
+	}
+	blockA, _ := csr.FromEntries(24, 24, ea)
+	blockB, _ := csr.FromEntries(24, 24, eb)
+
 	const wide = 1<<20 + 1 // B padded past the bitmap tier: the two-phase route
 	for _, threads := range []int{1, 4} {
 		opts := Options{Threads: threads}
@@ -309,6 +340,31 @@ func TestNonFiniteOperands(t *testing.T) {
 				colds[route] = cold
 			}
 			requireBitsEqual(t, padCols(colds[0], wide), colds[1], "NaN + NaN: one-phase vs two-phase")
+		}
+
+		for _, b := range []*csr.Matrix{blockB, padCols(blockB, wide)} {
+			route := fmt.Sprintf("blocks, threads=%d, B %d columns", threads, b.Cols)
+			want, err := Sequential(blockA, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, sym, err := MultiplyPlanned(blockA, b, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm, err := Numeric(sym, blockA, b, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireBitsEqual(t, warm, cold, route+": warm vs cold")
+			for k, w := range want.Data {
+				if g := warm.Data[k]; math.IsNaN(w) != math.IsNaN(g) || !math.IsNaN(w) && math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("%s: value %d is %v, Sequential's %v", route, k, g, w)
+				}
+			}
+			if v := warm.Data[warm.RowOffsets[7]-1]; v != 0 || !math.Signbit(v) {
+				t.Fatalf("%s: the lone -0.0 product came out as %v", route, v)
+			}
 		}
 	}
 }

@@ -3,6 +3,8 @@ package speck
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/accum"
@@ -23,8 +25,10 @@ import (
 //
 // Numeric half (NumericRows): scatter a row range's products into a
 // stamped scratch in arrival order and gather them through the structure
-// the symbolic half fixed. ComputeRow, the cold CPU product's row on the
-// bitmap tier, sums in the same order: bit for bit but NaN payloads (§13).
+// the symbolic half fixed — or, for four block rows sharing their A row,
+// into a stack tile in one walk of B. ComputeRow, the cold CPU product's
+// row on the bitmap tier, sums in the same order: bit for bit but NaN
+// payloads (§13).
 
 const (
 	// bitmapTierMax is the widest B panel whose rows all accumulate into
@@ -427,15 +431,21 @@ func (p *SymbolicPass) Emit(offs []int64) []int32 {
 	return cols
 }
 
-// StructureError reports a row whose products touch a different number
-// of distinct columns than its symbolic structure holds: the operands do
-// not carry the structure's pattern. No value (NaN, ±Inf, -0.0) causes it.
+// StructureError reports a row whose products touch another set of
+// distinct columns than its symbolic structure holds — a different
+// number of them, or, found in a row NumericRows computes as part of a
+// group, as many (Touched == Want) but not the same ones: the operands
+// do not carry the structure's pattern. No value (NaN, ±Inf, -0.0)
+// causes it.
 type StructureError struct {
 	Row           int
 	Touched, Want int64
 }
 
 func (e *StructureError) Error() string {
+	if e.Touched == e.Want {
+		return fmt.Sprintf("row %d touches %d distinct columns, not the %d its symbolic structure holds", e.Row, e.Touched, e.Want)
+	}
 	return fmt.Sprintf("row %d touches %d distinct columns, its symbolic structure holds %d", e.Row, e.Touched, e.Want)
 }
 
@@ -462,20 +472,73 @@ func WholeWindow(c *csr.Matrix) Window {
 // RowNnz reports the size of row i's window.
 func (w Window) RowNnz(i int) int64 { return w.Offs[i*w.Stride+1] - w.Offs[i*w.Stride] }
 
+const (
+	// groupRows and groupSpan shape NumericRows' grouped body: groupRows
+	// consecutive rows of A with the same column ids whose output spans
+	// fewer than groupSpan columns (one bit each of a uint64 mask).
+	groupRows = 4
+	groupSpan = 64
+)
+
+// restTile is numericGroups' tile at rest: one lane of the span's
+// columns per row of the group, every slot -0.0.
+var restTile = func() (t [groupRows][groupSpan]float64) {
+	negZero := math.Copysign(0, -1)
+	for r := range t {
+		for d := range t[r] {
+			t[r][d] = negZero
+		}
+	}
+	return t
+}()
+
 // NumericRows is the numeric row kernel: for each row i in [lo, hi) of
-// A·B, whose structure is row i of w, it scatters the products into s
-// (covering w.Width columns, B's at w.ColBase) in arrival order —
-// generation stamps assign on first touch, so a lone -0.0 product stays
-// -0.0 — and gathers the row's values through its column ids. A row
-// whose first-touch count is not its structure's size stops the range
-// with a *StructureError.
+// A·B, whose structure is row i of w, it computes the row's values into
+// w — each summed in arrival order from its first product, so a lone
+// -0.0 product stays -0.0 — and stops the range with a *StructureError
+// at a row whose products touch another number of distinct columns than
+// its structure holds or, in a group, other columns.
+//
+// A run of groupRows rows sharing their A row's column ids, whose output
+// spans fewer than groupSpan columns — the rows a block-diagonal pattern
+// is made of — goes through numericGroups, one walk of B per group. Every
+// other row goes through stampedRows, and so does a group numericGroups
+// hands back: one holding a NaN, so that a NaN's payload never depends on
+// which group a chunk boundary put its row in, and one failing a check,
+// recomputed with the column-set check on so that it returns the
+// *StructureError (DESIGN.md §13).
+func NumericRows(a, b *csr.Matrix, w *Window, s *accum.Scratch, lo, hi int) error {
+	for lo < hi {
+		g := nextGroup(a, w, lo, hi)
+		if err := stampedRows(a, b, w, s, lo, g, false); err != nil || g == hi {
+			return err
+		}
+		var handBack bool
+		if lo, handBack = numericGroups(a, b, w, g, hi); handBack {
+			if err := stampedRows(a, b, w, s, lo, lo+groupRows, true); err != nil {
+				return err
+			}
+			lo += groupRows
+		}
+	}
+	return nil
+}
+
+// stampedRows is NumericRows' body for single rows: it scatters a row's
+// products into s (covering w.Width columns, B's at w.ColBase) in arrival
+// order — generation stamps assign on first touch — and gathers the
+// row's values through its column ids. A row whose first-touch count is
+// not its window's size is a *StructureError; with checkSet, so is one
+// with a window column its products did not touch (as many columns, not
+// the same ones). Rows of their own skip that check: its stamp read per
+// output cost the warm ladder's rungs 12-16 % (DESIGN.md §13).
 //
 // The window is read through the pointer once per row, after the
 // scatter, into locals for the gather loop — both measured: with its
 // slices live across the scatter (passed by value) the inner loop
 // reloads the stamp pointer per product (band_wide warm +6 %), and a
 // gather indexing through *csr.Matrix replayed short rows 20 % slower.
-func NumericRows(a, b *csr.Matrix, w *Window, s *accum.Scratch, lo, hi int) error {
+func stampedRows(a, b *csr.Matrix, w *Window, s *accum.Scratch, lo, hi int, checkSet bool) error {
 	vals, stamp := s.Vals[w.ColBase:], s.Stamp[w.ColBase:]
 	for i := lo; i < hi; i++ {
 		gen := s.NextGen()
@@ -497,7 +560,7 @@ func NumericRows(a, b *csr.Matrix, w *Window, s *accum.Scratch, lo, hi int) erro
 		}
 		at := i * w.Stride
 		off, end := w.Offs[at], w.Offs[at+1]
-		if touched != end-off {
+		if touched != end-off || checkSet && !stamped(w.Cols[off:end], s.Stamp, gen) {
 			return &StructureError{Row: i, Touched: touched, Want: end - off}
 		}
 		out, cols, all := w.Data[off:end], w.Cols[off:end], s.Vals
@@ -506,6 +569,136 @@ func NumericRows(a, b *csr.Matrix, w *Window, s *accum.Scratch, lo, hi int) erro
 		}
 	}
 	return nil
+}
+
+// stamped reports whether every column in cols carries stamp gen.
+func stamped(cols []int32, stamp []uint32, gen uint32) bool {
+	for _, col := range cols {
+		if stamp[col] != gen {
+			return false
+		}
+	}
+	return true
+}
+
+// nextGroup returns the first row in [lo, hi) that starts a group, or
+// hi. A row's A row must be as long as the next one and start at the
+// same column before groupable is asked: most rows stop at that.
+func nextGroup(a *csr.Matrix, w *Window, lo, hi int) int {
+	if lo+groupRows > hi {
+		return hi
+	}
+	offs, ids := a.RowOffsets[:hi+1], a.ColIDs
+	o, e := offs[lo], offs[lo+1]
+	for g := lo; g+groupRows <= hi; g++ {
+		f := offs[g+2]
+		if o < e && f-e == e-o && ids[o] == ids[e] && groupable(a, w, g) {
+			return g
+		}
+		o, e = e, f
+	}
+	return hi
+}
+
+// groupable reports whether rows i..i+groupRows-1 share row i's column
+// ids of A and row i's output spans fewer than groupSpan columns.
+func groupable(a *csr.Matrix, w *Window, i int) bool {
+	at := i * w.Stride
+	off, end := w.Offs[at], w.Offs[at+1]
+	if off == end || w.Cols[end-1]-w.Cols[off] >= groupSpan {
+		return false
+	}
+	offs := a.RowOffsets
+	ac := a.ColIDs[offs[i]:offs[i+1]]
+	for r := i + 1; r < i+groupRows; r++ {
+		if !slices.Equal(a.ColIDs[offs[r]:offs[r+1]], ac) {
+			return false
+		}
+	}
+	return true
+}
+
+// numericGroups is NumericRows' grouped body. From row i on, while the
+// next groupRows rows are groupable, it walks the group's shared B rows
+// once, adding product v as x_r·v into lane r of a tile on its stack and
+// keeping the touched columns of the span in a register mask. Tile slots
+// rest at -0.0 and -0.0 + y is y bit for bit, so the first product of a
+// column needs no stamp and every value is the stamped body's sum, in the
+// same (p, q) order: equal bit for bit but NaN payloads. The gather
+// writes each row's window, requires the mask rebuilt from its column
+// ids to be the touched mask — the column set, not just its size — and
+// puts -0.0 back in the slots it read. The tile lives in this frame,
+// lane-major, so a product's four slots are the stack pointer plus a
+// scaled index: as four slices in pooled memory, each lane's base and
+// length were reloaded per product (DESIGN.md §13).
+//
+// It returns the first row it did not compute, with handBack set when
+// the group there is the stamped body's to recompute: it touched a
+// column outside the span or a window is not its touched set (the
+// operands do not carry the structure), or it holds a NaN.
+func numericGroups(a, b *csr.Matrix, w *Window, i, hi int) (next int, handBack bool) {
+	tile := restTile
+	for ; i+groupRows <= hi && groupable(a, w, i); i += groupRows {
+		first := int(w.Cols[w.Offs[i*w.Stride]]) // the span's first column
+		c0 := first - w.ColBase                  // and B's id of it
+		// The group's rows are consecutive and equally long, so lane r's
+		// multiplier for entry p sits at p + r·n of one slice: one base
+		// register for the four rows keeps the inner loop free of spills.
+		o := a.RowOffsets[i]
+		n := int(a.RowOffsets[i+1] - o)
+		ac, av := a.ColIDs[o:o+int64(n)], a.Data[o:o+groupRows*int64(n)]
+		var seen uint64
+		for p, k := range ac {
+			bc, bv := b.Row(int(k))
+			bv = bv[:len(bc)]
+			x0, x1, x2, x3 := av[p], av[p+n], av[p+2*n], av[p+3*n]
+			for q, col := range bc {
+				d := uint(int(col) - c0)
+				if d >= groupSpan {
+					return i, true
+				}
+				seen |= 1 << d
+				v := bv[q]
+				tile[0][d] += x0 * v
+				tile[1][d] += x1 * v
+				tile[2][d] += x2 * v
+				tile[3][d] += x3 * v
+			}
+		}
+		touched := int64(bits.OnesCount64(seen))
+		nan := false
+		for r := 0; r < groupRows; r++ {
+			at := (i + r) * w.Stride
+			off, end := w.Offs[at], w.Offs[at+1]
+			if end-off != touched {
+				return i, true
+			}
+			out, cols := w.Data[off:end], w.Cols[off:end]
+			var mask uint64
+			for j, col := range cols {
+				d := uint(int(col) - first)
+				if d >= groupSpan {
+					return i, true
+				}
+				mask |= 1 << d
+				v := tile[r][d]
+				out[j] = v
+				nan = nan || v != v
+			}
+			if mask != seen {
+				return i, true
+			}
+		}
+		if nan {
+			return i, true
+		}
+		negZero := restTile[0][0]
+		for m := seen; m != 0; m &= m - 1 {
+			d := bits.TrailingZeros64(m)
+			tile[0][d], tile[1][d], tile[2][d], tile[3][d] = negZero, negZero, negZero, negZero
+		}
+	}
+	return i, false
 }
 
 // RowAnalysis is the whole-matrix, values-independent analysis of A·B:

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/accum"
@@ -318,9 +319,13 @@ func dedup(es []csr.Entry) []csr.Entry {
 }
 
 // TestNumericRowsStructureError pins the kernel's one invariant: a row
-// whose products touch a different number of distinct columns than its
-// structure holds is a typed error from both drivers, never a panic or
-// a silently short row.
+// whose products touch other columns than its structure holds is a
+// typed error from both drivers, never a panic or a silently wrong row.
+// Rows computed in groups are held to the column set, not just its size:
+// block-diagonal operands against the plan of their pattern, once with a
+// product outside a window's span and once with as many columns as the
+// window holds but one of them another. The pooled scratch the failed
+// call leaves must serve the next call bit for bit.
 func TestNumericRowsStructureError(t *testing.T) {
 	a := matgen.ER(30, 30, 0.2, 91)
 	sym, err := SymbolicCompute(a, a, model())
@@ -336,6 +341,338 @@ func TestNumericRowsStructureError(t *testing.T) {
 	if se.Touched == se.Want || se.Row < 0 || se.Row >= a.Rows {
 		t.Fatalf("implausible structure error %+v", se)
 	}
+
+	const nb, bs = 12, 8
+	val := func(r, c int) float64 { return 1 + float64((3*r+c)%7)/8 }
+	plan := blockMatrix(nb, bs, func(i, j int) bool { return true }, val)
+	psym, err := SymbolicCompute(plan, plan, model())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantData := oracleCompute(plan, plan, model())
+	c := &csr.Matrix{Rows: psym.Rows, Cols: psym.Cols, RowOffsets: psym.RowOffsets, ColIDs: psym.ColIDs,
+		Data: make([]float64, len(psym.ColIDs))}
+	w := WholeWindow(c)
+	s := accum.GetScratch(c.Cols)
+	defer accum.PutScratch(s)
+	// B row 0 also holds column 80, outside the span [0, 64) of block 0's
+	// windows; block 1's B rows hold column 16 instead of 15.
+	stray := withEntries(plan, func(es []csr.Entry) []csr.Entry { return append(es, csr.Entry{Row: 0, Col: 80, Val: 2}) })
+	moved := withEntries(plan, func(es []csr.Entry) []csr.Entry {
+		for k, e := range es {
+			if e.Row/bs == 1 && e.Col == 15 {
+				es[k].Col = 16
+			}
+		}
+		return es
+	})
+	for _, tc := range []struct {
+		name      string
+		b         *csr.Matrix
+		row       int
+		sameCount bool
+	}{
+		{"product outside the span", stray, 0, false},
+		{"same count, another column", moved, bs, true},
+	} {
+		err := NumericRows(plan, tc.b, &w, s, 0, plan.Rows)
+		var se *StructureError
+		if !errors.As(err, &se) {
+			t.Fatalf("%s: err = %v, want a *StructureError", tc.name, err)
+		}
+		if se.Row != tc.row || (se.Touched == se.Want) != tc.sameCount {
+			t.Fatalf("%s: %+v, want row %d with equal counts %v", tc.name, se, tc.row, tc.sameCount)
+		}
+		if err := NumericRows(plan, plan, &w, s, 0, plan.Rows); err != nil {
+			t.Fatalf("%s: the next call: %v", tc.name, err)
+		}
+		if !slices.Equal(c.ColIDs, want.ColIDs) {
+			t.Fatalf("%s: the plan's structure is not the oracle's", tc.name)
+		}
+		requireSameBits(t, tc.name+": the next call", c.Data, wantData)
+	}
+}
+
+// blockMatrix is the block-diagonal pattern of nb blocks of bs×bs whose
+// entry (i, j) within a block is kept when keep(i, j), valued val(row,
+// column).
+func blockMatrix(nb, bs int, keep func(i, j int) bool, val func(r, c int) float64) *csr.Matrix {
+	var es []csr.Entry
+	for base := 0; base < nb*bs; base += bs {
+		for i := 0; i < bs; i++ {
+			for j := 0; j < bs; j++ {
+				if keep(i, j) {
+					es = append(es, csr.Entry{Row: int32(base + i), Col: int32(base + j), Val: val(base+i, base+j)})
+				}
+			}
+		}
+	}
+	m, err := csr.FromEntries(nb*bs, nb*bs, es)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
+// withEntries rebuilds m from its entries as edit leaves them.
+func withEntries(m *csr.Matrix, edit func([]csr.Entry) []csr.Entry) *csr.Matrix {
+	var es []csr.Entry
+	for r := 0; r < m.Rows; r++ {
+		cols, vals := m.Row(r)
+		for k, col := range cols {
+			es = append(es, csr.Entry{Row: int32(r), Col: col, Val: vals[k]})
+		}
+	}
+	out, err := csr.FromEntries(m.Rows, m.Cols, edit(es))
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
+// requireSameBits compares two value arrays bit for bit, NaN payloads
+// included.
+func requireSameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
+	}
+	for i, v := range got {
+		if math.Float64bits(v) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: value %d is %v (%#x), want %v (%#x)", what, i, v, math.Float64bits(v), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// gridChunk is one chunk of an out-of-core grid over A·B: its operands
+// and its window, addressed as core.Engine.window addresses it (Data
+// unset).
+type gridChunk struct {
+	a, b *csr.Matrix
+	w    Window
+}
+
+// gridChunks cuts A·B's structure into an nr × nc chunk grid and returns
+// the chunks and the product's non-zero count.
+func gridChunks(t testing.TB, a, b *csr.Matrix, nr, nc int) ([]gridChunk, int) {
+	sym, err := SymbolicCompute(a, b, model())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rps, err := partition.RowPanels(a, nr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cps, err := partition.ColPanels(b, nc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offs, ids := sym.RowOffsets, sym.ColIDs
+	split := make([]int64, (a.Rows+1)*nc)
+	for i := 0; i <= a.Rows; i++ {
+		row := ids[offs[i]:offs[min(i+1, a.Rows)]]
+		for k, cp := range cps {
+			split[i*nc+k] = offs[i] + int64(sort.Search(len(row), func(j int) bool { return int(row[j]) >= cp.Start }))
+		}
+	}
+	var chunks []gridChunk
+	for _, rp := range rps {
+		for k, cp := range cps {
+			w := Window{Offs: split[rp.Start*nc+k:], Stride: nc, Cols: ids, ColBase: cp.Start, Width: b.Cols}
+			chunks = append(chunks, gridChunk{rp.M, cp.M, w})
+		}
+	}
+	return chunks, len(ids)
+}
+
+// stampedGrid computes every chunk of the grid with the stamped body
+// alone, into data: the reference the grouped body is held to.
+func stampedGrid(t testing.TB, chunks []gridChunk, data []float64, width int) {
+	s := accum.GetScratch(width)
+	defer accum.PutScratch(s)
+	for _, c := range chunks {
+		w := c.w
+		w.Data = data
+		if err := stampedRows(c.a, c.b, &w, s, 0, c.a.Rows, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// groupedGrid computes every chunk of the grid with NumericRows on s,
+// into data, in two calls cut at row cut of the chunk (or its end).
+func groupedGrid(t testing.TB, chunks []gridChunk, data []float64, s *accum.Scratch, cut int) {
+	for _, c := range chunks {
+		w, at := c.w, min(cut, c.a.Rows)
+		w.Data = data
+		if err := NumericRows(c.a, c.b, &w, s, 0, at); err != nil {
+			t.Fatal(err)
+		}
+		if err := NumericRows(c.a, c.b, &w, s, at, c.a.Rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestNumericRowsGroupedBitIdentical holds NumericRows, which computes
+// runs of block rows a group at a time, to the stamped body row by row,
+// bit for bit, NaN payloads included: block-diagonal products of block
+// sizes 1–9 (runs shorter than, as long as and longer than a group), cut
+// into two ranges at every row; output spans of 62–65 columns, either
+// side of the group's limit; an out-of-core chunk grid (ColBase,
+// Stride); and ±Inf, a lone -0.0 product and NaNs, in one row of a group
+// and in every row of another. One call per chunk on a fresh scratch also
+// counts the rows the stamped body computed: every row but a block's
+// last (bs mod 4) and the groups holding a NaN is the grouped body's.
+func TestNumericRowsGroupedBitIdentical(t *testing.T) {
+	type tcase struct {
+		name    string
+		a, b    *csr.Matrix
+		nr, nc  int
+		stamped int // -1: not counted
+	}
+	var cases []tcase
+	for bs := 1; bs <= 9; bs++ {
+		m := matgen.BlockDiag(6, bs, int64(bs))
+		cases = append(cases, tcase{fmt.Sprintf("blocks of %d", bs), m, m, 1, 1, 6 * (bs % groupRows)})
+	}
+	for _, bs := range []int{63, 64, 65, 66} {
+		m := matgen.BlockDiag(2, bs, int64(bs))
+		stamped := 2 * (bs % groupRows)
+		if bs-1 >= groupSpan {
+			stamped = 2 * bs
+		}
+		cases = append(cases, tcase{fmt.Sprintf("span of %d", bs-1), m, m, 1, 1, stamped})
+	}
+	grid := matgen.BlockDiag(20, 6, 10)
+	cases = append(cases, tcase{"3×3 grid", grid, grid, 3, 3, -1})
+
+	// Six blocks of four rows; B's blocks are lower triangles, so column j
+	// of a block is the sum over B rows j..3. Block 0 adds an Inf to
+	// finite products, block 1's last column is a lone -0.0 product, row
+	// 9 (block 2) alone holds a NaN, block 3 sums +Inf and -Inf in every
+	// row, block 4 adds a -Inf, block 5 multiplies by -0.0.
+	inf, negZero := math.Inf(1), math.Copysign(0, -1)
+	plain := func(r, c int) float64 { return 1 + float64((7*r+c)%5)/4 }
+	sa := blockMatrix(6, 4, func(i, j int) bool { return true }, func(r, c int) float64 {
+		switch [2]int{r, c} {
+		case [2]int{9, 8}:
+			return math.NaN()
+		case [2]int{21, 20}:
+			return negZero
+		}
+		return plain(r, c)
+	})
+	sb := blockMatrix(6, 4, func(i, j int) bool { return j <= i }, func(r, c int) float64 {
+		switch [2]int{r, c} {
+		case [2]int{2, 1}, [2]int{13, 12}:
+			return inf
+		case [2]int{14, 12}, [2]int{19, 17}:
+			return -inf
+		case [2]int{7, 7}:
+			return negZero
+		}
+		return plain(r, c)
+	})
+	cases = append(cases, tcase{"non-finite", sa, sb, 1, 1, 8})
+
+	for _, tc := range cases {
+		chunks, nnz := gridChunks(t, tc.a, tc.b, tc.nr, tc.nc)
+		want := make([]float64, nnz)
+		stampedGrid(t, chunks, want, tc.b.Cols)
+
+		got := make([]float64, nnz)
+		fresh := &accum.Scratch{Vals: make([]float64, tc.b.Cols), Stamp: make([]uint32, tc.b.Cols)}
+		groupedGrid(t, chunks, got, fresh, 0)
+		requireSameBits(t, tc.name, got, want)
+		if n := int(fresh.NextGen()) - 1; tc.stamped >= 0 && n != tc.stamped {
+			t.Fatalf("%s: the stamped body computed %d rows, want %d", tc.name, n, tc.stamped)
+		}
+
+		s := accum.GetScratch(tc.b.Cols)
+		maxRows := 0
+		for _, c := range chunks {
+			maxRows = max(maxRows, c.a.Rows)
+		}
+		for cut := 0; cut <= maxRows; cut += 1 + maxRows/40 {
+			for i := range got {
+				got[i] = math.Float64frombits(0x7ff0dead) // a NaN no kernel writes
+			}
+			groupedGrid(t, chunks, got, s, cut)
+			requireSameBits(t, fmt.Sprintf("%s, cut at row %d", tc.name, cut), got, want)
+		}
+		accum.PutScratch(s)
+	}
+}
+
+// FuzzNumericRows is the grouped body's differential target. A and B are
+// each a block pattern (full blocks, or a random subset of each block's
+// columns shared by its rows) or a band, so block rows of A meet band
+// rows of B and output spans cross the group's limit; values are normal
+// draws with NaN, ±Inf, -0.0 and 0 mixed in at a fuzzed rate; the product
+// is cut into a chunk grid of up to 3×3 and each chunk's rows into two
+// ranges. NumericRows must match the stamped body bit for bit, NaN
+// payloads included: a group holding a NaN is the stamped body's to
+// compute.
+func FuzzNumericRows(f *testing.F) {
+	f.Add(uint8(0), uint8(0), uint8(5), uint8(7), uint8(0), uint8(0), uint16(0), int64(1))   // full blocks of 8
+	f.Add(uint8(1), uint8(0), uint8(3), uint8(11), uint8(40), uint8(4), uint16(5), int64(2)) // shared subsets, specials, 2×2 grid
+	f.Add(uint8(0), uint8(2), uint8(9), uint8(5), uint8(8), uint8(8), uint16(13), int64(3))  // blocks × band
+	f.Add(uint8(2), uint8(2), uint8(4), uint8(20), uint8(0), uint8(2), uint16(7), int64(4))  // band × band: no groups
+	f.Add(uint8(0), uint8(0), uint8(1), uint8(63), uint8(0), uint8(0), uint16(1), int64(5))  // blocks of 64, span 63
+	f.Fuzz(func(t *testing.T, kindA, kindB, blocks, size, specials, grid uint8, cut uint16, seed int64) {
+		bs := 1 + int(size%70)
+		n := bs * (1 + int(blocks%6))
+		rng := rand.New(rand.NewSource(seed))
+		specialValues := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0}
+		value := func() float64 {
+			if rng.Intn(256) < int(specials) {
+				return specialValues[rng.Intn(len(specialValues))]
+			}
+			return rng.NormFloat64()
+		}
+		pattern := func(kind uint8) *csr.Matrix {
+			var es []csr.Entry
+			half := bs / 3
+			subset := make([]bool, n) // per block: the columns its rows share
+			for r := 0; r < n; r++ {
+				base := r / bs * bs
+				if r == base {
+					for c := range subset {
+						subset[c] = rng.Intn(3) > 0
+					}
+				}
+				for c := 0; c < n; c++ {
+					var keep bool
+					switch kind % 3 {
+					case 0:
+						keep = c/bs == r/bs
+					case 1:
+						keep = c/bs == r/bs && subset[c]
+					default:
+						keep = c >= r-half && c <= r+half
+					}
+					if keep {
+						es = append(es, csr.Entry{Row: int32(r), Col: int32(c), Val: value()})
+					}
+				}
+			}
+			m, err := csr.FromEntries(n, n, es)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m
+		}
+		a, b := pattern(kindA), pattern(kindB)
+		chunks, nnz := gridChunks(t, a, b, min(1+int(grid%3), n), min(1+int(grid/3%3), n))
+		want := make([]float64, nnz)
+		stampedGrid(t, chunks, want, n)
+		got := make([]float64, nnz)
+		s := accum.GetScratch(n)
+		defer accum.PutScratch(s)
+		groupedGrid(t, chunks, got, s, int(cut)%(n+1))
+		requireSameBits(t, "grouped vs stamped", got, want)
+	})
 }
 
 // TestNumericPooledScratchFirstTouch pins assign-on-first-touch across
