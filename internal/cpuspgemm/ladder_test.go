@@ -38,7 +38,8 @@ func ladderRungs() []struct {
 // BenchmarkLadder times a cold Multiply and a warm Numeric per rung, and
 // a warm Numeric of the block-diagonal shapes the warm workloads replay
 // (cluster_batch_chain's BlockDiag(256, 32), serve_small_warm's
-// BlockDiag(512, 8)), every row of which NumericRows computes in groups.
+// BlockDiag(512, 8)), every row of which NumericRows computes in groups
+// whose B rows are a block.
 func BenchmarkLadder(b *testing.B) {
 	opts := Options{Threads: 1}
 	warm := func(b *testing.B, x, y *csr.Matrix) {

@@ -264,17 +264,21 @@ func TestNonFiniteOperands(t *testing.T) {
 		{Row: 4, Col: 1, Val: nan1}, {Row: 5, Col: 1, Val: 0},
 	})
 
-	// A block-diagonal pair, whose warm rows NumericRows computes four at
-	// a time: full blocks of A against lower-triangular blocks of B, six
-	// rows each (a group and two rows left over). Block 0 adds an Inf to
-	// finite products, block 1's last column is a lone -0.0 product, row
-	// 13 alone holds a NaN, block 3 sums +Inf and -Inf in every row.
-	var ea, eb []csr.Entry
+	// Block-diagonal pairs: full blocks of A against lower-triangular
+	// blocks of B (not a block: every row stamped) and against full
+	// blocks, whose warm rows NumericRows sums four at a time column by
+	// column, six rows each (a group and two rows left over; four columns
+	// and two).
+	// Block 0 adds an Inf to finite products, block 1's last column is a
+	// lone -0.0 product (triangular) or sums -0.0 products only (full),
+	// row 13 alone holds a NaN, block 3 sums +Inf and -Inf in every row.
+	var ea, eb, ef []csr.Entry
 	for base := 0; base < 24; base += 6 {
 		for i := 0; i < 6; i++ {
 			for j := 0; j < 6; j++ {
 				r, c, v := int32(base+i), int32(base+j), 1+float64((5*i+j)%7)/8
 				ea = append(ea, csr.Entry{Row: r, Col: c, Val: v})
+				ef = append(ef, csr.Entry{Row: r, Col: c, Val: v})
 				if j <= i {
 					eb = append(eb, csr.Entry{Row: r, Col: c, Val: v})
 				}
@@ -282,18 +286,21 @@ func TestNonFiniteOperands(t *testing.T) {
 		}
 	}
 	ea[13*6+0].Val = nan
-	for k, e := range eb {
-		switch [2]int32{e.Row, e.Col} {
-		case [2]int32{3, 1}, [2]int32{19, 18}:
-			eb[k].Val = inf
-		case [2]int32{20, 18}:
-			eb[k].Val = -inf
-		case [2]int32{11, 11}:
-			eb[k].Val = negZero
+	for _, es := range [][]csr.Entry{eb, ef} {
+		for k, e := range es {
+			switch {
+			case e.Row == 3 && e.Col == 1, e.Row == 19 && e.Col == 18:
+				es[k].Val = inf
+			case e.Row == 20 && e.Col == 18:
+				es[k].Val = -inf
+			case e.Row/6 == 1 && e.Col == 11:
+				es[k].Val = negZero
+			}
 		}
 	}
 	blockA, _ := csr.FromEntries(24, 24, ea)
 	blockB, _ := csr.FromEntries(24, 24, eb)
+	fullB, _ := csr.FromEntries(24, 24, ef)
 
 	const wide = 1<<20 + 1 // B padded past the bitmap tier: the two-phase route
 	for _, threads := range []int{1, 4} {
@@ -342,7 +349,7 @@ func TestNonFiniteOperands(t *testing.T) {
 			requireBitsEqual(t, padCols(colds[0], wide), colds[1], "NaN + NaN: one-phase vs two-phase")
 		}
 
-		for _, b := range []*csr.Matrix{blockB, padCols(blockB, wide)} {
+		for _, b := range []*csr.Matrix{blockB, padCols(blockB, wide), fullB, padCols(fullB, wide)} {
 			route := fmt.Sprintf("blocks, threads=%d, B %d columns", threads, b.Cols)
 			want, err := Sequential(blockA, b)
 			if err != nil {
@@ -363,7 +370,7 @@ func TestNonFiniteOperands(t *testing.T) {
 				}
 			}
 			if v := warm.Data[warm.RowOffsets[7]-1]; v != 0 || !math.Signbit(v) {
-				t.Fatalf("%s: the lone -0.0 product came out as %v", route, v)
+				t.Fatalf("%s: a sum of -0.0 products came out as %v", route, v)
 			}
 		}
 	}
@@ -396,8 +403,13 @@ func TestAllocationCeilings(t *testing.T) {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
 	}
 	const ceiling = 48
-	for _, n := range []int{256, 4096} {
-		a := matgen.ER(n, n, 8/float64(n), 33)
+	for _, n := range []int{256, 4096, -1} {
+		var a *csr.Matrix
+		if n < 0 { // block rows: the column sums keep their outputs on the stack
+			a, n = matgen.BlockDiag(64, 32, 34), 64*32
+		} else {
+			a = matgen.ER(n, n, 8/float64(n), 33)
+		}
 		opts := Options{Threads: 1}
 		_, sym, err := MultiplyPlanned(a, a, opts) // warms the pools
 		if err != nil {

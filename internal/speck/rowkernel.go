@@ -3,7 +3,6 @@ package speck
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 	"sync/atomic"
 
@@ -25,10 +24,10 @@ import (
 //
 // Numeric half (NumericRows): scatter a row range's products into a
 // stamped scratch in arrival order and gather them through the structure
-// the symbolic half fixed — or, for four block rows sharing their A row,
-// into a stack tile in one walk of B. ComputeRow, the cold CPU product's
-// row on the bitmap tier, sums in the same order: bit for bit but NaN
-// payloads (§13).
+// the symbolic half fixed — or, for four block rows sharing their A row
+// and a block of B rows, column by column in registers.
+// ComputeRow, the cold CPU product's row on the bitmap tier, sums in the
+// same order: bit for bit but NaN payloads (§13).
 
 const (
 	// bitmapTierMax is the widest B panel whose rows all accumulate into
@@ -472,25 +471,9 @@ func WholeWindow(c *csr.Matrix) Window {
 // RowNnz reports the size of row i's window.
 func (w Window) RowNnz(i int) int64 { return w.Offs[i*w.Stride+1] - w.Offs[i*w.Stride] }
 
-const (
-	// groupRows and groupSpan shape NumericRows' grouped body: groupRows
-	// consecutive rows of A with the same column ids whose output spans
-	// fewer than groupSpan columns (one bit each of a uint64 mask).
-	groupRows = 4
-	groupSpan = 64
-)
-
-// restTile is numericGroups' tile at rest: one lane of the span's
-// columns per row of the group, every slot -0.0.
-var restTile = func() (t [groupRows][groupSpan]float64) {
-	negZero := math.Copysign(0, -1)
-	for r := range t {
-		for d := range t[r] {
-			t[r][d] = negZero
-		}
-	}
-	return t
-}()
+// groupRows is the size of NumericRows' groups: groupRows consecutive
+// rows of A with the same column ids whose B rows are a block (isGroup).
+const groupRows = 4
 
 // NumericRows is the numeric row kernel: for each row i in [lo, hi) of
 // A·B, whose structure is row i of w, it computes the row's values into
@@ -499,22 +482,25 @@ var restTile = func() (t [groupRows][groupSpan]float64) {
 // at a row whose products touch another number of distinct columns than
 // its structure holds or, in a group, other columns.
 //
-// A run of groupRows rows sharing their A row's column ids, whose output
-// spans fewer than groupSpan columns — the rows a block-diagonal pattern
-// is made of — goes through numericGroups, one walk of B per group. Every
-// other row goes through stampedRows, and so does a group numericGroups
-// hands back: one holding a NaN, so that a NaN's payload never depends on
-// which group a chunk boundary put its row in, and one failing a check,
-// recomputed with the column-set check on so that it returns the
-// *StructureError (DESIGN.md §13).
+// A run of groupRows rows sharing their A row's column ids whose B rows
+// are a block (consecutive, holding one set of column ids) — the rows a
+// block-diagonal pattern is made of — is computed a group at a time,
+// column by column in registers (blockGroups). Every other row goes
+// through stampedRows, and so does a group blockGroups hands back: one
+// holding a NaN, so that a NaN's payload never depends on which group a
+// chunk boundary put its row in, and one failing a check, recomputed with
+// the column-set check on so that it returns the *StructureError
+// (DESIGN.md §13).
 func NumericRows(a, b *csr.Matrix, w *Window, s *accum.Scratch, lo, hi int) error {
+	var blk block
 	for lo < hi {
-		g := nextGroup(a, w, lo, hi)
+		g := nextGroup(a, b, &blk, lo, hi)
 		if err := stampedRows(a, b, w, s, lo, g, false); err != nil || g == hi {
 			return err
 		}
 		var handBack bool
-		if lo, handBack = numericGroups(a, b, w, g, hi); handBack {
+		lo, handBack = blockGroups(a, b, w, &blk, g, hi)
+		if handBack {
 			if err := stampedRows(a, b, w, s, lo, lo+groupRows, true); err != nil {
 				return err
 			}
@@ -583,8 +569,8 @@ func stamped(cols []int32, stamp []uint32, gen uint32) bool {
 
 // nextGroup returns the first row in [lo, hi) that starts a group, or
 // hi. A row's A row must be as long as the next one and start at the
-// same column before groupable is asked: most rows stop at that.
-func nextGroup(a *csr.Matrix, w *Window, lo, hi int) int {
+// same column before isGroup is asked: most rows stop at that.
+func nextGroup(a, b *csr.Matrix, blk *block, lo, hi int) int {
 	if lo+groupRows > hi {
 		return hi
 	}
@@ -592,7 +578,7 @@ func nextGroup(a *csr.Matrix, w *Window, lo, hi int) int {
 	o, e := offs[lo], offs[lo+1]
 	for g := lo; g+groupRows <= hi; g++ {
 		f := offs[g+2]
-		if o < e && f-e == e-o && ids[o] == ids[e] && groupable(a, w, g) {
+		if o < e && f-e == e-o && ids[o] == ids[e] && isGroup(a, b, blk, g) {
 			return g
 		}
 		o, e = e, f
@@ -600,105 +586,121 @@ func nextGroup(a *csr.Matrix, w *Window, lo, hi int) int {
 	return hi
 }
 
-// groupable reports whether rows i..i+groupRows-1 share row i's column
-// ids of A and row i's output spans fewer than groupSpan columns.
-func groupable(a *csr.Matrix, w *Window, i int) bool {
-	at := i * w.Stride
-	off, end := w.Offs[at], w.Offs[at+1]
-	if off == end || w.Cols[end-1]-w.Cols[off] >= groupSpan {
-		return false
-	}
+// block locates the B rows of a group: the n consecutive B rows from k0
+// on, holding the same m column ids, b.ColIDs[at:at+m], so that their
+// values are the n × m row-major array b.Data[at:at+n·m]. ok reports
+// whether rows k0..k0+n-1 are such rows. Offsets, not slices: a slice
+// stored through a *block costs a write barrier.
+type block struct {
+	k0, n, at, m int64
+	ok           bool
+}
+
+// isGroup reports whether rows i..i+groupRows-1 share row i's column ids
+// of A and the B rows those name are a block, which it leaves in blk. The
+// ids ascend strictly (csr.Validate), so they name consecutive B rows
+// exactly when the last is the first plus n-1, and blk, kept from the
+// last lookup, answers for every group of one block row of A.
+func isGroup(a, b *csr.Matrix, blk *block, i int) bool {
 	offs := a.RowOffsets
-	ac := a.ColIDs[offs[i]:offs[i+1]]
+	lo, hi := offs[i], offs[i+1]
+	ac := a.ColIDs[lo:hi]
 	for r := i + 1; r < i+groupRows; r++ {
 		if !slices.Equal(a.ColIDs[offs[r]:offs[r+1]], ac) {
 			return false
 		}
 	}
-	return true
+	n := hi - lo
+	switch {
+	case n == 0 || int64(ac[n-1]-ac[0]) != n-1:
+		*blk = block{}
+	case int64(ac[0]) != blk.k0 || n != blk.n:
+		*blk = findBlock(b, int64(ac[0]), n)
+	}
+	return blk.ok
 }
 
-// numericGroups is NumericRows' grouped body. From row i on, while the
-// next groupRows rows are groupable, it walks the group's shared B rows
-// once, adding product v as x_r·v into lane r of a tile on its stack and
-// keeping the touched columns of the span in a register mask. Tile slots
-// rest at -0.0 and -0.0 + y is y bit for bit, so the first product of a
-// column needs no stamp and every value is the stamped body's sum, in the
-// same (p, q) order: equal bit for bit but NaN payloads. The gather
-// writes each row's window, requires the mask rebuilt from its column
-// ids to be the touched mask — the column set, not just its size — and
-// puts -0.0 back in the slots it read. The tile lives in this frame,
-// lane-major, so a product's four slots are the stack pointer plus a
-// scaled index: as four slices in pooled memory, each lane's base and
-// length were reloaded per product (DESIGN.md §13).
-//
+// findBlock looks up whether B rows k0..k0+n-1 are a block.
+func findBlock(b *csr.Matrix, k0, n int64) block {
+	blk := block{k0: k0, n: n}
+	offs, ids := b.RowOffsets, b.ColIDs
+	at, m := offs[k0], offs[k0+1]-offs[k0]
+	cols := ids[at : at+m]
+	for k := k0 + 1; k < k0+n; k++ {
+		if !slices.Equal(ids[offs[k]:offs[k+1]], cols) {
+			return blk
+		}
+	}
+	blk.at, blk.m, blk.ok = at, m, true
+	return blk
+}
+
+// blockGroups is NumericRows' body for groups: from row i on, while the
+// next groupRows rows are a group, it computes the group with sumColumns.
 // It returns the first row it did not compute, with handBack set when
-// the group there is the stamped body's to recompute: it touched a
-// column outside the span or a window is not its touched set (the
-// operands do not carry the structure), or it holds a NaN.
-func numericGroups(a, b *csr.Matrix, w *Window, i, hi int) (next int, handBack bool) {
-	tile := restTile
-	for ; i+groupRows <= hi && groupable(a, w, i); i += groupRows {
-		first := int(w.Cols[w.Offs[i*w.Stride]]) // the span's first column
-		c0 := first - w.ColBase                  // and B's id of it
-		// The group's rows are consecutive and equally long, so lane r's
-		// multiplier for entry p sits at p + r·n of one slice: one base
-		// register for the four rows keeps the inner loop free of spills.
-		o := a.RowOffsets[i]
-		n := int(a.RowOffsets[i+1] - o)
-		ac, av := a.ColIDs[o:o+int64(n)], a.Data[o:o+groupRows*int64(n)]
-		var seen uint64
-		for p, k := range ac {
-			bc, bv := b.Row(int(k))
-			bv = bv[:len(bc)]
-			x0, x1, x2, x3 := av[p], av[p+n], av[p+2*n], av[p+3*n]
-			for q, col := range bc {
-				d := uint(int(col) - c0)
-				if d >= groupSpan {
-					return i, true
-				}
-				seen |= 1 << d
-				v := bv[q]
-				tile[0][d] += x0 * v
-				tile[1][d] += x1 * v
-				tile[2][d] += x2 * v
-				tile[3][d] += x3 * v
-			}
-		}
-		touched := int64(bits.OnesCount64(seen))
-		nan := false
-		for r := 0; r < groupRows; r++ {
-			at := (i + r) * w.Stride
-			off, end := w.Offs[at], w.Offs[at+1]
-			if end-off != touched {
-				return i, true
-			}
-			out, cols := w.Data[off:end], w.Cols[off:end]
-			var mask uint64
-			for j, col := range cols {
-				d := uint(int(col) - first)
-				if d >= groupSpan {
-					return i, true
-				}
-				mask |= 1 << d
-				v := tile[r][d]
-				out[j] = v
-				nan = nan || v != v
-			}
-			if mask != seen {
-				return i, true
-			}
-		}
-		if nan {
+// sumColumns handed that group back.
+func blockGroups(a, b *csr.Matrix, w *Window, blk *block, i, hi int) (next int, handBack bool) {
+	for ; i+groupRows <= hi && isGroup(a, b, blk, i); i += groupRows {
+		o, n, at, m := a.RowOffsets[i], blk.n, blk.at, blk.m
+		if !sumColumns(a.Data[o:o+groupRows*n], b.ColIDs[at:at+m], b.Data[at:at+n*m], w, i) {
 			return i, true
-		}
-		negZero := restTile[0][0]
-		for m := seen; m != 0; m &= m - 1 {
-			d := bits.TrailingZeros64(m)
-			tile[0][d], tile[1][d], tile[2][d], tile[3][d] = negZero, negZero, negZero, negZero
 		}
 	}
 	return i, false
+}
+
+// sumColumns computes group i, whose rows' multipliers are av
+// (row after row) and whose B rows are the block of column ids bc and
+// values bv: every row's product has exactly the columns bc, and column q
+// of row r is Σ_p x_r,p · bv[p·m + q]. It sums each column of the four
+// rows in registers, from -0.0 in p order — the stamped body's order, and
+// -0.0 + y is y bit for bit, so equal bit for bit but NaN payloads — and
+// stores each value once: no scratch, no stamp, no check per product.
+// sumQuads takes the columns four at a time (on amd64; elsewhere none),
+// this loop the rest, one at a time. It reports false, having written
+// nothing that is kept, when a window is not bc (shifted by ColBase) —
+// the operands do not carry the structure — or a value is a NaN; the
+// stamped body then recomputes the group.
+func sumColumns(av []float64, bc []int32, bv []float64, w *Window, i int) bool {
+	m, base := len(bc), w.ColBase
+	var outs [groupRows][]float64
+	for r := range outs {
+		at := (i + r) * w.Stride
+		off, end := w.Offs[at], w.Offs[at+1]
+		cols := w.Cols[off:end]
+		if len(cols) != m {
+			return false
+		}
+		for q, col := range bc {
+			if int(cols[q])-base != int(col) {
+				return false
+			}
+		}
+		outs[r] = w.Data[off:end]
+	}
+	q, nan := sumQuads(av, bv, m, &outs)
+	// Four slices of one length: the inner loop indexes them unchecked and
+	// keeps their bases and its counters in registers (with the outputs'
+	// bases in registers too, it spilled its counter).
+	n := len(av) / groupRows
+	x0s := av[:n]
+	x1s, x2s, x3s := av[n : 2*n][:len(x0s)], av[2*n : 3*n][:len(x0s)], av[3*n:][:len(x0s)]
+	negZero := math.Copysign(0, -1)
+	for ; q < m; q++ {
+		s0, s1, s2, s3 := negZero, negZero, negZero, negZero
+		j := q
+		for p, x := range x0s {
+			v := bv[j]
+			j += m
+			s0 += x * v
+			s1 += x1s[p] * v
+			s2 += x2s[p] * v
+			s3 += x3s[p] * v
+		}
+		outs[0][q], outs[1][q], outs[2][q], outs[3][q] = s0, s1, s2, s3
+		nan = nan || s0 != s0 || s1 != s1 || s2 != s2 || s3 != s3
+	}
+	return !nan
 }
 
 // RowAnalysis is the whole-matrix, values-independent analysis of A·B:

@@ -322,10 +322,11 @@ func dedup(es []csr.Entry) []csr.Entry {
 // whose products touch other columns than its structure holds is a
 // typed error from both drivers, never a panic or a silently wrong row.
 // Rows computed in groups are held to the column set, not just its size:
-// block-diagonal operands against the plan of their pattern, once with a
-// product outside a window's span and once with as many columns as the
-// window holds but one of them another. The pooled scratch the failed
-// call leaves must serve the next call bit for bit.
+// block-diagonal operands against the plan of their pattern, with a B row
+// holding one more column than its block (so no longer a block), with a
+// block one column short, and with as many columns as the window holds
+// but one of them another. The pooled scratch the failed call leaves must
+// serve the next call bit for bit.
 func TestNumericRowsStructureError(t *testing.T) {
 	a := matgen.ER(30, 30, 0.2, 91)
 	sym, err := SymbolicCompute(a, a, model())
@@ -355,9 +356,12 @@ func TestNumericRowsStructureError(t *testing.T) {
 	w := WholeWindow(c)
 	s := accum.GetScratch(c.Cols)
 	defer accum.PutScratch(s)
-	// B row 0 also holds column 80, outside the span [0, 64) of block 0's
-	// windows; block 1's B rows hold column 16 instead of 15.
+	// B row 0 also holds column 80; block 2's B rows lack column 17; block
+	// 1's B rows hold column 16 instead of 15.
 	stray := withEntries(plan, func(es []csr.Entry) []csr.Entry { return append(es, csr.Entry{Row: 0, Col: 80, Val: 2}) })
+	short := withEntries(plan, func(es []csr.Entry) []csr.Entry {
+		return slices.DeleteFunc(es, func(e csr.Entry) bool { return e.Row/bs == 2 && e.Col == 17 })
+	})
 	moved := withEntries(plan, func(es []csr.Entry) []csr.Entry {
 		for k, e := range es {
 			if e.Row/bs == 1 && e.Col == 15 {
@@ -372,7 +376,8 @@ func TestNumericRowsStructureError(t *testing.T) {
 		row       int
 		sameCount bool
 	}{
-		{"product outside the span", stray, 0, false},
+		{"a B row with one more column", stray, 0, false},
+		{"a block one column short", short, 2 * bs, false},
 		{"same count, another column", moved, bs, true},
 	} {
 		err := NumericRows(plan, tc.b, &w, s, 0, plan.Rows)
@@ -517,13 +522,17 @@ func groupedGrid(t testing.TB, chunks []gridChunk, data []float64, s *accum.Scra
 // TestNumericRowsGroupedBitIdentical holds NumericRows, which computes
 // runs of block rows a group at a time, to the stamped body row by row,
 // bit for bit, NaN payloads included: block-diagonal products of block
-// sizes 1–9 (runs shorter than, as long as and longer than a group), cut
-// into two ranges at every row; output spans of 62–65 columns, either
-// side of the group's limit; an out-of-core chunk grid (ColBase,
-// Stride); and ±Inf, a lone -0.0 product and NaNs, in one row of a group
-// and in every row of another. One call per chunk on a fresh scratch also
-// counts the rows the stamped body computed: every row but a block's
-// last (bs mod 4) and the groups holding a NaN is the grouped body's.
+// sizes 1–9 and 63–66 (runs shorter than, as long as and longer than a
+// group; column counts on either side of a multiple of four), cut into
+// two ranges at every row; B blocks whose rows hold a subset of the
+// block's columns (still a block); rows whose B rows are not a block —
+// triangular B blocks, A rows naming a subset of a block's rows — which
+// the stamped body computes; an out-of-core chunk grid (ColBase,
+// Stride); and ±Inf, -0.0 columns, lone -0.0 products and NaNs, in one
+// row of a group and in every row of another. One call per chunk on a
+// fresh scratch also counts the rows the stamped body computed: every
+// row but a block's last (bs mod 4), the groups holding a NaN and those
+// whose B rows are not a block is a group's.
 func TestNumericRowsGroupedBitIdentical(t *testing.T) {
 	type tcase struct {
 		name    string
@@ -532,29 +541,33 @@ func TestNumericRowsGroupedBitIdentical(t *testing.T) {
 		stamped int // -1: not counted
 	}
 	var cases []tcase
-	for bs := 1; bs <= 9; bs++ {
-		m := matgen.BlockDiag(6, bs, int64(bs))
-		cases = append(cases, tcase{fmt.Sprintf("blocks of %d", bs), m, m, 1, 1, 6 * (bs % groupRows)})
-	}
-	for _, bs := range []int{63, 64, 65, 66} {
-		m := matgen.BlockDiag(2, bs, int64(bs))
-		stamped := 2 * (bs % groupRows)
-		if bs-1 >= groupSpan {
-			stamped = 2 * bs
+	for _, bs := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65, 66} {
+		nb := 6
+		if bs > 9 {
+			nb = 2
 		}
-		cases = append(cases, tcase{fmt.Sprintf("span of %d", bs-1), m, m, 1, 1, stamped})
+		m := matgen.BlockDiag(nb, bs, int64(bs))
+		cases = append(cases, tcase{fmt.Sprintf("blocks of %d", bs), m, m, 1, 1, nb * (bs % groupRows)})
 	}
+	plain := func(r, c int) float64 { return 1 + float64((7*r+c)%5)/4 }
+	all := func(i, j int) bool { return true }
+	lower := func(i, j int) bool { return j <= i }
+	cases = append(cases, tcase{"triangular B blocks", blockMatrix(2, 8, all, plain), blockMatrix(2, 8, lower, plain), 1, 1, 16})
 	grid := matgen.BlockDiag(20, 6, 10)
 	cases = append(cases, tcase{"3×3 grid", grid, grid, 3, 3, -1})
+	full := blockMatrix(6, 4, all, plain)
+	cases = append(cases,
+		tcase{"A rows naming a subset of a block", blockMatrix(6, 4, func(i, j int) bool { return j != 1 }, plain), full, 1, 1, 24},
+		tcase{"B rows holding a subset of a block", full, blockMatrix(6, 4, func(i, j int) bool { return j != 1 }, plain), 1, 1, 0})
 
-	// Six blocks of four rows; B's blocks are lower triangles, so column j
-	// of a block is the sum over B rows j..3. Block 0 adds an Inf to
-	// finite products, block 1's last column is a lone -0.0 product, row
-	// 9 (block 2) alone holds a NaN, block 3 sums +Inf and -Inf in every
-	// row, block 4 adds a -Inf, block 5 multiplies by -0.0.
+	// Six blocks of four rows, B's blocks full (block groups) or lower
+	// triangles (not a block: the stamped body). Block 0 adds an Inf to finite products; in
+	// block 1 column 7's products are all -0.0 and column 6's but one, and
+	// with triangular B column 7 is a lone -0.0 product; row 9 (block 2)
+	// alone holds a NaN; block 3 sums +Inf and -Inf in every row; block 4
+	// adds a -Inf; block 5 multiplies by -0.0.
 	inf, negZero := math.Inf(1), math.Copysign(0, -1)
-	plain := func(r, c int) float64 { return 1 + float64((7*r+c)%5)/4 }
-	sa := blockMatrix(6, 4, func(i, j int) bool { return true }, func(r, c int) float64 {
+	sa := blockMatrix(6, 4, all, func(r, c int) float64 {
 		switch [2]int{r, c} {
 		case [2]int{9, 8}:
 			return math.NaN()
@@ -563,18 +576,54 @@ func TestNumericRowsGroupedBitIdentical(t *testing.T) {
 		}
 		return plain(r, c)
 	})
-	sb := blockMatrix(6, 4, func(i, j int) bool { return j <= i }, func(r, c int) float64 {
-		switch [2]int{r, c} {
-		case [2]int{2, 1}, [2]int{13, 12}:
+	special := func(r, c int) float64 {
+		switch {
+		case r == 2 && c == 1, r == 13 && c == 12:
 			return inf
-		case [2]int{14, 12}, [2]int{19, 17}:
+		case r == 14 && c == 12, r == 19 && c == 17:
 			return -inf
-		case [2]int{7, 7}:
+		case r/4 == 1 && c == 7, r/4 == 1 && c == 6 && r != 5:
 			return negZero
+		case r == 5 && c == 6:
+			return 0
+		}
+		return plain(r, c)
+	}
+	cases = append(cases,
+		tcase{"non-finite, blocks", sa, blockMatrix(6, 4, all, special), 1, 1, 8},
+		tcase{"non-finite, B not a block", sa, blockMatrix(6, 4, lower, special), 1, 1, 24})
+
+	// One entry per A row, the same for four rows at a time: each value is
+	// one product, so -0.0s and an Inf are lone products, in the columns
+	// summed four at a time (0–3) and in the rest (4, 5); group 2 holds a
+	// NaN in every row, group 5 one NaN (Inf · 0) in its first row and
+	// column only.
+	var es []csr.Entry
+	for r := 0; r < 24; r++ {
+		v := plain(r, 0)
+		if r == 20 {
+			v = inf
+		}
+		es = append(es, csr.Entry{Row: int32(r), Col: int32(r / 4), Val: v})
+	}
+	lone, err := csr.FromEntries(24, 6, es)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb := blockMatrix(1, 6, all, func(r, c int) float64 {
+		switch [2]int{r, c} {
+		case [2]int{1, 2}, [2]int{1, 5}:
+			return negZero
+		case [2]int{3, 4}:
+			return inf
+		case [2]int{2, 3}:
+			return math.NaN()
+		case [2]int{5, 0}:
+			return 0
 		}
 		return plain(r, c)
 	})
-	cases = append(cases, tcase{"non-finite", sa, sb, 1, 1, 8})
+	cases = append(cases, tcase{"one product per value", lone, lb, 1, 1, 8})
 
 	for _, tc := range cases {
 		chunks, nnz := gridChunks(t, tc.a, tc.b, tc.nr, tc.nc)
@@ -607,8 +656,9 @@ func TestNumericRowsGroupedBitIdentical(t *testing.T) {
 
 // FuzzNumericRows is the grouped body's differential target. A and B are
 // each a block pattern (full blocks, or a random subset of each block's
-// columns shared by its rows) or a band, so block rows of A meet band
-// rows of B and output spans cross the group's limit; values are normal
+// columns shared by its rows) or a band, so groups of A rows meet B rows
+// that are a block, that hold a subset of one, or that are not one (A
+// rows naming a subset, band rows of B); values are normal
 // draws with NaN, ±Inf, -0.0 and 0 mixed in at a fuzzed rate; the product
 // is cut into a chunk grid of up to 3×3 and each chunk's rows into two
 // ranges. NumericRows must match the stamped body bit for bit, NaN
@@ -619,7 +669,7 @@ func FuzzNumericRows(f *testing.F) {
 	f.Add(uint8(1), uint8(0), uint8(3), uint8(11), uint8(40), uint8(4), uint16(5), int64(2)) // shared subsets, specials, 2×2 grid
 	f.Add(uint8(0), uint8(2), uint8(9), uint8(5), uint8(8), uint8(8), uint16(13), int64(3))  // blocks × band
 	f.Add(uint8(2), uint8(2), uint8(4), uint8(20), uint8(0), uint8(2), uint16(7), int64(4))  // band × band: no groups
-	f.Add(uint8(0), uint8(0), uint8(1), uint8(63), uint8(0), uint8(0), uint16(1), int64(5))  // blocks of 64, span 63
+	f.Add(uint8(0), uint8(0), uint8(1), uint8(63), uint8(0), uint8(0), uint16(1), int64(5))  // blocks of 64
 	f.Fuzz(func(t *testing.T, kindA, kindB, blocks, size, specials, grid uint8, cut uint16, seed int64) {
 		bs := 1 + int(size%70)
 		n := bs * (1 + int(blocks%6))

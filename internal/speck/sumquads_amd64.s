@@ -1,0 +1,126 @@
+#include "textflag.h"
+
+// func sumQuads(av, bv []float64, m int, outs *[groupRows][]float64) (done int, nan bool)
+//
+// Registers: SI/CX the first and end address of row 0's multipliers, R13
+// and R12 one and three rows' stride of them (n·8, 3n·8), AX the current
+// multiplier of row 0, DI the block's values, BX the current B row's
+// four values, R8 a B row's stride (m·8), R10 the quad's byte offset,
+// DX where the quads end, R9 outs. X0–X7 hold the sums (row r, columns
+// q..q+1 and q+2..q+3 in X(2r), X(2r+1)), X8/X9 the four B values, X10/X11
+// a row's multiplier in both lanes, X12 the NaN lanes seen, X13 -0.0 in
+// both lanes.
+
+TEXT ·sumQuads(SB), NOSPLIT, $0-73
+	MOVQ av_base+0(FP), SI
+	MOVQ av_len+8(FP), R13
+	SHRQ $2, R13
+	SHLQ $3, R13
+	LEAQ (R13)(R13*2), R12
+	LEAQ (SI)(R13*1), CX
+	MOVQ bv_base+24(FP), DI
+	MOVQ m+48(FP), R8
+	MOVQ R8, DX
+	ANDQ $~3, DX
+	SHLQ $3, DX
+	SHLQ $3, R8
+	MOVQ outs+56(FP), R9
+	XORQ R10, R10
+	MOVQ $0x8000000000000000, R11
+	MOVQ R11, X13
+	UNPCKLPD X13, X13
+	XORPD X12, X12
+
+	// Each quad: the sums start at -0.0, then p runs over the block's
+	// rows (n ≥ 1), adding x_r,p · B[p][q..q+3] in p order.
+
+quad:
+	CMPQ R10, DX
+	JAE done
+	MOVAPD X13, X0
+	MOVAPD X13, X1
+	MOVAPD X13, X2
+	MOVAPD X13, X3
+	MOVAPD X13, X4
+	MOVAPD X13, X5
+	MOVAPD X13, X6
+	MOVAPD X13, X7
+	MOVQ SI, AX
+	LEAQ (DI)(R10*1), BX
+
+p:
+	MOVUPD 0(BX), X8
+	MOVUPD 16(BX), X9
+	MOVSD (AX), X10
+	UNPCKLPD X10, X10
+	MOVAPD X10, X11
+	MULPD X8, X10
+	MULPD X9, X11
+	ADDPD X10, X0
+	ADDPD X11, X1
+	MOVSD (AX)(R13*1), X10
+	UNPCKLPD X10, X10
+	MOVAPD X10, X11
+	MULPD X8, X10
+	MULPD X9, X11
+	ADDPD X10, X2
+	ADDPD X11, X3
+	MOVSD (AX)(R13*2), X10
+	UNPCKLPD X10, X10
+	MOVAPD X10, X11
+	MULPD X8, X10
+	MULPD X9, X11
+	ADDPD X10, X4
+	ADDPD X11, X5
+	MOVSD (AX)(R12*1), X10
+	UNPCKLPD X10, X10
+	MOVAPD X10, X11
+	MULPD X8, X10
+	MULPD X9, X11
+	ADDPD X10, X6
+	ADDPD X11, X7
+	ADDQ $8, AX
+	ADDQ R8, BX
+	CMPQ AX, CX
+	JB p
+
+	// Store the quad into the four windows, then fold its NaN lanes
+	// into X12.
+	MOVQ 0(R9), R11
+	MOVUPD X0, (R11)(R10*1)
+	MOVUPD X1, 16(R11)(R10*1)
+	MOVQ 24(R9), R11
+	MOVUPD X2, (R11)(R10*1)
+	MOVUPD X3, 16(R11)(R10*1)
+	MOVQ 48(R9), R11
+	MOVUPD X4, (R11)(R10*1)
+	MOVUPD X5, 16(R11)(R10*1)
+	MOVQ 72(R9), R11
+	MOVUPD X6, (R11)(R10*1)
+	MOVUPD X7, 16(R11)(R10*1)
+	CMPPD X0, X0, $3
+	CMPPD X1, X1, $3
+	CMPPD X2, X2, $3
+	CMPPD X3, X3, $3
+	CMPPD X4, X4, $3
+	CMPPD X5, X5, $3
+	CMPPD X6, X6, $3
+	CMPPD X7, X7, $3
+	ORPD X0, X12
+	ORPD X1, X12
+	ORPD X2, X12
+	ORPD X3, X12
+	ORPD X4, X12
+	ORPD X5, X12
+	ORPD X6, X12
+	ORPD X7, X12
+	ADDQ $32, R10
+	JMP quad
+
+done:
+	SHRQ $3, R10
+	MOVQ R10, done+64(FP)
+	MOVMSKPD X12, AX
+	TESTQ AX, AX
+	SETNE nan+72(FP)
+	RET

@@ -1,0 +1,9 @@
+//go:build !amd64
+
+package speck
+
+// sumQuads leaves every column of a group to sumColumns' loop on
+// platforms without the SSE2 kernel (sumquads_amd64.s).
+func sumQuads(av, bv []float64, m int, outs *[groupRows][]float64) (done int, nan bool) {
+	return 0, false
+}
