@@ -121,7 +121,7 @@ func Sequential(a, b *csr.Matrix) (*csr.Matrix, error) {
 			bc, bv := b.Row(int(k))
 			for q, col := range bc {
 				if v, seen := row[col]; seen {
-					row[col] = v + av[p]*bv[q]
+					row[col] = v + float64(av[p]*bv[q])
 				} else {
 					row[col] = av[p] * bv[q]
 				}

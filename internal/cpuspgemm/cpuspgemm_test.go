@@ -34,7 +34,7 @@ func denseMul(t *testing.T, a, b *csr.Matrix) *csr.Matrix {
 		for p := range ac {
 			bc, bv := b.Row(int(ac[p]))
 			for q := range bc {
-				acc[i*b.Cols+int(bc[q])] += av[p] * bv[q]
+				acc[i*b.Cols+int(bc[q])] += float64(av[p] * bv[q])
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/csr"
 	"repro/internal/matgen"
+	"repro/internal/speck"
 )
 
 // ladderRungs are the five operand shapes of bench's lib_cold_ladder
@@ -35,36 +36,46 @@ func ladderRungs() []struct {
 	}
 }
 
-// BenchmarkLadder times a cold Multiply and a warm Numeric per rung, and
-// a warm Numeric of the block-diagonal shapes the warm workloads replay
-// (cluster_batch_chain's BlockDiag(256, 32), serve_small_warm's
-// BlockDiag(512, 8)), every row of which NumericRows computes in groups
-// whose B rows are a block.
+// BenchmarkLadder times a cold Multiply, a warm Numeric and a bound warm
+// replay (NumericScheduled on the schedule a plan cache keeps for operands
+// with records) per rung, and both replays of the block-diagonal shapes
+// the warm workloads replay (cluster_batch_chain's BlockDiag(256, 32),
+// serve_small_warm's BlockDiag(512, 8)), every row of which NumericRows
+// computes in groups whose B rows are a block.
 func BenchmarkLadder(b *testing.B) {
 	opts := Options{Threads: 1}
-	warm := func(b *testing.B, x, y *csr.Matrix) {
+	warm := func(b *testing.B, x, y *csr.Matrix, bound bool) {
 		_, sym, err := MultiplyPlanned(x, y, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
+		var sched *speck.Schedule
+		if bound {
+			sched = sym.Schedule(x, y)
+		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := Numeric(sym, x, y, opts); err != nil {
+			if _, err := NumericScheduled(sym, sched, x, y, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	for _, r := range ladderRungs() {
-		b.Run("cold/"+r.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := Multiply(r.a, r.b, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("warm/"+r.name, func(b *testing.B) { warm(b, r.a, r.b) })
-	}
 	block32, block8 := matgen.BlockDiag(256, 32, 906), matgen.BlockDiag(512, 8, 907)
-	b.Run("warm/block32", func(b *testing.B) { warm(b, block32, block32) })
-	b.Run("warm/block8", func(b *testing.B) { warm(b, block8, block8) })
+	rungs := append(ladderRungs(), []struct {
+		name string
+		a, b *csr.Matrix
+	}{{"block32", block32, block32}, {"block8", block8, block8}}...)
+	for _, r := range rungs {
+		if r.name != "block32" && r.name != "block8" {
+			b.Run("cold/"+r.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := Multiply(r.a, r.b, opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+		b.Run("warm/"+r.name, func(b *testing.B) { warm(b, r.a, r.b, false) })
+		b.Run("bound/"+r.name, func(b *testing.B) { warm(b, r.a, r.b, true) })
+	}
 }

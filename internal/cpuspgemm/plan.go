@@ -33,6 +33,15 @@ func (s *SymbolicResult) Bytes() int64 {
 	return int64(len(s.RowFlops))*8 + int64(len(s.RowOffsets))*8 + int64(len(s.ColIDs))*4
 }
 
+// Flops reports the multiply's flop count, the sum of RowFlops.
+func (s *SymbolicResult) Flops() int64 {
+	var f int64
+	for _, r := range s.RowFlops {
+		f += r
+	}
+	return f
+}
+
 // MultiplyPlanned computes C = A·B exactly like Multiply and hands back
 // the symbolic plan as the by-product it is: the row analysis the
 // multiply ran and the structure arrays its symbolic phase emitted,
@@ -70,6 +79,13 @@ func MultiplyPlanned(a, b *csr.Matrix, opts Options) (*csr.Matrix, *SymbolicResu
 // pattern equality is the caller's contract — the plan cache enforces it
 // by fingerprint.
 func Numeric(sym *SymbolicResult, a, b *csr.Matrix, opts Options) (*csr.Matrix, error) {
+	return NumericScheduled(sym, nil, a, b, opts)
+}
+
+// NumericScheduled is Numeric running sched, a schedule sym.Schedule
+// built for operands with a's and b's structure arrays; a nil schedule
+// is built and checked per chunk, as Numeric does.
+func NumericScheduled(sym *SymbolicResult, sched *speck.Schedule, a, b *csr.Matrix, opts Options) (*csr.Matrix, error) {
 	if a.Rows != sym.Rows || a.Cols != sym.ACols || b.Rows != sym.ACols || b.Cols != sym.Cols {
 		return nil, fmt.Errorf("cpuspgemm: numeric shape %dx%d · %dx%d does not match plan %dx%d · %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, sym.Rows, sym.ACols, sym.ACols, sym.Cols)
@@ -83,7 +99,7 @@ func Numeric(sym *SymbolicResult, a, b *csr.Matrix, opts Options) (*csr.Matrix, 
 		Data:       make([]float64, nnz),
 	}
 	stopNumeric := opts.Metrics.StartWall("cpu", "numeric (warm)")
-	err := NumericInto(speck.WholeWindow(c), a, b, sym.RowFlops, opts)
+	err := replay(speck.WholeWindow(c), a, b, parallel.CostBounds(sym.RowFlops, opts.threads()), opts, nil, sched)
 	stopNumeric()
 	if err != nil {
 		return nil, err
@@ -92,13 +108,23 @@ func Numeric(sym *SymbolicResult, a, b *csr.Matrix, opts Options) (*csr.Matrix, 
 	return c, nil
 }
 
+// Schedule builds and checks the replay schedule of the plan's product
+// for a and b (speck.Schedule), nil when their shape is not the plan's.
+func (s *SymbolicResult) Schedule(a, b *csr.Matrix) *speck.Schedule {
+	if a.Rows != s.Rows || a.Cols != s.ACols || b.Rows != s.ACols || b.Cols != s.Cols {
+		return nil
+	}
+	w := speck.Window{Offs: s.RowOffsets, Stride: 1, Cols: s.ColIDs, Width: s.Cols}
+	return speck.NewSchedule(a, b, &w, 0, s.Rows)
+}
+
 // NumericInto is Numeric writing into storage the caller owns: the
 // values of A·B land in w, whose structure must be the product's. The
 // out-of-core engines' CPU worker computes a chunk this way, w being
 // the chunk's windows in the whole product; rowFlops balances the
 // chunked replay as in Numeric.
 func NumericInto(w speck.Window, a, b *csr.Matrix, rowFlops []int64, opts Options) error {
-	return replay(w, a, b, parallel.CostBounds(rowFlops, opts.threads()), opts, nil)
+	return replay(w, a, b, parallel.CostBounds(rowFlops, opts.threads()), opts, nil, nil)
 }
 
 // replay is the numeric phase of every exact product, cold and warm:
@@ -106,8 +132,9 @@ func NumericInto(w speck.Window, a, b *csr.Matrix, rowFlops []int64, opts Option
 // chunks, writing w.Data, one pooled scratch per worker fetched on its
 // first chunk (see parallel.ForChunksW). pass, non-nil on the cold path,
 // turns on Options.ChunkLog and labels rows for Options.ClassStats, under
-// which the kernel runs one row per call so each can be timed.
-func replay(w speck.Window, a, b *csr.Matrix, bounds []int, opts Options, pass *speck.SymbolicPass) error {
+// which the kernel runs one row per call so each can be timed. sched, if
+// not nil, is w's schedule for a and b; otherwise each call builds one.
+func replay(w speck.Window, a, b *csr.Matrix, bounds []int, opts Options, pass *speck.SymbolicPass, sched *speck.Schedule) error {
 	nt := opts.threads()
 	var log *ChunkLog
 	var stats *ClassStats
@@ -134,7 +161,7 @@ func replay(w speck.Window, a, b *csr.Matrix, bounds []int, opts Options, pass *
 		t0 := time.Now()
 		var part [speck.NumKinds]ClassStat
 		for i := lo; i < hi; i += step {
-			if err := speck.NumericRows(a, b, &w, scratch[wk], i, i+step); err != nil {
+			if err := speck.NumericRows(a, b, &w, scratch[wk], sched, i, i+step); err != nil {
 				werr.set(fmt.Errorf("cpuspgemm: numeric: %w", err))
 				return
 			}

@@ -92,6 +92,7 @@ func requireColdSequentialWarm(t *testing.T, label string, a, b *csr.Matrix, thr
 			t.Fatal(err)
 		}
 		requireBitsEqual(t, warm, cold, label+": warm vs cold")
+		requireBitsEqual(t, scheduled(t, sym, a, b, Options{Threads: threads}), cold, label+": bound warm vs cold")
 		if stats == nil {
 			continue
 		}
@@ -110,6 +111,18 @@ func requireColdSequentialWarm(t *testing.T, label string, a, b *csr.Matrix, thr
 			t.Fatalf("%s: one-phase product booked %d ns of numeric time", label, numericNs)
 		}
 	}
+}
+
+// scheduled is the bound warm replay a plan cache runs for operands
+// with records: the plan's schedule built and checked once for a and b,
+// then run for every chunk without checks.
+func scheduled(t *testing.T, sym *SymbolicResult, a, b *csr.Matrix, opts Options) *csr.Matrix {
+	t.Helper()
+	c, err := NumericScheduled(sym, sym.Schedule(a, b), a, b, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 // replayed reports whether a cold multiply ran the numeric replay.
@@ -364,6 +377,7 @@ func TestNonFiniteOperands(t *testing.T) {
 				t.Fatal(err)
 			}
 			requireBitsEqual(t, warm, cold, route+": warm vs cold")
+			requireBitsEqual(t, scheduled(t, sym, blockA, b, opts), cold, route+": bound warm vs cold")
 			for k, w := range want.Data {
 				if g := warm.Data[k]; math.IsNaN(w) != math.IsNaN(g) || !math.IsNaN(w) && math.Float64bits(g) != math.Float64bits(w) {
 					t.Fatalf("%s: value %d is %v, Sequential's %v", route, k, g, w)
@@ -376,9 +390,45 @@ func TestNonFiniteOperands(t *testing.T) {
 	}
 }
 
+// TestProductValueFingerprint pins the value bits of two fixed products,
+// cold, warm and bound: an RMAT square (stamped rows) and a
+// block-diagonal square (block groups). Every value is a division by 7,
+// correctly rounded everywhere, and most products round, so a platform
+// that fused a multiply-add or summed in another order would compute
+// another fingerprint than the pinned one, which amd64 computes.
+func TestProductValueFingerprint(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		a    *csr.Matrix
+		want uint64
+	}{
+		{"rmat", matgen.RMAT(9, 8, 0.57, 0.19, 0.19, 5), 0x73071bbcf211a41},
+		{"blocks", matgen.BlockDiag(32, 8, 5), 0xd6d3709caaba5851},
+	} {
+		for k := range tc.a.Data {
+			tc.a.Data[k] = float64(k%11+1) / 7
+		}
+		opts := Options{Threads: 2}
+		cold, sym, err := MultiplyPlanned(tc.a, tc.a, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm, err := Numeric(sym, tc.a, tc.a, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for what, c := range map[string]*csr.Matrix{"cold": cold, "warm": warm, "bound": scheduled(t, sym, tc.a, tc.a, opts)} {
+			if fp := csr.FingerprintValues(c); fp != tc.want {
+				t.Errorf("%s, %s: value fingerprint %#x, want %#x", tc.name, what, fp, tc.want)
+			}
+		}
+	}
+}
+
 // TestReplayStructureError checks the invariant that replaced the
 // numeric-vs-symbolic size comparison: operands that do not carry the
-// plan's pattern fail with the kernel's typed error.
+// plan's pattern fail with the kernel's typed error, on a schedule built
+// per chunk and on one built for the whole product.
 func TestReplayStructureError(t *testing.T) {
 	a := matgen.ER(60, 60, 0.1, 5)
 	_, sym, err := MultiplyPlanned(a, a, Options{Threads: 2})
@@ -391,13 +441,40 @@ func TestReplayStructureError(t *testing.T) {
 	if !errors.As(err, &se) {
 		t.Fatalf("err = %v, want a *speck.StructureError", err)
 	}
+
+	// A schedule is checked when it is built: one built for a B whose block
+	// 2 is one column short holds that group back for the stamped body,
+	// which fails on the B it was built for.
+	plan := matgen.BlockDiag(6, 8, 7)
+	_, psym, err := MultiplyPlanned(plan, plan, Options{Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var es []csr.Entry
+	for r := 0; r < plan.Rows; r++ {
+		cols, vals := plan.Row(r)
+		for k, c := range cols {
+			if r/8 != 2 || c != 17 {
+				es = append(es, csr.Entry{Row: int32(r), Col: c, Val: vals[k]})
+			}
+		}
+	}
+	short, err := csr.FromEntries(plan.Rows, plan.Cols, es)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = NumericScheduled(psym, psym.Schedule(plan, short), plan, short, Options{Threads: 1})
+	if !errors.As(err, &se) || se.Row != 16 {
+		t.Fatalf("a block one column short: err = %v, want a *speck.StructureError at row 16", err)
+	}
 }
 
 // TestAllocationCeilings pins the allocation count of a cold Multiply
 // and a warm Numeric, after a pool warm-up call, under one constant at
 // two sizes of the same family sixteen-fold apart: an allocation per
 // row, per chunk of rows or per flush would show as a count that grows
-// with the matrix.
+// with the matrix. A bound warm replay (NumericScheduled on a schedule
+// built once) allocates no more than a warm Numeric.
 func TestAllocationCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
@@ -425,9 +502,15 @@ func TestAllocationCeilings(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		t.Logf("%d rows: cold %v allocs, warm %v allocs", n, cold, warm)
-		if cold > ceiling || warm > ceiling {
-			t.Fatalf("%d rows: cold %v / warm %v allocations per call, ceiling %d", n, cold, warm, ceiling)
+		sched := sym.Schedule(a, a)
+		bound := testing.AllocsPerRun(5, func() {
+			if _, err := NumericScheduled(sym, sched, a, a, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%d rows: cold %v allocs, warm %v allocs, bound warm %v allocs", n, cold, warm, bound)
+		if cold > ceiling || warm > ceiling || bound > warm {
+			t.Fatalf("%d rows: cold %v / warm %v / bound warm %v allocations per call, ceiling %d (bound: warm's)", n, cold, warm, bound, ceiling)
 		}
 	}
 }

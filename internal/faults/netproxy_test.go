@@ -54,6 +54,12 @@ func TestNetProxyForwardsCleanly(t *testing.T) {
 			t.Fatalf("request %d body = %d bytes, err %v", i, len(data), err)
 		}
 	}
+	// The proxy books a connection once its copy of the response ends,
+	// which may be after the client has read the whole body.
+	deadline := time.Now().Add(5 * time.Second)
+	for p.Counts()[ProxyForwarded] < 3 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 	if got := p.Counts()[ProxyForwarded]; got != 3 {
 		t.Fatalf("forwarded = %d, want 3", got)
 	}

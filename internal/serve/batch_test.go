@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/metrics"
+	"repro/internal/speck"
 	"repro/spgemm"
 	apiv1 "repro/spgemm/api/v1"
 )
@@ -485,4 +486,47 @@ func TestHTTP429CarriesRetryAfterBody(t *testing.T) {
 
 	close(gate)
 	<-done
+}
+
+// TestBatchChainsBuildTwoSchedules: twenty chains over one stored
+// handle build at most two replay schedules, one per pair of operand
+// records a warm node of the chain meets (the stored matrix times
+// itself, the plan's own product times it); every other warm node runs
+// a bound schedule without checking it again, and the last chain's
+// product is still the reference.
+func TestBatchChainsBuildTwoSchedules(t *testing.T) {
+	s := New(Config{MaxConcurrent: 2})
+	defer s.Drain(0)
+	a := spgemm.BlockDiag(16, 8, 5)
+	h, err := s.StoreMatrix(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := speck.SchedulesBuilt()
+	var resp *apiv1.BatchResponse
+	for i := 0; i < 20; i++ {
+		req := batchChain(h, 4)
+		req.Nodes[3].Store = true
+		if resp, err = s.SubmitBatch(req); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Completed != 4 {
+			t.Fatalf("chain %d completed %d of 4 nodes", i, resp.Completed)
+		}
+	}
+	n := speck.SchedulesBuilt() - before
+	t.Logf("20 chains built %d schedules", n)
+	if n > 2 {
+		t.Fatalf("20 chains built %d schedules, want at most 2", n)
+	}
+	ref := a
+	for k := 0; k < 4; k++ {
+		if ref, err = spgemm.MultiplyCPU(ref, a, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, ok := s.Matrix(resp.Nodes[3].Handle)
+	if !ok || !spgemm.Equal(got, ref, 0) {
+		t.Fatal("the last chain's product is not the reference")
+	}
 }

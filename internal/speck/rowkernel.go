@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/accum"
@@ -385,11 +387,11 @@ func (k *Kit) ComputeRow(a, b *csr.Matrix, i int, cols []int32, vals []float64) 
 		products += len(bc)
 		if k.revisit {
 			for q, col := range bc {
-				two.AddRevisit(col, x*bv[q])
+				two.AddRevisit(col, float64(x*bv[q]))
 			}
 		} else {
 			for q, col := range bc {
-				two.Add(col, x*bv[q])
+				two.Add(col, float64(x*bv[q]))
 			}
 		}
 	}
@@ -480,34 +482,101 @@ const groupRows = 4
 // w — each summed in arrival order from its first product, so a lone
 // -0.0 product stays -0.0 — and stops the range with a *StructureError
 // at a row whose products touch another number of distinct columns than
-// its structure holds or, in a group, other columns.
+// its structure holds or, in a group, other columns. It runs sched, or,
+// when sched is nil, a schedule it builds for the range.
 //
-// A run of groupRows rows sharing their A row's column ids whose B rows
-// are a block (consecutive, holding one set of column ids) — the rows a
-// block-diagonal pattern is made of — is computed a group at a time,
-// column by column in registers (blockGroups). Every other row goes
-// through stampedRows, and so does a group blockGroups hands back: one
-// holding a NaN, so that a NaN's payload never depends on which group a
-// chunk boundary put its row in, and one failing a check, recomputed with
-// the column-set check on so that it returns the *StructureError
+// The schedule's groups are computed a group at a time, column by column
+// in registers (sumColumns). Every other row goes through stampedRows,
+// and so does a group holding a NaN, so that a NaN's payload never
+// depends on which group a chunk boundary put its row in, and — with the
+// column-set check on, so that they return the *StructureError — a group
+// that failed its window check and the rows of a group [lo, hi) cuts
 // (DESIGN.md §13).
-func NumericRows(a, b *csr.Matrix, w *Window, s *accum.Scratch, lo, hi int) error {
-	var blk block
-	for lo < hi {
-		g := nextGroup(a, b, &blk, lo, hi)
-		if err := stampedRows(a, b, w, s, lo, g, false); err != nil || g == hi {
-			return err
-		}
-		var handBack bool
-		lo, handBack = blockGroups(a, b, w, &blk, g, hi)
-		if handBack {
-			if err := stampedRows(a, b, w, s, lo, lo+groupRows, true); err != nil {
+func NumericRows(a, b *csr.Matrix, w *Window, s *accum.Scratch, sched *Schedule, lo, hi int) error {
+	if sched == nil {
+		sched = schedules.Get().(*Schedule)
+		defer schedules.Put(sched)
+		sched.build(a, b, w, lo, hi)
+	}
+	spans := sched.spans
+	k := sort.Search(len(spans), func(k int) bool { return spans[k].hi > lo })
+	for ; k < len(spans) && spans[k].lo < hi; k++ {
+		sp := spans[k]
+		from, to := max(sp.lo, lo), min(sp.hi, hi)
+		if sp.n == 0 || from != sp.lo || to != sp.hi {
+			if err := stampedRows(a, b, w, s, from, to, sp.check || sp.n != 0); err != nil {
 				return err
 			}
-			lo += groupRows
+			continue
+		}
+		o := a.RowOffsets[from]
+		if !sumColumns(a.Data[o:o+groupRows*sp.n], b.Data[sp.at:sp.at+sp.n*sp.m], int(sp.m), w, from) {
+			if err := stampedRows(a, b, w, s, from, to, true); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
+}
+
+// Schedule is NumericRows' plan of a row range, a function of the
+// structures of A, B and the window alone: which rows are groups —
+// groupRows rows sharing their A row's column ids whose B rows are a
+// block (consecutive, holding one set of column ids), the rows a
+// block-diagonal pattern is made of — each with its block. Building it
+// runs every check of the groups (nextGroup, isGroup, findBlock,
+// windowsAre), NumericRows none. So a schedule may run only on operands
+// with the structure arrays it was built from (csr.Identity.Of) and on
+// the window's structure it was built for; it is not written once built.
+type Schedule struct{ spans []span }
+
+var schedules = sync.Pool{New: func() any { return new(Schedule) }}
+
+// span is rows [lo, hi) of the stamped body when n is 0, with the
+// column-set check when check is set, else one group over the block of n
+// B rows and m columns at b.ColIDs[at:] (block).
+type span struct {
+	lo, hi   int
+	at, n, m int64
+	check    bool
+}
+
+var schedulesBuilt atomic.Int64
+
+// SchedulesBuilt counts the schedules built, process-wide and monotonic
+// like SymbolicPasses.
+func SchedulesBuilt() int64 { return schedulesBuilt.Load() }
+
+// NewSchedule builds the schedule of rows [lo, hi) of A·B into w's
+// structure; w.Data is not read.
+func NewSchedule(a, b *csr.Matrix, w *Window, lo, hi int) *Schedule {
+	sc := new(Schedule)
+	sc.build(a, b, w, lo, hi)
+	return sc
+}
+
+// Bytes reports the memory the schedule retains (48 bytes a span), for
+// cache accounting.
+func (sc *Schedule) Bytes() int64 { return int64(cap(sc.spans)) * 48 }
+
+func (sc *Schedule) build(a, b *csr.Matrix, w *Window, lo, hi int) {
+	schedulesBuilt.Add(1)
+	sc.spans = sc.spans[:0]
+	var blk block
+	for lo < hi {
+		g := nextGroup(a, b, &blk, lo, hi)
+		if lo < g {
+			sc.spans = append(sc.spans, span{lo: lo, hi: g})
+		}
+		for ; g+groupRows <= hi && isGroup(a, b, &blk, g); g += groupRows {
+			sp := span{lo: g, hi: g + groupRows, at: blk.at, n: blk.n, m: blk.m}
+			if !windowsAre(b.ColIDs[blk.at:blk.at+blk.m], w, g) {
+				sp = span{lo: g, hi: g + groupRows, check: true}
+			}
+			sc.spans = append(sc.spans, sp)
+		}
+		lo = g
+	}
 }
 
 // stampedRows is NumericRows' body for single rows: it scatters a row's
@@ -540,7 +609,7 @@ func stampedRows(a, b *csr.Matrix, w *Window, s *accum.Scratch, lo, hi int, chec
 					vals[col] = x * bv[q]
 					touched++
 				} else {
-					vals[col] += x * bv[q]
+					vals[col] += float64(x * bv[q])
 				}
 			}
 		}
@@ -635,48 +704,40 @@ func findBlock(b *csr.Matrix, k0, n int64) block {
 	return blk
 }
 
-// blockGroups is NumericRows' body for groups: from row i on, while the
-// next groupRows rows are a group, it computes the group with sumColumns.
-// It returns the first row it did not compute, with handBack set when
-// sumColumns handed that group back.
-func blockGroups(a, b *csr.Matrix, w *Window, blk *block, i, hi int) (next int, handBack bool) {
-	for ; i+groupRows <= hi && isGroup(a, b, blk, i); i += groupRows {
-		o, n, at, m := a.RowOffsets[i], blk.n, blk.at, blk.m
-		if !sumColumns(a.Data[o:o+groupRows*n], b.ColIDs[at:at+m], b.Data[at:at+n*m], w, i) {
-			return i, true
-		}
-	}
-	return i, false
-}
-
-// sumColumns computes group i, whose rows' multipliers are av
-// (row after row) and whose B rows are the block of column ids bc and
-// values bv: every row's product has exactly the columns bc, and column q
-// of row r is Σ_p x_r,p · bv[p·m + q]. It sums each column of the four
-// rows in registers, from -0.0 in p order — the stamped body's order, and
-// -0.0 + y is y bit for bit, so equal bit for bit but NaN payloads — and
-// stores each value once: no scratch, no stamp, no check per product.
-// sumQuads takes the columns four at a time (on amd64; elsewhere none),
-// this loop the rest, one at a time. It reports false, having written
-// nothing that is kept, when a window is not bc (shifted by ColBase) —
-// the operands do not carry the structure — or a value is a NaN; the
-// stamped body then recomputes the group.
-func sumColumns(av []float64, bc []int32, bv []float64, w *Window, i int) bool {
-	m, base := len(bc), w.ColBase
-	var outs [groupRows][]float64
-	for r := range outs {
+// windowsAre reports whether the windows of group i's rows are each bc,
+// shifted by ColBase: the columns its products touch.
+func windowsAre(bc []int32, w *Window, i int) bool {
+	for r := range groupRows {
 		at := (i + r) * w.Stride
-		off, end := w.Offs[at], w.Offs[at+1]
-		cols := w.Cols[off:end]
-		if len(cols) != m {
+		cols := w.Cols[w.Offs[at]:w.Offs[at+1]]
+		if len(cols) != len(bc) {
 			return false
 		}
 		for q, col := range bc {
-			if int(cols[q])-base != int(col) {
+			if int(cols[q])-w.ColBase != int(col) {
 				return false
 			}
 		}
-		outs[r] = w.Data[off:end]
+	}
+	return true
+}
+
+// sumColumns computes group i, whose rows' multipliers are av (row after
+// row) and whose B rows are a block of m columns with values bv, into
+// windows the schedule checked (windowsAre): column q of row r is
+// Σ_p x_r,p · bv[p·m + q]. It sums each column of the four rows in
+// registers, from -0.0 in p order — the stamped body's order, and -0.0 + y
+// is y bit for bit, so equal bit for bit but NaN payloads — and stores
+// each value once: no scratch, no stamp, no check per product. sumQuads
+// takes the columns four at a time (on amd64; elsewhere none), this loop
+// the rest, one at a time. It reports false, having written nothing that
+// is kept, when a value is a NaN; the stamped body then recomputes the
+// group.
+func sumColumns(av, bv []float64, m int, w *Window, i int) bool {
+	var outs [groupRows][]float64
+	for r := range outs {
+		off := w.Offs[(i+r)*w.Stride]
+		outs[r] = w.Data[off : off+int64(m)]
 	}
 	q, nan := sumQuads(av, bv, m, &outs)
 	// Four slices of one length: the inner loop indexes them unchecked and
@@ -692,10 +753,10 @@ func sumColumns(av []float64, bc []int32, bv []float64, w *Window, i int) bool {
 		for p, x := range x0s {
 			v := bv[j]
 			j += m
-			s0 += x * v
-			s1 += x1s[p] * v
-			s2 += x2s[p] * v
-			s3 += x3s[p] * v
+			s0 += float64(x * v)
+			s1 += float64(x1s[p] * v)
+			s2 += float64(x2s[p] * v)
+			s3 += float64(x3s[p] * v)
 		}
 		outs[0][q], outs[1][q], outs[2][q], outs[3][q] = s0, s1, s2, s3
 		nan = nan || s0 != s0 || s1 != s1 || s2 != s2 || s3 != s3

@@ -380,7 +380,7 @@ func TestNumericRowsStructureError(t *testing.T) {
 		{"a block one column short", short, 2 * bs, false},
 		{"same count, another column", moved, bs, true},
 	} {
-		err := NumericRows(plan, tc.b, &w, s, 0, plan.Rows)
+		err := NumericRows(plan, tc.b, &w, s, nil, 0, plan.Rows)
 		var se *StructureError
 		if !errors.As(err, &se) {
 			t.Fatalf("%s: err = %v, want a *StructureError", tc.name, err)
@@ -388,7 +388,7 @@ func TestNumericRowsStructureError(t *testing.T) {
 		if se.Row != tc.row || (se.Touched == se.Want) != tc.sameCount {
 			t.Fatalf("%s: %+v, want row %d with equal counts %v", tc.name, se, tc.row, tc.sameCount)
 		}
-		if err := NumericRows(plan, plan, &w, s, 0, plan.Rows); err != nil {
+		if err := NumericRows(plan, plan, &w, s, nil, 0, plan.Rows); err != nil {
 			t.Fatalf("%s: the next call: %v", tc.name, err)
 		}
 		if !slices.Equal(c.ColIDs, want.ColIDs) {
@@ -505,15 +505,21 @@ func stampedGrid(t testing.TB, chunks []gridChunk, data []float64, width int) {
 }
 
 // groupedGrid computes every chunk of the grid with NumericRows on s,
-// into data, in two calls cut at row cut of the chunk (or its end).
-func groupedGrid(t testing.TB, chunks []gridChunk, data []float64, s *accum.Scratch, cut int) {
+// into data, in two calls cut at row cut of the chunk (or its end): on a
+// schedule each call builds, or, with whole, on one built for the chunk
+// and run by both calls, as a bound warm replay runs it.
+func groupedGrid(t testing.TB, chunks []gridChunk, data []float64, s *accum.Scratch, cut int, whole bool) {
 	for _, c := range chunks {
 		w, at := c.w, min(cut, c.a.Rows)
 		w.Data = data
-		if err := NumericRows(c.a, c.b, &w, s, 0, at); err != nil {
+		var sched *Schedule
+		if whole {
+			sched = NewSchedule(c.a, c.b, &w, 0, c.a.Rows)
+		}
+		if err := NumericRows(c.a, c.b, &w, s, sched, 0, at); err != nil {
 			t.Fatal(err)
 		}
-		if err := NumericRows(c.a, c.b, &w, s, at, c.a.Rows); err != nil {
+		if err := NumericRows(c.a, c.b, &w, s, sched, at, c.a.Rows); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -534,6 +540,32 @@ func groupedGrid(t testing.TB, chunks []gridChunk, data []float64, s *accum.Scra
 // row but a block's last (bs mod 4), the groups holding a NaN and those
 // whose B rows are not a block is a group's.
 func TestNumericRowsGroupedBitIdentical(t *testing.T) {
+	forEachBody(t, testNumericRowsGroupedBitIdentical)
+}
+
+// hostAVX2 is what the host's check chose, before any test flips useAVX2.
+var hostAVX2 = useAVX2
+
+// sumQuadsBodies names the sumQuads bodies: false the SSE2 one (on amd64;
+// elsewhere none), true the AVX2 one.
+var sumQuadsBodies = map[bool]string{false: "sse2", true: "avx2"}
+
+// forEachBody runs test once per sumQuads body, the AVX2 one where the
+// host has it, and leaves the host's choice in place.
+func forEachBody(t *testing.T, test func(t *testing.T)) {
+	defer func() { useAVX2 = hostAVX2 }()
+	for _, avx := range []bool{false, true} {
+		t.Run(sumQuadsBodies[avx], func(t *testing.T) {
+			if avx && !hostAVX2 {
+				t.Skip("the CPU has no AVX2")
+			}
+			useAVX2 = avx
+			test(t)
+		})
+	}
+}
+
+func testNumericRowsGroupedBitIdentical(t *testing.T) {
 	type tcase struct {
 		name    string
 		a, b    *csr.Matrix
@@ -631,11 +663,13 @@ func TestNumericRowsGroupedBitIdentical(t *testing.T) {
 		stampedGrid(t, chunks, want, tc.b.Cols)
 
 		got := make([]float64, nnz)
-		fresh := &accum.Scratch{Vals: make([]float64, tc.b.Cols), Stamp: make([]uint32, tc.b.Cols)}
-		groupedGrid(t, chunks, got, fresh, 0)
-		requireSameBits(t, tc.name, got, want)
-		if n := int(fresh.NextGen()) - 1; tc.stamped >= 0 && n != tc.stamped {
-			t.Fatalf("%s: the stamped body computed %d rows, want %d", tc.name, n, tc.stamped)
+		for _, whole := range []bool{false, true} {
+			fresh := &accum.Scratch{Vals: make([]float64, tc.b.Cols), Stamp: make([]uint32, tc.b.Cols)}
+			groupedGrid(t, chunks, got, fresh, 0, whole)
+			requireSameBits(t, tc.name, got, want)
+			if n := int(fresh.NextGen()) - 1; tc.stamped >= 0 && n != tc.stamped {
+				t.Fatalf("%s: the stamped body computed %d rows, want %d", tc.name, n, tc.stamped)
+			}
 		}
 
 		s := accum.GetScratch(tc.b.Cols)
@@ -644,11 +678,13 @@ func TestNumericRowsGroupedBitIdentical(t *testing.T) {
 			maxRows = max(maxRows, c.a.Rows)
 		}
 		for cut := 0; cut <= maxRows; cut += 1 + maxRows/40 {
-			for i := range got {
-				got[i] = math.Float64frombits(0x7ff0dead) // a NaN no kernel writes
+			for _, whole := range []bool{false, true} {
+				for i := range got {
+					got[i] = math.Float64frombits(0x7ff0dead) // a NaN no kernel writes
+				}
+				groupedGrid(t, chunks, got, s, cut, whole)
+				requireSameBits(t, fmt.Sprintf("%s, cut at row %d (whole schedule %v)", tc.name, cut, whole), got, want)
 			}
-			groupedGrid(t, chunks, got, s, cut)
-			requireSameBits(t, fmt.Sprintf("%s, cut at row %d", tc.name, cut), got, want)
 		}
 		accum.PutScratch(s)
 	}
@@ -661,9 +697,10 @@ func TestNumericRowsGroupedBitIdentical(t *testing.T) {
 // rows naming a subset, band rows of B); values are normal
 // draws with NaN, ±Inf, -0.0 and 0 mixed in at a fuzzed rate; the product
 // is cut into a chunk grid of up to 3×3 and each chunk's rows into two
-// ranges. NumericRows must match the stamped body bit for bit, NaN
-// payloads included: a group holding a NaN is the stamped body's to
-// compute.
+// ranges, run on a schedule per range and on one for the chunk.
+// NumericRows must match the stamped body bit for bit, NaN payloads
+// included, with either sumQuads body (the AVX2 one where the host has
+// it): a group holding a NaN is the stamped body's to compute.
 func FuzzNumericRows(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(5), uint8(7), uint8(0), uint8(0), uint16(0), int64(1))   // full blocks of 8
 	f.Add(uint8(1), uint8(0), uint8(3), uint8(11), uint8(40), uint8(4), uint16(5), int64(2)) // shared subsets, specials, 2×2 grid
@@ -717,11 +754,17 @@ func FuzzNumericRows(f *testing.F) {
 		chunks, nnz := gridChunks(t, a, b, min(1+int(grid%3), n), min(1+int(grid/3%3), n))
 		want := make([]float64, nnz)
 		stampedGrid(t, chunks, want, n)
-		got := make([]float64, nnz)
 		s := accum.GetScratch(n)
 		defer accum.PutScratch(s)
-		groupedGrid(t, chunks, got, s, int(cut)%(n+1))
-		requireSameBits(t, "grouped vs stamped", got, want)
+		defer func() { useAVX2 = hostAVX2 }()
+		for _, avx := range []bool{false, hostAVX2} {
+			useAVX2 = avx
+			for _, whole := range []bool{false, true} {
+				got := make([]float64, nnz)
+				groupedGrid(t, chunks, got, s, int(cut)%(n+1), whole)
+				requireSameBits(t, "grouped ("+sumQuadsBodies[avx]+") vs stamped", got, want)
+			}
+		}
 	})
 }
 

@@ -26,7 +26,7 @@ func seqRef(a, b *csr.Matrix) (*csr.Matrix, error) {
 		for p := range ac {
 			bc, bv := b.Row(int(ac[p]))
 			for q := range bc {
-				row[bc[q]] += av[p] * bv[q]
+				row[bc[q]] += float64(av[p] * bv[q])
 			}
 		}
 		for c, v := range row {

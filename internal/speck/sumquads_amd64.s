@@ -9,7 +9,7 @@
 // DX where the quads end, R9 outs. X0–X7 hold the sums (row r, columns
 // q..q+1 and q+2..q+3 in X(2r), X(2r+1)), X8/X9 the four B values, X10/X11
 // a row's multiplier in both lanes, X12 the NaN lanes seen, X13 -0.0 in
-// both lanes.
+// both lanes. Where useAVX2 is set, the AVX2 body below runs instead.
 
 TEXT ·sumQuads(SB), NOSPLIT, $0-73
 	MOVQ av_base+0(FP), SI
@@ -30,6 +30,8 @@ TEXT ·sumQuads(SB), NOSPLIT, $0-73
 	MOVQ R11, X13
 	UNPCKLPD X13, X13
 	XORPD X12, X12
+	CMPB ·useAVX2(SB), $0
+	JNE avx2
 
 	// Each quad: the sums start at -0.0, then p runs over the block's
 	// rows (n ≥ 1), adding x_r,p · B[p][q..q+3] in p order.
@@ -123,4 +125,103 @@ done:
 	MOVMSKPD X12, AX
 	TESTQ AX, AX
 	SETNE nan+72(FP)
+	RET
+
+	// The AVX2 body: the same loops over the same registers, the sums of
+	// row r's four columns in Y(r), one VMULPD and one VADDPD per row and
+	// B row — never a fused multiply-add. Y4 holds the B row's four
+	// values, Y5/Y6 a row's multiplier in four lanes and then its
+	// products, Y7 the NaN lanes seen, Y8 -0.0 in four lanes.
+
+avx2:
+	VBROADCASTSD X13, Y8
+	VXORPD Y7, Y7, Y7
+
+quad4:
+	CMPQ R10, DX
+	JAE done4
+	VMOVAPD Y8, Y0
+	VMOVAPD Y8, Y1
+	VMOVAPD Y8, Y2
+	VMOVAPD Y8, Y3
+	MOVQ SI, AX
+	LEAQ (DI)(R10*1), BX
+
+p4:
+	VMOVUPD (BX), Y4
+	VBROADCASTSD (AX), Y5
+	VMULPD Y4, Y5, Y5
+	VADDPD Y5, Y0, Y0
+	VBROADCASTSD (AX)(R13*1), Y6
+	VMULPD Y4, Y6, Y6
+	VADDPD Y6, Y1, Y1
+	VBROADCASTSD (AX)(R13*2), Y5
+	VMULPD Y4, Y5, Y5
+	VADDPD Y5, Y2, Y2
+	VBROADCASTSD (AX)(R12*1), Y6
+	VMULPD Y4, Y6, Y6
+	VADDPD Y6, Y3, Y3
+	ADDQ $8, AX
+	ADDQ R8, BX
+	CMPQ AX, CX
+	JB p4
+
+	MOVQ 0(R9), R11
+	VMOVUPD Y0, (R11)(R10*1)
+	MOVQ 24(R9), R11
+	VMOVUPD Y1, (R11)(R10*1)
+	MOVQ 48(R9), R11
+	VMOVUPD Y2, (R11)(R10*1)
+	MOVQ 72(R9), R11
+	VMOVUPD Y3, (R11)(R10*1)
+	VCMPPD $3, Y0, Y0, Y0
+	VCMPPD $3, Y1, Y1, Y1
+	VCMPPD $3, Y2, Y2, Y2
+	VCMPPD $3, Y3, Y3, Y3
+	VORPD Y0, Y7, Y7
+	VORPD Y1, Y7, Y7
+	VORPD Y2, Y7, Y7
+	VORPD Y3, Y7, Y7
+	ADDQ $32, R10
+	JMP quad4
+
+done4:
+	VMOVMSKPD Y7, AX
+	VZEROUPPER
+	SHRQ $3, R10
+	MOVQ R10, done+64(FP)
+	TESTQ AX, AX
+	SETNE nan+72(FP)
+	RET
+
+// func hasAVX2() bool
+//
+// CPUID leaf 1 must report AVX and OSXSAVE, XGETBV that the OS saves the
+// XMM and YMM state, and CPUID leaf 7 AVX2.
+TEXT ·hasAVX2(SB), NOSPLIT, $0-1
+	MOVB $0, ret+0(FP)
+	XORL AX, AX
+	XORL CX, CX
+	CPUID
+	CMPL AX, $7
+	JB no
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x18000000, CX
+	CMPL CX, $0x18000000
+	JNE no
+	XORL CX, CX
+	XGETBV
+	ANDL $6, AX
+	CMPL AX, $6
+	JNE no
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	SHRL $5, BX
+	ANDL $1, BX
+	MOVB BX, ret+0(FP)
+
+no:
 	RET

@@ -7,3 +7,6 @@ package speck
 func sumQuads(av, bv []float64, m int, outs *[groupRows][]float64) (done int, nan bool) {
 	return 0, false
 }
+
+// useAVX2 is always false: there is no AVX2 body here.
+var useAVX2 = false

@@ -180,7 +180,7 @@ func Numeric(sym *Symbolic, a, b *csr.Matrix) (*Result, error) {
 	s := accum.GetScratch(sym.Cols)
 	defer accum.PutScratch(s)
 	w := WholeWindow(c)
-	if err := NumericRows(a, b, &w, s, 0, sym.Rows); err != nil {
+	if err := NumericRows(a, b, &w, s, nil, 0, sym.Rows); err != nil {
 		return nil, fmt.Errorf("speck: numeric: %w", err)
 	}
 	return &Result{C: c, Symbolic: sym}, nil

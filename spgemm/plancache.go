@@ -8,6 +8,7 @@ import (
 	"repro/internal/cpuspgemm"
 	"repro/internal/csr"
 	"repro/internal/metrics"
+	"repro/internal/speck"
 )
 
 // Fingerprint hashes a matrix's sparsity *structure* (dimensions, row
@@ -68,19 +69,37 @@ type PlanKey struct {
 
 // cpuPlanEntry is one cached CPU plan and what else is structural about
 // its pair: flops, the sum of the plan's RowFlops taken when it is
-// stored, and — minted on first request — the identity of the product,
-// whose structure arrays are the plan's own (every Numeric product
-// shares them). bytes charges the record with the plan.
+// stored; up to maxSchedules replay schedules, each bound to the records
+// of the operands it was checked against; and — minted on first request
+// — the identity of the product, whose structure arrays are the plan's
+// own (every Numeric product shares them). bytes charges the record and
+// the schedules with the plan. scheds is read and appended under
+// PlanCache.mu, and a published schedule is never written.
 type cpuPlanEntry struct {
-	key   PlanKey
-	sym   *cpuspgemm.SymbolicResult
-	flops int64
-	bytes int64
-	elem  *list.Element
+	key    PlanKey
+	sym    *cpuspgemm.SymbolicResult
+	flops  int64
+	bytes  int64
+	elem   *list.Element
+	scheds []boundSchedule
 
 	mu  sync.Mutex
 	cid *Identity
 }
+
+// boundSchedule is a replay schedule of the plan and the records of the
+// operands it was checked against: a replay whose operands come with
+// these records, and are of them (Identity.Of: the same structure
+// arrays), runs it without checking it again.
+type boundSchedule struct {
+	aID, bID *Identity
+	sched    *speck.Schedule
+}
+
+// maxSchedules bounds the schedules a plan keeps. Two serve a chain of
+// powers: its first node multiplies the stored matrix by itself, every
+// later one the plan's own product by it.
+const maxSchedules = 2
 
 type gridKey struct {
 	fpA, fpB   uint64
@@ -227,7 +246,19 @@ func (p *PlanCache) multiplyCPU(a, b *Matrix, o RunOptions, opts cpuspgemm.Optio
 	key := o.PlanKey(a, b)
 	if ent := p.acquireCPU(key); ent != nil {
 		opts.Metrics.Add(metrics.CounterPlanCacheHits, 1)
-		c, err := cpuspgemm.Numeric(ent.sym, a, b, opts)
+		var sched *speck.Schedule
+		records := o.AID.Of(a) && o.BID.Of(b)
+		if records {
+			sched = p.bound(ent, a, b, o, nil)
+		}
+		fresh := records && sched == nil
+		if fresh {
+			sched = ent.sym.Schedule(a, b)
+		}
+		c, err := cpuspgemm.NumericScheduled(ent.sym, sched, a, b, opts)
+		if err == nil && fresh {
+			p.bound(ent, a, b, o, sched)
+		}
 		return c, ent.flops, err
 	}
 	opts.Metrics.Add(metrics.CounterPlanCacheMisses, 1)
@@ -251,6 +282,29 @@ func (p *PlanCache) acquireCPU(key PlanKey) *cpuPlanEntry {
 	return ent
 }
 
+// bound returns ent's schedule bound to o's records. Given sched, which
+// a replay of a and b, of those records, has just run without error, it
+// binds sched first if there is none, ent is still cached and has room.
+// It charges sched's bytes and those of a's and b's structure arrays,
+// which the records keep alive.
+func (p *PlanCache) bound(ent *cpuPlanEntry, a, b *Matrix, o RunOptions, sched *speck.Schedule) *speck.Schedule {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, bs := range ent.scheds {
+		if bs.aID == o.AID && bs.bID == o.BID {
+			return bs.sched
+		}
+	}
+	if sched != nil && len(ent.scheds) < maxSchedules && p.entries[ent.key] == ent {
+		ent.scheds = append(ent.scheds, boundSchedule{o.AID, o.BID, sched})
+		n := sched.Bytes() + int64(len(a.RowOffsets)+len(b.RowOffsets))*8 + int64(len(a.ColIDs)+len(b.ColIDs))*4
+		ent.bytes += n
+		p.bytes += n
+		p.evictLocked()
+	}
+	return sched
+}
+
 // peekCPU looks an entry up without counting a hit or a miss and
 // without touching the LRU order: admission estimates and the batch
 // planner probe, they do not use the plan.
@@ -266,10 +320,7 @@ func (p *PlanCache) peekCPU(key PlanKey) *cpuPlanEntry {
 // storeCPU records a cold run's plan and returns the pair's flop count;
 // of concurrent cold runs on one pattern the first store wins.
 func (p *PlanCache) storeCPU(key PlanKey, sym *cpuspgemm.SymbolicResult) int64 {
-	var flops int64
-	for _, f := range sym.RowFlops {
-		flops += f
-	}
+	flops := sym.Flops()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.entries[key] != nil {
@@ -279,11 +330,17 @@ func (p *PlanCache) storeCPU(key PlanKey, sym *cpuspgemm.SymbolicResult) int64 {
 	ent.elem = p.order.PushBack(ent)
 	p.entries[key] = ent
 	p.bytes += ent.bytes
+	p.evictLocked()
+	return flops
+}
+
+// evictLocked drops the least recently used plans until the cache fits,
+// keeping the youngest.
+func (p *PlanCache) evictLocked() {
 	for p.bytes > p.max && p.order.Len() > 1 {
 		p.dropLocked(p.order.Front().Value.(*cpuPlanEntry))
 		p.evictions++
 	}
-	return flops
 }
 
 // plan memoizes the chunk-grid planner per structure pair and device

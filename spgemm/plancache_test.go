@@ -1,8 +1,10 @@
 package spgemm
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/cpuspgemm"
 	"repro/internal/csr"
 	"repro/internal/metrics"
+	"repro/internal/speck"
 )
 
 // refreshValues returns a copy of m sharing the sparsity pattern with
@@ -317,5 +320,117 @@ func TestEstimateCostPlansOnce(t *testing.T) {
 	}
 	if cost2.Chunks != cost.Chunks {
 		t.Fatalf("re-estimate changed chunks %d -> %d", cost.Chunks, cost2.Chunks)
+	}
+}
+
+// TestPlanCacheBindsSchedules: the first warm replay whose operands come
+// with their records builds and checks the plan's replay schedule and
+// binds it to those records, charged to the entry's bytes with the
+// operands' structure arrays the records keep alive; a later
+// replay with the same records builds none and is bit for bit the
+// checked replay's product. Operands without records or with a record
+// of another matrix take the checked build per chunk and bind nothing,
+// and so does a third pair of records once two are bound.
+func TestPlanCacheBindsSchedules(t *testing.T) {
+	a := BlockDiag(40, 8, 3)
+	eng, _ := ByName("cpu")
+	pc := NewPlanCache(0)
+	aid := mustIdentify(t, a)
+	bound := &RunOptions{PlanCache: pc, AID: aid, BID: aid, Threads: 1}
+	if _, _, err := eng.Run(a, a, bound); err != nil {
+		t.Fatal(err)
+	}
+	ent := pc.peekCPU(bound.PlanKey(a, a))
+	fresh := refreshValues(a, 5) // a's structure arrays, other values
+	want, _, err := eng.Run(fresh, fresh, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(what string, o *RunOptions) (built int64) {
+		t.Helper()
+		before := speck.SchedulesBuilt()
+		got, _, err := eng.Run(fresh, fresh, o)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		mustBitIdentical(t, want, got)
+		return speck.SchedulesBuilt() - before
+	}
+	scheds := func() int {
+		pc.mu.Lock()
+		defer pc.mu.Unlock()
+		return len(ent.scheds)
+	}
+
+	if n := run("first bound replay", bound); n != 1 || scheds() != 1 {
+		t.Fatalf("first bound replay: %d schedules built, %d bound; want 1 and 1", n, scheds())
+	}
+	structure := 2 * (int64(len(a.RowOffsets))*8 + int64(len(a.ColIDs))*4) // kept alive by the bound records
+	if b := ent.sym.Bytes() + csr.IdentityBytes + ent.scheds[0].sched.Bytes() + structure; pc.bytes != ent.bytes || ent.bytes != b {
+		t.Fatalf("cache accounts %d bytes, entry %d, want plan, record, schedule and operand structure: %d", pc.bytes, ent.bytes, b)
+	}
+	for i := 0; i < 3; i++ {
+		if n := run("bound replay", bound); n != 0 {
+			t.Fatalf("bound replay %d built %d schedules, want 0", i, n)
+		}
+	}
+	foreign := mustIdentify(t, BlockDiag(40, 8, 4)) // one pattern, other arrays
+	for what, o := range map[string]*RunOptions{
+		"no records":                 {PlanCache: pc, Threads: 1},
+		"a record of another matrix": {PlanCache: pc, AID: foreign, BID: foreign, Threads: 1},
+		"one record of two":          {PlanCache: pc, AID: aid, Threads: 1},
+	} {
+		if n := run(what, o); n == 0 || scheds() != 1 {
+			t.Fatalf("%s: %d schedules built, %d bound; want a checked build and 1", what, n, scheds())
+		}
+	}
+	for i, wantBound := range []int{2, 2} {
+		id := mustIdentify(t, a) // a's arrays, another record
+		o := &RunOptions{PlanCache: pc, AID: id, BID: id, Threads: 1}
+		if n := run("another pair of records", o); n == 0 || scheds() != wantBound {
+			t.Fatalf("pair of records %d: %d schedules built, %d bound; want a build and %d", i+2, n, scheds(), wantBound)
+		}
+	}
+}
+
+// TestPlanCacheScheduleConcurrentReplays runs bound, unbound and binding
+// warm replays of one plan from several goroutines (a race detector run
+// checks the publication of schedules); every product is the checked
+// replay's, bit for bit.
+func TestPlanCacheScheduleConcurrentReplays(t *testing.T) {
+	a := BlockDiag(32, 8, 6)
+	eng, _ := ByName("cpu")
+	pc := NewPlanCache(0)
+	if _, _, err := eng.Run(a, a, &RunOptions{PlanCache: pc}); err != nil {
+		t.Fatal(err)
+	}
+	fresh := refreshValues(a, 7)
+	want, _, err := eng.Run(fresh, fresh, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []*Identity{nil, mustIdentify(t, a), mustIdentify(t, a), mustIdentify(t, a)}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8*10)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				id := ids[(g+i)%len(ids)]
+				got, _, err := eng.Run(fresh, fresh, &RunOptions{PlanCache: pc, AID: id, BID: id, Threads: 2})
+				if err == nil && !slices.EqualFunc(got.Data, want.Data, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+					err = errors.New("a concurrent warm replay differs from the checked one")
+				}
+				if err != nil {
+					errs <- err
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }

@@ -44,7 +44,7 @@ func PlusTimes() Semiring {
 		Name:  "plus-times",
 		Zero:  0,
 		Plus:  func(a, b float64) float64 { return a + b },
-		Times: func(a, b float64) float64 { return a * b },
+		Times: func(a, b float64) float64 { return float64(a * b) },
 	}
 }
 
