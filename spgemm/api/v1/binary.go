@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 )
 
 // MediaTypeCSR names the binary representation of MatrixData: a fixed
@@ -30,8 +31,8 @@ const (
 	binaryMagic   = "SPGMCSR"
 	binaryVersion = 1
 	binaryHeader  = 32
-	// binaryBlock is the staging buffer both directions convert through:
-	// a multiple of every element size.
+	// binaryBlock is the size of a staging block: a multiple of every
+	// element size.
 	binaryBlock = 64 << 10
 )
 
@@ -59,10 +60,12 @@ func BinarySize(d *MatrixData) int64 {
 	return binaryHeader + 8*int64(d.Rows+1) + 12*int64(len(d.ColIDs))
 }
 
-// WriteMatrixBinary writes d as one binary frame. Only the array
+// WriteMatrixBinary writes d as one binary frame: the header, then each
+// array as one write of its own memory on a little-endian host, or
+// element by element through a pooled block elsewhere. Only the array
 // lengths are checked (they fix the layout); content validation is the
-// reader's job. Nil RowOffsets encode as the all-empty-rows offsets,
-// as MatrixData.Matrix reads them.
+// reader's job. Nil RowOffsets encode as the all-empty-rows offsets, as
+// MatrixData.Matrix reads them.
 func WriteMatrixBinary(w io.Writer, d *MatrixData) error {
 	nnz := len(d.ColIDs)
 	if d.Rows < 0 || d.Cols < 0 || len(d.Values) != nnz ||
@@ -71,50 +74,100 @@ func WriteMatrixBinary(w io.Writer, d *MatrixData) error {
 			d.Rows, d.Cols, len(d.RowOffsets), nnz, len(d.Values))
 	}
 	le := binary.LittleEndian
-	block := make([]byte, min(binaryBlock, BinarySize(d)))
-	copy(block, binaryMagic)
-	block[7] = binaryVersion
-	le.PutUint64(block[8:], uint64(d.Rows))
-	le.PutUint64(block[16:], uint64(d.Cols))
-	le.PutUint64(block[24:], uint64(nnz))
-	n := binaryHeader
-	// flush writes out the staged bytes once the next element of the
-	// given size no longer fits.
-	flush := func(size int) error {
-		if n+size <= len(block) {
-			return nil
-		}
-		_, err := w.Write(block[:n])
-		n = 0
+	var hdr [binaryHeader]byte
+	copy(hdr[:], binaryMagic)
+	hdr[7] = binaryVersion
+	le.PutUint64(hdr[8:], uint64(d.Rows))
+	le.PutUint64(hdr[16:], uint64(d.Cols))
+	le.PutUint64(hdr[24:], uint64(nnz))
+	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
 	offsets := d.RowOffsets
 	if offsets == nil {
 		offsets = make([]int64, d.Rows+1)
 	}
-	for _, v := range offsets {
-		if err := flush(8); err != nil {
+	if err := writeSection(w, offsets, 8); err != nil {
+		return err
+	}
+	if err := writeSection(w, d.ColIDs, 4); err != nil {
+		return err
+	}
+	return writeSection(w, d.Values, 8)
+}
+
+// block is a staging block of readSection and of the per-element
+// encoder, pooled across frames. Its words align it for every element
+// type.
+type block [binaryBlock / 8]uint64
+
+var blockPool = sync.Pool{New: func() any { return new(block) }}
+
+// writeSection writes the wire bytes of s (elements of the given size):
+// the memory of s itself where useByteViews, in views of up to maxView
+// bytes, else block by block through encodeElems.
+func writeSection[T wireElem](w io.Writer, s []T, size int) error {
+	if useByteViews {
+		for len(s) > 0 {
+			n := min(len(s), maxView/size)
+			if _, err := w.Write(recast[byte](s[:n])); err != nil {
+				return err
+			}
+			s = s[n:]
+		}
+		return nil
+	}
+	b := blockPool.Get().(*block)
+	defer blockPool.Put(b)
+	for len(s) > 0 {
+		n := min(len(s), binaryBlock/size)
+		wire := recast[byte](b[:])[:n*size]
+		encodeElems(wire, s[:n])
+		if _, err := w.Write(wire); err != nil {
 			return err
 		}
-		le.PutUint64(block[n:], uint64(v))
-		n += 8
+		s = s[n:]
 	}
-	for _, v := range d.ColIDs {
-		if err := flush(4); err != nil {
-			return err
+	return nil
+}
+
+// encodeElems writes the little-endian bytes of src to dst.
+func encodeElems[T wireElem](dst []byte, src []T) {
+	le := binary.LittleEndian
+	switch s := any(src).(type) {
+	case []int64:
+		for i, v := range s {
+			le.PutUint64(dst[8*i:], uint64(v))
 		}
-		le.PutUint32(block[n:], uint32(v))
-		n += 4
-	}
-	for _, v := range d.Values {
-		if err := flush(8); err != nil {
-			return err
+	case []int32:
+		for i, v := range s {
+			le.PutUint32(dst[4*i:], uint32(v))
 		}
-		le.PutUint64(block[n:], math.Float64bits(v))
-		n += 8
+	case []float64:
+		for i, v := range s {
+			le.PutUint64(dst[8*i:], math.Float64bits(v))
+		}
 	}
-	_, err := w.Write(block[:n])
-	return err
+}
+
+// decodeElems sets dst from the little-endian bytes in src. src may be
+// dst's own memory: each element's bytes are read before it is written.
+func decodeElems[T wireElem](dst []T, src []byte) {
+	le := binary.LittleEndian
+	switch d := any(dst).(type) {
+	case []int64:
+		for i := range d {
+			d[i] = int64(le.Uint64(src[8*i:]))
+		}
+	case []int32:
+		for i := range d {
+			d[i] = int32(le.Uint32(src[4*i:]))
+		}
+	case []float64:
+		for i := range d {
+			d[i] = math.Float64frombits(le.Uint64(src[8*i:]))
+		}
+	}
 }
 
 // ReadMatrixBinary decodes a body holding exactly one frame. maxBytes
@@ -123,8 +176,8 @@ func WriteMatrixBinary(w io.Writer, d *MatrixData) error {
 //
 // The decoder is the first validator. Before allocating it checks
 // magic, version, dimension ranges, nnz ≤ rows·cols and the declared
-// payload against maxBytes; while reading it grows each array only as
-// its bytes actually arrive (a header declaring 2⁴⁰ non-zeros over an
+// payload against maxBytes; while reading it makes each array only once
+// its bytes have all arrived (a header declaring 2⁴⁰ non-zeros over an
 // empty body costs one block, not terabytes) and checks offsets[0]=0,
 // monotone offsets ≤ nnz ending at nnz, and every column < cols.
 // Truncation and trailing bytes are ErrBinaryMalformed. Strictly
@@ -185,17 +238,14 @@ func readFrame(r io.Reader, budget *int64) (*MatrixData, error) {
 	*budget -= int64(payload)
 
 	d := &MatrixData{Rows: int(rows), Cols: int(cols)}
-	block := make([]byte, min(binaryBlock, payload))
 	var err error
-
 	prev := int64(0)
-	d.RowOffsets, err = readSection(r, block, int(rows)+1, 8, "row_offsets", func(dst []int64, b []byte, at int) error {
-		for i := range dst {
-			v := int64(le.Uint64(b[8*i:]))
+	d.RowOffsets, err = readSection(r, rows+1, 8, "row_offsets", func(s []int64, at int) error {
+		for i, v := range s {
 			if v < prev || uint64(v) > nnz || (at+i == 0 && v != 0) {
 				return malformed("row_offsets[%d] = %d (previous %d, nnz %d)", at+i, v, prev, nnz)
 			}
-			dst[i], prev = v, v
+			prev = v
 		}
 		return nil
 	})
@@ -205,55 +255,62 @@ func readFrame(r io.Reader, budget *int64) (*MatrixData, error) {
 	if uint64(prev) != nnz {
 		return nil, malformed("last row offset %d, header declares nnz %d", prev, nnz)
 	}
-	d.ColIDs, err = readSection(r, block, int(nnz), 4, "col_ids", func(dst []int32, b []byte, at int) error {
-		for i := range dst {
-			v := le.Uint32(b[4*i:])
-			if uint64(v) >= cols {
-				return malformed("col_ids[%d] = %d outside [0,%d)", at+i, int32(v), cols)
+	d.ColIDs, err = readSection(r, nnz, 4, "col_ids", func(s []int32, at int) error {
+		for i, v := range s {
+			if uint64(uint32(v)) >= cols {
+				return malformed("col_ids[%d] = %d outside [0,%d)", at+i, v, cols)
 			}
-			dst[i] = int32(v)
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	d.Values, err = readSection(r, block, int(nnz), 8, "values", func(dst []float64, b []byte, _ int) error {
-		for i := range dst {
-			dst[i] = math.Float64frombits(le.Uint64(b[8*i:]))
-		}
-		return nil
-	})
+	d.Values, err = readSection[float64](r, nnz, 8, "values", nil)
 	if err != nil {
 		return nil, err
 	}
 	return d, nil
 }
 
-// readSection reads count elements of the given size through block,
-// handing each block's worth to convert (dst is where they go, at the
-// index of its first). The result starts at one block's worth of
-// capacity and doubles toward count only as input arrives, so a lying
-// header cannot make it allocate.
-func readSection[T any](r io.Reader, block []byte, count, size int, name string, convert func(dst []T, b []byte, at int) error) ([]T, error) {
-	out := make([]T, 0, min(count, len(block)/size))
-	for len(out) < count {
-		at := len(out)
-		n := min(count-at, len(block)/size)
-		if _, err := io.ReadFull(r, block[:n*size]); err != nil {
+// readSection reads a section of count elements of the given size. It
+// stages them in pooled blocks as they arrive — read straight into the
+// block's words where useByteViews, else converted by decodeElems in
+// place — and hands each block to check (at: the index of its first
+// element; nil checks nothing) before it reads the next, so a bad
+// element stops the read at its block. Only once the whole section has
+// arrived is the array made, at its exact length, and filled with one
+// copy per block. A lying header therefore costs at most twice the
+// bytes the peer really sent, plus a block.
+func readSection[T wireElem](r io.Reader, count uint64, size int, name string, check func(s []T, at int) error) ([]T, error) {
+	per := uint64(binaryBlock / size)
+	var blocks []*block
+	defer func() {
+		for _, b := range blocks {
+			blockPool.Put(b)
+		}
+	}()
+	for at := uint64(0); at < count; at += per {
+		b := blockPool.Get().(*block)
+		blocks = append(blocks, b)
+		staged := recast[T](b[:])[:min(count-at, per)]
+		wire := recast[byte](staged)
+		if _, err := io.ReadFull(r, wire); err != nil {
 			return nil, truncated(err, name)
 		}
-		if at+n > cap(out) {
-			// Not slices.Grow: append's growth rule overshoots a doubling,
-			// and the bound on a lying header is this capacity.
-			grown := make([]T, at, min(count, 2*cap(out)))
-			copy(grown, out)
-			out = grown
+		if !useByteViews {
+			decodeElems(staged, wire)
 		}
-		out = out[:at+n]
-		if err := convert(out[at:], block, at); err != nil {
-			return nil, err
+		if check != nil {
+			if err := check(staged, int(at)); err != nil {
+				return nil, err
+			}
 		}
+	}
+	// count fits an int here: its bytes are in memory.
+	out := make([]T, count)
+	for i, b := range blocks {
+		copy(out[i*int(per):], recast[T](b[:]))
 	}
 	return out, nil
 }

@@ -5,12 +5,15 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/spgemm"
@@ -25,9 +28,31 @@ func encodeFrame(t testing.TB, d *MatrixData) []byte {
 	return buf.Bytes()
 }
 
+// hostByteViews is what the host chose, before any test clears
+// useByteViews.
+var hostByteViews = useByteViews
+
+// codecPaths names the codec's two element paths.
+var codecPaths = map[bool]string{true: "views", false: "elements"}
+
+// forEachPath runs test once per element path of the codec — the byte
+// views where the host has them, then the per-element loop — and leaves
+// the host's choice in place. The path's name is test's argument, for
+// its failure messages.
+func forEachPath(test func(path string)) {
+	defer func() { useByteViews = hostByteViews }()
+	for _, views := range []bool{true, false} {
+		if views && !hostByteViews {
+			continue
+		}
+		useByteViews = views
+		test(codecPaths[views])
+	}
+}
+
 // TestBinaryRoundTrip: encode → decode → Matrix() is the identity over
 // the generator families and the degenerate shapes, and the frame is
-// exactly BinarySize long.
+// exactly BinarySize long, on both element paths.
 func TestBinaryRoundTrip(t *testing.T) {
 	cases := map[string]*spgemm.Matrix{
 		"rmat":           spgemm.RMAT(9, 8, 0.57, 0.19, 0.19, 1),
@@ -44,45 +69,177 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 	for name, m := range cases {
 		t.Run(name, func(t *testing.T) {
-			frame := encodeFrame(t, MatrixDataFrom(m))
-			if int64(len(frame)) != BinarySize(MatrixDataFrom(m)) || int64(len(frame)) != binaryHeader+m.Bytes() {
-				t.Fatalf("frame is %d bytes, BinarySize %d, header+Bytes %d", len(frame), BinarySize(MatrixDataFrom(m)), binaryHeader+m.Bytes())
-			}
-			d, err := ReadMatrixBinary(bytes.NewReader(frame), m.Bytes())
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := d.Matrix()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Rows != m.Rows || got.Cols != m.Cols ||
-				!reflect.DeepEqual(got.RowOffsets, m.RowOffsets) ||
-				len(got.ColIDs) != len(m.ColIDs) || len(got.Data) != len(m.Data) {
-				t.Fatalf("shape or offsets changed: %dx%d nnz %d", got.Rows, got.Cols, got.Nnz())
-			}
-			for i := range m.ColIDs {
-				if got.ColIDs[i] != m.ColIDs[i] || math.Float64bits(got.Data[i]) != math.Float64bits(m.Data[i]) {
-					t.Fatalf("entry %d changed across the wire", i)
+			var frames [][]byte
+			forEachPath(func(path string) {
+				frame := encodeFrame(t, MatrixDataFrom(m))
+				frames = append(frames, frame)
+				if int64(len(frame)) != BinarySize(MatrixDataFrom(m)) || int64(len(frame)) != binaryHeader+m.Bytes() {
+					t.Fatalf("%s: frame is %d bytes, BinarySize %d, header+Bytes %d", path, len(frame), BinarySize(MatrixDataFrom(m)), binaryHeader+m.Bytes())
 				}
-			}
-			if spgemm.Fingerprint(got) != spgemm.Fingerprint(m) || spgemm.FingerprintValues(got) != spgemm.FingerprintValues(m) {
-				t.Fatal("content fingerprints changed across the wire")
-			}
-			// One byte under the payload is a size rejection.
-			if _, err := ReadMatrixBinary(bytes.NewReader(frame), m.Bytes()-1); !errors.Is(err, ErrBinaryTooLarge) {
-				t.Fatalf("cap %d: err = %v, want ErrBinaryTooLarge", m.Bytes()-1, err)
+				d, err := ReadMatrixBinary(bytes.NewReader(frame), m.Bytes())
+				if err != nil {
+					t.Fatalf("%s: %v", path, err)
+				}
+				got, err := d.Matrix()
+				if err != nil {
+					t.Fatalf("%s: %v", path, err)
+				}
+				if got.Rows != m.Rows || got.Cols != m.Cols ||
+					!reflect.DeepEqual(got.RowOffsets, m.RowOffsets) ||
+					len(got.ColIDs) != len(m.ColIDs) || len(got.Data) != len(m.Data) {
+					t.Fatalf("%s: shape or offsets changed: %dx%d nnz %d", path, got.Rows, got.Cols, got.Nnz())
+				}
+				for i := range m.ColIDs {
+					if got.ColIDs[i] != m.ColIDs[i] || math.Float64bits(got.Data[i]) != math.Float64bits(m.Data[i]) {
+						t.Fatalf("%s: entry %d changed across the wire", path, i)
+					}
+				}
+				if spgemm.Fingerprint(got) != spgemm.Fingerprint(m) || spgemm.FingerprintValues(got) != spgemm.FingerprintValues(m) {
+					t.Fatalf("%s: content fingerprints changed across the wire", path)
+				}
+				// One byte under the payload is a size rejection.
+				if _, err := ReadMatrixBinary(bytes.NewReader(frame), m.Bytes()-1); !errors.Is(err, ErrBinaryTooLarge) {
+					t.Fatalf("%s: cap %d: err = %v, want ErrBinaryTooLarge", path, m.Bytes()-1, err)
+				}
+			})
+			for _, f := range frames[1:] {
+				if !bytes.Equal(f, frames[0]) {
+					t.Fatal("the element paths encode different bytes")
+				}
 			}
 		})
 	}
-	// Nil offsets encode as the all-empty-rows offsets Matrix() assumes.
-	d, err := ReadMatrixBinary(bytes.NewReader(encodeFrame(t, &MatrixData{Rows: 3, Cols: 2})), 1<<10)
-	if err != nil || !reflect.DeepEqual(d.RowOffsets, []int64{0, 0, 0, 0}) {
-		t.Fatalf("nil offsets decoded to %+v, %v", d, err)
+	forEachPath(func(path string) {
+		// Nil offsets encode as the all-empty-rows offsets Matrix() assumes.
+		d, err := ReadMatrixBinary(bytes.NewReader(encodeFrame(t, &MatrixData{Rows: 3, Cols: 2})), 1<<10)
+		if err != nil || !reflect.DeepEqual(d.RowOffsets, []int64{0, 0, 0, 0}) {
+			t.Fatalf("%s: nil offsets decoded to %+v, %v", path, d, err)
+		}
+		// The encoder refuses arrays whose lengths contradict each other.
+		if err := WriteMatrixBinary(&bytes.Buffer{}, &MatrixData{Rows: 1, Cols: 1, RowOffsets: []int64{0, 1}, ColIDs: []int32{0}}); err == nil {
+			t.Fatalf("%s: encoder accepted col_ids without values", path)
+		}
+	})
+}
+
+// TestBinaryNonFiniteBits: NaN payloads, ±Inf and -0.0 cross the wire
+// bit for bit on both element paths, as the same bytes.
+func TestBinaryNonFiniteBits(t *testing.T) {
+	bits := []uint64{
+		0x7ff8000000000000, // the canonical quiet NaN
+		0x7ff8000000000001, // a quiet NaN with a payload
+		0xfff0000000000123, // a signalling NaN, sign set
+		0x7ff4dead0000beef, // a signalling NaN with a payload
+		math.Float64bits(math.Inf(1)),
+		math.Float64bits(math.Inf(-1)),
+		math.Float64bits(math.Copysign(0, -1)),
+		math.Float64bits(0),
+		math.Float64bits(math.SmallestNonzeroFloat64),
 	}
-	// The encoder refuses arrays whose lengths contradict each other.
-	if err := WriteMatrixBinary(&bytes.Buffer{}, &MatrixData{Rows: 1, Cols: 1, RowOffsets: []int64{0, 1}, ColIDs: []int32{0}}); err == nil {
-		t.Fatal("encoder accepted col_ids without values")
+	d := &MatrixData{Rows: 1, Cols: len(bits), RowOffsets: []int64{0, int64(len(bits))}}
+	for i, b := range bits {
+		d.ColIDs = append(d.ColIDs, int32(i))
+		d.Values = append(d.Values, math.Float64frombits(b))
+	}
+	var frames [][]byte
+	forEachPath(func(path string) {
+		frame := encodeFrame(t, d)
+		frames = append(frames, frame)
+		got, err := ReadMatrixBinary(bytes.NewReader(frame), BinarySize(d))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		for i, b := range bits {
+			if v := math.Float64bits(got.Values[i]); v != b {
+				t.Errorf("%s: value %d is %#016x, sent %#016x", path, i, v, b)
+			}
+			if v := binary.LittleEndian.Uint64(frame[len(frame)-8*(len(bits)-i):]); v != b {
+				t.Errorf("%s: value %d is %#016x on the wire, sent %#016x", path, i, v, b)
+			}
+		}
+	})
+	for _, f := range frames[1:] {
+		if !bytes.Equal(f, frames[0]) {
+			t.Fatal("the element paths encode different bytes")
+		}
+	}
+}
+
+// TestBinaryConcurrentCodec: goroutines encoding and decoding at once
+// share the pooled staging blocks without crossing their frames.
+func TestBinaryConcurrentCodec(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			want := MatrixDataFrom(spgemm.ER(600, 500, 0.1, int64(g+1)))
+			for i := 0; i < 10; i++ {
+				var buf bytes.Buffer
+				if err := WriteMatrixBinary(&buf, want); err != nil {
+					t.Error(err)
+					return
+				}
+				got, err := ReadMatrixBinary(&buf, BinarySize(want))
+				if err != nil || !reflect.DeepEqual(got, want) {
+					t.Errorf("goroutine %d, round %d: decoded another matrix (%v)", g, i, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// failPast is a reader that fails once more than limit bytes are asked
+// of it.
+type failPast struct {
+	r     *bytes.Reader
+	limit int64
+	read  int64
+}
+
+var errReadPast = errors.New("read past the first block of col_ids")
+
+func (f *failPast) Read(p []byte) (int, error) {
+	if f.read+int64(len(p)) > f.limit {
+		return 0, errReadPast
+	}
+	n, err := f.r.Read(p)
+	f.read += int64(n)
+	return n, err
+}
+
+// TestBinaryRefusesBadColumnEarly: a column out of range in the first
+// staging block of col_ids is refused with its index before any later
+// block is read, on both element paths.
+func TestBinaryRefusesBadColumnEarly(t *testing.T) {
+	const cols, perBlock = 1 << 16, binaryBlock / 4
+	nnz := 3*perBlock + 7 // col_ids span four blocks
+	ids := make([]int32, nnz)
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	ids[1234] = cols
+	frame := rawFrame(goodMagic, 1, cols, uint64(nnz), []int64{0, int64(nnz)}, ids, make([]float64, nnz))
+	const want = "col_ids[1234] = 65536 outside [0,65536)"
+	forEachPath(func(path string) {
+		r := &failPast{r: bytes.NewReader(frame), limit: binaryHeader + 16 + binaryBlock}
+		_, err := ReadMatrixBinary(r, hostileCap)
+		if !errors.Is(err, ErrBinaryMalformed) || !strings.HasSuffix(err.Error(), want) {
+			t.Fatalf("%s: err = %v, want ErrBinaryMalformed ending %q", path, err, want)
+		}
+		if r.read != binaryHeader+16+binaryBlock {
+			t.Fatalf("%s: read %d bytes before refusing", path, r.read)
+		}
+	})
+	// The reader does fail past the first block: the same frame with
+	// every column in range gets that far and no further.
+	ids[1234] = 0
+	ok := rawFrame(goodMagic, 1, cols, uint64(nnz), []int64{0, int64(nnz)}, ids, make([]float64, nnz))
+	r := &failPast{r: bytes.NewReader(ok), limit: binaryHeader + 16 + binaryBlock}
+	if _, err := ReadMatrixBinary(r, hostileCap); !errors.Is(err, errReadPast) {
+		t.Fatalf("a good frame through the failing reader: %v", err)
 	}
 }
 
@@ -157,40 +314,44 @@ func TestBinaryRejectsHostileInput(t *testing.T) {
 	const allocBound = 4 * binaryBlock
 	for name, tc := range hostileFrames() {
 		t.Run(name, func(t *testing.T) {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			d, err := ReadMatrixBinary(bytes.NewReader(tc.frame), hostileCap)
-			runtime.ReadMemStats(&after)
-			if err == nil {
-				t.Fatalf("accepted: %+v", d)
-			}
-			if !errors.Is(err, tc.want) {
-				t.Fatalf("err = %v, want %v", err, tc.want)
-			}
-			if got := after.TotalAlloc - before.TotalAlloc; got > allocBound {
-				t.Fatalf("rejecting allocated %d bytes (bound %d): %v", got, allocBound, err)
-			}
+			forEachPath(func(path string) {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				d, err := ReadMatrixBinary(bytes.NewReader(tc.frame), hostileCap)
+				runtime.ReadMemStats(&after)
+				if err == nil {
+					t.Fatalf("%s: accepted: %+v", path, d)
+				}
+				if !errors.Is(err, tc.want) {
+					t.Fatalf("%s: err = %v, want %v", path, err, tc.want)
+				}
+				if got := after.TotalAlloc - before.TotalAlloc; got > allocBound {
+					t.Fatalf("%s: rejecting allocated %d bytes (bound %d): %v", path, got, allocBound, err)
+				}
+			})
 		})
 	}
-	// The same lie under a realistic cap is refused before any read.
-	huge := rawFrame(goodMagic, 1<<21, 1<<21, 1<<40, nil, nil, nil)
-	if _, err := ReadMatrixBinary(bytes.NewReader(huge), 512<<20); !errors.Is(err, ErrBinaryTooLarge) {
-		t.Fatalf("2^40 nnz under a 512 MiB cap: %v", err)
-	}
-	// Arrays grow with the bytes that arrive, not with the header: a
-	// frame declaring 16 MiB of offsets and sending 1 MiB of them costs
-	// twice what it sent (the doubling), not what it declared.
-	partial := rawFrame(goodMagic, 1<<21, 1<<21, 1<<40, make([]int64, 1<<17), nil, nil)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err := ReadMatrixBinary(bytes.NewReader(partial), hostileCap)
-	runtime.ReadMemStats(&after)
-	if !errors.Is(err, ErrBinaryMalformed) {
-		t.Fatalf("partial offsets: %v", err)
-	}
-	if got := after.TotalAlloc - before.TotalAlloc; got > 2<<20+4*binaryBlock {
-		t.Fatalf("1 MiB of offsets allocated %d bytes", got)
-	}
+	forEachPath(func(path string) {
+		// The same lie under a realistic cap is refused before any read.
+		huge := rawFrame(goodMagic, 1<<21, 1<<21, 1<<40, nil, nil, nil)
+		if _, err := ReadMatrixBinary(bytes.NewReader(huge), 512<<20); !errors.Is(err, ErrBinaryTooLarge) {
+			t.Fatalf("%s: 2^40 nnz under a 512 MiB cap: %v", path, err)
+		}
+		// Arrays are made from the bytes that arrive, not from the header:
+		// a frame declaring 16 MiB of offsets and sending 1 MiB of them
+		// costs at most twice what it sent, not what it declared.
+		partial := rawFrame(goodMagic, 1<<21, 1<<21, 1<<40, make([]int64, 1<<17), nil, nil)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadMatrixBinary(bytes.NewReader(partial), hostileCap)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrBinaryMalformed) {
+			t.Fatalf("%s: partial offsets: %v", path, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 2<<20+4*binaryBlock {
+			t.Fatalf("%s: 1 MiB of offsets allocated %d bytes", path, got)
+		}
+	})
 }
 
 // TestJSONMatrixRoutesRejectHostileData is the JSON counterpart of the
@@ -275,6 +436,12 @@ func TestJSONMatrixRoutesRejectHostileData(t *testing.T) {
 		}
 		var d MatrixData
 		if err := json.Unmarshal([]byte(tc.data), &d); err != nil {
+			// Where int is 32 bits, a dimension past it is refused here
+			// already, by encoding/json.
+			var typeErr *json.UnmarshalTypeError
+			if strconv.IntSize == 32 && errors.As(err, &typeErr) {
+				continue
+			}
 			t.Fatal(err)
 		}
 		if m, err := d.Matrix(); err == nil {
@@ -286,6 +453,12 @@ func TestJSONMatrixRoutesRejectHostileData(t *testing.T) {
 // TestBulkBinary: the bulk body is a count and that many frames, under
 // one shared payload cap, with the same rejections as a single frame.
 func TestBulkBinary(t *testing.T) {
+	forEachPath(func(path string) {
+		t.Run(path, testBulkBinary)
+	})
+}
+
+func testBulkBinary(t *testing.T) {
 	a, b := MatrixDataFrom(spgemm.ER(50, 50, 0.1, 1)), MatrixDataFrom(spgemm.Band(30, 2, 2))
 	var buf bytes.Buffer
 	if err := writeBulkBinary(&buf, []*MatrixData{a, b}); err != nil {
@@ -317,7 +490,8 @@ func TestBulkBinary(t *testing.T) {
 // FuzzReadMatrixBinary: the decoder never panics, never allocates past
 // what its input and cap justify, and anything it accepts either fails
 // Matrix() (columns out of order — the one check left to Validate) or
-// re-encodes to exactly the bytes it was given.
+// re-encodes to exactly the bytes it was given — on both element paths,
+// which agree on every input: the same matrix or the same error.
 func FuzzReadMatrixBinary(f *testing.F) {
 	f.Add(goldenFrame)
 	for _, tc := range hostileFrames() {
@@ -327,25 +501,35 @@ func FuzzReadMatrixBinary(f *testing.F) {
 	f.Add(encodeFrame(f, MatrixDataFrom(spgemm.NewMatrix(0, 0))))
 	const fuzzCap = 1 << 20
 	f.Fuzz(func(t *testing.T, in []byte) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		d, err := ReadMatrixBinary(bytes.NewReader(in), fuzzCap)
-		runtime.ReadMemStats(&after)
-		if got := after.TotalAlloc - before.TotalAlloc; got > 4*fuzzCap {
-			t.Fatalf("decoding %d bytes under a %d cap allocated %d", len(in), fuzzCap, got)
-		}
-		if err != nil {
-			if !errors.Is(err, ErrBinaryMalformed) && !errors.Is(err, ErrBinaryTooLarge) {
-				t.Fatalf("untyped error: %v", err)
+		var first *MatrixData
+		var firstErr error
+		forEachPath(func(path string) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			d, err := ReadMatrixBinary(bytes.NewReader(in), fuzzCap)
+			runtime.ReadMemStats(&after)
+			if got := after.TotalAlloc - before.TotalAlloc; got > 4*fuzzCap {
+				t.Fatalf("%s: decoding %d bytes under a %d cap allocated %d", path, len(in), fuzzCap, got)
 			}
-			return
-		}
-		if _, err := d.Matrix(); err != nil {
-			return
-		}
-		if out := encodeFrame(t, d); !bytes.Equal(out, in) {
-			t.Fatalf("accepted frame re-encodes differently:\n in  %x\n out %x", in, out)
-		}
+			if path == codecPaths[hostByteViews] {
+				first, firstErr = d, err
+			} else if fmt.Sprint(err) != fmt.Sprint(firstErr) || !reflect.DeepEqual(d, first) {
+				t.Fatalf("the element paths disagree: %s decoded %+v, %v; %s decoded %+v, %v",
+					path, d, err, codecPaths[hostByteViews], first, firstErr)
+			}
+			if err != nil {
+				if !errors.Is(err, ErrBinaryMalformed) && !errors.Is(err, ErrBinaryTooLarge) {
+					t.Fatalf("%s: untyped error: %v", path, err)
+				}
+				return
+			}
+			if _, err := d.Matrix(); err != nil {
+				return
+			}
+			if out := encodeFrame(t, d); !bytes.Equal(out, in) {
+				t.Fatalf("%s: accepted frame re-encodes differently:\n in  %x\n out %x", path, in, out)
+			}
+		})
 	})
 }
 
@@ -383,24 +567,35 @@ func BenchmarkMatrixDataCodec(b *testing.B) {
 			codecSink = &out
 		}
 	})
-	b.Run("binary/encode", func(b *testing.B) {
-		b.SetBytes(int64(len(frame)))
-		var buf bytes.Buffer
-		for i := 0; i < b.N; i++ {
-			buf.Reset()
-			if err := WriteMatrixBinary(&buf, d); err != nil {
-				b.Fatal(err)
-			}
+	// binary/ is the host's path (byte views on a little-endian host),
+	// binary-elements/ the per-element path of a big-endian host.
+	defer func() { useByteViews = hostByteViews }()
+	for _, views := range []bool{hostByteViews, false} {
+		name := "binary"
+		if !views {
+			name = "binary-elements"
 		}
-	})
-	b.Run("binary/decode", func(b *testing.B) {
-		b.SetBytes(int64(len(frame)))
-		for i := 0; i < b.N; i++ {
-			out, err := ReadMatrixBinary(bytes.NewReader(frame), int64(len(frame)))
-			if err != nil {
-				b.Fatal(err)
+		b.Run(name+"/encode", func(b *testing.B) {
+			useByteViews = views
+			b.SetBytes(int64(len(frame)))
+			var buf bytes.Buffer
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				if err := WriteMatrixBinary(&buf, d); err != nil {
+					b.Fatal(err)
+				}
 			}
-			codecSink = out
-		}
-	})
+		})
+		b.Run(name+"/decode", func(b *testing.B) {
+			useByteViews = views
+			b.SetBytes(int64(len(frame)))
+			for i := 0; i < b.N; i++ {
+				out, err := ReadMatrixBinary(bytes.NewReader(frame), int64(len(frame)))
+				if err != nil {
+					b.Fatal(err)
+				}
+				codecSink = out
+			}
+		})
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -217,6 +218,9 @@ func encodeBody(in any) (contentType string, body []byte, err error) {
 	return "application/json", body, err
 }
 
+// drainBytes bounds what doOnce reads of a body it has no use for.
+const drainBytes = 4 << 10
+
 // doOnce is one request/response exchange under the given context.
 func (c *Client) doOnce(ctx context.Context, method, path string, in, out any) error {
 	var body []byte
@@ -242,7 +246,14 @@ func (c *Client) doOnce(ctx context.Context, method, path string, in, out any) e
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	defer func() {
+		// net/http reuses the connection only for a body read to its end.
+		// What may be left is short — the unread answer to a delete or a
+		// health check, the newline after a JSON value — and draining it
+		// is cheaper than dialling again; anything longer is dropped.
+		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, drainBytes))
+		resp.Body.Close()
+	}()
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		var env ErrorResponse
 		_ = json.NewDecoder(resp.Body).Decode(&env)

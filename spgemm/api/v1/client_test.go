@@ -4,9 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -328,5 +331,91 @@ func TestClientChoosesEncodingFromTheRequest(t *testing.T) {
 	if len(uploaded) != 6 || !reflect.DeepEqual(uploaded[0], want) || uploaded[1] != nil ||
 		!reflect.DeepEqual(uploaded[3], want) || !reflect.DeepEqual(uploaded[4], want) || uploaded[5] != nil {
 		t.Fatalf("server decoded %d uploads: %+v", len(uploaded), uploaded)
+	}
+}
+
+// TestClientKeepsConnection: twenty payload round trips — store,
+// multiply with store_c, fetch, delete, delete — and the health checks
+// around them go over one connection. net/http drops a connection whose
+// response body is closed unread, so a body the client has no use for
+// (a delete's answer, a health check's) must be drained first.
+func TestClientKeepsConnection(t *testing.T) {
+	var mu sync.Mutex
+	stored := map[string]*MatrixData{}
+	put := func(d *MatrixData) string {
+		mu.Lock()
+		defer mu.Unlock()
+		h := fmt.Sprintf("m%d", len(stored))
+		stored[h] = d
+		return h
+	}
+	get := func(h string) (*MatrixData, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		d, ok := stored[h]
+		return d, ok
+	}
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		handle := strings.TrimPrefix(r.URL.Path, "/v1/matrices/")
+		switch {
+		case r.URL.Path == "/healthz":
+			WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		case r.URL.Path == "/v1/matrices":
+			if req, ok := ReadMatrixRequest(w, r, 1<<20); ok {
+				WriteJSON(w, http.StatusOK, MatrixResponse{Handle: put(req.Data)})
+			}
+		case r.URL.Path == "/v1/multiply":
+			var req MultiplyRequest
+			if ReadJSON(w, r, &req) {
+				a, _ := get(req.AHandle)
+				WriteJSON(w, http.StatusOK, MultiplyResponse{Engine: req.Engine, CHandle: put(a)})
+			}
+		case r.Method == http.MethodGet:
+			d, _ := get(handle)
+			WriteMatrix(w, r, d)
+		case r.Method == http.MethodDelete:
+			WriteJSON(w, http.StatusOK, map[string]string{"deleted": handle})
+		}
+	}))
+	var dials atomic.Int32
+	ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+
+	cli := NewClient(ts.URL)
+	a := &MatrixData{Rows: 2, Cols: 3, RowOffsets: []int64{0, 2, 3}, ColIDs: []int32{0, 2, 1}, Values: []float64{1, 2, 3}}
+	ctx := context.Background()
+	if err := cli.WaitHealthy(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		st, err := cli.StoreMatrix(MatrixRequest{Data: a})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mul, err := cli.Multiply(MultiplyRequest{Engine: "cpu", AHandle: st.Handle, StoreC: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := cli.FetchMatrix(ctx, mul.CHandle)
+		if err != nil || !reflect.DeepEqual(c, a) {
+			t.Fatalf("fetch: %+v, %v", c, err)
+		}
+		if err := cli.DeleteMatrix(st.Handle); err != nil {
+			t.Fatal(err)
+		}
+		if err := cli.DeleteMatrix(mul.CHandle); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cli.WaitHealthy(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if n := dials.Load(); n != 1 {
+		t.Fatalf("the client opened %d connections, want 1", n)
 	}
 }

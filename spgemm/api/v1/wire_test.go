@@ -182,28 +182,31 @@ var (
 // TestBinaryFrameStability pins the application/x-spgemm-csr layout
 // the way TestWireFieldStability pins the JSON names: the media type
 // string and every byte of a known frame. A failure here is a
-// wire-breaking change and needs a new version byte.
+// wire-breaking change and needs a new version byte. Both element paths
+// of the codec write and read the same bytes.
 func TestBinaryFrameStability(t *testing.T) {
 	if MediaTypeCSR != "application/x-spgemm-csr" {
 		t.Fatalf("media type changed: %q", MediaTypeCSR)
 	}
-	var buf bytes.Buffer
-	if err := WriteMatrixBinary(&buf, &goldenMatrix); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), goldenFrame) {
-		t.Fatalf("frame layout changed:\n got %v\nwant %v", buf.Bytes(), goldenFrame)
-	}
-	if int64(len(goldenFrame)) != BinarySize(&goldenMatrix) {
-		t.Fatalf("BinarySize = %d, frame is %d bytes", BinarySize(&goldenMatrix), len(goldenFrame))
-	}
-	got, err := ReadMatrixBinary(bytes.NewReader(goldenFrame), 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(*got, goldenMatrix) {
-		t.Fatalf("golden frame decoded to %+v", *got)
-	}
+	forEachPath(func(path string) {
+		var buf bytes.Buffer
+		if err := WriteMatrixBinary(&buf, &goldenMatrix); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), goldenFrame) {
+			t.Fatalf("%s: frame layout changed:\n got %v\nwant %v", path, buf.Bytes(), goldenFrame)
+		}
+		if int64(len(goldenFrame)) != BinarySize(&goldenMatrix) {
+			t.Fatalf("BinarySize = %d, frame is %d bytes", BinarySize(&goldenMatrix), len(goldenFrame))
+		}
+		got, err := ReadMatrixBinary(bytes.NewReader(goldenFrame), 1<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(*got, goldenMatrix) {
+			t.Fatalf("%s: golden frame decoded to %+v", path, *got)
+		}
+	})
 }
 
 // TestMatrixSpecBuild covers the generator dispatch: every kind
