@@ -103,6 +103,32 @@ type block [binaryBlock / 8]uint64
 
 var blockPool = sync.Pool{New: func() any { return new(block) }}
 
+// staging holds the blocks a frame's sections are staged in: taken from
+// blockPool as a section needs them and reused by the frame's next
+// section, so a frame stages in as many blocks as its largest section.
+type staging []*block
+
+// at returns the i-th block, taking one from the pool when i is new.
+func (st *staging) at(i int) *block {
+	if i == len(*st) {
+		*st = append(*st, blockPool.Get().(*block))
+	}
+	return (*st)[i]
+}
+
+// pooledBlocks is how many of a frame's staging blocks go back to
+// blockPool (2 MiB, every block of a frame of a few MB). A larger
+// frame's other blocks become garbage with its decode instead of
+// staying reachable from the pool for two more collections.
+const pooledBlocks = 32
+
+// release gives back the first pooledBlocks of st's blocks.
+func (st *staging) release() {
+	for _, b := range (*st)[:min(len(*st), pooledBlocks)] {
+		blockPool.Put(b)
+	}
+}
+
 // writeSection writes the wire bytes of s (elements of the given size):
 // the memory of s itself where useByteViews, in views of up to maxView
 // bytes, else block by block through encodeElems.
@@ -237,10 +263,12 @@ func readFrame(r io.Reader, budget *int64) (*MatrixData, error) {
 	}
 	*budget -= int64(payload)
 
+	var st staging
+	defer st.release()
 	d := &MatrixData{Rows: int(rows), Cols: int(cols)}
 	var err error
 	prev := int64(0)
-	d.RowOffsets, err = readSection(r, rows+1, 8, "row_offsets", func(s []int64, at int) error {
+	d.RowOffsets, err = readSection(r, &st, rows+1, 8, "row_offsets", func(s []int64, at int) error {
 		for i, v := range s {
 			if v < prev || uint64(v) > nnz || (at+i == 0 && v != 0) {
 				return malformed("row_offsets[%d] = %d (previous %d, nnz %d)", at+i, v, prev, nnz)
@@ -255,7 +283,7 @@ func readFrame(r io.Reader, budget *int64) (*MatrixData, error) {
 	if uint64(prev) != nnz {
 		return nil, malformed("last row offset %d, header declares nnz %d", prev, nnz)
 	}
-	d.ColIDs, err = readSection(r, nnz, 4, "col_ids", func(s []int32, at int) error {
+	d.ColIDs, err = readSection(r, &st, nnz, 4, "col_ids", func(s []int32, at int) error {
 		for i, v := range s {
 			if uint64(uint32(v)) >= cols {
 				return malformed("col_ids[%d] = %d outside [0,%d)", at+i, v, cols)
@@ -266,7 +294,7 @@ func readFrame(r io.Reader, budget *int64) (*MatrixData, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.Values, err = readSection[float64](r, nnz, 8, "values", nil)
+	d.Values, err = readSection[float64](r, &st, nnz, 8, "values", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -274,7 +302,7 @@ func readFrame(r io.Reader, budget *int64) (*MatrixData, error) {
 }
 
 // readSection reads a section of count elements of the given size. It
-// stages them in pooled blocks as they arrive — read straight into the
+// stages them in st's blocks as they arrive — read straight into the
 // block's words where useByteViews, else converted by decodeElems in
 // place — and hands each block to check (at: the index of its first
 // element; nil checks nothing) before it reads the next, so a bad
@@ -282,18 +310,12 @@ func readFrame(r io.Reader, budget *int64) (*MatrixData, error) {
 // arrived is the array made, at its exact length, and filled with one
 // copy per block. A lying header therefore costs at most twice the
 // bytes the peer really sent, plus a block.
-func readSection[T wireElem](r io.Reader, count uint64, size int, name string, check func(s []T, at int) error) ([]T, error) {
+func readSection[T wireElem](r io.Reader, st *staging, count uint64, size int, name string, check func(s []T, at int) error) ([]T, error) {
 	per := uint64(binaryBlock / size)
-	var blocks []*block
-	defer func() {
-		for _, b := range blocks {
-			blockPool.Put(b)
-		}
-	}()
+	n := 0
 	for at := uint64(0); at < count; at += per {
-		b := blockPool.Get().(*block)
-		blocks = append(blocks, b)
-		staged := recast[T](b[:])[:min(count-at, per)]
+		staged := recast[T](st.at(n)[:])[:min(count-at, per)]
+		n++
 		wire := recast[byte](staged)
 		if _, err := io.ReadFull(r, wire); err != nil {
 			return nil, truncated(err, name)
@@ -309,7 +331,7 @@ func readSection[T wireElem](r io.Reader, count uint64, size int, name string, c
 	}
 	// count fits an int here: its bytes are in memory.
 	out := make([]T, count)
-	for i, b := range blocks {
+	for i, b := range (*st)[:n] {
 		copy(out[i*int(per):], recast[T](b[:]))
 	}
 	return out, nil
