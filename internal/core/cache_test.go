@@ -18,7 +18,7 @@ func cacheHarness(t *testing.T, memBytes int64, dynamic bool, fn func(e *Engine,
 	a := matgen.ER(50, 50, 0.1, 99)
 	env := sim.NewEnv()
 	dev := gpusim.NewDevice(env, gpusim.ScaledV100Config(memBytes))
-	eng, err := NewEngine(dev, a, a, Options{RowPanels: 2, ColPanels: 2, DynamicAlloc: dynamic})
+	eng, err := NewEngine(dev, a, a, Options{RowPanels: 2, ColPanels: 2, DynamicAlloc: dynamic}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

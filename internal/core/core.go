@@ -101,10 +101,11 @@ type Options struct {
 	// design). Nil leaves every run byte-identical to a build without it.
 	PlanCache *PlanCache
 	// Analysis is the whole-matrix row analysis of A·B when the caller
-	// already has it (the grid planner computes one to size the chunks).
-	// Like the planned grid it is derived from the inputs, not a
-	// setting: nil means "compute it where it is first needed", and a
-	// non-nil value must come from the same operand patterns.
+	// already has it (the grid planner computes one to size the chunks);
+	// its structure becomes C's. Like the planned grid it is derived from
+	// the inputs, not a setting: nil means "compute it where it is first
+	// needed", and a non-nil value must come from the same operand
+	// patterns.
 	Analysis *speck.RowAnalysis
 	// AID and BID are the operands' identity records when the caller
 	// has them (a matrix store that validated and hashed the operands
@@ -229,9 +230,6 @@ type Engine struct {
 	// in dynamic mode, cached input panels) so Teardown can release
 	// their accounting when the run ends on any path.
 	live map[*gpusim.Alloc]struct{}
-	// lane is the chunk this device launched last on its host lane; the
-	// next launch chains behind it (see launch).
-	lane *laneJob
 
 	// plan is the values-independent half of the run, pinned in cache or
 	// private when cache is nil. planResident carries the panel keys the
@@ -251,22 +249,28 @@ type Engine struct {
 // needs it; done[id] tells whether chunk id's windows of c.Data hold, or
 // (while jobs[id] is unjoined) are being given, its values. A recovered
 // chunk overwrites the windows its failed try wrote, after joining it.
+// lanes is the run's pool of host lanes, one token per lane: a chunk's
+// arithmetic holds one while it runs (see launch).
 type product struct {
-	c    *csr.Matrix
-	done []bool
-	jobs []*laneJob
+	c     *csr.Matrix
+	done  []bool
+	jobs  []*laneJob
+	lanes chan struct{}
 }
 
-// laneJob is one chunk's arithmetic on a device's host lane: err is set
-// before done closes.
+// laneJob is one chunk's arithmetic on a host lane: err is set before
+// done closes.
 type laneJob struct {
 	done chan struct{}
 	err  error
 }
 
 // NewEngine partitions the inputs (host-side, real work) and prepares
-// an engine bound to the device.
-func NewEngine(dev *gpusim.Device, a, b *csr.Matrix, opts Options) (*Engine, error) {
+// an engine bound to the device. lanes is the run's host-lane budget
+// (DESIGN.md §8; less than 1 means 1): how many row ranges the structure
+// walk takes at once, and how many chunks' arithmetic the run's one pool
+// computes at once — every chunk's, the CPU worker's too.
+func NewEngine(dev *gpusim.Device, a, b *csr.Matrix, opts Options, lanes int) (*Engine, error) {
 	if a.Cols != b.Rows {
 		return nil, fmt.Errorf("core: dimension mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
 	}
@@ -332,10 +336,11 @@ func NewEngine(dev *gpusim.Device, a, b *csr.Matrix, opts Options) (*Engine, err
 		a:         a,
 		b:         b,
 		cm:        cm,
-		prod:      &product{done: make([]bool, len(rps)*len(cps)), jobs: make([]*laneJob, len(rps)*len(cps))},
-		plan:      ent,
-		cache:     pc,
-		planDev:   "dev0",
+		prod: &product{done: make([]bool, len(rps)*len(cps)), jobs: make([]*laneJob, len(rps)*len(cps)),
+			lanes: make(chan struct{}, max(lanes, 1))},
+		plan:    ent,
+		cache:   pc,
+		planDev: "dev0",
 	}
 	e.bind(dev)
 	return e, nil
@@ -352,16 +357,15 @@ func (e *Engine) bind(dev *gpusim.Device) {
 	e.failed = map[int]error{}
 	e.retries = map[int]int{}
 	e.live = map[*gpusim.Alloc]struct{}{}
-	e.lane = nil
 	if e.cache != nil {
 		e.planResident = e.cache.residentSet(e.plan, e.planDev)
 	}
 }
 
 // OnDevice derives, before any chunk runs, an engine working on the same
-// product from another device: it shares e's panels, plan and product
-// and has its own device state (panel residency under the planDevice
-// namespace) and Teardown.
+// product from another device: it shares e's panels, plan and product —
+// the pool of host lanes with it — and has its own device state (panel
+// residency under the planDevice namespace) and Teardown.
 func (e *Engine) OnDevice(dev *gpusim.Device, planDevice string) *Engine {
 	d := *e
 	d.planDev = planDevice
@@ -383,8 +387,8 @@ func (e *Engine) untrackAlloc(a *gpusim.Alloc) { delete(e.live, a) }
 // accounted afterwards. Anything nonzero is a leak: an allocation the
 // engine lost track of on some exit path. Callers publish the result
 // as the mem_in_use_bytes counter, which the arena-leak audit pins to
-// zero even for deadline-aborted runs. It joins every host lane first,
-// so no chunk's arithmetic outlives the run on any path.
+// zero even for deadline-aborted runs. It joins every chunk still on a
+// host lane first, so no chunk's arithmetic outlives the run on any path.
 func (e *Engine) Teardown() int64 {
 	e.Join()
 	for a := range e.live {
@@ -453,7 +457,7 @@ func (e *Engine) ChunkFlops() []int64 {
 }
 
 // RowAnalysis returns the whole-matrix row analysis of the operands —
-// C's exact row offsets, and what the driver's host cost model prices
+// C's exact structure, and what the driver's host cost model prices
 // the CPU worker from: the plan's, else the one handed in through
 // Options.Analysis, else computed here, once per pattern.
 func (e *Engine) RowAnalysis() *speck.RowAnalysis {
@@ -463,7 +467,7 @@ func (e *Engine) RowAnalysis() *speck.RowAnalysis {
 	if pl.analysis == nil {
 		if pl.analysis = e.Opts.Analysis; pl.analysis == nil {
 			stop := e.Opts.Metrics.StartWall("host", "row analysis")
-			pl.analysis = speck.Analyze(e.a, e.b)
+			pl.analysis = speck.Analyze(e.a, e.b, cap(e.prod.lanes))
 			stop()
 		}
 		e.cache.grow(pl, pl.analysis.Bytes())
@@ -472,11 +476,11 @@ func (e *Engine) RowAnalysis() *speck.RowAnalysis {
 }
 
 // product returns C, sized and allocated on first call: the value array
-// is the run's one allocation for the result, the structure is the
-// plan's — the column ids one symbolic emit pass per pattern wrote into
-// exactly the size the row analysis counted, and the split table that
-// refines the row offsets by column panel (ids ascend within a row, so
-// each boundary is a binary search; with one panel it is the offsets).
+// is the run's one allocation for the result, the structure is the row
+// analysis' — the one walk that counted C's rows emitted their ids — and
+// the plan's split table, which refines the row offsets by column panel
+// (ids ascend within a row, so each boundary is a binary search; with
+// one panel it is the offsets).
 func (e *Engine) product() *csr.Matrix {
 	if e.prod.c != nil {
 		return e.prod.c
@@ -485,17 +489,16 @@ func (e *Engine) product() *csr.Matrix {
 	pl := e.plan
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	if pl.colIDs == nil {
+	if pl.split == nil {
 		stop := e.Opts.Metrics.StartWall("host", "structure")
 		offs := ra.RowOffsets
-		pl.colIDs = speck.NewSymbolicPass(e.a, e.b, ra.RowFlops).Emit(offs)
 		pl.split = offs
 		if nc > 1 {
 			// One sentinel row past the last, so that a zero-row operand's
 			// empty panel has (empty) windows to address as well.
 			pl.split = make([]int64, (e.a.Rows+1)*nc)
 			for i := 0; i <= e.a.Rows; i++ {
-				row := pl.colIDs[offs[i]:offs[min(i+1, e.a.Rows)]]
+				row := ra.ColIDs[offs[i]:offs[min(i+1, e.a.Rows)]]
 				for k, cp := range e.ColPanels {
 					pl.split[i*nc+k] = offs[i] + int64(sort.Search(len(row), func(j int) bool { return int(row[j]) >= cp.Start }))
 				}
@@ -503,12 +506,11 @@ func (e *Engine) product() *csr.Matrix {
 			e.cache.grow(pl, int64(len(pl.split))*8)
 		}
 		stop()
-		e.cache.grow(pl, int64(len(pl.colIDs))*4)
 	}
 	e.prod.c = &csr.Matrix{
 		Rows: e.a.Rows, Cols: e.b.Cols,
-		RowOffsets: ra.RowOffsets, ColIDs: pl.colIDs,
-		Data: make([]float64, len(pl.colIDs)),
+		RowOffsets: ra.RowOffsets, ColIDs: ra.ColIDs,
+		Data: make([]float64, len(ra.ColIDs)),
 	}
 	return e.prod.c
 }
@@ -547,66 +549,34 @@ func (e *Engine) chunkMeta(id int) (sym *speck.Symbolic, warm bool) {
 	return sym, false
 }
 
-// arithmetic returns chunk id's real arithmetic — the chunked replay of
-// the numeric row kernel straight into the chunk's windows — with its
-// inputs resolved here, on the simulation thread, so that running it
-// touches only the operands and those windows; nil for an empty chunk.
-func (e *Engine) arithmetic(id, threads int) func() error {
-	if e.ChunkFlops()[id] == 0 {
-		return nil
-	}
-	rp, cp := e.chunkPanels(id)
-	w, rowFlops := e.window(id), e.chunkRowFlops()[id]
-	return func() error {
-		if err := cpuspgemm.NumericInto(w, rp.M, cp.M, rowFlops, cpuspgemm.Options{Threads: threads}); err != nil {
-			return fmt.Errorf("core: chunk %d: %w", id, err)
-		}
-		return nil
-	}
-}
-
-// compute performs chunk id's arithmetic inline on `threads` threads and
-// marks it done: the CPU worker's path. A device runs its chunks through
-// launch instead, so a device run's host parallelism is the CPU worker's
-// threads plus one lane per simulated GPU (plus PartitionThreads while
-// the partitioner runs).
-func (e *Engine) compute(id, threads int) error {
-	if err := e.join(id); err != nil {
-		return err
-	}
-	if work := e.arithmetic(id, threads); work != nil {
-		if err := work(); err != nil {
-			return err
-		}
-	}
-	e.prod.done[id] = true
-	return nil
-}
-
-// launch starts chunk id's arithmetic on the engine's host lane — one
-// goroutine per chunk, chained behind the chunk this device launched
-// before it, so a device computes one chunk at a time on one thread —
-// and marks it done; the simulation goes on without waiting. The lane
-// writes only chunk id's windows; its error is joined (join) on the
-// simulation thread. A try of the chunk still on a lane (a failed
-// device's) is joined first, so two tries never write its windows at
-// once; an error from it is returned and terminal.
+// launch starts chunk id's arithmetic — the chunked replay of the
+// numeric row kernel straight into the chunk's windows, on one thread —
+// as a job of the run's pool of host lanes, and marks the chunk done; the
+// simulation goes on without waiting. Every worker launches its chunks
+// here, a device's and the CPU worker's alike, so the simulation thread
+// computes none. The job's inputs are resolved here, on the simulation
+// thread, so that it touches only the operands and chunk id's windows;
+// its error is joined (join) on the simulation thread. A try of the chunk
+// still on a lane (a failed device's) is joined first, so two tries never
+// write its windows at once; an error from it is returned and terminal.
 func (e *Engine) launch(id int) error {
 	if err := e.join(id); err != nil {
 		return err
 	}
 	e.prod.done[id] = true
-	work := e.arithmetic(id, 1)
-	if work == nil {
+	if e.ChunkFlops()[id] == 0 {
 		return nil
 	}
-	job, prev := &laneJob{done: make(chan struct{})}, e.lane
-	e.lane, e.prod.jobs[id] = job, job
+	rp, cp := e.chunkPanels(id)
+	w, rowFlops := e.window(id), e.chunkRowFlops()[id]
+	job, lanes := &laneJob{done: make(chan struct{})}, e.prod.lanes
+	e.prod.jobs[id] = job
 	go func() {
-		if prev != nil {
-			<-prev.done
+		lanes <- struct{}{}
+		if err := cpuspgemm.NumericInto(w, rp.M, cp.M, rowFlops, cpuspgemm.Options{Threads: 1}); err != nil {
+			job.err = fmt.Errorf("core: chunk %d: %w", id, err)
 		}
-		job.err = work()
+		<-lanes
 		close(job.done)
 	}()
 	return nil
@@ -627,7 +597,7 @@ func (e *Engine) join(id int) error {
 	return job.err
 }
 
-// Join waits for every chunk still on a host lane — any device's — and
+// Join waits for every chunk still on a host lane — any worker's — and
 // returns the first arithmetic error in chunk order, also recorded on
 // the engine (see Err). The driver joins before it judges a run, so a
 // run's verdict never depends on when, in real time, a lane finished.
@@ -643,16 +613,16 @@ func (e *Engine) Join() error {
 
 // HostChunk computes chunk id on the driver's CPU worker under a
 // simulated "cpu" span, unless the run's deadline has passed; like
-// ProcessChunks it records a terminal error on the engine (see Err). The
+// ProcessChunks it records a terminal error on the engine (see Err). Its
+// arithmetic is a job of the run's pool (launch), like a device's. The
 // worker's throughput is a property of the whole matrix, so the span is
 // wholeSec (the host cost model's) prorated by flops, the paper's
 // workload indicator for both processors.
-func (e *Engine) HostChunk(p *sim.Proc, id int, label string, wholeSec float64, threads int) error {
+func (e *Engine) HostChunk(p *sim.Proc, id int, label string, wholeSec float64) error {
 	if e.pastDeadline() {
 		return e.err
 	}
-	if err := e.compute(id, threads); err != nil {
-		e.fail(err)
+	if err := e.launch(id); err != nil {
 		return err
 	}
 	flops, sec := e.ChunkFlops(), 0.0

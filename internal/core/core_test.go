@@ -148,7 +148,7 @@ func TestMallocCounts(t *testing.T) {
 func TestScheduleOrder(t *testing.T) {
 	a := matgen.RMAT(9, 8, 0.57, 0.19, 0.19, 16)
 	opts := core.Options{RowPanels: 2, ColPanels: 3}
-	eng, err := core.NewEngine(gpusim.NewDevice(nil, testCfg(64<<20)), a, a, opts)
+	eng, err := core.NewEngine(gpusim.NewDevice(nil, testCfg(64<<20)), a, a, opts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestSplitFractionVariants(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	a := matgen.Band(20, 1, 20)
-	eng, err := core.NewEngine(gpusim.NewDevice(nil, testCfg(1<<20)), a, a, core.Options{Async: true, DynamicAlloc: true})
+	eng, err := core.NewEngine(gpusim.NewDevice(nil, testCfg(1<<20)), a, a, core.Options{Async: true, DynamicAlloc: true}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestOptionsDefaults(t *testing.T) {
 func TestAssembleMissingChunk(t *testing.T) {
 	a := matgen.Band(100, 2, 19)
 	dev := gpusim.NewDevice(nil, testCfg(64<<20))
-	eng, err := core.NewEngine(dev, a, a, core.Options{RowPanels: 2, ColPanels: 2})
+	eng, err := core.NewEngine(dev, a, a, core.Options{RowPanels: 2, ColPanels: 2}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestInputCacheEvictionUnderShrunkenArena(t *testing.T) {
 func TestEngineAccessors(t *testing.T) {
 	a := matgen.Band(100, 2, 46)
 	dev := gpusim.NewDevice(nil, testCfg(8<<20))
-	eng, err := core.NewEngine(dev, a, a, core.Options{RowPanels: 2, ColPanels: 2})
+	eng, err := core.NewEngine(dev, a, a, core.Options{RowPanels: 2, ColPanels: 2}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,7 +102,7 @@ func TestFailedRunReturnsNoMatrix(t *testing.T) {
 	opts.DeadlineSec = 0
 
 	env := sim.NewEnv()
-	eng, err := core.NewEngine(gpusim.NewDevice(env, cfg), a, a, opts)
+	eng, err := core.NewEngine(gpusim.NewDevice(env, cfg), a, a, opts, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,19 +27,20 @@ func settleGoroutines(baseline int) int {
 	return n
 }
 
-// TestLaneErrorEndsRun: a device computes its chunks on a host lane
-// beside the simulation, so the pipeline has moved on by the time a
-// chunk's arithmetic fails. The failure must still end the run: with
-// one window of the heaviest chunk cut short by a corrupted split entry,
-// both pipelines hand out no matrix, report the kernel's
-// *speck.StructureError, and leave no lane goroutine behind.
+// TestLaneErrorEndsRun: every chunk's arithmetic is a job on the run's
+// pool of host lanes, beside the simulation, so the schedule has moved on
+// by the time a chunk's arithmetic fails. The failure must still end the
+// run: with one window of the heaviest chunk cut short by a corrupted
+// split entry, both device pipelines and the CPU worker (HostChunk) hand
+// out no matrix, report the kernel's *speck.StructureError, and leave no
+// lane goroutine behind.
 func TestLaneErrorEndsRun(t *testing.T) {
 	a := matgen.RMAT(8, 8, 0.57, 0.19, 0.19, 41)
 	baseline := runtime.NumGoroutine()
-	for _, async := range []bool{false, true} {
+	for _, worker := range []string{"sync", "async", "cpu"} {
 		env := sim.NewEnv()
 		eng, err := NewEngine(gpusim.NewDevice(env, gpusim.ScaledV100Config(64<<20)), a, a,
-			Options{RowPanels: 4, ColPanels: 3, Async: async})
+			Options{RowPanels: 4, ColPanels: 3, Async: worker == "async"}, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,17 +63,27 @@ func TestLaneErrorEndsRun(t *testing.T) {
 		for id := range ids {
 			ids[id] = id
 		}
-		env.Spawn("gpu", func(p *sim.Proc) { eng.ProcessChunks(p, ids) })
+		env.Spawn(worker, func(p *sim.Proc) {
+			if worker != "cpu" {
+				eng.ProcessChunks(p, ids)
+				return
+			}
+			for _, id := range ids {
+				if eng.HostChunk(p, id, "chunk", 1e-3) != nil {
+					return
+				}
+			}
+		})
 		if err := env.Run(); err != nil {
 			t.Fatal(err)
 		}
 		c, err := eng.Assemble()
 		var se *speck.StructureError
 		if c != nil || !errors.As(err, &se) {
-			t.Fatalf("async=%v: Assemble returned matrix %v, err %v; want no matrix and a *speck.StructureError", async, c != nil, err)
+			t.Fatalf("%s: Assemble returned matrix %v, err %v; want no matrix and a *speck.StructureError", worker, c != nil, err)
 		}
 		if !errors.As(eng.Err(), &se) {
-			t.Fatalf("async=%v: engine error %v, want the lane's *speck.StructureError", async, eng.Err())
+			t.Fatalf("%s: engine error %v, want the lane's *speck.StructureError", worker, eng.Err())
 		}
 		eng.Teardown()
 	}

@@ -61,13 +61,12 @@ type planEntry struct {
 	// concurrent cold runs of one pattern share the work.
 	mu sync.Mutex
 	// rowFlops is every chunk's per-row flop counts, chunkFlops their
-	// sums; analysis the whole-matrix row analysis, whose RowOffsets are
-	// C's; colIDs C's column ids and split its per-panel split table.
-	// Products returned by runs on this entry share the structure arrays.
+	// sums; analysis the whole-matrix row analysis, whose RowOffsets and
+	// ColIDs are C's; split C's per-panel split table. Products returned
+	// by runs on this entry share the structure arrays.
 	rowFlops   [][]int64
 	chunkFlops []int64
 	analysis   *speck.RowAnalysis
-	colIDs     []int32
 	split      []int64
 	// syms holds per-chunk scheduling metadata (no column ids), filled as
 	// chunks first reach the device; a run on a cached entry finding one

@@ -84,10 +84,10 @@ func TestPlanCacheWarmByteIdentical(t *testing.T) {
 }
 
 // TestPlanCacheWarmSkipsWork pins what a warm run avoids: every
-// symbolic pass on the host (a cold run builds two — the row analysis'
-// count and the structure's emit — whatever the grid), the
-// symbolic-phase info transfers (BytesD2H shrinks), the panel H2D
-// transfers (residency), and with them simulated time.
+// symbolic pass on the host (a cold run builds one — the row analysis'
+// walk, which counts and emits C's structure at once — whatever the
+// grid), the symbolic-phase info transfers (BytesD2H shrinks), the panel
+// H2D transfers (residency), and with them simulated time.
 func TestPlanCacheWarmSkipsWork(t *testing.T) {
 	a := matgen.RMAT(9, 8, 0.57, 0.19, 0.19, 22)
 	cfg := gpusim.ScaledV100Config(256 << 20)
@@ -99,8 +99,8 @@ func TestPlanCacheWarmSkipsWork(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n := speck.SymbolicPasses() - before; n != 2 {
-				t.Fatalf("cold run built %d symbolic passes, want 2 (count, emit)", n)
+			if n := speck.SymbolicPasses() - before; n != 1 {
+				t.Fatalf("cold run built %d symbolic passes, want 1 (count and emit in one walk)", n)
 			}
 			before = speck.SymbolicPasses()
 			_, warmH2D, warmD2H, warmSec, err := eng.run(freshValues(a, 23), cfg, opts)

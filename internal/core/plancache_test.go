@@ -210,7 +210,7 @@ func TestPlanCacheRowAnalysis(t *testing.T) {
 	analyze := func(opts core.Options) (*speck.RowAnalysis, int) {
 		opts.RowPanels, opts.ColPanels, opts.PlanCache = 2, 2, pc
 		opts.Metrics = metrics.New()
-		eng, err := core.NewEngine(gpusim.NewDevice(sim.NewEnv(), testCfg(64<<20)), a, a, opts)
+		eng, err := core.NewEngine(gpusim.NewDevice(sim.NewEnv(), testCfg(64<<20)), a, a, opts, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +229,7 @@ func TestPlanCacheRowAnalysis(t *testing.T) {
 	if passes != 1 {
 		t.Fatalf("cold engine ran %d row analyses, want 1", passes)
 	}
-	if want := speck.Analyze(a, a); !reflect.DeepEqual(cold, want) {
+	if want := speck.Analyze(a, a, 1); !reflect.DeepEqual(cold, want) {
 		t.Fatal("engine's row analysis differs from speck.Analyze")
 	}
 	withAnalysis := pc.Bytes()

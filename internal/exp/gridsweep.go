@@ -206,7 +206,7 @@ func AblationLocality() (*Table, error) {
 			cell = fmt.Sprintf("%.3f", st.TotalSec*1e3)
 		}
 		// Count nonzero chunks of the grid.
-		eng, err2 := core.NewEngine(gpusim.NewDevice(nil, cfg), variant.m, variant.m, opts)
+		eng, err2 := core.NewEngine(gpusim.NewDevice(nil, cfg), variant.m, variant.m, opts, 1)
 		if err2 != nil {
 			return nil, err2
 		}

@@ -46,8 +46,9 @@ type HostModel struct {
 	// materializes the output CSR arrays, bytes/s.
 	OutputBandwidth float64
 	// Threads is the worker thread count of the real CPU
-	// implementation (the simulated duration does not depend on it,
-	// but the actual computation uses it).
+	// implementation, 0 meaning GOMAXPROCS (the simulated duration does
+	// not depend on it): the out-of-core driver computes every chunk on
+	// a pool of Threads host lanes plus one per GPU.
 	Threads int
 }
 

@@ -183,7 +183,7 @@ func TestRunCPUOnly(t *testing.T) {
 	}
 	// The split read off the finished product is the one a symbolic
 	// pass would have classified.
-	ra := speck.Analyze(a, a)
+	ra := speck.Analyze(a, a, 1)
 	if want := hybrid.DefaultHostModel().ChunkSeconds(ra.HashFlops, ra.DenseFlops, got.Bytes()); st.TotalSec != want {
 		t.Fatalf("simulated seconds %v, want %v from the row analysis", st.TotalSec, want)
 	}

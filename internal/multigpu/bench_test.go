@@ -12,9 +12,9 @@ import (
 // BenchmarkHybridOOC is the benchmark's lib_hybrid_ooc operation in
 // process: the paper's hybrid node (one GPU beside the CPU worker) on
 // RMAT(10, 24)² with a 4 MiB device, hence a 4 × 3 grid, the CPU worker
-// on one thread. The GPU's chunks are computed on its host lane, so
-// `go test -bench HybridOOC -cpu 1,2` shows what the lane overlaps on
-// two cores and what it costs on one.
+// on one thread. Every chunk is computed on the run's pool of two host
+// lanes, so `go test -bench HybridOOC -cpu 1,2` shows what the lanes
+// overlap on two cores and what they cost on one.
 func BenchmarkHybridOOC(b *testing.B) {
 	a := matgen.RMAT(10, 24, 0.57, 0.19, 0.19, 5)
 	dev := gpusim.ScaledV100Config(4 << 20)

@@ -38,6 +38,7 @@ import (
 	"repro/internal/gpusim"
 	"repro/internal/hybrid"
 	"repro/internal/metrics"
+	"repro/internal/parallel"
 	"repro/internal/sim"
 )
 
@@ -282,13 +283,16 @@ func Run(a, b *csr.Matrix, cfg gpusim.DeviceConfig, opts Options) (*csr.Matrix, 
 
 	env := sim.NewEnv()
 
-	// One engine per GPU, all working on the first one's product. Device
-	// 0 keeps the base fault seed (core attaches it), so every node
-	// replays the same stream on GPU 0; every further device derives its
-	// own. Each GPU records plan-cache panel residency under its own
-	// namespace (dev0 for the first); a shared one would let one device's
-	// residency masquerade as another's.
+	// One engine per GPU, all working on the first one's product and
+	// sharing its pool of host lanes: the CPU worker's Threads (0 means
+	// GOMAXPROCS) plus one lane per GPU (DESIGN.md §8). Device 0 keeps
+	// the base fault seed (core attaches it), so every node replays the
+	// same stream on GPU 0; every further device derives its own. Each
+	// GPU records plan-cache panel residency under its own namespace
+	// (dev0 for the first); a shared one would let one device's residency
+	// masquerade as another's.
 	engines := make([]*core.Engine, opts.NumGPUs)
+	lanes := parallel.Workers(opts.Host.Threads) + opts.NumGPUs
 	var err error
 	for g := range engines {
 		dev := gpusim.NewDevice(env, cfg)
@@ -297,7 +301,7 @@ func Run(a, b *csr.Matrix, cfg gpusim.DeviceConfig, opts Options) (*csr.Matrix, 
 				dev.SetFaults(faults.New(opts.Core.Faults.Derive(g)))
 			}
 			engines[g] = engines[0].OnDevice(dev, fmt.Sprintf("dev%d", g))
-		} else if engines[0], err = core.NewEngine(dev, a, b, opts.Core); err != nil {
+		} else if engines[0], err = core.NewEngine(dev, a, b, opts.Core, lanes); err != nil {
 			return nil, Stats{}, err
 		}
 		// Release each device's allocations and publish the leak-audit
@@ -368,7 +372,7 @@ func Run(a, b *csr.Matrix, cfg gpusim.DeviceConfig, opts Options) (*csr.Matrix, 
 			wholeSec := opts.Host.WholeSeconds(eng0.RowAnalysis())
 			runIDs := func(ids []int, label string) bool {
 				for _, id := range ids {
-					if eng0.HostChunk(p, id, label, wholeSec, opts.Host.Threads) != nil {
+					if eng0.HostChunk(p, id, label, wholeSec) != nil {
 						ctl.cpuFailed(p)
 						return false
 					}
@@ -395,10 +399,9 @@ func Run(a, b *csr.Matrix, cfg gpusim.DeviceConfig, opts Options) (*csr.Matrix, 
 	if err := env.Run(); err != nil {
 		return nil, Stats{}, err
 	}
-	// The GPUs' chunks are computed on host lanes that run beside the
-	// simulation; join them before judging the run, so that an arithmetic
-	// error wins over the schedule's own verdict whatever the lanes'
-	// real-time order.
+	// Every chunk is computed on a host lane beside the simulation; join
+	// them before judging the run, so that an arithmetic error wins over
+	// the schedule's own verdict whatever the lanes' real-time order.
 	if err := eng0.Join(); err != nil {
 		return nil, Stats{}, err
 	}

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/accum"
 	"repro/internal/csr"
+	"repro/internal/parallel"
 )
 
 // The row kernel: one definition of each half of a row of A·B, shared
@@ -401,35 +402,79 @@ func (k *Kit) ComputeRow(a, b *csr.Matrix, i int, cols []int32, vals []float64) 
 	return cols, vals, nan
 }
 
-// Offsets runs the count walk serially over every row and returns the
-// exact output row offsets.
-func (p *SymbolicPass) Offsets() []int64 {
-	var kit Kit
-	defer kit.Release()
-	offs := make([]int64, len(p.rowFlops)+1)
-	for i, f := range p.rowFlops {
-		offs[i+1] = offs[i]
-		if f != 0 {
-			offs[i+1] += int64(p.Count(&kit, i))
+// walk counts and emits every row of A·B in one walk: the rows are cut
+// into flop-balanced ranges, one per worker, and each range runs on a
+// Kit of its own, staging its ids in pooled fixed-size blocks
+// (accum.ColBlocks; a row wider than a block gets a buffer of its own).
+// offs, of length rows+1, comes back as the exact row offsets; the ids
+// then move into one array of exactly their number, one copy per block.
+// Every range emits what a serial walk would, so the result does not
+// depend on the worker count.
+func (p *SymbolicPass) walk(offs []int64, workers int) []int32 {
+	workers = parallel.Workers(workers)
+	bounds := flopRanges(p.rowFlops, workers)
+	staged, blocks := make([][][]int32, workers), make([][]*[]int32, workers)
+	parallel.Run(workers, func(w int) {
+		var kit Kit
+		defer kit.Release()
+		var buf []int32
+		for i := bounds[w]; i < bounds[w+1]; i++ {
+			f := p.rowFlops[i]
+			if f == 0 {
+				continue
+			}
+			// A row holds at most one id per product and per column.
+			if bound := int(min(f/2, int64(p.b.Cols))); cap(buf)-len(buf) < bound {
+				if len(buf) > 0 {
+					staged[w] = append(staged[w], buf)
+				}
+				if bound > accum.ColBlockLen {
+					buf = make([]int32, 0, bound)
+				} else {
+					blk := accum.ColBlocks.Get().(*[]int32)
+					blocks[w], buf = append(blocks[w], blk), (*blk)[:0]
+				}
+			}
+			n := len(buf)
+			buf = p.AppendCols(&kit, i, buf)
+			offs[i+1] = int64(len(buf) - n)
 		}
+		staged[w] = append(staged[w], buf)
+	})
+	for i := 1; i < len(offs); i++ {
+		offs[i] += offs[i-1]
 	}
-	return offs
+	cols := make([]int32, offs[len(offs)-1])
+	parallel.Run(workers, func(w int) {
+		at := offs[bounds[w]]
+		for _, ids := range staged[w] {
+			at += int64(copy(cols[at:], ids))
+		}
+		for _, blk := range blocks[w] {
+			accum.ColBlocks.Put(blk)
+		}
+	})
+	return cols
 }
 
-// Emit returns every row's column ids, ascending, row i's at
-// [offs[i], offs[i+1]), given the offsets a count walk of the same
-// operands produced: one allocation of the final size, where appending
-// doubled its way there at twice the cost of count and emit together.
-func (p *SymbolicPass) Emit(offs []int64) []int32 {
-	var kit Kit
-	defer kit.Release()
-	cols := make([]int32, offs[len(p.rowFlops)])
-	for i, f := range p.rowFlops {
-		if f != 0 {
-			p.AppendCols(&kit, i, cols[offs[i]:offs[i]:offs[i+1]])
-		}
+// flopRanges cuts rows into n ranges of about equal flops, returning
+// their n+1 bounds; with more ranges than rows some are empty.
+func flopRanges(rowFlops []int64, n int) []int {
+	var total, acc int64
+	for _, f := range rowFlops {
+		total += f
 	}
-	return cols
+	bounds, k := make([]int, n+1), 1
+	for i, f := range rowFlops {
+		for ; k < n && acc*int64(n) >= total*int64(k); k++ {
+			bounds[k] = i
+		}
+		acc += f
+	}
+	for ; k <= n; k++ {
+		bounds[k] = len(rowFlops)
+	}
+	return bounds
 }
 
 // StructureError reports a row whose products touch another set of
@@ -765,13 +810,15 @@ func sumColumns(av, bv []float64, m int, w *Window, i int) bool {
 }
 
 // RowAnalysis is the whole-matrix, values-independent analysis of A·B:
-// per-row flops and the exact output row offsets, hence the flop split
-// by accumulator kind and the output size. The planner sizes the chunk
-// grid from it and the hybrid engines' host cost model prices the CPU
-// worker from it, so a run computes it once and hands it on (and a plan
-// cache keeps it with the pattern's plan).
+// per-row flops and C's exact structure, hence the flop split by
+// accumulator kind and the output size. The planner sizes the chunk
+// grid from it, the hybrid engines' host cost model prices the CPU
+// worker from it and the out-of-core engine adopts its structure as C's,
+// so a run computes it once and hands it on (and a plan cache keeps it
+// with the pattern's plan). Treat it as read-only.
 type RowAnalysis struct {
 	RowFlops, RowOffsets  []int64
+	ColIDs                []int32
 	HashFlops, DenseFlops int64
 }
 
@@ -779,12 +826,16 @@ type RowAnalysis struct {
 func (r *RowAnalysis) OutNnz() int64 { return r.RowOffsets[len(r.RowOffsets)-1] }
 
 // Bytes reports the memory the analysis retains, for cache accounting.
-func (r *RowAnalysis) Bytes() int64 { return int64(len(r.RowFlops)+len(r.RowOffsets)) * 8 }
+func (r *RowAnalysis) Bytes() int64 {
+	return int64(len(r.RowFlops)+len(r.RowOffsets))*8 + int64(len(r.ColIDs))*4
+}
 
-// Analyze runs the whole-matrix symbolic pass behind RowAnalysis.
-func Analyze(a, b *csr.Matrix) *RowAnalysis {
-	r := &RowAnalysis{RowFlops: csr.RowFlops(a, b)}
-	r.RowOffsets = NewSymbolicPass(a, b, r.RowFlops).Offsets()
+// Analyze runs the whole-matrix symbolic pass behind RowAnalysis, one
+// walk that counts and emits every row, on workers goroutines (0 means
+// GOMAXPROCS).
+func Analyze(a, b *csr.Matrix, workers int) *RowAnalysis {
+	r := &RowAnalysis{RowFlops: csr.RowFlops(a, b), RowOffsets: make([]int64, a.Rows+1)}
+	r.ColIDs = NewSymbolicPass(a, b, r.RowFlops).walk(r.RowOffsets, workers)
 	r.HashFlops, r.DenseFlops = SplitFlops(r.RowFlops, r.RowOffsets)
 	return r
 }

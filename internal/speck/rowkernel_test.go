@@ -797,7 +797,7 @@ func TestNumericPooledScratchFirstTouch(t *testing.T) {
 // rule.
 func TestAnalyzeEqualsChunkGrid(t *testing.T) {
 	a := matgen.RMAT(9, 12, 0.57, 0.19, 0.19, 82)
-	ra := Analyze(a, a)
+	ra := Analyze(a, a, 1)
 	rps, err := partition.RowPanels(a, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -833,8 +833,61 @@ func TestAnalyzeEqualsChunkGrid(t *testing.T) {
 	if h, d := SplitFlops(ra.RowFlops, want.RowOffsets); h != ra.HashFlops || d != ra.DenseFlops {
 		t.Fatalf("SplitFlops over the product's offsets (%d, %d) != analysis (%d, %d)", h, d, ra.HashFlops, ra.DenseFlops)
 	}
-	if ra.Bytes() != int64(2*a.Rows+1)*8 {
+	if ra.Bytes() != int64(2*a.Rows+1)*8+4*int64(len(ra.ColIDs)) {
 		t.Fatalf("Bytes = %d", ra.Bytes())
+	}
+}
+
+// TestAnalyzeWorkersMatchSerialWalk: the one structure walk, its rows
+// cut into flop-balanced ranges over 1, 2, 3 and 8 workers, is bit for
+// bit a serial emit of every row on one kit — on the bitmap tier with
+// and without a compressed B, past the tier (a padded B), for a zero-row
+// A, for empty and degree-1 rows, and with more workers than rows.
+func TestAnalyzeWorkersMatchSerialWalk(t *testing.T) {
+	rmat := matgen.RMAT(9, 8, 0.57, 0.19, 0.19, 91)
+	band := matgen.Band(700, 6, 92)
+	thin, er := matgen.ER(300, 300, 0.002, 93), matgen.ER(300, 300, 0.02, 94)
+	pad := func(m *csr.Matrix) *csr.Matrix { p := *m; p.Cols = bitmapTierMax + 1; return &p }
+	cases := []struct {
+		name       string
+		a, b       *csr.Matrix
+		compressed bool
+	}{
+		{"bitmap", thin, er, false},
+		{"bitmap-compressed", band, band, true},
+		{"wide", thin, pad(er), false},
+		{"wide-compressed", rmat, pad(rmat), true},
+		{"zero-rows", csr.New(0, 300), er, false},
+		{"few-rows", matgen.ER(3, 512, 0.3, 95), rmat, false},
+	}
+	var empty, degree1 bool
+	for _, tc := range cases {
+		rf := csr.RowFlops(tc.a, tc.b)
+		pass := NewSymbolicPass(tc.a, tc.b, rf)
+		if compressed := pass.segs != nil; compressed != tc.compressed {
+			t.Fatalf("%s: B compressed = %v, want %v", tc.name, compressed, tc.compressed)
+		}
+		var kit Kit
+		offs, cols := make([]int64, tc.a.Rows+1), []int32{}
+		for i, f := range rf {
+			if f != 0 {
+				cols = pass.AppendCols(&kit, i, cols)
+			}
+			offs[i+1] = int64(len(cols))
+			n := tc.a.RowNnz(i)
+			empty, degree1 = empty || n == 0, degree1 || n == 1
+		}
+		kit.Release()
+		for _, workers := range []int{1, 2, 3, 8} {
+			ra := Analyze(tc.a, tc.b, workers)
+			if !slices.Equal(ra.RowOffsets, offs) || !slices.Equal(ra.ColIDs, cols) || !slices.Equal(ra.RowFlops, rf) {
+				t.Fatalf("%s: %d workers: the walk's structure (%d ids) is not the serial emit's (%d ids)",
+					tc.name, workers, len(ra.ColIDs), len(cols))
+			}
+		}
+	}
+	if !empty || !degree1 {
+		t.Fatalf("the cases hold empty rows %v and degree-1 rows %v; want both", empty, degree1)
 	}
 }
 

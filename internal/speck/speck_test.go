@@ -255,7 +255,7 @@ func TestAnalyzeConsistentWithCompute(t *testing.T) {
 		matgen.RMAT(9, 8, 0.57, 0.19, 0.19, 60),
 		matgen.Band(500, 5, 61),
 	} {
-		ra := Analyze(gen, gen)
+		ra := Analyze(gen, gen, 1)
 		hashF, denseF, outNnz := ra.HashFlops, ra.DenseFlops, ra.OutNnz()
 		res, err := Compute(gen, gen, model())
 		if err != nil {

@@ -65,10 +65,9 @@ func SymbolicCompute(a, b *csr.Matrix, cm CostModel) (*Symbolic, error) {
 	// class picks. Every class flushes ascending — the order the numeric
 	// accumulators emit — so the structure recorded here is bit-for-bit
 	// the structure a cold multiply produces.
-	rowFlops := csr.RowFlops(a, b)
-	pass := NewSymbolicPass(a, b, rowFlops)
-	sym := NewSymbolic(a, b, rowFlops, pass.Offsets(), cm)
-	sym.ColIDs = pass.Emit(sym.RowOffsets)
+	ra := Analyze(a, b, 1)
+	sym := NewSymbolic(a, b, ra.RowFlops, ra.RowOffsets, cm)
+	sym.ColIDs = ra.ColIDs
 	return sym, nil
 }
 

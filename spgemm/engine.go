@@ -41,12 +41,14 @@ func SnapshotKeys(snap map[string]int64) []string { return metrics.SnapshotKeys(
 // instrumentation.
 type RunOptions struct {
 	// Threads bounds the real CPU parallelism (0 = GOMAXPROCS) of the
-	// cpu engine and of the CPU worker of the hybrid and multigpu
-	// engines. A device engine's run also computes each simulated GPU's
-	// chunks on a host lane of its own (one thread per GPU, beside the
-	// CPU worker), and partitions B on Core.PartitionThreads, so its host
-	// parallelism is the CPU worker's Threads plus one thread per GPU
-	// (plus PartitionThreads while it partitions).
+	// cpu engine and of the CPU worker of the device engines. A device
+	// engine's run computes every chunk, each GPU's and the CPU
+	// worker's, as a one-thread job on one pool of host lanes: Threads
+	// plus one lane per simulated GPU (with Threads 1 and one GPU, two).
+	// Its planner walks C's structure on Threads plus one workers, and
+	// it partitions B on Core.PartitionThreads, so its host parallelism
+	// is Threads plus one thread per GPU (plus PartitionThreads while it
+	// partitions).
 	Threads int
 	// Device is the simulated GPU model; nil means V100().
 	Device *DeviceConfig
@@ -112,6 +114,14 @@ func (o *RunOptions) withDefaults() RunOptions {
 		return RunOptions{}
 	}
 	return *o
+}
+
+// host is the CPU worker's cost model at o's Threads, which also sizes a
+// device run's pool of host lanes (Threads plus one per GPU).
+func (o RunOptions) host() hybrid.HostModel {
+	h := hybrid.DefaultHostModel()
+	h.Threads = o.Threads
+	return h
 }
 
 func (o RunOptions) device() DeviceConfig {
@@ -282,8 +292,9 @@ func EstimateCost(engineName string, a, b *Matrix, opts *RunOptions) (Cost, erro
 	if a.Cols != b.Rows {
 		return Cost{}, fmt.Errorf("spgemm: dimension mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
 	}
-	cost := Cost{Flops: o.flops(a, b), DeviceBacked: DeviceBacked(engineName)}
+	cost := Cost{DeviceBacked: DeviceBacked(engineName)}
 	if !cost.DeviceBacked {
+		cost.Flops = o.flops(a, b)
 		return cost, nil
 	}
 	cost.ArenaBytes = o.device().MemoryBytes
@@ -303,6 +314,13 @@ func EstimateCost(engineName string, a, b *Matrix, opts *RunOptions) (Cost, erro
 		}
 	}
 	cost.Chunks = grid.RowPanels * grid.ColPanels
+	if ra := grid.Analysis; ra != nil {
+		for _, f := range ra.RowFlops { // the planner's count: no second scan
+			cost.Flops += f
+		}
+	} else {
+		cost.Flops = o.flops(a, b)
+	}
 	return cost, nil
 }
 
@@ -343,14 +361,10 @@ func nodeEngine(name, describe string, async bool, node func(o RunOptions) (gpus
 			if err != nil {
 				return nil, nil, err
 			}
-			nopts := MultiGPUOptions{Core: opts}
+			nopts := MultiGPUOptions{Core: opts, Host: o.host()}
 			if node != nil {
 				nopts.NumGPUs, nopts.UseCPU = node(o)
 				nopts.Core.Reorder, nopts.Ratio = true, o.Ratio
-				if o.Threads != 0 {
-					nopts.Host = hybrid.DefaultHostModel()
-					nopts.Host.Threads = o.Threads
-				}
 			}
 			c, st, err := multigpu.Run(a, b, o.device(), nopts)
 			if err != nil {

@@ -246,6 +246,25 @@ func TestProductIdentity(t *testing.T) {
 	}
 }
 
+// TestEstimateCostScansFlopsOnce: planning a device engine's grid walks
+// the pair, and that walk's row flops are the estimate's flop count, so
+// a cold estimate takes the two validations' identity passes and no flop
+// scan of its own.
+func TestEstimateCostScansFlopsOnce(t *testing.T) {
+	a := RMAT(9, 8, 0.57, 0.19, 0.19, 47)
+	opts := &RunOptions{Metrics: NewCollector()}
+	cost, err := EstimateCost("hybrid", a, a, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cost.Flops != Flops(a, a) || cost.Chunks == 0 {
+		t.Fatalf("estimate %+v, want %d flops over a planned grid", cost, Flops(a, a))
+	}
+	if n := passes(opts.Metrics); n != 2 {
+		t.Fatalf("a cold hybrid estimate took %d identity passes, want 2 (the validations)", n)
+	}
+}
+
 // TestEstimateCostReadsThePlansMemo: with the operands' records and a
 // cached plan the estimate is O(1) — no validation, no flop scan, and
 // no plan-cache counter moves — and equal to the scanned one.

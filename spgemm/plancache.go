@@ -353,7 +353,7 @@ func (p *PlanCache) evictLocked() {
 func (p *PlanCache) plan(a, b *Matrix, o RunOptions) (OutOfCoreOptions, error) {
 	cfg, m := o.device(), o.Metrics
 	if p == nil {
-		return planExact(a, b, cfg, m)
+		return planExact(a, b, o)
 	}
 	key := gridKey{
 		fpA: csr.StructOf(a, o.AID, m), fpB: csr.StructOf(b, o.BID, m),
@@ -365,7 +365,7 @@ func (p *PlanCache) plan(a, b *Matrix, o RunOptions) (OutOfCoreOptions, error) {
 	if ok {
 		return memo, nil
 	}
-	opts, err := planExact(a, b, cfg, m)
+	opts, err := planExact(a, b, o)
 	if err != nil {
 		return OutOfCoreOptions{}, err
 	}

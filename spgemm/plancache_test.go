@@ -55,8 +55,8 @@ func mustBitIdentical(t *testing.T, cold, warm *Matrix) {
 }
 
 // symbolicWallSpans counts the run's wall-clock spans that name a
-// symbolic pass (row analysis, the product's structure emit, symbolic
-// phase, classification).
+// symbolic pass or the product's structure (row analysis, the product's
+// split table, symbolic phase, classification).
 func symbolicWallSpans(col *Collector) int {
 	n := 0
 	for _, s := range col.Spans() {
@@ -71,10 +71,11 @@ func symbolicWallSpans(col *Collector) int {
 // TestPlanCacheEngines runs each cache-aware registry engine twice on
 // a fixed pattern with refreshed values: the second run must hit the
 // cache and stay byte-identical to an uncached run of the same inputs.
-// A cold device run pays exactly two whole-matrix symbolic passes — the
-// count where it plans the grid, the emit of C's structure before the
-// first chunk — however many chunks the grid has; a warm one pays none:
-// the row analysis and the structure come back with the plan.
+// A cold device run pays exactly two whole-matrix structure spans — the
+// walk that counts and emits C's structure where it plans the grid, the
+// split table before the first chunk — however many chunks the grid
+// has; a warm one pays none: the row analysis and the structure come
+// back with the plan.
 func TestPlanCacheEngines(t *testing.T) {
 	a := RMAT(9, 8, 0.57, 0.19, 0.19, 41)
 	for _, name := range []string{"cpu", "gpu", "gpu-sync", "hybrid", "multigpu"} {
@@ -90,7 +91,7 @@ func TestPlanCacheEngines(t *testing.T) {
 			t.Fatalf("%s cold: %v", name, err)
 		}
 		if n := symbolicWallSpans(opts.Metrics); DeviceBacked(name) && n != 2 {
-			t.Fatalf("%s cold: %d whole-matrix symbolic passes, want 2 (count, emit)", name, n)
+			t.Fatalf("%s cold: %d whole-matrix structure spans, want 2 (walk, split table)", name, n)
 		}
 		opts.Metrics = NewCollector()
 		fresh := refreshValues(a, 42)

@@ -44,6 +44,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/mmio"
 	"repro/internal/multigpu"
+	"repro/internal/parallel"
 	"repro/internal/reorder"
 	"repro/internal/speck"
 	"repro/internal/summa"
@@ -195,17 +196,20 @@ func MultiplyOutOfCore(a, b *Matrix, cfg DeviceConfig, opts OutOfCoreOptions) (*
 // exactly, and hands that pass's row analysis on in the returned
 // options (Analysis) so the engine run that follows does not repeat it.
 func Plan(a, b *Matrix, cfg DeviceConfig) (OutOfCoreOptions, error) {
-	return planExact(a, b, cfg, nil)
+	return planExact(a, b, RunOptions{Device: &cfg})
 }
 
-// planExact is Plan with an optional metrics sink for the symbolic
-// pass's wall span.
-func planExact(a, b *Matrix, cfg DeviceConfig, m *Collector) (OutOfCoreOptions, error) {
+// planExact is Plan for o's device, with o's metrics sink for the
+// symbolic pass's wall span. The pass walks on Threads plus one
+// workers, the host-lane budget of a one-GPU node (DESIGN.md §8) and so
+// within every device run's.
+func planExact(a, b *Matrix, o RunOptions) (OutOfCoreOptions, error) {
 	if a.Cols != b.Rows {
 		return OutOfCoreOptions{}, fmt.Errorf("spgemm: dimension mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
 	}
-	stop := m.StartWall("host", "row analysis")
-	ra := speck.Analyze(a, b)
+	cfg := o.device()
+	stop := o.Metrics.StartWall("host", "row analysis")
+	ra := speck.Analyze(a, b, parallel.Workers(o.Threads)+1)
 	stop()
 	outBytes := ra.OutNnz()*12 + int64(a.Rows+1)*8
 	inputs := a.Bytes() + b.Bytes()
@@ -322,7 +326,7 @@ func runAuto(a, b *Matrix, o RunOptions) (*Matrix, Stats, error) {
 	}
 	var lastErr error
 	for attempt := 0; attempt < 4; attempt++ {
-		c, st, err := multigpu.Run(a, b, o.device(), multigpu.Options{Core: opts})
+		c, st, err := multigpu.Run(a, b, o.device(), multigpu.Options{Core: opts, Host: o.host()})
 		if err == nil {
 			return c, st.Stats, nil
 		}
