@@ -255,7 +255,7 @@ func multiplyAdaptive(a, b *csr.Matrix, opts Options, rowFlops []int64) (*csr.Ma
 		m.Add(metrics.CounterPoolGets, gets-poolGets0)
 		m.Add(metrics.CounterPoolNews, news-poolNews0)
 	}
-	opts.countProduct(rowFlops, nnz)
+	opts.countProduct(sum(rowFlops), len(rowFlops), nnz)
 	return c, nil
 }
 

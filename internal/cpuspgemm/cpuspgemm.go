@@ -90,16 +90,20 @@ func (o Options) threads() int {
 }
 
 // countProduct adds a finished product's flop, row and output counters.
-func (o Options) countProduct(rowFlops []int64, nnz int64) {
+func (o Options) countProduct(flops int64, rows int, nnz int64) {
 	if m := o.Metrics; m.Enabled() {
-		var flops int64
-		for _, f := range rowFlops {
-			flops += f
-		}
 		m.Add(metrics.CounterFlops, flops)
-		m.Add(metrics.CounterRows, int64(len(rowFlops)))
+		m.Add(metrics.CounterRows, int64(rows))
 		m.Add(metrics.CounterNnzC, nnz)
 	}
+}
+
+func sum(xs []int64) int64 {
+	var s int64
+	for _, x := range xs {
+		s += x
+	}
+	return s
 }
 
 // Sequential computes C = A·B with the straightforward sequential

@@ -55,7 +55,7 @@ func BenchmarkLadder(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := NumericScheduled(sym, sched, x, y, opts); err != nil {
+			if _, err := NumericScheduled(sym, sched, nil, x, y, opts); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -2,6 +2,7 @@ package cpuspgemm
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/accum"
@@ -26,6 +27,16 @@ type SymbolicResult struct {
 	// shares them with every product it emits; treat them as read-only.
 	RowOffsets []int64
 	ColIDs     []int32
+
+	memo atomic.Pointer[replayMemo] // swapped whole: plans are shared
+}
+
+// replayMemo is a plan's replay chunk bounds for one thread count, and
+// its flop count.
+type replayMemo struct {
+	threads int
+	bounds  []int
+	flops   int64
 }
 
 // Bytes reports the memory the plan retains, for cache accounting.
@@ -34,13 +45,7 @@ func (s *SymbolicResult) Bytes() int64 {
 }
 
 // Flops reports the multiply's flop count, the sum of RowFlops.
-func (s *SymbolicResult) Flops() int64 {
-	var f int64
-	for _, r := range s.RowFlops {
-		f += r
-	}
-	return f
-}
+func (s *SymbolicResult) Flops() int64 { return sum(s.RowFlops) }
 
 // MultiplyPlanned computes C = A·B exactly like Multiply and hands back
 // the symbolic plan as the by-product it is: the row analysis the
@@ -79,32 +84,42 @@ func MultiplyPlanned(a, b *csr.Matrix, opts Options) (*csr.Matrix, *SymbolicResu
 // pattern equality is the caller's contract — the plan cache enforces it
 // by fingerprint.
 func Numeric(sym *SymbolicResult, a, b *csr.Matrix, opts Options) (*csr.Matrix, error) {
-	return NumericScheduled(sym, nil, a, b, opts)
+	return NumericScheduled(sym, nil, nil, a, b, opts)
 }
 
 // NumericScheduled is Numeric running sched, a schedule sym.Schedule
 // built for operands with a's and b's structure arrays; a nil schedule
-// is built and checked per chunk, as Numeric does.
-func NumericScheduled(sym *SymbolicResult, sched *speck.Schedule, a, b *csr.Matrix, opts Options) (*csr.Matrix, error) {
+// is built and checked per chunk, as Numeric does. The values land in
+// dst if it holds nnz(C) elements (replay writes every slot, so its old
+// contents are never read), in a fresh array otherwise.
+func NumericScheduled(sym *SymbolicResult, sched *speck.Schedule, dst []float64, a, b *csr.Matrix, opts Options) (*csr.Matrix, error) {
 	if a.Rows != sym.Rows || a.Cols != sym.ACols || b.Rows != sym.ACols || b.Cols != sym.Cols {
 		return nil, fmt.Errorf("cpuspgemm: numeric shape %dx%d · %dx%d does not match plan %dx%d · %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, sym.Rows, sym.ACols, sym.ACols, sym.Cols)
 	}
 	nnz := sym.RowOffsets[sym.Rows]
+	if int64(len(dst)) != nnz {
+		dst = make([]float64, nnz)
+	}
 	c := &csr.Matrix{
 		Rows:       sym.Rows,
 		Cols:       sym.Cols,
 		RowOffsets: sym.RowOffsets,
 		ColIDs:     sym.ColIDs,
-		Data:       make([]float64, nnz),
+		Data:       dst,
+	}
+	memo := sym.memo.Load()
+	if nt := opts.threads(); memo == nil || memo.threads != nt {
+		memo = &replayMemo{nt, parallel.CostBounds(sym.RowFlops, nt), sym.Flops()}
+		sym.memo.Store(memo)
 	}
 	stopNumeric := opts.Metrics.StartWall("cpu", "numeric (warm)")
-	err := replay(speck.WholeWindow(c), a, b, parallel.CostBounds(sym.RowFlops, opts.threads()), opts, nil, sched)
+	err := replay(speck.WholeWindow(c), a, b, memo.bounds, opts, nil, sched)
 	stopNumeric()
 	if err != nil {
 		return nil, err
 	}
-	opts.countProduct(sym.RowFlops, nnz)
+	opts.countProduct(memo.flops, sym.Rows, nnz)
 	return c, nil
 }
 

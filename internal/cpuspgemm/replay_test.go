@@ -118,7 +118,7 @@ func requireColdSequentialWarm(t *testing.T, label string, a, b *csr.Matrix, thr
 // then run for every chunk without checks.
 func scheduled(t *testing.T, sym *SymbolicResult, a, b *csr.Matrix, opts Options) *csr.Matrix {
 	t.Helper()
-	c, err := NumericScheduled(sym, sym.Schedule(a, b), a, b, opts)
+	c, err := NumericScheduled(sym, sym.Schedule(a, b), nil, a, b, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +463,7 @@ func TestReplayStructureError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = NumericScheduled(psym, psym.Schedule(plan, short), plan, short, Options{Threads: 1})
+	_, err = NumericScheduled(psym, psym.Schedule(plan, short), nil, plan, short, Options{Threads: 1})
 	if !errors.As(err, &se) || se.Row != 16 {
 		t.Fatalf("a block one column short: err = %v, want a *speck.StructureError at row 16", err)
 	}
@@ -504,7 +504,7 @@ func TestAllocationCeilings(t *testing.T) {
 		})
 		sched := sym.Schedule(a, a)
 		bound := testing.AllocsPerRun(5, func() {
-			if _, err := NumericScheduled(sym, sched, a, a, opts); err != nil {
+			if _, err := NumericScheduled(sym, sched, nil, a, a, opts); err != nil {
 				t.Fatal(err)
 			}
 		})

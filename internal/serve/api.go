@@ -58,10 +58,14 @@ func (s *Server) Multiply(req apiv1.MultiplyRequest) (*apiv1.MultiplyResponse, e
 		resp.Seconds = res.Report.Seconds()
 		resp.GFLOPS = res.Report.Throughput()
 	}
+	adopted := false
 	if req.StoreC {
-		if resp.CHandle, err = s.store.put(res.C, res.CID); err != nil {
+		if resp.CHandle, adopted, err = s.store.put(res.C, res.CID); err != nil {
 			return nil, err
 		}
+	}
+	if !adopted {
+		res.release() // the response holds no reference to C's values
 	}
 	return resp, nil
 }

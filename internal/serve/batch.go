@@ -90,8 +90,7 @@ func (s *Server) SubmitBatch(req *apiv1.BatchRequest) (*apiv1.BatchResponse, err
 	run := &batchRun{
 		s: s, req: req, nodes: nodes,
 		results: make([]apiv1.NodeResult, len(nodes)),
-		outputs: make([]*spgemm.Matrix, len(nodes)),
-		outIDs:  make([]*csr.Identity, len(nodes)),
+		outputs: make([]*Result, len(nodes)),
 		ready:   make(chan int, len(nodes)),
 		groups:  map[spgemm.PlanKey]chan struct{}{},
 	}
@@ -117,9 +116,10 @@ type bnode struct {
 	// unresolved ones during execution.
 	deps    []int
 	pending int
-	// consumed marks a node whose output another node reads: its
-	// product's identity is worth asking the plan for.
-	consumed bool
+	// consumers counts the nodes reading this node's output, each once
+	// (the unresolved ones, during execution): a consumed output's
+	// identity is worth asking the plan for.
+	consumers int
 	// outRows/outCols is the statically known output shape; estFlops
 	// the admission estimate (0 when unknowable because an input
 	// already failed validation).
@@ -198,7 +198,7 @@ func (s *Server) planBatch(req *apiv1.BatchRequest) ([]*bnode, []string, int64, 
 	}
 	for _, bn := range nodes {
 		for _, d := range bn.deps {
-			nodes[d].consumed = true
+			nodes[d].consumers++
 		}
 	}
 
@@ -359,8 +359,7 @@ type batchRun struct {
 
 	mu       sync.Mutex
 	results  []apiv1.NodeResult
-	outputs  []*spgemm.Matrix
-	outIDs   []*csr.Identity // outputs' identity records, where known
+	outputs  []*Result // until the output's last consumer resolves
 	resolved int
 	groups   map[spgemm.PlanKey]chan struct{}
 
@@ -386,8 +385,8 @@ func (r *batchRun) execute() {
 		go func() {
 			defer wg.Done()
 			for i := range r.ready {
-				res, out, id := r.runNode(i)
-				r.resolve(i, res, out, id)
+				res, out := r.runNode(i)
+				r.resolve(i, res, out)
 			}
 		}()
 	}
@@ -395,13 +394,23 @@ func (r *batchRun) execute() {
 }
 
 // resolve publishes a node's result and releases its dependents; the
-// last resolution closes the ready channel and ends the pool.
-func (r *batchRun) resolve(i int, res apiv1.NodeResult, out *spgemm.Matrix, id *csr.Identity) {
+// last resolution closes the ready channel and ends the pool. An output
+// whose consumers have all resolved leaves the run (Result.release).
+func (r *batchRun) resolve(i int, res apiv1.NodeResult, out *Result) {
 	var unblocked []int
+	var unread []*Result
 	r.mu.Lock()
-	r.results[i] = res
-	r.outputs[i], r.outIDs[i] = out, id
+	r.results[i], r.outputs[i] = res, out
 	r.resolved++
+	for _, d := range r.nodes[i].deps {
+		r.nodes[d].consumers--
+	}
+	for _, d := range append([]int{i}, r.nodes[i].deps...) {
+		if r.nodes[d].consumers == 0 && r.outputs[d] != nil {
+			unread = append(unread, r.outputs[d])
+			r.outputs[d] = nil
+		}
+	}
 	for j, bn := range r.nodes {
 		for _, d := range bn.deps {
 			if d == i {
@@ -414,6 +423,9 @@ func (r *batchRun) resolve(i int, res apiv1.NodeResult, out *spgemm.Matrix, id *
 	}
 	done := r.resolved == len(r.nodes)
 	r.mu.Unlock()
+	for _, out := range unread {
+		out.release()
+	}
 	for _, j := range unblocked {
 		r.ready <- j
 	}
@@ -429,14 +441,14 @@ func (r *batchRun) resolve(i int, res apiv1.NodeResult, out *spgemm.Matrix, id *
 // product came from a cached plan) to its consumers and into the
 // store, so a chain over one pattern validates and hashes nothing past
 // its first cold product.
-func (r *batchRun) runNode(i int) (apiv1.NodeResult, *spgemm.Matrix, *csr.Identity) {
+func (r *batchRun) runNode(i int) (apiv1.NodeResult, *Result) {
 	s := r.s
 	bn := r.nodes[i]
 	res := apiv1.NodeResult{ID: bn.node.ID}
 	if bn.failed != nil {
 		res.Status = apiv1.StatusFailed
 		res.Error = bn.failed
-		return res, nil, nil
+		return res, nil
 	}
 	// A failed or skipped dependency skips this node before any work.
 	r.mu.Lock()
@@ -449,15 +461,15 @@ func (r *batchRun) runNode(i int) (apiv1.NodeResult, *spgemm.Matrix, *csr.Identi
 				Code:  apiv1.CodeUpstreamFailed,
 				Error: fmt.Sprintf("serve: upstream node %q did not complete", dep),
 			}
-			return res, nil, nil
+			return res, nil
 		}
 	}
 	a, aID, b, bID := bn.a, bn.aID, bn.b, bn.bID
 	if a == nil {
-		a, aID = r.outputs[bn.aFrom], r.outIDs[bn.aFrom]
+		a, aID = r.outputs[bn.aFrom].C, r.outputs[bn.aFrom].CID
 	}
 	if b == nil {
-		b, bID = r.outputs[bn.bFrom], r.outIDs[bn.bFrom]
+		b, bID = r.outputs[bn.bFrom].C, r.outputs[bn.bFrom].CID
 	}
 	r.mu.Unlock()
 
@@ -500,7 +512,7 @@ func (r *batchRun) runNode(i int) (apiv1.NodeResult, *spgemm.Matrix, *csr.Identi
 	if err != nil {
 		res.Status = apiv1.StatusFailed
 		res.Error = &apiv1.ErrorResponse{Code: ErrorCode(err), Error: err.Error()}
-		return res, nil, nil
+		return res, nil
 	}
 
 	if release := r.acquireGroup(a, b, opts); release != nil {
@@ -511,7 +523,7 @@ func (r *batchRun) runNode(i int) (apiv1.NodeResult, *spgemm.Matrix, *csr.Identi
 		a: a, b: b,
 		requested: requested, engine: engine,
 		degraded: degraded, probe: probe,
-		cost: cost, opts: opts, col: col, wantCID: bn.consumed || bn.node.Store,
+		cost: cost, opts: opts, col: col, wantCID: bn.consumers > 0 || bn.node.Store,
 		done: make(chan *Result, 1),
 	}
 	out := s.run(t)
@@ -523,7 +535,7 @@ func (r *batchRun) runNode(i int) (apiv1.NodeResult, *spgemm.Matrix, *csr.Identi
 	if out.Err != nil {
 		res.Status = apiv1.StatusFailed
 		res.Error = &apiv1.ErrorResponse{Code: ErrorCode(out.Err), Error: out.Err.Error()}
-		return res, nil, nil
+		return res, nil
 	}
 	res.Status = apiv1.StatusOK
 	res.Rows, res.Cols, res.NnzC = out.C.Rows, out.C.Cols, out.C.Nnz()
@@ -533,15 +545,18 @@ func (r *batchRun) runNode(i int) (apiv1.NodeResult, *spgemm.Matrix, *csr.Identi
 	}
 	res.PlanCacheHit = out.Snapshot[metrics.CounterPlanCacheHits] > 0
 	if bn.node.Store {
-		handle, err := s.store.put(out.C, out.CID)
+		handle, adopted, err := s.store.put(out.C, out.CID)
 		if err != nil {
 			res.Status = apiv1.StatusFailed
 			res.Error = &apiv1.ErrorResponse{Code: ErrorCode(err), Error: err.Error()}
-			return res, nil, nil
+			return res, nil
+		}
+		if adopted {
+			out.job = nil // a stored array is never released
 		}
 		res.Handle = handle
 	}
-	return res, out.C, out.CID
+	return res, out
 }
 
 // acquireGroup serializes the cold symbolic phase within a plan group:

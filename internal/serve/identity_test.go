@@ -175,8 +175,9 @@ func TestWarmHandleTrafficDoesNoIdentityWork(t *testing.T) {
 }
 
 // TestWarmHandleMultiplyAllocationCeiling: a warm multiply by handle
-// allocates the product's value array and a fixed amount beside it —
-// the two nnz- and row-sized scratch slices of each flop scan are gone.
+// allocates a fixed amount, whatever the product's size — no flop
+// scan's scratch and, the product's values going back to the plan once
+// the response is built, no value array.
 func TestWarmHandleMultiplyAllocationCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
@@ -206,10 +207,48 @@ func TestWarmHandleMultiplyAllocationCeiling(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perOp := int64(after.TotalAlloc-before.TotalAlloc) / runs
-	ceiling := 8*nnzC + 16<<10
+	const ceiling = 16 << 10
 	t.Logf("warm handle multiply: %d bytes per call, nnz(C) %d, ceiling %d", perOp, nnzC, ceiling)
 	if perOp > ceiling {
-		t.Fatalf("a warm handle multiply allocates %d bytes, ceiling 8·nnz(C) + 16 KiB = %d", perOp, ceiling)
+		t.Fatalf("a warm handle multiply allocates %d bytes, ceiling 16 KiB", perOp)
+	}
+}
+
+// TestWarmBatchChainAllocationCeiling is its twin for a batch: in steady
+// state a warm 4-node chain allocates less than one product's value
+// array, every node writing into an array an earlier node handed back.
+func TestWarmBatchChainAllocationCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	s := New(Config{MaxConcurrent: 1, Base: spgemm.RunOptions{Threads: 1}})
+	defer s.Drain(0)
+	h, err := s.StoreMatrix(spgemm.BlockDiag(512, 8, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := batchChain(h, 4)
+	var nnzC int64
+	for i := 0; i < 3; i++ { // cold, then spares and pools warm up
+		resp, err := s.SubmitBatch(req)
+		if err != nil || resp.Completed != 4 {
+			t.Fatalf("%v, %+v", err, resp)
+		}
+		nnzC = resp.Nodes[3].NnzC
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := s.SubmitBatch(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perBatch := int64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("warm 4-node chain: %d bytes per batch, nnz(C) %d per node", perBatch, nnzC)
+	if perBatch >= 8*nnzC {
+		t.Fatalf("a warm 4-node chain allocates %d bytes, ceiling 8·nnz(C) = %d", perBatch, 8*nnzC)
 	}
 }
 

@@ -130,6 +130,14 @@ type Result struct {
 	// CID is C's identity record when the job asked for it and the
 	// product came from a cached CPU plan; nil otherwise.
 	CID *csr.Identity
+	job *task // the task that computed C; nil once the store owns C.Data
+}
+
+// release hands C.Data back to its plan; nothing else may reference it.
+func (r *Result) release() {
+	if t := r.job; t != nil && r.C != nil {
+		t.opts.PlanCache.Release(t.a, t.b, r.C, *t.opts)
+	}
 }
 
 // task is a Job after admission: routed, costed, instrumented.
@@ -407,7 +415,7 @@ func (s *Server) worker() {
 func (s *Server) run(t *task) *Result {
 	res := &Result{
 		Requested: t.requested, Engine: t.engine,
-		Degraded: t.degraded, Probe: t.probe, Cost: t.cost,
+		Degraded: t.degraded, Probe: t.probe, Cost: t.cost, job: t,
 	}
 	if s.abandon.Load() {
 		res.Abandoned = true
@@ -536,7 +544,10 @@ func (s *Server) Snapshot() map[string]int64 {
 
 // StoreMatrix uploads a matrix into the content-addressed store and
 // returns its handle. Identical content is idempotent.
-func (s *Server) StoreMatrix(m *spgemm.Matrix) (string, error) { return s.store.put(m, nil) }
+func (s *Server) StoreMatrix(m *spgemm.Matrix) (string, error) {
+	h, _, err := s.store.put(m, nil)
+	return h, err
+}
 
 // Matrix resolves a stored handle.
 func (s *Server) Matrix(handle string) (*spgemm.Matrix, bool) {

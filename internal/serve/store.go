@@ -90,17 +90,17 @@ func handleFor(structFP, valuesFP uint64) string {
 	return fmt.Sprintf("m-%016x%016x", structFP, valuesFP)
 }
 
-// put stores a matrix and returns its handle. Identical content
-// returns the existing handle without a second copy. id is m's
-// identity record when the caller has one (a product of a cached plan):
-// m is then neither validated nor structurally hashed again, only its
-// values are hashed.
-func (s *matrixStore) put(m *spgemm.Matrix, id *csr.Identity) (string, error) {
+// put stores a matrix and returns its handle and whether it adopted
+// m.Data: identical content returns the existing handle, adopting
+// nothing. id is m's identity record when the caller has one (a product
+// of a cached plan): m is then neither validated nor structurally hashed
+// again, only its values are hashed.
+func (s *matrixStore) put(m *spgemm.Matrix, id *csr.Identity) (string, bool, error) {
 	if !id.Of(m) {
 		s.col.Add(metrics.CounterIdentityPasses, 2)
 		var err error
 		if id, err = csr.Identify(m); err != nil {
-			return "", fmt.Errorf("serve: matrix rejected by store: %w", err)
+			return "", false, fmt.Errorf("serve: matrix rejected by store: %w", err)
 		}
 	}
 	s.col.Add(metrics.CounterIdentityPasses, 1)
@@ -118,21 +118,21 @@ func (s *matrixStore) put(m *spgemm.Matrix, id *csr.Identity) (string, error) {
 		pat, ent = s.patterns[fp], s.entries[h]
 		s.mu.Unlock()
 		if err := collision(h, m, pat, ent); err != nil {
-			return "", err
+			return "", false, err
 		}
 		s.mu.Lock()
 	}
 	defer s.mu.Unlock()
 	if ent != nil {
 		s.order.MoveToBack(ent.elem)
-		return h, nil
+		return h, false, nil
 	}
 	if bytes > s.max {
-		return "", fmt.Errorf("serve: matrix (%d bytes) exceeds the store budget (%d)", bytes, s.max)
+		return "", false, fmt.Errorf("serve: matrix (%d bytes) exceeds the store budget (%d)", bytes, s.max)
 	}
 	for s.bytes+bytes > s.max {
 		if !s.evictLocked() {
-			return "", fmt.Errorf("serve: matrix store full (%d of %d bytes)", s.bytes, s.max)
+			return "", false, fmt.Errorf("serve: matrix store full (%d of %d bytes)", s.bytes, s.max)
 		}
 	}
 	if pat = s.patterns[fp]; pat == nil { // eviction may have retired it
@@ -151,7 +151,7 @@ func (s *matrixStore) put(m *spgemm.Matrix, id *csr.Identity) (string, error) {
 	ent.elem = s.order.PushBack(ent)
 	s.entries[h] = ent
 	s.bytes += bytes
-	return h, nil
+	return h, true, nil
 }
 
 // collision compares an upload with the resident pattern and entry its
@@ -242,7 +242,8 @@ func (s *matrixStore) revalue(handle string, seed int64) (string, error) {
 	if !ok {
 		return "", &UnknownHandleError{Handle: handle}
 	}
-	return s.put(spgemm.Revalue(src, seed), id)
+	h, _, err := s.put(spgemm.Revalue(src, seed), id)
+	return h, err
 }
 
 // delete removes a handle and reports whether it existed. Plan-cache

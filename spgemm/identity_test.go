@@ -326,7 +326,7 @@ func TestPlanCacheCPULRUOrder(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		pc.storeCPU(keys[i], plans[i])
 	}
-	if pc.acquireCPU(keys[0]) == nil { // 0 is now the youngest: order 1, 2, 0
+	if ent, _ := pc.acquireCPU(keys[0]); ent == nil { // 0 is now the youngest: order 1, 2, 0
 		t.Fatal("plan 0 missing before any eviction")
 	}
 	pc.storeCPU(keys[3], plans[3]) // evicts 1

@@ -2,6 +2,7 @@ package spgemm
 
 import (
 	"container/list"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -70,11 +71,12 @@ type PlanKey struct {
 // cpuPlanEntry is one cached CPU plan and what else is structural about
 // its pair: flops, the sum of the plan's RowFlops taken when it is
 // stored; up to maxSchedules replay schedules, each bound to the records
-// of the operands it was checked against; and — minted on first request
-// — the identity of the product, whose structure arrays are the plan's
-// own (every Numeric product shares them). bytes charges the record and
-// the schedules with the plan. scheds is read and appended under
-// PlanCache.mu, and a published schedule is never written.
+// of the operands it was checked against; up to maxSpares value arrays
+// of the product's length (Release), which warm replays write into; and
+// — minted on first request — the identity of the product, whose
+// structure arrays are the plan's own (every Numeric product shares
+// them). bytes charges all of them with the plan. scheds and spares are
+// changed under PlanCache.mu, and a published schedule is never written.
 type cpuPlanEntry struct {
 	key    PlanKey
 	sym    *cpuspgemm.SymbolicResult
@@ -82,6 +84,7 @@ type cpuPlanEntry struct {
 	bytes  int64
 	elem   *list.Element
 	scheds []boundSchedule
+	spares [][]float64
 
 	mu  sync.Mutex
 	cid *Identity
@@ -100,6 +103,8 @@ type boundSchedule struct {
 // powers: its first node multiplies the stored matrix by itself, every
 // later one the plan's own product by it.
 const maxSchedules = 2
+
+const maxSpares = 4 // a plan's spare value arrays: one per concurrent replay
 
 type gridKey struct {
 	fpA, fpB   uint64
@@ -230,6 +235,33 @@ func (p *PlanCache) ProductIdentity(a, b, c *Matrix, o RunOptions) *Identity {
 	return cid
 }
 
+// Release hands c.Data to the cache's CPU plan for (a, b), for a later
+// warm replay to write into, if c is that plan's product (its structure
+// arrays, nnz(C) values), o carries a's and b's records, and the plan has
+// room under maxSpares and the byte budget. The caller must hold no other
+// reference to c.Data. Engine.Run never releases: its caller owns C.
+func (p *PlanCache) Release(a, b, c *Matrix, o RunOptions) {
+	if p == nil || c == nil || len(c.Data) == 0 || !o.AID.Of(a) || !o.BID.Of(b) {
+		return
+	}
+	key := o.PlanKey(a, b)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	ent := p.entries[key]
+	if ent == nil || len(ent.spares) == maxSpares {
+		return
+	}
+	sym, n := ent.sym, len(c.Data)
+	if n != len(sym.ColIDs) || cap(c.Data) != n || len(c.ColIDs) != n || &c.ColIDs[0] != &sym.ColIDs[0] ||
+		len(c.RowOffsets) != len(sym.RowOffsets) || &c.RowOffsets[0] != &sym.RowOffsets[0] ||
+		p.bytes+int64(n)*8 > p.max || slices.ContainsFunc(ent.spares, func(d []float64) bool { return &d[0] == &c.Data[0] }) {
+		return
+	}
+	ent.spares = append(ent.spares, c.Data)
+	ent.bytes += int64(n) * 8
+	p.bytes += int64(n) * 8
+}
+
 // coreCache exposes the device half for core.Options threading.
 func (p *PlanCache) coreCache() *core.PlanCache {
 	if p == nil {
@@ -240,11 +272,12 @@ func (p *PlanCache) coreCache() *core.PlanCache {
 
 // multiplyCPU is the cpu engine's cached path: a warm call replays
 // only the numeric phase into the cached symbolic structure, so warm
-// output is byte-identical to cold. It also returns the pair's flop
-// count, which the plan memoizes.
+// output is byte-identical to cold, written into a spare value array of
+// the plan if it has one (a failed replay drops it). It also returns the
+// pair's flop count, which the plan memoizes.
 func (p *PlanCache) multiplyCPU(a, b *Matrix, o RunOptions, opts cpuspgemm.Options) (*Matrix, int64, error) {
 	key := o.PlanKey(a, b)
-	if ent := p.acquireCPU(key); ent != nil {
+	if ent, spare := p.acquireCPU(key); ent != nil {
 		opts.Metrics.Add(metrics.CounterPlanCacheHits, 1)
 		var sched *speck.Schedule
 		records := o.AID.Of(a) && o.BID.Of(b)
@@ -255,7 +288,7 @@ func (p *PlanCache) multiplyCPU(a, b *Matrix, o RunOptions, opts cpuspgemm.Optio
 		if fresh {
 			sched = ent.sym.Schedule(a, b)
 		}
-		c, err := cpuspgemm.NumericScheduled(ent.sym, sched, a, b, opts)
+		c, err := cpuspgemm.NumericScheduled(ent.sym, sched, spare, a, b, opts)
 		if err == nil && fresh {
 			p.bound(ent, a, b, o, sched)
 		}
@@ -269,17 +302,24 @@ func (p *PlanCache) multiplyCPU(a, b *Matrix, o RunOptions, opts cpuspgemm.Optio
 	return c, p.storeCPU(key, sym), nil
 }
 
-func (p *PlanCache) acquireCPU(key PlanKey) *cpuPlanEntry {
+// acquireCPU looks a plan up for a replay and takes a spare, if any.
+func (p *PlanCache) acquireCPU(key PlanKey) (*cpuPlanEntry, []float64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	ent := p.entries[key]
 	if ent == nil {
 		p.misses++
-		return nil
+		return nil, nil
 	}
 	p.hits++
 	p.order.MoveToBack(ent.elem)
-	return ent
+	var spare []float64
+	if n := len(ent.spares); n > 0 {
+		spare, ent.spares = ent.spares[n-1], ent.spares[:n-1]
+		ent.bytes -= int64(len(spare)) * 8
+		p.bytes -= int64(len(spare)) * 8
+	}
+	return ent, spare
 }
 
 // bound returns ent's schedule bound to o's records. Given sched, which

@@ -230,7 +230,7 @@ func TestPlanCacheConcurrentColdRuns(t *testing.T) {
 		t.Fatalf("Len = %d, want 1", pc.Len())
 	}
 	key := RunOptions{}.PlanKey(a, a)
-	stored := pc.acquireCPU(key)
+	stored, _ := pc.acquireCPU(key)
 	if stored == nil || pc.bytes != stored.bytes || stored.bytes != stored.sym.Bytes()+csr.IdentityBytes {
 		t.Fatalf("cache accounts %d bytes, want one plan's %d", pc.bytes, stored.bytes)
 	}
@@ -241,7 +241,7 @@ func TestPlanCacheConcurrentColdRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	pc.storeCPU(key, late)
-	if got := pc.acquireCPU(key); got != stored || pc.bytes != stored.bytes || pc.Len() != 1 {
+	if got, _ := pc.acquireCPU(key); got != stored || pc.bytes != stored.bytes || pc.Len() != 1 {
 		t.Fatal("a second store of one pattern displaced or double-counted the first")
 	}
 }
