@@ -391,15 +391,17 @@ func (s *stubBackend) Multiply(req apiv1.MultiplyRequest) (*apiv1.MultiplyRespon
 func (s *stubBackend) Batch(*apiv1.BatchRequest) (*apiv1.BatchResponse, error) {
 	return nil, fmt.Errorf("stub: no batch")
 }
-func (s *stubBackend) Store(*spgemm.Matrix) (string, error)    { return "", fmt.Errorf("stub: no store") }
+func (s *stubBackend) Store(*spgemm.Matrix) (string, error) { return "", fmt.Errorf("stub: no store") }
 func (s *stubBackend) StoreMany([]*spgemm.Matrix) ([]string, error) {
 	return nil, fmt.Errorf("stub: no store")
 }
-func (s *stubBackend) Matrix(string) (*spgemm.Matrix, bool)    { return nil, false }
-func (s *stubBackend) Delete(string) bool                      { return false }
-func (s *stubBackend) Ready() (apiv1.ReadyResponse, error)     { return apiv1.ReadyResponse{Status: apiv1.ReadyStatusReady}, nil }
-func (s *stubBackend) Counters() map[string]int64              { return nil }
-func (s *stubBackend) Drain(time.Duration) map[string]int64    { return nil }
+func (s *stubBackend) Matrix(string) (*spgemm.Matrix, bool) { return nil, false }
+func (s *stubBackend) Delete(string) bool                   { return false }
+func (s *stubBackend) Ready() (apiv1.ReadyResponse, error) {
+	return apiv1.ReadyResponse{Status: apiv1.ReadyStatusReady}, nil
+}
+func (s *stubBackend) Counters() map[string]int64           { return nil }
+func (s *stubBackend) Drain(time.Duration) map[string]int64 { return nil }
 
 func TestClusterShedRetryHonorsRetryAfter(t *testing.T) {
 	var calls int

@@ -54,7 +54,7 @@ func (r *localReplica) Multiply(req apiv1.MultiplyRequest) (*apiv1.MultiplyRespo
 func (r *localReplica) Batch(req *apiv1.BatchRequest) (*apiv1.BatchResponse, error) {
 	return r.s.SubmitBatch(req)
 }
-func (r *localReplica) Store(m *spgemm.Matrix) (string, error)      { return r.s.StoreMatrix(m) }
+func (r *localReplica) Store(m *spgemm.Matrix) (string, error) { return r.s.StoreMatrix(m) }
 func (r *localReplica) StoreMany(ms []*spgemm.Matrix) ([]string, error) {
 	handles := make([]string, len(ms))
 	for i, m := range ms {
@@ -66,11 +66,11 @@ func (r *localReplica) StoreMany(ms []*spgemm.Matrix) ([]string, error) {
 	}
 	return handles, nil
 }
-func (r *localReplica) Matrix(h string) (*spgemm.Matrix, bool)      { return r.s.Matrix(h) }
-func (r *localReplica) Delete(h string) bool                        { return r.s.DeleteMatrix(h) }
-func (r *localReplica) Ready() (apiv1.ReadyResponse, error)         { return r.s.Ready(), nil }
-func (r *localReplica) Counters() map[string]int64                  { return r.s.Snapshot() }
-func (r *localReplica) Drain(t time.Duration) map[string]int64      { return r.s.Drain(t) }
+func (r *localReplica) Matrix(h string) (*spgemm.Matrix, bool) { return r.s.Matrix(h) }
+func (r *localReplica) Delete(h string) bool                   { return r.s.DeleteMatrix(h) }
+func (r *localReplica) Ready() (apiv1.ReadyResponse, error)    { return r.s.Ready(), nil }
+func (r *localReplica) Counters() map[string]int64             { return r.s.Snapshot() }
+func (r *localReplica) Drain(t time.Duration) map[string]int64 { return r.s.Drain(t) }
 
 // Server exposes the wrapped serve.Server of a local replica (the
 // cluster harness uses it to reach test-only surfaces).

@@ -29,7 +29,7 @@ func TestRingBalance(t *testing.T) {
 	counts := map[string]int{}
 	const keys = 10000
 	for key := uint64(0); key < keys; key++ {
-		counts[r.Owner(key*0x9e3779b97f4a7c15 + 1)]++
+		counts[r.Owner(key*0x9e3779b97f4a7c15+1)]++
 	}
 	for _, m := range members {
 		share := float64(counts[m]) / keys

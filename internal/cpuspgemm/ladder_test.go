@@ -41,7 +41,9 @@ func ladderRungs() []struct {
 // with records) per rung, and both replays of the block-diagonal shapes
 // the warm workloads replay (cluster_batch_chain's BlockDiag(256, 32),
 // serve_small_warm's BlockDiag(512, 8)), every row of which NumericRows
-// computes in groups whose B rows are a block.
+// computes in groups whose B rows are a block; their bound replays also
+// run under each of the groups' bodies (speck.UseBody) the host has, as
+// bound/<shape>/<body>.
 func BenchmarkLadder(b *testing.B) {
 	opts := Options{Threads: 1}
 	warm := func(b *testing.B, x, y *csr.Matrix, bound bool) {
@@ -77,5 +79,17 @@ func BenchmarkLadder(b *testing.B) {
 		}
 		b.Run("warm/"+r.name, func(b *testing.B) { warm(b, r.a, r.b, false) })
 		b.Run("bound/"+r.name, func(b *testing.B) { warm(b, r.a, r.b, true) })
+		if r.name == "block32" || r.name == "block8" {
+			for _, body := range []string{"sse2", "avx2", "avx512"} {
+				b.Run("bound/"+r.name+"/"+body, func(b *testing.B) {
+					restore, err := speck.UseBody(body)
+					if err != nil {
+						b.Skip(err)
+					}
+					defer restore()
+					warm(b, r.a, r.b, true)
+				})
+			}
+		}
 	}
 }

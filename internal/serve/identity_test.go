@@ -252,6 +252,53 @@ func TestWarmBatchChainAllocationCeiling(t *testing.T) {
 	}
 }
 
+// TestStoredChainComparesStructureOnce: a stored chain product carries
+// its plan's record, not the record of the pattern it lands in (minted
+// for the upload A), so its first put compares the structure arrays;
+// from then on the pattern knows the record. After the first chain the
+// pattern's structure is swapped for one differing in a column id, so
+// any compare would refuse: the second chain storing under the same
+// handle shows it made none, and an upload of A in arrays of its own,
+// compared as every upload is, is refused as a structure collision.
+func TestStoredChainComparesStructureOnce(t *testing.T) {
+	s := New(Config{MaxConcurrent: 1, Base: spgemm.RunOptions{Threads: 1}})
+	defer s.Drain(0)
+	a := spgemm.BlockDiag(64, 8, 3)
+	h, err := s.StoreMatrix(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := batchChain(h, 4)
+	req.Nodes[3].Store = true
+	chain := func() string {
+		t.Helper()
+		resp, err := s.SubmitBatch(req)
+		if err != nil || resp.Completed != 4 || resp.Nodes[3].Handle == "" {
+			t.Fatalf("%v, %+v", err, resp)
+		}
+		return resp.Nodes[3].Handle
+	}
+	stored := chain()
+
+	_, id, _ := s.store.get(h)
+	s.store.mu.Lock()
+	pat := s.store.patterns[id.Fingerprint()]
+	doctored := *pat.structure
+	doctored.ColIDs = slices.Clone(doctored.ColIDs)
+	doctored.ColIDs[0]++
+	pat.structure = &doctored
+	s.store.mu.Unlock()
+
+	if again := chain(); again != stored {
+		t.Fatalf("the second chain stored %s, want %s", again, stored)
+	}
+	_, err = s.StoreMatrix(a.Clone())
+	var ce *CollisionError
+	if !errors.As(err, &ce) || !ce.Structure {
+		t.Fatalf("an upload differing from the resident structure: err = %v, want a structure CollisionError", err)
+	}
+}
+
 // --- constructed collisions -------------------------------------------
 
 // The store's fingerprints fold one 64-bit word at a time:

@@ -51,9 +51,11 @@ type matrixStore struct {
 // pattern is one resident sparsity pattern: the identity minted for the
 // first matrix stored with it, that matrix's structure arrays (every
 // later one is compared with them once and then shares them) and the
-// count of resident matrices carrying it.
+// count of resident matrices carrying it. twin is the record of the last
+// plan product whose own arrays compared equal to the structure: the
+// next product of that plan is known to match without a compare.
 type pattern struct {
-	id        *csr.Identity
+	id, twin  *csr.Identity
 	structure *spgemm.Matrix // no Data
 	n         int
 }
@@ -94,9 +96,11 @@ func handleFor(structFP, valuesFP uint64) string {
 // m.Data: identical content returns the existing handle, adopting
 // nothing. id is m's identity record when the caller has one (a product
 // of a cached plan): m is then neither validated nor structurally hashed
-// again, only its values are hashed.
+// again, only its values are hashed, and its structure is compared with
+// its pattern's once per record (pattern.twin).
 func (s *matrixStore) put(m *spgemm.Matrix, id *csr.Identity) (string, bool, error) {
-	if !id.Of(m) {
+	carried := id.Of(m)
+	if !carried {
 		s.col.Add(metrics.CounterIdentityPasses, 2)
 		var err error
 		if id, err = csr.Identify(m); err != nil {
@@ -116,13 +120,20 @@ func (s *matrixStore) put(m *spgemm.Matrix, id *csr.Identity) (string, bool, err
 	s.mu.Lock()
 	for s.patterns[fp] != pat || s.entries[h] != ent {
 		pat, ent = s.patterns[fp], s.entries[h]
+		var structure *spgemm.Matrix // nil: none resident, or m's is known to match
+		if pat != nil && !pat.id.Of(m) && !pat.twin.Of(m) {
+			structure = pat.structure
+		}
 		s.mu.Unlock()
-		if err := collision(h, m, pat, ent); err != nil {
+		if err := collision(h, m, structure, ent); err != nil {
 			return "", false, err
 		}
 		s.mu.Lock()
 	}
 	defer s.mu.Unlock()
+	if carried && pat != nil && !pat.id.Of(m) {
+		pat.twin = id
+	}
 	if ent != nil {
 		s.order.MoveToBack(ent.elem)
 		return h, false, nil
@@ -154,12 +165,12 @@ func (s *matrixStore) put(m *spgemm.Matrix, id *csr.Identity) (string, bool, err
 	return h, true, nil
 }
 
-// collision compares an upload with the resident pattern and entry its
-// fingerprints matched (either may be nil) and reports a mismatch.
-// Arrays the upload shares with the resident copy compare in O(1).
-func collision(h string, m *spgemm.Matrix, pat *pattern, ent *storeEntry) error {
-	if pat != nil && !pat.id.Of(m) &&
-		!(slices.Equal(pat.structure.RowOffsets, m.RowOffsets) && slices.Equal(pat.structure.ColIDs, m.ColIDs)) {
+// collision compares an upload with the resident structure and entry
+// its fingerprints matched (either may be nil) and reports a mismatch.
+// Values the upload shares with the resident copy compare in O(1).
+func collision(h string, m *spgemm.Matrix, structure *spgemm.Matrix, ent *storeEntry) error {
+	if structure != nil &&
+		!(slices.Equal(structure.RowOffsets, m.RowOffsets) && slices.Equal(structure.ColIDs, m.ColIDs)) {
 		return &CollisionError{Handle: h, Structure: true}
 	}
 	if ent != nil && !sameBits(ent.m.Data, m.Data) {

@@ -774,10 +774,10 @@ func windowsAre(bc []int32, w *Window, i int) bool {
 // registers, from -0.0 in p order — the stamped body's order, and -0.0 + y
 // is y bit for bit, so equal bit for bit but NaN payloads — and stores
 // each value once: no scratch, no stamp, no check per product. sumQuads
-// takes the columns four at a time (on amd64; elsewhere none), this loop
-// the rest, one at a time. It reports false, having written nothing that
-// is kept, when a value is a NaN; the stamped body then recomputes the
-// group.
+// takes the columns sixteen, eight or four at a time (on amd64; elsewhere
+// none), this loop the rest, one at a time. It reports false, having
+// written nothing that is kept, when a value is a NaN; the stamped body
+// then recomputes the group.
 func sumColumns(av, bv []float64, m int, w *Window, i int) bool {
 	var outs [groupRows][]float64
 	for r := range outs {
@@ -807,6 +807,39 @@ func sumColumns(av, bv []float64, m int, w *Window, i int) bool {
 		nan = nan || s0 != s0 || s1 != s1 || s2 != s2 || s3 != s3
 	}
 	return !nan
+}
+
+// sumQuadsBodies are sumQuads' bodies, narrowest first: a name, the CPU
+// feature it needs, whether this host runs it, and the switches
+// selecting it. "sse2" is the portable loop off amd64.
+var sumQuadsBodies = [...]struct {
+	name, feature      string
+	runs, avx2, avx512 bool
+}{
+	{"sse2", "SSE2", true, false, false},
+	{"avx2", "AVX2", useAVX2, true, false},
+	{"avx512", "AVX-512F", useAVX512, true, true},
+}
+
+// UseBody makes block groups run sumQuads' named body — "sse2", "avx2"
+// or "avx512" — in place of the widest one the host has, and returns a
+// function restoring the previous choice; it fails, naming the CPU
+// feature, where the host cannot run the body. Every body computes the
+// same bits, so this exists for tests and benchmarks that compare them.
+// It must not run while a kernel does.
+func UseBody(name string) (restore func(), err error) {
+	for _, b := range sumQuadsBodies {
+		if b.name != name {
+			continue
+		}
+		if !b.runs {
+			return nil, fmt.Errorf("speck: the %s body needs %s, which the CPU lacks", name, b.feature)
+		}
+		avx2, avx512 := useAVX2, useAVX512
+		useAVX2, useAVX512 = b.avx2, b.avx512
+		return func() { useAVX2, useAVX512 = avx2, avx512 }, nil
+	}
+	return nil, fmt.Errorf("speck: no block-group body %q", name)
 }
 
 // RowAnalysis is the whole-matrix, values-independent analysis of A·B:

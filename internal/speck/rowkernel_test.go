@@ -543,23 +543,17 @@ func TestNumericRowsGroupedBitIdentical(t *testing.T) {
 	forEachBody(t, testNumericRowsGroupedBitIdentical)
 }
 
-// hostAVX2 is what the host's check chose, before any test flips useAVX2.
-var hostAVX2 = useAVX2
-
-// sumQuadsBodies names the sumQuads bodies: false the SSE2 one (on amd64;
-// elsewhere none), true the AVX2 one.
-var sumQuadsBodies = map[bool]string{false: "sse2", true: "avx2"}
-
-// forEachBody runs test once per sumQuads body, the AVX2 one where the
-// host has it, and leaves the host's choice in place.
+// forEachBody runs test once per sumQuads body, skipping, with the
+// missing CPU feature named, a body the host cannot run, and leaves the
+// host's choice in place.
 func forEachBody(t *testing.T, test func(t *testing.T)) {
-	defer func() { useAVX2 = hostAVX2 }()
-	for _, avx := range []bool{false, true} {
-		t.Run(sumQuadsBodies[avx], func(t *testing.T) {
-			if avx && !hostAVX2 {
-				t.Skip("the CPU has no AVX2")
+	for _, b := range sumQuadsBodies {
+		t.Run(b.name, func(t *testing.T) {
+			restore, err := UseBody(b.name)
+			if err != nil {
+				t.Skip(err)
 			}
-			useAVX2 = avx
+			defer restore()
 			test(t)
 		})
 	}
@@ -690,6 +684,99 @@ func testNumericRowsGroupedBitIdentical(t *testing.T) {
 	}
 }
 
+// TestSumColumnsWidthSweep compares a group's column sums (sumColumns)
+// under every sumQuads body with the scalar loop, bit for bit, over m =
+// 1…70 columns and n ∈ {1, 2, 3, 33} B rows: plain, and with a special
+// planted in the first and in the last column of each range the AVX-512
+// body splits m into — sixteen-wide tiles, an eight-wide step, the quads
+// left, the scalar tail. The specials are a NaN B value (a NaN in all
+// four rows), +Inf and -Inf in one column, a column of -0.0 (every
+// product -0.0), and Inf·0 in each row (a NaN in one lane of one
+// register, ±Inf in the row's other columns). The NaN report must match
+// wherever the NaN lands.
+func TestSumColumnsWidthSweep(t *testing.T) {
+	forEachBody(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(36))
+		inf, negZero := math.Inf(1), math.Copysign(0, -1)
+		type special struct {
+			name  string
+			plant func(av, bv []float64, n, m, col int)
+		}
+		specials := []special{
+			{"plain", func(av, bv []float64, n, m, col int) {}},
+			{"NaN B value", func(av, bv []float64, n, m, col int) { bv[(n-1)*m+col] = math.NaN() }},
+			{"+Inf and -Inf", func(av, bv []float64, n, m, col int) { bv[col], bv[(n-1)*m+col] = inf, -inf }},
+			{"-0.0 column", func(av, bv []float64, n, m, col int) {
+				for p := 0; p < n; p++ {
+					bv[p*m+col] = negZero
+				}
+			}},
+		}
+		for r := range groupRows {
+			specials = append(specials, special{fmt.Sprintf("Inf·0 in row %d", r), func(av, bv []float64, n, m, col int) { av[r*n], bv[col] = inf, 0 }})
+		}
+		for _, n := range []int{1, 2, 3, 33} {
+			for m := 1; m <= 70; m++ {
+				av, bv := make([]float64, groupRows*n), make([]float64, n*m)
+				for i := range av {
+					av[i] = 0.5 + rng.Float64() // positive: a -0.0 B value makes a -0.0 product
+				}
+				for i := range bv {
+					bv[i] = rng.NormFloat64()
+				}
+				var cols []int
+				for _, r := range [][2]int{{0, m &^ 15}, {m &^ 15, m &^ 7}, {m &^ 7, m &^ 3}, {m &^ 3, m}} {
+					if r[0] < r[1] {
+						cols = append(cols, r[0], r[1]-1)
+					}
+				}
+				for _, col := range cols {
+					for _, sp := range specials {
+						a, b := slices.Clone(av), slices.Clone(bv)
+						sp.plant(a, b, n, m, col)
+						want, wantNaN := scalarColumns(a, b, m)
+						w := &Window{Offs: []int64{0, int64(m), int64(2 * m), int64(3 * m), int64(4 * m)}, Stride: 1, Data: make([]float64, groupRows*m)}
+						for i := range w.Data {
+							w.Data[i] = math.Float64frombits(0x7ff0dead) // a NaN no kernel writes
+						}
+						what := fmt.Sprintf("m=%d, n=%d, %s in column %d", m, n, sp.name, col)
+						if ok := sumColumns(a, b, m, w, 0); ok == wantNaN {
+							t.Fatalf("%s: sumColumns reports a NaN %v, want %v", what, !ok, wantNaN)
+						}
+						for i, v := range w.Data {
+							if v != v && want[i] != want[i] {
+								continue // NaN payloads may differ
+							}
+							if math.Float64bits(v) != math.Float64bits(want[i]) {
+								t.Fatalf("%s: row %d column %d is %v (%#x), want %v (%#x)", what, i/m, i%m, v, math.Float64bits(v), want[i], math.Float64bits(want[i]))
+							}
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// scalarColumns is sumColumns' arithmetic one value at a time: row r's
+// column q is Σ_p av[r·n+p] · bv[p·m+q], from -0.0 in p order, every
+// product rounded.
+func scalarColumns(av, bv []float64, m int) (vals []float64, nan bool) {
+	n := len(av) / groupRows
+	vals = make([]float64, groupRows*m)
+	for r := range groupRows {
+		for q := range m {
+			s := math.Copysign(0, -1)
+			for p := range n {
+				s += float64(av[r*n+p] * bv[p*m+q])
+			}
+			vals[r*m+q] = s
+			nan = nan || s != s
+		}
+	}
+	return vals, nan
+}
+
 // FuzzNumericRows is the grouped body's differential target. A and B are
 // each a block pattern (full blocks, or a random subset of each block's
 // columns shared by its rows) or a band, so groups of A rows meet B rows
@@ -699,8 +786,8 @@ func testNumericRowsGroupedBitIdentical(t *testing.T) {
 // is cut into a chunk grid of up to 3×3 and each chunk's rows into two
 // ranges, run on a schedule per range and on one for the chunk.
 // NumericRows must match the stamped body bit for bit, NaN payloads
-// included, with either sumQuads body (the AVX2 one where the host has
-// it): a group holding a NaN is the stamped body's to compute.
+// included, with every sumQuads body the host runs: a group holding a NaN
+// is the stamped body's to compute.
 func FuzzNumericRows(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(5), uint8(7), uint8(0), uint8(0), uint16(0), int64(1))   // full blocks of 8
 	f.Add(uint8(1), uint8(0), uint8(3), uint8(11), uint8(40), uint8(4), uint16(5), int64(2)) // shared subsets, specials, 2×2 grid
@@ -756,13 +843,16 @@ func FuzzNumericRows(f *testing.F) {
 		stampedGrid(t, chunks, want, n)
 		s := accum.GetScratch(n)
 		defer accum.PutScratch(s)
-		defer func() { useAVX2 = hostAVX2 }()
-		for _, avx := range []bool{false, hostAVX2} {
-			useAVX2 = avx
+		for _, body := range sumQuadsBodies {
+			restore, err := UseBody(body.name)
+			if err != nil {
+				continue
+			}
+			defer restore()
 			for _, whole := range []bool{false, true} {
 				got := make([]float64, nnz)
 				groupedGrid(t, chunks, got, s, int(cut)%(n+1), whole)
-				requireSameBits(t, "grouped ("+sumQuadsBodies[avx]+") vs stamped", got, want)
+				requireSameBits(t, "grouped ("+body.name+") vs stamped", got, want)
 			}
 		}
 	})

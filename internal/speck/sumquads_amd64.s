@@ -9,7 +9,8 @@
 // DX where the quads end, R9 outs. X0–X7 hold the sums (row r, columns
 // q..q+1 and q+2..q+3 in X(2r), X(2r+1)), X8/X9 the four B values, X10/X11
 // a row's multiplier in both lanes, X12 the NaN lanes seen, X13 -0.0 in
-// both lanes. Where useAVX2 is set, the AVX2 body below runs instead.
+// both lanes. Where useAVX512 or useAVX2 is set, the AVX-512 or the AVX2
+// body below runs instead.
 
 TEXT ·sumQuads(SB), NOSPLIT, $0-73
 	MOVQ av_base+0(FP), SI
@@ -30,6 +31,8 @@ TEXT ·sumQuads(SB), NOSPLIT, $0-73
 	MOVQ R11, X13
 	UNPCKLPD X13, X13
 	XORPD X12, X12
+	CMPB ·useAVX512(SB), $0
+	JNE avx512
 	CMPB ·useAVX2(SB), $0
 	JNE avx2
 
@@ -194,34 +197,165 @@ done4:
 	SETNE nan+72(FP)
 	RET
 
-// func hasAVX2() bool
-//
-// CPUID leaf 1 must report AVX and OSXSAVE, XGETBV that the OS saves the
-// XMM and YMM state, and CPUID leaf 7 AVX2.
-TEXT ·hasAVX2(SB), NOSPLIT, $0-1
-	MOVB $0, ret+0(FP)
-	XORL AX, AX
-	XORL CX, CX
+	// The AVX-512 body: sixteen columns of the four rows per step, in
+	// the registers the AVX2 body leaves alone. The sums of row r's
+	// columns q..q+7 and q+8..q+15 are in Z(16+2r) and Z(17+2r), Z24/Z25
+	// hold the B row's sixteen values, Z26/Z27 a row's multiplier in eight
+	// lanes, Z28–Z31 the products, Z9 -0.0 in eight lanes and K2 the NaN
+	// lanes seen. One VMULPD and one VADDPD per row and B row — never a
+	// fused multiply-add. Of the columns left, fewer than sixteen, eight
+	// take one more step of half the width (row r's sums in Z(16+r)), and
+	// the rest go to the AVX2 quads, whose NaN lanes (Y7) start all set if
+	// K2 is not empty.
+
+avx512:
+	VBROADCASTSD X13, Y8
+	VXORPD Y7, Y7, Y7
+	VBROADCASTSD X13, Z9
+	KXORW K2, K2, K2
+
+tile:
+	LEAQ 128(R10), R11
+	CMPQ R11, DX
+	JA tiled
+	VMOVAPD Z9, Z16
+	VMOVAPD Z9, Z17
+	VMOVAPD Z9, Z18
+	VMOVAPD Z9, Z19
+	VMOVAPD Z9, Z20
+	VMOVAPD Z9, Z21
+	VMOVAPD Z9, Z22
+	VMOVAPD Z9, Z23
+	MOVQ SI, AX
+	LEAQ (DI)(R10*1), BX
+
+p16:
+	VMOVUPD (BX), Z24
+	VMOVUPD 64(BX), Z25
+	VBROADCASTSD (AX), Z26
+	VMULPD Z24, Z26, Z28
+	VMULPD Z25, Z26, Z29
+	VADDPD Z28, Z16, Z16
+	VADDPD Z29, Z17, Z17
+	VBROADCASTSD (AX)(R13*1), Z27
+	VMULPD Z24, Z27, Z30
+	VMULPD Z25, Z27, Z31
+	VADDPD Z30, Z18, Z18
+	VADDPD Z31, Z19, Z19
+	VBROADCASTSD (AX)(R13*2), Z26
+	VMULPD Z24, Z26, Z28
+	VMULPD Z25, Z26, Z29
+	VADDPD Z28, Z20, Z20
+	VADDPD Z29, Z21, Z21
+	VBROADCASTSD (AX)(R12*1), Z27
+	VMULPD Z24, Z27, Z30
+	VMULPD Z25, Z27, Z31
+	VADDPD Z30, Z22, Z22
+	VADDPD Z31, Z23, Z23
+	ADDQ $8, AX
+	ADDQ R8, BX
+	CMPQ AX, CX
+	JB p16
+
+	MOVQ 0(R9), R11
+	VMOVUPD Z16, (R11)(R10*1)
+	VMOVUPD Z17, 64(R11)(R10*1)
+	MOVQ 24(R9), R11
+	VMOVUPD Z18, (R11)(R10*1)
+	VMOVUPD Z19, 64(R11)(R10*1)
+	MOVQ 48(R9), R11
+	VMOVUPD Z20, (R11)(R10*1)
+	VMOVUPD Z21, 64(R11)(R10*1)
+	MOVQ 72(R9), R11
+	VMOVUPD Z22, (R11)(R10*1)
+	VMOVUPD Z23, 64(R11)(R10*1)
+	VCMPPD $3, Z16, Z16, K1
+	KORW K1, K2, K2
+	VCMPPD $3, Z17, Z17, K1
+	KORW K1, K2, K2
+	VCMPPD $3, Z18, Z18, K1
+	KORW K1, K2, K2
+	VCMPPD $3, Z19, Z19, K1
+	KORW K1, K2, K2
+	VCMPPD $3, Z20, Z20, K1
+	KORW K1, K2, K2
+	VCMPPD $3, Z21, Z21, K1
+	KORW K1, K2, K2
+	VCMPPD $3, Z22, Z22, K1
+	KORW K1, K2, K2
+	VCMPPD $3, Z23, Z23, K1
+	KORW K1, K2, K2
+	ADDQ $128, R10
+	JMP tile
+
+tiled:
+	LEAQ 64(R10), R11
+	CMPQ R11, DX
+	JA quads
+	VMOVAPD Z9, Z16
+	VMOVAPD Z9, Z17
+	VMOVAPD Z9, Z18
+	VMOVAPD Z9, Z19
+	MOVQ SI, AX
+	LEAQ (DI)(R10*1), BX
+
+p8:
+	VMOVUPD (BX), Z24
+	VBROADCASTSD (AX), Z26
+	VMULPD Z24, Z26, Z28
+	VADDPD Z28, Z16, Z16
+	VBROADCASTSD (AX)(R13*1), Z27
+	VMULPD Z24, Z27, Z29
+	VADDPD Z29, Z17, Z17
+	VBROADCASTSD (AX)(R13*2), Z26
+	VMULPD Z24, Z26, Z30
+	VADDPD Z30, Z18, Z18
+	VBROADCASTSD (AX)(R12*1), Z27
+	VMULPD Z24, Z27, Z31
+	VADDPD Z31, Z19, Z19
+	ADDQ $8, AX
+	ADDQ R8, BX
+	CMPQ AX, CX
+	JB p8
+
+	MOVQ 0(R9), R11
+	VMOVUPD Z16, (R11)(R10*1)
+	MOVQ 24(R9), R11
+	VMOVUPD Z17, (R11)(R10*1)
+	MOVQ 48(R9), R11
+	VMOVUPD Z18, (R11)(R10*1)
+	MOVQ 72(R9), R11
+	VMOVUPD Z19, (R11)(R10*1)
+	VCMPPD $3, Z16, Z16, K1
+	KORW K1, K2, K2
+	VCMPPD $3, Z17, Z17, K1
+	KORW K1, K2, K2
+	VCMPPD $3, Z18, Z18, K1
+	KORW K1, K2, K2
+	VCMPPD $3, Z19, Z19, K1
+	KORW K1, K2, K2
+	ADDQ $64, R10
+
+quads:
+	KORTESTW K2, K2
+	JEQ quad4
+	VCMPPD $0, Y8, Y8, Y7
+	JMP quad4
+
+// func cpuid(eax, ecx uint32) (a, b, c, d uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL eax+0(FP), AX
+	MOVL ecx+4(FP), CX
 	CPUID
-	CMPL AX, $7
-	JB no
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	ANDL $0x18000000, CX
-	CMPL CX, $0x18000000
-	JNE no
+	MOVL AX, a+8(FP)
+	MOVL BX, b+12(FP)
+	MOVL CX, c+16(FP)
+	MOVL DX, d+20(FP)
+	RET
+
+// func xgetbv() uint32
+TEXT ·xgetbv(SB), NOSPLIT, $0-4
 	XORL CX, CX
 	XGETBV
-	ANDL $6, AX
-	CMPL AX, $6
-	JNE no
-	MOVL $7, AX
-	XORL CX, CX
-	CPUID
-	SHRL $5, BX
-	ANDL $1, BX
-	MOVB BX, ret+0(FP)
-
-no:
+	MOVL AX, ret+0(FP)
 	RET

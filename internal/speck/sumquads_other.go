@@ -8,5 +8,6 @@ func sumQuads(av, bv []float64, m int, outs *[groupRows][]float64) (done int, na
 	return 0, false
 }
 
-// useAVX2 is always false: there is no AVX2 body here.
-var useAVX2 = false
+// useAVX2 and useAVX512 are always false: there is no AVX2 or AVX-512
+// body here.
+var useAVX2, useAVX512 = false, false

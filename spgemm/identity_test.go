@@ -108,9 +108,10 @@ func TestIdentityRecordsChangeNoProduct(t *testing.T) {
 // TestDeviceEnginesValidateOnce: a registry engine validates its
 // operands once, at Engine.Run — not again in a Multiply* wrapper, nor
 // once per refinement attempt of auto — so a run with neither records
-// nor a plan cache does one identity pass per operand.
+// nor a plan cache does one identity pass per operand, and one for A².
 func TestDeviceEnginesValidateOnce(t *testing.T) {
 	a := RMAT(8, 8, 0.57, 0.19, 0.19, 62)
+	b := a.Clone()
 	for _, name := range []string{"gpu", "gpu-sync", "hybrid", "multigpu", "auto"} {
 		eng, _ := ByName(name)
 		opts := runOptsFor(name)
@@ -119,8 +120,15 @@ func TestDeviceEnginesValidateOnce(t *testing.T) {
 		if _, _, err := eng.Run(a, a, opts); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		if n := passes(opts.Metrics); n != 1 {
+			t.Fatalf("%s: Run(a, a): %d identity passes, want 1 (B is A)", name, n)
+		}
+		opts.Metrics = NewCollector()
+		if _, _, err := eng.Run(a, b, opts); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 		if n := passes(opts.Metrics); n != 2 {
-			t.Fatalf("%s: %d identity passes, want 2 (one per operand)", name, n)
+			t.Fatalf("%s: Run(a, b): %d identity passes, want 2 (one per operand)", name, n)
 		}
 	}
 }
@@ -248,8 +256,8 @@ func TestProductIdentity(t *testing.T) {
 
 // TestEstimateCostScansFlopsOnce: planning a device engine's grid walks
 // the pair, and that walk's row flops are the estimate's flop count, so
-// a cold estimate takes the two validations' identity passes and no flop
-// scan of its own.
+// a cold estimate of A² takes A's validation's identity pass (B is A) and
+// no flop scan of its own.
 func TestEstimateCostScansFlopsOnce(t *testing.T) {
 	a := RMAT(9, 8, 0.57, 0.19, 0.19, 47)
 	opts := &RunOptions{Metrics: NewCollector()}
@@ -260,8 +268,8 @@ func TestEstimateCostScansFlopsOnce(t *testing.T) {
 	if cost.Flops != Flops(a, a) || cost.Chunks == 0 {
 		t.Fatalf("estimate %+v, want %d flops over a planned grid", cost, Flops(a, a))
 	}
-	if n := passes(opts.Metrics); n != 2 {
-		t.Fatalf("a cold hybrid estimate took %d identity passes, want 2 (the validations)", n)
+	if n := passes(opts.Metrics); n != 1 {
+		t.Fatalf("a cold hybrid estimate took %d identity passes, want 1 (the validation of A = B)", n)
 	}
 }
 
@@ -283,8 +291,8 @@ func TestEstimateCostReadsThePlansMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := passes(scanned.Metrics); got != 3 {
-		t.Fatalf("an estimate without records took %d identity passes, want 3 (two validations, one flop scan)", got)
+	if got := passes(scanned.Metrics); got != 2 {
+		t.Fatalf("an estimate without records took %d identity passes, want 2 (the validation of A = B, one flop scan)", got)
 	}
 	memo := &RunOptions{PlanCache: pc, Metrics: NewCollector(), AID: aid, BID: aid}
 	got, err := EstimateCost("cpu", a, a, memo)
