@@ -52,33 +52,9 @@ const (
 	HealthDraining = "draining"
 )
 
-// Config tunes the coordinator. The zero value is usable.
+// Config holds the coordinator's test seams; the zero value is the
+// production coordinator.
 type Config struct {
-	// VirtualNodes per replica on the ring (0 = DefaultVirtualNodes).
-	VirtualNodes int
-	// ShedRetries is how many times a shed request (429-class) is
-	// retried against the same replica before the rejection surfaces to
-	// the client. Default 2; DisableShedRetries turns them off.
-	ShedRetries int
-	// DisableShedRetries turns shed retries off outright. It wins over
-	// any ShedRetries value, so a zero-valued Config stays on the
-	// default policy and disabling is an explicit field, not a
-	// sentinel.
-	DisableShedRetries bool
-	// RetryBase and RetryMax bound the exponential backoff between shed
-	// retries; a Retry-After hint from the replica overrides the
-	// exponential schedule but still respects RetryMax. Defaults
-	// 5ms / 250ms.
-	RetryBase, RetryMax time.Duration
-	// DownAfter is the count of consecutive failed probes (or
-	// request-path failures) that moves a replica suspect → down.
-	// Default 2; the first failure always moves up → suspect.
-	DownAfter int
-	// Heartbeat is the cadence the coordinator hands to joining
-	// replicas (0 = 2s): miss enough heartbeats and the probe loop's
-	// evidence condemns as usual — the join protocol adds membership,
-	// not a second health machine.
-	Heartbeat time.Duration
 	// NewBackend constructs the Backend for a /v1/join registration.
 	// Nil means a RemoteReplica with default timeouts; tests swap in
 	// stubs or fault-proxied transports.
@@ -88,32 +64,33 @@ type Config struct {
 	Sleep func(time.Duration)
 }
 
+// The coordinator's policy.
+const (
+	// shedRetries is how many times a shed request (429-class) is
+	// retried against the same replica before the rejection surfaces to
+	// the client.
+	shedRetries = 2
+	// retryBase and retryMax bound the exponential backoff between shed
+	// retries; a Retry-After hint from the replica overrides the
+	// exponential schedule but still respects retryMax.
+	retryBase = 5 * time.Millisecond
+	retryMax  = 250 * time.Millisecond
+	// downAfter is the count of consecutive failed probes (or
+	// request-path failures) that moves a replica suspect → down; the
+	// first failure always moves up → suspect.
+	downAfter = 2
+	// heartbeat is the cadence the coordinator hands to joining
+	// replicas: miss enough heartbeats and the probe loop's evidence
+	// condemns as usual — the join protocol adds membership, not a
+	// second health machine.
+	heartbeat = 2 * time.Second
+)
+
 func (c Config) withDefaults() Config {
-	if c.VirtualNodes <= 0 {
-		c.VirtualNodes = DefaultVirtualNodes
-	}
-	if c.ShedRetries == 0 {
-		c.ShedRetries = 2
-	}
-	if c.DisableShedRetries {
-		c.ShedRetries = 0
-	}
-	if c.Heartbeat <= 0 {
-		c.Heartbeat = 2 * time.Second
-	}
 	if c.NewBackend == nil {
 		c.NewBackend = func(name, url string) Backend {
 			return NewRemoteReplica(name, url, RemoteConfig{})
 		}
-	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 5 * time.Millisecond
-	}
-	if c.RetryMax <= 0 {
-		c.RetryMax = 250 * time.Millisecond
-	}
-	if c.DownAfter <= 0 {
-		c.DownAfter = 2
 	}
 	if c.Sleep == nil {
 		c.Sleep = time.Sleep
@@ -132,9 +109,10 @@ type replicaState struct {
 	url string
 }
 
-// spillEntry is the coordinator's durable copy of one stored matrix:
-// the payload it re-uploads when a handle's owner dies and the ring
-// successor needs the operand.
+// spillEntry is the coordinator's record of one stored matrix: where
+// it lives, and the copy it re-uploads when a handle's owner dies and
+// the ring successor needs the operand. The copy is nil for a
+// placement-only entry until Matrix fetches it.
 type spillEntry struct {
 	m        *spgemm.Matrix
 	structFP uint64
@@ -159,7 +137,7 @@ func New(cfg Config, backends ...Backend) *Coordinator {
 	c := &Coordinator{
 		cfg:      cfg,
 		col:      metrics.New(),
-		ring:     NewRing(cfg.VirtualNodes),
+		ring:     NewRing(virtualNodes),
 		replicas: map[string]*replicaState{},
 		spill:    map[string]*spillEntry{},
 	}
@@ -232,7 +210,7 @@ func (c *Coordinator) Join(req apiv1.JoinRequest) (*apiv1.JoinResponse, error) {
 		Name:         req.Name,
 		Rejoined:     rejoined,
 		Replicas:     len(c.replicas),
-		HeartbeatSec: c.cfg.Heartbeat.Seconds(),
+		HeartbeatSec: heartbeat.Seconds(),
 	}, nil
 }
 
@@ -249,16 +227,12 @@ func (c *Coordinator) Health() map[string]string {
 
 // Probe runs one synchronous health round over every replica, in name
 // order so a seeded scenario replays identically. A failed probe is
-// one unit of evidence: the first moves up → suspect, DownAfter
+// one unit of evidence: the first moves up → suspect, downAfter
 // consecutive ones condemn to down. A successful probe clears the
 // evidence and revives a down replica (counting the up transition).
 func (c *Coordinator) Probe() {
 	c.mu.Lock()
-	names := make([]string, 0, len(c.replicas))
-	for name := range c.replicas {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	names := sortedNames(c.replicas)
 	c.mu.Unlock()
 
 	for _, name := range names {
@@ -272,7 +246,7 @@ func (c *Coordinator) Probe() {
 		if err != nil {
 			st.probeFails++
 			c.col.Add(metrics.CounterClusterProbeFailures, 1)
-			if st.probeFails >= c.cfg.DownAfter {
+			if st.probeFails >= downAfter {
 				c.setHealthLocked(name, HealthDown)
 			} else if st.health == HealthUp || st.health == HealthDraining {
 				c.setHealthLocked(name, HealthSuspect)
@@ -311,7 +285,7 @@ func (c *Coordinator) setHealthLocked(name, health string) {
 // connection or a plain ErrReplicaDown is direct proof nothing is
 // listening: condemn immediately. A transport timeout or reset may be
 // one slow peer or one bad exchange, so it is one unit of suspect
-// evidence — DownAfter of them condemn, exactly like failed probes.
+// evidence — downAfter of them condemn, exactly like failed probes.
 // Placements are voided only on the condemning transition: whatever a
 // dead replica held is gone when (if) it returns.
 func (c *Coordinator) noteFailure(name string, err error) {
@@ -324,14 +298,14 @@ func (c *Coordinator) noteFailure(name string, err error) {
 	var te *TransportError
 	if errors.As(err, &te) && te.Kind != TransportRefused {
 		st.probeFails++
-		if st.probeFails < c.cfg.DownAfter {
+		if st.probeFails < downAfter {
 			if st.health == HealthUp || st.health == HealthDraining {
 				c.setHealthLocked(name, HealthSuspect)
 			}
 			return
 		}
 	} else {
-		st.probeFails = c.cfg.DownAfter
+		st.probeFails = downAfter
 	}
 	c.setHealthLocked(name, HealthDown)
 	for _, ent := range c.spill {
@@ -353,14 +327,23 @@ func (c *Coordinator) candidates(key uint64) []string {
 	return out
 }
 
-// backendOf resolves a replica's Backend under the lock.
+// sortedNames lists a replica-keyed map's names in order, so a seeded
+// scenario replays identically.
+func sortedNames[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// backendOf resolves a replica's Backend under the lock. The walk
+// names only replicas the coordinator knows, and it never forgets one.
 func (c *Coordinator) backendOf(name string) Backend {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if st := c.replicas[name]; st != nil {
-		return st.backend
-	}
-	return nil
+	return c.replicas[name].backend
 }
 
 // noHealthyReplica is the terminal routing failure: every replica on
@@ -465,34 +448,73 @@ func batchHandles(req *apiv1.BatchRequest) []string {
 
 // --- placement and spill ----------------------------------------------
 
-// recordSpill remembers a stored matrix and where it lives.
+// recordSpill remembers a stored matrix and where it lives. A nil m
+// records the placement only; Matrix fetches the copy when it is
+// first needed.
 func (c *Coordinator) recordSpill(handle string, m *spgemm.Matrix, structFP uint64, replica string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ent := c.spill[handle]
 	if ent == nil {
-		ent = &spillEntry{m: m, structFP: structFP, placed: map[string]bool{}}
+		ent = &spillEntry{structFP: structFP, placed: map[string]bool{}}
 		c.spill[handle] = ent
 	}
+	if ent.m == nil {
+		ent.m = m
+	}
 	ent.placed[replica] = true
+}
+
+// Matrix answers from the coordinator's spill copy — the record of
+// everything stored through it, reachable even while the handle's
+// owner is down. A placement-only entry (a batch's stored node) takes
+// its copy from the first replica, in name order, that still holds
+// the handle; when none does, the handle is lost.
+func (c *Coordinator) Matrix(handle string) (*spgemm.Matrix, bool) {
+	c.mu.Lock()
+	ent := c.spill[handle]
+	if ent == nil {
+		c.mu.Unlock()
+		return nil, false
+	}
+	m := ent.m
+	var holders []Backend
+	if m == nil {
+		for _, name := range sortedNames(ent.placed) {
+			holders = append(holders, c.replicas[name].backend)
+		}
+	}
+	c.mu.Unlock()
+	if m != nil {
+		return m, true
+	}
+	for _, b := range holders {
+		if m, ok := b.Matrix(handle); ok {
+			c.mu.Lock()
+			if ent.m == nil {
+				ent.m = m
+			}
+			m = ent.m
+			c.mu.Unlock()
+			return m, true
+		}
+	}
+	return nil, false
 }
 
 // ensurePlaced re-uploads any of the handles the named replica is
 // missing, from the coordinator's spill copies — batched into one
 // StoreMany call, so a successor takeover during failover is one
 // pipelined transfer rather than N serial round trips. A handle with
-// no spill copy (stored before the coordinator, or already deleted) is
-// the replica's own problem — the request will surface unknown_handle.
+// no spill copy (stored before the coordinator, already deleted, or
+// lost with its holders) is the replica's own problem — the request
+// will surface unknown_handle.
 func (c *Coordinator) ensurePlaced(name string, handles []string) error {
 	c.mu.Lock()
-	var missing []*spgemm.Matrix
-	var missingHandles []string
-	var bytes int64
+	var missing []string
 	for _, h := range handles {
 		if ent := c.spill[h]; ent != nil && !ent.placed[name] {
-			missing = append(missing, ent.m)
-			missingHandles = append(missingHandles, h)
-			bytes += ent.m.Bytes()
+			missing = append(missing, h)
 		}
 	}
 	st := c.replicas[name]
@@ -500,14 +522,27 @@ func (c *Coordinator) ensurePlaced(name string, handles []string) error {
 	if len(missing) == 0 || st == nil {
 		return nil
 	}
-	if _, err := st.backend.StoreMany(missing); err != nil {
+	var ms []*spgemm.Matrix
+	var copied []string
+	var bytes int64
+	for _, h := range missing {
+		if m, ok := c.Matrix(h); ok {
+			ms = append(ms, m)
+			copied = append(copied, h)
+			bytes += m.Bytes()
+		}
+	}
+	if len(ms) == 0 {
+		return nil
+	}
+	if _, err := st.backend.StoreMany(ms); err != nil {
 		return err
 	}
-	c.col.Add(metrics.CounterClusterRebalances, int64(len(missing)))
+	c.col.Add(metrics.CounterClusterRebalances, int64(len(ms)))
 	c.col.Add(metrics.CounterClusterSpillReuploadBatch, 1)
 	c.col.Add(metrics.CounterClusterSpillReuploadBytes, bytes)
 	c.mu.Lock()
-	for _, h := range missingHandles {
+	for _, h := range copied {
 		if ent := c.spill[h]; ent != nil {
 			ent.placed[name] = true
 		}
@@ -516,11 +551,107 @@ func (c *Coordinator) ensurePlaced(name string, handles []string) error {
 	return nil
 }
 
+// reupload voids the placement record for the handles on one replica
+// and pushes the spill copies again; false when nothing was pushed.
+func (c *Coordinator) reupload(name string, handles []string) bool {
+	c.mu.Lock()
+	any := false
+	for _, h := range handles {
+		if ent := c.spill[h]; ent != nil && ent.placed[name] {
+			delete(ent.placed, name)
+			any = true
+		}
+	}
+	c.mu.Unlock()
+	if !any {
+		return false
+	}
+	return c.ensurePlaced(name, handles) == nil
+}
+
+// --- the successor walk -----------------------------------------------
+
+// route walks the key's ring successors, owner first, running call on
+// each until one answers, and counts the route (and the failover when
+// the owner did not answer). An unreachable replica (ErrReplicaDown)
+// is failure evidence and a draining one is marked draining; the walk
+// goes past both. Any other error — an engine failure, a deadline, a
+// bad request, exhausted sheds — is the replica's honest answer, not
+// its absence, and surfaces.
+func route[T any](c *Coordinator, key uint64, call func(name string, b Backend) (T, error)) (T, error) {
+	c.col.Add(metrics.CounterClusterRequests, 1)
+	var zero T
+	cands := c.candidates(key)
+	if len(cands) == 0 {
+		return zero, noHealthyReplica()
+	}
+	c.noteDegradedIfFunneling(len(cands))
+	var lastErr error
+	for i, name := range cands {
+		resp, err := call(name, c.backendOf(name))
+		if err == nil {
+			if i > 0 {
+				c.col.Add(metrics.CounterClusterFailovers, 1)
+			}
+			c.col.Add(metrics.CounterClusterRoutes, 1)
+			return resp, nil
+		}
+		lastErr = err
+		switch {
+		case errors.Is(err, faults.ErrReplicaDown):
+			c.noteFailure(name, err)
+		case isDraining(err):
+			c.setDraining(name)
+		default:
+			return zero, err
+		}
+	}
+	return zero, lastErr
+}
+
+// placedCall runs a request on one replica: its handle operands placed
+// first, then the shed-retry loop. An unknown_handle answer means the
+// replica lost an operand since placement was recorded (restart,
+// eviction): the spill is re-uploaded and the request retried once.
+func placedCall[T any](c *Coordinator, name string, handles []string, call func() (T, error)) (T, error) {
+	if err := c.ensurePlaced(name, handles); err != nil {
+		var zero T
+		return zero, err
+	}
+	resp, err := withShedRetry(c, call)
+	var uh *serve.UnknownHandleError
+	if errors.As(err, &uh) && c.reupload(name, handles) {
+		resp, err = withShedRetry(c, call)
+	}
+	return resp, err
+}
+
+// withShedRetry runs one replica call with the shed-retry policy:
+// capped exponential backoff, Retry-After hint honored, draining
+// excluded (a draining replica will not change its mind).
+func withShedRetry[T any](c *Coordinator, call func() (T, error)) (T, error) {
+	for attempt := 0; ; attempt++ {
+		resp, err := call()
+		if err == nil || isDraining(err) || !faults.Shedding(err) || attempt >= shedRetries {
+			return resp, err
+		}
+		delay := retryBase << uint(attempt)
+		if hint, ok := serve.RetryAfter(err); ok {
+			delay = hint
+		}
+		if delay > retryMax {
+			delay = retryMax
+		}
+		c.col.Add(metrics.CounterClusterRetries, 1)
+		c.cfg.Sleep(delay)
+	}
+}
+
 // --- request paths ----------------------------------------------------
 
-// StoreFromRequest serves the cluster /v1/matrices endpoint. Both
-// variants materialize the matrix at the coordinator first — that copy
-// is the spill the failover path re-uploads from — then place it on
+// StoreFromRequest serves the cluster /v1/matrices endpoint. Every
+// variant materializes the matrix at the coordinator first — that copy
+// is the spill the failover path re-uploads from — then places it on
 // the key's owner. A re-value is computed from the spill copy (same
 // pattern, fresh seeded values), so it works even while the handle's
 // owner is down.
@@ -533,13 +664,11 @@ func (c *Coordinator) StoreFromRequest(req apiv1.MatrixRequest) (*apiv1.MatrixRe
 			return nil, err
 		}
 	case req.Handle != "":
-		c.mu.Lock()
-		ent := c.spill[req.Handle]
-		c.mu.Unlock()
-		if ent == nil {
+		src, ok := c.Matrix(req.Handle)
+		if !ok {
 			return nil, &serve.UnknownHandleError{Handle: req.Handle}
 		}
-		m = spgemm.Revalue(ent.m, req.ValuesSeed)
+		m = spgemm.Revalue(src, req.ValuesSeed)
 	case req.Spec != nil:
 		var err error
 		if m, err = req.Spec.Build(); err != nil {
@@ -587,36 +716,15 @@ func (c *Coordinator) StoreMatrix(m *spgemm.Matrix) (string, error) {
 // routed by as well: the one hash serves the ring key, the spill
 // record and the response.
 func (c *Coordinator) storeMatrix(m *spgemm.Matrix) (string, uint64, error) {
-	c.col.Add(metrics.CounterClusterRequests, 1)
 	key := spgemm.Fingerprint(m)
-	cands := c.candidates(key)
-	if len(cands) == 0 {
-		return "", 0, noHealthyReplica()
-	}
-	c.noteDegradedIfFunneling(len(cands))
-	var lastErr error
-	for i, name := range cands {
-		b := c.backendOf(name)
-		if b == nil {
-			continue
-		}
+	handle, err := route(c, key, func(name string, b Backend) (string, error) {
 		handle, err := b.Store(m)
 		if err == nil {
-			if i > 0 {
-				c.col.Add(metrics.CounterClusterFailovers, 1)
-			}
-			c.col.Add(metrics.CounterClusterRoutes, 1)
 			c.recordSpill(handle, m, key, name)
-			return handle, key, nil
 		}
-		lastErr = err
-		if errors.Is(err, faults.ErrReplicaDown) {
-			c.noteFailure(name, err)
-			continue
-		}
-		return "", 0, err
-	}
-	return "", 0, lastErr
+		return handle, err
+	})
+	return handle, key, err
 }
 
 // DeleteMatrix drops a handle everywhere it might live, plus the
@@ -646,187 +754,45 @@ func (c *Coordinator) DeleteMatrix(handle string) bool {
 // Multiply routes one multiply: owner first, ring successors on
 // failure, shed retries with backoff against whichever replica shed.
 func (c *Coordinator) Multiply(req apiv1.MultiplyRequest) (*apiv1.MultiplyResponse, error) {
-	c.col.Add(metrics.CounterClusterRequests, 1)
-	key := multiplyKey(req)
 	handles := multiplyHandles(req)
-	cands := c.candidates(key)
-	if len(cands) == 0 {
-		return nil, noHealthyReplica()
-	}
-	c.noteDegradedIfFunneling(len(cands))
-
-	var lastErr error
-	for i, name := range cands {
-		resp, err := c.multiplyOn(name, req, handles)
-		if err == nil {
-			if i > 0 {
-				c.col.Add(metrics.CounterClusterFailovers, 1)
-			}
-			c.col.Add(metrics.CounterClusterRoutes, 1)
-			return resp, nil
-		}
-		lastErr = err
-		switch {
-		case errors.Is(err, faults.ErrReplicaDown):
-			c.noteFailure(name, err)
-			continue
-		case isDraining(err):
-			c.setDraining(name)
-			continue
-		default:
-			// Engine failures, deadlines, bad requests and exhausted
-			// sheds are the replica's honest answer, not its absence.
-			return nil, err
-		}
-	}
-	return nil, lastErr
-}
-
-// multiplyOn runs the request on one replica: placement first, then
-// the shed-retry loop. An unknown_handle answer means the replica lost
-// the operand since placement was recorded (restart, eviction): the
-// spill is re-uploaded and the request retried once.
-func (c *Coordinator) multiplyOn(name string, req apiv1.MultiplyRequest, handles []string) (*apiv1.MultiplyResponse, error) {
-	if err := c.ensurePlaced(name, handles); err != nil {
-		return nil, err
-	}
-	b := c.backendOf(name)
-	if b == nil {
-		return nil, noHealthyReplica()
-	}
-	resp, err := c.withShedRetry(func() (*apiv1.MultiplyResponse, error) { return b.Multiply(req) })
-	var uh *serve.UnknownHandleError
-	if errors.As(err, &uh) && c.reupload(name, handles) {
-		resp, err = c.withShedRetry(func() (*apiv1.MultiplyResponse, error) { return b.Multiply(req) })
-	}
-	if err == nil && req.StoreC {
-		// The stored product is cluster state now: spill it so failover
-		// can re-home it like any client upload. Its handle carries the
-		// structural fingerprint the replica's store hashed; a handle
-		// that does not parse is not spilled, as the ring could not
-		// route it either.
-		if fp, ok := handleStructFP(resp.CHandle); ok {
-			if m, ok := b.Matrix(resp.CHandle); ok {
-				c.recordSpill(resp.CHandle, m, fp, name)
+	return route(c, multiplyKey(req), func(name string, b Backend) (*apiv1.MultiplyResponse, error) {
+		resp, err := placedCall(c, name, handles, func() (*apiv1.MultiplyResponse, error) { return b.Multiply(req) })
+		if err == nil && req.StoreC {
+			// The stored product is cluster state now: spill it so failover
+			// can re-home it like any client upload. Its handle carries the
+			// structural fingerprint the replica's store hashed; a handle
+			// that does not parse is not spilled, as the ring could not
+			// route it either.
+			if fp, ok := handleStructFP(resp.CHandle); ok {
+				if m, ok := b.Matrix(resp.CHandle); ok {
+					c.recordSpill(resp.CHandle, m, fp, name)
+				}
 			}
 		}
-	}
-	return resp, err
+		return resp, err
+	})
 }
 
-// reupload voids the placement record for the handles on one replica
-// and pushes the spill copies again; false when nothing was pushed.
-func (c *Coordinator) reupload(name string, handles []string) bool {
-	c.mu.Lock()
-	any := false
-	for _, h := range handles {
-		if ent := c.spill[h]; ent != nil && ent.placed[name] {
-			delete(ent.placed, name)
-			any = true
-		}
-	}
-	c.mu.Unlock()
-	if !any {
-		return false
-	}
-	return c.ensurePlaced(name, handles) == nil
-}
-
-// withShedRetry runs one replica call with the shed-retry policy:
-// capped exponential backoff, Retry-After hint honored, draining
-// excluded (a draining replica will not change its mind).
-func (c *Coordinator) withShedRetry(call func() (*apiv1.MultiplyResponse, error)) (*apiv1.MultiplyResponse, error) {
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		resp, err := call()
-		if err == nil {
-			return resp, nil
-		}
-		lastErr = err
-		if isDraining(err) || !faults.Shedding(err) || attempt >= c.cfg.ShedRetries {
-			return nil, lastErr
-		}
-		delay := c.cfg.RetryBase << uint(attempt)
-		if hint, ok := serve.RetryAfter(err); ok {
-			delay = hint
-		}
-		if delay > c.cfg.RetryMax {
-			delay = c.cfg.RetryMax
-		}
-		c.col.Add(metrics.CounterClusterRetries, 1)
-		c.cfg.Sleep(delay)
-	}
-}
-
-// Batch routes one DAG as a unit, with the same failover walk as
-// Multiply. Keeping the whole batch on one replica is deliberate: its
-// nodes share symbolic plans, and splitting them would turn the plan
-// group's one cold phase into many.
-func (c *Coordinator) Batch(req *apiv1.BatchRequest) (*apiv1.BatchResponse, error) {
-	c.col.Add(metrics.CounterClusterRequests, 1)
-	key := batchKey(req)
+// SubmitBatch routes one DAG as a unit, with the same successor walk
+// as Multiply. Keeping the whole batch on one replica is deliberate:
+// its nodes share symbolic plans, and splitting them would turn the
+// plan group's one cold phase into many. Every stored node's handle is
+// recorded placement-only, without a fetch on the batch's path: the
+// copy is taken when a GET, a placement on another replica or a
+// re-value first needs it.
+func (c *Coordinator) SubmitBatch(req *apiv1.BatchRequest) (*apiv1.BatchResponse, error) {
 	handles := batchHandles(req)
-	cands := c.candidates(key)
-	if len(cands) == 0 {
-		return nil, noHealthyReplica()
-	}
-	c.noteDegradedIfFunneling(len(cands))
-
-	var lastErr error
-	for i, name := range cands {
-		resp, err := c.batchOn(name, req, handles)
+	return route(c, batchKey(req), func(name string, b Backend) (*apiv1.BatchResponse, error) {
+		resp, err := placedCall(c, name, handles, func() (*apiv1.BatchResponse, error) { return b.Batch(req) })
 		if err == nil {
-			if i > 0 {
-				c.col.Add(metrics.CounterClusterFailovers, 1)
+			for _, n := range resp.Nodes {
+				if fp, ok := handleStructFP(n.Handle); ok {
+					c.recordSpill(n.Handle, nil, fp, name)
+				}
 			}
-			c.col.Add(metrics.CounterClusterRoutes, 1)
-			return resp, nil
 		}
-		lastErr = err
-		switch {
-		case errors.Is(err, faults.ErrReplicaDown):
-			c.noteFailure(name, err)
-			continue
-		case isDraining(err):
-			c.setDraining(name)
-			continue
-		default:
-			return nil, err
-		}
-	}
-	return nil, lastErr
-}
-
-// batchOn runs the batch on one replica with placement and the
-// shed-retry policy.
-func (c *Coordinator) batchOn(name string, req *apiv1.BatchRequest, handles []string) (*apiv1.BatchResponse, error) {
-	if err := c.ensurePlaced(name, handles); err != nil {
-		return nil, err
-	}
-	b := c.backendOf(name)
-	if b == nil {
-		return nil, noHealthyReplica()
-	}
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		resp, err := b.Batch(req)
-		if err == nil {
-			return resp, nil
-		}
-		lastErr = err
-		if isDraining(err) || !faults.Shedding(err) || attempt >= c.cfg.ShedRetries {
-			return nil, lastErr
-		}
-		delay := c.cfg.RetryBase << uint(attempt)
-		if hint, ok := serve.RetryAfter(err); ok {
-			delay = hint
-		}
-		if delay > c.cfg.RetryMax {
-			delay = c.cfg.RetryMax
-		}
-		c.col.Add(metrics.CounterClusterRetries, 1)
-		c.cfg.Sleep(delay)
-	}
+		return resp, err
+	})
 }
 
 // isDraining classifies the replica's draining rejection. Checked
@@ -918,11 +884,7 @@ func (c *Coordinator) Counters() map[string]int64 {
 func (c *Coordinator) Drain(timeout time.Duration) map[string]int64 {
 	c.mu.Lock()
 	c.draining = true
-	names := make([]string, 0, len(c.replicas))
-	for name := range c.replicas {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	names := sortedNames(c.replicas)
 	backends := make([]Backend, 0, len(names))
 	for _, name := range names {
 		backends = append(backends, c.replicas[name].backend)

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -212,7 +213,7 @@ func TestClusterBatchFailover(t *testing.T) {
 	owner := tc.c.candidates(batchKey(req))[0]
 	tc.chaos[owner].Kill()
 
-	resp, err := tc.c.Batch(req)
+	resp, err := tc.c.SubmitBatch(req)
 	if err != nil {
 		t.Fatalf("batch after kill: %v", err)
 	}
@@ -413,18 +414,14 @@ func TestClusterShedRetryHonorsRetryAfter(t *testing.T) {
 		return &apiv1.MultiplyResponse{Engine: "cpu"}, nil
 	}}
 	var slept []time.Duration
-	c := New(Config{
-		ShedRetries: 3,
-		RetryBase:   5 * time.Millisecond,
-		Sleep:       func(d time.Duration) { slept = append(slept, d) },
-	}, stub)
+	c := New(Config{Sleep: func(d time.Duration) { slept = append(slept, d) }}, stub)
 
 	resp, err := c.Multiply(apiv1.MultiplyRequest{Engine: "cpu", A: apiv1.MatrixSpec{Kind: "er", Rows: 8, Cols: 8, Density: 0.5, Seed: 1}})
 	if err != nil || resp == nil {
 		t.Fatalf("retry did not recover: %v", err)
 	}
 	if calls != 3 {
-		t.Fatalf("calls = %d, want 3 (two sheds, one success)", calls)
+		t.Fatalf("calls = %d, want 3 (two sheds, one success on the second of two retries)", calls)
 	}
 	// The Retry-After hint overrides the exponential schedule.
 	if len(slept) != 2 || slept[0] != 40*time.Millisecond || slept[1] != 40*time.Millisecond {
@@ -439,15 +436,13 @@ func TestClusterShedRetryExhaustion(t *testing.T) {
 	var calls int
 	stub := &stubBackend{name: "r0", multiplyFn: func(apiv1.MultiplyRequest) (*apiv1.MultiplyResponse, error) {
 		calls++
+		if calls == 2 {
+			return nil, &serve.OverloadError{RetryAfter: time.Second}
+		}
 		return nil, &serve.QueueFullError{Depth: 4}
 	}}
 	var slept []time.Duration
-	c := New(Config{
-		ShedRetries: 2,
-		RetryBase:   5 * time.Millisecond,
-		RetryMax:    8 * time.Millisecond,
-		Sleep:       func(d time.Duration) { slept = append(slept, d) },
-	}, stub)
+	c := New(Config{Sleep: func(d time.Duration) { slept = append(slept, d) }}, stub)
 
 	_, err := c.Multiply(apiv1.MultiplyRequest{Engine: "cpu", A: apiv1.MatrixSpec{Kind: "er", Rows: 8, Cols: 8, Density: 0.5, Seed: 1}})
 	if !faults.Shedding(err) {
@@ -456,49 +451,10 @@ func TestClusterShedRetryExhaustion(t *testing.T) {
 	if calls != 3 {
 		t.Fatalf("calls = %d, want 3 (initial + 2 retries)", calls)
 	}
-	// Exponential backoff capped at RetryMax: 5ms, then 10ms -> 8ms.
-	if len(slept) != 2 || slept[0] != 5*time.Millisecond || slept[1] != 8*time.Millisecond {
-		t.Fatalf("backoff schedule %v, want [5ms 8ms]", slept)
-	}
-}
-
-// TestClusterShedRetriesConfig pins the retry-count configuration
-// surface: zero value means the default policy, DisableShedRetries is
-// the explicit off switch (and wins over any count).
-func TestClusterShedRetriesConfig(t *testing.T) {
-	cases := []struct {
-		name string
-		cfg  Config
-		want int
-	}{
-		{"zero value keeps default", Config{}, 2},
-		{"explicit count", Config{ShedRetries: 5}, 5},
-		{"explicit disable", Config{DisableShedRetries: true}, 0},
-		{"disable wins over a count", Config{ShedRetries: 5, DisableShedRetries: true}, 0},
-	}
-	for _, tc := range cases {
-		if got := tc.cfg.withDefaults().ShedRetries; got != tc.want {
-			t.Errorf("%s: ShedRetries = %d, want %d", tc.name, got, tc.want)
-		}
-	}
-
-	// Behavior check for the explicit off switch: one call, no sleeps,
-	// the shed surfaces immediately.
-	var calls int
-	stub := &stubBackend{name: "r0", multiplyFn: func(apiv1.MultiplyRequest) (*apiv1.MultiplyResponse, error) {
-		calls++
-		return nil, &serve.QueueFullError{Depth: 4}
-	}}
-	c := New(Config{
-		DisableShedRetries: true,
-		Sleep:              func(time.Duration) { t.Fatal("disabled retries must not sleep") },
-	}, stub)
-	_, err := c.Multiply(apiv1.MultiplyRequest{Engine: "cpu", A: apiv1.MatrixSpec{Kind: "er", Rows: 8, Cols: 8, Density: 0.5, Seed: 1}})
-	if !faults.Shedding(err) {
-		t.Fatalf("disabled retries returned %v, want the shed surfaced", err)
-	}
-	if calls != 1 {
-		t.Fatalf("calls = %d, want 1 (no retries)", calls)
+	// The first shed carries no hint: the 5ms base. The second hints 1s,
+	// which the 250ms cap bounds.
+	if len(slept) != 2 || slept[0] != 5*time.Millisecond || slept[1] != 250*time.Millisecond {
+		t.Fatalf("backoff schedule %v, want [5ms 250ms]", slept)
 	}
 }
 
@@ -590,5 +546,48 @@ func TestClusterDeleteEverywhere(t *testing.T) {
 	_, err = tc.c.Multiply(apiv1.MultiplyRequest{Engine: "cpu", AHandle: handle})
 	if serve.ErrorCode(err) != apiv1.CodeUnknownHandle {
 		t.Fatalf("post-delete multiply: %v", err)
+	}
+}
+
+// TestClusterBatchStoredCopyConcurrent: concurrent requests that need
+// the copy of a placement-only handle — fetches and multiplies whose
+// ring owner may be another replica — all succeed and all see one copy.
+func TestClusterBatchStoredCopyConcurrent(t *testing.T) {
+	tc := newTestCluster(t, 3, Config{})
+	m := testMatrix(3)
+	handle, err := tc.c.StoreMatrix(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := tc.c.SubmitBatch(&apiv1.BatchRequest{Engine: "cpu", Nodes: []apiv1.BatchNode{
+		{ID: "sq", A: apiv1.Operand{Handle: handle}, Store: true},
+	}})
+	if err != nil || resp.Completed != 1 || resp.Nodes[0].Handle == "" {
+		t.Fatalf("batch: %+v, %v", resp, err)
+	}
+	stored := resp.Nodes[0].Handle
+
+	const workers = 8
+	copies := make([]*spgemm.Matrix, workers)
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if i%2 == 0 {
+				copies[i], _ = tc.c.Matrix(stored)
+				return
+			}
+			if _, err := tc.c.Multiply(apiv1.MultiplyRequest{Engine: "cpu", AHandle: stored}); err != nil {
+				t.Errorf("multiply on the stored node: %v", err)
+			}
+			copies[i], _ = tc.c.Matrix(stored)
+		}(i)
+	}
+	wg.Wait()
+	for i, cp := range copies {
+		if cp == nil || cp != copies[0] {
+			t.Fatalf("worker %d saw copy %p, worker 0 saw %p", i, cp, copies[0])
+		}
 	}
 }

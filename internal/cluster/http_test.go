@@ -3,11 +3,15 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"repro/internal/metrics"
+	"repro/internal/serve"
+	"repro/spgemm"
 	apiv1 "repro/spgemm/api/v1"
 )
 
@@ -236,5 +240,140 @@ func TestClusterHTTPDegradedAndDown(t *testing.T) {
 	}
 	if mr.Header.Get("Retry-After") == "" {
 		t.Fatal("all-down answer missing Retry-After")
+	}
+}
+
+// TestClusterMetricszHitRates: the coordinator's /metricsz derives the
+// hit rates from the summed replica counters it serves, as a single
+// server derives them from its own. Remote replicas drop their *_rate
+// keys when scraped, so nothing else would put them back.
+func TestClusterMetricszHitRates(t *testing.T) {
+	_, ts0 := remoteServe(t, serve.Config{MaxConcurrent: 2})
+	_, ts1 := remoteServe(t, serve.Config{MaxConcurrent: 2})
+	coord := New(Config{},
+		NewRemoteReplica("r0", ts0.URL, RemoteConfig{}),
+		NewRemoteReplica("r1", ts1.URL, RemoteConfig{}),
+	)
+	ts := httptest.NewServer(coord.Handler())
+	defer ts.Close()
+
+	hr, body := postJSON(t, ts.URL+"/v1/matrices", apiv1.MatrixRequest{
+		Spec: &apiv1.MatrixSpec{Kind: "er", Rows: 32, Cols: 32, Density: 0.1, Seed: 1},
+	})
+	handle, _ := body["handle"].(string)
+	if hr.StatusCode != http.StatusOK || handle == "" {
+		t.Fatalf("upload: %d %v", hr.StatusCode, body)
+	}
+	for i := 0; i < 3; i++ {
+		if mr, mbody := postJSON(t, ts.URL+"/v1/multiply", apiv1.MultiplyRequest{Engine: "cpu", AHandle: handle}); mr.StatusCode != http.StatusOK {
+			t.Fatalf("multiply %d: %d %v", i, mr.StatusCode, mbody)
+		}
+	}
+
+	gr, err := http.Get(ts.URL + "/metricsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := map[string]any{}
+	_ = json.NewDecoder(gr.Body).Decode(&m)
+	gr.Body.Close()
+	for _, tc := range []struct{ rate, hits, misses string }{
+		{"plan_cache_hit_rate", metrics.CounterPlanCacheHits, metrics.CounterPlanCacheMisses},
+		{"matrix_store_hit_rate", metrics.CounterMatrixStoreHits, metrics.CounterMatrixStoreMisses},
+	} {
+		hits, _ := m[tc.hits].(float64)
+		misses, _ := m[tc.misses].(float64)
+		rate, ok := m[tc.rate].(float64)
+		if !ok || hits+misses == 0 || rate != hits/(hits+misses) {
+			t.Errorf("%s = %v, want %s/(%s+%s) = %v/(%v+%v)", tc.rate, m[tc.rate], tc.hits, tc.hits, tc.misses, hits, hits, misses)
+		}
+	}
+	if hits, misses := m[metrics.CounterPlanCacheHits], m[metrics.CounterPlanCacheMisses]; hits != 2.0 || misses != 1.0 {
+		t.Errorf("summed plan cache counters: %v hits, %v misses, want 2 and 1", hits, misses)
+	}
+}
+
+// TestClusterBatchStoredNodeReachable: a batch node stored with
+// store: true is cluster state like any upload. The coordinator records
+// its placement without fetching it on the batch path; the copy is
+// taken from the holder when first needed — here by a multiply whose
+// ring owner is another replica, then served by GET byte for byte as
+// the holder serves it.
+func TestClusterBatchStoredNodeReachable(t *testing.T) {
+	_, ts0 := remoteServe(t, serve.Config{MaxConcurrent: 2})
+	_, ts1 := remoteServe(t, serve.Config{MaxConcurrent: 2})
+	urls := map[string]string{"r0": ts0.URL, "r1": ts1.URL}
+	coord := New(Config{},
+		NewRemoteReplica("r0", ts0.URL, RemoteConfig{}),
+		NewRemoteReplica("r1", ts1.URL, RemoteConfig{}),
+	)
+	ts := httptest.NewServer(coord.Handler())
+	defer ts.Close()
+
+	// An operand whose square routes to the other replica, so the
+	// multiply below needs the stored node placed away from its holder.
+	var m, sq *spgemm.Matrix
+	for seed := int64(1); ; seed++ {
+		if seed > 64 {
+			t.Fatal("no operand whose square has another ring owner")
+		}
+		m = testMatrix(seed)
+		sq, _ = spgemm.Multiply(m, m)
+		if tcOwner(coord, m) != tcOwner(coord, sq) {
+			break
+		}
+	}
+	holder := tcOwner(coord, m)
+	want, err := spgemm.Multiply(sq, sq)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	handle, err := coord.StoreMatrix(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	br, bbody := postJSON(t, ts.URL+"/v1/batch", apiv1.BatchRequest{Engine: "cpu", Nodes: []apiv1.BatchNode{
+		{ID: "sq", A: apiv1.Operand{Handle: handle}, Store: true},
+	}})
+	nodes, _ := bbody["nodes"].([]any)
+	if br.StatusCode != http.StatusOK || len(nodes) != 1 {
+		t.Fatalf("batch: %d %v", br.StatusCode, bbody)
+	}
+	stored, _ := nodes[0].(map[string]any)["handle"].(string)
+	if stored == "" {
+		t.Fatalf("stored node has no handle: %v", bbody)
+	}
+	coord.mu.Lock()
+	ent := coord.spill[stored]
+	coord.mu.Unlock()
+	if ent == nil || ent.m != nil || !ent.placed[holder] {
+		t.Fatalf("spill entry after the batch = %+v, want placement-only on %s", ent, holder)
+	}
+
+	mr, mbody := postJSON(t, ts.URL+"/v1/multiply", apiv1.MultiplyRequest{Engine: "cpu", AHandle: stored})
+	if mr.StatusCode != http.StatusOK {
+		t.Fatalf("multiply on the stored node: %d %v", mr.StatusCode, mbody)
+	}
+	if nnz, _ := mbody["nnz_c"].(float64); int64(nnz) != want.Nnz() {
+		t.Fatalf("multiply on the stored node: nnz_c %v, want %d", mbody["nnz_c"], want.Nnz())
+	}
+
+	fetch := func(base string) []byte {
+		req, _ := http.NewRequest(http.MethodGet, base+"/v1/matrices/"+stored, nil)
+		req.Header.Set("Accept", apiv1.MediaTypeCSR)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s from %s: %d %s", stored, base, resp.StatusCode, body)
+		}
+		return body
+	}
+	if got, want := fetch(ts.URL), fetch(urls[holder]); !bytes.Equal(got, want) {
+		t.Fatalf("coordinator's copy (%d bytes) differs from the holder's (%d bytes)", len(got), len(want))
 	}
 }

@@ -2,50 +2,36 @@ package cluster
 
 import (
 	"context"
-	"net/http"
 	"sync"
 	"time"
 
 	apiv1 "repro/spgemm/api/v1"
 )
 
-// JoinerConfig tunes a replica's membership loop against a
-// coordinator. The zero value needs Coordinator, Name and Advertise.
+// JoinerConfig names a replica and its coordinator for the membership
+// loop. Coordinator, Name and Advertise are required.
 type JoinerConfig struct {
 	// Coordinator is the coordinator's base URL.
 	Coordinator string
 	// Name is the replica's stable name; Advertise the base URL the
 	// coordinator should dial back.
 	Name, Advertise string
-	// Heartbeat overrides the cadence the coordinator answers with
-	// (0 = follow the JoinResponse's HeartbeatSec).
-	Heartbeat time.Duration
-	// BackoffBase and BackoffMax bound the capped exponential backoff
-	// between failed join attempts — the re-registration schedule after
-	// a coordinator restart or partition (0 = 500ms / 8s).
-	BackoffBase, BackoffMax time.Duration
-	// JoinTimeout bounds one join exchange (0 = 2s) — a join is a
-	// control-plane call; it must never wait out a data-plane budget.
-	JoinTimeout time.Duration
 	// Sleep replaces the wait between attempts in tests; nil means a
 	// real timer. The loop re-checks Stop after every wait either way.
 	Sleep func(time.Duration)
-	// HTTP overrides the transport (tests); nil means a plain client.
-	HTTP *http.Client
 }
 
-func (c JoinerConfig) withDefaults() JoinerConfig {
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 500 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 8 * time.Second
-	}
-	if c.JoinTimeout <= 0 {
-		c.JoinTimeout = 2 * time.Second
-	}
-	return c
-}
+// The joiner's schedule.
+const (
+	// joinBackoffBase and joinBackoffMax bound the capped exponential
+	// backoff between failed join attempts — the re-registration
+	// schedule after a coordinator restart or partition.
+	joinBackoffBase = 500 * time.Millisecond
+	joinBackoffMax  = 8 * time.Second
+	// joinTimeout bounds one join exchange — a join is a control-plane
+	// call; it must never wait out a data-plane budget.
+	joinTimeout = 2 * time.Second
+)
 
 // Joiner keeps one replica registered with a coordinator: an immediate
 // join at startup, heartbeat joins at the coordinator's cadence, and
@@ -69,10 +55,9 @@ type Joiner struct {
 
 // NewJoiner builds the loop; Start (or Run) begins it.
 func NewJoiner(cfg JoinerConfig) *Joiner {
-	cfg = cfg.withDefaults()
 	return &Joiner{
 		cfg:    cfg,
-		client: &apiv1.Client{BaseURL: cfg.Coordinator, HTTP: cfg.HTTP},
+		client: &apiv1.Client{BaseURL: cfg.Coordinator},
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
@@ -116,9 +101,9 @@ func (j *Joiner) LastErr() error {
 // next success).
 func (j *Joiner) Run() {
 	defer close(j.done)
-	backoff := j.cfg.BackoffBase
+	backoff := joinBackoffBase
 	for {
-		ctx, cancel := context.WithTimeout(context.Background(), j.cfg.JoinTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), joinTimeout)
 		resp, err := j.client.Join(ctx, apiv1.JoinRequest{Name: j.cfg.Name, URL: j.cfg.Advertise})
 		cancel()
 		var wait time.Duration
@@ -128,8 +113,8 @@ func (j *Joiner) Run() {
 			j.lastErr = err
 			wait = backoff
 			backoff *= 2
-			if backoff > j.cfg.BackoffMax {
-				backoff = j.cfg.BackoffMax
+			if backoff > joinBackoffMax {
+				backoff = joinBackoffMax
 			}
 		} else {
 			j.joins++
@@ -137,13 +122,10 @@ func (j *Joiner) Run() {
 			if resp.Rejoined {
 				j.rejoinAcks++
 			}
-			backoff = j.cfg.BackoffBase
-			wait = j.cfg.Heartbeat
-			if wait <= 0 && resp.HeartbeatSec > 0 {
-				wait = time.Duration(resp.HeartbeatSec * float64(time.Second))
-			}
+			backoff = joinBackoffBase
+			wait = time.Duration(resp.HeartbeatSec * float64(time.Second))
 			if wait <= 0 {
-				wait = 2 * time.Second
+				wait = heartbeat // the coordinator's own cadence
 			}
 		}
 		j.mu.Unlock()

@@ -22,7 +22,7 @@ import (
 // with different evidence weights: a refused connection means no
 // process is listening (condemn immediately, like a killed in-process
 // replica), while a timeout or a reset may be a slow peer or one bad
-// exchange (one unit of suspect evidence; DownAfter of them condemn).
+// exchange (one unit of suspect evidence; downAfter of them condemn).
 const (
 	// TransportRefused: connect failed outright — nothing listening.
 	TransportRefused = "refused"
@@ -121,7 +121,6 @@ func (c RemoteConfig) withDefaults() RemoteConfig {
 // unchanged.
 type RemoteReplica struct {
 	name   string
-	url    string
 	cfg    RemoteConfig
 	client *apiv1.Client
 
@@ -135,16 +134,13 @@ type RemoteReplica struct {
 func NewRemoteReplica(name, url string, cfg RemoteConfig) *RemoteReplica {
 	cfg = cfg.withDefaults()
 	return &RemoteReplica{
-		name: name, url: strings.TrimRight(url, "/"), cfg: cfg,
+		name: name, cfg: cfg,
 		client:    &apiv1.Client{BaseURL: strings.TrimRight(url, "/"), HTTP: cfg.HTTP},
 		transport: map[string]int64{},
 	}
 }
 
 func (r *RemoteReplica) Name() string { return r.name }
-
-// URL returns the replica's base URL (the membership table keys on it).
-func (r *RemoteReplica) URL() string { return r.url }
 
 // wrap classifies an error from the wire: an *APIError envelope is
 // decoded back into the server's typed taxonomy; anything else is a
@@ -294,9 +290,10 @@ func (r *RemoteReplica) Ready() (apiv1.ReadyResponse, error) {
 
 // Counters scrapes the replica's /metricsz and merges the local
 // transport counters on top. Derived *_rate ratios are skipped — the
-// aggregated snapshot is integer counters; rates are re-derived at the
-// aggregation point. An unreachable replica still reports its
-// transport counters: the evidence of its unreachability.
+// aggregated snapshot is integer counters, and the coordinator's
+// /metricsz derives the rates again from their sums. An unreachable
+// replica still reports its transport counters: the evidence of its
+// unreachability.
 func (r *RemoteReplica) Counters() map[string]int64 {
 	out := map[string]int64{}
 	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.ProbeTimeout)

@@ -61,7 +61,7 @@ func TestRemoteReplicaIndistinguishable(t *testing.T) {
 	if resp.NnzC != want.Nnz() {
 		t.Fatalf("remote multiply nnz = %d, want %d", resp.NnzC, want.Nnz())
 	}
-	br, err := coord.Batch(&apiv1.BatchRequest{Engine: "cpu", Nodes: []apiv1.BatchNode{
+	br, err := coord.SubmitBatch(&apiv1.BatchRequest{Engine: "cpu", Nodes: []apiv1.BatchNode{
 		{ID: "sq", A: apiv1.Operand{Handle: handle}},
 	}})
 	if err != nil {

@@ -72,10 +72,6 @@ func (r *localReplica) Ready() (apiv1.ReadyResponse, error)    { return r.s.Read
 func (r *localReplica) Counters() map[string]int64             { return r.s.Snapshot() }
 func (r *localReplica) Drain(t time.Duration) map[string]int64 { return r.s.Drain(t) }
 
-// Server exposes the wrapped serve.Server of a local replica (the
-// cluster harness uses it to reach test-only surfaces).
-func (r *localReplica) Server() *serve.Server { return r.s }
-
 // ChaosConfig is the deterministic failure model of one replica, in
 // the style of internal/faults: a seed and the schedule replay the
 // identical failure sequence, so every cluster chaos scenario is a

@@ -7,7 +7,7 @@ import (
 )
 
 // Ring is a consistent-hash ring over replica names. Each member owns
-// VirtualNodes points on the ring, so keys spread evenly and removing
+// vnodes points on the ring, so keys spread evenly and removing
 // one member redistributes only its own arc to the survivors — the
 // other replicas' plan caches and matrix stores stay warm, which is
 // the entire reason the coordinator shards by structural fingerprint
@@ -26,16 +26,16 @@ type ringPoint struct {
 	member string
 }
 
-// DefaultVirtualNodes is the per-member point count when the
-// configuration leaves it zero. 64 keeps the largest/smallest arc
-// ratio within a few percent for single-digit replica counts.
-const DefaultVirtualNodes = 64
+// virtualNodes is the coordinator's per-member point count. 64 keeps
+// the largest/smallest arc ratio within a few percent for single-digit
+// replica counts.
+const virtualNodes = 64
 
 // NewRing creates an empty ring with the given virtual-node count per
-// member (0 means DefaultVirtualNodes).
+// member (0 means the coordinator's 64).
 func NewRing(vnodes int) *Ring {
 	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
+		vnodes = virtualNodes
 	}
 	return &Ring{vnodes: vnodes, members: map[string]bool{}}
 }

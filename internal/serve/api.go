@@ -2,17 +2,32 @@ package serve
 
 import (
 	"fmt"
+	"time"
 
 	"repro/spgemm"
 	apiv1 "repro/spgemm/api/v1"
 )
 
-// Request-level API: the operations of the HTTP surface as typed Go
-// calls speaking the apiv1 wire types. The HTTP handlers are thin
-// wrappers over these, and the cluster coordinator's in-process
-// replica backend calls them directly — so a replica behind the
-// coordinator behaves exactly like a standalone server, including its
-// typed error taxonomy (ErrorCode / WriteError map it to the wire).
+// API is the request-level surface: the operations of the HTTP routes
+// as typed Go calls speaking the apiv1 wire types. Routes serves any
+// API; *Server implements it over its own scheduler and store, and the
+// cluster coordinator implements it by routing to replicas. Errors are
+// the serving taxonomy, which ErrorCode / WriteError map to the wire.
+type API interface {
+	Multiply(req apiv1.MultiplyRequest) (*apiv1.MultiplyResponse, error)
+	SubmitBatch(req *apiv1.BatchRequest) (*apiv1.BatchResponse, error)
+	StoreFromRequest(req apiv1.MatrixRequest) (*apiv1.MatrixResponse, error)
+	StoreBulk(req apiv1.MatrixBatchRequest) (*apiv1.MatrixBatchResponse, error)
+	// Matrix resolves a stored handle for GET /v1/matrices/{handle}.
+	Matrix(handle string) (*spgemm.Matrix, bool)
+	DeleteMatrix(handle string) bool
+	Ready() apiv1.ReadyResponse
+	// Drain stops admitting, waits up to timeout and returns the final
+	// counters.
+	Drain(timeout time.Duration) map[string]int64
+	// Counters is the flat /metricsz snapshot.
+	Counters() map[string]int64
+}
 
 // Multiply resolves one MultiplyRequest into a Job, submits it, and
 // shapes the result. Errors are the scheduler's typed taxonomy

@@ -425,7 +425,7 @@ func TestHTTPMethodNotAllowed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var body errorResponse
+		var body apiv1.ErrorResponse
 		_ = json.NewDecoder(resp.Body).Decode(&body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusMethodNotAllowed {
@@ -471,7 +471,7 @@ func TestHTTP429CarriesRetryAfterBody(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var envelope errorResponse
+	var envelope apiv1.ErrorResponse
 	_ = json.NewDecoder(resp.Body).Decode(&envelope)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {

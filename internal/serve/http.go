@@ -14,71 +14,61 @@ import (
 	apiv1 "repro/spgemm/api/v1"
 )
 
-// The wire types moved to the public versioned package
-// repro/spgemm/api/v1 (shared by the server, the drive harnesses and
-// the thin client). The aliases keep the old internal names working.
-type (
-	// MatrixSpec aliases apiv1.MatrixSpec.
-	MatrixSpec = apiv1.MatrixSpec
-	// MultiplyRequest aliases apiv1.MultiplyRequest.
-	MultiplyRequest = apiv1.MultiplyRequest
-	// MatrixRequest aliases apiv1.MatrixRequest.
-	MatrixRequest = apiv1.MatrixRequest
-	// MatrixResponse aliases apiv1.MatrixResponse.
-	MatrixResponse = apiv1.MatrixResponse
-	// MultiplyResponse aliases apiv1.MultiplyResponse.
-	MultiplyResponse = apiv1.MultiplyResponse
-
-	errorResponse = apiv1.ErrorResponse
-)
-
-// Handler returns the server's HTTP surface:
+// Routes returns the HTTP surface over any API — the single server's
+// and the cluster coordinator's are this one route table:
 //
 //	GET    /healthz              — liveness (200 while the process serves)
-//	GET    /readyz               — readiness (503 once draining) + breaker states
-//	GET    /metricsz             — the flat metrics snapshot + cache hit rates as JSON
+//	GET    /readyz               — readiness (503 once draining) + breaker or replica states
+//	GET    /metricsz             — the flat counters + cache hit rates as JSON
 //	POST   /v1/multiply          — submit a job (429 + Retry-After when shed)
 //	POST   /v1/batch             — submit a DAG of multiplies (per-node statuses)
 //	POST   /v1/matrices          — store a matrix (data, spec, or re-value a handle)
 //	POST   /v1/matrices/bulk     — store several matrices in one round trip
 //	GET    /v1/matrices/{handle} — fetch a stored matrix's raw CSR payload
-//	DELETE /v1/matrices/{handle} — drop a stored matrix (and orphaned plans)
+//	DELETE /v1/matrices/{handle} — drop a stored matrix
 //	POST   /v1/admin/drain       — drain gracefully, answer the final counters
 //
 // Every route answers a wrong method with 405, an Allow header and the
 // shared error envelope; every error path emits the envelope with a
 // machine-readable code from the apiv1 taxonomy. Bodies are read and
 // answers written through apiv1's helpers, which bound every body
-// (control routes by a constant, matrix routes from the store budget)
-// and speak the binary matrix encoding on the three matrix routes when
-// the request's Content-Type / Accept names it.
-func (s *Server) Handler() http.Handler {
+// (control routes by a constant, matrix routes by matrixBudget) and
+// speak the binary matrix encoding on the three matrix routes when the
+// request's Content-Type / Accept names it. metricsExtra, when not nil,
+// adds keys to the /metricsz body. The caller may register more routes
+// on the returned mux.
+func Routes(api API, matrixBudget int64, metricsExtra func(body map[string]any)) *http.ServeMux {
+	h := &routes{api: api, budget: matrixBudget, metricsExtra: metricsExtra}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", guarded(http.MethodGet, s.handleHealthz))
-	mux.HandleFunc("/readyz", guarded(http.MethodGet, s.handleReadyz))
-	mux.HandleFunc("/metricsz", guarded(http.MethodGet, s.handleMetricsz))
-	mux.HandleFunc("/v1/multiply", guarded(http.MethodPost, s.handleMultiply))
-	mux.HandleFunc("/v1/batch", guarded(http.MethodPost, s.handleBatch))
-	mux.HandleFunc("/v1/matrices", guarded(http.MethodPost, s.handleMatrices))
-	mux.HandleFunc("/v1/matrices/bulk", guarded(http.MethodPost, s.handleMatricesBulk))
-	mux.HandleFunc("/v1/matrices/", guardedMethods(map[string]http.HandlerFunc{
-		http.MethodGet:    s.handleMatrixGet,
-		http.MethodDelete: s.handleMatrixDelete,
+	mux.HandleFunc("/healthz", Guard(http.MethodGet, h.healthz))
+	mux.HandleFunc("/readyz", Guard(http.MethodGet, h.readyz))
+	mux.HandleFunc("/metricsz", Guard(http.MethodGet, h.metricsz))
+	mux.HandleFunc("/v1/multiply", Guard(http.MethodPost, h.multiply))
+	mux.HandleFunc("/v1/batch", Guard(http.MethodPost, h.batch))
+	mux.HandleFunc("/v1/matrices", Guard(http.MethodPost, h.matrices))
+	mux.HandleFunc("/v1/matrices/bulk", Guard(http.MethodPost, h.matricesBulk))
+	mux.HandleFunc("/v1/matrices/", guardMethods(map[string]http.HandlerFunc{
+		http.MethodGet:    h.matrixGet,
+		http.MethodDelete: h.matrixDelete,
 	}))
-	mux.HandleFunc("/v1/admin/drain", guarded(http.MethodPost, s.handleAdminDrain))
+	mux.HandleFunc("/v1/admin/drain", Guard(http.MethodPost, h.adminDrain))
 	return mux
 }
 
-// guarded enforces one allowed method per route: anything else is 405
+// Handler returns the server's HTTP surface: Routes over the server,
+// matrix bodies bounded by its store budget.
+func (s *Server) Handler() http.Handler { return Routes(s, s.store.max, nil) }
+
+// Guard enforces one allowed method per route: anything else is 405
 // with the Allow header and the shared envelope.
-func guarded(method string, h http.HandlerFunc) http.HandlerFunc {
-	return guardedMethods(map[string]http.HandlerFunc{method: h})
+func Guard(method string, h http.HandlerFunc) http.HandlerFunc {
+	return guardMethods(map[string]http.HandlerFunc{method: h})
 }
 
-// guardedMethods dispatches on the request method across the allowed
+// guardMethods dispatches on the request method across the allowed
 // set; anything else is 405 with a deterministic (sorted) Allow header
 // and the shared envelope.
-func guardedMethods(handlers map[string]http.HandlerFunc) http.HandlerFunc {
+func guardMethods(handlers map[string]http.HandlerFunc) http.HandlerFunc {
 	allowed := make([]string, 0, len(handlers))
 	for m := range handlers {
 		allowed = append(allowed, m)
@@ -89,7 +79,7 @@ func guardedMethods(handlers map[string]http.HandlerFunc) http.HandlerFunc {
 		h, ok := handlers[r.Method]
 		if !ok {
 			w.Header().Set("Allow", allow)
-			apiv1.WriteJSON(w, http.StatusMethodNotAllowed, errorResponse{
+			apiv1.WriteJSON(w, http.StatusMethodNotAllowed, apiv1.ErrorResponse{
 				Code:  apiv1.CodeMethodNotAllowed,
 				Error: fmt.Sprintf("method %s not allowed (use %s)", r.Method, allow),
 			})
@@ -99,16 +89,24 @@ func guardedMethods(handlers map[string]http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+// routes binds the handlers to one API and its body budget.
+type routes struct {
+	api          API
+	budget       int64
+	metricsExtra func(body map[string]any)
+}
+
+func (h *routes) healthz(w http.ResponseWriter, _ *http.Request) {
 	apiv1.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// handleReadyz serves the readiness body. The Status string is the
-// wire contract load balancers and the cluster coordinator dispatch
-// on: "ready" and "degraded" answer 200 (the server still serves, a
-// degraded one through its fallback paths), "draining" answers 503.
-func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	body := s.Ready()
+// readyz serves the readiness body. The Status string is the wire
+// contract load balancers and the cluster coordinator dispatch on:
+// "ready" and "degraded" answer 200 (still serving, a degraded server
+// through its fallback paths, a degraded cluster on fewer replicas),
+// "draining" answers 503.
+func (h *routes) readyz(w http.ResponseWriter, _ *http.Request) {
+	body := h.api.Ready()
 	status := http.StatusOK
 	if body.Status == apiv1.ReadyStatusDraining {
 		status = http.StatusServiceUnavailable
@@ -116,82 +114,105 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	apiv1.WriteJSON(w, status, body)
 }
 
-func (s *Server) handleMetricsz(w http.ResponseWriter, _ *http.Request) {
-	snap := s.Snapshot()
-	body := make(map[string]any, len(snap)+2)
-	for k, v := range snap {
+// metricsz serves the counters and the hit rates (0..1) derived from
+// them — for a cluster, from the summed replica counters.
+func (h *routes) metricsz(w http.ResponseWriter, _ *http.Request) {
+	counters := h.api.Counters()
+	body := make(map[string]any, len(counters)+3)
+	for k, v := range counters {
 		body[k] = v
 	}
-	// Derived hit rates (0..1): counters alone force every dashboard to
-	// re-derive them, so the endpoint publishes the ratio too.
 	rate := func(hits, misses int64) float64 {
 		if hits+misses == 0 {
 			return 0
 		}
 		return float64(hits) / float64(hits+misses)
 	}
-	body["plan_cache_hit_rate"] = rate(snap[metrics.CounterPlanCacheHits], snap[metrics.CounterPlanCacheMisses])
-	body["matrix_store_hit_rate"] = rate(snap[metrics.CounterMatrixStoreHits], snap[metrics.CounterMatrixStoreMisses])
+	body["plan_cache_hit_rate"] = rate(counters[metrics.CounterPlanCacheHits], counters[metrics.CounterPlanCacheMisses])
+	body["matrix_store_hit_rate"] = rate(counters[metrics.CounterMatrixStoreHits], counters[metrics.CounterMatrixStoreMisses])
+	if h.metricsExtra != nil {
+		h.metricsExtra(body)
+	}
 	apiv1.WriteJSON(w, http.StatusOK, body)
 }
 
-// handleMatrices stores a matrix from a spec, or re-values a stored
-// handle when the body names one.
-func (s *Server) handleMatrices(w http.ResponseWriter, r *http.Request) {
-	req, ok := apiv1.ReadMatrixRequest(w, r, s.store.max)
-	if !ok {
+func (h *routes) multiply(w http.ResponseWriter, r *http.Request) {
+	var req apiv1.MultiplyRequest
+	if !apiv1.ReadJSON(w, r, &req) {
 		return
 	}
-	resp, err := s.StoreFromRequest(req)
+	resp, err := h.api.Multiply(req)
 	if err != nil {
-		s.writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	apiv1.WriteJSON(w, http.StatusOK, resp)
 }
 
-// handleMatricesBulk serves POST /v1/matrices/bulk: several stores in
-// one round trip (the cluster failover re-upload path).
-func (s *Server) handleMatricesBulk(w http.ResponseWriter, r *http.Request) {
-	req, ok := apiv1.ReadMatrixBatchRequest(w, r, s.store.max)
-	if !ok {
+func (h *routes) batch(w http.ResponseWriter, r *http.Request) {
+	var req apiv1.BatchRequest
+	if !apiv1.ReadJSON(w, r, &req) {
 		return
 	}
-	resp, err := s.StoreBulk(req)
+	resp, err := h.api.SubmitBatch(&req)
 	if err != nil {
-		s.writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	apiv1.WriteJSON(w, http.StatusOK, resp)
 }
 
-// handleMatrixGet serves GET /v1/matrices/{handle}: the stored CSR
-// payload, raw, so a peer can re-home the matrix byte-identically.
-func (s *Server) handleMatrixGet(w http.ResponseWriter, r *http.Request) {
+func (h *routes) matrices(w http.ResponseWriter, r *http.Request) {
+	req, ok := apiv1.ReadMatrixRequest(w, r, h.budget)
+	if !ok {
+		return
+	}
+	resp, err := h.api.StoreFromRequest(req)
+	if err != nil {
+		WriteError(w, err)
+		return
+	}
+	apiv1.WriteJSON(w, http.StatusOK, resp)
+}
+
+func (h *routes) matricesBulk(w http.ResponseWriter, r *http.Request) {
+	req, ok := apiv1.ReadMatrixBatchRequest(w, r, h.budget)
+	if !ok {
+		return
+	}
+	resp, err := h.api.StoreBulk(req)
+	if err != nil {
+		WriteError(w, err)
+		return
+	}
+	apiv1.WriteJSON(w, http.StatusOK, resp)
+}
+
+// matrixGet answers the stored CSR payload, raw, so a peer can re-home
+// the matrix byte-identically.
+func (h *routes) matrixGet(w http.ResponseWriter, r *http.Request) {
 	handle := strings.TrimPrefix(r.URL.Path, "/v1/matrices/")
-	m, ok := s.Matrix(handle)
+	m, ok := h.api.Matrix(handle)
 	if !ok {
-		s.writeError(w, &UnknownHandleError{Handle: handle})
+		WriteError(w, &UnknownHandleError{Handle: handle})
 		return
 	}
 	apiv1.WriteMatrix(w, r, apiv1.MatrixDataFrom(m))
 }
 
-// handleMatrixDelete serves DELETE /v1/matrices/{handle}.
-func (s *Server) handleMatrixDelete(w http.ResponseWriter, r *http.Request) {
+func (h *routes) matrixDelete(w http.ResponseWriter, r *http.Request) {
 	handle := strings.TrimPrefix(r.URL.Path, "/v1/matrices/")
-	if !s.DeleteMatrix(handle) {
-		s.writeError(w, &UnknownHandleError{Handle: handle})
+	if !h.api.DeleteMatrix(handle) {
+		WriteError(w, &UnknownHandleError{Handle: handle})
 		return
 	}
 	apiv1.WriteJSON(w, http.StatusOK, map[string]string{"deleted": handle})
 }
 
-// handleAdminDrain serves POST /v1/admin/drain: stop admitting, wait
-// for in-flight work up to the requested timeout, answer the final
-// counter snapshot. The call is idempotent — draining an already
-// draining server just waits again and re-reads the counters.
-func (s *Server) handleAdminDrain(w http.ResponseWriter, r *http.Request) {
+// adminDrain stops admitting, waits for in-flight work up to the
+// requested timeout and answers the final counters. The call is
+// idempotent: draining again just waits again and re-reads them.
+func (h *routes) adminDrain(w http.ResponseWriter, r *http.Request) {
 	var req apiv1.DrainRequest
 	if !apiv1.ReadJSON(w, r, &req) {
 		return
@@ -200,50 +221,19 @@ func (s *Server) handleAdminDrain(w http.ResponseWriter, r *http.Request) {
 	if req.TimeoutSec > 0 {
 		timeout = time.Duration(req.TimeoutSec * float64(time.Second))
 	}
-	apiv1.WriteJSON(w, http.StatusOK, apiv1.DrainResponse{Counters: s.Drain(timeout)})
+	apiv1.WriteJSON(w, http.StatusOK, apiv1.DrainResponse{Counters: h.api.Drain(timeout)})
 }
-
-func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
-	var req MultiplyRequest
-	if !apiv1.ReadJSON(w, r, &req) {
-		return
-	}
-	resp, err := s.Multiply(req)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	apiv1.WriteJSON(w, http.StatusOK, resp)
-}
-
-// handleBatch serves POST /v1/batch: one DAG of multiplies, admitted
-// as a unit, with per-node statuses in the response.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req apiv1.BatchRequest
-	if !apiv1.ReadJSON(w, r, &req) {
-		return
-	}
-	resp, err := s.SubmitBatch(&req)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	apiv1.WriteJSON(w, http.StatusOK, resp)
-}
-
-// writeError keeps the handler call sites short.
-func (s *Server) writeError(w http.ResponseWriter, err error) { WriteError(w, err) }
 
 // WriteError maps the serving error taxonomy onto HTTP statuses and
 // envelope codes: shedding is 429 with a Retry-After hint (header and
 // body), a panic is a 500 for that job only, a deadline is 504, an
 // up-front OOM rejection is 413, an unresolvable handle 404, a
 // rejected batch DAG 400, an unreachable cluster 503 with Retry-After.
-// It is shared by the server's handlers and the cluster coordinator's
-// HTTP surface, so both speak the identical wire taxonomy.
+// Every route of Routes answers through it, and so does the
+// coordinator's /v1/join.
 func WriteError(w http.ResponseWriter, err error) {
 	code := ErrorCode(err)
-	resp := errorResponse{Code: code, Error: err.Error()}
+	resp := apiv1.ErrorResponse{Code: code, Error: err.Error()}
 	var status int
 	switch code {
 	case apiv1.CodeUnknownHandle:

@@ -542,6 +542,9 @@ func (s *Server) Snapshot() map[string]int64 {
 	return snap
 }
 
+// Counters is Snapshot: the server's /metricsz counters.
+func (s *Server) Counters() map[string]int64 { return s.Snapshot() }
+
 // StoreMatrix uploads a matrix into the content-addressed store and
 // returns its handle. Identical content is idempotent.
 func (s *Server) StoreMatrix(m *spgemm.Matrix) (string, error) {

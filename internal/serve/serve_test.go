@@ -547,7 +547,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mr MultiplyResponse
+	var mr apiv1.MultiplyResponse
 	if err := json.NewDecoder(resp.Body).Decode(&mr); err != nil {
 		t.Fatal(err)
 	}
@@ -616,7 +616,7 @@ func TestHTTPShedsWith429(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var body errorResponse
+	var body apiv1.ErrorResponse
 	_ = json.NewDecoder(resp.Body).Decode(&body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {

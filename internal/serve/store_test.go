@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/spgemm"
+	apiv1 "repro/spgemm/api/v1"
 )
 
 // TestMatrixStoreContentAddressing: identical uploads are idempotent,
@@ -239,7 +240,7 @@ func TestHTTPMatrixEndpoints(t *testing.T) {
 		return resp, out
 	}
 
-	resp, body := post("/v1/matrices", MatrixRequest{Spec: &MatrixSpec{Kind: "er", Rows: 64, Cols: 64, Density: 0.05, Seed: 3}})
+	resp, body := post("/v1/matrices", apiv1.MatrixRequest{Spec: &apiv1.MatrixSpec{Kind: "er", Rows: 64, Cols: 64, Density: 0.05, Seed: 3}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("upload: %d %v", resp.StatusCode, body)
 	}
@@ -251,14 +252,14 @@ func TestHTTPMatrixEndpoints(t *testing.T) {
 
 	// Two handle-based multiplies: second is warm.
 	for i := 0; i < 2; i++ {
-		resp, body = post("/v1/multiply", MultiplyRequest{Engine: "cpu", AHandle: handle})
+		resp, body = post("/v1/multiply", apiv1.MultiplyRequest{Engine: "cpu", AHandle: handle})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("multiply %d: %d %v", i, resp.StatusCode, body)
 		}
 	}
 
 	// Re-value keeps the structural fingerprint.
-	resp, body = post("/v1/matrices", MatrixRequest{Handle: handle, ValuesSeed: 42})
+	resp, body = post("/v1/matrices", apiv1.MatrixRequest{Handle: handle, ValuesSeed: 42})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("revalue: %d %v", resp.StatusCode, body)
 	}
@@ -307,12 +308,12 @@ func TestHTTPMatrixEndpoints(t *testing.T) {
 	if dresp.StatusCode != http.StatusOK {
 		t.Fatalf("delete: %d", dresp.StatusCode)
 	}
-	resp, body = post("/v1/multiply", MultiplyRequest{Engine: "cpu", AHandle: handle})
+	resp, body = post("/v1/multiply", apiv1.MultiplyRequest{Engine: "cpu", AHandle: handle})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("multiply on deleted handle: %d %v", resp.StatusCode, body)
 	}
 	// Unknown-handle revalue is a 404 too.
-	resp, _ = post("/v1/matrices", MatrixRequest{Handle: "m-gone", ValuesSeed: 1})
+	resp, _ = post("/v1/matrices", apiv1.MatrixRequest{Handle: "m-gone", ValuesSeed: 1})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("revalue of unknown handle: %d", resp.StatusCode)
 	}
