@@ -60,8 +60,8 @@ func main() {
 	// nothing a linked package registered on flag.CommandLine.
 	fs := flag.NewFlagSet("spgemm-serve", flag.ExitOnError)
 	addr := fs.String("addr", ":8097", "HTTP listen address")
-	maxConc := fs.Int("max-concurrent", 2, "jobs running at once")
-	queueDepth := fs.Int("queue", 0, "admission queue depth (0 = 2*max-concurrent)")
+	maxConc := fs.Int("max-concurrent", 2, "run slots: jobs and batch nodes computing at once")
+	queueDepth := fs.Int("queue", 0, "jobs that may wait for a run slot (0 = 2*max-concurrent)")
 	maxFlops := fs.Int64("max-inflight-flops", 0, "inflight flop budget for admission (0 = unlimited)")
 	devmem := fs.Int64("devmem", 0, "simulated device memory in bytes (0 = full V100)")
 	faultSpec := fs.String("faults", "", "base fault spec for device engines, e.g. seed=7,rate=0.02,loseafter=60")

@@ -27,11 +27,11 @@ import (
 // like a single job's cost, and the batch is shed with OverloadError
 // or rejected with DrainingError as a unit.
 //
-// Execution pipelines the DAG: a bounded worker pool (the server's
-// MaxConcurrent) runs nodes as their dependencies resolve, each node's
-// output living in an in-flight namespace its consumers read directly
-// — no round trip through the matrix store unless the node asked for
-// `store: true`. Nodes sharing a structural fingerprint pair are
+// Execution pipelines the DAG: min(MaxConcurrent, nodes) goroutines
+// start nodes as their dependencies resolve, each node computing in one
+// of the server's run slots and its output living in an in-flight
+// namespace its consumers read directly — no round trip through the
+// matrix store unless the node asked for `store: true`. Nodes sharing a structural fingerprint pair are
 // grouped: the first of a group runs the cold symbolic phase alone,
 // the rest wait for its plan and replay numeric-only via the shared
 // plan cache.
@@ -52,39 +52,19 @@ func (s *Server) SubmitBatch(req *apiv1.BatchRequest) (*apiv1.BatchResponse, err
 	// plans) out from under an admitted-but-unfinished node.
 	defer s.store.unpinAll(pinned)
 
+	// The batch holds one admission unit for its whole flop estimate.
 	s.mu.Lock()
-	if s.draining {
-		s.metrics.Add(metrics.CounterServeRejectedDraining, 1)
+	if err := s.admitLocked(total); err != nil {
 		s.mu.Unlock()
-		return nil, &DrainingError{}
+		return nil, err
 	}
-	if lim := s.cfg.MaxInflightFlops; lim > 0 && s.inflight > 0 && s.inflightFlops+total > lim {
-		s.metrics.Add(metrics.CounterServeRejectedOverload, 1)
-		oe := &OverloadError{
-			RetryAfter:    s.retryAfterLocked(),
-			InflightFlops: s.inflightFlops,
-			JobFlops:      total,
-			BudgetFlops:   lim,
-		}
-		s.mu.Unlock()
-		return nil, oe
-	}
-	// The batch holds one admission unit for its whole flop estimate;
-	// wg.Add under the same critical section as the draining check keeps
-	// Drain from missing it (Drain flips draining before waiting).
-	s.inflight++
-	s.inflightFlops += total
+	s.acceptLocked(total)
 	s.metrics.Add(metrics.CounterServeBatchesAccepted, 1)
 	s.metrics.Add(metrics.CounterServeAccepted, int64(len(nodes)))
-	s.wg.Add(1)
 	s.mu.Unlock()
 	defer func() {
-		s.mu.Lock()
-		s.inflight--
-		s.inflightFlops -= total
 		s.metrics.Add(metrics.CounterServeBatchesCompleted, 1)
-		s.mu.Unlock()
-		s.wg.Done()
+		s.finish(total)
 	}()
 
 	run := &batchRun{
@@ -228,7 +208,7 @@ func (s *Server) planBatch(req *apiv1.BatchRequest) ([]*bnode, []string, int64, 
 		bn.outRows, bn.outCols, bn.shapeKnown = aRows, bCols, true
 		// The standard row-product estimate: each nonzero of A meets the
 		// average B row. Upstream outputs carry their own estimate.
-		est := 2 * aNnz * bNnz / float64(maxInt(bRows, 1))
+		est := 2 * aNnz * bNnz / float64(max(bRows, 1))
 		bn.estFlops = int64(est)
 		bn.estNnz = est / 2
 		if dense := float64(bn.outRows) * float64(bn.outCols); bn.estNnz > dense {
@@ -366,8 +346,10 @@ type batchRun struct {
 	ready chan int
 }
 
-// execute runs the DAG to completion on a bounded worker pool,
-// releasing each node to the pool the moment its dependencies resolve.
+// execute runs the DAG to completion on min(MaxConcurrent, nodes)
+// goroutines that take ready nodes in order, releasing each node the
+// moment its dependencies resolve. A node takes a run slot only to
+// compute, never while it waits for a dependency or its plan group.
 func (r *batchRun) execute() {
 	for i, bn := range r.nodes {
 		bn.pending = len(bn.deps)
@@ -375,10 +357,7 @@ func (r *batchRun) execute() {
 			r.ready <- i
 		}
 	}
-	workers := r.s.cfg.MaxConcurrent
-	if workers > len(r.nodes) {
-		workers = len(r.nodes)
-	}
+	workers := min(r.s.cfg.MaxConcurrent, len(r.nodes))
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -434,13 +413,13 @@ func (r *batchRun) resolve(i int, res apiv1.NodeResult, out *Result) {
 	}
 }
 
-// runNode executes one ready node: skip on failed upstream, route
-// through the breaker, serialize the cold symbolic phase within its
-// plan group, run with full per-job isolation, optionally persist. A
-// node's output carries its identity record (the plan's, when the
-// product came from a cached plan) to its consumers and into the
-// store, so a chain over one pattern validates and hashes nothing past
-// its first cold product.
+// runNode executes one ready node: skip on failed upstream, route and
+// size it as admit does, serialize the cold symbolic phase within its
+// plan group, compute in a run slot with full per-job isolation,
+// optionally persist. A node's output carries its identity record (the
+// plan's, when the product came from a cached plan) to its consumers
+// and into the store, so a chain over one pattern validates and hashes
+// nothing past its first cold product.
 func (r *batchRun) runNode(i int) (apiv1.NodeResult, *Result) {
 	s := r.s
 	bn := r.nodes[i]
@@ -473,73 +452,43 @@ func (r *batchRun) runNode(i int) (apiv1.NodeResult, *Result) {
 	}
 	r.mu.Unlock()
 
-	requested := bn.node.Engine
-	if requested == "" {
-		requested = r.req.Engine
-	}
-	if requested == "" {
-		requested = s.cfg.FallbackEngine
+	engine := bn.node.Engine
+	if engine == "" {
+		engine = r.req.Engine
 	}
 	opts := s.jobOptions(Job{Opts: &spgemm.RunOptions{
 		DeadlineSec: r.req.DeadlineSec,
 		Threads:     r.req.Threads,
 		NumGPUs:     r.req.NumGPUs,
 	}})
-	col := metrics.New()
-	opts.Metrics = col
 	opts.AID, opts.BID = aID, bID
-
-	// Breaker routing, exactly as single-job admission does it.
-	s.mu.Lock()
-	engine, degraded, probe := requested, false, false
-	if br := s.breakerFor(requested); br != nil {
-		fallback, p := br.route()
-		if fallback {
-			engine, degraded = s.cfg.FallbackEngine, true
-		}
-		probe = p
-		br.committed(degraded, probe)
-	}
-	if degraded {
-		s.metrics.Add(metrics.CounterServeDegraded, 1)
-	}
-	if probe {
-		s.metrics.Add(metrics.CounterServeBreakerProbes, 1)
-	}
-	s.mu.Unlock()
-
-	cost, err := spgemm.EstimateCost(engine, a, b, opts)
-	if err != nil {
+	t := newTask(engine, a, b, opts, bn.consumers > 0 || bn.node.Store)
+	fail := func(err error) (apiv1.NodeResult, *Result) {
 		res.Status = apiv1.StatusFailed
 		res.Error = &apiv1.ErrorResponse{Code: ErrorCode(err), Error: err.Error()}
 		return res, nil
+	}
+	s.mu.Lock()
+	err := s.routeLocked(t)
+	if err == nil {
+		s.commitLocked(t)
+	}
+	s.mu.Unlock()
+	if err != nil {
+		return fail(err)
 	}
 
 	if release := r.acquireGroup(a, b, opts); release != nil {
 		defer release()
 	}
-
-	t := &task{
-		a: a, b: b,
-		requested: requested, engine: engine,
-		degraded: degraded, probe: probe,
-		cost: cost, opts: opts, col: col, wantCID: bn.consumers > 0 || bn.node.Store,
-		done: make(chan *Result, 1),
-	}
-	out := s.run(t)
-	s.mu.Lock()
-	s.settleLocked(t, out)
-	s.mu.Unlock()
-
+	out := s.execute(t, s.acquire())
 	res.Engine, res.Degraded = out.Engine, out.Degraded
 	if out.Err != nil {
-		res.Status = apiv1.StatusFailed
-		res.Error = &apiv1.ErrorResponse{Code: ErrorCode(out.Err), Error: out.Err.Error()}
-		return res, nil
+		return fail(out.Err)
 	}
 	res.Status = apiv1.StatusOK
 	res.Rows, res.Cols, res.NnzC = out.C.Rows, out.C.Cols, out.C.Nnz()
-	res.Flops = cost.Flops
+	res.Flops = t.cost.Flops
 	if out.Report != nil {
 		res.Seconds = out.Report.Seconds()
 	}
@@ -547,9 +496,7 @@ func (r *batchRun) runNode(i int) (apiv1.NodeResult, *Result) {
 	if bn.node.Store {
 		handle, adopted, err := s.store.put(out.C, out.CID)
 		if err != nil {
-			res.Status = apiv1.StatusFailed
-			res.Error = &apiv1.ErrorResponse{Code: ErrorCode(err), Error: err.Error()}
-			return res, nil
+			return fail(err)
 		}
 		if adopted {
 			out.job = nil // a stored array is never released
@@ -598,7 +545,6 @@ func (r *batchRun) response(total int64, elapsed time.Duration) *apiv1.BatchResp
 		Seconds:        elapsed.Seconds(),
 		EstimatedFlops: total,
 	}
-	var skipped int64
 	for i := range r.results {
 		switch r.results[i].Status {
 		case apiv1.StatusOK:
@@ -612,21 +558,13 @@ func (r *batchRun) response(total int64, elapsed time.Duration) *apiv1.BatchResp
 			resp.Failed++
 		default:
 			resp.Skipped++
-			skipped++
 		}
 	}
 	if n := resp.PlanCacheHits + resp.PlanCacheMisses; n > 0 {
 		resp.PlanCacheHitRate = float64(resp.PlanCacheHits) / float64(n)
 	}
-	if skipped > 0 {
-		r.s.metrics.Add(metrics.CounterServeBatchSkipped, skipped)
+	if resp.Skipped > 0 {
+		r.s.metrics.Add(metrics.CounterServeBatchSkipped, int64(resp.Skipped))
 	}
 	return resp
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

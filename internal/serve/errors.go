@@ -30,11 +30,11 @@ func (e *OverloadError) Error() string {
 
 func (e *OverloadError) Unwrap() error { return faults.ErrOverloaded }
 
-// QueueFullError is the bounded-queue rejection: every worker is busy
-// and the admission queue has no free slot. It wraps
+// QueueFullError is the bounded-queue rejection: every run slot is
+// taken and QueueDepth jobs already wait for one. It wraps
 // faults.ErrQueueFull.
 type QueueFullError struct {
-	// Depth is the queue's capacity.
+	// Depth is the queue's capacity (Config.QueueDepth).
 	Depth int
 }
 

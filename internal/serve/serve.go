@@ -11,8 +11,11 @@
 //     cannot fit the device are rejected up front; jobs that would
 //     push the inflight flop total past the budget are shed with a
 //     typed OverloadError carrying a retry-after hint; a bounded
-//     queue sheds the rest with QueueFullError. Shedding never blocks
-//     and never runs the job.
+//     queue of jobs waiting for a run slot sheds the rest with
+//     QueueFullError. Shedding never blocks and never runs the job.
+//   - One bound. MaxConcurrent run slots bound the jobs and batch
+//     nodes computing at once, server-wide; each computes on its
+//     caller's goroutine while it holds a slot.
 //   - Circuit breakers. Each device-backed engine has a breaker fed
 //     by the recovery counters of its finished jobs (retries, lost
 //     devices) and their terminal errors. A tripped breaker degrades
@@ -22,8 +25,8 @@
 //     PanicError for that job alone; deadlines and cancellation ride
 //     on spgemm.RunOptions.DeadlineSec.
 //   - Graceful drain. Drain stops admission, lets inflight jobs
-//     finish within the drain deadline, abandons what remains, and
-//     returns the final metrics snapshot.
+//     finish within the drain deadline, abandons those still waiting
+//     for a slot, and returns the final metrics snapshot.
 //
 // On top of single multiplies, SubmitBatch (POST /v1/batch) schedules
 // a whole DAG of multiplies as one admission unit: validated up front
@@ -46,7 +49,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/csr"
@@ -55,15 +57,17 @@ import (
 	"repro/spgemm"
 )
 
-// Config tunes a Server. The zero value is usable: two workers, a
+// Config tunes a Server. The zero value is usable: two run slots, a
 // bounded queue of twice that, no flop budget (admission sheds only on
-// queue depth), CPU fallback, default breaker thresholds.
+// queue depth), default breaker thresholds.
 type Config struct {
-	// MaxConcurrent is the worker count — jobs running at once
-	// (0 means 2). It counts jobs, not cores: one job takes its
-	// engine's host parallelism (spgemm.RunOptions.Threads).
+	// MaxConcurrent is the number of run slots: jobs and batch nodes
+	// computing at once, server-wide (0 means 2). It counts jobs, not
+	// cores: one job takes its engine's host parallelism
+	// (spgemm.RunOptions.Threads).
 	MaxConcurrent int
-	// QueueDepth bounds the admission queue (0 means 2*MaxConcurrent).
+	// QueueDepth bounds the /v1/multiply jobs waiting for a run slot
+	// (0 means 2*MaxConcurrent).
 	QueueDepth int
 	// MaxInflightFlops is the admission budget: a job is shed when its
 	// estimated flops plus the admitted-but-unfinished total exceed
@@ -72,9 +76,6 @@ type Config struct {
 	// FlopsPerSec converts backlog flops into the OverloadError
 	// retry-after hint (0 means 1e9).
 	FlopsPerSec int64
-	// FallbackEngine is where tripped breakers degrade traffic
-	// (empty means "cpu").
-	FallbackEngine string
 	// Breaker tunes the per-engine circuit breakers.
 	Breaker BreakerConfig
 	// Base is the option set jobs inherit (device model, fault
@@ -89,10 +90,11 @@ type Config struct {
 	MatrixStoreBytes int64
 	// DrainTimeout is the default Drain deadline (0 means 30s).
 	DrainTimeout time.Duration
-	// Metrics receives the serving counters (plus each job's
-	// recovery_* counters, aggregated); nil means a fresh collector.
-	Metrics *metrics.Collector
 }
+
+// fallbackEngine is where tripped breakers degrade traffic, and the
+// engine of a job that names none.
+const fallbackEngine = "cpu"
 
 // Job is one multiply request: an engine name from the registry and
 // the two operands — either as matrices or as handles into the
@@ -140,7 +142,8 @@ func (r *Result) release() {
 	}
 }
 
-// task is a Job after admission: routed, costed, instrumented.
+// task is a job or batch node on its way to a run slot: routed,
+// costed, instrumented (opts.Metrics is its own collector).
 type task struct {
 	a, b      *spgemm.Matrix
 	requested string
@@ -149,9 +152,22 @@ type task struct {
 	probe     bool
 	cost      spgemm.Cost
 	opts      *spgemm.RunOptions
-	col       *metrics.Collector
 	wantCID   bool
-	done      chan *Result
+	// queued marks a job admitted while every run slot was taken: it
+	// waits for one, counted against QueueDepth.
+	queued bool
+	// pinned lists the store handles the job holds until it finishes.
+	pinned []string
+}
+
+func newTask(engine string, a, b *spgemm.Matrix, opts *spgemm.RunOptions, wantCID bool) *task {
+	if engine == "" {
+		engine = fallbackEngine
+	}
+	if opts.Metrics == nil {
+		opts.Metrics = metrics.New()
+	}
+	return &task{a: a, b: b, requested: engine, opts: opts, wantCID: wantCID}
 }
 
 // Server is the scheduler. Create with New, submit with Submit (or
@@ -159,20 +175,25 @@ type task struct {
 type Server struct {
 	cfg     Config
 	metrics *metrics.Collector
-	queue   chan *task
-	wg      sync.WaitGroup
-	abandon atomic.Bool
-	plans   *spgemm.PlanCache
-	store   *matrixStore
+	// slots holds one token per job or batch node computing; its
+	// capacity is MaxConcurrent.
+	slots chan struct{}
+	// abandoned closes once, at the drain deadline.
+	abandoned   chan struct{}
+	abandonOnce sync.Once
+	wg          sync.WaitGroup // one per admission unit
+	plans       *spgemm.PlanCache
+	store       *matrixStore
 
 	mu            sync.Mutex
 	draining      bool
 	inflight      int
 	inflightFlops int64
+	queued        int
 	breakers      map[string]*breaker
 }
 
-// New starts a server and its worker pool.
+// New makes a server; it starts no goroutine.
 func New(cfg Config) *Server {
 	if cfg.MaxConcurrent <= 0 {
 		cfg.MaxConcurrent = 2
@@ -183,161 +204,187 @@ func New(cfg Config) *Server {
 	if cfg.FlopsPerSec <= 0 {
 		cfg.FlopsPerSec = 1e9
 	}
-	if cfg.FallbackEngine == "" {
-		cfg.FallbackEngine = "cpu"
-	}
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 30 * time.Second
 	}
 	cfg.Breaker = cfg.Breaker.withDefaults()
-	m := cfg.Metrics
-	if m == nil {
-		m = metrics.New()
-	}
 	s := &Server{
-		cfg:      cfg,
-		metrics:  m,
-		queue:    make(chan *task, cfg.QueueDepth),
-		breakers: map[string]*breaker{},
+		cfg:       cfg,
+		metrics:   metrics.New(),
+		slots:     make(chan struct{}, cfg.MaxConcurrent),
+		abandoned: make(chan struct{}),
+		breakers:  map[string]*breaker{},
 	}
 	if cfg.PlanCacheBytes >= 0 {
 		s.plans = spgemm.NewPlanCache(cfg.PlanCacheBytes)
 	}
-	s.store = newMatrixStore(cfg.MatrixStoreBytes, m, s.plans)
-	s.wg.Add(cfg.MaxConcurrent)
-	for i := 0; i < cfg.MaxConcurrent; i++ {
-		go s.worker()
-	}
+	s.store = newMatrixStore(cfg.MatrixStoreBytes, s.metrics, s.plans)
 	return s
 }
 
-// Submit admits and runs one job, blocking until it finishes.
-// Admission rejections come back immediately as typed errors
-// (OverloadError, QueueFullError, DrainingError — all classified by
-// faults.Shedding) with a nil Result; admitted jobs always produce a
-// Result, whose Err is echoed as the second return.
+// Submit admits one job and computes it on the caller's goroutine in a
+// run slot, blocking until it finishes. Admission rejections come back
+// immediately as typed errors (OverloadError, QueueFullError,
+// DrainingError — all classified by faults.Shedding) with a nil
+// Result; admitted jobs always produce a Result, whose Err is echoed
+// as the second return.
 func (s *Server) Submit(job Job) (*Result, error) {
 	t, err := s.admit(job)
 	if err != nil {
 		return nil, err
 	}
-	res := <-t.done
+	held := !t.queued
+	if t.queued {
+		held = s.acquire()
+		s.mu.Lock()
+		s.queued--
+		s.mu.Unlock()
+	}
+	res := s.execute(t, held)
+	s.store.unpinAll(t.pinned)
+	s.finish(t.cost.Flops)
 	return res, res.Err
 }
 
-// admit resolves, routes, sizes and enqueues one job. The cost estimate
-// (an O(nnz) flop scan and, for a device engine, the grid planner on a
-// plan miss) runs outside the server mutex; the draining re-check, the
-// budget check and the enqueue that follow it are one critical section,
-// so a concurrent Drain cannot close the queue between the draining
-// check and the enqueue. Operands resolved from the store come with
-// their identity records, with which the estimate and the run validate,
-// hash and scan nothing.
-func (s *Server) admit(job Job) (*task, error) {
+// admit resolves (pinning handles), routes, sizes and admits one job,
+// taking a free run slot if there is one and a queue place if not.
+// Operands resolved from the store come with their identity records,
+// with which the estimate and the run validate, hash and scan nothing.
+func (s *Server) admit(job Job) (t *task, err error) {
 	opts := s.jobOptions(job)
+	var pinned []string
+	defer func() {
+		if err != nil {
+			s.store.unpinAll(pinned)
+		}
+	}()
 	if job.AHandle != "" {
 		var ok bool
-		if job.A, opts.AID, ok = s.store.get(job.AHandle); !ok {
+		if job.A, opts.AID, ok = s.store.getPin(job.AHandle); !ok {
 			return nil, &UnknownHandleError{Handle: job.AHandle}
 		}
+		pinned = append(pinned, job.AHandle)
 	}
 	if job.BHandle != "" {
 		var ok bool
-		if job.B, opts.BID, ok = s.store.get(job.BHandle); !ok {
+		if job.B, opts.BID, ok = s.store.getPin(job.BHandle); !ok {
 			return nil, &UnknownHandleError{Handle: job.BHandle}
 		}
+		pinned = append(pinned, job.BHandle)
 	}
 	if job.A == nil || job.B == nil {
 		return nil, fmt.Errorf("serve: nil input matrix")
 	}
-	requested := job.Engine
-	if requested == "" {
-		requested = s.cfg.FallbackEngine
-	}
-	col := opts.Metrics
-	if col == nil {
-		col = metrics.New()
-		opts.Metrics = col
-	}
+	t = newTask(job.Engine, job.A, job.B, opts, job.wantCID)
+	t.pinned = pinned
 
-	// Route under the lock, estimate outside it, and come back: the loop
-	// ends holding the lock, not draining, with an estimate made for the
-	// route that holds now. The breaker can only have moved in between if
-	// another admit took the half-open probe; the estimate then sized the
-	// wrong engine and is made again.
-	var engine string
-	var degraded, probe bool
-	var cost spgemm.Cost
 	s.mu.Lock()
-	for {
-		if s.draining {
-			s.metrics.Add(metrics.CounterServeRejectedDraining, 1)
-			s.mu.Unlock()
-			return nil, &DrainingError{}
-		}
-		e, d, p := s.routeLocked(requested)
-		if e == engine && d == degraded && p == probe {
-			break
-		}
-		engine, degraded, probe = e, d, p
-		s.mu.Unlock()
-		var err error
-		if cost, err = spgemm.EstimateCost(engine, job.A, job.B, opts); err != nil {
-			return nil, err
-		}
-		s.mu.Lock()
-	}
 	defer s.mu.Unlock()
-	if lim := s.cfg.MaxInflightFlops; lim > 0 && s.inflight > 0 && s.inflightFlops+cost.Flops > lim {
-		s.metrics.Add(metrics.CounterServeRejectedOverload, 1)
-		return nil, &OverloadError{
-			RetryAfter:    s.retryAfterLocked(),
-			InflightFlops: s.inflightFlops,
-			JobFlops:      cost.Flops,
-			BudgetFlops:   lim,
-		}
+	if err := s.routeLocked(t); err != nil {
+		return nil, err
 	}
-	t := &task{
-		a: job.A, b: job.B,
-		requested: requested, engine: engine,
-		degraded: degraded, probe: probe,
-		cost: cost, opts: opts, col: col, wantCID: job.wantCID,
-		done: make(chan *Result, 1),
+	if err := s.admitLocked(t.cost.Flops); err != nil {
+		return nil, err
 	}
+	// The free slot is taken here, under the lock, so only a job that
+	// found none counts against the queue.
 	select {
-	case s.queue <- t:
+	case s.slots <- struct{}{}:
 	default:
-		s.metrics.Add(metrics.CounterServeRejectedQueue, 1)
-		return nil, &QueueFullError{Depth: cap(s.queue)}
+		if s.queued >= s.cfg.QueueDepth {
+			s.metrics.Add(metrics.CounterServeRejectedQueue, 1)
+			return nil, &QueueFullError{Depth: s.cfg.QueueDepth}
+		}
+		s.queued++
+		t.queued = true
 	}
-	s.inflight++
-	s.inflightFlops += cost.Flops
+	s.acceptLocked(t.cost.Flops)
 	s.metrics.Add(metrics.CounterServeAccepted, 1)
-	if degraded {
-		s.metrics.Add(metrics.CounterServeDegraded, 1)
-	}
-	if probe {
-		s.metrics.Add(metrics.CounterServeBreakerProbes, 1)
-	}
-	if br := s.breakerFor(requested); br != nil {
-		br.committed(degraded, probe)
-	}
+	s.commitLocked(t)
 	return t, nil
 }
 
-// routeLocked asks the requested engine's breaker where the next job
-// goes: the engine itself (possibly as the half-open probe) or the
-// fallback. It changes no state; committed does, once the job is in.
-func (s *Server) routeLocked(requested string) (engine string, degraded, probe bool) {
-	engine = requested
-	if br := s.breakerFor(requested); br != nil {
-		fallback, p := br.route()
-		if fallback {
-			engine, degraded = s.cfg.FallbackEngine, true
+// routeLocked asks the requested engine's breaker where t goes (the
+// engine itself, possibly as the half-open probe, or the fallback) and
+// sizes t for that route. It is called and returns with s.mu held, but
+// the estimate (an O(nnz) flop scan and, for a device engine, the grid
+// planner on a plan miss) runs outside the lock, so the loop ends once
+// the route that holds now is the one estimated: the breaker can only
+// have moved in between if another job took the probe. It changes no
+// state; commitLocked does, once t is in.
+func (s *Server) routeLocked(t *task) error {
+	for {
+		engine, degraded, probe := t.requested, false, false
+		if br := s.breakerFor(t.requested); br != nil {
+			if degraded, probe = br.route(); degraded {
+				engine = fallbackEngine
+			}
 		}
-		probe = p
+		if engine == t.engine && degraded == t.degraded && probe == t.probe {
+			return nil
+		}
+		t.engine, t.degraded, t.probe = engine, degraded, probe
+		s.mu.Unlock()
+		cost, err := spgemm.EstimateCost(t.engine, t.a, t.b, t.opts)
+		s.mu.Lock()
+		if err != nil {
+			return err
+		}
+		t.cost = cost
 	}
-	return engine, degraded, probe
+}
+
+// admitLocked is the admission decision for one unit — a job or a whole
+// batch — of flops: refused while draining, shed past the flop budget.
+func (s *Server) admitLocked(flops int64) error {
+	if s.draining {
+		s.metrics.Add(metrics.CounterServeRejectedDraining, 1)
+		return &DrainingError{}
+	}
+	if lim := s.cfg.MaxInflightFlops; lim > 0 && s.inflight > 0 && s.inflightFlops+flops > lim {
+		s.metrics.Add(metrics.CounterServeRejectedOverload, 1)
+		return &OverloadError{
+			RetryAfter:    s.retryAfterLocked(),
+			InflightFlops: s.inflightFlops,
+			JobFlops:      flops,
+			BudgetFlops:   lim,
+		}
+	}
+	return nil
+}
+
+// acceptLocked takes the admission unit admitLocked allowed; finish
+// returns it, and Drain waits for it. Drain flips draining under the
+// same lock before it waits, so it never misses one.
+func (s *Server) acceptLocked(flops int64) {
+	s.inflight++
+	s.inflightFlops += flops
+	s.wg.Add(1)
+}
+
+// finish returns an admission unit taken by acceptLocked.
+func (s *Server) finish(flops int64) {
+	s.mu.Lock()
+	s.inflight--
+	s.inflightFlops -= flops
+	s.mu.Unlock()
+	s.wg.Done()
+}
+
+// commitLocked applies an admitted task's route to its breaker (a spent
+// cooldown job, the probe in flight) and to the routing counters. Only
+// a task that is sized and in commits, so a rejected one cannot wedge
+// a probe.
+func (s *Server) commitLocked(t *task) {
+	if t.degraded {
+		s.metrics.Add(metrics.CounterServeDegraded, 1)
+	}
+	if t.probe {
+		s.metrics.Add(metrics.CounterServeBreakerProbes, 1)
+	}
+	if br := s.breakerFor(t.requested); br != nil {
+		br.committed(t.degraded, t.probe)
+	}
 }
 
 // jobOptions merges a job's options over the server base: nil inherits
@@ -345,7 +392,7 @@ func (s *Server) routeLocked(requested string) (engine string, degraded, probe b
 // device/faults/threads/deadline backfilled from the base. The
 // metrics collector is per-job, never the base's: a job that brings
 // its own keeps it (its spans stay readable by the caller), everyone
-// else gets a fresh one in admit.
+// else gets a fresh one in newTask.
 func (s *Server) jobOptions(job Job) *spgemm.RunOptions {
 	o := s.cfg.Base
 	o.Metrics = nil
@@ -379,7 +426,7 @@ func (s *Server) jobOptions(job Job) *spgemm.RunOptions {
 // device-backed engines other than the fallback get breakers — the
 // fallback must always accept degraded traffic.
 func (s *Server) breakerFor(name string) *breaker {
-	if name == s.cfg.FallbackEngine || !spgemm.DeviceBacked(name) {
+	if name == fallbackEngine || !spgemm.DeviceBacked(name) {
 		return nil
 	}
 	br := s.breakers[name]
@@ -401,23 +448,39 @@ func (s *Server) retryAfterLocked() time.Duration {
 	return d
 }
 
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for t := range s.queue {
-		res := s.run(t)
-		s.finish(t, res)
-		t.done <- res
+// acquire waits for a free run slot; false means the drain deadline
+// came first.
+func (s *Server) acquire() bool {
+	select {
+	case s.slots <- struct{}{}:
+		return true
+	case <-s.abandoned:
+		return false
 	}
 }
 
-// run executes one admitted task, converting an engine panic into a
-// typed per-job error instead of crashing the worker.
+// execute computes t, gives back its run slot when held says it has
+// one, and settles the outcome. A task without a slot only ever gets
+// here past the drain deadline, where run resolves it abandoned.
+func (s *Server) execute(t *task, held bool) *Result {
+	res := s.run(t)
+	if held {
+		<-s.slots
+	}
+	s.mu.Lock()
+	s.settleLocked(t, res)
+	s.mu.Unlock()
+	return res
+}
+
+// run computes one task, converting an engine panic into a typed
+// per-job error instead of crashing the caller.
 func (s *Server) run(t *task) *Result {
 	res := &Result{
 		Requested: t.requested, Engine: t.engine,
 		Degraded: t.degraded, Probe: t.probe, Cost: t.cost, job: t,
 	}
-	if s.abandon.Load() {
+	if s.Abandoning() {
 		res.Abandoned = true
 		res.Err = fmt.Errorf("serve: job abandoned at drain deadline: %w", faults.ErrDeadline)
 		return res
@@ -438,27 +501,15 @@ func (s *Server) run(t *task) *Result {
 			res.CID = t.opts.PlanCache.ProductIdentity(t.a, t.b, res.C, *t.opts)
 		}
 	}()
-	res.Snapshot = t.col.Snapshot()
+	res.Snapshot = t.opts.Metrics.Snapshot()
 	return res
-}
-
-// finish releases the job's admission budget, publishes its outcome
-// counters, aggregates its recovery counters, and feeds its recovery
-// signal to the engine's breaker.
-func (s *Server) finish(t *task, res *Result) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.inflight--
-	s.inflightFlops -= t.cost.Flops
-	s.settleLocked(t, res)
 }
 
 // settleLocked publishes a finished task's outcome counters,
 // aggregates its recovery/plan-cache/identity counters, and feeds its
 // recovery signal to the engine's breaker. It does NOT touch the
-// admission accounting — finish does that per job; the batch executor
-// accounts a whole DAG as one unit and settles each node through here.
-// The caller holds s.mu.
+// admission accounting: finish does that per unit, and a batch is one
+// unit whose nodes each settle here.
 func (s *Server) settleLocked(t *task, res *Result) {
 	switch {
 	case res.Abandoned:
@@ -490,22 +541,19 @@ func (s *Server) settleLocked(t *task, res *Result) {
 	}
 }
 
-// Drain shuts the server down gracefully: stop admitting, let
-// inflight and queued jobs finish within the deadline (0 means the
-// configured DrainTimeout), abandon whatever the deadline catches
-// still queued, and return the final metrics snapshot. Abandoned jobs
-// resolve with an error wrapping faults.ErrDeadline. Drain is
-// idempotent; every call waits for the workers and returns the
-// snapshot.
+// Drain shuts the server down gracefully: stop admitting, let running
+// jobs and those waiting for a run slot finish within the deadline (0
+// means the configured DrainTimeout), abandon whatever the deadline
+// catches still waiting, and return the final metrics snapshot.
+// Abandoned jobs resolve with an error wrapping faults.ErrDeadline.
+// Drain is idempotent; every call waits for every admitted job and
+// batch and returns the snapshot.
 func (s *Server) Drain(timeout time.Duration) map[string]int64 {
 	if timeout <= 0 {
 		timeout = s.cfg.DrainTimeout
 	}
 	s.mu.Lock()
-	if !s.draining {
-		s.draining = true
-		close(s.queue)
-	}
+	s.draining = true
 	s.mu.Unlock()
 	done := make(chan struct{})
 	go func() {
@@ -515,7 +563,7 @@ func (s *Server) Drain(timeout time.Duration) map[string]int64 {
 	select {
 	case <-done:
 	case <-time.After(timeout):
-		s.abandon.Store(true)
+		s.abandonOnce.Do(func() { close(s.abandoned) })
 		<-done
 	}
 	return s.Snapshot()
@@ -580,9 +628,16 @@ func (s *Server) Draining() bool {
 	return s.draining
 }
 
-// Abandoning reports whether the drain deadline has passed and queued
-// jobs are being abandoned rather than run.
-func (s *Server) Abandoning() bool { return s.abandon.Load() }
+// Abandoning reports whether the drain deadline has passed and jobs
+// still waiting for a run slot are being abandoned rather than run.
+func (s *Server) Abandoning() bool {
+	select {
+	case <-s.abandoned:
+		return true
+	default:
+		return false
+	}
+}
 
 // Inflight reports the admitted-but-unfinished jobs and their summed
 // flop estimates.

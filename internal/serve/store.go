@@ -215,30 +215,24 @@ func (s *matrixStore) resolve(handle string, pin int) (*spgemm.Matrix, *csr.Iden
 	ent := s.entries[handle]
 	if ent == nil {
 		s.misses++
-		s.col.Add(metrics.CounterMatrixStoreMisses, 1)
 		return nil, nil, false
 	}
 	s.hits++
-	s.col.Add(metrics.CounterMatrixStoreHits, 1)
 	s.order.MoveToBack(ent.elem)
 	ent.pins += pin
 	return ent.m, ent.pat.id, true
 }
 
-// unpin releases one pin; a handle explicitly deleted while pinned is
-// simply gone (the job holds its resolved matrix regardless).
-func (s *matrixStore) unpin(handle string) {
+// unpinAll releases one pin per listed handle; a handle explicitly
+// deleted while pinned is simply gone (the job holds its resolved
+// matrix regardless).
+func (s *matrixStore) unpinAll(handles []string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if ent := s.entries[handle]; ent != nil && ent.pins > 0 {
-		ent.pins--
-	}
-}
-
-// unpinAll releases one pin per listed handle.
-func (s *matrixStore) unpinAll(handles []string) {
 	for _, h := range handles {
-		s.unpin(h)
+		if ent := s.entries[h]; ent != nil && ent.pins > 0 {
+			ent.pins--
+		}
 	}
 }
 
@@ -282,7 +276,6 @@ func (s *matrixStore) evictLocked() bool {
 		}
 		s.dropLocked(ent)
 		s.evictions++
-		s.col.Add(metrics.CounterMatrixStoreEvictions, 1)
 		return true
 	}
 	return false
