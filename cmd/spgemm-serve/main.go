@@ -70,7 +70,7 @@ func main() {
 	tripLost := fs.Int64("trip-devices-lost", 0, "breaker: cumulative lost devices to trip (0 = default)")
 	tripFailures := fs.Int("trip-failures", 0, "breaker: consecutive failures to trip (0 = default)")
 	cooldownJobs := fs.Int("cooldown-jobs", 0, "breaker: degraded jobs before a half-open probe (0 = default)")
-	planCacheBytes := fs.Int64("plan-cache-bytes", 0, "structure-reuse plan cache budget in bytes (0 = default, negative disables)")
+	planCacheBytes := fs.Int64("plan-cache-bytes", 0, "structure-reuse plan cache budget in bytes, all plans and grid memos together (0 = 512 MiB, negative disables)")
 	storeBytes := fs.Int64("matrix-store-bytes", 0, "content-addressed matrix store budget in bytes (0 = 512 MiB)")
 
 	coordMode := fs.Bool("coordinator", false, "run as a networked cluster coordinator: membership starts empty, replicas register via POST /v1/join")

@@ -231,7 +231,7 @@ type Engine struct {
 	// their accounting when the run ends on any path.
 	live map[*gpusim.Alloc]struct{}
 
-	// plan is the values-independent half of the run, pinned in cache or
+	// plan is the values-independent half of the run, cached or
 	// private when cache is nil. planResident carries the panel keys the
 	// previous run on this pattern left device-resident (those skip
 	// their H2D transfer); endResident collects the final residency this
@@ -290,14 +290,7 @@ func NewEngine(dev *gpusim.Device, a, b *csr.Matrix, opts Options, lanes int) (*
 	var key planKey
 	if pc != nil {
 		stopFP := opts.Metrics.StartWall("host", "fingerprint")
-		key = planKey{
-			fpA:   csr.StructOf(a, opts.AID, opts.Metrics),
-			fpB:   csr.StructOf(b, opts.BID, opts.Metrics),
-			aRows: a.Rows, aCols: a.Cols, bCols: b.Cols,
-			aNnz: a.Nnz(), bNnz: b.Nnz(),
-			rowPanels: opts.RowPanels, colPanels: opts.ColPanels,
-			cm: cm,
-		}
+		key = planKey{KeyOf(a, b, opts.AID, opts.BID, opts.Metrics), opts.RowPanels, opts.ColPanels, cm}
 		stopFP()
 		ent = pc.acquire(key)
 	}
@@ -369,9 +362,6 @@ func (e *Engine) bind(dev *gpusim.Device) {
 func (e *Engine) OnDevice(dev *gpusim.Device, planDevice string) *Engine {
 	d := *e
 	d.planDev = planDevice
-	if d.cache != nil {
-		d.cache.retain(d.plan)
-	}
 	d.bind(dev)
 	return &d
 }
@@ -404,7 +394,6 @@ func (e *Engine) Teardown() int64 {
 		// recorded residency (its memory is gone; trusting it would
 		// serve stale panels).
 		pc.setResident(e.plan, e.planDev, e.endResident, e.DeviceLost())
-		pc.release(e.plan)
 		e.cache = nil
 		e.planResident = nil
 		e.endResident = nil

@@ -1,57 +1,106 @@
 package core
 
 import (
+	"container/list"
+	"slices"
 	"sync"
 
+	"repro/internal/cpuspgemm"
 	"repro/internal/csr"
+	"repro/internal/metrics"
 	"repro/internal/partition"
 	"repro/internal/speck"
 )
 
-// PlanCache stores the values-independent half of out-of-core runs —
-// the chunk grid (re-valuable partitions), per-chunk row flops, the
-// product's structure with its per-panel split table, and per-chunk
-// scheduling metadata (row groups, transfer sizes) — keyed by the
-// structural fingerprints of the operands. A warm run skips host-side
-// partitioning, every symbolic pass on either processor and the
-// per-chunk symbolic device pipeline (analysis and symbolic kernels,
-// info transfers), running only numeric kernels and output transfers,
-// and reuses the input-panel residency the previous run recorded.
+// PlanCache is the one store of what a multiply computes from the
+// operands' sparsity patterns alone, keyed by their structural
+// fingerprints. It holds three kinds of entry:
 //
-// The cache is LRU-bounded by bytes and safe for concurrent use; the
-// serving layer shares one across jobs. A nil *PlanCache disables
-// caching entirely and leaves every run byte-identical to a build
-// without it.
+//   - CPU plans (CPUPlan): the product's symbolic structure, which a
+//     warm cpu-engine multiply replays, with the pair's flop count, the
+//     product's identity record, bound replay schedules and spare value
+//     arrays.
+//   - Device plans: the chunk grid's structure-only partitions,
+//     per-chunk row flops, the product's structure with its per-panel
+//     split table, per-chunk scheduling metadata and the input-panel
+//     residency the last run left. A warm out-of-core run skips
+//     partitioning, every symbolic pass on either processor and the
+//     per-chunk symbolic device pipeline.
+//   - Grid memos: the planner's chunk grid per pair and device memory,
+//     with the pair's flop count, each charged gridMemoBytes.
+//
+// All three share one lock, one byte budget and one LRU order, and one
+// eviction rule: the least recently used entry goes first until the
+// cache fits, and the entry just stored, hit or grown never goes, so an
+// entry larger than the budget still serves its pattern. An evicted
+// entry stays valid for a run that holds it; nothing more is charged to
+// it. Len and Counters count plans only: a grid memo is neither a hit
+// nor a miss, so hits+misses is the number of cache-eligible multiplies.
+//
+// The cache is safe for concurrent use; the serving layer shares one
+// across jobs. A nil *PlanCache disables caching entirely and leaves
+// every run byte-identical to a build without it.
 type PlanCache struct {
-	mu      sync.Mutex
-	max     int64
-	bytes   int64
-	entries map[planKey]*planEntry
-	order   []planKey // LRU order, most recently used last
+	mu    sync.Mutex
+	max   int64
+	bytes int64
+	order list.List // of entries, least recently used first
+	cpu   map[PairKey]*CPUPlan
+	dev   map[planKey]*planEntry
+	grids map[gridKey]*gridMemo
 
 	hits, misses, evictions int64
 }
 
-// planKey identifies a cached plan: the structural fingerprints of
-// both operands, their dimensions and non-zero counts (a fingerprint
-// collision can then at worst alias two patterns of one shape and
-// size, never misindex), the chunk grid and the device cost model
-// (symbolic durations depend on it).
+// PairKey identifies a structure pair, which is what every kind of entry
+// is cached under: both structural fingerprints plus the shape and
+// non-zero counts, so a fingerprint collision can at worst alias two
+// patterns of one shape and size, never misindex. Comparable.
+type PairKey struct {
+	fpA, fpB          uint64
+	rows, aCols, cols int
+	nnzA, nnzB        int64
+}
+
+// KeyOf is the key of the pair a·b: O(1) for operands their records
+// aID and bID are of, one hash each, counted into m, otherwise.
+func KeyOf(a, b *csr.Matrix, aID, bID *csr.Identity, m *metrics.Collector) PairKey {
+	return PairKey{
+		fpA: csr.StructOf(a, aID, m), fpB: csr.StructOf(b, bID, m),
+		rows: a.Rows, aCols: a.Cols, cols: b.Cols,
+		nnzA: a.Nnz(), nnzB: b.Nnz(),
+	}
+}
+
+// slot is an entry's place in the cache: its pair, its element of the
+// LRU order and the bytes charged to it. Every kind of entry embeds one.
+type slot struct {
+	pair  PairKey
+	elem  *list.Element
+	bytes int64
+}
+
+func (s *slot) at() *slot { return s }
+
+// entry is a cached entry of any kind: *CPUPlan, *planEntry or *gridMemo.
+type entry interface{ at() *slot }
+
+// planKey identifies a device plan: the pair, the chunk grid and the
+// device cost model (symbolic durations depend on it).
 type planKey struct {
-	fpA, fpB             uint64
-	aRows, aCols, bCols  int
-	aNnz, bNnz           int64
+	PairKey
 	rowPanels, colPanels int
 	cm                   speck.CostModel
 }
 
 // planEntry is the values-independent half of a run; every engine has
-// one, pinned in a cache or private to the run. Partitions are stored
+// one, cached or private to the run. Partitions are stored
 // structure-only (Data nil): warm runs re-value row panels by reslicing
 // A's value array (rows are contiguous in CSR) and col panels by one
 // sequential copy pass driven by the cached panel row offsets — no
 // index work.
 type planEntry struct {
+	slot
 	key planKey
 	rps []partition.RowPanel
 	cps []partition.ColPanel
@@ -75,26 +124,84 @@ type planEntry struct {
 
 	// resident records, per device namespace (Engine.planDev), the
 	// input-panel keys left device-resident by the last run; a device
-	// loss clears the namespace so no run trusts stale residency.
-	// resident, bytes and refs are guarded by the cache's lock.
+	// loss clears the namespace so no run trusts stale residency. It is
+	// guarded by the cache's lock.
 	resident map[string]map[string]struct{}
-	bytes    int64
-	refs     int
 }
 
-// DefaultPlanCacheBytes bounds a cache constructed with size 0.
-const DefaultPlanCacheBytes = 256 << 20
+// gridKey identifies a grid memo: the pair and the device memory.
+type gridKey struct {
+	PairKey
+	memBytes int64
+}
 
-// NewPlanCache creates a plan cache bounded to maxBytes (0 means
-// DefaultPlanCacheBytes).
+// gridMemo is the planner's chunk grid for a pair and device memory
+// (opts, its row analysis dropped: the device plan keeps that, charged)
+// and the pair's flop count.
+type gridMemo struct {
+	slot
+	key   gridKey
+	opts  Options
+	flops int64
+}
+
+// gridMemoBytes is what a grid memo is charged: the memo with its grid
+// options (about 330 bytes) plus its element of the LRU order and its
+// map slot, rounded up.
+const gridMemoBytes = 512
+
+// CPUPlan is one cached CPU plan and what else is structural about its
+// pair: Flops, the sum of the plan's RowFlops taken when it is stored;
+// up to maxSchedules replay schedules, each bound to the records of the
+// operands it was checked against; up to maxSpares value arrays of the
+// product's length (KeepSpare), which warm replays write into; and —
+// minted on first request — the identity of the product, whose
+// structure arrays are the plan's own (every replayed product shares
+// them). All of them are charged to the plan. scheds and spares are
+// changed under the cache's lock, and a published schedule is never
+// written.
+type CPUPlan struct {
+	slot
+	Sym    *cpuspgemm.SymbolicResult
+	Flops  int64
+	scheds []boundSchedule
+	spares [][]float64
+
+	mu  sync.Mutex
+	cid *csr.Identity
+}
+
+// boundSchedule is a replay schedule of the plan and the records of the
+// operands it was checked against: a replay whose operands come with
+// these records, and are of them (Identity.Of: the same structure
+// arrays), runs it without checking it again.
+type boundSchedule struct {
+	aID, bID *csr.Identity
+	sched    *speck.Schedule
+}
+
+// maxSchedules bounds the schedules a plan keeps. Two serve a chain of
+// powers: its first node multiplies the stored matrix by itself, every
+// later one the plan's own product by it.
+const maxSchedules = 2
+
+const maxSpares = 4 // a plan's spare value arrays: one per concurrent replay
+
+// defaultPlanCacheBytes bounds a cache constructed with size 0.
+const defaultPlanCacheBytes = 512 << 20
+
+// NewPlanCache creates a plan cache bounded to maxBytes of cached
+// structure, all kinds of entry together (0 means
+// defaultPlanCacheBytes).
 func NewPlanCache(maxBytes int64) *PlanCache {
 	if maxBytes <= 0 {
-		maxBytes = DefaultPlanCacheBytes
+		maxBytes = defaultPlanCacheBytes
 	}
-	return &PlanCache{max: maxBytes, entries: map[planKey]*planEntry{}}
+	return &PlanCache{max: maxBytes, cpu: map[PairKey]*CPUPlan{}, dev: map[planKey]*planEntry{}, grids: map[gridKey]*gridMemo{}}
 }
 
-// Counters reports the cache's lifetime hit/miss/eviction totals.
+// Counters reports the cache's lifetime hits, misses and evictions of
+// plans, CPU and device; grid memos count in none of them.
 func (pc *PlanCache) Counters() (hits, misses, evictions int64) {
 	if pc == nil {
 		return 0, 0, 0
@@ -104,17 +211,28 @@ func (pc *PlanCache) Counters() (hits, misses, evictions int64) {
 	return pc.hits, pc.misses, pc.evictions
 }
 
-// Len reports the number of cached plans.
+// Len reports the cached plans, CPU and device; grid memos are not
+// counted.
 func (pc *PlanCache) Len() int {
 	if pc == nil {
 		return 0
 	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	return len(pc.entries)
+	return len(pc.cpu) + len(pc.dev)
 }
 
-// Bytes reports the cache's current retained size.
+// Memos reports the cached grid memos.
+func (pc *PlanCache) Memos() int {
+	if pc == nil {
+		return 0
+	}
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	return len(pc.grids)
+}
+
+// Bytes reports the bytes charged to the cache's entries of every kind.
 func (pc *PlanCache) Bytes() int64 {
 	if pc == nil {
 		return 0
@@ -124,28 +242,32 @@ func (pc *PlanCache) Bytes() int64 {
 	return pc.bytes
 }
 
-// Has reports whether any plan is keyed by the fingerprint pair (as A
-// and B respectively), regardless of chunk grid or cost model. The
-// serving layer's batch planner probes it to decide whether a plan
-// group still needs its cold symbolic leader serialized.
-func (pc *PlanCache) Has(fpA, fpB uint64) bool {
+// HasPlan reports whether the cache holds a plan of the pair — a CPU
+// plan, or a device plan under any grid and cost model. The serving
+// layer's batch planner probes it so plan groups whose pattern is
+// already warm skip leader serialization; the probe moves no counter.
+func (pc *PlanCache) HasPlan(key PairKey) bool {
 	if pc == nil {
 		return false
 	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	for key := range pc.entries {
-		if key.fpA == fpA && key.fpB == fpB {
+	if pc.cpu[key] != nil {
+		return true
+	}
+	for k := range pc.dev {
+		if k.PairKey == key {
 			return true
 		}
 	}
 	return false
 }
 
-// Invalidate drops every plan that references the given structural
-// fingerprint (as either operand). The serving layer calls it when a
-// matrix leaves the content-addressed store, so a pattern change
-// invalidates exactly its own entries.
+// Invalidate drops every entry of any kind that references the
+// structural fingerprint (as either operand) and reports how many it
+// dropped. Callers invalidate when a pattern is retired (the serving
+// layer's matrix store evicting the last matrix with that structure); a
+// values-only change keeps the fingerprint and must NOT invalidate.
 func (pc *PlanCache) Invalidate(fp uint64) int {
 	if pc == nil {
 		return 0
@@ -153,102 +275,253 @@ func (pc *PlanCache) Invalidate(fp uint64) int {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	n := 0
-	for i := 0; i < len(pc.order); {
-		k := pc.order[i]
-		if k.fpA != fp && k.fpB != fp {
-			i++
-			continue
+	for el := pc.order.Front(); el != nil; {
+		next := el.Next()
+		if k := el.Value.(entry).at().pair; k.fpA == fp || k.fpB == fp {
+			pc.dropLocked(el)
+			n++
 		}
-		pc.dropLocked(i)
-		n++
+		el = next
 	}
 	return n
 }
 
-// acquire looks up the plan for key, marking it used and pinning it
-// against eviction until release. It returns nil on a miss.
+// addLocked files a new entry as the most recently used, charged n
+// bytes.
+func (pc *PlanCache) addLocked(ent entry, n int64) {
+	s := ent.at()
+	s.elem = pc.order.PushBack(ent)
+	pc.touchLocked(s, n)
+}
+
+// touchLocked makes a cached entry the most recently used, charges it n
+// more bytes and evicts the least recently used entries until the cache
+// fits — never s itself.
+func (pc *PlanCache) touchLocked(s *slot, n int64) {
+	pc.order.MoveToBack(s.elem)
+	s.bytes += n
+	pc.bytes += n
+	for pc.bytes > pc.max && pc.order.Front() != s.elem {
+		if _, memo := pc.dropLocked(pc.order.Front()).(*gridMemo); !memo {
+			pc.evictions++
+		}
+	}
+}
+
+// dropLocked removes an entry of any kind and returns it.
+func (pc *PlanCache) dropLocked(el *list.Element) entry {
+	ent := pc.order.Remove(el).(entry)
+	switch e := ent.(type) {
+	case *CPUPlan:
+		delete(pc.cpu, e.pair)
+	case *planEntry:
+		delete(pc.dev, e.key)
+	case *gridMemo:
+		delete(pc.grids, e.key)
+	}
+	pc.bytes -= ent.at().bytes
+	return ent
+}
+
+// PeekCPU looks a CPU plan up without counting a hit or a miss and
+// without touching the LRU order: admission estimates and the batch
+// planner probe, they do not use the plan.
+func (pc *PlanCache) PeekCPU(key PairKey) *CPUPlan {
+	if pc == nil {
+		return nil
+	}
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	return pc.cpu[key]
+}
+
+// AcquireCPU looks a CPU plan up for a replay, counting a hit or a miss,
+// and takes one of its spare value arrays, if it has one.
+func (pc *PlanCache) AcquireCPU(key PairKey) (*CPUPlan, []float64) {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	ent := pc.cpu[key]
+	if ent == nil {
+		pc.misses++
+		return nil, nil
+	}
+	pc.hits++
+	var spare []float64
+	if n := len(ent.spares); n > 0 {
+		spare, ent.spares = ent.spares[n-1], ent.spares[:n-1]
+	}
+	pc.touchLocked(&ent.slot, -int64(len(spare))*8)
+	return ent, spare
+}
+
+// StoreCPU records a cold run's plan and returns the pair's flop count;
+// of concurrent cold runs on one pattern the first store wins.
+func (pc *PlanCache) StoreCPU(key PairKey, sym *cpuspgemm.SymbolicResult) int64 {
+	flops := sym.Flops()
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	if pc.cpu[key] == nil {
+		ent := &CPUPlan{slot: slot{pair: key}, Sym: sym, Flops: flops}
+		pc.cpu[key] = ent
+		pc.addLocked(ent, sym.Bytes()+csr.IdentityBytes)
+	}
+	return flops
+}
+
+// Bound returns ent's schedule bound to the records aID and bID of a
+// and b. Given sched, which a replay of a and b has just run without
+// error, it binds sched first if there is none, ent is still cached and
+// has room. It charges sched's bytes and those of a's and b's structure
+// arrays, which the records keep alive.
+func (pc *PlanCache) Bound(ent *CPUPlan, a, b *csr.Matrix, aID, bID *csr.Identity, sched *speck.Schedule) *speck.Schedule {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	for _, bs := range ent.scheds {
+		if bs.aID == aID && bs.bID == bID {
+			return bs.sched
+		}
+	}
+	if sched != nil && len(ent.scheds) < maxSchedules && pc.cpu[ent.pair] == ent {
+		ent.scheds = append(ent.scheds, boundSchedule{aID, bID, sched})
+		pc.touchLocked(&ent.slot, sched.Bytes()+int64(len(a.RowOffsets)+len(b.RowOffsets))*8+int64(len(a.ColIDs)+len(b.ColIDs))*4)
+	}
+	return sched
+}
+
+// KeepSpare hands c.Data to the CPU plan under key, for a later replay
+// to write into, if c is that plan's product (its structure arrays,
+// nnz(C) values) and the plan has room under maxSpares and the byte
+// budget. The caller holds no other reference to c.Data.
+func (pc *PlanCache) KeepSpare(key PairKey, c *csr.Matrix) {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	ent := pc.cpu[key]
+	if ent == nil || len(ent.spares) == maxSpares {
+		return
+	}
+	sym, n := ent.Sym, len(c.Data)
+	if n != len(sym.ColIDs) || cap(c.Data) != n || len(c.ColIDs) != n || &c.ColIDs[0] != &sym.ColIDs[0] ||
+		len(c.RowOffsets) != len(sym.RowOffsets) || &c.RowOffsets[0] != &sym.RowOffsets[0] ||
+		pc.bytes+int64(n)*8 > pc.max || slices.ContainsFunc(ent.spares, func(d []float64) bool { return &d[0] == &c.Data[0] }) {
+		return
+	}
+	ent.spares = append(ent.spares, c.Data)
+	pc.touchLocked(&ent.slot, int64(n)*8)
+}
+
+// Held reports what the cache holds for a CPU plan: the bytes charged
+// to it, its bound schedules and its spare value arrays.
+func (pc *PlanCache) Held(ent *CPUPlan) (bytes int64, scheds, spares int) {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	return ent.bytes, len(ent.scheds), len(ent.spares)
+}
+
+// Identity returns the record of the plan's product with values data,
+// minted on the first call (one validation and one hash, counted into
+// m) and handed to every later product in O(1). It is nil when data is
+// not of the product's length.
+func (ent *CPUPlan) Identity(data []float64, m *metrics.Collector) *csr.Identity {
+	ent.mu.Lock()
+	defer ent.mu.Unlock()
+	if ent.cid == nil {
+		m.Add(metrics.CounterIdentityPasses, 2)
+		sym := ent.Sym
+		ent.cid, _ = csr.Identify(&csr.Matrix{Rows: sym.Rows, Cols: sym.Cols, RowOffsets: sym.RowOffsets, ColIDs: sym.ColIDs, Data: data})
+	}
+	return ent.cid
+}
+
+// Grid returns the memoized chunk grid of the pair for a device of
+// memBytes and the pair's flop count.
+func (pc *PlanCache) Grid(key PairKey, memBytes int64) (Options, int64, bool) {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	memo := pc.grids[gridKey{key, memBytes}]
+	if memo == nil {
+		return Options{}, 0, false
+	}
+	pc.touchLocked(&memo.slot, 0)
+	return memo.opts, memo.flops, true
+}
+
+// StoreGrid memoizes the chunk grid planned for the pair on a device of
+// memBytes, without its row analysis, and the pair's flop count.
+// Concurrent planning passes of one key plan the same grid, so the first
+// store is as good as any.
+func (pc *PlanCache) StoreGrid(key PairKey, memBytes int64, opts Options, flops int64) {
+	opts.Analysis = nil
+	k := gridKey{key, memBytes}
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	if pc.grids[k] == nil {
+		memo := &gridMemo{slot: slot{pair: key}, key: k, opts: opts, flops: flops}
+		pc.grids[k] = memo
+		pc.addLocked(memo, gridMemoBytes)
+	}
+}
+
+// acquire looks up the device plan for key, counting a hit or a miss and
+// marking it used. It returns nil on a miss.
 func (pc *PlanCache) acquire(key planKey) *planEntry {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	ent := pc.entries[key]
+	ent := pc.dev[key]
 	if ent == nil {
 		pc.misses++
 		return nil
 	}
 	pc.hits++
-	ent.refs++
-	pc.touchLocked(key)
+	pc.touchLocked(&ent.slot, 0)
 	return ent
 }
 
-// store inserts a freshly built plan, pinned until release. Partitions
-// are stripped to structure-only copies so the cache does not retain
-// the cold run's value arrays.
+// store inserts a freshly built device plan. Partitions are stripped to
+// structure-only copies so the cache does not retain the cold run's
+// value arrays.
 func (pc *PlanCache) store(key planKey, rps []partition.RowPanel, cps []partition.ColPanel) *planEntry {
 	ent := &planEntry{
+		slot:     slot{pair: key.PairKey},
 		key:      key,
 		rps:      make([]partition.RowPanel, len(rps)),
 		cps:      make([]partition.ColPanel, len(cps)),
 		syms:     map[int]*speck.Symbolic{},
 		resident: map[string]map[string]struct{}{},
-		refs:     1,
 	}
+	var n int64
 	for i, rp := range rps {
 		ent.rps[i] = partition.RowPanel{Start: rp.Start, End: rp.End, M: structureOnly(rp.M)}
-		ent.bytes += structureBytes(rp.M)
+		n += structureBytes(rp.M)
 	}
 	for i, cp := range cps {
 		ent.cps[i] = partition.ColPanel{Start: cp.Start, End: cp.End, M: structureOnly(cp.M)}
-		ent.bytes += structureBytes(cp.M)
+		n += structureBytes(cp.M)
 	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	if old := pc.entries[key]; old != nil {
+	if old := pc.dev[key]; old != nil {
 		// A concurrent cold run on the same pattern beat us to the
 		// store; keep the existing entry and hand it out instead.
-		old.refs++
-		pc.touchLocked(key)
+		pc.touchLocked(&old.slot, 0)
 		return old
 	}
-	pc.entries[key] = ent
-	pc.order = append(pc.order, key)
-	pc.bytes += ent.bytes
-	pc.evictLocked()
+	pc.dev[key] = ent
+	pc.addLocked(ent, n)
 	return ent
 }
 
-// release unpins an entry acquired or stored by a run.
-func (pc *PlanCache) release(ent *planEntry) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if ent.refs > 0 {
-		ent.refs--
-	}
-	pc.evictLocked()
-}
-
-// retain pins an entry once more, for an engine derived from the one
-// that acquired it.
-func (pc *PlanCache) retain(ent *planEntry) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	ent.refs++
-}
-
-// grow accounts n more bytes retained by an entry; a private entry (nil
-// cache) or one Invalidate already dropped is not accounted.
+// grow charges n more bytes to a device plan a run is deriving, marking
+// it used; a private entry (nil cache) or one already dropped is not
+// charged.
 func (pc *PlanCache) grow(ent *planEntry, n int64) {
 	if pc == nil {
 		return
 	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	if pc.entries[ent.key] != ent {
-		return
+	if pc.dev[ent.key] == ent {
+		pc.touchLocked(&ent.slot, n)
 	}
-	ent.bytes += n
-	pc.bytes += n
-	pc.evictLocked()
 }
 
 // residentSet returns a copy of the panel keys recorded as
@@ -279,45 +552,6 @@ func (pc *PlanCache) setResident(ent *planEntry, dev string, keys []string, lost
 		set[k] = struct{}{}
 	}
 	ent.resident[dev] = set
-}
-
-// touchLocked moves key to the most-recently-used position.
-func (pc *PlanCache) touchLocked(key planKey) {
-	for i, k := range pc.order {
-		if k == key {
-			pc.order = append(append(pc.order[:i:i], pc.order[i+1:]...), key)
-			return
-		}
-	}
-}
-
-// evictLocked drops least-recently-used unpinned entries until the
-// cache fits its byte budget.
-func (pc *PlanCache) evictLocked() {
-	for pc.bytes > pc.max {
-		evicted := false
-		for i := 0; i < len(pc.order); i++ {
-			if pc.entries[pc.order[i]].refs > 0 {
-				continue
-			}
-			pc.dropLocked(i)
-			pc.evictions++
-			evicted = true
-			break
-		}
-		if !evicted {
-			return // everything pinned; callers will drain soon
-		}
-	}
-}
-
-// dropLocked removes the entry at order position i.
-func (pc *PlanCache) dropLocked(i int) {
-	key := pc.order[i]
-	ent := pc.entries[key]
-	pc.order = append(pc.order[:i:i], pc.order[i+1:]...)
-	delete(pc.entries, key)
-	pc.bytes -= ent.bytes
 }
 
 // structureOnly copies a matrix header sharing its structure arrays

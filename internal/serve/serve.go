@@ -82,7 +82,8 @@ type Config struct {
 	// injection, threads); per-job options override it.
 	Base spgemm.RunOptions
 	// PlanCacheBytes bounds the shared structure-reuse plan cache
-	// every job inherits (0 means the spgemm default, negative
+	// every job inherits: its CPU plans, device plans and grid memos
+	// together (0 means the spgemm default of 512 MiB, negative
 	// disables the cache and makes every job run cold).
 	PlanCacheBytes int64
 	// MatrixStoreBytes bounds the content-addressed matrix store

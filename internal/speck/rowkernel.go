@@ -858,6 +858,15 @@ type RowAnalysis struct {
 // OutNnz reports the exact non-zero count of A·B.
 func (r *RowAnalysis) OutNnz() int64 { return r.RowOffsets[len(r.RowOffsets)-1] }
 
+// Flops reports the flop count of A·B, the sum of RowFlops.
+func (r *RowAnalysis) Flops() int64 {
+	var n int64
+	for _, f := range r.RowFlops {
+		n += f
+	}
+	return n
+}
+
 // Bytes reports the memory the analysis retains, for cache accounting.
 func (r *RowAnalysis) Bytes() int64 {
 	return int64(len(r.RowFlops)+len(r.RowOffsets))*8 + int64(len(r.ColIDs))*4

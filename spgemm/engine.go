@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/cpuspgemm"
 	"repro/internal/hybrid"
 	"repro/internal/metrics"
@@ -131,11 +132,12 @@ func (o RunOptions) device() DeviceConfig {
 	return V100()
 }
 
-// plan resolves the chunk grid for a's and b's structures, through
-// the plan cache's memoized planner when one is configured. A planning
-// pass hands its row analysis on in the returned options, so the engine
-// that runs the grid (and EstimateCost's write-back) reuses it.
-func (o RunOptions) plan(a, b *Matrix) (OutOfCoreOptions, error) {
+// plan resolves the chunk grid for a's and b's structures, and the
+// pair's flop count, through the plan cache's memoized planner when one
+// is configured. A planning pass hands its row analysis on in the
+// returned options, so the engine that runs the grid (and EstimateCost's
+// write-back) reuses it.
+func (o RunOptions) plan(a, b *Matrix) (OutOfCoreOptions, int64, error) {
 	return o.PlanCache.plan(a, b, o)
 }
 
@@ -145,7 +147,7 @@ func (o RunOptions) plan(a, b *Matrix) (OutOfCoreOptions, error) {
 func (o RunOptions) coreOptions(a, b *Matrix, async bool) (OutOfCoreOptions, error) {
 	opts := o.Core
 	if opts.RowPanels == 0 || opts.ColPanels == 0 {
-		planned, err := o.plan(a, b)
+		planned, _, err := o.plan(a, b)
 		if err != nil {
 			return OutOfCoreOptions{}, err
 		}
@@ -157,8 +159,8 @@ func (o RunOptions) coreOptions(a, b *Matrix, async bool) (OutOfCoreOptions, err
 	opts.ChunkRetries = o.ChunkRetries
 	opts.DeadlineSec = o.DeadlineSec
 	opts.AID, opts.BID = o.AID, o.BID
-	if pc := o.PlanCache.coreCache(); pc != nil {
-		opts.PlanCache = pc // an explicitly set Core.PlanCache is kept otherwise
+	if o.PlanCache != nil {
+		opts.PlanCache = (*core.PlanCache)(o.PlanCache) // an explicitly set Core.PlanCache is kept otherwise
 	}
 	return opts, nil
 }
@@ -299,12 +301,13 @@ func EstimateCost(engineName string, a, b *Matrix, opts *RunOptions) (Cost, erro
 	}
 	cost.ArenaBytes = o.device().MemoryBytes
 	grid := o.Core
-	if grid.RowPanels == 0 || grid.ColPanels == 0 {
-		planned, err := o.plan(a, b)
+	switch {
+	case grid.RowPanels == 0 || grid.ColPanels == 0:
+		planned, flops, err := o.plan(a, b) // the planner's count or its memo's: no second scan
 		if err != nil {
 			return Cost{}, fmt.Errorf("spgemm: job does not fit the device: %w: %w", ErrOOM, err)
 		}
-		grid = planned
+		grid, cost.Flops = planned, flops
 		if opts != nil {
 			// Thread the plan through to the engine: coreOptions sees a
 			// non-zero grid and skips its own Plan call. The engine still
@@ -312,15 +315,12 @@ func EstimateCost(engineName string, a, b *Matrix, opts *RunOptions) (Cost, erro
 			// does for a user-provided grid.
 			opts.Core = planned
 		}
-	}
-	cost.Chunks = grid.RowPanels * grid.ColPanels
-	if ra := grid.Analysis; ra != nil {
-		for _, f := range ra.RowFlops { // the planner's count: no second scan
-			cost.Flops += f
-		}
-	} else {
+	case grid.Analysis != nil:
+		cost.Flops = grid.Analysis.Flops()
+	default:
 		cost.Flops = o.flops(a, b)
 	}
+	cost.Chunks = grid.RowPanels * grid.ColPanels
 	return cost, nil
 }
 
@@ -341,8 +341,8 @@ func (s CPUStats) Counters() map[string]int64 {
 // O(1) probe that moves no counter), one scan otherwise.
 func (o RunOptions) flops(a, b *Matrix) int64 {
 	if o.AID.Of(a) && o.BID.Of(b) {
-		if ent := o.PlanCache.peekCPU(o.PlanKey(a, b)); ent != nil {
-			return ent.flops
+		if ent := (*core.PlanCache)(o.PlanCache).PeekCPU(o.PlanKey(a, b)); ent != nil {
+			return ent.Flops
 		}
 	}
 	o.Metrics.Add(metrics.CounterIdentityPasses, 1)

@@ -315,7 +315,7 @@ func TestEstimateCostReadsThePlansMemo(t *testing.T) {
 	}
 }
 
-// TestPlanCacheCPULRUOrder pins the CPU half's eviction order: least
+// TestPlanCacheCPULRUOrder pins the eviction order of CPU plans: least
 // recently used first, a hit moving its plan to the young end.
 func TestPlanCacheCPULRUOrder(t *testing.T) {
 	pats := []*Matrix{BlockDiag(30, 4, 1), BlockDiag(31, 4, 1), BlockDiag(32, 4, 1), BlockDiag(33, 4, 1)}
@@ -330,7 +330,7 @@ func TestPlanCacheCPULRUOrder(t *testing.T) {
 		plans, keys = append(plans, sym), append(keys, RunOptions{}.PlanKey(m, m))
 		size = max(size, sym.Bytes()+csr.IdentityBytes)
 	}
-	pc := NewPlanCache(2 * 3 * size) // the CPU half holds three plans, not four
+	pc := NewPlanCache(3 * size) // holds three plans, not four
 	for i := 0; i < 3; i++ {
 		pc.storeCPU(keys[i], plans[i])
 	}

@@ -151,7 +151,7 @@ func TestPlanCacheGridMemo(t *testing.T) {
 	pc := NewPlanCache(0)
 
 	col := NewCollector()
-	planned, err := pc.plan(a, a, RunOptions{Device: &cfg, Metrics: col})
+	planned, _, err := pc.plan(a, a, RunOptions{Device: &cfg, Metrics: col})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,13 +166,12 @@ func TestPlanCacheGridMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 	want.Analysis = nil
-	key := gridKey{fpA: Fingerprint(a), fpB: Fingerprint(a), nnzA: a.Nnz(), nnzB: a.Nnz(), memBytes: cfg.MemoryBytes}
-	if memo, ok := pc.grids[key]; !ok || memo != want {
+	if memo, _, ok := pc.core().Grid(RunOptions{}.PlanKey(a, a), cfg.MemoryBytes); !ok || memo != want {
 		t.Fatalf("memo %+v (present=%v), want the planned grid without its analysis %+v", memo, ok, want)
 	}
 
 	col = NewCollector()
-	served, err := pc.plan(a, a, RunOptions{Device: &cfg, Metrics: col})
+	served, _, err := pc.plan(a, a, RunOptions{Device: &cfg, Metrics: col})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,11 +184,11 @@ func TestPlanCacheGridMemo(t *testing.T) {
 
 	col = NewCollector()
 	bigger := V100WithMemory(2 << 20)
-	if _, err := pc.plan(a, a, RunOptions{Device: &bigger, Metrics: col}); err != nil {
+	if _, _, err := pc.plan(a, a, RunOptions{Device: &bigger, Metrics: col}); err != nil {
 		t.Fatal(err)
 	}
-	if n := symbolicWallSpans(col); n != 1 || len(pc.grids) != 2 {
-		t.Fatalf("a different device size: %d row-analysis spans, %d memos; want 1 and 2", n, len(pc.grids))
+	if n := symbolicWallSpans(col); n != 1 || pc.core().Memos() != 2 {
+		t.Fatalf("a different device size: %d row-analysis spans, %d memos; want 1 and 2", n, pc.core().Memos())
 	}
 }
 
@@ -231,8 +230,12 @@ func TestPlanCacheConcurrentColdRuns(t *testing.T) {
 	}
 	key := RunOptions{}.PlanKey(a, a)
 	stored, _ := pc.acquireCPU(key)
-	if stored == nil || pc.bytes != stored.bytes || stored.bytes != stored.sym.Bytes()+csr.IdentityBytes {
-		t.Fatalf("cache accounts %d bytes, want one plan's %d", pc.bytes, stored.bytes)
+	if stored == nil {
+		t.Fatal("no plan cached")
+	}
+	storedBytes, _, _ := pc.core().Held(stored)
+	if pc.core().Bytes() != storedBytes || storedBytes != stored.Sym.Bytes()+csr.IdentityBytes {
+		t.Fatalf("cache accounts %d bytes, want one plan's %d", pc.core().Bytes(), storedBytes)
 	}
 	// A late store of the same pattern — what a run that missed beside
 	// the winner does — changes neither the entry nor the account.
@@ -241,7 +244,7 @@ func TestPlanCacheConcurrentColdRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	pc.storeCPU(key, late)
-	if got, _ := pc.acquireCPU(key); got != stored || pc.bytes != stored.bytes || pc.Len() != 1 {
+	if got, _ := pc.acquireCPU(key); got != stored || pc.core().Bytes() != storedBytes || pc.Len() != 1 {
 		t.Fatal("a second store of one pattern displaced or double-counted the first")
 	}
 }
@@ -358,17 +361,18 @@ func TestPlanCacheBindsSchedules(t *testing.T) {
 		return speck.SchedulesBuilt() - before
 	}
 	scheds := func() int {
-		pc.mu.Lock()
-		defer pc.mu.Unlock()
-		return len(ent.scheds)
+		_, n, _ := pc.core().Held(ent)
+		return n
 	}
 
 	if n := run("first bound replay", bound); n != 1 || scheds() != 1 {
 		t.Fatalf("first bound replay: %d schedules built, %d bound; want 1 and 1", n, scheds())
 	}
 	structure := 2 * (int64(len(a.RowOffsets))*8 + int64(len(a.ColIDs))*4) // kept alive by the bound records
-	if b := ent.sym.Bytes() + csr.IdentityBytes + ent.scheds[0].sched.Bytes() + structure; pc.bytes != ent.bytes || ent.bytes != b {
-		t.Fatalf("cache accounts %d bytes, entry %d, want plan, record, schedule and operand structure: %d", pc.bytes, ent.bytes, b)
+	entBytes, _, _ := pc.core().Held(ent)
+	sched := pc.core().Bound(ent, a, a, aid, aid, nil)
+	if b := ent.Sym.Bytes() + csr.IdentityBytes + sched.Bytes() + structure; pc.core().Bytes() != entBytes || entBytes != b {
+		t.Fatalf("cache accounts %d bytes, entry %d, want plan, record, schedule and operand structure: %d", pc.core().Bytes(), entBytes, b)
 	}
 	for i := 0; i < 3; i++ {
 		if n := run("bound replay", bound); n != 0 {
@@ -433,5 +437,90 @@ func TestPlanCacheScheduleConcurrentReplays(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestPlanCacheBoundsGridMemos admits and runs many distinct device
+// patterns through one small cache, as a server does with inline
+// operands it never stores: the grid memos are charged to the cache's
+// one budget and evicted with the plans, so after every job the cache
+// holds no more than its budget (or its one youngest entry) and the
+// memos do not pile up.
+func TestPlanCacheBoundsGridMemos(t *testing.T) {
+	const budget, patterns = 64 << 10, 400
+	const memoBytes = 512 // what the cache charges a grid memo
+	pc := NewPlanCache(budget)
+	eng, _ := ByName("hybrid")
+	for i := 0; i < patterns; i++ {
+		a := ER(48, 48, 0.08, int64(1000+i))
+		o := runOptsFor("hybrid")
+		o.PlanCache = pc
+		if _, err := EstimateCost("hybrid", a, a, o); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := eng.Run(a, a, o); err != nil {
+			t.Fatal(err)
+		}
+		held, entries := pc.core().Bytes(), pc.Len()+pc.core().Memos()
+		if held > budget && entries > 1 {
+			t.Fatalf("job %d: cache holds %d bytes in %d entries, over its %d-byte budget", i, held, entries, budget)
+		}
+		if memos := pc.core().Memos(); memos > budget/memoBytes {
+			t.Fatalf("job %d: %d grid memos held, more than %d fit the budget", i, memos, budget/memoBytes)
+		}
+	}
+}
+
+// TestPlanCacheOneBudget fills a cache with CPU plans only: they may use
+// the whole budget, not half of it, and none is evicted while they fit.
+func TestPlanCacheOneBudget(t *testing.T) {
+	const budget = 1 << 20
+	pc := NewPlanCache(budget)
+	eng, _ := ByName("cpu")
+	var total int64
+	plans := 0
+	for seed := int64(1); total <= budget*3/4; seed++ {
+		a := ER(400, 400, 0.02, seed)
+		_, sym, err := cpuspgemm.MultiplyPlanned(a, a, cpuspgemm.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := eng.Run(a, a, &RunOptions{PlanCache: pc}); err != nil {
+			t.Fatal(err)
+		}
+		total += sym.Bytes() + csr.IdentityBytes
+		plans++
+	}
+	if total > budget {
+		t.Fatalf("the plans take %d bytes, more than the %d-byte budget", total, budget)
+	}
+	_, _, evictions := pc.Counters()
+	if evictions != 0 || pc.Len() != plans || pc.core().Bytes() != total {
+		t.Fatalf("cache holds %d of %d plans in %d bytes after %d evictions; want all %d bytes, none evicted",
+			pc.Len(), plans, pc.core().Bytes(), evictions, total)
+	}
+}
+
+// TestEstimateCostReadsTheGridMemo: the grid memo keeps the pair's flop
+// count, so a second device-engine estimate of operands with their
+// records is served from it — no planning pass and no flop scan.
+func TestEstimateCostReadsTheGridMemo(t *testing.T) {
+	a := RMAT(9, 8, 0.57, 0.19, 0.19, 53)
+	aid := mustIdentify(t, a)
+	pc := NewPlanCache(0)
+	estimate := func() (Cost, int64) {
+		t.Helper()
+		o := runOptsFor("hybrid")
+		o.PlanCache, o.AID, o.BID, o.Metrics = pc, aid, aid, NewCollector()
+		cost, err := EstimateCost("hybrid", a, a, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cost, passes(o.Metrics)
+	}
+	first, _ := estimate()
+	second, n := estimate()
+	if n != 0 || second != first || second.Flops != Flops(a, a) {
+		t.Fatalf("second estimate %+v with %d identity passes; want %+v (%d flops) and none", second, n, first, Flops(a, a))
 	}
 }

@@ -33,9 +33,8 @@ func spares(pc *PlanCache, a, b *Matrix, o RunOptions) int {
 	if ent == nil {
 		return -1
 	}
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return len(ent.spares)
+	_, _, n := pc.core().Held(ent)
+	return n
 }
 
 // TestReleasedSpareNeverReachesProduct: a warm product whose values are
@@ -123,7 +122,7 @@ func TestReleaseTakesOnlyThePlansProduct(t *testing.T) {
 	}
 	short := *w1
 	short.Data = w1.Data[:len(w1.Data)-1]
-	before := pc.bytes
+	before := pc.core().Bytes()
 	for what, release := range map[string]func(){
 		"another plan's product":         func() { pc.Release(a, a, other, *oa) },
 		"a wrong-length value array":     func() { pc.Release(a, a, &short, *oa) },
@@ -133,7 +132,7 @@ func TestReleaseTakesOnlyThePlansProduct(t *testing.T) {
 		"a product under another pair":   func() { pc.Release(b, b, w1, *ob) },
 	} {
 		release()
-		if spares(pc, a, a, *oa) != 0 || spares(pc, b, b, *ob) != 0 || pc.bytes != before {
+		if spares(pc, a, a, *oa) != 0 || spares(pc, b, b, *ob) != 0 || pc.core().Bytes() != before {
 			t.Fatalf("Release kept %s", what)
 		}
 	}
@@ -141,8 +140,8 @@ func TestReleaseTakesOnlyThePlansProduct(t *testing.T) {
 
 	pc.Release(a, a, w1, *oa)
 	pc.Release(a, a, w1, *oa)
-	if got, n := spares(pc, a, a, *oa), int64(len(w1.Data))*8; got != 1 || pc.bytes != before+n {
-		t.Fatalf("two releases of one product left %d spares and %d more bytes, want 1 and %d", got, pc.bytes-before, n)
+	if got, n := spares(pc, a, a, *oa), int64(len(w1.Data))*8; got != 1 || pc.core().Bytes() != before+n {
+		t.Fatalf("two releases of one product left %d spares and %d more bytes, want 1 and %d", got, pc.core().Bytes()-before, n)
 	}
 	w3, _, err := cpu.Run(a, a, oa)
 	if err != nil {
@@ -152,13 +151,13 @@ func TestReleaseTakesOnlyThePlansProduct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &w3.Data[0] != &w1.Data[0] || &w4.Data[0] == &w3.Data[0] || pc.bytes != before {
+	if &w3.Data[0] != &w1.Data[0] || &w4.Data[0] == &w3.Data[0] || pc.core().Bytes() != before {
 		t.Fatal("a spare was not taken by exactly one replay, or its bytes stayed charged")
 	}
 	pc.Release(a, a, w3, *oa)
 	pc.Invalidate(Fingerprint(a))
 	pc.Invalidate(Fingerprint(b))
-	if pc.bytes != 0 {
-		t.Fatalf("%d bytes charged after every plan left the cache", pc.bytes)
+	if pc.core().Bytes() != 0 {
+		t.Fatalf("%d bytes charged after every plan left the cache", pc.core().Bytes())
 	}
 }

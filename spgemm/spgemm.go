@@ -318,7 +318,7 @@ func MultiplyAuto(a, b *Matrix, cfg DeviceConfig) (*Matrix, Stats, error) {
 // a lost device — is the run's answer.
 func runAuto(a, b *Matrix, o RunOptions) (*Matrix, Stats, error) {
 	var err error
-	if o.Core, err = o.plan(a, b); err != nil {
+	if o.Core, _, err = o.plan(a, b); err != nil {
 		return nil, Stats{}, err
 	}
 	opts, err := o.coreOptions(a, b, true)
