@@ -32,9 +32,14 @@ func (t *TwoLevel) GrowValues(width int) {
 // Add records column col and adds v to its value. A column starts from
 // −0.0, and −0.0 + v is v bit for bit for every v (±0, NaN, ±Inf), so a
 // row's first product is assigned and the rest added: no first-touch test.
+// Nor a first-word test: the summary bit is ORed in on every product, two
+// stores where AddSegment branches on the word, which on a row of
+// scattered columns mispredicts about once a product (DESIGN.md §13).
 func (t *TwoLevel) Add(col int32, v float64) {
 	t.vals[col] += v
-	t.AddSymbolic(col)
+	seg := col >> 6
+	t.summary[seg>>6] |= 1 << (uint32(seg) & 63)
+	t.words[seg] |= 1 << (uint32(col) & 63)
 }
 
 // AddRevisit is Add testing the column's bit first, so a column already
@@ -63,8 +68,10 @@ func (t *TwoLevel) AddSymbolic(col int32) {
 	t.AddSegment(col>>6, 1<<(uint32(col)&63))
 }
 
-// AddSegment ORs a 64-column occupancy mask into segment seg (columns
-// [seg*64, seg*64+64)) — one call per csr.Segments entry.
+// AddSegment ORs a non-zero 64-column occupancy mask into segment seg
+// (columns [seg*64, seg*64+64)) — one call per csr.Segments entry. It
+// sets the summary bit only on a word's first touch: dense symbolic rows
+// revisit words, and predict the test.
 func (t *TwoLevel) AddSegment(seg int32, mask uint64) {
 	w := t.words[seg]
 	if w == 0 {
@@ -73,8 +80,20 @@ func (t *TwoLevel) AddSegment(seg int32, mask uint64) {
 	t.words[seg] = w | mask
 }
 
+// FlushSlack is the spare capacity, past a row's distinct columns, that
+// lets FlushCols write whole words: a caller that reserves it for each
+// row (a row's bound plus FlushSlack) gets the branch-light body.
+const FlushSlack = 64
+
 // FlushCols appends the distinct columns in ascending order and resets.
+// With FlushSlack spare entries at a word, it stores the word's two
+// lowest columns unconditionally, keeps the second only if there was
+// one, and loops from the third bit: a word of one or two columns — most
+// of them on a row of scattered columns — takes no data-dependent branch.
+// Without that room it appends column by column. Either way it may
+// overwrite cols' spare capacity past the length it returns.
 func (t *TwoLevel) FlushCols(cols []int32) []int32 {
+	n := len(cols)
 	for si, sum := range t.summary {
 		if sum == 0 {
 			continue
@@ -82,14 +101,29 @@ func (t *TwoLevel) FlushCols(cols []int32) []int32 {
 		t.summary[si] = 0
 		for ; sum != 0; sum &= sum - 1 {
 			w := si<<6 + bits.TrailingZeros64(sum)
-			base := int32(w << 6)
-			for word := t.words[w]; word != 0; word &= word - 1 {
-				cols = append(cols, base+int32(bits.TrailingZeros64(word)))
-			}
+			base, word := int32(w<<6), t.words[w]
 			t.words[w] = 0
+			if cap(cols)-n < FlushSlack {
+				cols = cols[:n]
+				for ; word != 0; word &= word - 1 {
+					cols = append(cols, base+int32(bits.TrailingZeros64(word)))
+				}
+				n = len(cols)
+				continue
+			}
+			out := cols[n : n+FlushSlack]
+			out[0] = base + int32(bits.TrailingZeros64(word)) // a touched word is non-zero
+			word &= word - 1
+			out[1] = base + int32(bits.TrailingZeros64(word)&63)
+			k := 1 + int((word|-word)>>63) // 2 if the word had a second column
+			for word &= word - 1; word != 0; word &= word - 1 {
+				out[k&63] = base + int32(bits.TrailingZeros64(word))
+				k++
+			}
+			n += k
 		}
 	}
-	return cols
+	return cols[:n]
 }
 
 // FlushValues is FlushCols also appending each value (reset to −0.0);

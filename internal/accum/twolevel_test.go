@@ -1,6 +1,7 @@
 package accum
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -226,6 +227,96 @@ func TestSortKeysBothBranches(t *testing.T) {
 		sortKeys(keys)
 		if !slices.Equal(keys, want) {
 			t.Fatalf("n=%d: sortKeys disagrees with slices.Sort", n)
+		}
+	}
+}
+
+// TestFlushWordShapes runs FlushCols and FlushValues over the word shapes
+// the branch-light flush special-cases — words of 0, 1, 2, 3 and 64
+// columns, bit 0 and bit 63, the last partial word of a 229-column
+// bitmap — each into a buffer with FlushSlack or more spare entries past
+// the row (whole-word stores) and with fewer (the append loop, or a row
+// that starts whole-word and ends appending). Every variant must give
+// the same ids and values, exactly the row's number of them after the
+// prefix, the NaN report of this row's values, and an all-zero
+// accumulator with every value back to −0.0.
+func TestFlushWordShapes(t *testing.T) {
+	const width = 3*64 + 37
+	span := func(lo, hi int32) (cols []int32) {
+		for c := lo; c < hi; c++ {
+			cols = append(cols, c)
+		}
+		return cols
+	}
+	shapes := []struct {
+		name string
+		cols []int32
+	}{
+		{"empty", nil},
+		{"one column", []int32{70}},
+		{"bit 0", []int32{0}},
+		{"bit 63", []int32{63}},
+		{"two columns", []int32{64 + 5, 64 + 6}},
+		{"bits 0 and 63", []int32{128, 191}},
+		{"three columns", []int32{1, 2, 40}},
+		{"full word", span(64, 128)},
+		{"full words side by side", span(0, 128)},
+		{"last column", []int32{width - 1}},
+		{"last partial word", span(192, width)},
+		{"mixed", append(append([]int32{3, 130, 131, 140, 200}, span(64, 128)...), width-1)},
+	}
+	negZero := math.Copysign(0, -1)
+	two := GetTwoLevel(width)
+	defer PutTwoLevel(two)
+	two.GrowValues(width)
+	for _, sh := range shapes {
+		want := slices.Clone(sh.cols)
+		slices.Sort(want)
+		value := func(c int32) float64 {
+			if c == 3 {
+				return math.NaN()
+			}
+			return float64(c) + 0.5
+		}
+		for _, spare := range []int{FlushSlack + 7, FlushSlack, FlushSlack - 1, 1, 0} {
+			name := fmt.Sprintf("%s/spare %d", sh.name, spare)
+			for _, c := range sh.cols {
+				if c%2 == 0 {
+					two.AddSymbolic(c)
+				} else {
+					two.AddSegment(c>>6, 1<<(uint32(c)&63))
+				}
+			}
+			cols := append(make([]int32, 0, 1+len(want)+spare), -7)
+			got := two.FlushCols(cols)
+			if len(got) != 1+len(want) || got[0] != -7 || !slices.Equal(got[1:], want) {
+				t.Fatalf("%s: FlushCols = %v, want -7 then %v", name, got, want)
+			}
+			requireZero(t, two, name+": after FlushCols")
+
+			for _, c := range sh.cols {
+				two.Add(c, value(c))
+			}
+			cols = append(make([]int32, 0, 1+len(want)+spare), -7)
+			vals := append(make([]float64, 0, 1+len(want)+spare), math.NaN())
+			gotCols, gotVals, nan := two.FlushValues(cols, vals)
+			if len(gotCols) != 1+len(want) || gotCols[0] != -7 || !slices.Equal(gotCols[1:], want) {
+				t.Fatalf("%s: FlushValues ids = %v, want -7 then %v", name, gotCols, want)
+			}
+			if len(gotVals) != len(gotCols) || nan != slices.Contains(want, 3) {
+				t.Fatalf("%s: %d values for %d ids, nan = %v", name, len(gotVals), len(gotCols), nan)
+			}
+			for j, c := range want {
+				if g, w := gotVals[1+j], value(c); math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+					t.Fatalf("%s: column %d = %v, want %v", name, c, g, w)
+				}
+			}
+			requireZero(t, two, name+": after FlushValues")
+			for c, v := range two.vals {
+				if math.Float64bits(v) != math.Float64bits(negZero) {
+					t.Fatalf("%s: value %d left at %v", name, c, v)
+				}
+			}
 		}
 	}
 }

@@ -180,8 +180,9 @@ func multiplyAdaptive(a, b *csr.Matrix, opts Options, rowFlops []int64) (*csr.Ma
 			if rowFlops[i] == 0 {
 				continue
 			}
-			// A row holds at most one id per product and per column.
-			if bound := int(min(rowFlops[i]/2, int64(b.Cols))); cap(buf)-len(buf) < bound {
+			// A row holds at most one id per product and per column; the
+			// bitmap's flush writes whole words past them.
+			if bound := int(min(rowFlops[i]/2, int64(b.Cols))) + accum.FlushSlack; cap(buf)-len(buf) < bound {
 				st.spans = append(st.spans, colSpan{first, i, buf, vbuf})
 				buf, first = stage[int32](accum.ColBlocks, &st.blocks, bound), i
 				if onePhase {

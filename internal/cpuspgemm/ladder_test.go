@@ -38,12 +38,13 @@ func ladderRungs() []struct {
 
 // BenchmarkLadder times a cold Multiply, a warm Numeric and a bound warm
 // replay (NumericScheduled on the schedule a plan cache keeps for operands
-// with records) per rung, and both replays of the block-diagonal shapes
-// the warm workloads replay (cluster_batch_chain's BlockDiag(256, 32),
-// serve_small_warm's BlockDiag(512, 8)), every row of which NumericRows
-// computes in groups whose B rows are a block; their bound replays also
-// run under each of the groups' bodies (speck.UseBody) the host has, as
-// bound/<shape>/<body>.
+// with records) per rung; the same three for er4096, ER(4096, 6/4096)²,
+// the shape of serve_payload_cold's product; and both replays of the
+// block-diagonal shapes the warm workloads replay (cluster_batch_chain's
+// BlockDiag(256, 32), serve_small_warm's BlockDiag(512, 8)), every row of
+// which NumericRows computes in groups whose B rows are a block; their
+// bound replays also run under each of the groups' bodies
+// (speck.UseBody) the host has, as bound/<shape>/<body>.
 func BenchmarkLadder(b *testing.B) {
 	opts := Options{Threads: 1}
 	warm := func(b *testing.B, x, y *csr.Matrix, bound bool) {
@@ -62,13 +63,15 @@ func BenchmarkLadder(b *testing.B) {
 			}
 		}
 	}
+	er4096 := matgen.ER(1<<12, 1<<12, 6.0/(1<<12), 908)
 	block32, block8 := matgen.BlockDiag(256, 32, 906), matgen.BlockDiag(512, 8, 907)
 	rungs := append(ladderRungs(), []struct {
 		name string
 		a, b *csr.Matrix
-	}{{"block32", block32, block32}, {"block8", block8, block8}}...)
+	}{{"er4096", er4096, er4096}, {"block32", block32, block32}, {"block8", block8, block8}}...)
 	for _, r := range rungs {
-		if r.name != "block32" && r.name != "block8" {
+		block := r.name == "block32" || r.name == "block8"
+		if !block {
 			b.Run("cold/"+r.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if _, err := Multiply(r.a, r.b, opts); err != nil {
@@ -79,7 +82,7 @@ func BenchmarkLadder(b *testing.B) {
 		}
 		b.Run("warm/"+r.name, func(b *testing.B) { warm(b, r.a, r.b, false) })
 		b.Run("bound/"+r.name, func(b *testing.B) { warm(b, r.a, r.b, true) })
-		if r.name == "block32" || r.name == "block8" {
+		if block {
 			for _, body := range []string{"sse2", "avx2", "avx512"} {
 				b.Run("bound/"+r.name+"/"+body, func(b *testing.B) {
 					restore, err := speck.UseBody(body)

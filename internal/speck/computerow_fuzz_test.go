@@ -1,0 +1,142 @@
+package speck_test
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/accum"
+	"repro/internal/cpuspgemm"
+	"repro/internal/csr"
+	"repro/internal/speck"
+)
+
+// FuzzComputeRow holds the one-phase row kernel to the warm one: every
+// row of A·B from Kit.ComputeRow must carry Sequential's column ids and
+// NumericRows' values over that structure, bit for bit, except that a
+// NaN only has to be a NaN (DESIGN.md §13), and must report a NaN
+// exactly when it emits one. A has rows of no entries, of one (the
+// scaled-copy path) and of many; B is 63, 64, 65 or 4096 + k columns
+// wide, with rows of scattered columns and runs that fill whole words and
+// the last partial one; NaN, ±Inf, −0.0 and 0 are mixed in at a fuzzed
+// rate. The rows are computed three ways: staged one after another into
+// a buffer holding each row's bound plus accum.FlushSlack, as the cold
+// stagers do; into buffers of exactly the row's size; and from nil.
+func FuzzComputeRow(f *testing.F) {
+	f.Add(uint8(0), uint8(0), uint8(9), uint8(20), uint8(30), uint8(0), int64(1))    // 63 columns
+	f.Add(uint8(1), uint8(0), uint8(5), uint8(30), uint8(80), uint8(40), int64(2))   // 64, specials
+	f.Add(uint8(2), uint8(0), uint8(11), uint8(39), uint8(200), uint8(8), int64(3))  // 65, dense rows
+	f.Add(uint8(3), uint8(7), uint8(7), uint8(25), uint8(36), uint8(0), int64(4))    // 4103, scattered rows
+	f.Add(uint8(3), uint8(63), uint8(3), uint8(12), uint8(255), uint8(64), int64(5)) // 4159, runs and specials
+	f.Fuzz(func(t *testing.T, widthSel, k, rows, inner, density, specials uint8, seed int64) {
+		width := []int{63, 64, 65, 4096 + int(k%64)}[widthSel%4]
+		m, n := 1+int(inner%40), 1+int(rows%12)
+		rng := rand.New(rand.NewSource(seed))
+		specialValues := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0}
+		value := func() float64 {
+			if rng.Intn(256) < int(specials) {
+				return specialValues[rng.Intn(len(specialValues))]
+			}
+			return rng.NormFloat64()
+		}
+		build := func(r, c int, row func(i int) []int32) *csr.Matrix {
+			var es []csr.Entry
+			for i := 0; i < r; i++ {
+				for _, col := range row(i) {
+					es = append(es, csr.Entry{Row: int32(i), Col: col, Val: value()})
+				}
+			}
+			mat, err := csr.FromEntries(r, c, es)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return mat
+		}
+		distinct := func(c, count int) []int32 {
+			ids := make([]int32, min(c, count))
+			for j, id := range rng.Perm(c)[:len(ids)] {
+				ids[j] = int32(id)
+			}
+			return ids
+		}
+		b := build(m, width, func(int) []int32 {
+			if rng.Intn(4) == 0 { // a run: whole words, or the last partial one
+				lo := rng.Intn(width)
+				if rng.Intn(2) == 0 {
+					lo = width - 1 - rng.Intn(min(width, 80))
+				}
+				hi := min(width, lo+1+rng.Intn(130))
+				run := make([]int32, 0, hi-lo)
+				for c := lo; c < hi; c++ {
+					run = append(run, int32(c))
+				}
+				return run
+			}
+			return distinct(width, rng.Intn(1+int(density)))
+		})
+		a := build(n, m, func(i int) []int32 {
+			switch i % 4 {
+			case 0:
+				return nil
+			case 1:
+				return distinct(m, 1)
+			default:
+				return distinct(m, 2+rng.Intn(m))
+			}
+		})
+
+		want, err := cpuspgemm.Sequential(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := &csr.Matrix{Rows: want.Rows, Cols: want.Cols, RowOffsets: want.RowOffsets,
+			ColIDs: want.ColIDs, Data: make([]float64, len(want.Data))}
+		w := speck.WholeWindow(c)
+		s := accum.GetScratch(width)
+		defer accum.PutScratch(s)
+		if err := speck.NumericRows(a, b, &w, s, nil, 0, a.Rows); err != nil {
+			t.Fatalf("NumericRows over Sequential's structure: %v", err)
+		}
+
+		rowFlops := csr.RowFlops(a, b)
+		for _, mode := range []string{"staged with slack", "exact capacity", "nil"} {
+			var kit speck.Kit
+			var buf []int32
+			var vbuf []float64
+			for i := 0; i < a.Rows; i++ {
+				lo, hi := c.RowOffsets[i], c.RowOffsets[i+1]
+				var cols []int32
+				var vals []float64
+				switch mode {
+				case "staged with slack":
+					if bound := int(min(rowFlops[i]/2, int64(width))) + accum.FlushSlack; cap(buf)-len(buf) < bound {
+						buf, vbuf = make([]int32, 0, bound+rng.Intn(100)), make([]float64, 0, bound)
+					}
+					cols, vals = buf, vbuf
+				case "exact capacity":
+					cols, vals = make([]int32, 0, hi-lo), make([]float64, 0, hi-lo)
+				}
+				at := len(cols)
+				cols, vals, nan := kit.ComputeRow(a, b, i, cols, vals)
+				gotCols, gotVals := cols[at:], vals[at:]
+				if !slices.Equal(gotCols, c.ColIDs[lo:hi]) {
+					t.Fatalf("%s: row %d ids %v, want %v", mode, i, gotCols, c.ColIDs[lo:hi])
+				}
+				if len(gotVals) != len(gotCols) || nan != slices.ContainsFunc(gotVals, math.IsNaN) {
+					t.Fatalf("%s: row %d: %d values for %d ids, nan = %v", mode, i, len(gotVals), len(gotCols), nan)
+				}
+				for j, g := range gotVals {
+					wv := c.Data[lo+int64(j)]
+					if math.Float64bits(g) != math.Float64bits(wv) && !(math.IsNaN(g) && math.IsNaN(wv)) {
+						t.Fatalf("%s: row %d column %d: %v (%#x), want %v (%#x)", mode, i, gotCols[j], g, math.Float64bits(g), wv, math.Float64bits(wv))
+					}
+				}
+				if mode == "staged with slack" {
+					buf, vbuf = cols, vals
+				}
+			}
+			kit.Release()
+		}
+	})
+}

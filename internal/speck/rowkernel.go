@@ -423,8 +423,9 @@ func (p *SymbolicPass) walk(offs []int64, workers int) []int32 {
 			if f == 0 {
 				continue
 			}
-			// A row holds at most one id per product and per column.
-			if bound := int(min(f/2, int64(p.b.Cols))); cap(buf)-len(buf) < bound {
+			// A row holds at most one id per product and per column; the
+			// bitmap's flush writes whole words past them.
+			if bound := int(min(f/2, int64(p.b.Cols))) + accum.FlushSlack; cap(buf)-len(buf) < bound {
 				if len(buf) > 0 {
 					staged[w] = append(staged[w], buf)
 				}
