@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"slices"
 	"testing"
 )
@@ -109,8 +110,11 @@ func TestTwoLevelPoolAndGrow(t *testing.T) {
 
 // TestFlushDoesNotAllocate pins the accumulators' flushes at zero
 // allocations once their buffers have grown: a per-row allocation here
-// is a per-row allocation in every kernel that flushes them.
+// is a per-row allocation in every kernel that flushes them. The
+// collector is held off, as in the other allocation gates, so that no
+// collection between rounds can move a count.
 func TestFlushDoesNotAllocate(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const width, distinct = 4096, 200 // above sortKeys' insertion-sort cutoff
 	accs := map[string]Accumulator{
 		"hash":   NewHash(distinct),

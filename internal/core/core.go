@@ -427,7 +427,7 @@ func (e *Engine) chunkRowFlops() [][]int64 {
 		var bytes int64
 		for id := range pl.rowFlops {
 			rp, cp := e.chunkPanels(id)
-			pl.rowFlops[id] = csr.RowFlops(rp.M, cp.M)
+			pl.rowFlops[id] = csr.RowFlops(rp.M, cp.M, cap(e.prod.lanes))
 			for _, f := range pl.rowFlops[id] {
 				pl.chunkFlops[id] += f
 			}

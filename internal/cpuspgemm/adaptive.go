@@ -135,7 +135,7 @@ func multiplyAdaptive(a, b *csr.Matrix, opts Options, rowFlops []int64) (*csr.Ma
 
 	stopAnalysis := opts.Metrics.StartWall("cpu", "row analysis")
 	if rowFlops == nil {
-		rowFlops = csr.RowFlops(a, b)
+		rowFlops = csr.RowFlops(a, b, nt)
 	}
 	bounds := parallel.CostBounds(rowFlops, chunkNT)
 

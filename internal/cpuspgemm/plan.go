@@ -57,7 +57,7 @@ func MultiplyPlanned(a, b *csr.Matrix, opts Options) (*csr.Matrix, *SymbolicResu
 	if a.Cols != b.Rows {
 		return nil, nil, errDims(a, b)
 	}
-	rowFlops := csr.RowFlops(a, b)
+	rowFlops := csr.RowFlops(a, b, opts.threads())
 	c, err := multiplyAdaptive(a, b, opts, rowFlops)
 	if err != nil {
 		return nil, nil, err

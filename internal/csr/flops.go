@@ -5,10 +5,11 @@ import "repro/internal/parallel"
 // Flops reports the number of floating-point operations required to
 // compute A·B with Gustavson's algorithm, counting a multiply-add as two
 // flops as the paper does (Table II: "a multiply-add counts as 2 flops").
-// It is the sum over all non-zeros A[i][k] of 2*nnz(B[k][*]).
+// It is the sum over all non-zeros A[i][k] of 2*nnz(B[k][*]), scanned
+// on GOMAXPROCS workers.
 func Flops(a, b *Matrix) int64 {
 	var total int64
-	for _, f := range RowFlops(a, b) {
+	for _, f := range RowFlops(a, b, 0) {
 		total += f
 	}
 	return total
@@ -18,16 +19,17 @@ func Flops(a, b *Matrix) int64 {
 // compute row i of A·B. This is the "row analysis" quantity of the
 // framework's first GPU stage (Figure 3), used for load balancing and
 // for the hybrid work distribution. It feeds every engine's scheduler,
-// so the scan itself is row-parallel.
-func RowFlops(a, b *Matrix) []int64 {
+// so the scan itself is row-parallel, on workers goroutines (0 means
+// GOMAXPROCS): the bound of the job it serves.
+func RowFlops(a, b *Matrix, workers int) []int64 {
 	bRowNnz := make([]int64, b.Rows)
-	parallel.For(0, b.Rows, parallel.Grain(b.Rows, 0), func(lo, hi int) {
+	parallel.For(workers, b.Rows, parallel.Grain(b.Rows, workers), func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			bRowNnz[r] = b.RowNnz(r)
 		}
 	})
 	out := make([]int64, a.Rows)
-	parallel.For(0, a.Rows, parallel.Grain(a.Rows, 0), func(lo, hi int) {
+	parallel.For(workers, a.Rows, parallel.Grain(a.Rows, workers), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			var f int64
 			for p := a.RowOffsets[i]; p < a.RowOffsets[i+1]; p++ {
@@ -46,7 +48,7 @@ func RowFlops(a, b *Matrix) []int64 {
 // between the bound and the observed nnz can be very large; we keep them
 // for hash-table sizing and for the upper-bound ablation.
 func RowUpperBounds(a, b *Matrix) []int64 {
-	out := RowFlops(a, b)
+	out := RowFlops(a, b, 0)
 	for i := range out {
 		out[i] /= 2
 	}

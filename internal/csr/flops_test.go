@@ -2,7 +2,11 @@ package csr
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
+
+	"repro/internal/parallel"
 )
 
 // denseMul multiplies via dense arithmetic for cross-checking flop and
@@ -33,7 +37,7 @@ func TestRowFlopsSumsToFlops(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	a := randomMatrix(rng, 30, 30, 0.15)
 	b := randomMatrix(rng, 30, 30, 0.15)
-	rf := RowFlops(a, b)
+	rf := RowFlops(a, b, 0)
 	var sum int64
 	for _, f := range rf {
 		sum += f
@@ -50,7 +54,7 @@ func TestRowUpperBoundsAreFlopsHalved(t *testing.T) {
 	a := randomMatrix(rng, 25, 25, 0.2)
 	b := randomMatrix(rng, 25, 25, 0.2)
 	ub := RowUpperBounds(a, b)
-	rf := RowFlops(a, b)
+	rf := RowFlops(a, b, 0)
 	for i := range ub {
 		if ub[i]*2 != rf[i] {
 			t.Fatalf("row %d: upper bound %d, flops %d", i, ub[i], rf[i])
@@ -78,5 +82,24 @@ func TestCompressionRatioEmptyProduct(t *testing.T) {
 	a := New(4, 4)
 	if r := CompressionRatio(a, a, New(4, 4)); r != 0 {
 		t.Fatalf("CompressionRatio of empty product = %v, want 0", r)
+	}
+}
+
+// TestRowFlopsHonoursWorkers: the scan runs on the workers it is given —
+// one is its caller's goroutine, on a host of four processors — and its
+// counts do not depend on how many.
+func TestRowFlopsHonoursWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	rng := rand.New(rand.NewSource(11))
+	a, b := randomMatrix(rng, 600, 500, 0.02), randomMatrix(rng, 500, 700, 0.02)
+	before := parallel.Spawned()
+	one := RowFlops(a, b, 1)
+	if n := parallel.Spawned() - before; n != 0 {
+		t.Fatalf("RowFlops on one worker started %d goroutines", n)
+	}
+	for _, workers := range []int{0, 2, 3} {
+		if got := RowFlops(a, b, workers); !slices.Equal(got, one) {
+			t.Fatalf("%d workers: the counts differ from one worker's", workers)
+		}
 	}
 }

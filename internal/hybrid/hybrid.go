@@ -139,7 +139,7 @@ func RunCPUOnly(a, b *csr.Matrix, cfg gpusim.DeviceConfig, host HostModel) (*csr
 	}
 	// The product is in hand, so its row offsets are the exact symbolic
 	// result: no second pass.
-	hashF, denseF := speck.SplitFlops(csr.RowFlops(a, b), c.RowOffsets)
+	hashF, denseF := speck.SplitFlops(csr.RowFlops(a, b, host.Threads), c.RowOffsets)
 	total := host.ChunkSeconds(hashF, denseF, c.Bytes())
 	return c, core.Stats{Totals: metrics.NewTotals(total, hashF+denseF, c.Nnz()), Chunks: 1}, nil
 }

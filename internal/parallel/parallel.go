@@ -57,6 +57,12 @@ func Workers(n int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
+var spawned atomic.Int64
+
+// Spawned counts the goroutines Run has started, process-wide and
+// monotonic; tests diff it around a job to pin the job's thread bound.
+func Spawned() int64 { return spawned.Load() }
+
 // Run spawns workers goroutines, calls body(w) on each with w in
 // [0, workers), and waits for all of them. workers <= 0 means
 // GOMAXPROCS; workers == 1 calls body inline.
@@ -66,6 +72,7 @@ func Run(workers int, body func(w int)) {
 		body(0)
 		return
 	}
+	spawned.Add(int64(workers))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"testing"
@@ -177,11 +178,14 @@ func TestWarmHandleTrafficDoesNoIdentityWork(t *testing.T) {
 // TestWarmHandleMultiplyAllocationCeiling: a warm multiply by handle
 // allocates a fixed amount, whatever the product's size — no flop
 // scan's scratch and, the product's values going back to the plan once
-// the response is built, no value array.
+// the response is built, no value array. The collector is held off from
+// the warm-up on, so that no collection empties the pools the count
+// assumes warm.
 func TestWarmHandleMultiplyAllocationCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
 	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	s := New(Config{MaxConcurrent: 1, Base: spgemm.RunOptions{Threads: 1}})
 	defer s.Drain(0)
 	h, err := s.StoreMatrix(spgemm.BlockDiag(512, 8, 3))
@@ -217,10 +221,12 @@ func TestWarmHandleMultiplyAllocationCeiling(t *testing.T) {
 // TestWarmBatchChainAllocationCeiling is its twin for a batch: in steady
 // state a warm 4-node chain allocates less than one product's value
 // array, every node writing into an array an earlier node handed back.
+// The collector is held off as there.
 func TestWarmBatchChainAllocationCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
 	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	s := New(Config{MaxConcurrent: 1, Base: spgemm.RunOptions{Threads: 1}})
 	defer s.Drain(0)
 	h, err := s.StoreMatrix(spgemm.BlockDiag(512, 8, 3))

@@ -99,7 +99,7 @@ func FuzzComputeRow(f *testing.F) {
 			t.Fatalf("NumericRows over Sequential's structure: %v", err)
 		}
 
-		rowFlops := csr.RowFlops(a, b)
+		rowFlops := csr.RowFlops(a, b, 0)
 		for _, mode := range []string{"staged with slack", "exact capacity", "nil"} {
 			var kit speck.Kit
 			var buf []int32

@@ -531,9 +531,12 @@ const groupRows = 4
 // its structure holds or, in a group, other columns. It runs sched, or,
 // when sched is nil, a schedule it builds for the range.
 //
-// The schedule's groups are computed a group at a time, column by column
-// in registers (sumColumns). Every other row goes through stampedRows,
-// and so does a group holding a NaN, so that a NaN's payload never
+// Each run of consecutive groups the range holds whole is one call of the
+// run body (sumRun), which sums the groups column by column in
+// registers, once groupRun has checked that every group lies inside the
+// value arrays (an error if one does not). Every other row goes through
+// stampedRows, and so does a group holding a NaN — the run resumes
+// after it — so that a NaN's payload never
 // depends on which group a chunk boundary put its row in, and — with the
 // column-set check on, so that they return the *StructureError — a group
 // that failed its window check and the rows of a group [lo, hi) cuts
@@ -546,23 +549,68 @@ func NumericRows(a, b *csr.Matrix, w *Window, s *accum.Scratch, sched *Schedule,
 	}
 	spans := sched.spans
 	k := sort.Search(len(spans), func(k int) bool { return spans[k].hi > lo })
-	for ; k < len(spans) && spans[k].lo < hi; k++ {
-		sp := spans[k]
-		from, to := max(sp.lo, lo), min(sp.hi, hi)
-		if sp.n == 0 || from != sp.lo || to != sp.hi {
-			if err := stampedRows(a, b, w, s, from, to, sp.check || sp.n != 0); err != nil {
+	for k < len(spans) && spans[k].lo < hi {
+		if sp := &spans[k]; sp.n == 0 || sp.lo < lo || sp.hi > hi {
+			if err := stampedRows(a, b, w, s, max(sp.lo, lo), min(sp.hi, hi), sp.check || sp.n != 0); err != nil {
 				return err
 			}
+			k++
 			continue
 		}
-		o := a.RowOffsets[from]
-		if !sumColumns(a.Data[o:o+groupRows*sp.n], b.Data[sp.at:sp.at+sp.n*sp.m], int(sp.m), w, from) {
-			if err := stampedRows(a, b, w, s, from, to, true); err != nil {
+		j, ok := groupRun(a, b, w, spans, k, hi)
+		if !ok {
+			return fmt.Errorf("speck: rows %d-%d: the schedule's groups reach past the operands' or the window's value arrays", spans[k].lo, spans[j-1].hi)
+		}
+		for {
+			if k += sumRun(a.Data, b.Data, w.Data, a.RowOffsets, w.Offs, w.Stride, spans[k:j]); k == j {
+				break
+			}
+			// Group k holds a NaN: the stamped body recomputes it.
+			if err := stampedRows(a, b, w, s, spans[k].lo, spans[k].hi, true); err != nil {
 				return err
 			}
+			k++
 		}
 	}
 	return nil
+}
+
+// runGroups bounds the groups one call of the run body computes: the body
+// cannot be preempted, so a long run is cut into runs of at most this
+// many groups, each checked (groupRun) just before it runs.
+const runGroups = 64
+
+// groupRun returns the end j of the run of groups spans[k:j] — spans[k],
+// a group, and the groups that follow it up to row hi, at most runGroups
+// in all — and whether every one of them lies inside the value arrays
+// the run body indexes unchecked: its multipliers, a.Data[o, o+4n) with
+// o = a.RowOffsets[lo]; its block, b.Data[at, at+n·m); and its four
+// windows, w.Data[w.Offs[(lo+r)·Stride]:][:m]. The offsets read here are
+// the ones the body reads, each through a checked index, so a schedule
+// replayed against other arrays than its own panics or fails here. Each
+// bound is a difference that must not be negative — an offset, and the
+// room an array has past it for its extent — so one OR of them all
+// carries the sign bit of any that is. An offset and its room both lie in
+// [0, 2⁶³) when they pass, so no difference wraps; the schedule's own
+// fields (lo, at, n, m), fixed when it was built from a structure, are
+// trusted not to overflow.
+func groupRun(a, b *csr.Matrix, w *Window, spans []span, k, hi int) (j int, ok bool) {
+	aOffs, wOffs, stride := a.RowOffsets, w.Offs, w.Stride
+	al, bl, wl := int64(len(a.Data)), int64(len(b.Data)), int64(len(w.Data))
+	var signs int64
+	end := min(len(spans), k+runGroups)
+	for j = k; j < end; j++ {
+		sp := &spans[j]
+		if sp.n == 0 || sp.hi > hi {
+			break
+		}
+		ao, at := aOffs[sp.lo], sp.lo*stride
+		o0, o1, o2, o3 := wOffs[at], wOffs[at+stride], wOffs[at+2*stride], wOffs[at+3*stride]
+		aRoom, wRoom := al-groupRows*sp.n, wl-sp.m
+		signs |= aRoom | ao | (aRoom - ao) | (bl - sp.n*sp.m - sp.at) |
+			wRoom | (o0 | o1 | o2 | o3) | (wRoom - o0) | (wRoom - o1) | (wRoom - o2) | (wRoom - o3)
+	}
+	return j, signs >= 0
 }
 
 // Schedule is NumericRows' plan of a row range, a function of the
@@ -768,52 +816,10 @@ func windowsAre(bc []int32, w *Window, i int) bool {
 	return true
 }
 
-// sumColumns computes group i, whose rows' multipliers are av (row after
-// row) and whose B rows are a block of m columns with values bv, into
-// windows the schedule checked (windowsAre): column q of row r is
-// Σ_p x_r,p · bv[p·m + q]. It sums each column of the four rows in
-// registers, from -0.0 in p order — the stamped body's order, and -0.0 + y
-// is y bit for bit, so equal bit for bit but NaN payloads — and stores
-// each value once: no scratch, no stamp, no check per product. sumQuads
-// takes the columns sixteen, eight or four at a time (on amd64; elsewhere
-// none), this loop the rest, one at a time. It reports false, having
-// written nothing that is kept, when a value is a NaN; the stamped body
-// then recomputes the group.
-func sumColumns(av, bv []float64, m int, w *Window, i int) bool {
-	var outs [groupRows][]float64
-	for r := range outs {
-		off := w.Offs[(i+r)*w.Stride]
-		outs[r] = w.Data[off : off+int64(m)]
-	}
-	q, nan := sumQuads(av, bv, m, &outs)
-	// Four slices of one length: the inner loop indexes them unchecked and
-	// keeps their bases and its counters in registers (with the outputs'
-	// bases in registers too, it spilled its counter).
-	n := len(av) / groupRows
-	x0s := av[:n]
-	x1s, x2s, x3s := av[n : 2*n][:len(x0s)], av[2*n : 3*n][:len(x0s)], av[3*n:][:len(x0s)]
-	negZero := math.Copysign(0, -1)
-	for ; q < m; q++ {
-		s0, s1, s2, s3 := negZero, negZero, negZero, negZero
-		j := q
-		for p, x := range x0s {
-			v := bv[j]
-			j += m
-			s0 += float64(x * v)
-			s1 += float64(x1s[p] * v)
-			s2 += float64(x2s[p] * v)
-			s3 += float64(x3s[p] * v)
-		}
-		outs[0][q], outs[1][q], outs[2][q], outs[3][q] = s0, s1, s2, s3
-		nan = nan || s0 != s0 || s1 != s1 || s2 != s2 || s3 != s3
-	}
-	return !nan
-}
-
-// sumQuadsBodies are sumQuads' bodies, narrowest first: a name, the CPU
+// runBodies are sumRun's bodies, narrowest first: a name, the CPU
 // feature it needs, whether this host runs it, and the switches
 // selecting it. "sse2" is the portable loop off amd64.
-var sumQuadsBodies = [...]struct {
+var runBodies = [...]struct {
 	name, feature      string
 	runs, avx2, avx512 bool
 }{
@@ -822,14 +828,14 @@ var sumQuadsBodies = [...]struct {
 	{"avx512", "AVX-512F", useAVX512, true, true},
 }
 
-// UseBody makes block groups run sumQuads' named body — "sse2", "avx2"
+// UseBody makes block groups run sumRun's named body — "sse2", "avx2"
 // or "avx512" — in place of the widest one the host has, and returns a
 // function restoring the previous choice; it fails, naming the CPU
 // feature, where the host cannot run the body. Every body computes the
 // same bits, so this exists for tests and benchmarks that compare them.
 // It must not run while a kernel does.
 func UseBody(name string) (restore func(), err error) {
-	for _, b := range sumQuadsBodies {
+	for _, b := range runBodies {
 		if b.name != name {
 			continue
 		}
@@ -874,10 +880,10 @@ func (r *RowAnalysis) Bytes() int64 {
 }
 
 // Analyze runs the whole-matrix symbolic pass behind RowAnalysis, one
-// walk that counts and emits every row, on workers goroutines (0 means
-// GOMAXPROCS).
+// walk that counts and emits every row, and the flop scan before it, on
+// workers goroutines (0 means GOMAXPROCS).
 func Analyze(a, b *csr.Matrix, workers int) *RowAnalysis {
-	r := &RowAnalysis{RowFlops: csr.RowFlops(a, b), RowOffsets: make([]int64, a.Rows+1)}
+	r := &RowAnalysis{RowFlops: csr.RowFlops(a, b, workers), RowOffsets: make([]int64, a.Rows+1)}
 	r.ColIDs = NewSymbolicPass(a, b, r.RowFlops).walk(r.RowOffsets, workers)
 	r.HashFlops, r.DenseFlops = SplitFlops(r.RowFlops, r.RowOffsets)
 	return r

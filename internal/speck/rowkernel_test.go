@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -22,7 +23,7 @@ import (
 // pair sort; the dense/hash flop split by the literal rule.
 func oracleCompute(a, b *csr.Matrix, cm CostModel) (*Symbolic, []float64) {
 	sym := &Symbolic{Rows: a.Rows, ACols: a.Cols, Cols: b.Cols,
-		RowFlops: csr.RowFlops(a, b), UpperBounds: csr.RowUpperBounds(a, b)}
+		RowFlops: csr.RowFlops(a, b, 0), UpperBounds: csr.RowUpperBounds(a, b)}
 	offs := make([]int64, a.Rows+1)
 	hash := accum.NewHash(64)
 	var data []float64
@@ -93,7 +94,7 @@ func requireMatchesOracle(t *testing.T, name string, a, b *csr.Matrix) *Result {
 // kindsUsed reports which kernels the symbolic pass of A·B bins rows
 // with flops to.
 func kindsUsed(a, b *csr.Matrix) (used [NumKinds]bool) {
-	rf := csr.RowFlops(a, b)
+	rf := csr.RowFlops(a, b, 0)
 	p := NewSymbolicPass(a, b, rf)
 	for i, f := range rf {
 		if f != 0 {
@@ -543,11 +544,11 @@ func TestNumericRowsGroupedBitIdentical(t *testing.T) {
 	forEachBody(t, testNumericRowsGroupedBitIdentical)
 }
 
-// forEachBody runs test once per sumQuads body, skipping, with the
+// forEachBody runs test once per run body, skipping, with the
 // missing CPU feature named, a body the host cannot run, and leaves the
 // host's choice in place.
 func forEachBody(t *testing.T, test func(t *testing.T)) {
-	for _, b := range sumQuadsBodies {
+	for _, b := range runBodies {
 		t.Run(b.name, func(t *testing.T) {
 			restore, err := UseBody(b.name)
 			if err != nil {
@@ -651,6 +652,25 @@ func testNumericRowsGroupedBitIdentical(t *testing.T) {
 	})
 	cases = append(cases, tcase{"one product per value", lone, lb, 1, 1, 8})
 
+	// A NaN in one row of a group in the middle of a run: blocks of 12 (one
+	// run of nine groups), of 13 (runs of three, one tail column on every
+	// body), of 5, 6 and 7 (one to three tail columns); on the whole
+	// product, where the stamped body computes the NaN's group and every
+	// block's last bs mod 4 rows, and on a 2×2 grid (Stride 2).
+	for _, bs := range []int{5, 6, 7, 12, 13} {
+		mid := bs + bs/2
+		na := blockMatrix(3, bs, all, func(r, c int) float64 {
+			if r == mid && c == bs {
+				return math.NaN()
+			}
+			return plain(r, c)
+		})
+		nb := blockMatrix(3, bs, all, plain)
+		cases = append(cases,
+			tcase{fmt.Sprintf("NaN in a middle group, blocks of %d", bs), na, nb, 1, 1, 3*(bs%groupRows) + groupRows},
+			tcase{fmt.Sprintf("NaN in a middle group, blocks of %d, 2×2 grid", bs), na, nb, 2, 2, -1})
+	}
+
 	for _, tc := range cases {
 		chunks, nnz := gridChunks(t, tc.a, tc.b, tc.nr, tc.nc)
 		want := make([]float64, nnz)
@@ -684,16 +704,19 @@ func testNumericRowsGroupedBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSumColumnsWidthSweep compares a group's column sums (sumColumns)
-// under every sumQuads body with the scalar loop, bit for bit, over m =
-// 1…70 columns and n ∈ {1, 2, 3, 33} B rows: plain, and with a special
-// planted in the first and in the last column of each range the AVX-512
-// body splits m into — sixteen-wide tiles, an eight-wide step, the quads
-// left, the scalar tail. The specials are a NaN B value (a NaN in all
-// four rows), +Inf and -Inf in one column, a column of -0.0 (every
-// product -0.0), and Inf·0 in each row (a NaN in one lane of one
-// register, ±Inf in the row's other columns). The NaN report must match
-// wherever the NaN lands.
+// TestSumColumnsWidthSweep compares a run of three groups' column sums
+// (sumRun) under every body with the scalar loop, bit for bit, over m =
+// 1…70 columns (every count of tail columns the quads leave) and n ∈
+// {1, 2, 3, 33} B rows, into windows a stride of two apart with gaps
+// between them: plain, and with a special planted in the middle group, in
+// the first and in the last column of each range the AVX-512 body splits
+// m into — sixteen-wide tiles, an eight-wide step, the quads left, the
+// one-column tail. The specials are a NaN B value (a NaN in all four
+// rows), +Inf and -Inf in one column, a column of -0.0 (every product
+// -0.0), and Inf·0 in each row (a NaN in one lane of one register, ±Inf
+// in the row's other columns). A run whose middle group holds a NaN must
+// stop there, the first group computed and the last untouched; no run
+// writes outside its windows.
 func TestSumColumnsWidthSweep(t *testing.T) {
 	forEachBody(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(36))
@@ -715,14 +738,28 @@ func TestSumColumnsWidthSweep(t *testing.T) {
 		for r := range groupRows {
 			specials = append(specials, special{fmt.Sprintf("Inf·0 in row %d", r), func(av, bv []float64, n, m, col int) { av[r*n], bv[col] = inf, 0 }})
 		}
+		const groups, stride, gap = 3, 2, 3
+		unwritten := math.Float64frombits(0x7ff0dead) // a NaN no kernel writes
 		for _, n := range []int{1, 2, 3, 33} {
 			for m := 1; m <= 70; m++ {
-				av, bv := make([]float64, groupRows*n), make([]float64, n*m)
+				av, bv := make([]float64, groups*groupRows*n), make([]float64, groups*n*m)
 				for i := range av {
 					av[i] = 0.5 + rng.Float64() // positive: a -0.0 B value makes a -0.0 product
 				}
 				for i := range bv {
 					bv[i] = rng.NormFloat64()
+				}
+				run := make([]span, groups)
+				aOffs := make([]int64, groups*groupRows+1)
+				wOffs := make([]int64, groups*groupRows*stride+1)
+				for i := range aOffs {
+					aOffs[i] = int64(i * n)
+				}
+				for i := range wOffs {
+					wOffs[i] = int64(i / stride * (m + gap))
+				}
+				for g := range run {
+					run[g] = span{lo: g * groupRows, hi: (g + 1) * groupRows, at: int64(g * n * m), n: int64(n), m: int64(m)}
 				}
 				var cols []int
 				for _, r := range [][2]int{{0, m &^ 15}, {m &^ 15, m &^ 7}, {m &^ 7, m &^ 3}, {m &^ 3, m}} {
@@ -733,22 +770,31 @@ func TestSumColumnsWidthSweep(t *testing.T) {
 				for _, col := range cols {
 					for _, sp := range specials {
 						a, b := slices.Clone(av), slices.Clone(bv)
-						sp.plant(a, b, n, m, col)
-						want, wantNaN := scalarColumns(a, b, m)
-						w := &Window{Offs: []int64{0, int64(m), int64(2 * m), int64(3 * m), int64(4 * m)}, Stride: 1, Data: make([]float64, groupRows*m)}
-						for i := range w.Data {
-							w.Data[i] = math.Float64frombits(0x7ff0dead) // a NaN no kernel writes
+						mid := run[1]
+						sp.plant(a[aOffs[mid.lo]:], b[mid.at:], n, m, col)
+						data := make([]float64, groups*groupRows*(m+gap))
+						for i := range data {
+							data[i] = unwritten
 						}
 						what := fmt.Sprintf("m=%d, n=%d, %s in column %d", m, n, sp.name, col)
-						if ok := sumColumns(a, b, m, w, 0); ok == wantNaN {
-							t.Fatalf("%s: sumColumns reports a NaN %v, want %v", what, !ok, wantNaN)
+						stop := sumRun(a, b, data, aOffs, wOffs, stride, run)
+						_, midNaN := scalarColumns(a[aOffs[mid.lo]:][:groupRows*n], b[mid.at:][:n*m], m)
+						if want := map[bool]int{true: 1, false: groups}[midNaN]; stop != want {
+							t.Fatalf("%s: the run stops at group %d, want %d", what, stop, want)
 						}
-						for i, v := range w.Data {
-							if v != v && want[i] != want[i] {
-								continue // NaN payloads may differ
-							}
-							if math.Float64bits(v) != math.Float64bits(want[i]) {
-								t.Fatalf("%s: row %d column %d is %v (%#x), want %v (%#x)", what, i/m, i%m, v, math.Float64bits(v), want[i], math.Float64bits(want[i]))
+						for g, gs := range run {
+							want, _ := scalarColumns(a[aOffs[gs.lo]:][:groupRows*n], b[gs.at:][:n*m], m)
+							for i, v := range data[g*groupRows*(m+gap):][:groupRows*(m+gap)] {
+								r, q := i/(m+gap), i%(m+gap)
+								switch {
+								case q >= m || g > stop:
+									if math.Float64bits(v) != math.Float64bits(unwritten) {
+										t.Fatalf("%s: group %d row %d slot %d (past its window or its run) was written", what, g, r, q)
+									}
+								case g == stop:
+								case math.Float64bits(v) != math.Float64bits(want[r*m+q]) && (v == v || want[r*m+q] == want[r*m+q]):
+									t.Fatalf("%s: group %d row %d column %d is %v (%#x), want %v (%#x)", what, g, r, q, v, math.Float64bits(v), want[r*m+q], math.Float64bits(want[r*m+q]))
+								}
 							}
 						}
 					}
@@ -758,7 +804,94 @@ func TestSumColumnsWidthSweep(t *testing.T) {
 	})
 }
 
-// scalarColumns is sumColumns' arithmetic one value at a time: row r's
+// TestNumericRowsScheduleOverrun replays a bound schedule against value
+// arrays one element too short — the window's, B's and A's — each of
+// which the run body would have read or written past: the call must fail
+// or panic before the body runs, and leave the value arrays' last
+// elements alone.
+func TestNumericRowsScheduleOverrun(t *testing.T) {
+	m := matgen.BlockDiag(8, 8, 37)
+	sym, err := SymbolicCompute(m, m, model())
+	if err != nil {
+		t.Fatal(err)
+	}
+	structure := Window{Offs: sym.RowOffsets, Stride: 1, Cols: sym.ColIDs, Width: m.Cols}
+	sched := NewSchedule(m, m, &structure, 0, m.Rows)
+	shorter := func(x *csr.Matrix) *csr.Matrix { y := *x; y.Data = x.Data[:len(x.Data)-1]; return &y }
+	forEachBody(t, func(t *testing.T) {
+		for _, tc := range []struct {
+			name string
+			a, b *csr.Matrix
+			data int
+		}{
+			{"w.Data", m, m, len(sym.ColIDs) - 1},
+			{"b.Data", m, shorter(m), len(sym.ColIDs)},
+			{"a.Data", shorter(m), m, len(sym.ColIDs)},
+		} {
+			w := structure
+			w.Data = make([]float64, tc.data, tc.data+1)
+			sentinel := math.Float64frombits(0x7ff0dead)
+			guard := w.Data[:tc.data+1]
+			guard[tc.data] = sentinel
+			s := accum.GetScratch(m.Cols)
+			err := func() (err error) {
+				defer func() {
+					if r := recover(); r != nil {
+						err = fmt.Errorf("panic: %v", r)
+					}
+				}()
+				return NumericRows(tc.a, tc.b, &w, s, sched, 0, m.Rows)
+			}()
+			accum.PutScratch(s)
+			if err == nil {
+				t.Fatalf("too short %s: NumericRows succeeded", tc.name)
+			}
+			if math.Float64bits(guard[tc.data]) != math.Float64bits(sentinel) {
+				t.Fatalf("too short %s: the element past w.Data was written", tc.name)
+			}
+		}
+	})
+}
+
+// TestNumericRowsBoundAllocatesNothing pins that a bound replay — the
+// run body over every group — allocates nothing.
+func TestNumericRowsBoundAllocatesNothing(t *testing.T) {
+	m := matgen.BlockDiag(64, 8, 38)
+	sym, err := SymbolicCompute(m, m, model())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := Window{Offs: sym.RowOffsets, Stride: 1, Cols: sym.ColIDs, Data: make([]float64, len(sym.ColIDs)), Width: m.Cols}
+	sched := NewSchedule(m, m, &w, 0, m.Rows)
+	s := accum.GetScratch(m.Cols)
+	defer accum.PutScratch(s)
+	if n := testing.AllocsPerRun(20, func() {
+		if err := NumericRows(m, m, &w, s, sched, 0, m.Rows); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("a bound replay allocates %v times per call, want 0", n)
+	}
+}
+
+// TestSpanLayout pins the offsets of span's fields that sumRun's assembly
+// reads (lo 0, at 16, n 24, m 32) and its size (48).
+func TestSpanLayout(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("only the amd64 run body reads spans by offset")
+	}
+	typ := reflect.TypeFor[span]()
+	var got [5]uintptr
+	for i, name := range []string{"lo", "at", "n", "m"} {
+		f, _ := typ.FieldByName(name)
+		got[i] = f.Offset
+	}
+	if got[4] = typ.Size(); got != [5]uintptr{0, 16, 24, 32, 48} {
+		t.Fatalf("span's lo, at, n, m offsets and size are %v, want [0 16 24 32 48]", got)
+	}
+}
+
+// scalarColumns is sumRun's arithmetic one value at a time: row r's
 // column q is Σ_p av[r·n+p] · bv[p·m+q], from -0.0 in p order, every
 // product rounded.
 func scalarColumns(av, bv []float64, m int) (vals []float64, nan bool) {
@@ -786,7 +919,7 @@ func scalarColumns(av, bv []float64, m int) (vals []float64, nan bool) {
 // is cut into a chunk grid of up to 3×3 and each chunk's rows into two
 // ranges, run on a schedule per range and on one for the chunk.
 // NumericRows must match the stamped body bit for bit, NaN payloads
-// included, with every sumQuads body the host runs: a group holding a NaN
+// included, with every run body the host runs: a group holding a NaN
 // is the stamped body's to compute.
 func FuzzNumericRows(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(5), uint8(7), uint8(0), uint8(0), uint16(0), int64(1))   // full blocks of 8
@@ -794,6 +927,7 @@ func FuzzNumericRows(f *testing.F) {
 	f.Add(uint8(0), uint8(2), uint8(9), uint8(5), uint8(8), uint8(8), uint16(13), int64(3))  // blocks × band
 	f.Add(uint8(2), uint8(2), uint8(4), uint8(20), uint8(0), uint8(2), uint16(7), int64(4))  // band × band: no groups
 	f.Add(uint8(0), uint8(0), uint8(1), uint8(63), uint8(0), uint8(0), uint16(1), int64(5))  // blocks of 64
+	f.Add(uint8(0), uint8(0), uint8(5), uint8(14), uint8(3), uint8(3), uint16(31), int64(6)) // runs of groups, a few NaNs among them, 1×2 grid
 	f.Fuzz(func(t *testing.T, kindA, kindB, blocks, size, specials, grid uint8, cut uint16, seed int64) {
 		bs := 1 + int(size%70)
 		n := bs * (1 + int(blocks%6))
@@ -843,7 +977,7 @@ func FuzzNumericRows(f *testing.F) {
 		stampedGrid(t, chunks, want, n)
 		s := accum.GetScratch(n)
 		defer accum.PutScratch(s)
-		for _, body := range sumQuadsBodies {
+		for _, body := range runBodies {
 			restore, err := UseBody(body.name)
 			if err != nil {
 				continue
@@ -952,7 +1086,7 @@ func TestAnalyzeWorkersMatchSerialWalk(t *testing.T) {
 	}
 	var empty, degree1 bool
 	for _, tc := range cases {
-		rf := csr.RowFlops(tc.a, tc.b)
+		rf := csr.RowFlops(tc.a, tc.b, 0)
 		pass := NewSymbolicPass(tc.a, tc.b, rf)
 		if compressed := pass.segs != nil; compressed != tc.compressed {
 			t.Fatalf("%s: B compressed = %v, want %v", tc.name, compressed, tc.compressed)

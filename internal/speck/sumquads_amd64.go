@@ -1,24 +1,30 @@
 package speck
 
-// sumQuads computes columns [0, done) of a group (sumColumns), done =
-// m rounded down to a multiple of four: av holds the four rows'
-// multipliers row after row (n each), bv the block's n × m values row by
-// row, and row r's value for column q goes to outs[r][q]. Four columns of
-// the four rows are eight SSE2 registers of two lanes, or, where useAVX2
-// is set, four AVX2 registers of four; where useAVX512 is set, sixteen
-// columns at a time are eight AVX-512 registers of eight lanes, then
-// eight columns four such registers, and the AVX2 body takes the quads
-// left. Each lane sums its products from -0.0 in p order with
-// MULPD/ADDPD (VMULPD/VADDPD), which round every lane as MULSD/ADDSD do —
-// and as the compiled Go loops do, every product being rounded explicitly
-// (DESIGN.md §13) — so the values are sumColumns' loop's bit for bit but
-// NaN payloads. nan reports a NaN among them. The caller guarantees
-// len(av) = 4n with n ≥ 1, len(bv) = n·m and len(outs[r]) = m.
+// sumRun is the run body on amd64: it computes run's groups into wData,
+// one after another, and returns the index of the first whose sums hold
+// a NaN — that group's windows then hold values no caller keeps — or
+// len(run). Group sp's rows' multipliers are aData[aOffs[sp.lo]:] row
+// after row (sp.n each), its block's values bData[sp.at:] (sp.n × sp.m,
+// row by row), and row r's value for column q goes to
+// wData[wOffs[(sp.lo+r)·stride] + q]: Σ_p x_r,p · B[p][q], summed from
+// -0.0 in p order. Columns go four at a time in eight SSE2 registers of
+// two lanes, or, where useAVX2 is set, four AVX2 registers of four;
+// where useAVX512 is set, sixteen columns at a time are eight AVX-512
+// registers of eight lanes, then eight columns four such registers, and
+// the AVX2 body takes the quads left; fewer than four columns left go
+// one at a time (MULSD/ADDSD). Every lane rounds as MULSD/ADDSD do — and
+// as the compiled Go loops do, every product being rounded explicitly
+// (DESIGN.md §13) — so the values are the stamped body's bit for bit but
+// NaN payloads.
+//
+// It indexes its arguments unchecked: the caller (groupRun) guarantees
+// that every group's multipliers, block and windows lie inside aData,
+// bData and wData, and that aOffs and wOffs hold the indices it reads.
 //
 //go:noescape
-func sumQuads(av, bv []float64, m int, outs *[groupRows][]float64) (done int, nan bool)
+func sumRun(aData, bData, wData []float64, aOffs, wOffs []int64, stride int, run []span) (nan int)
 
-// useAVX2 and useAVX512 select sumQuads' body: the AVX-512 one where
+// useAVX2 and useAVX512 select sumRun's body: the AVX-512 one where
 // useAVX512 is set, else the AVX2 one where useAVX2 is, else the SSE2
 // one. They are set once, before any kernel runs, to the widest body the
 // CPU and the OS support; only tests and benchmarks change them (UseBody).

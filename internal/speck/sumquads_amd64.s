@@ -1,47 +1,87 @@
 #include "textflag.h"
 
-// func sumQuads(av, bv []float64, m int, outs *[groupRows][]float64) (done int, nan bool)
+// func sumRun(aData, bData, wData []float64, aOffs, wOffs []int64, stride int, run []span) (nan int)
 //
-// Registers: SI/CX the first and end address of row 0's multipliers, R13
+// Per group: SI/CX the first and end address of row 0's multipliers, R13
 // and R12 one and three rows' stride of them (n·8, 3n·8), AX the current
 // multiplier of row 0, DI the block's values, BX the current B row's
-// four values, R8 a B row's stride (m·8), R10 the quad's byte offset,
-// DX where the quads end, R9 outs. X0–X7 hold the sums (row r, columns
-// q..q+1 and q+2..q+3 in X(2r), X(2r+1)), X8/X9 the four B values, X10/X11
-// a row's multiplier in both lanes, X12 the NaN lanes seen, X13 -0.0 in
-// both lanes. Where useAVX512 or useAVX2 is set, the AVX-512 or the AVX2
-// body below runs instead.
+// values, R8 a B row's stride (m·8), R10 the column's byte offset, DX
+// where the quads end, R11 a window's address. The frame holds the four
+// windows' addresses (0–24(SP)), the current span (32(SP)) and its index
+// (40(SP)). X0–X7 hold the sums (row r, columns q..q+1 and q+2..q+3 in
+// X(2r), X(2r+1)), X8/X9 the four B values, X10/X11 a row's multiplier in
+// both lanes, X12 the NaN lanes seen, X13 -0.0 in both lanes, R9 the
+// group's NaN lanes once its quads are done. Where useAVX512 or useAVX2
+// is set, the AVX-512 or the AVX2 body below sums the quads instead; the
+// columns left, fewer than four, are summed one at a time (tail).
 
-TEXT ·sumQuads(SB), NOSPLIT, $0-73
-	MOVQ av_base+0(FP), SI
-	MOVQ av_len+8(FP), R13
-	SHRQ $2, R13
+TEXT ·sumRun(SB), NOSPLIT, $48-160
+	MOVQ run_base+128(FP), AX
+	MOVQ AX, 32(SP)
+	MOVQ $0, 40(SP)
+	MOVQ $0x8000000000000000, R11
+	MOVQ R11, X13
+	UNPCKLPD X13, X13
+
+group:
+	MOVQ 40(SP), AX
+	CMPQ AX, run_len+136(FP)
+	JAE stop
+	MOVQ 32(SP), R9
+
+	// Row 0's multipliers start at aData + aOffs[lo]·8; row r's window at
+	// wData + wOffs[(lo+r)·stride]·8; the block at bData + at·8.
+	MOVQ 0(R9), AX
+	MOVQ aOffs_base+72(FP), BX
+	MOVQ (BX)(AX*8), SI
+	SHLQ $3, SI
+	ADDQ aData_base+0(FP), SI
+	MOVQ stride+120(FP), R10
+	IMULQ R10, AX
+	SHLQ $3, R10
+	MOVQ wOffs_base+96(FP), BX
+	LEAQ (BX)(AX*8), BX
+	MOVQ wData_base+48(FP), R11
+	MOVQ (BX), AX
+	LEAQ (R11)(AX*8), AX
+	MOVQ AX, 0(SP)
+	ADDQ R10, BX
+	MOVQ (BX), AX
+	LEAQ (R11)(AX*8), AX
+	MOVQ AX, 8(SP)
+	ADDQ R10, BX
+	MOVQ (BX), AX
+	LEAQ (R11)(AX*8), AX
+	MOVQ AX, 16(SP)
+	ADDQ R10, BX
+	MOVQ (BX), AX
+	LEAQ (R11)(AX*8), AX
+	MOVQ AX, 24(SP)
+	MOVQ 16(R9), DI
+	SHLQ $3, DI
+	ADDQ bData_base+24(FP), DI
+	MOVQ 24(R9), R13
 	SHLQ $3, R13
 	LEAQ (R13)(R13*2), R12
 	LEAQ (SI)(R13*1), CX
-	MOVQ bv_base+24(FP), DI
-	MOVQ m+48(FP), R8
+	MOVQ 32(R9), R8
 	MOVQ R8, DX
 	ANDQ $~3, DX
 	SHLQ $3, DX
 	SHLQ $3, R8
-	MOVQ outs+56(FP), R9
 	XORQ R10, R10
-	MOVQ $0x8000000000000000, R11
-	MOVQ R11, X13
-	UNPCKLPD X13, X13
-	XORPD X12, X12
 	CMPB ·useAVX512(SB), $0
 	JNE avx512
 	CMPB ·useAVX2(SB), $0
 	JNE avx2
+	XORPD X12, X12
 
 	// Each quad: the sums start at -0.0, then p runs over the block's
 	// rows (n ≥ 1), adding x_r,p · B[p][q..q+3] in p order.
 
 quad:
 	CMPQ R10, DX
-	JAE done
+	JAE quadsDone
 	MOVAPD X13, X0
 	MOVAPD X13, X1
 	MOVAPD X13, X2
@@ -91,16 +131,16 @@ p:
 
 	// Store the quad into the four windows, then fold its NaN lanes
 	// into X12.
-	MOVQ 0(R9), R11
+	MOVQ 0(SP), R11
 	MOVUPD X0, (R11)(R10*1)
 	MOVUPD X1, 16(R11)(R10*1)
-	MOVQ 24(R9), R11
+	MOVQ 8(SP), R11
 	MOVUPD X2, (R11)(R10*1)
 	MOVUPD X3, 16(R11)(R10*1)
-	MOVQ 48(R9), R11
+	MOVQ 16(SP), R11
 	MOVUPD X4, (R11)(R10*1)
 	MOVUPD X5, 16(R11)(R10*1)
-	MOVQ 72(R9), R11
+	MOVQ 24(SP), R11
 	MOVUPD X6, (R11)(R10*1)
 	MOVUPD X7, 16(R11)(R10*1)
 	CMPPD X0, X0, $3
@@ -122,19 +162,16 @@ p:
 	ADDQ $32, R10
 	JMP quad
 
-done:
-	SHRQ $3, R10
-	MOVQ R10, done+64(FP)
-	MOVMSKPD X12, AX
-	TESTQ AX, AX
-	SETNE nan+72(FP)
-	RET
+quadsDone:
+	MOVMSKPD X12, R9
+	JMP tail
 
 	// The AVX2 body: the same loops over the same registers, the sums of
 	// row r's four columns in Y(r), one VMULPD and one VADDPD per row and
 	// B row — never a fused multiply-add. Y4 holds the B row's four
 	// values, Y5/Y6 a row's multiplier in four lanes and then its
-	// products, Y7 the NaN lanes seen, Y8 -0.0 in four lanes.
+	// products, Y7 the NaN lanes seen, Y8 -0.0 in four lanes. The upper
+	// halves are cleared (VZEROUPPER) before the tail's SSE2 code.
 
 avx2:
 	VBROADCASTSD X13, Y8
@@ -142,7 +179,7 @@ avx2:
 
 quad4:
 	CMPQ R10, DX
-	JAE done4
+	JAE quads4Done
 	VMOVAPD Y8, Y0
 	VMOVAPD Y8, Y1
 	VMOVAPD Y8, Y2
@@ -169,13 +206,13 @@ p4:
 	CMPQ AX, CX
 	JB p4
 
-	MOVQ 0(R9), R11
+	MOVQ 0(SP), R11
 	VMOVUPD Y0, (R11)(R10*1)
-	MOVQ 24(R9), R11
+	MOVQ 8(SP), R11
 	VMOVUPD Y1, (R11)(R10*1)
-	MOVQ 48(R9), R11
+	MOVQ 16(SP), R11
 	VMOVUPD Y2, (R11)(R10*1)
-	MOVQ 72(R9), R11
+	MOVQ 24(SP), R11
 	VMOVUPD Y3, (R11)(R10*1)
 	VCMPPD $3, Y0, Y0, Y0
 	VCMPPD $3, Y1, Y1, Y1
@@ -188,14 +225,10 @@ p4:
 	ADDQ $32, R10
 	JMP quad4
 
-done4:
-	VMOVMSKPD Y7, AX
+quads4Done:
+	VMOVMSKPD Y7, R9
 	VZEROUPPER
-	SHRQ $3, R10
-	MOVQ R10, done+64(FP)
-	TESTQ AX, AX
-	SETNE nan+72(FP)
-	RET
+	JMP tail
 
 	// The AVX-512 body: sixteen columns of the four rows per step, in
 	// the registers the AVX2 body leaves alone. The sums of row r's
@@ -257,16 +290,16 @@ p16:
 	CMPQ AX, CX
 	JB p16
 
-	MOVQ 0(R9), R11
+	MOVQ 0(SP), R11
 	VMOVUPD Z16, (R11)(R10*1)
 	VMOVUPD Z17, 64(R11)(R10*1)
-	MOVQ 24(R9), R11
+	MOVQ 8(SP), R11
 	VMOVUPD Z18, (R11)(R10*1)
 	VMOVUPD Z19, 64(R11)(R10*1)
-	MOVQ 48(R9), R11
+	MOVQ 16(SP), R11
 	VMOVUPD Z20, (R11)(R10*1)
 	VMOVUPD Z21, 64(R11)(R10*1)
-	MOVQ 72(R9), R11
+	MOVQ 24(SP), R11
 	VMOVUPD Z22, (R11)(R10*1)
 	VMOVUPD Z23, 64(R11)(R10*1)
 	VCMPPD $3, Z16, Z16, K1
@@ -318,13 +351,13 @@ p8:
 	CMPQ AX, CX
 	JB p8
 
-	MOVQ 0(R9), R11
+	MOVQ 0(SP), R11
 	VMOVUPD Z16, (R11)(R10*1)
-	MOVQ 24(R9), R11
+	MOVQ 8(SP), R11
 	VMOVUPD Z17, (R11)(R10*1)
-	MOVQ 48(R9), R11
+	MOVQ 16(SP), R11
 	VMOVUPD Z18, (R11)(R10*1)
-	MOVQ 72(R9), R11
+	MOVQ 24(SP), R11
 	VMOVUPD Z19, (R11)(R10*1)
 	VCMPPD $3, Z16, Z16, K1
 	KORW K1, K2, K2
@@ -341,6 +374,72 @@ quads:
 	JEQ quad4
 	VCMPPD $0, Y8, Y8, Y7
 	JMP quad4
+
+	// The tail: each column left, fewer than four, one at a time — the
+	// four rows' sums from -0.0 in the low lanes of X0–X3 (their high
+	// lanes keep -0.0, never a NaN), one MULSD and one ADDSD per row and
+	// B row. Its NaN lanes join R9; a group with any ends the run.
+
+tail:
+	CMPQ R10, R8
+	JAE next
+	MOVAPD X13, X0
+	MOVAPD X13, X1
+	MOVAPD X13, X2
+	MOVAPD X13, X3
+	MOVQ SI, AX
+	LEAQ (DI)(R10*1), BX
+
+p1:
+	MOVSD (BX), X8
+	MOVSD (AX), X10
+	MULSD X8, X10
+	ADDSD X10, X0
+	MOVSD (AX)(R13*1), X10
+	MULSD X8, X10
+	ADDSD X10, X1
+	MOVSD (AX)(R13*2), X10
+	MULSD X8, X10
+	ADDSD X10, X2
+	MOVSD (AX)(R12*1), X10
+	MULSD X8, X10
+	ADDSD X10, X3
+	ADDQ $8, AX
+	ADDQ R8, BX
+	CMPQ AX, CX
+	JB p1
+
+	MOVQ 0(SP), R11
+	MOVSD X0, (R11)(R10*1)
+	MOVQ 8(SP), R11
+	MOVSD X1, (R11)(R10*1)
+	MOVQ 16(SP), R11
+	MOVSD X2, (R11)(R10*1)
+	MOVQ 24(SP), R11
+	MOVSD X3, (R11)(R10*1)
+	CMPPD X0, X0, $3
+	CMPPD X1, X1, $3
+	CMPPD X2, X2, $3
+	CMPPD X3, X3, $3
+	ORPD X1, X0
+	ORPD X3, X2
+	ORPD X2, X0
+	MOVMSKPD X0, AX
+	ORQ AX, R9
+	ADDQ $8, R10
+	JMP tail
+
+next:
+	TESTQ R9, R9
+	JNE stop
+	ADDQ $48, 32(SP)
+	INCQ 40(SP)
+	JMP group
+
+stop:
+	MOVQ 40(SP), AX
+	MOVQ AX, nan+152(FP)
+	RET
 
 // func cpuid(eax, ecx uint32) (a, b, c, d uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24

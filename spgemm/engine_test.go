@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/metrics"
+	"repro/internal/parallel"
 )
 
 // runOptsFor returns RunOptions that exercise each engine's machinery
@@ -23,6 +25,29 @@ func runOptsFor(name string) *RunOptions {
 		o.SUMMA = SUMMAConfig{Q: 2, Pipelined: true}
 	}
 	return o
+}
+
+// TestThreadsOneCPUJobStartsNoGoroutine pins RunOptions.Threads on the
+// cpu engine: a Threads: 1 job — cold, then a plan-cache replay — runs
+// on its caller's goroutine, its row analysis included, on a host of
+// four processors.
+func TestThreadsOneCPUJobStartsNoGoroutine(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	a := RMAT(12, 8, 0.57, 0.19, 0.19, 3)
+	e, err := ByName("cpu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := &RunOptions{Threads: 1, PlanCache: NewPlanCache(0)}
+	for run := range 2 {
+		before := parallel.Spawned()
+		if _, _, err := e.Run(a, a, opts); err != nil {
+			t.Fatal(err)
+		}
+		if n := parallel.Spawned() - before; n != 0 {
+			t.Fatalf("run %d: a Threads: 1 cpu job started %d goroutines", run, n)
+		}
+	}
 }
 
 func TestEngineRegistry(t *testing.T) {

@@ -104,7 +104,7 @@ func Multiply(a, b *csr.Matrix, s Semiring, threads int) (*csr.Matrix, error) {
 		threads = runtime.GOMAXPROCS(0)
 	}
 
-	rowFlops := csr.RowFlops(a, b)
+	rowFlops := csr.RowFlops(a, b, threads)
 	bounds := cpuspgemm.BalanceRows(rowFlops, threads)
 
 	// Symbolic phase: output structure (semiring-independent).
