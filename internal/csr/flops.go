@@ -5,14 +5,16 @@ import "repro/internal/parallel"
 // Flops reports the number of floating-point operations required to
 // compute A·B with Gustavson's algorithm, counting a multiply-add as two
 // flops as the paper does (Table II: "a multiply-add counts as 2 flops").
-// It is the sum over all non-zeros A[i][k] of 2*nnz(B[k][*]), scanned
-// on GOMAXPROCS workers.
+// It is the sum over all non-zeros A[i][k] of 2*nnz(B[k][*]), in one
+// serial pass over A's column ids that allocates nothing: it runs on its
+// caller's goroutine, within whatever thread bound the caller has.
 func Flops(a, b *Matrix) int64 {
+	offs := b.RowOffsets
 	var total int64
-	for _, f := range RowFlops(a, b, 0) {
-		total += f
+	for _, k := range a.ColIDs {
+		total += offs[k+1] - offs[k]
 	}
-	return total
+	return 2 * total
 }
 
 // RowFlops returns, for every row i of A, the number of flops needed to

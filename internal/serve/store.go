@@ -1,11 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"container/list"
 	"fmt"
-	"math"
-	"slices"
 	"sync"
+	"unsafe"
 
 	"repro/internal/csr"
 	"repro/internal/metrics"
@@ -53,11 +53,15 @@ type matrixStore struct {
 // later one is compared with them once and then shares them) and the
 // count of resident matrices carrying it. twin is the record of the last
 // plan product whose own arrays compared equal to the structure: the
-// next product of that plan is known to match without a compare.
+// next product of that plan is known to match without a compare. last
+// is the entry of the pattern most recently stored or matched, the one
+// candidate put compares a known-structure matrix's values with before
+// it hashes them (nil once that entry is dropped).
 type pattern struct {
 	id, twin  *csr.Identity
 	structure *spgemm.Matrix // no Data
 	n         int
+	last      *storeEntry
 }
 
 type storeEntry struct {
@@ -96,8 +100,9 @@ func handleFor(structFP, valuesFP uint64) string {
 // m.Data: identical content returns the existing handle, adopting
 // nothing. id is m's identity record when the caller has one (a product
 // of a cached plan): m is then neither validated nor structurally hashed
-// again, only its values are hashed, and its structure is compared with
-// its pattern's once per record (pattern.twin).
+// again, its structure is compared with its pattern's once per record
+// (pattern.twin), and its values are compared with the pattern's last
+// entry (resident) before they are hashed.
 func (s *matrixStore) put(m *spgemm.Matrix, id *csr.Identity) (string, bool, error) {
 	carried := id.Of(m)
 	if !carried {
@@ -109,6 +114,9 @@ func (s *matrixStore) put(m *spgemm.Matrix, id *csr.Identity) (string, bool, err
 	}
 	s.col.Add(metrics.CounterIdentityPasses, 1)
 	fp := id.Fingerprint()
+	if h, ok := s.resident(m, fp); ok {
+		return h, false, nil
+	}
 	h := handleFor(fp, spgemm.FingerprintValues(m))
 	bytes := m.Bytes()
 
@@ -136,6 +144,7 @@ func (s *matrixStore) put(m *spgemm.Matrix, id *csr.Identity) (string, bool, err
 	}
 	if ent != nil {
 		s.order.MoveToBack(ent.elem)
+		ent.pat.last = ent
 		return h, false, nil
 	}
 	if bytes > s.max {
@@ -162,15 +171,43 @@ func (s *matrixStore) put(m *spgemm.Matrix, id *csr.Identity) (string, bool, err
 	ent.elem = s.order.PushBack(ent)
 	s.entries[h] = ent
 	s.bytes += bytes
+	pat.last = ent
 	return h, true, nil
+}
+
+// resident returns the handle of the pattern's last entry when m's
+// structure is known to be the pattern's (m carries its record or its
+// twin, an O(1) check) and m's values are bit for bit the entry's: equal
+// content, so the handle is the one hashing the values would find, and
+// no hash runs. The compare runs outside the lock (resident arrays are
+// immutable); the entry counts only if it is still resident after it.
+// There is one candidate, so a mismatch costs the compare up to the
+// first differing value, and put then hashes as it would have.
+func (s *matrixStore) resident(m *spgemm.Matrix, fp uint64) (string, bool) {
+	var last *storeEntry
+	s.mu.Lock()
+	if pat := s.patterns[fp]; pat != nil && (pat.id.Of(m) || pat.twin.Of(m)) {
+		last = pat.last
+	}
+	s.mu.Unlock()
+	if last == nil || !sameBits(last.m.Data, m.Data) {
+		return "", false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.entries[last.handle] != last { // dropped while compared
+		return "", false
+	}
+	s.order.MoveToBack(last.elem)
+	return last.handle, true
 }
 
 // collision compares an upload with the resident structure and entry
 // its fingerprints matched (either may be nil) and reports a mismatch.
 // Values the upload shares with the resident copy compare in O(1).
 func collision(h string, m *spgemm.Matrix, structure *spgemm.Matrix, ent *storeEntry) error {
-	if structure != nil &&
-		!(slices.Equal(structure.RowOffsets, m.RowOffsets) && slices.Equal(structure.ColIDs, m.ColIDs)) {
+	if structure != nil && !(bytes.Equal(bitsOf(structure.RowOffsets), bitsOf(m.RowOffsets)) &&
+		bytes.Equal(bitsOf(structure.ColIDs), bitsOf(m.ColIDs))) {
 		return &CollisionError{Handle: h, Structure: true}
 	}
 	if ent != nil && !sameBits(ent.m.Data, m.Data) {
@@ -181,19 +218,18 @@ func collision(h string, m *spgemm.Matrix, structure *spgemm.Matrix, ent *storeE
 
 // sameBits compares two value arrays bit for bit (NaN payloads and the
 // sign of zero included, as the values fingerprint hashes them).
-func sameBits(x, y []float64) bool {
-	if len(x) != len(y) {
-		return false
+func sameBits(x, y []float64) bool { return bytes.Equal(bitsOf(x), bitsOf(y)) }
+
+// bitsOf returns the memory of an array as bytes, without copying: the
+// package's only use of unsafe. Two arrays of one element type hold the
+// same bits exactly when their byte views are equal, whatever the host's
+// byte order, and bytes.Equal compares the views many bytes at a time
+// where an element loop compares one element at a time.
+func bitsOf[T int64 | int32 | float64](s []T) []byte {
+	if len(s) == 0 {
+		return nil
 	}
-	if len(x) == 0 || &x[0] == &y[0] {
-		return true
-	}
-	for i, v := range x {
-		if math.Float64bits(v) != math.Float64bits(y[i]) {
-			return false
-		}
-	}
-	return true
+	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), uintptr(len(s))*unsafe.Sizeof(s[0]))
 }
 
 // get resolves a handle to its matrix and identity record, counting
@@ -288,6 +324,9 @@ func (s *matrixStore) dropLocked(ent *storeEntry) {
 	s.order.Remove(ent.elem)
 	delete(s.entries, ent.handle)
 	s.bytes -= ent.bytes
+	if ent.pat.last == ent {
+		ent.pat.last = nil
+	}
 	if ent.pat.n--; ent.pat.n == 0 {
 		fp := ent.pat.id.Fingerprint()
 		delete(s.patterns, fp)

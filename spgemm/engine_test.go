@@ -50,6 +50,25 @@ func TestThreadsOneCPUJobStartsNoGoroutine(t *testing.T) {
 	}
 }
 
+// TestThreadsOneEstimateCostStartsNoGoroutine: the cpu engine's cost
+// estimate, which serve runs for every cold request, scans the flops on
+// its caller's goroutine, on a host of four processors.
+func TestThreadsOneEstimateCostStartsNoGoroutine(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	a := RMAT(12, 8, 0.57, 0.19, 0.19, 3)
+	before := parallel.Spawned()
+	cost, err := EstimateCost("cpu", a, a, &RunOptions{Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := parallel.Spawned() - before; n != 0 {
+		t.Fatalf("a Threads: 1 cpu cost estimate started %d goroutines", n)
+	}
+	if cost.Flops != Flops(a, a) {
+		t.Fatalf("estimated %d flops, want %d", cost.Flops, Flops(a, a))
+	}
+}
+
 func TestEngineRegistry(t *testing.T) {
 	names := Engines()
 	want := []string{"auto", "cpu", "gpu", "gpu-sync", "hybrid", "multigpu", "summa"}
