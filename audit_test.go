@@ -168,7 +168,8 @@ func (drainBlockEngine) Run(a, b *spgemm.Matrix, _ *spgemm.RunOptions) (*spgemm.
 	if gate, ok := drainBlockGate.Load().(chan struct{}); ok && gate != nil {
 		<-gate
 	}
-	c, err := spgemm.MultiplyCPU(a, b, 1)
+	cpu, _ := spgemm.ByName("cpu")
+	c, _, err := cpu.Run(a, b, &spgemm.RunOptions{Threads: 1})
 	return c, nil, err
 }
 

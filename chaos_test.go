@@ -46,7 +46,7 @@ func reference(t *testing.T, a *spgemm.Matrix) *spgemm.Matrix {
 	if c, ok := refCache[a]; ok {
 		return c
 	}
-	c, err := spgemm.MultiplyCPU(a, a, 0)
+	c, err := spgemm.Multiply(a, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,12 +257,14 @@ func TestChaosFaultFreeIdentity(t *testing.T) {
 	cfg := spgemm.V100WithMemory(1 << 20)
 	run := func(fc spgemm.FaultConfig) (spgemm.Stats, []metrics.Span, map[string]int64) {
 		col := spgemm.NewCollector()
-		opts := spgemm.OutOfCoreOptions{RowPanels: 4, ColPanels: 2, Async: true, Faults: fc, Metrics: col}
-		_, st, err := spgemm.MultiplyOutOfCore(a, a, cfg, opts)
+		gpu, _ := spgemm.ByName("gpu")
+		_, report, err := gpu.Run(a, a, &spgemm.RunOptions{
+			Device: &cfg, Core: spgemm.OutOfCoreOptions{RowPanels: 4, ColPanels: 2}, Faults: fc, Metrics: col,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return st, col.SpansIn(metrics.Sim), col.Snapshot()
+		return report.(spgemm.Stats), col.SpansIn(metrics.Sim), col.Snapshot()
 	}
 	stOff, tlOff, snapOff := run(spgemm.FaultConfig{})
 	// Seeded but all-zero rates: the injector is disabled entirely.

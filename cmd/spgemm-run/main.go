@@ -138,9 +138,10 @@ func main() {
 		if stages < 1 {
 			stages = 1
 		}
+		cpu, _ := spgemm.ByName("cpu")
 		var err error
 		for k := 0; k < stages; k++ {
-			if ref, err = spgemm.MultiplyCPU(ref, b, *threads); err != nil {
+			if ref, _, err = cpu.Run(ref, b, &spgemm.RunOptions{Threads: *threads}); err != nil {
 				fail(err)
 			}
 		}

@@ -38,10 +38,12 @@ func TestEndToEndFileWorkflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, stats, err := spgemm.MultiplyOutOfCore(loaded, loaded, cfg, opts)
+	gpu, _ := spgemm.ByName("gpu")
+	c, report, err := gpu.Run(loaded, loaded, &spgemm.RunOptions{Device: &cfg, Core: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
+	stats := report.(spgemm.Stats)
 	if stats.Chunks < 2 {
 		t.Fatalf("planned run was not out-of-core: %d chunks", stats.Chunks)
 	}
@@ -65,12 +67,13 @@ func TestEndToEndFileWorkflow(t *testing.T) {
 // the out-of-core engine on one shared device configuration.
 func TestEndToEndApplications(t *testing.T) {
 	cfg := spgemm.V100WithMemory(8 << 20)
+	gpu, _ := spgemm.ByName("gpu")
 	mult := func(a, b *spgemm.Matrix) (*spgemm.Matrix, error) {
 		opts, err := spgemm.Plan(a, b, cfg)
 		if err != nil {
 			return nil, err
 		}
-		c, _, err := spgemm.MultiplyOutOfCore(a, b, cfg, opts)
+		c, _, err := gpu.Run(a, b, &spgemm.RunOptions{Device: &cfg, Core: opts})
 		return c, err
 	}
 
@@ -155,10 +158,18 @@ func TestLargeScaleSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ooc, st, err := spgemm.MultiplyOutOfCore(a, a, cfg, opts)
-	if err != nil {
-		t.Fatal(err)
+	run := func(name string, o spgemm.RunOptions) (*spgemm.Matrix, spgemm.Report) {
+		t.Helper()
+		eng, _ := spgemm.ByName(name)
+		o.Device = &cfg
+		c, report, err := eng.Run(a, a, &o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, report
 	}
+	ooc, report := run("gpu", spgemm.RunOptions{Core: opts})
+	st := report.(spgemm.Stats)
 	if !spgemm.Equal(ooc, ref, 1e-9) {
 		t.Fatal("out-of-core product differs at scale")
 	}
@@ -166,26 +177,17 @@ func TestLargeScaleSmoke(t *testing.T) {
 		t.Fatalf("not out-of-core: %d chunks", st.Chunks)
 	}
 
-	hy, _, err := spgemm.MultiplyHybrid(a, a, cfg, spgemm.HybridOptions{Core: opts})
-	if err != nil {
-		t.Fatal(err)
-	}
+	hy, _ := run("hybrid", spgemm.RunOptions{Core: opts})
 	if !spgemm.Equal(hy, ref, 1e-9) {
 		t.Fatal("hybrid product differs at scale")
 	}
 
-	mg, _, err := spgemm.MultiplyMultiGPU(a, a, cfg, spgemm.MultiGPUOptions{Core: opts, NumGPUs: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	mg, _ := run("multigpu", spgemm.RunOptions{Core: opts, NumGPUs: 4})
 	if !spgemm.Equal(mg, ref, 1e-9) {
 		t.Fatal("multi-GPU product differs at scale")
 	}
 
-	sm, _, err := spgemm.MultiplySUMMA(a, a, spgemm.SUMMAConfig{Q: 3, Pipelined: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sm, _ := run("summa", spgemm.RunOptions{SUMMA: spgemm.SUMMAConfig{Q: 3, Pipelined: true}})
 	if !spgemm.Equal(sm, ref, 1e-9) {
 		t.Fatal("SUMMA product differs at scale")
 	}

@@ -74,7 +74,7 @@ func TestBatchChainPipelines(t *testing.T) {
 	}
 	ref := a
 	for k := 0; k < 6; k++ {
-		if ref, err = spgemm.MultiplyCPU(ref, a, 0); err != nil {
+		if ref, err = spgemm.Multiply(ref, a); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -521,7 +521,7 @@ func TestBatchChainsBuildTwoSchedules(t *testing.T) {
 	}
 	ref := a
 	for k := 0; k < 4; k++ {
-		if ref, err = spgemm.MultiplyCPU(ref, a, 0); err != nil {
+		if ref, err = spgemm.Multiply(ref, a); err != nil {
 			t.Fatal(err)
 		}
 	}

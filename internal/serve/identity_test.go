@@ -85,7 +85,7 @@ func TestBatchChainMatchesSingleMultiplies(t *testing.T) {
 		}
 		ref, prev := a, hs
 		for k := 0; k < 4; k++ {
-			if ref, err = spgemm.MultiplyCPU(ref, a, 1); err != nil {
+			if ref, _, err = cpuEngine.Run(ref, a, &spgemm.RunOptions{Threads: 1}); err != nil {
 				t.Fatal(err)
 			}
 			mul, err := single.Multiply(apiv1.MultiplyRequest{Engine: "cpu", AHandle: prev, BHandle: hs, StoreC: true})

@@ -26,6 +26,9 @@ var (
 	// blockGate holds the channel the "block" engine waits on; tests
 	// swap in a fresh channel and close it to release blocked jobs.
 	blockGate atomic.Value // chan struct{}
+	// cpuEngine is the library's cpu engine, on which the test engines
+	// compute their products.
+	cpuEngine, _ = spgemm.ByName("cpu")
 )
 
 type funcEngine struct {
@@ -43,7 +46,7 @@ func registerTestEngines() {
 	testEngineOnce.Do(func() {
 		spgemm.Register(funcEngine{name: "block", run: func(a, b *spgemm.Matrix, _ *spgemm.RunOptions) (*spgemm.Matrix, spgemm.Report, error) {
 			<-blockGate.Load().(chan struct{})
-			c, err := spgemm.MultiplyCPU(a, b, 1)
+			c, _, err := cpuEngine.Run(a, b, &spgemm.RunOptions{Threads: 1})
 			return c, nil, err
 		}})
 		spgemm.Register(funcEngine{name: "boom", run: func(_, _ *spgemm.Matrix, _ *spgemm.RunOptions) (*spgemm.Matrix, spgemm.Report, error) {

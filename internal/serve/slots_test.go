@@ -29,7 +29,7 @@ func registerCountEngine() {
 			for p := countPeak.Load(); n > p && !countPeak.CompareAndSwap(p, n); p = countPeak.Load() {
 			}
 			<-blockGate.Load().(chan struct{})
-			c, err := spgemm.MultiplyCPU(a, b, 1)
+			c, _, err := cpuEngine.Run(a, b, &spgemm.RunOptions{Threads: 1})
 			return c, nil, err
 		}})
 	})

@@ -17,17 +17,13 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/cpuspgemm"
 	"repro/internal/csr"
+	"repro/spgemm"
 )
 
-// Multiplier computes a sparse product C = A·B; the default is the
-// multi-core CPU engine.
+// Multiplier computes a sparse product C = A·B; the default is
+// spgemm.Multiply, the cpu engine.
 type Multiplier func(a, b *csr.Matrix) (*csr.Matrix, error)
-
-func defaultMultiplier(a, b *csr.Matrix) (*csr.Matrix, error) {
-	return cpuspgemm.Multiply(a, b, cpuspgemm.Options{})
-}
 
 // Options configures hierarchy construction.
 type Options struct {
@@ -62,7 +58,7 @@ func (o Options) withDefaults() Options {
 		o.MaxLevels = 12
 	}
 	if o.Multiply == nil {
-		o.Multiply = defaultMultiplier
+		o.Multiply = spgemm.Multiply
 	}
 	return o
 }
@@ -88,6 +84,9 @@ type Hierarchy struct {
 func Build(a *csr.Matrix, opts Options) (*Hierarchy, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("amg: matrix must be square, got %dx%d", a.Rows, a.Cols)
+	}
+	if err := a.Validate(); err != nil {
+		return nil, fmt.Errorf("amg: matrix invalid: %w", err)
 	}
 	opts = opts.withDefaults()
 	h := &Hierarchy{opts: opts}
@@ -216,7 +215,7 @@ func Prolongator(a *csr.Matrix, agg []int32, numAgg int, weight float64) (*csr.M
 		return t, nil
 	}
 	// P = T - w·D⁻¹·(A·T), assembled directly to avoid an extra pass.
-	at, err := defaultMultiplier(a, t)
+	at, err := spgemm.Multiply(a, t)
 	if err != nil {
 		return nil, err
 	}

@@ -5,11 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/csr"
-	"repro/internal/gpusim"
 	"repro/internal/matgen"
-	"repro/internal/multigpu"
+	"repro/spgemm"
 )
 
 // laplacian2D builds the SPD 5-point Laplacian test problem.
@@ -179,9 +177,10 @@ func TestSolveWithOutOfCoreMultiplier(t *testing.T) {
 	a := laplacian2D(30, 30)
 	aa := a.Clone()
 	aa.Data[0] += 1
-	cfg := gpusim.ScaledV100Config(8 << 20)
+	cfg := spgemm.V100WithMemory(8 << 20)
+	gpu, _ := spgemm.ByName("gpu")
 	mult := func(x, y *csr.Matrix) (*csr.Matrix, error) {
-		c, _, err := multigpu.Run(x, y, cfg, multigpu.Options{Core: core.Options{RowPanels: 2, ColPanels: 2, Async: true}})
+		c, _, err := gpu.Run(x, y, &spgemm.RunOptions{Device: &cfg, Core: spgemm.OutOfCoreOptions{RowPanels: 2, ColPanels: 2}})
 		return c, err
 	}
 	h, err := Build(aa, Options{Multiply: mult})
@@ -230,6 +229,12 @@ func TestSolveEdgeCases(t *testing.T) {
 	// Non-square matrix.
 	if _, err := Build(csr.New(3, 4), Options{}); err == nil {
 		t.Fatal("expected non-square error")
+	}
+	// A column id (7) out of range, on a matrix coarse enough to
+	// aggregate.
+	corrupt := &csr.Matrix{Rows: 3, Cols: 3, RowOffsets: []int64{0, 1, 2, 3}, ColIDs: []int32{0, 1, 7}, Data: []float64{1, 1, 1}}
+	if _, err := Build(corrupt, Options{CoarsestSize: 1}); err == nil {
+		t.Fatal("expected invalid-matrix error")
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // run's duration (simulated seconds for device engines, wall-clock for
 // the real-CPU ones), its work and throughput, and a flat counter
 // snapshot for benchmark files and figure runners. Stats, HybridStats,
-// MultiGPUStats, SUMMAStats and CPUStats all satisfy it.
+// SUMMAStats and CPUStats all satisfy it.
 type Report = metrics.Report
 
 // Collector is the shared observability sink of the framework: a
@@ -29,7 +29,7 @@ type Report = metrics.Report
 type Collector = metrics.Collector
 
 // NewCollector returns an enabled metrics collector to pass through
-// RunOptions.Metrics (or the engine-specific option structs).
+// RunOptions.Metrics.
 func NewCollector() *Collector { return metrics.New() }
 
 // SnapshotKeys returns a snapshot's keys in sorted order, for
@@ -361,7 +361,7 @@ func nodeEngine(name, describe string, async bool, node func(o RunOptions) (gpus
 			if err != nil {
 				return nil, nil, err
 			}
-			nopts := MultiGPUOptions{Core: opts, Host: o.host()}
+			nopts := multigpu.Options{Core: opts, Host: o.host()}
 			if node != nil {
 				nopts.NumGPUs, nopts.UseCPU = node(o)
 				nopts.Core.Reorder, nopts.Ratio = true, o.Ratio

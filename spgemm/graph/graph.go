@@ -6,8 +6,8 @@
 // clustering (Selvitopi et al. [33] optimize MCL with distributed
 // SpGEMM), whose expansion step is exactly the out-of-core-sized
 // product M·M this repository accelerates. Both algorithms accept a
-// pluggable Multiplier so they can run on the CPU, simulated-GPU or
-// hybrid engines.
+// pluggable Multiplier so they can run on any engine; the default is
+// spgemm.Multiply, the cpu engine.
 package graph
 
 import (
@@ -15,15 +15,24 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/cpuspgemm"
 	"repro/internal/csr"
+	"repro/spgemm"
 )
 
 // Multiplier computes a sparse product C = A·B.
 type Multiplier func(a, b *csr.Matrix) (*csr.Matrix, error)
 
-func defaultMultiplier(a, b *csr.Matrix) (*csr.Matrix, error) {
-	return cpuspgemm.Multiply(a, b, cpuspgemm.Options{})
+// checkAdjacency rejects an adjacency matrix that is not square or not
+// structurally valid, before any product or walk indexes by its column
+// ids.
+func checkAdjacency(adj *csr.Matrix) error {
+	if adj.Rows != adj.Cols {
+		return fmt.Errorf("graph: adjacency must be square, got %dx%d", adj.Rows, adj.Cols)
+	}
+	if err := adj.Validate(); err != nil {
+		return fmt.Errorf("graph: adjacency invalid: %w", err)
+	}
+	return nil
 }
 
 // Triangles counts the triangles of an undirected simple graph given
@@ -31,11 +40,11 @@ func defaultMultiplier(a, b *csr.Matrix) (*csr.Matrix, error) {
 // sum_{(i,j) in E} (A²)_ij / 6. Each triangle {i,j,k} contributes a
 // 2-path i-k-j for each of its 6 ordered edge pairs.
 func Triangles(adj *csr.Matrix, mult Multiplier) (int64, error) {
-	if adj.Rows != adj.Cols {
-		return 0, fmt.Errorf("graph: adjacency must be square, got %dx%d", adj.Rows, adj.Cols)
+	if err := checkAdjacency(adj); err != nil {
+		return 0, err
 	}
 	if mult == nil {
-		mult = defaultMultiplier
+		mult = spgemm.Multiply
 	}
 	a2, err := mult(adj, adj)
 	if err != nil {
@@ -80,7 +89,7 @@ func (o MCLOptions) withDefaults() MCLOptions {
 		o.Tol = 1e-6
 	}
 	if o.Multiply == nil {
-		o.Multiply = defaultMultiplier
+		o.Multiply = spgemm.Multiply
 	}
 	return o
 }
@@ -99,8 +108,8 @@ type MCLResult struct {
 // adjacency matrix. Each iteration expands (M ← M·M, the SpGEMM), then
 // inflates (entrywise power + column renormalization) and prunes.
 func MCL(adj *csr.Matrix, opts MCLOptions) (*MCLResult, error) {
-	if adj.Rows != adj.Cols {
-		return nil, fmt.Errorf("graph: adjacency must be square, got %dx%d", adj.Rows, adj.Cols)
+	if err := checkAdjacency(adj); err != nil {
+		return nil, err
 	}
 	opts = opts.withDefaults()
 

@@ -4,10 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/csr"
-	"repro/internal/gpusim"
-	"repro/internal/multigpu"
+	"repro/spgemm"
 )
 
 // undirected builds a symmetric 0/1 adjacency matrix from an edge list.
@@ -50,9 +48,17 @@ func TestTrianglesKnownGraphs(t *testing.T) {
 	}
 }
 
+// corruptAdjacency is a 3x3 matrix with a column id (7) out of range.
+func corruptAdjacency() *csr.Matrix {
+	return &csr.Matrix{Rows: 3, Cols: 3, RowOffsets: []int64{0, 1, 2, 3}, ColIDs: []int32{0, 1, 7}, Data: []float64{1, 1, 1}}
+}
+
 func TestTrianglesErrors(t *testing.T) {
 	if _, err := Triangles(csr.New(3, 4), nil); err == nil {
 		t.Fatal("expected non-square error")
+	}
+	if _, err := Triangles(corruptAdjacency(), nil); err == nil {
+		t.Fatal("expected invalid-matrix error")
 	}
 }
 
@@ -187,9 +193,10 @@ func TestMCLDisconnectedComponents(t *testing.T) {
 
 func TestMCLWithOutOfCoreMultiplier(t *testing.T) {
 	adj, _ := plantedPartition(t, 3, 12, 6)
-	cfg := gpusim.ScaledV100Config(4 << 20)
+	cfg := spgemm.V100WithMemory(4 << 20)
+	gpu, _ := spgemm.ByName("gpu")
 	mult := func(a, b *csr.Matrix) (*csr.Matrix, error) {
-		c, _, err := multigpu.Run(a, b, cfg, multigpu.Options{Core: core.Options{RowPanels: 2, ColPanels: 2, Async: true}})
+		c, _, err := gpu.Run(a, b, &spgemm.RunOptions{Device: &cfg, Core: spgemm.OutOfCoreOptions{RowPanels: 2, ColPanels: 2}})
 		return c, err
 	}
 	got, err := MCL(adj, MCLOptions{Multiply: mult})
@@ -217,6 +224,9 @@ func TestMCLWithOutOfCoreMultiplier(t *testing.T) {
 func TestMCLErrors(t *testing.T) {
 	if _, err := MCL(csr.New(3, 4), MCLOptions{}); err == nil {
 		t.Fatal("expected non-square error")
+	}
+	if _, err := MCL(corruptAdjacency(), MCLOptions{}); err == nil {
+		t.Fatal("expected invalid-matrix error")
 	}
 }
 

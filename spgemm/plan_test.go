@@ -70,7 +70,7 @@ func TestPlanDegenerateShapes(t *testing.T) {
 			t.Fatalf("%s: illegal grid %dx%d for %dx%d output",
 				pair.name, opts.RowPanels, opts.ColPanels, pair.a.Rows, pair.b.Cols)
 		}
-		c, _, err := MultiplyOutOfCore(pair.a, pair.b, cfg, opts)
+		c, _, err := registry["gpu"].Run(pair.a, pair.b, &RunOptions{Device: &cfg, Core: opts})
 		if err != nil {
 			t.Fatalf("%s: %v", pair.name, err)
 		}

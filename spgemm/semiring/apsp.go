@@ -18,6 +18,9 @@ func APSP(adj *csr.Matrix, threads int) (*csr.Matrix, error) {
 	if adj.Rows != adj.Cols {
 		return nil, fmt.Errorf("semiring: APSP needs a square matrix, got %dx%d", adj.Rows, adj.Cols)
 	}
+	if err := adj.Validate(); err != nil {
+		return nil, fmt.Errorf("semiring: APSP adjacency invalid: %w", err)
+	}
 	n := adj.Rows
 	// D0 = adj with an explicit zero diagonal. The zero diagonal makes
 	// D ⊗ D include all paths of length <= 2k, not exactly 2k, and is
@@ -41,7 +44,7 @@ func APSP(adj *csr.Matrix, threads int) (*csr.Matrix, error) {
 
 	s := MinPlus()
 	for span := 1; span < n; span *= 2 {
-		next, err := Multiply(d, d, s, threads)
+		next, err := multiply(d, d, s, threads)
 		if err != nil {
 			return nil, err
 		}

@@ -92,8 +92,22 @@ func OrAnd() Semiring {
 
 // Multiply computes C = A ⊗ B over the semiring with threads worker
 // goroutines (0 = GOMAXPROCS). Entries equal to the semiring's Zero
-// are dropped from the output.
+// are dropped from the output. A structurally invalid operand is an
+// error, found before any worker indexes by its column ids.
 func Multiply(a, b *csr.Matrix, s Semiring, threads int) (*csr.Matrix, error) {
+	if err := a.Validate(); err != nil {
+		return nil, fmt.Errorf("semiring: left operand invalid: %w", err)
+	}
+	if b != a {
+		if err := b.Validate(); err != nil {
+			return nil, fmt.Errorf("semiring: right operand invalid: %w", err)
+		}
+	}
+	return multiply(a, b, s, threads)
+}
+
+// multiply is Multiply on valid operands.
+func multiply(a, b *csr.Matrix, s Semiring, threads int) (*csr.Matrix, error) {
 	if a.Cols != b.Rows {
 		return nil, fmt.Errorf("semiring: dimension mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
 	}

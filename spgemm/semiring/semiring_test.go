@@ -132,6 +132,11 @@ func TestErrors(t *testing.T) {
 	if _, err := Multiply(csr.New(2, 2), csr.New(2, 2), Semiring{Name: "broken"}, 1); err == nil {
 		t.Fatal("expected missing-operator error")
 	}
+	// A column id (7) out of range.
+	corrupt := &csr.Matrix{Rows: 3, Cols: 3, RowOffsets: []int64{0, 1, 2, 3}, ColIDs: []int32{0, 1, 7}, Data: []float64{1, 1, 1}}
+	if _, err := Multiply(corrupt, corrupt, MinPlus(), 1); err == nil {
+		t.Fatal("expected invalid-matrix error")
+	}
 }
 
 // TestAPSPAgainstFloydWarshall iterates min-plus products to a

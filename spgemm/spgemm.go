@@ -4,31 +4,26 @@
 // Multiplication on CPU-GPU Nodes" (Xia, Jiang, Agrawal, Ramnath —
 // IPDPS 2021).
 //
-// Three engines are exposed:
-//
-//   - MultiplyCPU: real multi-core two-phase hash SpGEMM (the paper's
-//     CPU baseline, after Nagasaka et al.).
-//   - MultiplyOutOfCore: the paper's out-of-core GPU framework on a
-//     simulated V100-class device, with the synchronous baseline and
-//     the asynchronous pre-allocated pipeline.
-//   - MultiplyHybrid: the CPU-GPU hybrid with flop-sorted chunk
-//     distribution.
-//
-// All engines return numerically exact products; the GPU and hybrid
-// engines additionally report simulated-time statistics under the
-// device's cost model. See the examples directory for usage.
-//
-// Besides the Multiply* functions, every implementation (including the
-// multi-GPU and distributed SUMMA extensions) is registered as a named
-// Engine with one uniform entry point:
+// Every engine is a named Engine in one registry with one entry point:
 //
 //	eng, _ := spgemm.ByName("hybrid")
 //	c, report, _ := eng.Run(a, b, &spgemm.RunOptions{Metrics: spgemm.NewCollector()})
 //
-// Engines() lists the names; Report is the common statistics interface
-// of all engines, and RunOptions.Metrics plugs in the shared
-// observability layer (per-phase spans in simulated and wall-clock
-// time, counters, Chrome-trace export).
+// Engines() lists the names: the real multi-core CPU engine ("cpu",
+// the paper's baseline: Gustavson rows in one pass on a two-level
+// bitmap), the out-of-core GPU framework on a simulated V100-class
+// device ("gpu" with the asynchronous pre-allocated pipeline,
+// "gpu-sync" with the synchronous baseline, "auto" with a grid refined
+// until it fits), the CPU-GPU hybrid of Algorithm 4 ("hybrid"), and the
+// multi-GPU and distributed SUMMA extensions ("multigpu", "summa").
+// Multiply(a, b) is the one shorthand: the cpu engine's product.
+//
+// All engines return numerically exact products; the device engines
+// additionally report simulated-time statistics under the device's
+// cost model. Report is the common statistics interface of all
+// engines, and RunOptions.Metrics plugs in the shared observability
+// layer (per-phase spans in simulated and wall-clock time, counters,
+// Chrome-trace export).
 package spgemm
 
 import (
@@ -36,7 +31,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/cpuspgemm"
 	"repro/internal/csr"
 	"repro/internal/faults"
 	"repro/internal/gpusim"
@@ -45,7 +39,6 @@ import (
 	"repro/internal/mmio"
 	"repro/internal/multigpu"
 	"repro/internal/parallel"
-	"repro/internal/reorder"
 	"repro/internal/speck"
 	"repro/internal/summa"
 )
@@ -54,7 +47,7 @@ import (
 // simulated devices (seeded transfer/kernel failures, stragglers, OOM
 // pressure, device loss). The zero value is fault-free and leaves runs
 // byte-identical to a build without the injection layer; pass it via
-// RunOptions.Faults or OutOfCoreOptions.Faults.
+// RunOptions.Faults.
 type FaultConfig = faults.Config
 
 // ParseFaultSpec parses the CLI fault specification, a comma-separated
@@ -65,7 +58,7 @@ func ParseFaultSpec(spec string) (FaultConfig, error) { return faults.ParseSpec(
 // chunk and device context; classify with errors.Is.
 var (
 	// ErrTransfer and ErrKernel are transient device faults (retried up
-	// to OutOfCoreOptions.ChunkRetries times per chunk).
+	// to RunOptions.ChunkRetries times per chunk).
 	ErrTransfer = faults.ErrTransfer
 	ErrKernel   = faults.ErrKernel
 	// ErrOOM marks an allocation that exceeded usable device memory.
@@ -142,15 +135,12 @@ type HostModel = hybrid.HostModel
 // BID carry them to the engines.
 type Identity = csr.Identity
 
-// validateInputs rejects structurally corrupt matrices at the API
+// validateOperands rejects structurally corrupt matrices at the API
 // boundary, where the cost (one O(nnz) scan per operand) is paid once
-// rather than as a crash deep inside an engine.
-func validateInputs(a, b *Matrix) error { return validateOperands(a, b, nil, nil, nil) }
-
-// validateOperands is validateInputs for operands that may come with
-// their identity records: an operand its record is of was validated
-// where the record was minted and is not scanned again, and B that is A
-// (A², the paper's evaluation) is A's pass or record.
+// rather than as a crash deep inside an engine. An operand its identity
+// record is of was validated where the record was minted and is not
+// scanned again, and B that is A (A², the paper's evaluation) is A's
+// pass or record.
 func validateOperands(a, b *Matrix, aid, bid *Identity, m *Collector) error {
 	if !aid.Of(a) {
 		m.Add(metrics.CounterIdentityPasses, 1)
@@ -167,27 +157,11 @@ func validateOperands(a, b *Matrix, aid, bid *Identity, m *Collector) error {
 	return nil
 }
 
-// MultiplyCPU computes A·B on the real multi-core CPU engine with
-// threads worker goroutines (0 = GOMAXPROCS).
-func MultiplyCPU(a, b *Matrix, threads int) (*Matrix, error) {
-	if err := validateInputs(a, b); err != nil {
-		return nil, err
-	}
-	return cpuspgemm.Multiply(a, b, cpuspgemm.Options{Threads: threads})
-}
-
-// Multiply computes A·B with the default engine (multi-core CPU).
-func Multiply(a, b *Matrix) (*Matrix, error) { return MultiplyCPU(a, b, 0) }
-
-// MultiplyOutOfCore computes A·B with the out-of-core GPU framework on
-// a simulated device, returning the exact product and the simulated
-// statistics: the driver's GPU-only node, one device and no CPU worker.
-func MultiplyOutOfCore(a, b *Matrix, cfg DeviceConfig, opts OutOfCoreOptions) (*Matrix, Stats, error) {
-	if err := validateOperands(a, b, opts.AID, opts.BID, opts.Metrics); err != nil {
-		return nil, Stats{}, err
-	}
-	c, st, err := multigpu.Run(a, b, cfg, multigpu.Options{Core: opts})
-	return c, st.Stats, err
+// Multiply computes A·B on the default engine: the cpu engine's
+// product, with every thread of the host.
+func Multiply(a, b *Matrix) (*Matrix, error) {
+	c, _, err := registry["cpu"].Run(a, b, nil)
+	return c, err
 }
 
 // Plan chooses a chunk grid for the out-of-core engine: the smallest
@@ -249,41 +223,10 @@ func gridFor(chunks, rows, cols int) (r, c int) {
 	return r, c
 }
 
-// MultiGPUOptions configures the one multi-worker out-of-core driver:
-// any number of simulated GPUs, optionally beside the CPU worker.
-// HybridOptions is the same set under the paper's name for one GPU plus
-// the CPU; MultiplyHybrid pins those two fields.
-type (
-	MultiGPUOptions = multigpu.Options
-	HybridOptions   = multigpu.Options
-)
-
-// MultiGPUStats reports a run of the driver: Stats plus the split
-// between the workers. HybridStats is the same type.
-type (
-	MultiGPUStats = multigpu.Stats
-	HybridStats   = multigpu.Stats
-)
-
-// MultiplyMultiGPU computes A·B across several simulated GPUs (plus
-// optionally the CPU) — the scaling extension beyond the paper's
-// single-GPU node. Every GPU runs the asynchronous pipeline, whatever
-// opts.Core.Async says.
-func MultiplyMultiGPU(a, b *Matrix, cfg DeviceConfig, opts MultiGPUOptions) (*Matrix, MultiGPUStats, error) {
-	if err := validateOperands(a, b, opts.Core.AID, opts.Core.BID, opts.Core.Metrics); err != nil {
-		return nil, MultiGPUStats{}, err
-	}
-	opts.Core.Async = true
-	return multigpu.Run(a, b, cfg, opts)
-}
-
-// MultiplyHybrid computes A·B with the paper's CPU-GPU hybrid engine
-// (Algorithm 4): the driver with one GPU, asynchronous, beside the CPU
-// worker.
-func MultiplyHybrid(a, b *Matrix, cfg DeviceConfig, opts HybridOptions) (*Matrix, HybridStats, error) {
-	opts.NumGPUs, opts.UseCPU = 1, true
-	return MultiplyMultiGPU(a, b, cfg, opts)
-}
+// HybridStats reports a run of the one out-of-core driver on several
+// workers (the hybrid and multigpu engines): Stats plus the split
+// between the workers.
+type HybridStats = multigpu.Stats
 
 // SUMMAConfig configures the distributed sparse-SUMMA engine.
 type SUMMAConfig = summa.Config
@@ -291,31 +234,12 @@ type SUMMAConfig = summa.Config
 // SUMMAStats reports a distributed run.
 type SUMMAStats = summa.Stats
 
-// MultiplySUMMA computes A·B with 2-D sparse SUMMA on a simulated
-// cluster of Q x Q nodes — the distributed-memory counterpart of the
-// out-of-core single-node framework (the paper's reference [33]).
-func MultiplySUMMA(a, b *Matrix, cfg SUMMAConfig) (*Matrix, SUMMAStats, error) {
-	if err := validateInputs(a, b); err != nil {
-		return nil, SUMMAStats{}, err
-	}
-	return summa.Run(a, b, cfg)
-}
-
-// MultiplyAuto multiplies A·B out-of-core, planning the chunk grid
-// automatically and refining it (up to a few retries) if a chunk turns
-// out not to fit the device arena — the situation the paper notes when
+// runAuto runs the auto engine on validated operands: it plans the
+// chunk grid and refines it (up to a few retries) if a chunk turns out
+// not to fit the device arena — the situation the paper notes when
 // "certain chunks are extremely dense and require large allocation".
-func MultiplyAuto(a, b *Matrix, cfg DeviceConfig) (*Matrix, Stats, error) {
-	if err := validateInputs(a, b); err != nil {
-		return nil, Stats{}, err
-	}
-	return runAuto(a, b, RunOptions{Device: &cfg})
-}
-
-// runAuto is MultiplyAuto on validated operands, with the run's options
-// (the "auto" registry engine threads them through here). Only a grid
-// that does not fit (ErrOOM) is refined; any other failure — a deadline,
-// a lost device — is the run's answer.
+// Only a grid that does not fit (ErrOOM) is refined; any other failure
+// — a deadline, a lost device — is the run's answer.
 func runAuto(a, b *Matrix, o RunOptions) (*Matrix, Stats, error) {
 	var err error
 	if o.Core, _, err = o.plan(a, b); err != nil {
@@ -346,15 +270,3 @@ func runAuto(a, b *Matrix, o RunOptions) (*Matrix, Stats, error) {
 	}
 	return nil, Stats{}, fmt.Errorf("spgemm: no chunk grid fits the device: %w", lastErr)
 }
-
-// RCM computes the reverse Cuthill-McKee bandwidth-reducing permutation
-// of a square matrix's sparsity graph (perm[new] = old). Reordering
-// inputs concentrates the out-of-core chunk grid's work near the
-// diagonal (see the locality ablation in EXPERIMENTS.md).
-func RCM(a *Matrix) ([]int32, error) { return reorder.RCM(a) }
-
-// Permute applies a symmetric permutation P·A·Pᵀ.
-func Permute(a *Matrix, perm []int32) (*Matrix, error) { return reorder.Permute(a, perm) }
-
-// Bandwidth reports max |i-j| over the stored entries.
-func Bandwidth(a *Matrix) int { return reorder.Bandwidth(a) }

@@ -32,25 +32,27 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 
 func TestEnginesAgree(t *testing.T) {
 	a := RMAT(9, 8, 0.57, 0.19, 0.19, 31)
-	cpu, err := MultiplyCPU(a, a, 4)
+	cpu, _, err := registry["cpu"].Run(a, a, &RunOptions{Threads: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := V100WithMemory(64 << 20)
-	ooc, st, err := MultiplyOutOfCore(a, a, cfg, OutOfCoreOptions{RowPanels: 3, ColPanels: 3, Async: true})
+	ooc, rep, err := registry["gpu"].Run(a, a, &RunOptions{Device: &cfg, Core: OutOfCoreOptions{RowPanels: 3, ColPanels: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := rep.(Stats)
 	if !Equal(cpu, ooc, 1e-9) {
 		t.Fatal("CPU and out-of-core products differ")
 	}
 	if st.GFLOPS <= 0 || st.Flops != Flops(a, a) {
 		t.Fatalf("bad stats %+v", st)
 	}
-	hy, hst, err := MultiplyHybrid(a, a, cfg, HybridOptions{Core: OutOfCoreOptions{RowPanels: 3, ColPanels: 3, Reorder: true}})
+	hy, rep, err := registry["hybrid"].Run(a, a, &RunOptions{Device: &cfg, Core: OutOfCoreOptions{RowPanels: 3, ColPanels: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	hst := rep.(HybridStats)
 	if !Equal(cpu, hy, 1e-9) {
 		t.Fatal("CPU and hybrid products differ")
 	}
@@ -70,7 +72,7 @@ func TestPlan(t *testing.T) {
 		t.Fatalf("plan %dx%d not out-of-core for a tiny device", opts.RowPanels, opts.ColPanels)
 	}
 	// The planned options must actually run.
-	c, _, err := MultiplyOutOfCore(a, a, cfg, opts)
+	c, _, err := registry["gpu"].Run(a, a, &RunOptions{Device: &cfg, Core: opts})
 	if err != nil {
 		t.Fatalf("planned run failed: %v", err)
 	}
@@ -138,10 +140,11 @@ func TestMultiplySUMMA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, st, err := MultiplySUMMA(a, a, SUMMAConfig{Q: 2})
+	got, rep, err := registry["summa"].Run(a, a, &RunOptions{SUMMA: SUMMAConfig{Q: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := rep.(SUMMAStats)
 	if !Equal(got, want, 1e-9) {
 		t.Fatal("SUMMA product differs from CPU reference")
 	}
@@ -156,13 +159,16 @@ func TestMultiplyMultiGPUFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, st, err := MultiplyMultiGPU(a, a, V100WithMemory(16<<20), MultiGPUOptions{
+	cfg := V100WithMemory(16 << 20)
+	got, rep, err := registry["multigpu"].Run(a, a, &RunOptions{
+		Device:  &cfg,
 		Core:    OutOfCoreOptions{RowPanels: 2, ColPanels: 2},
 		NumGPUs: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := rep.(HybridStats)
 	if !Equal(got, want, 1e-9) {
 		t.Fatal("multi-GPU product differs from CPU reference")
 	}
@@ -173,13 +179,14 @@ func TestMultiplyMultiGPUFacade(t *testing.T) {
 
 func TestMultiplyAuto(t *testing.T) {
 	// A skewed graph on a device so small that the initial plan's
-	// densest chunk may not fit; MultiplyAuto must refine and succeed.
+	// densest chunk may not fit; the auto engine must refine and succeed.
 	a := RMAT(10, 10, 0.6, 0.17, 0.17, 37)
 	cfg := V100WithMemory(3 << 20)
-	c, st, err := MultiplyAuto(a, a, cfg)
+	c, rep, err := registry["auto"].Run(a, a, &RunOptions{Device: &cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := rep.(Stats)
 	want, _ := Multiply(a, a)
 	if !Equal(c, want, 1e-9) {
 		t.Fatal("auto product wrong")
@@ -188,7 +195,8 @@ func TestMultiplyAuto(t *testing.T) {
 		t.Fatalf("auto run used only %d chunks on a tiny device", st.Chunks)
 	}
 	// Hopeless device: must return an error, not loop forever.
-	if _, _, err := MultiplyAuto(a, a, V100WithMemory(1<<10)); err == nil {
+	tiny := V100WithMemory(1 << 10)
+	if _, _, err := registry["auto"].Run(a, a, &RunOptions{Device: &tiny}); err == nil {
 		t.Fatal("expected error for hopeless device")
 	}
 }
@@ -227,29 +235,15 @@ func TestCorruptInputRejected(t *testing.T) {
 	if _, err := Multiply(a, corrupt); err == nil {
 		t.Fatal("corrupt right operand accepted")
 	}
-	if _, _, err := MultiplyOutOfCore(corrupt, a, V100WithMemory(8<<20), OutOfCoreOptions{RowPanels: 2, ColPanels: 2}); err == nil {
+	cfg := V100WithMemory(8 << 20)
+	grid := OutOfCoreOptions{RowPanels: 2, ColPanels: 2}
+	if _, _, err := registry["gpu"].Run(corrupt, a, &RunOptions{Device: &cfg, Core: grid}); err == nil {
 		t.Fatal("corrupt operand accepted by out-of-core engine")
 	}
-	if _, _, err := MultiplyHybrid(corrupt, a, V100WithMemory(8<<20), HybridOptions{Core: OutOfCoreOptions{RowPanels: 2, ColPanels: 2}}); err == nil {
+	if _, _, err := registry["hybrid"].Run(corrupt, a, &RunOptions{Device: &cfg, Core: grid}); err == nil {
 		t.Fatal("corrupt operand accepted by hybrid engine")
 	}
-	if _, _, err := MultiplyAuto(corrupt, a, V100WithMemory(8<<20)); err == nil {
+	if _, _, err := registry["auto"].Run(corrupt, a, &RunOptions{Device: &cfg}); err == nil {
 		t.Fatal("corrupt operand accepted by auto engine")
-	}
-}
-
-func TestReorderFacade(t *testing.T) {
-	a := Band(100, 3, 44)
-	perm, err := RCM(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := Permute(a, perm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if Bandwidth(p) > 2*Bandwidth(a)+2 {
-		t.Fatalf("RCM of an already-banded matrix exploded the bandwidth: %d vs %d",
-			Bandwidth(p), Bandwidth(a))
 	}
 }
