@@ -268,7 +268,7 @@ func BenchmarkExtensionSUMMA(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/%dx%d", abbr, q, q), func(b *testing.B) {
 				var gf float64
 				for i := 0; i < b.N; i++ {
-					_, st, err := summa.Run(r.A, r.A, summa.Config{Q: q})
+					_, st, err := summa.Run(r.A, r.A, summa.Config{Cluster: summa.Cluster{Q: q}})
 					if err != nil {
 						b.Fatal(err)
 					}

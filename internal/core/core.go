@@ -44,6 +44,10 @@ import (
 	"repro/internal/speck"
 )
 
+// The host-side column partitioner's parallelism, and the simulated
+// backoff before a chunk's first retry (it doubles per retry).
+const partitionThreads, retryBackoffSec = 4, 50e-6
+
 // Options configures an out-of-core multiplication.
 type Options struct {
 	// RowPanels and ColPanels give the chunk grid (Algorithm 3's
@@ -68,9 +72,6 @@ type Options struct {
 	// default). More buffers trade device memory for tolerance to
 	// transfer-time variance.
 	OutputBuffers int
-	// PartitionThreads sets the parallelism of the host-side column
-	// partitioner; 0 means 4.
-	PartitionThreads int
 	// Metrics is an optional observability sink. When set, the run
 	// publishes its simulated timeline, wall-clock host phases
 	// (partitioning, assembly) and counters (bytes moved, flops,
@@ -86,9 +87,6 @@ type Options struct {
 	// (CPU fallback, device failover, or a returned error). 0 means 3;
 	// negative means no retries.
 	ChunkRetries int
-	// RetryBackoffSec is the simulated backoff before the first retry;
-	// it doubles per retry of the same chunk. 0 means 50 microseconds.
-	RetryBackoffSec float64
 	// DeadlineSec aborts the run (faults.ErrDeadline) once the
 	// simulated clock passes it. 0 means no deadline.
 	DeadlineSec float64
@@ -125,9 +123,6 @@ func (o Options) withDefaults() Options {
 	if o.SplitFraction <= 0 || o.SplitFraction >= 1 {
 		o.SplitFraction = 1.0 / 3.0
 	}
-	if o.PartitionThreads < 1 {
-		o.PartitionThreads = 4
-	}
 	if o.OutputBuffers < 2 {
 		o.OutputBuffers = 2
 	}
@@ -141,9 +136,6 @@ func (o Options) withDefaults() Options {
 		o.ChunkRetries = 3
 	case o.ChunkRetries < 0:
 		o.ChunkRetries = 0
-	}
-	if o.RetryBackoffSec <= 0 {
-		o.RetryBackoffSec = 50e-6
 	}
 	return o
 }
@@ -310,7 +302,7 @@ func NewEngine(dev *gpusim.Device, a, b *csr.Matrix, opts Options, lanes int) (*
 		if err != nil {
 			return nil, err
 		}
-		cps, err = partition.ColPanelsParallel(b, opts.ColPanels, opts.PartitionThreads)
+		cps, err = partition.ColPanelsParallel(b, opts.ColPanels, partitionThreads)
 		if err != nil {
 			return nil, err
 		}
@@ -671,7 +663,7 @@ func (e *Engine) devOp(p *sim.Proc, id int, op func() error) error {
 		}
 		e.retries[id]++
 		e.nRetries++
-		backoff := e.Opts.RetryBackoffSec * float64(int64(1)<<min(e.retries[id]-1, 10))
+		backoff := retryBackoffSec * float64(int64(1)<<min(e.retries[id]-1, 10))
 		p.Span("recovery", fmt.Sprintf("backoff c%d", id), sim.Seconds(backoff))
 	}
 }

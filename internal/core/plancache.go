@@ -136,18 +136,17 @@ type gridKey struct {
 }
 
 // gridMemo is the planner's chunk grid for a pair and device memory
-// (opts, its row analysis dropped: the device plan keeps that, charged)
-// and the pair's flop count.
+// (the panel counts only: the device plan keeps the row analysis,
+// charged) and the pair's flop count.
 type gridMemo struct {
 	slot
-	key   gridKey
-	opts  Options
-	flops int64
+	key        gridKey
+	rows, cols int
+	flops      int64
 }
 
-// gridMemoBytes is what a grid memo is charged: the memo with its grid
-// options (about 330 bytes) plus its element of the LRU order and its
-// map slot, rounded up.
+// gridMemoBytes is what a grid memo is charged: a bound on the memo,
+// its element of the LRU order and its map slot.
 const gridMemoBytes = 512
 
 // CPUPlan is one cached CPU plan and what else is structural about its
@@ -432,30 +431,28 @@ func (ent *CPUPlan) Identity(data []float64, m *metrics.Collector) *csr.Identity
 	return ent.cid
 }
 
-// Grid returns the memoized chunk grid of the pair for a device of
-// memBytes and the pair's flop count.
-func (pc *PlanCache) Grid(key PairKey, memBytes int64) (Options, int64, bool) {
+// Grid returns the memoized chunk grid (row and column panel counts) of
+// the pair for a device of memBytes and the pair's flop count.
+func (pc *PlanCache) Grid(key PairKey, memBytes int64) (rows, cols int, flops int64, ok bool) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	memo := pc.grids[gridKey{key, memBytes}]
 	if memo == nil {
-		return Options{}, 0, false
+		return 0, 0, 0, false
 	}
 	pc.touchLocked(&memo.slot, 0)
-	return memo.opts, memo.flops, true
+	return memo.rows, memo.cols, memo.flops, true
 }
 
 // StoreGrid memoizes the chunk grid planned for the pair on a device of
-// memBytes, without its row analysis, and the pair's flop count.
-// Concurrent planning passes of one key plan the same grid, so the first
-// store is as good as any.
-func (pc *PlanCache) StoreGrid(key PairKey, memBytes int64, opts Options, flops int64) {
-	opts.Analysis = nil
+// memBytes and the pair's flop count. Concurrent planning passes of one
+// key plan the same grid, so the first store is as good as any.
+func (pc *PlanCache) StoreGrid(key PairKey, memBytes int64, rows, cols int, flops int64) {
 	k := gridKey{key, memBytes}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	if pc.grids[k] == nil {
-		memo := &gridMemo{slot: slot{pair: key}, key: k, opts: opts, flops: flops}
+		memo := &gridMemo{slot: slot{pair: key}, key: k, rows: rows, cols: cols, flops: flops}
 		pc.grids[k] = memo
 		pc.addLocked(memo, gridMemoBytes)
 	}

@@ -86,7 +86,7 @@ func FigDistributed(runs []*Run, abbrs ...string) (*Table, error) {
 		row := []string{abbr}
 		var last summa.Stats
 		for _, q := range DistributedGrids {
-			_, st, err := summa.Run(r.A, r.A, summa.Config{Q: q})
+			_, st, err := summa.Run(r.A, r.A, summa.Config{Cluster: summa.Cluster{Q: q}})
 			if err != nil {
 				return nil, fmt.Errorf("distributed %s q=%d: %w", abbr, q, err)
 			}
@@ -94,7 +94,7 @@ func FigDistributed(runs []*Run, abbrs ...string) (*Table, error) {
 			last = st
 		}
 		qMax := DistributedGrids[len(DistributedGrids)-1]
-		_, piped, err := summa.Run(r.A, r.A, summa.Config{Q: qMax, Pipelined: true})
+		_, piped, err := summa.Run(r.A, r.A, summa.Config{Cluster: summa.Cluster{Q: qMax, Pipelined: true}})
 		if err != nil {
 			return nil, fmt.Errorf("distributed %s pipelined: %w", abbr, err)
 		}

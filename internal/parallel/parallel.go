@@ -170,11 +170,11 @@ func ForChunksW(workers int, bounds []int, fn func(w, lo, hi int)) {
 // frees up first — exactly what ForChunks does when every worker runs
 // at the same speed. The ratio sum(durations)/makespan is the
 // *scheduled speedup*: how much the chunking + dynamic claiming let N
-// equal workers overlap the measured work. The CPU benchmark reports
-// it next to wall-clock speedup so machines with fewer physical cores
-// than the requested thread count (where wall-clock speedup is
-// physically capped) still put the scheduler's real balance on record,
-// from real measured chunk times.
+// equal workers overlap the measured work. cpuspgemm's
+// TestAdaptiveChunkLogAndWorkers gates the CPU kernels' chunking on it,
+// so a host with fewer physical cores than the requested thread count
+// (where wall-clock speedup is physically capped) still checks the
+// scheduler's real balance, from real measured chunk times.
 func ListSchedule(durations []float64, workers int) float64 {
 	if workers < 1 {
 		workers = 1

@@ -47,6 +47,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"time"
@@ -78,8 +79,8 @@ type Config struct {
 	FlopsPerSec int64
 	// Breaker tunes the per-engine circuit breakers.
 	Breaker BreakerConfig
-	// Base is the option set jobs inherit (device model, fault
-	// injection, threads); per-job options override it.
+	// Base is the option set every job inherits; each field a job's
+	// options set (to a non-zero value) overrides the base's.
 	Base spgemm.RunOptions
 	// PlanCacheBytes bounds the shared structure-reuse plan cache
 	// every job inherits: its CPU plans, device plans and grid memos
@@ -99,8 +100,8 @@ const fallbackEngine = "cpu"
 
 // Job is one multiply request: an engine name from the registry and
 // the two operands — either as matrices or as handles into the
-// server's matrix store (a handle wins over its matrix field). Opts
-// may be nil to inherit the server's base options wholesale.
+// server's matrix store (a handle wins over its matrix field). Opts is
+// laid over the server's base options field by field (Config.Base).
 type Job struct {
 	Engine string
 	A, B   *spgemm.Matrix
@@ -388,28 +389,20 @@ func (s *Server) commitLocked(t *task) {
 	}
 }
 
-// jobOptions merges a job's options over the server base: nil inherits
-// the base wholesale; otherwise the job's options win, with unset
-// device/faults/threads/deadline backfilled from the base. The
-// metrics collector is per-job, never the base's: a job that brings
-// its own keeps it (its spans stay readable by the caller), everyone
-// else gets a fresh one in newTask.
+// jobOptions is the server base with every field the job sets (to a
+// non-zero value) laid over it, for Submit, HTTP multiplies and batch
+// nodes alike. The metrics collector is per-job, never the base's: a
+// job that brings its own keeps it (its spans stay readable by the
+// caller), everyone else gets a fresh one in newTask.
 func (s *Server) jobOptions(job Job) *spgemm.RunOptions {
 	o := s.cfg.Base
 	o.Metrics = nil
 	if job.Opts != nil {
-		o = *job.Opts
-		if o.Device == nil {
-			o.Device = s.cfg.Base.Device
-		}
-		if !o.Faults.Enabled() {
-			o.Faults = s.cfg.Base.Faults
-		}
-		if o.Threads == 0 {
-			o.Threads = s.cfg.Base.Threads
-		}
-		if o.DeadlineSec == 0 {
-			o.DeadlineSec = s.cfg.Base.DeadlineSec
+		base, set := reflect.ValueOf(&o).Elem(), reflect.ValueOf(job.Opts).Elem()
+		for i := 0; i < set.NumField(); i++ {
+			if f := set.Field(i); !f.IsZero() {
+				base.Field(i).Set(f)
+			}
 		}
 	}
 	if o.PlanCache == nil && !o.Faults.Enabled() {

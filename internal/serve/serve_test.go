@@ -156,6 +156,51 @@ func TestSubmitRunsJob(t *testing.T) {
 	}
 }
 
+// TestBaseReachesEveryJob runs a gpu job three ways on a server whose
+// base options fix an 8-chunk grid: Submit with nil Opts, Server.Multiply
+// and a batch node. The last two build their jobs with options of their
+// own (deadline, threads, GPUs); the base's other fields still reach
+// them, so all three run the same cold 8-chunk schedule and report the
+// same simulated time.
+func TestBaseReachesEveryJob(t *testing.T) {
+	cfg := spgemm.V100WithMemory(1 << 20)
+	s := New(Config{PlanCacheBytes: -1, Base: spgemm.RunOptions{
+		Device: &cfg,
+		Core:   spgemm.OutOfCoreOptions{RowPanels: 4, ColPanels: 2},
+	}})
+	defer s.Drain(0)
+	a := testMatrix()
+	h, err := s.StoreMatrix(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := s.Submit(Job{Engine: "gpu", AHandle: h, BHandle: h})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if chunks := base.Report.Counters()["chunks"]; chunks != 8 {
+		t.Fatalf("Submit with nil Opts ran %d chunks, want the base's 8", chunks)
+	}
+	want := base.Report.Seconds()
+
+	resp, err := s.Multiply(apiv1.MultiplyRequest{Engine: "gpu", AHandle: h})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Seconds != want {
+		t.Fatalf("Server.Multiply: %g simulated seconds, want the 8-chunk run's %g", resp.Seconds, want)
+	}
+	batch, err := s.SubmitBatch(&apiv1.BatchRequest{Engine: "gpu", Nodes: []apiv1.BatchNode{
+		{ID: "n", A: apiv1.Operand{Handle: h}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nr := batch.Nodes[0]; nr.Status != apiv1.StatusOK || nr.Seconds != want {
+		t.Fatalf("batch node: %+v, want status ok and the 8-chunk run's %g simulated seconds", nr, want)
+	}
+}
+
 func TestOverloadShedsTyped(t *testing.T) {
 	registerTestEngines()
 	gate := openGate()

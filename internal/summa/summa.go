@@ -30,8 +30,8 @@ import (
 	"repro/internal/sim"
 )
 
-// Config describes the simulated cluster.
-type Config struct {
+// Cluster describes the simulated cluster.
+type Cluster struct {
 	// Q is the process-grid side: Q*Q nodes. Zero means 1.
 	Q int
 	// NetBandwidth is the per-link bandwidth in bytes/second; zero
@@ -44,15 +44,21 @@ type Config struct {
 	// zero means 2 GFLOP/s (one multicore CPU node, matching the
 	// hybrid package's host model).
 	NodeFlopRate float64
-	// Threads bounds the real computation's parallelism per block
-	// multiply (0 = GOMAXPROCS).
-	Threads int
 	// Pipelined enables the pipelined variant of reference [33]: block
 	// fetches run ahead of the computation and the per-stage global
 	// barrier is dropped, so a node proceeds as soon as its own blocks
 	// arrive. This is what lets band-structured matrices (whose work
 	// concentrates in one stage per node) scale.
 	Pipelined bool
+}
+
+// Config is one run on a simulated cluster: the cluster, and the run's
+// host threads, metrics sink and deadline.
+type Config struct {
+	Cluster
+	// Threads bounds the real computation's parallelism per block
+	// multiply (0 = GOMAXPROCS).
+	Threads int
 	// Metrics is an optional observability sink receiving the cluster
 	// timeline (net and compute lanes) and the run counters.
 	Metrics *metrics.Collector

@@ -20,7 +20,7 @@ func TestRunMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, q := range []int{1, 2, 3, 4} {
-			got, st, err := Run(a, a, Config{Q: q})
+			got, st, err := Run(a, a, Config{Cluster: Cluster{Q: q}})
 			if err != nil {
 				t.Fatalf("matrix %d q=%d: %v", mi, q, err)
 			}
@@ -44,7 +44,7 @@ func TestRectangularSUMMA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := Run(a, b, Config{Q: 3})
+	got, _, err := Run(a, b, Config{Cluster: Cluster{Q: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestRectangularSUMMA(t *testing.T) {
 
 func TestSingleNodeHasNoComm(t *testing.T) {
 	a := matgen.Band(300, 3, 96)
-	_, st, err := Run(a, a, Config{Q: 1})
+	_, st, err := Run(a, a, Config{Cluster: Cluster{Q: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +69,11 @@ func TestSingleNodeHasNoComm(t *testing.T) {
 
 func TestStrongScalingComputeShrinks(t *testing.T) {
 	a := matgen.RMAT(11, 8, 0.57, 0.19, 0.19, 97)
-	_, one, err := Run(a, a, Config{Q: 1})
+	_, one, err := Run(a, a, Config{Cluster: Cluster{Q: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, four, err := Run(a, a, Config{Q: 4})
+	_, four, err := Run(a, a, Config{Cluster: Cluster{Q: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +89,11 @@ func TestStrongScalingComputeShrinks(t *testing.T) {
 
 func TestSlowNetworkDominates(t *testing.T) {
 	a := matgen.RMAT(10, 8, 0.57, 0.19, 0.19, 98)
-	_, fast, err := Run(a, a, Config{Q: 2, NetBandwidth: 100e9})
+	_, fast, err := Run(a, a, Config{Cluster: Cluster{Q: 2, NetBandwidth: 100e9}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, slow, err := Run(a, a, Config{Q: 2, NetBandwidth: 0.1e9})
+	_, slow, err := Run(a, a, Config{Cluster: Cluster{Q: 2, NetBandwidth: 0.1e9}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestErrors(t *testing.T) {
 	if _, _, err := Run(csr.New(3, 4), csr.New(5, 5), Config{}); err == nil {
 		t.Fatal("expected dimension mismatch")
 	}
-	if _, _, err := Run(csr.New(2, 2), csr.New(2, 2), Config{Q: 5}); err == nil {
+	if _, _, err := Run(csr.New(2, 2), csr.New(2, 2), Config{Cluster: Cluster{Q: 5}}); err == nil {
 		t.Fatal("expected too-fine grid error")
 	}
 }
@@ -120,7 +120,7 @@ func TestPipelinedMatchesPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, st, err := Run(a, a, Config{Q: 3, Pipelined: true})
+	got, st, err := Run(a, a, Config{Cluster: Cluster{Q: 3, Pipelined: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,11 +137,11 @@ func TestPipelinedFixesBandScaling(t *testing.T) {
 	// work concentrates in one barriered stage per node and does not
 	// scale; the pipelined variant (no barrier, fetches ahead) does.
 	a := matgen.Band(4000, 6, 100)
-	_, plain, err := Run(a, a, Config{Q: 4})
+	_, plain, err := Run(a, a, Config{Cluster: Cluster{Q: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, piped, err := Run(a, a, Config{Q: 4, Pipelined: true})
+	_, piped, err := Run(a, a, Config{Cluster: Cluster{Q: 4, Pipelined: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestPipelinedFixesBandScaling(t *testing.T) {
 			piped.TotalSec, plain.TotalSec)
 	}
 	// And it must also be a genuine speedup over one node.
-	_, one, err := Run(a, a, Config{Q: 1})
+	_, one, err := Run(a, a, Config{Cluster: Cluster{Q: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

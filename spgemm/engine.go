@@ -47,16 +47,14 @@ type RunOptions struct {
 	// worker's, as a one-thread job on one pool of host lanes: Threads
 	// plus one lane per simulated GPU (with Threads 1 and one GPU, two).
 	// Its planner walks C's structure on Threads plus one workers, and
-	// it partitions B on Core.PartitionThreads, so its host parallelism
-	// is Threads plus one thread per GPU (plus PartitionThreads while it
-	// partitions).
+	// it partitions B on four threads, so its host parallelism is
+	// Threads plus one thread per GPU (plus four while it partitions).
 	Threads int
 	// Device is the simulated GPU model; nil means V100().
 	Device *DeviceConfig
-	// Core configures the out-of-core chunk grid and pipeline for the
-	// gpu, gpu-sync, hybrid and multigpu engines. A zero grid
-	// (RowPanels == 0 || ColPanels == 0) is planned automatically with
-	// Plan.
+	// Core is the chunk grid of the gpu, gpu-sync, hybrid and multigpu
+	// engines; a zero grid is planned with Plan. Who chose the grid
+	// decides the chunk order (see OutOfCoreOptions).
 	Core OutOfCoreOptions
 	// Ratio is the GPU flop share of the hybrid and multigpu engines;
 	// 0 means the engine's calibrated default.
@@ -132,37 +130,25 @@ func (o RunOptions) device() DeviceConfig {
 	return V100()
 }
 
-// plan resolves the chunk grid for a's and b's structures, and the
-// pair's flop count, through the plan cache's memoized planner when one
-// is configured. A planning pass hands its row analysis on in the
-// returned options, so the engine that runs the grid (and EstimateCost's
-// write-back) reuses it.
-func (o RunOptions) plan(a, b *Matrix) (OutOfCoreOptions, int64, error) {
-	return o.PlanCache.plan(a, b, o)
-}
-
-// coreOptions resolves the out-of-core options: an explicit grid is
-// kept, a zero grid is planned from the device memory. The engine name
-// (gpu vs gpu-sync) decides the pipeline mode either way.
-func (o RunOptions) coreOptions(a, b *Matrix, async bool) (OutOfCoreOptions, error) {
-	opts := o.Core
-	if opts.RowPanels == 0 || opts.ColPanels == 0 {
-		planned, _, err := o.plan(a, b)
-		if err != nil {
-			return OutOfCoreOptions{}, err
+// coreOptions builds a run's out-of-core options from o alone, planning
+// a zero grid. The engine picks the pipeline (async) and whether chunks
+// are flop-sorted on a grid the caller chose (sorted); a grid the
+// planner chose is flop-sorted on every engine (see OutOfCoreOptions).
+func (o RunOptions) coreOptions(a, b *Matrix, async, sorted bool) (core.Options, error) {
+	grid := o.Core
+	if grid.RowPanels == 0 || grid.ColPanels == 0 {
+		var err error
+		if grid, _, err = o.PlanCache.plan(a, b, o); err != nil {
+			return core.Options{}, err
 		}
-		opts = planned
 	}
-	opts.Async = async
-	opts.Metrics = o.Metrics
-	opts.Faults = o.Faults
-	opts.ChunkRetries = o.ChunkRetries
-	opts.DeadlineSec = o.DeadlineSec
-	opts.AID, opts.BID = o.AID, o.BID
-	if o.PlanCache != nil {
-		opts.PlanCache = (*core.PlanCache)(o.PlanCache) // an explicitly set Core.PlanCache is kept otherwise
-	}
-	return opts, nil
+	return core.Options{
+		RowPanels: grid.RowPanels, ColPanels: grid.ColPanels,
+		Async: async, Reorder: sorted || grid.planned,
+		Metrics: o.Metrics, Faults: o.Faults, ChunkRetries: o.ChunkRetries, DeadlineSec: o.DeadlineSec,
+		PlanCache: (*core.PlanCache)(o.PlanCache), Analysis: grid.analysisOf(a, b),
+		AID: o.AID, BID: o.BID,
+	}, nil
 }
 
 // Engine is a named SpGEMM implementation with a uniform entry point.
@@ -280,9 +266,9 @@ type Cost struct {
 // mid-run.
 //
 // When opts is non-nil and the grid had to be planned here, the
-// planned grid is written back into opts.Core, so running the job
-// with the same options reuses it instead of planning a second time
-// (the admission path plans each job exactly once).
+// planned grid is written back into opts.Core, so running the job with
+// the same options and operands reuses it instead of planning a second
+// time (the admission path plans each job exactly once).
 func EstimateCost(engineName string, a, b *Matrix, opts *RunOptions) (Cost, error) {
 	if _, ok := registry[engineName]; !ok {
 		return Cost{}, fmt.Errorf("spgemm: unknown engine %q (have %v)", engineName, Engines())
@@ -303,20 +289,18 @@ func EstimateCost(engineName string, a, b *Matrix, opts *RunOptions) (Cost, erro
 	grid := o.Core
 	switch {
 	case grid.RowPanels == 0 || grid.ColPanels == 0:
-		planned, flops, err := o.plan(a, b) // the planner's count or its memo's: no second scan
+		planned, flops, err := o.PlanCache.plan(a, b, o) // the planner's count or its memo's: no second scan
 		if err != nil {
 			return Cost{}, fmt.Errorf("spgemm: job does not fit the device: %w: %w", ErrOOM, err)
 		}
 		grid, cost.Flops = planned, flops
 		if opts != nil {
 			// Thread the plan through to the engine: coreOptions sees a
-			// non-zero grid and skips its own Plan call. The engine still
-			// overrides the pipeline mode (Async) by name, exactly as it
-			// does for a user-provided grid.
+			// non-zero grid and skips its own Plan call.
 			opts.Core = planned
 		}
-	case grid.Analysis != nil:
-		cost.Flops = grid.Analysis.Flops()
+	case grid.analysisOf(a, b) != nil:
+		cost.Flops = grid.analysis.Flops()
 	default:
 		cost.Flops = o.flops(a, b)
 	}
@@ -357,14 +341,13 @@ func (o RunOptions) flops(a, b *Matrix) int64 {
 func nodeEngine(name, describe string, async bool, node func(o RunOptions) (gpus int, useCPU bool)) *engine {
 	return &engine{name: name, device: true, describe: describe,
 		run: func(a, b *Matrix, o RunOptions) (*Matrix, Report, error) {
-			opts, err := o.coreOptions(a, b, async)
+			opts, err := o.coreOptions(a, b, async, node != nil)
 			if err != nil {
 				return nil, nil, err
 			}
-			nopts := multigpu.Options{Core: opts, Host: o.host()}
+			nopts := multigpu.Options{Core: opts, Host: o.host(), Ratio: o.Ratio}
 			if node != nil {
 				nopts.NumGPUs, nopts.UseCPU = node(o)
-				nopts.Core.Reorder, nopts.Ratio = true, o.Ratio
 			}
 			c, st, err := multigpu.Run(a, b, o.device(), nopts)
 			if err != nil {
@@ -416,15 +399,9 @@ func init() {
 		name:     "summa",
 		describe: "2-D sparse SUMMA on a simulated cluster (distributed counterpart, reference [33])",
 		run: func(a, b *Matrix, o RunOptions) (*Matrix, Report, error) {
-			cfg := o.SUMMA
-			cfg.Metrics = o.Metrics
-			if cfg.Threads == 0 {
-				cfg.Threads = o.Threads
-			}
-			if cfg.DeadlineSec == 0 {
-				cfg.DeadlineSec = o.DeadlineSec
-			}
-			c, st, err := summa.Run(a, b, cfg)
+			c, st, err := summa.Run(a, b, summa.Config{
+				Cluster: o.SUMMA, Threads: o.Threads, Metrics: o.Metrics, DeadlineSec: o.DeadlineSec,
+			})
 			if err != nil {
 				return nil, nil, err
 			}

@@ -1,6 +1,9 @@
 package spgemm
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // planMargin mirrors Plan's internal memory accounting so the boundary
 // tests hit the exact threshold.
@@ -108,5 +111,71 @@ func TestPlanMemoryAtMarginBoundary(t *testing.T) {
 	}
 	if opts.RowPanels*opts.ColPanels != a.Rows*a.Cols {
 		t.Fatalf("one spare byte should plan the finest grid, got %dx%d", opts.RowPanels, opts.ColPanels)
+	}
+}
+
+// TestPlanBoundToItsOperands hands the plan of A·A to a run of B·B,
+// where B has A's shape and row lengths but other columns, both as
+// Plan's options and as EstimateCost's write-back. The planner's row
+// analysis (C's structure) is bound to the operands it was computed
+// from, so every device engine analyses B·B again and returns its
+// product. With random columns a stale structure made the run fail;
+// with banded ones, whose products all have 16 entries per row, it
+// returned a wrong product without an error.
+func TestPlanBoundToItsOperands(t *testing.T) {
+	const n, perRow = 512, 4
+	build := func(col func(i, k int) int) *Matrix {
+		var entries []Entry
+		for i := 0; i < n; i++ {
+			for k := 0; k < perRow; k++ {
+				entries = append(entries, Entry{Row: int32(i), Col: int32(col(i, k)), Val: float64(1 + k)})
+			}
+		}
+		m, err := FromEntries(n, n, entries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	random := func(seed int64) *Matrix {
+		rng := rand.New(rand.NewSource(seed))
+		var perm []int
+		return build(func(i, k int) int {
+			if k == 0 {
+				perm = rng.Perm(n)
+			}
+			return perm[k]
+		})
+	}
+	banded := func(offset int) *Matrix { return build(func(i, k int) int { return (perRow*i + k + offset) % n }) }
+	cfg := V100WithMemory(1 << 20)
+	for _, pair := range []struct {
+		name string
+		a, b *Matrix
+	}{{"random", random(1), random(2)}, {"banded", banded(0), banded(7)}} {
+		a, b := pair.a, pair.b
+		want, err := Multiply(b, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		planned, err := Plan(a, a, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"gpu", "gpu-sync", "hybrid", "multigpu"} {
+			estimated := &RunOptions{Device: &cfg}
+			if _, err := EstimateCost(name, a, a, estimated); err != nil {
+				t.Fatalf("%s %s: %v", pair.name, name, err)
+			}
+			for how, o := range map[string]*RunOptions{"Plan": {Device: &cfg, Core: planned}, "EstimateCost": estimated} {
+				c, _, err := registry[name].Run(b, b, o)
+				if err != nil {
+					t.Fatalf("%s %s with %s's grid for A·A: %v", pair.name, name, how, err)
+				}
+				if !Equal(c, want, 0) {
+					t.Fatalf("%s %s with %s's grid for A·A: product differs from B·B", pair.name, name, how)
+				}
+			}
+		}
 	}
 }

@@ -160,25 +160,25 @@ func (p *PlanCache) multiplyCPU(a, b *Matrix, o RunOptions, opts cpuspgemm.Optio
 // memory size, so repeated jobs (and the admission controller sizing
 // them) pay the planning scan once per pattern. It also returns the
 // pair's flop count: the planning pass's row flops, which the memo
-// keeps. The memo keeps the grid only: the row analysis a planning pass
-// hands to its caller is cached, byte-accounted, with the device plan.
-// A nil cache plans every time.
+// keeps. A planning pass hands its row analysis on, bound to a and b;
+// the memo keeps the grid only (the analysis is cached, byte-accounted,
+// with the device plan). A nil cache plans every time.
 func (p *PlanCache) plan(a, b *Matrix, o RunOptions) (OutOfCoreOptions, int64, error) {
 	pc, mem := (*core.PlanCache)(p), o.device().MemoryBytes
 	var key PlanKey
 	if p != nil {
 		key = o.PlanKey(a, b)
-		if memo, flops, ok := pc.Grid(key, mem); ok {
-			return memo, flops, nil
+		if rows, cols, flops, ok := pc.Grid(key, mem); ok {
+			return OutOfCoreOptions{RowPanels: rows, ColPanels: cols, planned: true}, flops, nil
 		}
 	}
 	opts, err := planExact(a, b, o)
 	if err != nil {
 		return OutOfCoreOptions{}, 0, err
 	}
-	flops := opts.Analysis.Flops()
+	flops := opts.analysis.Flops()
 	if p != nil {
-		pc.StoreGrid(key, mem, opts, flops)
+		pc.StoreGrid(key, mem, opts.RowPanels, opts.ColPanels, flops)
 	}
 	return opts, flops, nil
 }

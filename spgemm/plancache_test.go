@@ -155,7 +155,7 @@ func TestPlanCacheGridMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if planned.Analysis == nil {
+	if planned.analysisOf(a, a) == nil {
 		t.Fatal("the planning pass did not hand its row analysis on")
 	}
 	if n := symbolicWallSpans(col); n != 1 {
@@ -165,9 +165,8 @@ func TestPlanCacheGridMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want.Analysis = nil
-	if memo, _, ok := pc.core().Grid(RunOptions{}.PlanKey(a, a), cfg.MemoryBytes); !ok || memo != want {
-		t.Fatalf("memo %+v (present=%v), want the planned grid without its analysis %+v", memo, ok, want)
+	if rows, cols, _, ok := pc.core().Grid(RunOptions{}.PlanKey(a, a), cfg.MemoryBytes); !ok || rows != want.RowPanels || cols != want.ColPanels {
+		t.Fatalf("memo %dx%d (present=%v), want the planned grid %dx%d", rows, cols, ok, want.RowPanels, want.ColPanels)
 	}
 
 	col = NewCollector()
@@ -175,8 +174,8 @@ func TestPlanCacheGridMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if served != want {
-		t.Fatalf("repeated plan() returned %+v, want the memoised grid %+v", served, want)
+	if served.RowPanels != want.RowPanels || served.ColPanels != want.ColPanels || !served.planned || served.analysisOf(a, a) != nil {
+		t.Fatalf("repeated plan() returned %+v, want the memoised grid %+v, planned, without an analysis", served, want)
 	}
 	if n := symbolicWallSpans(col); n != 0 {
 		t.Fatalf("memoised plan(): %d row-analysis wall spans, want none", n)

@@ -119,9 +119,32 @@ func V100() DeviceConfig { return gpusim.V100Config() }
 // capacity, used to study out-of-core behaviour at small scales.
 func V100WithMemory(bytes int64) DeviceConfig { return gpusim.ScaledV100Config(bytes) }
 
-// OutOfCoreOptions configures the out-of-core GPU engine; see
-// core.Options for the fields (chunk grid, Async, Reorder, ...).
-type OutOfCoreOptions = core.Options
+// OutOfCoreOptions is the chunk grid (Algorithm 3's row and column
+// panel counts) of the gpu, gpu-sync, hybrid and multigpu engines; a
+// zero grid is planned with Plan.
+//
+// A grid the planner chose (Plan, a zero grid, EstimateCost's
+// write-back) runs in decreasing-flop order (Section IV-C). A grid the
+// caller chose runs row-major on gpu and gpu-sync, and flop-sorted on
+// hybrid and multigpu, whose split is defined on that order.
+type OutOfCoreOptions struct {
+	RowPanels, ColPanels int
+	// planned marks a grid the planner chose; analysis is its symbolic
+	// pass's row analysis (nil for a grid from the plan cache's memo) of
+	// the operands whose arrays a and b pin.
+	planned  bool
+	analysis *speck.RowAnalysis
+	a, b     csr.Arrays
+}
+
+// analysisOf returns the planner's row analysis when a and b are the
+// operands it was computed from (an O(1) check), nil otherwise.
+func (g OutOfCoreOptions) analysisOf(a, b *Matrix) *speck.RowAnalysis {
+	if g.analysis == nil || !g.a.Of(a) || !g.b.Of(b) {
+		return nil
+	}
+	return g.analysis
+}
 
 // Stats reports simulated-time statistics of an out-of-core run.
 type Stats = core.Stats
@@ -169,7 +192,7 @@ func Multiply(a, b *Matrix) (*Matrix, error) {
 // chunk outputs up to skew x the average (graph matrices concentrate
 // output in hub chunks). It runs a symbolic pass to size the output
 // exactly, and hands that pass's row analysis on in the returned
-// options (Analysis) so the engine run that follows does not repeat it.
+// options, so an engine run of the same operands does not repeat it.
 func Plan(a, b *Matrix, cfg DeviceConfig) (OutOfCoreOptions, error) {
 	return planExact(a, b, RunOptions{Device: &cfg})
 }
@@ -201,7 +224,7 @@ func planExact(a, b *Matrix, o RunOptions) (OutOfCoreOptions, error) {
 	if chunks < 1 {
 		chunks = 1
 	}
-	opts := OutOfCoreOptions{Async: true, Reorder: true, Analysis: ra}
+	opts := OutOfCoreOptions{planned: true, analysis: ra, a: csr.ArraysOf(a), b: csr.ArraysOf(b)}
 	opts.RowPanels, opts.ColPanels = gridFor(chunks, a.Rows, b.Cols)
 	return opts, nil
 }
@@ -228,8 +251,9 @@ func gridFor(chunks, rows, cols int) (r, c int) {
 // between the workers.
 type HybridStats = multigpu.Stats
 
-// SUMMAConfig configures the distributed sparse-SUMMA engine.
-type SUMMAConfig = summa.Config
+// SUMMAConfig is the simulated cluster of the distributed sparse-SUMMA
+// engine; a run's threads, metrics and deadline are RunOptions'.
+type SUMMAConfig = summa.Cluster
 
 // SUMMAStats reports a distributed run.
 type SUMMAStats = summa.Stats
@@ -241,11 +265,8 @@ type SUMMAStats = summa.Stats
 // Only a grid that does not fit (ErrOOM) is refined; any other failure
 // — a deadline, a lost device — is the run's answer.
 func runAuto(a, b *Matrix, o RunOptions) (*Matrix, Stats, error) {
-	var err error
-	if o.Core, _, err = o.plan(a, b); err != nil {
-		return nil, Stats{}, err
-	}
-	opts, err := o.coreOptions(a, b, true)
+	o.Core = OutOfCoreOptions{} // planned in coreOptions
+	opts, err := o.coreOptions(a, b, true, false)
 	if err != nil {
 		return nil, Stats{}, err
 	}
