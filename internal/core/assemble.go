@@ -7,21 +7,26 @@ import (
 	"repro/internal/parallel"
 )
 
-// Assemble returns the product once every chunk is marked done and its
-// host lane joined. There is nothing to merge: each chunk was computed
-// into its own windows of the matrix the engine has held since the first
-// one. A run with a chunk still missing, or whose arithmetic failed on a
-// lane, returns no matrix.
+// Assemble returns the product once every chunk is marked done and C's
+// arithmetic has finished without error. There is nothing to merge: the
+// host lanes computed every row into the matrix the engine has held
+// since its structure existed. A run with a chunk still missing returns
+// no matrix and does not wait (Teardown stops the arithmetic); one whose
+// arithmetic failed returns its error, also recorded on the engine (see
+// Err), so that an arithmetic error ends a run the simulation completed.
 func (e *Engine) Assemble() (*csr.Matrix, error) {
-	if err := e.Join(); err != nil {
-		return nil, err
-	}
 	for id, ok := range e.prod.done {
 		if !ok {
 			return nil, fmt.Errorf("core: chunk %d of %d missing", id, e.NumChunks())
 		}
 	}
-	return e.product(), nil
+	h := e.prod.host // begun: a chunk is done only once tried (try)
+	<-h.done
+	if h.err != nil {
+		e.fail(h.err)
+		return nil, h.err
+	}
+	return h.c, nil
 }
 
 // AssembleChunks builds the final rows x cols matrix from a grid of

@@ -145,9 +145,7 @@ loop:
 		}
 		rp, cp := e.chunkPanels(id)
 		res, warm := e.chunkMeta(id)
-		if e.launch(id) != nil {
-			break // an earlier try's arithmetic failed: terminal, recorded
-		}
+		e.try(id)
 		if res.Flops == 0 {
 			// Empty chunk: known from the host-side flop analysis, no
 			// device work or transfer required.

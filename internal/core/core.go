@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/cpuspgemm"
 	"repro/internal/csr"
@@ -190,8 +191,9 @@ func (s Stats) Counters() map[string]int64 {
 //
 // The engine owns the product from the start, as the paper's pipeline
 // owns its device memory (Section IV: nothing is allocated once chunks
-// flow): C's structure and values exist before the first chunk runs, and
-// ProcessChunks and HostChunk write numeric results into its windows.
+// flow): C's values are computed once, by whole rows, on the run's host
+// lanes from the moment its structure exists, while the simulation
+// schedules the chunks; ProcessChunks and HostChunk only mark them done.
 type Engine struct {
 	Dev  *gpusim.Device
 	Opts Options
@@ -237,31 +239,32 @@ type Engine struct {
 	endResident  []string
 }
 
-// product is C while it is computed: c is nil until the first chunk
-// needs it; done[id] tells whether chunk id's windows of c.Data hold, or
-// (while jobs[id] is unjoined) are being given, its values. A recovered
-// chunk overwrites the windows its failed try wrote, after joining it.
-// lanes is the run's pool of host lanes, one token per lane: a chunk's
-// arithmetic holds one while it runs (see launch).
+// product is C while it is computed: host is its arithmetic, nil until
+// started (start); done[id] tells whether a worker tried chunk id and it
+// has not failed since. lanes is the run's host-lane budget.
 type product struct {
-	c     *csr.Matrix
+	host  *hostRun
 	done  []bool
-	jobs  []*laneJob
-	lanes chan struct{}
+	lanes int
 }
 
-// laneJob is one chunk's arithmetic on a host lane: err is set before
-// done closes.
-type laneJob struct {
-	done chan struct{}
+// hostRun is C's arithmetic: every row once, on the run's lanes, beside
+// the simulation. c, rows and err are set before done closes; stop, once
+// set, ends it at its next row range.
+type hostRun struct {
+	c    *csr.Matrix
+	rows int64
 	err  error
+	done chan struct{}
+	stop atomic.Bool
 }
 
 // NewEngine partitions the inputs (host-side, real work) and prepares
 // an engine bound to the device. lanes is the run's host-lane budget
 // (DESIGN.md §8; less than 1 means 1): how many row ranges the structure
-// walk takes at once, and how many chunks' arithmetic the run's one pool
-// computes at once — every chunk's, the CPU worker's too.
+// walk takes at once, and how many C's arithmetic computes at once. A
+// run handed its analysis (Options.Analysis) starts that arithmetic
+// before it partitions; Teardown stops it.
 func NewEngine(dev *gpusim.Device, a, b *csr.Matrix, opts Options, lanes int) (*Engine, error) {
 	if a.Cols != b.Rows {
 		return nil, fmt.Errorf("core: dimension mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
@@ -280,6 +283,7 @@ func NewEngine(dev *gpusim.Device, a, b *csr.Matrix, opts Options, lanes int) (*
 	var cps []partition.ColPanel
 	var ent *planEntry
 	var key planKey
+	prod := &product{lanes: max(lanes, 1)}
 	if pc != nil {
 		stopFP := opts.Metrics.StartWall("host", "fingerprint")
 		key = planKey{KeyOf(a, b, opts.AID, opts.BID, opts.Metrics), opts.RowPanels, opts.ColPanels, cm}
@@ -296,14 +300,20 @@ func NewEngine(dev *gpusim.Device, a, b *csr.Matrix, opts Options, lanes int) (*
 		stopRevalue()
 		opts.Metrics.Add(metrics.CounterPlanCacheHits, 1)
 	} else {
+		if opts.Analysis != nil {
+			// C's structure exists: compute its values while the grid is
+			// partitioned. (A warm plan starts at the first chunk, from
+			// the plan's structure, which its products share.)
+			prod.start(a, b, opts.Analysis)
+		}
 		stopPartition := opts.Metrics.StartWall("host", "partition")
 		var err error
 		rps, err = partition.RowPanels(a, opts.RowPanels)
-		if err != nil {
-			return nil, err
+		if err == nil {
+			cps, err = partition.ColPanelsParallel(b, opts.ColPanels, partitionThreads)
 		}
-		cps, err = partition.ColPanelsParallel(b, opts.ColPanels, partitionThreads)
 		if err != nil {
+			prod.end()
 			return nil, err
 		}
 		stopPartition()
@@ -321,12 +331,12 @@ func NewEngine(dev *gpusim.Device, a, b *csr.Matrix, opts Options, lanes int) (*
 		a:         a,
 		b:         b,
 		cm:        cm,
-		prod: &product{done: make([]bool, len(rps)*len(cps)), jobs: make([]*laneJob, len(rps)*len(cps)),
-			lanes: make(chan struct{}, max(lanes, 1))},
-		plan:    ent,
-		cache:   pc,
-		planDev: "dev0",
+		prod:      prod,
+		plan:      ent,
+		cache:     pc,
+		planDev:   "dev0",
 	}
+	prod.done = make([]bool, e.NumChunks())
 	e.bind(dev)
 	return e, nil
 }
@@ -349,7 +359,7 @@ func (e *Engine) bind(dev *gpusim.Device) {
 
 // OnDevice derives, before any chunk runs, an engine working on the same
 // product from another device: it shares e's panels, plan and product —
-// the pool of host lanes with it — and has its own device state (panel
+// C's arithmetic with it — and has its own device state (panel
 // residency under the planDevice namespace) and Teardown.
 func (e *Engine) OnDevice(dev *gpusim.Device, planDevice string) *Engine {
 	d := *e
@@ -369,10 +379,11 @@ func (e *Engine) untrackAlloc(a *gpusim.Alloc) { delete(e.live, a) }
 // accounted afterwards. Anything nonzero is a leak: an allocation the
 // engine lost track of on some exit path. Callers publish the result
 // as the mem_in_use_bytes counter, which the arena-leak audit pins to
-// zero even for deadline-aborted runs. It joins every chunk still on a
-// host lane first, so no chunk's arithmetic outlives the run on any path.
+// zero even for deadline-aborted runs. It first stops C's arithmetic at
+// its next row range and waits for it, so none outlives the run on any
+// path.
 func (e *Engine) Teardown() int64 {
-	e.Join()
+	e.prod.end()
 	for a := range e.live {
 		// Double frees were already reported at the Free site; the
 		// teardown's job is only to return what is still held.
@@ -419,7 +430,7 @@ func (e *Engine) chunkRowFlops() [][]int64 {
 		var bytes int64
 		for id := range pl.rowFlops {
 			rp, cp := e.chunkPanels(id)
-			pl.rowFlops[id] = csr.RowFlops(rp.M, cp.M, cap(e.prod.lanes))
+			pl.rowFlops[id] = csr.RowFlops(rp.M, cp.M, e.prod.lanes)
 			for _, f := range pl.rowFlops[id] {
 				pl.chunkFlops[id] += f
 			}
@@ -448,7 +459,7 @@ func (e *Engine) RowAnalysis() *speck.RowAnalysis {
 	if pl.analysis == nil {
 		if pl.analysis = e.Opts.Analysis; pl.analysis == nil {
 			stop := e.Opts.Metrics.StartWall("host", "row analysis")
-			pl.analysis = speck.Analyze(e.a, e.b, cap(e.prod.lanes))
+			pl.analysis = speck.Analyze(e.a, e.b, e.prod.lanes)
 			stop()
 		}
 		e.cache.grow(pl, pl.analysis.Bytes())
@@ -456,20 +467,61 @@ func (e *Engine) RowAnalysis() *speck.RowAnalysis {
 	return pl.analysis
 }
 
-// product returns C, sized and allocated on first call: the value array
-// is the run's one allocation for the result, the structure is the row
-// analysis' — the one walk that counted C's rows emitted their ids — and
-// the plan's split table, which refines the row offsets by column panel
-// (ids ascend within a row, so each boundary is a binary search; with
-// one panel it is the offsets).
-func (e *Engine) product() *csr.Matrix {
-	if e.prod.c != nil {
-		return e.prod.c
+// start begins C's arithmetic unless it has begun. On a goroutine of its
+// own it makes C's value array — the run's one allocation for the
+// result, whose structure is ra's, the one walk that counted C's rows
+// having emitted their ids — and computes every row into it once:
+// cpuspgemm.NumericInto over the whole product, flop-balanced row ranges
+// on p.lanes workers. Every row is checked against its exact column set
+// (speck.Window.CheckSet), which a per-row count alone would not do for
+// a structure handed over by the planner or a plan.
+func (p *product) start(a, b *csr.Matrix, ra *speck.RowAnalysis) {
+	if p.host != nil {
+		return
 	}
-	ra, nc := e.RowAnalysis(), len(e.ColPanels)
-	pl := e.plan
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
+	h := &hostRun{done: make(chan struct{})}
+	p.host = h
+	go func() {
+		defer close(h.done)
+		h.c = &csr.Matrix{
+			Rows: a.Rows, Cols: b.Cols,
+			RowOffsets: ra.RowOffsets, ColIDs: ra.ColIDs,
+			Data: make([]float64, len(ra.ColIDs)),
+		}
+		w := speck.WholeWindow(h.c)
+		w.CheckSet = true
+		if h.rows, h.err = cpuspgemm.NumericInto(w, a, b, ra.RowFlops, cpuspgemm.Options{Threads: p.lanes, Cancel: h.stop.Load}); h.err != nil {
+			h.err = fmt.Errorf("core: %w", h.err)
+		}
+	}()
+}
+
+// end stops C's arithmetic at its next row range, if it has begun, and
+// waits for it.
+func (p *product) end() {
+	if h := p.host; h != nil {
+		h.stop.Store(true)
+		<-h.done
+	}
+}
+
+// try marks chunk id done for a worker that tried it, first starting C's
+// arithmetic if nothing has: a try computes nothing itself.
+func (e *Engine) try(id int) {
+	if e.prod.host == nil {
+		e.prod.start(e.a, e.b, e.RowAnalysis())
+	}
+	e.prod.done[id] = true
+}
+
+// split returns the plan's split table, which refines C's row offsets by
+// column panel — chunk (r, k)'s window of row i is [split[i·nc+k],
+// split[i·nc+k+1]) — building it on first need; the caller holds the
+// plan's lock. Ids ascend within a row, so each boundary is a binary
+// search; with one panel it is the offsets. Only chunkMeta reads it, so a
+// run whose plan holds every chunk's metadata builds none.
+func (e *Engine) split(ra *speck.RowAnalysis) []int64 {
+	pl, nc := e.plan, len(e.ColPanels)
 	if pl.split == nil {
 		stop := e.Opts.Metrics.StartWall("host", "structure")
 		offs := ra.RowOffsets
@@ -488,31 +540,16 @@ func (e *Engine) product() *csr.Matrix {
 		}
 		stop()
 	}
-	e.prod.c = &csr.Matrix{
-		Rows: e.a.Rows, Cols: e.b.Cols,
-		RowOffsets: ra.RowOffsets, ColIDs: ra.ColIDs,
-		Data: make([]float64, len(ra.ColIDs)),
-	}
-	return e.prod.c
-}
-
-// window returns chunk id's windows in C.
-func (e *Engine) window(id int) speck.Window {
-	c, nc := e.product(), len(e.ColPanels)
-	rp, cp := e.chunkPanels(id)
-	return speck.Window{
-		Offs: e.plan.split[rp.Start*nc+id%nc:], Stride: nc,
-		Cols: c.ColIDs, Data: c.Data, ColBase: cp.Start, Width: c.Cols,
-	}
+	return pl.split
 }
 
 // chunkMeta returns chunk id's simulated inputs (row groups, phase
 // durations, transfer and workspace sizes), derived from its row flops
-// and the chunk-local row offsets its window sizes sum to. warm reports
+// and the chunk-local row offsets its windows' sizes sum to. warm reports
 // that a cached plan already held them: the pipelines then skip the
 // chunk's symbolic device phases.
 func (e *Engine) chunkMeta(id int) (sym *speck.Symbolic, warm bool) {
-	rowFlops, w := e.chunkRowFlops()[id], e.window(id)
+	rowFlops, ra := e.chunkRowFlops()[id], e.RowAnalysis()
 	pl := e.plan
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
@@ -520,9 +557,11 @@ func (e *Engine) chunkMeta(id int) (sym *speck.Symbolic, warm bool) {
 		return sym, e.cache != nil
 	}
 	rp, cp := e.chunkPanels(id)
+	split, nc := e.split(ra), len(e.ColPanels)
+	at := rp.Start*nc + id%nc
 	offs := make([]int64, rp.M.Rows+1)
 	for i := 0; i < rp.M.Rows; i++ {
-		offs[i+1] = offs[i] + w.RowNnz(i)
+		offs[i+1] = offs[i] + split[at+i*nc+1] - split[at+i*nc]
 	}
 	sym = speck.NewSymbolic(rp.M, cp.M, rowFlops, offs, e.cm)
 	pl.syms[id] = sym
@@ -530,82 +569,18 @@ func (e *Engine) chunkMeta(id int) (sym *speck.Symbolic, warm bool) {
 	return sym, false
 }
 
-// launch starts chunk id's arithmetic — the chunked replay of the
-// numeric row kernel straight into the chunk's windows, on one thread —
-// as a job of the run's pool of host lanes, and marks the chunk done; the
-// simulation goes on without waiting. Every worker launches its chunks
-// here, a device's and the CPU worker's alike, so the simulation thread
-// computes none. The job's inputs are resolved here, on the simulation
-// thread, so that it touches only the operands and chunk id's windows;
-// its error is joined (join) on the simulation thread. A try of the chunk
-// still on a lane (a failed device's) is joined first, so two tries never
-// write its windows at once; an error from it is returned and terminal.
-func (e *Engine) launch(id int) error {
-	if err := e.join(id); err != nil {
-		return err
-	}
-	e.prod.done[id] = true
-	if e.ChunkFlops()[id] == 0 {
-		return nil
-	}
-	rp, cp := e.chunkPanels(id)
-	w, rowFlops := e.window(id), e.chunkRowFlops()[id]
-	job, lanes := &laneJob{done: make(chan struct{})}, e.prod.lanes
-	e.prod.jobs[id] = job
-	go func() {
-		lanes <- struct{}{}
-		if err := cpuspgemm.NumericInto(w, rp.M, cp.M, rowFlops, cpuspgemm.Options{Threads: 1}); err != nil {
-			job.err = fmt.Errorf("core: chunk %d: %w", id, err)
-		}
-		<-lanes
-		close(job.done)
-	}()
-	return nil
-}
-
-// join waits for chunk id's arithmetic if a lane still holds it and
-// records its error as the run's terminal error (see Err).
-func (e *Engine) join(id int) error {
-	job := e.prod.jobs[id]
-	if job == nil {
-		return nil
-	}
-	<-job.done
-	e.prod.jobs[id] = nil
-	if job.err != nil {
-		e.fail(job.err)
-	}
-	return job.err
-}
-
-// Join waits for every chunk still on a host lane — any worker's — and
-// returns the first arithmetic error in chunk order, also recorded on
-// the engine (see Err). The driver joins before it judges a run, so a
-// run's verdict never depends on when, in real time, a lane finished.
-func (e *Engine) Join() error {
-	var first error
-	for id := range e.prod.jobs {
-		if err := e.join(id); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// HostChunk computes chunk id on the driver's CPU worker under a
-// simulated "cpu" span, unless the run's deadline has passed; like
-// ProcessChunks it records a terminal error on the engine (see Err). Its
-// arithmetic is a job of the run's pool (launch), like a device's. The
-// worker's throughput is a property of the whole matrix, so the span is
-// wholeSec (the host cost model's) prorated by flops, the paper's
-// workload indicator for both processors.
+// HostChunk runs chunk id on the driver's CPU worker under a simulated
+// "cpu" span, unless the run's deadline has passed; like ProcessChunks it
+// records a terminal error on the engine (see Err), and like a device's
+// try it only marks the chunk done (try). The worker's throughput is a
+// property of the whole matrix, so the span is wholeSec (the host cost
+// model's) prorated by flops, the paper's workload indicator for both
+// processors.
 func (e *Engine) HostChunk(p *sim.Proc, id int, label string, wholeSec float64) error {
 	if e.pastDeadline() {
 		return e.err
 	}
-	if err := e.launch(id); err != nil {
-		return err
-	}
+	e.try(id)
 	flops, sec := e.ChunkFlops(), 0.0
 	if flops[id] > 0 {
 		var total int64
@@ -629,9 +604,9 @@ func (e *Engine) fail(err error) {
 }
 
 // failChunk marks one chunk as not completed on the device. It is
-// unmarked in the done-set so the schedule stays honest: a failed chunk
-// contributes no output until a recovery path (CPU fallback, another
-// device) recomputes it into the same windows.
+// unmarked in the done-set so the schedule stays honest: a run with a
+// failed chunk hands out no product until a recovery path (CPU fallback,
+// another device) tries the chunk again.
 func (e *Engine) failChunk(id int, err error) {
 	e.prod.done[id] = false
 	e.failed[id] = err
@@ -697,10 +672,13 @@ func (e *Engine) FailedError() error {
 }
 
 // PublishMetrics exports the run's simulated timeline and counters
-// into the engine's metrics collector (no-op when none is configured).
-// The driver (internal/multigpu) invokes it once per run, on device 0's
-// engine, after computing the run's stats, so instrumentation lands
-// once, here, rather than per engine.
+// into the engine's metrics collector (no-op when none is configured),
+// and the rows of C the host lanes computed (metrics.CounterRows: A's
+// rows, each once, however often the schedule tried a chunk; a
+// wall-clock count, so not one of st's). The driver (internal/multigpu)
+// invokes it once per run, on device 0's engine, after Assemble and the
+// run's stats, so instrumentation lands once, here, rather than per
+// engine.
 func (e *Engine) PublishMetrics(env *sim.Env, st metrics.Report) {
 	c := e.Opts.Metrics
 	if c == nil {
@@ -709,6 +687,9 @@ func (e *Engine) PublishMetrics(env *sim.Env, st metrics.Report) {
 	c.ImportSim(env.Timeline)
 	for k, v := range st.Counters() {
 		c.Add(k, v)
+	}
+	if h := e.prod.host; h != nil {
+		c.Add(metrics.CounterRows, h.rows)
 	}
 	e.PublishFaults()
 }
@@ -759,7 +740,6 @@ func (e *Engine) ProcessChunks(p *sim.Proc, ids []int) []int {
 	if len(ids) == 0 {
 		return nil
 	}
-	e.product() // C is sized and allocated before the pipeline starts
 	if e.Opts.Async {
 		return e.processAsync(p, ids)
 	}

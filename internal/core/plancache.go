@@ -21,8 +21,8 @@ import (
 //     product's identity record, bound replay schedules and spare value
 //     arrays.
 //   - Device plans: the chunk grid's structure-only partitions,
-//     per-chunk row flops, the product's structure with its per-panel
-//     split table, per-chunk scheduling metadata and the input-panel
+//     per-chunk row flops, the product's structure, the per-panel split
+//     table its chunks' metadata came from, that metadata and the input-panel
 //     residency the last run left. A warm out-of-core run skips
 //     partitioning, every symbolic pass on either processor and the
 //     per-chunk symbolic device pipeline.
@@ -111,8 +111,9 @@ type planEntry struct {
 	mu sync.Mutex
 	// rowFlops is every chunk's per-row flop counts, chunkFlops their
 	// sums; analysis the whole-matrix row analysis, whose RowOffsets and
-	// ColIDs are C's; split C's per-panel split table. Products returned
-	// by runs on this entry share the structure arrays.
+	// ColIDs are C's; split C's per-panel split table, which only
+	// chunkMeta reads. Products returned by runs on this entry share the
+	// structure arrays.
 	rowFlops   [][]int64
 	chunkFlops []int64
 	analysis   *speck.RowAnalysis

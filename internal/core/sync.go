@@ -61,9 +61,7 @@ func (e *Engine) processSync(p *sim.Proc, ids []int) []int {
 		}
 		rp, cp := e.chunkPanels(id)
 		res, warm := e.chunkMeta(id)
-		if e.launch(id) != nil {
-			break // an earlier try's arithmetic failed: terminal, recorded
-		}
+		e.try(id)
 		if res.Flops == 0 {
 			// The host already knows the chunk is empty from the flop
 			// analysis (Algorithm 4's GetFlops); no device work needed.

@@ -245,7 +245,7 @@ func multiplyAdaptive(a, b *csr.Matrix, opts Options, rowFlops []int64) (*csr.Ma
 	// one-phase route only to give NaNs the warm replay's payloads (§13).
 	if !onePhase || nan.Load() {
 		stopNumeric := opts.Metrics.StartWall("cpu", "numeric")
-		err := replay(speck.WholeWindow(c), a, b, bounds, opts, pass, nil)
+		_, err := replay(speck.WholeWindow(c), a, b, bounds, opts, pass, nil)
 		stopNumeric()
 		if err != nil {
 			return nil, err

@@ -114,7 +114,7 @@ func NumericScheduled(sym *SymbolicResult, sched *speck.Schedule, dst []float64,
 		sym.memo.Store(memo)
 	}
 	stopNumeric := opts.Metrics.StartWall("cpu", "numeric (warm)")
-	err := replay(speck.WholeWindow(c), a, b, memo.bounds, opts, nil, sched)
+	_, err := replay(speck.WholeWindow(c), a, b, memo.bounds, opts, nil, sched)
 	stopNumeric()
 	if err != nil {
 		return nil, err
@@ -134,11 +134,11 @@ func (s *SymbolicResult) Schedule(a, b *csr.Matrix) *speck.Schedule {
 }
 
 // NumericInto is Numeric writing into storage the caller owns: the
-// values of A·B land in w, whose structure must be the product's. The
-// out-of-core engines' CPU worker computes a chunk this way, w being
-// the chunk's windows in the whole product; rowFlops balances the
-// chunked replay as in Numeric.
-func NumericInto(w speck.Window, a, b *csr.Matrix, rowFlops []int64, opts Options) error {
+// values of A·B land in w, whose structure must be the product's, and it
+// returns how many rows it computed — all of A's unless it failed or
+// Options.Cancel stopped it. The out-of-core engine computes its whole
+// product this way; rowFlops balances the chunked replay as in Numeric.
+func NumericInto(w speck.Window, a, b *csr.Matrix, rowFlops []int64, opts Options) (int64, error) {
 	return replay(w, a, b, parallel.CostBounds(rowFlops, opts.threads()), opts, nil, nil)
 }
 
@@ -149,7 +149,8 @@ func NumericInto(w speck.Window, a, b *csr.Matrix, rowFlops []int64, opts Option
 // turns on Options.ChunkLog and labels rows for Options.ClassStats, under
 // which the kernel runs one row per call so each can be timed. sched, if
 // not nil, is w's schedule for a and b; otherwise each call builds one.
-func replay(w speck.Window, a, b *csr.Matrix, bounds []int, opts Options, pass *speck.SymbolicPass, sched *speck.Schedule) error {
+// It returns the number of rows whose chunk it finished.
+func replay(w speck.Window, a, b *csr.Matrix, bounds []int, opts Options, pass *speck.SymbolicPass, sched *speck.Schedule) (int64, error) {
 	nt := opts.threads()
 	var log *ChunkLog
 	var stats *ClassStats
@@ -157,6 +158,7 @@ func replay(w speck.Window, a, b *csr.Matrix, bounds []int, opts Options, pass *
 		log, stats = opts.ChunkLog, opts.ClassStats
 	}
 	var werr firstErr
+	var rows atomic.Int64
 	scratch := make([]*accum.Scratch, parallel.Workers(nt))
 	forChunksLogged(nt, bounds, log, false, func(wk, lo, hi int) {
 		if werr.get() != nil {
@@ -189,11 +191,12 @@ func replay(w speck.Window, a, b *csr.Matrix, bounds []int, opts Options, pass *
 		if stats != nil {
 			stats.merge(&part)
 		}
+		rows.Add(int64(hi - lo))
 	})
 	for _, s := range scratch {
 		if s != nil {
 			accum.PutScratch(s)
 		}
 	}
-	return werr.get()
+	return rows.Load(), werr.get()
 }

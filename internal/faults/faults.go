@@ -225,14 +225,6 @@ func New(cfg Config) *Injector {
 // Lost reports whether the device has permanently failed.
 func (i *Injector) Lost() bool { return i != nil && i.dead }
 
-// MarkLost kills the device immediately (used by tests and by
-// scenarios that model an external loss event).
-func (i *Injector) MarkLost() {
-	if i != nil {
-		i.dead = true
-	}
-}
-
 // Shrink returns the bytes withheld from a device of the given
 // capacity by OOM pressure.
 func (i *Injector) Shrink(capacity int64) int64 {

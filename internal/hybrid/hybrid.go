@@ -47,8 +47,8 @@ type HostModel struct {
 	OutputBandwidth float64
 	// Threads is the worker thread count of the real CPU
 	// implementation, 0 meaning GOMAXPROCS (the simulated duration does
-	// not depend on it): the out-of-core driver computes every chunk on
-	// a pool of Threads host lanes plus one per GPU.
+	// not depend on it): the out-of-core driver computes its product on
+	// Threads host lanes plus one per GPU.
 	Threads int
 }
 

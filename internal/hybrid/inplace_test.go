@@ -15,9 +15,10 @@ import (
 
 // TestFallbackOverwritesWindows: with no retries, a fault on any device
 // operation abandons a GPU chunk after the device path has already
-// written its windows; the CPU worker recomputes it into the same
-// windows, beside chunks the device did finish, and the product is
-// bit-identical to a fault-free run's.
+// tried it; the CPU worker tries it again, beside chunks the device did
+// finish, and the product — computed once, by whole rows, on the host
+// lanes whatever the schedule did (core.TestComputedOnceAcrossRecovery
+// counts the rows) — is bit-identical to a fault-free run's.
 func TestFallbackOverwritesWindows(t *testing.T) {
 	a := matgen.RMAT(9, 8, 0.57, 0.19, 0.19, 52)
 	opts := node(4, 3, true)

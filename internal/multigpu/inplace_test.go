@@ -12,9 +12,10 @@ import (
 // TestFailoverOverwritesWindows: chunks move off failing devices — to
 // the survivor and then to the CPU worker when both devices die mid-run,
 // from one device to the other when their transient faults exhaust a
-// chunk's (zero) retries — each recomputed into the windows the first
-// attempt may already have written, or be writing on its device's host
-// lane, and the product is bit-identical to a fault-free run's.
+// chunk's (zero) retries — each tried again by the worker it moved to,
+// while the host lanes compute the product once, by whole rows
+// (core.TestComputedOnceAcrossRecovery counts the rows), and the product
+// is bit-identical to a fault-free run's.
 func TestFailoverOverwritesWindows(t *testing.T) {
 	a := matgen.RMAT(9, 8, 0.57, 0.19, 0.19, 65)
 	opts := Options{Core: core.Options{RowPanels: 4, ColPanels: 3, Async: true}, NumGPUs: 2, UseCPU: true}

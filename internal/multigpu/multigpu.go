@@ -283,9 +283,10 @@ func Run(a, b *csr.Matrix, cfg gpusim.DeviceConfig, opts Options) (*csr.Matrix, 
 
 	env := sim.NewEnv()
 
-	// One engine per GPU, all working on the first one's product and
-	// sharing its pool of host lanes: the CPU worker's Threads (0 means
-	// GOMAXPROCS) plus one lane per GPU (DESIGN.md §8). Device 0 keeps
+	// One engine per GPU, all working on the first one's product, whose
+	// rows are computed once on the run's host lanes: the CPU worker's
+	// Threads (0 means GOMAXPROCS) plus one lane per GPU (DESIGN.md §8).
+	// Device 0 keeps
 	// the base fault seed (core attaches it), so every node replays the
 	// same stream on GPU 0; every further device derives its own. Each
 	// GPU records plan-cache panel residency under its own namespace
@@ -305,7 +306,8 @@ func Run(a, b *csr.Matrix, cfg gpusim.DeviceConfig, opts Options) (*csr.Matrix, 
 			return nil, Stats{}, err
 		}
 		// Release each device's allocations and publish the leak-audit
-		// counter on every exit path, including deadline aborts.
+		// counter on every exit path, including deadline aborts; on a
+		// failed run that also stops C's arithmetic.
 		defer engines[g].Teardown()
 	}
 	eng0 := engines[0]
@@ -384,8 +386,8 @@ func Run(a, b *csr.Matrix, cfg gpusim.DeviceConfig, opts Options) (*csr.Matrix, 
 			}
 			// Graceful degradation: chunks the GPUs gave up on (retries
 			// exhausted, arena misfits, a lost device) drain to this
-			// worker instead of failing the run. The same exact
-			// arithmetic runs either way, so the product is unchanged —
+			// worker instead of failing the run. C is computed once on
+			// the host lanes either way, so the product is unchanged —
 			// only the simulated schedule pays.
 			for {
 				batch := ctl.next(p, &ctl.cpuQueue)
@@ -399,12 +401,9 @@ func Run(a, b *csr.Matrix, cfg gpusim.DeviceConfig, opts Options) (*csr.Matrix, 
 	if err := env.Run(); err != nil {
 		return nil, Stats{}, err
 	}
-	// Every chunk is computed on a host lane beside the simulation; join
-	// them before judging the run, so that an arithmetic error wins over
-	// the schedule's own verdict whatever the lanes' real-time order.
-	if err := eng0.Join(); err != nil {
-		return nil, Stats{}, err
-	}
+	// The schedule is judged first: a run it fails returns its error, and
+	// Teardown stops C's arithmetic at its next row range. Assemble waits
+	// for the arithmetic of a run it completes, whose error ends it.
 	for _, eng := range engines {
 		if eng.Err() != nil {
 			return nil, Stats{}, eng.Err()

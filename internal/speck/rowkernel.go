@@ -502,13 +502,21 @@ func (e *StructureError) Error() string {
 // are [Offs[i*Stride], Offs[i*Stride+1]) of Cols and Data, B's column 0
 // is the product's column ColBase, and Cols (whole-product ids) span
 // [0, Width). A product computed on its own is WholeWindow.
+//
+// CheckSet has NumericRows check every row against its window's exact
+// column set, not only its size: for a structure that may come from
+// elsewhere than the operands at hand (the out-of-core engine's C, which
+// the planner or a plan may hand over). It costs a stamp read per
+// output, which a product replaying its own structure skips
+// (stampedRows).
 type Window struct {
-	Offs    []int64
-	Stride  int
-	Cols    []int32
-	Data    []float64
-	ColBase int
-	Width   int
+	Offs     []int64
+	Stride   int
+	Cols     []int32
+	Data     []float64
+	ColBase  int
+	Width    int
+	CheckSet bool
 }
 
 // WholeWindow addresses all of c.
@@ -528,8 +536,9 @@ const groupRows = 4
 // w — each summed in arrival order from its first product, so a lone
 // -0.0 product stays -0.0 — and stops the range with a *StructureError
 // at a row whose products touch another number of distinct columns than
-// its structure holds or, in a group, other columns. It runs sched, or,
-// when sched is nil, a schedule it builds for the range.
+// its structure holds or, in a group or a CheckSet window, other
+// columns. It runs sched, or, when sched is nil, a schedule it builds
+// for the range.
 //
 // Each run of consecutive groups the range holds whole is one call of the
 // run body (sumRun), which sums the groups column by column in
@@ -551,7 +560,7 @@ func NumericRows(a, b *csr.Matrix, w *Window, s *accum.Scratch, sched *Schedule,
 	k := sort.Search(len(spans), func(k int) bool { return spans[k].hi > lo })
 	for k < len(spans) && spans[k].lo < hi {
 		if sp := &spans[k]; sp.n == 0 || sp.lo < lo || sp.hi > hi {
-			if err := stampedRows(a, b, w, s, max(sp.lo, lo), min(sp.hi, hi), sp.check || sp.n != 0); err != nil {
+			if err := stampedRows(a, b, w, s, max(sp.lo, lo), min(sp.hi, hi), sp.check || sp.n != 0 || w.CheckSet); err != nil {
 				return err
 			}
 			k++

@@ -1160,3 +1160,46 @@ func TestPickClass(t *testing.T) {
 		t.Fatalf("wide row classed %v", got)
 	}
 }
+
+// TestNumericRowsCheckSet: a row of its own is held to its window's size
+// alone unless the window sets CheckSet, which holds it to the exact
+// column set. An ER product's structure with one id of one row replaced
+// by a column the row's products do not touch (the size kept) passes
+// unnoticed without the check and is a *StructureError of equal counts
+// at that row with it.
+func TestNumericRowsCheckSet(t *testing.T) {
+	a := matgen.ER(40, 40, 0.1, 93)
+	sym, err := SymbolicCompute(a, a, model())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := slices.Clone(sym.ColIDs)
+	row, at := -1, int64(0)
+	for i := 0; i < a.Rows && row < 0; i++ {
+		ids := cols[sym.RowOffsets[i]:sym.RowOffsets[i+1]]
+		for j := 1; j < len(ids); j++ {
+			if ids[j] > ids[j-1]+1 { // a column between two of the row's
+				row, at = i, sym.RowOffsets[i]+int64(j)
+				cols[at] = ids[j-1] + 1
+				break
+			}
+		}
+	}
+	if row < 0 {
+		t.Fatal("no row with a gap between two of its columns")
+	}
+	c := &csr.Matrix{Rows: sym.Rows, Cols: sym.Cols, RowOffsets: sym.RowOffsets, ColIDs: cols,
+		Data: make([]float64, len(cols))}
+	s := accum.GetScratch(c.Cols)
+	defer accum.PutScratch(s)
+	w := WholeWindow(c)
+	if err := NumericRows(a, a, &w, s, nil, 0, a.Rows); err != nil {
+		t.Fatalf("without CheckSet: %v; a row of its own is held to its size alone", err)
+	}
+	w.CheckSet = true
+	err = NumericRows(a, a, &w, s, nil, 0, a.Rows)
+	var se *StructureError
+	if !errors.As(err, &se) || se.Row != row || se.Touched != se.Want {
+		t.Fatalf("with CheckSet: err = %v, want a *StructureError of equal counts at row %d", err, row)
+	}
+}

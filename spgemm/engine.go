@@ -43,9 +43,9 @@ func SnapshotKeys(snap map[string]int64) []string { return metrics.SnapshotKeys(
 type RunOptions struct {
 	// Threads bounds the real CPU parallelism (0 = GOMAXPROCS) of the
 	// cpu engine and of the CPU worker of the device engines. A device
-	// engine's run computes every chunk, each GPU's and the CPU
-	// worker's, as a one-thread job on one pool of host lanes: Threads
-	// plus one lane per simulated GPU (with Threads 1 and one GPU, two).
+	// engine's run computes its product once, by whole rows, on its host
+	// lanes, whichever worker each chunk is scheduled on: Threads plus
+	// one lane per simulated GPU (with Threads 1 and one GPU, two).
 	// Its planner walks C's structure on Threads plus one workers, and
 	// it partitions B on four threads, so its host parallelism is
 	// Threads plus one thread per GPU (plus four while it partitions).
