@@ -181,7 +181,7 @@ loop:
 		}
 
 		// Inputs stay resident between chunks while the arena allows.
-		aBytes, bBytes := rp.M.Bytes(), cp.M.Bytes()
+		aBytes, bBytes := wireBytes(rp.M), wireBytes(cp.M)
 		aKey, bKey := panelKeys(rp, cp)
 		capacityLeft := func() int64 { return arena - arenaUsed }
 		if err := cache.ensure(p, id, aKey, lbl("A panel", id), aBytes, capacityLeft, aKey, bKey); err != nil {

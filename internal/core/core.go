@@ -291,13 +291,10 @@ func NewEngine(dev *gpusim.Device, a, b *csr.Matrix, opts Options, lanes int) (*
 		ent = pc.acquire(key)
 	}
 	if ent != nil {
-		// Warm: re-value the cached partitions against the fresh
-		// operands — a reslice for row panels, one copy pass for
-		// column panels — skipping all partitioning index work.
-		stopRevalue := opts.Metrics.StartWall("host", "revalue panels")
-		rps = revalueRowPanels(ent.rps, a)
-		cps = revalueColPanels(ent.cps, b)
-		stopRevalue()
+		// Warm: the cached column panels are structure, which is all a
+		// run reads of them; row panels reslice the fresh A over the
+		// cached offsets. No partitioning index work.
+		rps, cps = revalueRowPanels(ent.rps, a), ent.cps
 		opts.Metrics.Add(metrics.CounterPlanCacheHits, 1)
 	} else {
 		if opts.Analysis != nil {

@@ -474,26 +474,28 @@ func (pc *PlanCache) acquire(key planKey) *planEntry {
 	return ent
 }
 
-// store inserts a freshly built device plan. Partitions are stripped to
-// structure-only copies so the cache does not retain the cold run's
-// value arrays.
+// store inserts a freshly built device plan. It keeps panel structure
+// only, in arrays the partitioner made and no operand shares: a row
+// panel's offsets (its ids and values are the cold run's A, which a
+// warm run reslices afresh) and the column panels, which carry no
+// values.
 func (pc *PlanCache) store(key planKey, rps []partition.RowPanel, cps []partition.ColPanel) *planEntry {
 	ent := &planEntry{
 		slot:     slot{pair: key.PairKey},
 		key:      key,
 		rps:      make([]partition.RowPanel, len(rps)),
-		cps:      make([]partition.ColPanel, len(cps)),
+		cps:      cps,
 		syms:     map[int]*speck.Symbolic{},
 		resident: map[string]map[string]struct{}{},
 	}
 	var n int64
 	for i, rp := range rps {
-		ent.rps[i] = partition.RowPanel{Start: rp.Start, End: rp.End, M: structureOnly(rp.M)}
-		n += structureBytes(rp.M)
+		ent.rps[i] = partition.RowPanel{Start: rp.Start, End: rp.End,
+			M: &csr.Matrix{Rows: rp.M.Rows, Cols: rp.M.Cols, RowOffsets: rp.M.RowOffsets}}
+		n += int64(len(rp.M.RowOffsets)) * 8
 	}
-	for i, cp := range cps {
-		ent.cps[i] = partition.ColPanel{Start: cp.Start, End: cp.End, M: structureOnly(cp.M)}
-		n += structureBytes(cp.M)
+	for _, cp := range cps {
+		n += int64(len(cp.M.RowOffsets))*8 + int64(len(cp.M.ColIDs))*4
 	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
@@ -552,20 +554,10 @@ func (pc *PlanCache) setResident(ent *planEntry, dev string, keys []string, lost
 	ent.resident[dev] = set
 }
 
-// structureOnly copies a matrix header sharing its structure arrays
-// and dropping the values, the cacheable half of a panel.
-func structureOnly(m *csr.Matrix) *csr.Matrix {
-	return &csr.Matrix{Rows: m.Rows, Cols: m.Cols, RowOffsets: m.RowOffsets, ColIDs: m.ColIDs}
-}
-
-// structureBytes is the retained size of a structure-only matrix.
-func structureBytes(m *csr.Matrix) int64 {
-	return int64(len(m.RowOffsets))*8 + int64(len(m.ColIDs))*4
-}
-
-// revalueRowPanels builds full row panels from cached structure and a
-// fresh A: each panel's rows are contiguous in CSR, so its value array
-// is a zero-copy reslice of A's.
+// revalueRowPanels builds row panels over a fresh A from cached
+// offsets: each panel's rows are contiguous in CSR, so its ids and
+// values are a zero-copy reslice of A's, as partition.RowPanels makes
+// them.
 func revalueRowPanels(cached []partition.RowPanel, a *csr.Matrix) []partition.RowPanel {
 	out := make([]partition.RowPanel, len(cached))
 	for i, rp := range cached {
@@ -574,41 +566,8 @@ func revalueRowPanels(cached []partition.RowPanel, a *csr.Matrix) []partition.Ro
 			Rows:       rp.M.Rows,
 			Cols:       rp.M.Cols,
 			RowOffsets: rp.M.RowOffsets,
-			ColIDs:     rp.M.ColIDs,
+			ColIDs:     a.ColIDs[lo:hi:hi],
 			Data:       a.Data[lo:hi:hi],
-		}}
-	}
-	return out
-}
-
-// revalueColPanels builds full column panels from cached structure and
-// a fresh B. Column ids are sorted within a CSR row, so each panel's
-// share of a row is a contiguous segment; walking panels in column
-// order lets one cursor per row locate every segment without any
-// comparisons — the cached row offsets already encode the lengths.
-func revalueColPanels(cached []partition.ColPanel, b *csr.Matrix) []partition.ColPanel {
-	cur := make([]int64, b.Rows)
-	for r := range cur {
-		cur[r] = b.RowOffsets[r]
-	}
-	out := make([]partition.ColPanel, len(cached))
-	for p, cp := range cached {
-		pm := cp.M
-		data := make([]float64, pm.RowOffsets[pm.Rows])
-		for r := 0; r < pm.Rows; r++ {
-			off, end := pm.RowOffsets[r], pm.RowOffsets[r+1]
-			n := end - off
-			if n > 0 {
-				copy(data[off:end], b.Data[cur[r]:cur[r]+n])
-				cur[r] += n
-			}
-		}
-		out[p] = partition.ColPanel{Start: cp.Start, End: cp.End, M: &csr.Matrix{
-			Rows:       pm.Rows,
-			Cols:       pm.Cols,
-			RowOffsets: pm.RowOffsets,
-			ColIDs:     pm.ColIDs,
-			Data:       data,
 		}}
 	}
 	return out

@@ -44,7 +44,9 @@ var cachedEngines = []cachedEngine{
 // fast path's contract: a warm run (cached plan, fresh values) returns
 // a product bit-for-bit identical to an uncached cold run of the same
 // inputs — in both pipeline modes and with a CPU worker beside one or
-// two devices — and builds no symbolic pass to get there.
+// two devices — and builds no symbolic pass to get there. The plan is
+// made from a copy of A that is overwritten before the warm runs, so
+// the cache must hold no array of the operands it planned from.
 func TestPlanCacheWarmByteIdentical(t *testing.T) {
 	a := matgen.RMAT(9, 8, 0.57, 0.19, 0.19, 21)
 	cfg := gpusim.ScaledV100Config(64 << 20)
@@ -54,9 +56,12 @@ func TestPlanCacheWarmByteIdentical(t *testing.T) {
 			grid := core.Options{RowPanels: 2, ColPanels: 3}
 			cached := grid
 			cached.PlanCache = pc
-			if _, _, _, _, err := eng.run(a, cfg, cached); err != nil {
+			planned := a.Clone()
+			if _, _, _, _, err := eng.run(planned, cfg, cached); err != nil {
 				t.Fatal(err)
 			}
+			clear(planned.ColIDs)
+			clear(planned.Data)
 			for it := int64(0); it < 3; it++ {
 				fresh := freshValues(a, 300+it)
 				cold, _, _, _, err := eng.run(fresh, cfg, grid)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/csr"
 	"repro/internal/faults"
 	"repro/internal/gpusim"
 	"repro/internal/partition"
@@ -14,6 +15,13 @@ import (
 // panelKeys identify panels in the input cache.
 func panelKeys(rp partition.RowPanel, cp partition.ColPanel) (aKey, bKey string) {
 	return fmt.Sprintf("A%d", rp.Start), fmt.Sprintf("B%d", cp.Start)
+}
+
+// wireBytes is the size of a panel's host-to-device transfer: its row
+// offsets, and a column id and a value per entry. It is read from the
+// structure alone, because a column panel's host copy carries no values.
+func wireBytes(m *csr.Matrix) int64 {
+	return int64(len(m.RowOffsets))*8 + int64(len(m.ColIDs))*12
 }
 
 // processSync is the synchronous partitioned-spECK baseline
@@ -80,7 +88,7 @@ func (e *Engine) processSync(p *sim.Proc, ids []int) []int {
 			return false
 		}
 
-		aBytes, bBytes := rp.M.Bytes(), cp.M.Bytes()
+		aBytes, bBytes := wireBytes(rp.M), wireBytes(cp.M)
 		aKey, bKey := panelKeys(rp, cp)
 		capacityLeft := func() int64 { return arena - arenaUsed }
 		if err := cache.ensure(p, id, aKey, lbl("A panel", id), aBytes, capacityLeft, aKey, bKey); err != nil {

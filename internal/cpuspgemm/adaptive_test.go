@@ -94,6 +94,70 @@ func TestAdaptiveClassStats(t *testing.T) {
 	}
 }
 
+// TestClassStatsTotalsMatchLabels: on the bitmap tier, whose symbolic
+// pass labels no row until asked, ClassStats' per-kind rows, flops and
+// output non-zeros are the tally of each flop-bearing row's
+// speck.PickKind label — from its expected output size and, when the
+// multiply does at least two flops per non-zero of B, B's
+// segment-compression ratio — with and without a compressed B, on one
+// worker and on four.
+func TestClassStatsTotalsMatchLabels(t *testing.T) {
+	n := 1 << 12
+	er, band := matgen.ER(n, n, 3.0/float64(n), 9), matgen.Band(n, 14, 10)
+	rmat := matgen.RMAT(10, 8, 0.57, 0.19, 0.19, 71)
+	sparse := matgen.ER(n, n, 0.5/float64(n), 11)
+	var compressed [2]bool
+	for name, ops := range map[string][2]*csr.Matrix{
+		"er-band": {er, band}, "rmat": {rmat, rmat}, "uncompressed": {sparse, sparse},
+	} {
+		a, b := ops[0], ops[1]
+		if !speck.OnePhase(b.Cols) {
+			t.Fatalf("%s: B has %d columns, past the bitmap tier", name, b.Cols)
+		}
+		rf := csr.RowFlops(a, b, 1)
+		var flops int64
+		for _, f := range rf {
+			flops += f
+		}
+		ratio, width := 1.0, int64(b.Cols)
+		if flops >= 2*int64(len(b.ColIDs)) {
+			ratio = csr.Compress(b).Ratio()
+			compressed[1] = true
+		} else {
+			compressed[0] = true
+		}
+		c, err := Sequential(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want [speck.NumKinds]ClassStat
+		for i, f := range rf {
+			if f == 0 {
+				continue
+			}
+			k := &want[speck.PickKind(f, speck.ExpectedDistinct(width, f/2), width, ratio)]
+			k.Rows++
+			k.Flops += f
+			k.Nnz += c.RowNnz(i)
+		}
+		for _, threads := range []int{1, 4} {
+			var stats ClassStats
+			if _, err := Multiply(a, b, Options{Threads: threads, ClassStats: &stats}); err != nil {
+				t.Fatal(err)
+			}
+			for k, got := range stats.Classes {
+				if w := want[k]; got.Rows != w.Rows || got.Flops != w.Flops || got.Nnz != w.Nnz {
+					t.Fatalf("%s, %d threads: %s class (rows %d, flops %d, nnz %d), labels tally (%d, %d, %d)",
+						name, threads, speck.Kind(k), got.Rows, got.Flops, got.Nnz, w.Rows, w.Flops, w.Nnz)
+				}
+			}
+		}
+	}
+	if !compressed[0] || !compressed[1] {
+		t.Fatalf("cases without and with a compressed B: %v, want both", compressed)
+	}
+}
+
 // padCols returns m on a panel of cols columns, the added ones empty:
 // the same product structure on whichever route b.Cols selects.
 func padCols(m *csr.Matrix, cols int) *csr.Matrix {

@@ -2,17 +2,20 @@
 // into panels, following Section III-D of the paper.
 //
 // Matrix A is split into row panels — trivial under CSR, since each
-// row's storage is contiguous. Matrix B is split into column panels,
-// which is harder because CSR gives no direct access to columns. Three
-// implementations of the B partitioner are provided:
+// row's storage is contiguous: a row panel is a view, its own rebased
+// row offsets over A's column ids and values. Matrix B is split into
+// column panels, which is harder because CSR gives no direct access to
+// columns. Two implementations of the B partitioner are provided:
 //
-//   - Simplistic: for every panel, scan every row in full and test each
-//     element against the panel's column range — O(panels · nnz).
-//   - ColOffset: the paper's optimization. An auxiliary col_offset array
+//   - ColPanels: the paper's optimization. An auxiliary col_offset array
 //     remembers, per row, where the previous panel's scan stopped;
 //     because column ids are sorted within a row, each panel's elements
 //     are a contiguous segment, so the whole partitioning is O(nnz).
-//   - Parallel: a row-parallel prefix-sum formulation of the same idea.
+//     Its panels carry B's values, for callers that multiply them.
+//   - ColPanelsParallel: a row-parallel prefix-sum formulation of the
+//     same idea that copies structure only, for callers that size and
+//     schedule chunks from panels but compute the product from whole
+//     operands (the out-of-core engine).
 //
 // Column panels store local column ids (rebased so the panel's first
 // column is 0) plus the global offset, so downstream dense accumulators
@@ -21,9 +24,9 @@ package partition
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/csr"
+	"repro/internal/parallel"
 )
 
 // RowPanel is a contiguous range of rows of A.
@@ -53,7 +56,9 @@ func Bounds(extent, num int) []int {
 }
 
 // RowPanels partitions A into num contiguous row panels of
-// near-equal row counts (partition_rows of Algorithm 3).
+// near-equal row counts (partition_rows of Algorithm 3). Each panel's
+// column ids and values are a reslice of A's, not a copy: only its row
+// offsets, rebased to start at 0, are its own.
 func RowPanels(a *csr.Matrix, num int) ([]RowPanel, error) {
 	if num < 1 || num > max(1, a.Rows) {
 		return nil, fmt.Errorf("partition: %d row panels for %d rows", num, a.Rows)
@@ -61,52 +66,14 @@ func RowPanels(a *csr.Matrix, num int) ([]RowPanel, error) {
 	b := Bounds(a.Rows, num)
 	out := make([]RowPanel, num)
 	for i := 0; i < num; i++ {
-		m, err := a.ExtractRows(b[i], b[i+1])
-		if err != nil {
-			return nil, fmt.Errorf("partition: row panel %d: %w", i, err)
+		lo, hi := b[i], b[i+1]
+		base, end := a.RowOffsets[lo], a.RowOffsets[hi]
+		m := &csr.Matrix{Rows: hi - lo, Cols: a.Cols, RowOffsets: make([]int64, hi-lo+1),
+			ColIDs: a.ColIDs[base:end:end], Data: a.Data[base:end:end]}
+		for r := lo; r <= hi; r++ {
+			m.RowOffsets[r-lo] = a.RowOffsets[r] - base
 		}
-		out[i] = RowPanel{Start: b[i], End: b[i+1], M: m}
-	}
-	return out, nil
-}
-
-// ColPanelsSimplistic partitions B into num column panels with the
-// unoptimized algorithm the paper describes first: each panel scans all
-// rows in full. Kept as a baseline for the partitioner ablation.
-func ColPanelsSimplistic(b *csr.Matrix, num int) ([]ColPanel, error) {
-	if err := checkColArgs(b, num); err != nil {
-		return nil, err
-	}
-	bounds := Bounds(b.Cols, num)
-	out := make([]ColPanel, num)
-	for p := 0; p < num; p++ {
-		startCol, endCol := int32(bounds[p]), int32(bounds[p+1])
-		// Stage 1: count non-zeros per row within the column range.
-		pm := &csr.Matrix{Rows: b.Rows, Cols: int(endCol - startCol), RowOffsets: make([]int64, b.Rows+1)}
-		for r := 0; r < b.Rows; r++ {
-			var n int64
-			for q := b.RowOffsets[r]; q < b.RowOffsets[r+1]; q++ {
-				if c := b.ColIDs[q]; c >= startCol && c < endCol {
-					n++
-				}
-			}
-			pm.RowOffsets[r+1] = pm.RowOffsets[r] + n
-		}
-		// Stage 2: allocate, then fill.
-		nnz := pm.RowOffsets[b.Rows]
-		pm.ColIDs = make([]int32, nnz)
-		pm.Data = make([]float64, nnz)
-		w := int64(0)
-		for r := 0; r < b.Rows; r++ {
-			for q := b.RowOffsets[r]; q < b.RowOffsets[r+1]; q++ {
-				if c := b.ColIDs[q]; c >= startCol && c < endCol {
-					pm.ColIDs[w] = c - startCol
-					pm.Data[w] = b.Data[q]
-					w++
-				}
-			}
-		}
-		out[p] = ColPanel{Start: int(startCol), End: int(endCol), M: pm}
+		out[i] = RowPanel{Start: lo, End: hi, M: m}
 	}
 	return out, nil
 }
@@ -158,86 +125,64 @@ func ColPanels(b *csr.Matrix, num int) ([]ColPanel, error) {
 	return out, nil
 }
 
-// ColPanelsParallel is the row-parallel prefix-sum formulation: workers
-// split the rows, each computing all its rows' per-panel segment
-// boundaries in a single sweep; per-panel row offsets then come from
-// prefix sums and the fill phase is parallel too.
+// ColPanelsParallel is the row-parallel prefix-sum formulation, for the
+// structure only: its panels carry row offsets and rebased column ids
+// and no values (M.Data is nil). threads workers (parallel.Run) split
+// the rows, each computing all its rows' per-panel segment boundaries in
+// a single sweep; per-panel row offsets then come from prefix sums, and
+// the same workers fill every panel's ids for their rows.
 func ColPanelsParallel(b *csr.Matrix, num, threads int) ([]ColPanel, error) {
 	if err := checkColArgs(b, num); err != nil {
 		return nil, err
 	}
-	if threads < 1 {
-		threads = 1
-	}
-	bounds := Bounds(b.Cols, num)
+	threads = max(threads, 1)
+	bounds, rowBounds := Bounds(b.Cols, num), Bounds(b.Rows, threads)
 
 	// seg[p][r] = index into ColIDs where row r's segment for panel p
-	// ends (its start is the previous panel's end).
+	// ends (its start is the previous panel's end, or the row's start).
 	seg := make([][]int64, num)
 	for p := range seg {
 		seg[p] = make([]int64, b.Rows)
 	}
-	rowBounds := Bounds(b.Rows, threads)
-	var wg sync.WaitGroup
-	for w := 0; w < threads; w++ {
-		lo, hi := rowBounds[w], rowBounds[w+1]
-		if lo >= hi {
-			continue
+	segStart := func(p, r int) int64 {
+		if p == 0 {
+			return b.RowOffsets[r]
 		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for r := lo; r < hi; r++ {
-				q := b.RowOffsets[r]
-				for p := 0; p < num; p++ {
-					endCol := int32(bounds[p+1])
-					for q < b.RowOffsets[r+1] && b.ColIDs[q] < endCol {
-						q++
-					}
-					seg[p][r] = q
-				}
-			}
-		}(lo, hi)
+		return seg[p-1][r]
 	}
-	wg.Wait()
+	parallel.Run(threads, func(w int) {
+		for r := rowBounds[w]; r < rowBounds[w+1]; r++ {
+			q := b.RowOffsets[r]
+			for p := 0; p < num; p++ {
+				endCol := int32(bounds[p+1])
+				for q < b.RowOffsets[r+1] && b.ColIDs[q] < endCol {
+					q++
+				}
+				seg[p][r] = q
+			}
+		}
+	})
 
 	out := make([]ColPanel, num)
-	for p := 0; p < num; p++ {
-		startCol := int32(bounds[p])
+	for p := range out {
 		pm := &csr.Matrix{Rows: b.Rows, Cols: bounds[p+1] - bounds[p], RowOffsets: make([]int64, b.Rows+1)}
-		segStart := func(r int) int64 {
-			if p == 0 {
-				return b.RowOffsets[r]
-			}
-			return seg[p-1][r]
-		}
 		for r := 0; r < b.Rows; r++ {
-			pm.RowOffsets[r+1] = pm.RowOffsets[r] + (seg[p][r] - segStart(r))
+			pm.RowOffsets[r+1] = pm.RowOffsets[r] + (seg[p][r] - segStart(p, r))
 		}
-		nnz := pm.RowOffsets[b.Rows]
-		pm.ColIDs = make([]int32, nnz)
-		pm.Data = make([]float64, nnz)
-		for w := 0; w < threads; w++ {
-			lo, hi := rowBounds[w], rowBounds[w+1]
-			if lo >= hi {
-				continue
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				for r := lo; r < hi; r++ {
-					wpos := pm.RowOffsets[r]
-					for q := segStart(r); q < seg[p][r]; q++ {
-						pm.ColIDs[wpos] = b.ColIDs[q] - startCol
-						pm.Data[wpos] = b.Data[q]
-						wpos++
-					}
-				}
-			}(lo, hi)
-		}
-		wg.Wait()
+		pm.ColIDs = make([]int32, pm.RowOffsets[b.Rows])
 		out[p] = ColPanel{Start: bounds[p], End: bounds[p+1], M: pm}
 	}
+	parallel.Run(threads, func(w int) {
+		for p, cp := range out {
+			startCol, pm := int32(cp.Start), cp.M
+			for r := rowBounds[w]; r < rowBounds[w+1]; r++ {
+				ids := pm.ColIDs[pm.RowOffsets[r]:pm.RowOffsets[r+1]]
+				for i, col := range b.ColIDs[segStart(p, r):seg[p][r]] {
+					ids[i] = col - startCol
+				}
+			}
+		}
+	})
 	return out, nil
 }
 

@@ -79,6 +79,32 @@ func TestRowPanelsReassemble(t *testing.T) {
 	}
 }
 
+// TestRowPanelsShareA: a row panel is a view — its column ids and values
+// are A's own arrays, capped at the panel's end so an append cannot
+// reach the next panel — and only its row offsets are its own.
+func TestRowPanelsShareA(t *testing.T) {
+	a := matgen.RMAT(8, 6, 0.57, 0.19, 0.19, 4)
+	panels, err := RowPanels(a, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range panels {
+		lo, hi := a.RowOffsets[p.Start], a.RowOffsets[p.End]
+		if lo == hi {
+			t.Fatalf("panel %d is empty; the input should give every panel entries", i)
+		}
+		if &p.M.ColIDs[0] != &a.ColIDs[lo] || &p.M.Data[0] != &a.Data[lo] {
+			t.Fatalf("panel %d copies A's arrays", i)
+		}
+		if cap(p.M.ColIDs) != int(hi-lo) || cap(p.M.Data) != int(hi-lo) {
+			t.Fatalf("panel %d: capacities %d, %d reach past its %d entries", i, cap(p.M.ColIDs), cap(p.M.Data), hi-lo)
+		}
+		if &p.M.RowOffsets[0] == &a.RowOffsets[p.Start] {
+			t.Fatalf("panel %d shares A's row offsets", i)
+		}
+	}
+}
+
 func TestRowPanelsErrors(t *testing.T) {
 	a := csr.New(5, 5)
 	if _, err := RowPanels(a, 0); err == nil {
@@ -89,6 +115,53 @@ func TestRowPanelsErrors(t *testing.T) {
 	}
 }
 
+// colPanelsSimplistic is the oracle of the column partitioners: the
+// unoptimized algorithm the paper describes first, in which each panel
+// scans every row in full — O(panels · nnz).
+func colPanelsSimplistic(b *csr.Matrix, num int) ([]ColPanel, error) {
+	if err := checkColArgs(b, num); err != nil {
+		return nil, err
+	}
+	bounds := Bounds(b.Cols, num)
+	out := make([]ColPanel, num)
+	for p := 0; p < num; p++ {
+		startCol, endCol := int32(bounds[p]), int32(bounds[p+1])
+		// Stage 1: count non-zeros per row within the column range.
+		pm := &csr.Matrix{Rows: b.Rows, Cols: int(endCol - startCol), RowOffsets: make([]int64, b.Rows+1)}
+		for r := 0; r < b.Rows; r++ {
+			var n int64
+			for q := b.RowOffsets[r]; q < b.RowOffsets[r+1]; q++ {
+				if c := b.ColIDs[q]; c >= startCol && c < endCol {
+					n++
+				}
+			}
+			pm.RowOffsets[r+1] = pm.RowOffsets[r] + n
+		}
+		// Stage 2: allocate, then fill.
+		nnz := pm.RowOffsets[b.Rows]
+		pm.ColIDs = make([]int32, nnz)
+		pm.Data = make([]float64, nnz)
+		w := int64(0)
+		for r := 0; r < b.Rows; r++ {
+			for q := b.RowOffsets[r]; q < b.RowOffsets[r+1]; q++ {
+				if c := b.ColIDs[q]; c >= startCol && c < endCol {
+					pm.ColIDs[w] = c - startCol
+					pm.Data[w] = b.Data[q]
+					w++
+				}
+			}
+		}
+		out[p] = ColPanel{Start: int(startCol), End: int(endCol), M: pm}
+	}
+	return out, nil
+}
+
+// structureOf returns m's pattern with zero values.
+func structureOf(m *csr.Matrix) *csr.Matrix {
+	return &csr.Matrix{Rows: m.Rows, Cols: m.Cols, RowOffsets: m.RowOffsets, ColIDs: m.ColIDs,
+		Data: make([]float64, len(m.ColIDs))}
+}
+
 // reassembleCols rebuilds B from its column panels for verification.
 func reassembleCols(t *testing.T, rows, cols int, panels []ColPanel) *csr.Matrix {
 	t.Helper()
@@ -97,11 +170,15 @@ func reassembleCols(t *testing.T, rows, cols int, panels []ColPanel) *csr.Matrix
 		if p.M.Cols != p.End-p.Start {
 			t.Fatalf("panel [%d,%d) has width %d", p.Start, p.End, p.M.Cols)
 		}
-		if err := p.M.Validate(); err != nil {
+		m := p.M
+		if m.Data == nil {
+			m = structureOf(m)
+		}
+		if err := m.Validate(); err != nil {
 			t.Fatalf("panel [%d,%d) invalid: %v", p.Start, p.End, err)
 		}
-		for r := 0; r < p.M.Rows; r++ {
-			pc, pv := p.M.Row(r)
+		for r := 0; r < m.Rows; r++ {
+			pc, pv := m.Row(r)
 			for i := range pc {
 				es = append(es, csr.Entry{Row: int32(r), Col: pc[i] + int32(p.Start), Val: pv[i]})
 			}
@@ -114,33 +191,48 @@ func reassembleCols(t *testing.T, rows, cols int, panels []ColPanel) *csr.Matrix
 	return m
 }
 
+// colPartitioner is one column partitioner under test; structural ones
+// carry no values.
 type colPartitioner struct {
-	name string
-	fn   func(*csr.Matrix, int) ([]ColPanel, error)
+	name       string
+	fn         func(*csr.Matrix, int) ([]ColPanel, error)
+	structural bool
 }
 
 func partitioners() []colPartitioner {
 	return []colPartitioner{
-		{"simplistic", ColPanelsSimplistic},
-		{"coloffset", ColPanels},
-		{"parallel-1", func(b *csr.Matrix, n int) ([]ColPanel, error) { return ColPanelsParallel(b, n, 1) }},
-		{"parallel-4", func(b *csr.Matrix, n int) ([]ColPanel, error) { return ColPanelsParallel(b, n, 4) }},
+		{"simplistic", colPanelsSimplistic, false},
+		{"coloffset", ColPanels, false},
+		{"parallel-1", func(b *csr.Matrix, n int) ([]ColPanel, error) { return ColPanelsParallel(b, n, 1) }, true},
+		{"parallel-4", func(b *csr.Matrix, n int) ([]ColPanel, error) { return ColPanelsParallel(b, n, 4) }, true},
 	}
 }
 
+// TestColPanelsReassemble: every partitioner's panels put back together
+// are B — the values too, except for the structural partitioner, whose
+// panels are compared by pattern and must carry no values.
 func TestColPanelsReassemble(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, pt := range partitioners() {
 		for trial := 0; trial < 5; trial++ {
 			b := randomMatrix(rng, 20+rng.Intn(30), 15+rng.Intn(30), 0.15)
+			want := b
+			if pt.structural {
+				want = structureOf(b)
+			}
 			for _, num := range []int{1, 2, 3, 7} {
 				panels, err := pt.fn(b, num)
 				if err != nil {
 					t.Fatalf("%s(%d): %v", pt.name, num, err)
 				}
+				for _, p := range panels {
+					if pt.structural && p.M.Data != nil {
+						t.Fatalf("%s(%d): panel [%d,%d) carries values", pt.name, num, p.Start, p.End)
+					}
+				}
 				got := reassembleCols(t, b.Rows, b.Cols, panels)
-				if !csr.Equal(b, got, 0) {
-					t.Fatalf("%s(%d): reassembly mismatch: %s", pt.name, num, csr.Diff(b, got, 0))
+				if !csr.Equal(want, got, 0) {
+					t.Fatalf("%s(%d): reassembly mismatch: %s", pt.name, num, csr.Diff(want, got, 0))
 				}
 			}
 		}
@@ -150,7 +242,7 @@ func TestColPanelsReassemble(t *testing.T) {
 func TestColPartitionersAgree(t *testing.T) {
 	b := matgen.RMAT(9, 6, 0.57, 0.19, 0.19, 3)
 	for _, num := range []int{1, 3, 8} {
-		want, err := ColPanelsSimplistic(b, num)
+		oracle, err := colPanelsSimplistic(b, num)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,12 +251,16 @@ func TestColPartitionersAgree(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", pt.name, err)
 			}
-			for i := range want {
-				if got[i].Start != want[i].Start || got[i].End != want[i].End {
-					t.Fatalf("%s: panel %d range [%d,%d) want [%d,%d)", pt.name, i, got[i].Start, got[i].End, want[i].Start, want[i].End)
+			for i := range oracle {
+				g, want := got[i].M, oracle[i].M
+				if pt.structural {
+					g, want = structureOf(g), structureOf(want)
 				}
-				if !csr.Equal(got[i].M, want[i].M, 0) {
-					t.Fatalf("%s: panel %d contents differ: %s", pt.name, i, csr.Diff(got[i].M, want[i].M, 0))
+				if got[i].Start != oracle[i].Start || got[i].End != oracle[i].End {
+					t.Fatalf("%s: panel %d range [%d,%d) want [%d,%d)", pt.name, i, got[i].Start, got[i].End, oracle[i].Start, oracle[i].End)
+				}
+				if !csr.Equal(g, want, 0) {
+					t.Fatalf("%s: panel %d contents differ: %s", pt.name, i, csr.Diff(g, want, 0))
 				}
 			}
 		}
@@ -219,7 +315,7 @@ func BenchmarkColPanelsSimplistic(b *testing.B) {
 	m := matgen.RMAT(12, 8, 0.57, 0.19, 0.19, 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ColPanelsSimplistic(m, 8); err != nil {
+		if _, err := colPanelsSimplistic(m, 8); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -238,8 +238,10 @@ func PickKind(rowFlops, estNnz, width int64, segRatio float64) Kind {
 }
 
 // SymbolicPass is the symbolic row kernel prepared for one operand
-// pair: every row's kind, binned from its expected output size, and B's
-// segment-compressed form when the multiply amortizes building it.
+// pair: B's segment-compressed form when the multiply amortizes building
+// it and, for B panels wider than bitmapTierMax, every row's kind,
+// binned from its expected output size. The bitmap tier reads no kinds,
+// so there Kind computes a row's label when asked.
 type SymbolicPass struct {
 	a, b     *csr.Matrix
 	rowFlops []int64
@@ -249,38 +251,68 @@ type SymbolicPass struct {
 
 var passesBuilt atomic.Int64
 
-// SymbolicPasses counts NewSymbolicPass calls, process-wide and monotonic
-// like accum.PoolCounters; tests diff it around a run to pin that a
-// plan-cache hit does no symbolic work.
+// SymbolicPasses counts the symbolic passes built (NewSymbolicPass and
+// Analyze), process-wide and monotonic like accum.PoolCounters; tests
+// diff it around a run to pin that a plan-cache hit does no symbolic
+// work.
 func SymbolicPasses() int64 { return passesBuilt.Load() }
+
+// compressPays reports whether a multiply of flops flops amortizes
+// segment-compressing B (compressMinFlopsPerNnz).
+func compressPays(b *csr.Matrix, flops int64) bool {
+	nnzB := int64(len(b.ColIDs))
+	return nnzB > 0 && flops >= compressMinFlopsPerNnz*nnzB
+}
 
 // NewSymbolicPass prepares the kernel from the row analysis of A·B.
 func NewSymbolicPass(a, b *csr.Matrix, rowFlops []int64) *SymbolicPass {
-	passesBuilt.Add(1)
-	p := &SymbolicPass{a: a, b: b, rowFlops: rowFlops, kinds: make([]Kind, len(rowFlops))}
 	var total int64
 	for _, f := range rowFlops {
 		total += f
 	}
-	segRatio := 1.0
-	if nnzB := int64(len(b.ColIDs)); nnzB > 0 && total >= compressMinFlopsPerNnz*nnzB {
-		p.segs = csr.Compress(b)
-		segRatio = p.segs.Ratio()
+	var segs *csr.Segments
+	if compressPays(b, total) {
+		segs = csr.Compress(b)
 	}
-	width := int64(b.Cols)
-	for i, f := range rowFlops {
-		p.kinds[i] = PickKind(f, ExpectedDistinct(width, f/2), width, segRatio)
+	return newPass(a, b, rowFlops, segs)
+}
+
+// newPass prepares the kernel over B's compressed form segs, nil when
+// the multiply does not compress B.
+func newPass(a, b *csr.Matrix, rowFlops []int64, segs *csr.Segments) *SymbolicPass {
+	passesBuilt.Add(1)
+	p := &SymbolicPass{a: a, b: b, rowFlops: rowFlops, segs: segs}
+	if !OnePhase(b.Cols) {
+		p.kinds = make([]Kind, len(rowFlops))
+		for i := range p.kinds {
+			p.kinds[i] = p.pick(i)
+		}
 	}
 	return p
 }
 
 // Kind reports row i's work-class label.
-func (p *SymbolicPass) Kind(i int) Kind { return p.kinds[i] }
+func (p *SymbolicPass) Kind(i int) Kind {
+	if p.kinds != nil {
+		return p.kinds[i]
+	}
+	return p.pick(i)
+}
 
-// loadedRow is an accumulator holding one row's distinct columns: count
-// it or emit it; either resets.
+// pick bins row i from its expected output size and B's
+// segment-compression ratio.
+func (p *SymbolicPass) pick(i int) Kind {
+	segRatio := 1.0
+	if p.segs != nil {
+		segRatio = p.segs.Ratio()
+	}
+	f, width := p.rowFlops[i], int64(p.b.Cols)
+	return PickKind(f, ExpectedDistinct(width, f/2), width, segRatio)
+}
+
+// loadedRow is an accumulator holding one row's distinct columns: emit
+// it, which resets it.
 type loadedRow interface {
-	FlushSymbolic() int
 	FlushCols(cols []int32) []int32
 }
 
@@ -330,14 +362,6 @@ func (p *SymbolicPass) load(kit *Kit, i int) loadedRow {
 		}
 	}
 	return acc
-}
-
-// Count returns the exact output size of row i.
-func (p *SymbolicPass) Count(kit *Kit, i int) int {
-	if ac, _ := p.a.Row(i); len(ac) == 1 {
-		return int(p.b.RowNnz(int(ac[0])))
-	}
-	return p.load(kit, i).FlushSymbolic()
 }
 
 // AppendCols appends row i's output column ids, ascending, to cols. A
@@ -890,10 +914,29 @@ func (r *RowAnalysis) Bytes() int64 {
 
 // Analyze runs the whole-matrix symbolic pass behind RowAnalysis, one
 // walk that counts and emits every row, and the flop scan before it, on
-// workers goroutines (0 means GOMAXPROCS).
+// workers goroutines (0 means GOMAXPROCS). The total flop count decides
+// whether B is compressed; when it is, one of the workers compresses B
+// while the others scan the row flops.
 func Analyze(a, b *csr.Matrix, workers int) *RowAnalysis {
-	r := &RowAnalysis{RowFlops: csr.RowFlops(a, b, workers), RowOffsets: make([]int64, a.Rows+1)}
-	r.ColIDs = NewSymbolicPass(a, b, r.RowFlops).walk(r.RowOffsets, workers)
+	workers = parallel.Workers(workers)
+	r := &RowAnalysis{RowOffsets: make([]int64, a.Rows+1)}
+	var segs *csr.Segments
+	compress := compressPays(b, csr.Flops(a, b))
+	if compress && workers > 1 {
+		parallel.Run(2, func(w int) {
+			if w == 0 {
+				segs = csr.Compress(b)
+			} else {
+				r.RowFlops = csr.RowFlops(a, b, workers-1)
+			}
+		})
+	} else {
+		if compress {
+			segs = csr.Compress(b)
+		}
+		r.RowFlops = csr.RowFlops(a, b, workers)
+	}
+	r.ColIDs = newPass(a, b, r.RowFlops, segs).walk(r.RowOffsets, workers)
 	r.HashFlops, r.DenseFlops = SplitFlops(r.RowFlops, r.RowOffsets)
 	return r
 }

@@ -155,9 +155,10 @@ func TestRowKernelMatchesOracle(t *testing.T) {
 }
 
 // requirePassMatchesOracle drives the symbolic pass row by row on one
-// kit — counting even rows, emitting odd ones, so both flushes hand the
-// accumulator to the other — against the single-Hash oracle's
-// structure, and checks the kit's bitmap is empty after every flush. On
+// kit — emitting even rows into a fresh slice and odd ones after a
+// prefix, so each flush hands the accumulator to the next — against the
+// single-Hash oracle's structure, and checks the kit's bitmap is empty
+// after every flush. On
 // the bitmap tier it also runs the one-phase kernel on every row, on the
 // same kit, against the oracle's values too, bit for bit.
 func requirePassMatchesOracle(t *testing.T, name string, a, b *csr.Matrix) *SymbolicPass {
@@ -170,11 +171,11 @@ func requirePassMatchesOracle(t *testing.T, name string, a, b *csr.Matrix) *Symb
 		lo, hi := want.RowOffsets[i], want.RowOffsets[i+1]
 		wantCols := want.ColIDs[lo:hi]
 		if i%2 == 0 {
-			if got := pass.Count(&kit, i); got != len(wantCols) {
-				t.Fatalf("%s: row %d count %d, oracle %d", name, i, got, len(wantCols))
+			if got := len(pass.AppendCols(&kit, i, nil)); got != len(wantCols) {
+				t.Fatalf("%s: row %d emits %d columns, oracle %d", name, i, got, len(wantCols))
 			}
-		} else if got := pass.AppendCols(&kit, i, nil); !slices.Equal(got, wantCols) {
-			t.Fatalf("%s: row %d emits %d columns, oracle %d", name, i, len(got), len(wantCols))
+		} else if got := pass.AppendCols(&kit, i, []int32{-1}); got[0] != -1 || !slices.Equal(got[1:], wantCols) {
+			t.Fatalf("%s: row %d emits %d columns after a prefix, oracle %d", name, i, len(got)-1, len(wantCols))
 		}
 		if kit.two != nil {
 			if left := kit.two.FlushSymbolic(); left != 0 {
@@ -201,11 +202,10 @@ func requirePassMatchesOracle(t *testing.T, name string, a, b *csr.Matrix) *Symb
 }
 
 // TestDegreeOneRowsTouchNoAccumulator pins the short-circuit: a row of A
-// with one entry is a scaled copy of its B row — ids from Count and
-// AppendCols, (id, value) pairs from ComputeRow, values bit for bit the
-// oracle's for −0.0, NaN and ±Inf operands — and fetches no
-// accumulator. A row with no entries has no flops, which every caller
-// skips.
+// with one entry is a scaled copy of its B row — ids from AppendCols,
+// (id, value) pairs from ComputeRow, values bit for bit the oracle's
+// for −0.0, NaN and ±Inf operands — and fetches no accumulator. A row
+// with no entries has no flops, which every caller skips.
 func TestDegreeOneRowsTouchNoAccumulator(t *testing.T) {
 	inf, nan, negZero := math.Inf(1), math.NaN(), math.Copysign(0, -1)
 	b, _ := csr.FromEntries(3, 6, []csr.Entry{
@@ -226,8 +226,8 @@ func TestDegreeOneRowsTouchNoAccumulator(t *testing.T) {
 			continue // as every caller skips it
 		}
 		lo, hi := want.RowOffsets[i], want.RowOffsets[i+1]
-		if got := pass.Count(&kit, i); got != int(hi-lo) {
-			t.Fatalf("row %d: count %d, want %d", i, got, hi-lo)
+		if got := len(pass.AppendCols(&kit, i, nil)); got != int(hi-lo) {
+			t.Fatalf("row %d: emits %d columns, want %d", i, got, hi-lo)
 		}
 		cols, vals, _ := kit.ComputeRow(a, b, i, pass.AppendCols(&kit, i, nil), nil)
 		if !slices.Equal(cols[:hi-lo], cols[hi-lo:]) || !slices.Equal(cols[:hi-lo], want.ColIDs[lo:hi]) {
@@ -1063,10 +1063,14 @@ func TestAnalyzeEqualsChunkGrid(t *testing.T) {
 }
 
 // TestAnalyzeWorkersMatchSerialWalk: the one structure walk, its rows
-// cut into flop-balanced ranges over 1, 2, 3 and 8 workers, is bit for
-// bit a serial emit of every row on one kit — on the bitmap tier with
-// and without a compressed B, past the tier (a padded B), for a zero-row
-// A, for empty and degree-1 rows, and with more workers than rows.
+// cut into flop-balanced ranges over 1, 2, 3 and 8 workers (B
+// compressed beside the flop scan on more than one), is bit for bit a
+// serial emit of every row on one kit, with the same HashFlops and
+// DenseFlops — on the bitmap tier with and without a compressed B, past
+// the tier (a padded B), for a zero-row A, for empty and degree-1 rows,
+// and with more workers than rows. Analyze's gate on the total flops
+// compresses B exactly when the pass's gate on the row flops does, and
+// only a pass past the tier labels rows up front.
 func TestAnalyzeWorkersMatchSerialWalk(t *testing.T) {
 	rmat := matgen.RMAT(9, 8, 0.57, 0.19, 0.19, 91)
 	band := matgen.Band(700, 6, 92)
@@ -1091,6 +1095,21 @@ func TestAnalyzeWorkersMatchSerialWalk(t *testing.T) {
 		if compressed := pass.segs != nil; compressed != tc.compressed {
 			t.Fatalf("%s: B compressed = %v, want %v", tc.name, compressed, tc.compressed)
 		}
+		if gate := compressPays(tc.b, csr.Flops(tc.a, tc.b)); gate != tc.compressed {
+			t.Fatalf("%s: Analyze's gate compresses B = %v, want %v", tc.name, gate, tc.compressed)
+		}
+		if labelled := pass.kinds != nil; labelled == OnePhase(tc.b.Cols) {
+			t.Fatalf("%s: %d-column B: the pass labels rows up front = %v", tc.name, tc.b.Cols, labelled)
+		}
+		ratio, width := 1.0, int64(tc.b.Cols)
+		if pass.segs != nil {
+			ratio = pass.segs.Ratio()
+		}
+		for i, f := range rf {
+			if k := PickKind(f, ExpectedDistinct(width, f/2), width, ratio); pass.Kind(i) != k {
+				t.Fatalf("%s: row %d labelled %v, want %v", tc.name, i, pass.Kind(i), k)
+			}
+		}
 		var kit Kit
 		offs, cols := make([]int64, tc.a.Rows+1), []int32{}
 		for i, f := range rf {
@@ -1102,11 +1121,16 @@ func TestAnalyzeWorkersMatchSerialWalk(t *testing.T) {
 			empty, degree1 = empty || n == 0, degree1 || n == 1
 		}
 		kit.Release()
+		hash, dense := SplitFlops(rf, offs)
 		for _, workers := range []int{1, 2, 3, 8} {
 			ra := Analyze(tc.a, tc.b, workers)
 			if !slices.Equal(ra.RowOffsets, offs) || !slices.Equal(ra.ColIDs, cols) || !slices.Equal(ra.RowFlops, rf) {
 				t.Fatalf("%s: %d workers: the walk's structure (%d ids) is not the serial emit's (%d ids)",
 					tc.name, workers, len(ra.ColIDs), len(cols))
+			}
+			if ra.HashFlops != hash || ra.DenseFlops != dense {
+				t.Fatalf("%s: %d workers: hash %d and dense %d flops, the serial emit's %d and %d",
+					tc.name, workers, ra.HashFlops, ra.DenseFlops, hash, dense)
 			}
 		}
 	}
