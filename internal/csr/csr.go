@@ -16,7 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/parallel"
 )
@@ -73,126 +73,98 @@ type Entry struct {
 	Val      float64
 }
 
-// FromEntries builds a CSR matrix from coordinate triplets. Duplicate
-// (row, col) entries are summed. The input slice is reordered in place.
-// The dominant cost — sorting the triplets — runs as a parallel merge
-// sort on large inputs.
+// FromEntries builds a CSR matrix from coordinate triplets in one
+// stable counting pass; it only reads entries and starts no goroutine.
+// Duplicate (row, col) entries are summed in input order: the first is
+// assigned and the rest are added in the order they appear, so the
+// result is a function of the input alone.
 func FromEntries(rows, cols int, entries []Entry) (*Matrix, error) {
+	off := make([]int64, rows+1)
 	for _, e := range entries {
-		if int(e.Row) < 0 || int(e.Row) >= rows || int(e.Col) < 0 || int(e.Col) >= cols {
+		if e.Row < 0 || int(e.Row) >= rows || e.Col < 0 || int(e.Col) >= cols {
 			return nil, fmt.Errorf("csr: entry (%d,%d) outside %dx%d matrix", e.Row, e.Col, rows, cols)
 		}
+		off[int(e.Row)+1]++
 	}
-	sortEntries(entries)
-	// Merge duplicates.
-	w := 0
-	for i := 0; i < len(entries); i++ {
-		if w > 0 && entries[w-1].Row == entries[i].Row && entries[w-1].Col == entries[i].Col {
-			entries[w-1].Val += entries[i].Val
-			continue
-		}
-		entries[w] = entries[i]
-		w++
+	for r := 1; r <= rows; r++ {
+		off[r] += off[r-1]
 	}
-	entries = entries[:w]
-
-	m := &Matrix{
-		Rows:       rows,
-		Cols:       cols,
-		RowOffsets: make([]int64, rows+1),
-		ColIDs:     make([]int32, len(entries)),
-		Data:       make([]float64, len(entries)),
-	}
-	counts := make([]int64, rows)
+	// Scatter each entry into its row in input order. off[r] is row r's
+	// cursor, so afterwards it holds row r's end; shifting the array one
+	// place right restores the starts.
+	ids, vals := make([]int32, len(entries)), make([]float64, len(entries))
 	for _, e := range entries {
-		counts[e.Row]++
+		p := off[e.Row]
+		ids[p], vals[p] = e.Col, e.Val
+		off[e.Row] = p + 1
 	}
-	parallel.PrefixSum(0, m.RowOffsets, counts)
-	// The deduplicated entries are already in CSR order, so entry i
-	// lands at position i; the fill is an independent per-element copy.
-	parallel.For(0, len(entries), parallel.Grain(len(entries), 0), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			m.ColIDs[i] = entries[i].Col
-			m.Data[i] = entries[i].Val
+	copy(off[1:], off[:rows])
+	off[0] = 0
+	// Order the rows that arrived out of column order, then sum each
+	// run of equal columns into its first entry while compacting.
+	var rs rowSorter
+	w := int64(0)
+	for r := 0; r < rows; r++ {
+		lo, hi := off[r], off[r+1]
+		off[r] = w
+		rs.sort(ids[lo:hi], vals[lo:hi])
+		start := w
+		for k := lo; k < hi; k++ {
+			if w > start && ids[k] == ids[w-1] {
+				vals[w-1] += vals[k]
+				continue
+			}
+			ids[w], vals[w] = ids[k], vals[k]
+			w++
 		}
-	})
-	return m, nil
+	}
+	off[rows] = w
+	if int(w) < len(entries) {
+		// Duplicates collapsed: copy out, so the matrix keeps no unused
+		// tail alive beyond the bytes its length accounts for.
+		ids = append(make([]int32, 0, w), ids[:w]...)
+		vals = append(make([]float64, 0, w), vals[:w]...)
+	}
+	return &Matrix{Rows: rows, Cols: cols, RowOffsets: off, ColIDs: ids, Data: vals}, nil
 }
 
-// sortEntriesCutoff is the size below which the triplet sort stays
-// sequential; goroutine fan-out costs more than it saves there.
-const sortEntriesCutoff = 1 << 14
+// insertionRowMax is the longest row rowSorter orders by insertion.
+const insertionRowMax = 16
 
-// sortEntries orders triplets by (row, col): a parallel merge sort for
-// large slices (sorted power-of-two runs, then pairwise parallel merge
-// rounds), the standard library sort otherwise.
-func sortEntries(entries []Entry) {
-	n := len(entries)
-	workers := parallel.Workers(0)
-	if workers == 1 || n < sortEntriesCutoff {
-		sort.Slice(entries, func(i, j int) bool { return entryLess(entries[i], entries[j]) })
+// rowSorter stably orders rows of ids, moving their values with them.
+// It keeps its scratch from row to row.
+type rowSorter struct {
+	keys []uint64
+	vals []float64
+}
+
+// sort orders one row by id, keeping equal ids in their input order. A
+// row already in column order is left as it is.
+func (rs *rowSorter) sort(ids []int32, vals []float64) {
+	if slices.IsSorted(ids) {
 		return
 	}
-	runs := 1
-	for runs < 2*workers {
-		runs <<= 1
-	}
-	rb := parallel.Blocks(n, runs)
-	parallel.ForChunks(workers, rb, func(lo, hi int) {
-		seg := entries[lo:hi]
-		sort.Slice(seg, func(i, j int) bool { return entryLess(seg[i], seg[j]) })
-	})
-	buf := make([]Entry, n)
-	src, dst := entries, buf
-	for width := 1; width < runs; width *= 2 {
-		type job struct{ lo, mid, hi int }
-		var jobs []job
-		for k := 0; k < runs; k += 2 * width {
-			mid, end := k+width, k+2*width
-			if mid > runs {
-				mid = runs
+	if len(ids) <= insertionRowMax {
+		for i := 1; i < len(ids); i++ {
+			c, v := ids[i], vals[i]
+			j := i
+			for ; j > 0 && ids[j-1] > c; j-- {
+				ids[j], vals[j] = ids[j-1], vals[j-1]
 			}
-			if end > runs {
-				end = runs
-			}
-			jobs = append(jobs, job{rb[k], rb[mid], rb[end]})
+			ids[j], vals[j] = c, v
 		}
-		localSrc, localDst := src, dst
-		parallel.For(workers, len(jobs), 1, func(lo, hi int) {
-			for j := lo; j < hi; j++ {
-				mergeEntryRuns(localDst[jobs[j].lo:jobs[j].hi], localSrc[jobs[j].lo:jobs[j].mid], localSrc[jobs[j].mid:jobs[j].hi])
-			}
-		})
-		src, dst = dst, src
+		return
 	}
-	if &src[0] != &entries[0] {
-		copy(entries, src)
+	// A longer row sorts keys holding each id above its place in the
+	// row. The keys are distinct, so any sort of them is stable on ids.
+	rs.keys = rs.keys[:0]
+	for k, c := range ids {
+		rs.keys = append(rs.keys, uint64(c)<<32|uint64(k))
 	}
-}
-
-func entryLess(a, b Entry) bool {
-	if a.Row != b.Row {
-		return a.Row < b.Row
-	}
-	return a.Col < b.Col
-}
-
-// mergeEntryRuns merges the two sorted runs a and b into dst, whose
-// length is len(a)+len(b).
-func mergeEntryRuns(dst, a, b []Entry) {
-	i, j := 0, 0
-	for k := range dst {
-		switch {
-		case i >= len(a):
-			dst[k] = b[j]
-			j++
-		case j >= len(b) || !entryLess(b[j], a[i]):
-			dst[k] = a[i]
-			i++
-		default:
-			dst[k] = b[j]
-			j++
-		}
+	slices.Sort(rs.keys)
+	rs.vals = append(rs.vals[:0], vals...)
+	for k, key := range rs.keys {
+		ids[k], vals[k] = int32(key>>32), rs.vals[uint32(key)]
 	}
 }
 

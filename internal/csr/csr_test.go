@@ -1,9 +1,15 @@
 package csr
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/parallel"
 )
 
 func mustFromEntries(t *testing.T, rows, cols int, es []Entry) *Matrix {
@@ -357,32 +363,101 @@ func TestQuickTransposeShape(t *testing.T) {
 	}
 }
 
-// TestFromEntriesLargeParallelSort pushes FromEntries past the
-// parallel-sort cutoff and checks the result against per-element
-// expectations (sorted rows, summed duplicates preserved).
-func TestFromEntriesLargeParallelSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	const rows, cols = 500, 500
-	n := sortEntriesCutoff * 2
-	es := make([]Entry, n)
-	want := map[[2]int32]float64{}
-	for i := range es {
-		e := Entry{Row: int32(rng.Intn(rows)), Col: int32(rng.Intn(cols)), Val: rng.NormFloat64()}
-		es[i] = e
-		want[[2]int32{e.Row, e.Col}] += e.Val
-	}
-	m := mustFromEntries(t, rows, cols, es)
-	if m.Nnz() != int64(len(want)) {
-		t.Fatalf("nnz %d, want %d", m.Nnz(), len(want))
+// inOrderOracle is the matrix FromEntries must return: the entries
+// stably sorted by (row, col), and each run of equal positions assigned
+// its first value with the rest added in input order.
+func inOrderOracle(rows, cols int, es []Entry) *Matrix {
+	s := slices.Clone(es)
+	slices.SortStableFunc(s, func(a, b Entry) int {
+		if c := cmp.Compare(a.Row, b.Row); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Col, b.Col)
+	})
+	m := New(rows, cols)
+	for i, e := range s {
+		if i > 0 && s[i-1].Row == e.Row && s[i-1].Col == e.Col {
+			m.Data[len(m.Data)-1] += e.Val
+			continue
+		}
+		m.ColIDs = append(m.ColIDs, e.Col)
+		m.Data = append(m.Data, e.Val)
+		m.RowOffsets[e.Row+1]++
 	}
 	for r := 0; r < rows; r++ {
-		mc, mv := m.Row(r)
-		for i := range mc {
-			w := want[[2]int32{int32(r), mc[i]}]
-			if d := mv[i] - w; d > 1e-9 || d < -1e-9 {
-				t.Fatalf("row %d col %d = %g, want %g", r, mc[i], mv[i], w)
-			}
+		m.RowOffsets[r+1] += m.RowOffsets[r]
+	}
+	return m
+}
+
+// requireSameBits fails unless got and want agree in shape, structure
+// and every value's bits.
+func requireSameBits(t *testing.T, got, want *Matrix) {
+	t.Helper()
+	if got.Rows != want.Rows || got.Cols != want.Cols ||
+		!slices.Equal(got.RowOffsets, want.RowOffsets) || !slices.Equal(got.ColIDs, want.ColIDs) {
+		t.Fatalf("structure differs: %dx%d nnz %d, want %dx%d nnz %d", got.Rows, got.Cols, got.Nnz(), want.Rows, want.Cols, want.Nnz())
+	}
+	for i := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("value %d (column %d) = %v, want %v", i, got.ColIDs[i], got.Data[i], want.Data[i])
 		}
+	}
+}
+
+// TestFromEntriesLargeUnsorted builds 32k shuffled triplets, rows long
+// enough to sort by packed keys, and checks the result against the
+// in-order oracle bit for bit.
+func TestFromEntriesLargeUnsorted(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	const rows, cols = 500, 500
+	es := make([]Entry, 1<<15)
+	for i := range es {
+		es[i] = Entry{Row: int32(rng.Intn(rows)), Col: int32(rng.Intn(cols)), Val: rng.NormFloat64()}
+	}
+	want := inOrderOracle(rows, cols, es)
+	requireSameBits(t, mustFromEntries(t, rows, cols, es), want)
+}
+
+// TestFromEntriesSumsInInputOrder draws values whose float sums depend
+// on their order, with many duplicates per position, and requires the
+// input-order sums under one and two procs: on rows of about ten
+// entries (mostly insertion sort) and on long ones (packed keys).
+func TestFromEntriesSumsInInputOrder(t *testing.T) {
+	vals := []float64{1e16, 1, -1e16, 3, 0.1, -0.3}
+	for _, shape := range []struct{ rows, cols int }{{4, 50}, {6000, 5}} {
+		rng := rand.New(rand.NewSource(int64(shape.rows)))
+		es := make([]Entry, 60000)
+		for i := range es {
+			es[i] = Entry{Row: int32(rng.Intn(shape.rows)), Col: int32(rng.Intn(shape.cols)), Val: vals[rng.Intn(len(vals))]}
+		}
+		want := inOrderOracle(shape.rows, shape.cols, es)
+		for _, procs := range []int{1, 2} {
+			prev := runtime.GOMAXPROCS(procs)
+			got := mustFromEntries(t, shape.rows, shape.cols, es)
+			runtime.GOMAXPROCS(prev)
+			requireSameBits(t, got, want)
+		}
+	}
+}
+
+// TestFromEntriesReadsOnlyAndSpawnsNothing pins that the builder leaves
+// the caller's slice as it was and starts no goroutine.
+func TestFromEntriesReadsOnlyAndSpawnsNothing(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	rng := rand.New(rand.NewSource(11))
+	es := make([]Entry, 1<<15)
+	for i := range es {
+		es[i] = Entry{Row: int32(rng.Intn(300)), Col: int32(rng.Intn(300)), Val: rng.NormFloat64()}
+	}
+	before := slices.Clone(es)
+	spawned := parallel.Spawned()
+	mustFromEntries(t, 300, 300, es)
+	if n := parallel.Spawned() - spawned; n != 0 {
+		t.Fatalf("FromEntries started %d goroutines", n)
+	}
+	if !slices.Equal(es, before) {
+		t.Fatal("FromEntries changed its input")
 	}
 }
 

@@ -31,6 +31,22 @@ import (
 // a=0.57, b=0.19, c=0.19.
 func RMAT(scale uint, edgeFactor int, a, b, c float64, seed int64) *csr.Matrix {
 	n := 1 << scale
+	mat, err := csr.FromEntries(n, n, rmatEntries(scale, edgeFactor, a, b, c, seed))
+	if err != nil {
+		panic(fmt.Sprintf("matgen: RMAT: %v", err))
+	}
+	// Merged duplicates hold counts; normalize all values to 1 so the
+	// adjacency is a 0/1 matrix as in graph SpGEMM workloads.
+	for i := range mat.Data {
+		mat.Data[i] = 1
+	}
+	return mat
+}
+
+// rmatEntries draws RMAT's edges as triplets in draw order, duplicates
+// included.
+func rmatEntries(scale uint, edgeFactor int, a, b, c float64, seed int64) []csr.Entry {
+	n := 1 << scale
 	m := edgeFactor * n
 	rng := rand.New(rand.NewSource(seed))
 	entries := make([]csr.Entry, 0, m)
@@ -52,16 +68,7 @@ func RMAT(scale uint, edgeFactor int, a, b, c float64, seed int64) *csr.Matrix {
 		}
 		entries = append(entries, csr.Entry{Row: int32(r), Col: int32(cc), Val: 1})
 	}
-	mat, err := csr.FromEntries(n, n, entries)
-	if err != nil {
-		panic(fmt.Sprintf("matgen: RMAT: %v", err))
-	}
-	// Merged duplicates hold counts; normalize all values to 1 so the
-	// adjacency is a 0/1 matrix as in graph SpGEMM workloads.
-	for i := range mat.Data {
-		mat.Data[i] = 1
-	}
-	return mat
+	return entries
 }
 
 // ER generates an Erdős–Rényi random matrix with the given dimensions
@@ -69,13 +76,16 @@ func RMAT(scale uint, edgeFactor int, a, b, c float64, seed int64) *csr.Matrix {
 // uniform in (-1, 1).
 func ER(rows, cols int, p float64, seed int64) *csr.Matrix {
 	rng := rand.New(rand.NewSource(seed))
-	var entries []csr.Entry
 	// Use geometric skipping so generation is O(nnz), not O(rows*cols).
 	if p <= 0 {
 		m, _ := csr.FromEntries(rows, cols, nil)
 		return m
 	}
+	// Hits ascend, so the entries arrive in CSR order; the slice is
+	// sized for the expected count plus a few standard deviations.
 	total := int64(rows) * int64(cols)
+	expect := float64(total) * min(p, 1)
+	entries := make([]csr.Entry, 0, int(expect+4*math.Sqrt(expect))+16)
 	for idx := nextHit(rng, -1, p); idx < total; idx = nextHit(rng, idx, p) {
 		entries = append(entries, csr.Entry{
 			Row: int32(idx / int64(cols)),
@@ -112,26 +122,24 @@ func nextHit(rng *rand.Rand, prev int64, p float64) int64 {
 // band width.
 func Band(n, half int, seed int64) *csr.Matrix {
 	rng := rand.New(rand.NewSource(seed))
-	var entries []csr.Entry
+	span := func(i int) (lo, hi int) { return max(0, i-half), min(n-1, i+half) }
+	nnz := 0
 	for i := 0; i < n; i++ {
-		lo, hi := i-half, i+half
-		if lo < 0 {
-			lo = 0
-		}
-		if hi >= n {
-			hi = n - 1
-		}
+		lo, hi := span(i)
+		nnz += max(0, hi-lo+1)
+	}
+	m := sized(n, n, nnz)
+	for i := 0; i < n; i++ {
+		lo, hi := span(i)
 		for j := lo; j <= hi; j++ {
 			v := rng.Float64() + 0.5
 			if j == i {
 				v += float64(2 * half) // diagonally dominant
 			}
-			entries = append(entries, csr.Entry{Row: int32(i), Col: int32(j), Val: v})
+			m.ColIDs = append(m.ColIDs, int32(j))
+			m.Data = append(m.Data, v)
 		}
-	}
-	m, err := csr.FromEntries(n, n, entries)
-	if err != nil {
-		panic(fmt.Sprintf("matgen: Band: %v", err))
+		m.RowOffsets[i+1] = int64(len(m.ColIDs))
 	}
 	return m
 }
@@ -141,29 +149,35 @@ func Band(n, half int, seed int64) *csr.Matrix {
 // stokes.
 func Stencil2D(gx, gy int) *csr.Matrix {
 	n := gx * gy
-	var entries []csr.Entry
-	at := func(x, y int) int32 { return int32(y*gx + x) }
+	nnz := 0
+	if n > 0 {
+		nnz = 5*n - 2*gx - 2*gy // every grid edge drops one neighbour
+	}
+	m := sized(n, n, nnz)
+	put := func(col int, v float64) {
+		m.ColIDs = append(m.ColIDs, int32(col))
+		m.Data = append(m.Data, v)
+	}
+	// Row i's neighbours in column order: above, left, itself, right,
+	// below.
 	for y := 0; y < gy; y++ {
 		for x := 0; x < gx; x++ {
-			i := at(x, y)
-			entries = append(entries, csr.Entry{Row: i, Col: i, Val: 4})
-			if x > 0 {
-				entries = append(entries, csr.Entry{Row: i, Col: at(x-1, y), Val: -1})
-			}
-			if x < gx-1 {
-				entries = append(entries, csr.Entry{Row: i, Col: at(x+1, y), Val: -1})
-			}
+			i := y*gx + x
 			if y > 0 {
-				entries = append(entries, csr.Entry{Row: i, Col: at(x, y-1), Val: -1})
+				put(i-gx, -1)
+			}
+			if x > 0 {
+				put(i-1, -1)
+			}
+			put(i, 4)
+			if x < gx-1 {
+				put(i+1, -1)
 			}
 			if y < gy-1 {
-				entries = append(entries, csr.Entry{Row: i, Col: at(x, y+1), Val: -1})
+				put(i+gx, -1)
 			}
+			m.RowOffsets[i+1] = int64(len(m.ColIDs))
 		}
-	}
-	m, err := csr.FromEntries(n, n, entries)
-	if err != nil {
-		panic(fmt.Sprintf("matgen: Stencil2D: %v", err))
 	}
 	return m
 }
@@ -175,18 +189,27 @@ func Stencil2D(gx, gy int) *csr.Matrix {
 func BlockDiag(nblocks, bs int, seed int64) *csr.Matrix {
 	rng := rand.New(rand.NewSource(seed))
 	n := nblocks * bs
-	var entries []csr.Entry
-	for bb := 0; bb < nblocks; bb++ {
-		base := int32(bb * bs)
-		for i := 0; i < bs; i++ {
-			for j := 0; j < bs; j++ {
-				entries = append(entries, csr.Entry{Row: base + int32(i), Col: base + int32(j), Val: rng.Float64() + 0.1})
-			}
+	m := sized(n, n, n*bs)
+	for i := 0; i < n; i++ {
+		base := i / bs * bs
+		for j := base; j < base+bs; j++ {
+			m.ColIDs = append(m.ColIDs, int32(j))
+			m.Data = append(m.Data, rng.Float64()+0.1)
 		}
-	}
-	m, err := csr.FromEntries(n, n, entries)
-	if err != nil {
-		panic(fmt.Sprintf("matgen: BlockDiag: %v", err))
+		m.RowOffsets[i+1] = int64(len(m.ColIDs))
 	}
 	return m
+}
+
+// sized returns an empty rows x cols matrix whose id and value arrays
+// have room for exactly nnz entries, for a generator that appends its
+// rows in CSR order.
+func sized(rows, cols, nnz int) *csr.Matrix {
+	return &csr.Matrix{
+		Rows:       rows,
+		Cols:       cols,
+		RowOffsets: make([]int64, rows+1),
+		ColIDs:     make([]int32, 0, nnz),
+		Data:       make([]float64, 0, nnz),
+	}
 }

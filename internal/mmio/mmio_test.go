@@ -2,8 +2,11 @@ package mmio
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -168,6 +171,38 @@ func TestFileRoundTrip(t *testing.T) {
 		}
 		if !csr.Equal(m, got, 0) {
 			t.Fatalf("%s: file round trip mismatch", name)
+		}
+	}
+}
+
+// TestReadDuplicatesSameUnderAnyProcs reads a file of 60 000 entries
+// over 200 positions, with values whose sums depend on their order,
+// and requires bit-identical matrices under one and two procs.
+func TestReadDuplicatesSameUnderAnyProcs(t *testing.T) {
+	vals := []string{"1e16", "1", "-1e16", "3", "0.1", "-0.3"}
+	rng := rand.New(rand.NewSource(12))
+	const rows, cols, n = 20, 10, 60000
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%%%%MatrixMarket matrix coordinate real general\n%d %d %d\n", rows, cols, n)
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&sb, "%d %d %s\n", 1+rng.Intn(rows), 1+rng.Intn(cols), vals[rng.Intn(len(vals))])
+	}
+	var got [2]*csr.Matrix
+	for i, procs := range []int{1, 2} {
+		prev := runtime.GOMAXPROCS(procs)
+		m, err := Read(strings.NewReader(sb.String()))
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[i] = m
+	}
+	if got[0].Nnz() != rows*cols || csr.Fingerprint(got[0]) != csr.Fingerprint(got[1]) {
+		t.Fatalf("structure differs: nnz %d and %d", got[0].Nnz(), got[1].Nnz())
+	}
+	for i, v := range got[0].Data {
+		if math.Float64bits(v) != math.Float64bits(got[1].Data[i]) {
+			t.Fatalf("value %d reads %v under one proc, %v under two", i, v, got[1].Data[i])
 		}
 	}
 }

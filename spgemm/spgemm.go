@@ -90,8 +90,10 @@ type Entry = csr.Entry
 // NewMatrix creates an empty rows x cols matrix.
 func NewMatrix(rows, cols int) *Matrix { return csr.New(rows, cols) }
 
-// FromEntries builds a matrix from coordinate triplets, summing
-// duplicates.
+// FromEntries builds a matrix from coordinate triplets. It only reads
+// entries. Duplicates are summed in input order: the first is assigned
+// and the rest are added in the order they appear, so the result does
+// not depend on the host.
 func FromEntries(rows, cols int, entries []Entry) (*Matrix, error) {
 	return csr.FromEntries(rows, cols, entries)
 }
