@@ -18,6 +18,7 @@ package cpuspgemm
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/csr"
@@ -111,13 +112,15 @@ func sum(xs []int64) int64 {
 // map accumulator. It is the correctness reference for every other
 // engine in this repository, bit for bit: like every kernel it assigns a
 // column's first product and adds the rest in arrival order (0 + -0.0
-// would turn a lone -0.0 product into +0.0).
+// would turn a lone -0.0 product into +0.0). Each row's columns are
+// sorted and appended straight into C.
 func Sequential(a, b *csr.Matrix) (*csr.Matrix, error) {
 	if a.Cols != b.Rows {
 		return nil, errDims(a, b)
 	}
-	entries := make([]csr.Entry, 0)
+	c := &csr.Matrix{Rows: a.Rows, Cols: b.Cols, RowOffsets: make([]int64, a.Rows+1), ColIDs: []int32{}, Data: []float64{}}
 	row := map[int32]float64{}
+	var keys []int32
 	for i := 0; i < a.Rows; i++ {
 		ac, av := a.Row(i)
 		for p := range ac {
@@ -131,12 +134,18 @@ func Sequential(a, b *csr.Matrix) (*csr.Matrix, error) {
 				}
 			}
 		}
-		for c, v := range row {
-			entries = append(entries, csr.Entry{Row: int32(i), Col: c, Val: v})
-			delete(row, c)
+		keys = keys[:0]
+		for col := range row {
+			keys = append(keys, col)
 		}
+		slices.Sort(keys)
+		for _, col := range keys {
+			c.ColIDs, c.Data = append(c.ColIDs, col), append(c.Data, row[col])
+		}
+		clear(row)
+		c.RowOffsets[i+1] = int64(len(c.ColIDs))
 	}
-	return csr.FromEntries(a.Rows, b.Cols, entries)
+	return c, nil
 }
 
 // Multiply computes C = A·B with the multi-core algorithm on the
@@ -149,43 +158,6 @@ func Multiply(a, b *csr.Matrix, opts Options) (*csr.Matrix, error) {
 		return nil, errDims(a, b)
 	}
 	return multiplyAdaptive(a, b, opts, nil)
-}
-
-// BalanceRows partitions rows into parts contiguous ranges with roughly
-// equal total flops. It returns parts+1 boundaries with bounds[0]=0 and
-// bounds[parts]=len(rowFlops). parts < 1 is treated as 1; an all-zero
-// (or empty) flop array falls back to an even split by row count.
-func BalanceRows(rowFlops []int64, parts int) []int {
-	if parts < 1 {
-		parts = 1
-	}
-	n := len(rowFlops)
-	var total int64
-	for _, f := range rowFlops {
-		total += f
-	}
-	if total == 0 {
-		// No flop information to balance on: split evenly by count so
-		// no worker inherits everything (the seed put all rows in the
-		// final part).
-		return parallel.Blocks(n, parts)
-	}
-	bounds := make([]int, parts+1)
-	bounds[parts] = n
-	var acc int64
-	next := 1
-	for i := 0; i < n && next < parts; i++ {
-		acc += rowFlops[i]
-		// Place boundary next when we cross next/parts of the total.
-		for next < parts && acc*int64(parts) >= total*int64(next) {
-			bounds[next] = i + 1
-			next++
-		}
-	}
-	for ; next < parts; next++ {
-		bounds[next] = n
-	}
-	return bounds
 }
 
 // errDims formats the standard dimension-mismatch error.

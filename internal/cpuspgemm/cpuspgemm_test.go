@@ -173,100 +173,6 @@ func TestMultiplyIdentity(t *testing.T) {
 	}
 }
 
-func TestBalanceRows(t *testing.T) {
-	// Uniform flops: boundaries should split evenly.
-	uniform := make([]int64, 100)
-	for i := range uniform {
-		uniform[i] = 10
-	}
-	b := BalanceRows(uniform, 4)
-	if len(b) != 5 || b[0] != 0 || b[4] != 100 {
-		t.Fatalf("bounds = %v", b)
-	}
-	for w := 0; w < 4; w++ {
-		if sz := b[w+1] - b[w]; sz < 20 || sz > 30 {
-			t.Fatalf("uneven uniform split: %v", b)
-		}
-	}
-
-	// One huge row: it should get its own part (others may be empty).
-	skew := make([]int64, 10)
-	skew[0] = 1000
-	bounds := BalanceRows(skew, 2)
-	if bounds[1] != 1 {
-		t.Fatalf("skewed bounds = %v, want first part exactly the heavy row", bounds)
-	}
-
-	// Monotone, covering, correct endpoints on random input.
-	rng := rand.New(rand.NewSource(6))
-	rf := make([]int64, 57)
-	for i := range rf {
-		rf[i] = int64(rng.Intn(100))
-	}
-	for parts := 1; parts <= 8; parts++ {
-		bb := BalanceRows(rf, parts)
-		if bb[0] != 0 || bb[parts] != len(rf) {
-			t.Fatalf("parts=%d endpoints wrong: %v", parts, bb)
-		}
-		for i := 0; i < parts; i++ {
-			if bb[i] > bb[i+1] {
-				t.Fatalf("parts=%d not monotone: %v", parts, bb)
-			}
-		}
-	}
-}
-
-func TestBalanceRowsZeroFlops(t *testing.T) {
-	b := BalanceRows(make([]int64, 10), 3)
-	if b[0] != 0 || b[3] != 10 {
-		t.Fatalf("zero-flop bounds = %v", b)
-	}
-	// All-zero flops must fall back to an even split, not leave every
-	// row in one part.
-	for w := 0; w < 3; w++ {
-		if sz := b[w+1] - b[w]; sz < 3 || sz > 4 {
-			t.Fatalf("zero-flop split uneven: %v", b)
-		}
-	}
-}
-
-func TestBalanceRowsEdgeCases(t *testing.T) {
-	// More parts than rows: boundaries must stay monotone and cover.
-	rf := []int64{5, 1, 9}
-	b := BalanceRows(rf, 8)
-	if len(b) != 9 || b[0] != 0 || b[8] != 3 {
-		t.Fatalf("parts>rows endpoints wrong: %v", b)
-	}
-	for i := 0; i < 8; i++ {
-		if b[i] > b[i+1] {
-			t.Fatalf("parts>rows not monotone: %v", b)
-		}
-	}
-
-	// Empty matrix (no rows).
-	b = BalanceRows(nil, 4)
-	if len(b) != 5 || b[0] != 0 || b[4] != 0 {
-		t.Fatalf("empty bounds = %v", b)
-	}
-
-	// parts < 1 is treated as one part.
-	b = BalanceRows([]int64{1, 2, 3}, 0)
-	if len(b) != 2 || b[0] != 0 || b[1] != 3 {
-		t.Fatalf("parts=0 bounds = %v", b)
-	}
-
-	// Zero flops with more parts than rows.
-	b = BalanceRows(make([]int64, 2), 5)
-	if len(b) != 6 || b[0] != 0 || b[5] != 2 {
-		t.Fatalf("zero-flop parts>rows bounds = %v", b)
-	}
-	for i := 0; i < 5; i++ {
-		if b[i] > b[i+1] {
-			t.Fatalf("zero-flop parts>rows not monotone: %v", b)
-		}
-	}
-}
-
 // TestMultiplyReusesPooledAccumulators runs repeated multiplications
 // to exercise the cross-call accumulator reuse path under the race
 // detector.

@@ -151,6 +151,10 @@ func TestCostBoundsProperties(t *testing.T) {
 	b = CostBounds(make([]int64, 64), 4)
 	check(b, 64)
 
+	// More workers than items: one item per chunk at most.
+	b = CostBounds([]int64{5, 1, 9}, 8)
+	check(b, 3)
+
 	// Empty input.
 	b = CostBounds(nil, 4)
 	if len(b) != 1 || b[0] != 0 {

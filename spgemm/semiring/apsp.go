@@ -25,22 +25,13 @@ func APSP(adj *csr.Matrix, threads int) (*csr.Matrix, error) {
 	// D0 = adj with an explicit zero diagonal. The zero diagonal makes
 	// D ⊗ D include all paths of length <= 2k, not exactly 2k, and is
 	// preserved by elementMin because Multiply prunes the semiring
-	// zero (+Inf), never the number 0.
-	diag := make([]csr.Entry, n)
-	for i := range diag {
-		diag[i] = csr.Entry{Row: int32(i), Col: int32(i), Val: 0}
+	// zero (+Inf), never the number 0. Merging keeps the smaller weight
+	// on the diagonal (0 beats any non-negative self loop).
+	id := &csr.Matrix{Rows: n, Cols: n, RowOffsets: make([]int64, n+1), ColIDs: make([]int32, n), Data: make([]float64, n)}
+	for i := range n {
+		id.RowOffsets[i+1], id.ColIDs[i] = int64(i+1), int32(i)
 	}
-	// Merge, keeping the smaller weight on the diagonal (0 beats any
-	// non-negative self loop).
-	d := adj.Clone()
-	id, err := csr.FromEntries(n, n, diag)
-	if err != nil {
-		return nil, err
-	}
-	d, err = elementMin(d, id)
-	if err != nil {
-		return nil, err
-	}
+	d := elementMin(adj, id)
 
 	s := MinPlus()
 	for span := 1; span < n; span *= 2 {
@@ -51,10 +42,7 @@ func APSP(adj *csr.Matrix, threads int) (*csr.Matrix, error) {
 		// The zero diagonal already makes D⊗D monotone (paths of all
 		// lengths are covered), but merging with D guards against
 		// floating-point asymmetries.
-		merged, err := elementMin(next, d)
-		if err != nil {
-			return nil, err
-		}
+		merged := elementMin(next, d)
 		if csr.Equal(merged, d, 0) {
 			return merged, nil // fixpoint reached early
 		}
@@ -63,13 +51,15 @@ func APSP(adj *csr.Matrix, threads int) (*csr.Matrix, error) {
 	return d, nil
 }
 
-// elementMin merges two matrices taking the smaller value where both
-// have an entry.
-func elementMin(a, b *csr.Matrix) (*csr.Matrix, error) {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return nil, fmt.Errorf("semiring: elementMin dimension mismatch")
+// elementMin merges two matrices of the same shape, taking the smaller
+// value where both have an entry.
+func elementMin(a, b *csr.Matrix) *csr.Matrix {
+	size := max(len(a.ColIDs), len(b.ColIDs))
+	m := &csr.Matrix{Rows: a.Rows, Cols: a.Cols, RowOffsets: make([]int64, a.Rows+1),
+		ColIDs: make([]int32, 0, size), Data: make([]float64, 0, size)}
+	emit := func(col int32, v float64) {
+		m.ColIDs, m.Data = append(m.ColIDs, col), append(m.Data, v)
 	}
-	var es []csr.Entry
 	for r := 0; r < a.Rows; r++ {
 		ac, av := a.Row(r)
 		bc, bv := b.Row(r)
@@ -77,21 +67,22 @@ func elementMin(a, b *csr.Matrix) (*csr.Matrix, error) {
 		for i < len(ac) || j < len(bc) {
 			switch {
 			case j >= len(bc) || (i < len(ac) && ac[i] < bc[j]):
-				es = append(es, csr.Entry{Row: int32(r), Col: ac[i], Val: av[i]})
+				emit(ac[i], av[i])
 				i++
 			case i >= len(ac) || bc[j] < ac[i]:
-				es = append(es, csr.Entry{Row: int32(r), Col: bc[j], Val: bv[j]})
+				emit(bc[j], bv[j])
 				j++
 			default:
 				v := av[i]
 				if bv[j] < v {
 					v = bv[j]
 				}
-				es = append(es, csr.Entry{Row: int32(r), Col: ac[i], Val: v})
+				emit(ac[i], v)
 				i++
 				j++
 			}
 		}
+		m.RowOffsets[r+1] = int64(len(m.ColIDs))
 	}
-	return csr.FromEntries(a.Rows, a.Cols, es)
+	return m
 }

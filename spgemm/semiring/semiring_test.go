@@ -1,8 +1,10 @@
 package semiring
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cpuspgemm"
@@ -10,6 +12,8 @@ import (
 	"repro/internal/matgen"
 )
 
+// TestPlusTimesMatchesStandardSpGEMM pins plus-times to the library's
+// reference product bit for bit, once its explicit zeros are dropped.
 func TestPlusTimesMatchesStandardSpGEMM(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 8; trial++ {
@@ -19,18 +23,177 @@ func TestPlusTimesMatchesStandardSpGEMM(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		want = dropValue(want, 0)
 		for _, threads := range []int{1, 4} {
 			got, err := Multiply(a, b, PlusTimes(), threads)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := got.Validate(); err != nil {
-				t.Fatal(err)
-			}
-			if !csr.Equal(got, want, 1e-12) {
-				t.Fatalf("trial %d threads %d: %s", trial, threads, csr.Diff(got, want, 1e-12))
+			if d := sameBits(got, want); d != "" {
+				t.Fatalf("trial %d threads %d: %s", trial, threads, d)
 			}
 		}
+	}
+}
+
+// naiveMultiply is the oracle of the differential test: a map per row,
+// a column's first product assigned and every later one ⊕-ed onto it in
+// (p, q) order, columns sorted, entries equal to Zero dropped.
+func naiveMultiply(a, b *csr.Matrix, s Semiring) *csr.Matrix {
+	c := &csr.Matrix{Rows: a.Rows, Cols: b.Cols, RowOffsets: make([]int64, a.Rows+1)}
+	for i := 0; i < a.Rows; i++ {
+		row := map[int32]float64{}
+		ac, av := a.Row(i)
+		for p, k := range ac {
+			bc, bv := b.Row(int(k))
+			for q, col := range bc {
+				x := s.Times(av[p], bv[q])
+				if v, ok := row[col]; ok {
+					x = s.Plus(v, x)
+				}
+				row[col] = x
+			}
+		}
+		var cols []int32
+		for col := range row {
+			cols = append(cols, col)
+		}
+		slices.Sort(cols)
+		for _, col := range cols {
+			c.ColIDs, c.Data = append(c.ColIDs, col), append(c.Data, row[col])
+		}
+		c.RowOffsets[i+1] = int64(len(c.ColIDs))
+	}
+	return dropValue(c, s.Zero)
+}
+
+// dropValue returns m without its entries equal to zero.
+func dropValue(m *csr.Matrix, zero float64) *csr.Matrix {
+	out := &csr.Matrix{Rows: m.Rows, Cols: m.Cols, RowOffsets: make([]int64, m.Rows+1)}
+	for r := 0; r < m.Rows; r++ {
+		cols, vals := m.Row(r)
+		for j, v := range vals {
+			if v != zero {
+				out.ColIDs, out.Data = append(out.ColIDs, cols[j]), append(out.Data, v)
+			}
+		}
+		out.RowOffsets[r+1] = int64(len(out.ColIDs))
+	}
+	return out
+}
+
+// sameBits describes the first difference between got and want,
+// comparing values by their bits (NaN equals NaN, -0 differs from 0),
+// or returns "" when there is none. got must also be valid.
+func sameBits(got, want *csr.Matrix) string {
+	if err := got.Validate(); err != nil {
+		return err.Error()
+	}
+	if d := csr.Diff(got, want, 0); d != "" {
+		return d
+	}
+	for j, v := range want.Data {
+		if math.Float64bits(got.Data[j]) != math.Float64bits(v) {
+			return fmt.Sprintf("entry %d (column %d): %v vs %v", j, got.ColIDs[j], got.Data[j], v)
+		}
+	}
+	return ""
+}
+
+// seeded gives m random values, one in four of them NaN, ±Inf, -0 or 0.
+func seeded(m *csr.Matrix, seed int64) *csr.Matrix {
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0}
+	rng := rand.New(rand.NewSource(seed))
+	m = m.Clone()
+	for j := range m.Data {
+		if rng.Intn(4) == 0 {
+			m.Data[j] = specials[rng.Intn(len(specials))]
+		} else {
+			m.Data[j] = float64(rng.Intn(7)-3) + rng.Float64()
+		}
+	}
+	return m
+}
+
+// wideB is a rows x (2^20 + 17) matrix, past the bitmap tier, whose rows
+// mix scattered columns with contiguous runs.
+func wideB(rows int, seed int64) *csr.Matrix {
+	const cols = 1<<20 + 17
+	rng := rand.New(rand.NewSource(seed))
+	var es []csr.Entry
+	for r := 0; r < rows; r++ {
+		for range rng.Intn(40) {
+			es = append(es, csr.Entry{Row: int32(r), Col: int32(rng.Intn(cols)), Val: 1})
+		}
+		start := rng.Intn(cols - 200)
+		for c := start; c < start+rng.Intn(200); c++ {
+			es = append(es, csr.Entry{Row: int32(r), Col: int32(c), Val: 1})
+		}
+		es = append(es, csr.Entry{Row: int32(r), Col: cols - 1, Val: 1})
+	}
+	m, err := csr.FromEntries(rows, cols, es)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
+// TestMultiplyMatchesOracle is the differential test: every semiring,
+// on RMAT, ER, Band and a B past the bitmap tier, with values seeded
+// with NaN, ±Inf, -0 and 0, at 1, 2 and 4 threads, and on empty shapes,
+// agrees with naiveMultiply bit for bit.
+func TestMultiplyMatchesOracle(t *testing.T) {
+	type pair struct {
+		name string
+		a, b *csr.Matrix
+	}
+	rmat := matgen.RMAT(9, 8, 0.57, 0.19, 0.19, 3)
+	er := matgen.ER(500, 500, 0.01, 4)
+	band := matgen.Band(400, 7, 5)
+	wideA := matgen.ER(100, 64, 0.1, 6)
+	pairs := []pair{
+		{"rmat", seeded(rmat, 1), seeded(rmat, 2)},
+		{"er", seeded(er, 3), seeded(er, 4)},
+		{"band", seeded(band, 5), seeded(band, 6)},
+		{"wide", seeded(wideA, 7), seeded(wideB(64, 8), 9)},
+		{"0x0", csr.New(0, 0), csr.New(0, 0)},
+		{"kx0", csr.New(3, 0), csr.New(0, 4)},
+		{"0-col-b", seeded(matgen.ER(5, 6, 0.5, 10), 11), csr.New(6, 0)},
+		{"threads>rows", seeded(matgen.ER(2, 6, 0.5, 12), 13), seeded(matgen.ER(6, 5, 0.5, 14), 15)},
+	}
+	for _, s := range []Semiring{PlusTimes(), MinPlus(), MaxMin(), OrAnd()} {
+		for _, p := range pairs {
+			want := naiveMultiply(p.a, p.b, s)
+			for _, threads := range []int{1, 2, 4} {
+				got, err := Multiply(p.a, p.b, s, threads)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := sameBits(got, want); d != "" {
+					t.Fatalf("%s %s threads %d: %s", s.Name, p.name, threads, d)
+				}
+			}
+		}
+	}
+}
+
+// sink keeps the benchmark's products live.
+var sink *csr.Matrix
+
+// BenchmarkMultiply times plus-times and min-plus on RMAT(11,8)² at two
+// threads.
+func BenchmarkMultiply(b *testing.B) {
+	a := matgen.RMAT(11, 8, 0.57, 0.19, 0.19, 1)
+	for _, s := range []Semiring{PlusTimes(), MinPlus()} {
+		b.Run(s.Name, func(b *testing.B) {
+			for range b.N {
+				c, err := Multiply(a, a, s, 2)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sink = c
+			}
+		})
 	}
 }
 
