@@ -12,8 +12,10 @@ import (
 // visiting and clearing only touched words: a row costs its products
 // plus width/4096 summary reads, comes out ascending with no sort, and
 // leaves the accumulator all-zero. The one-phase kernel also keeps a
-// value beside each column (GrowValues, Add, FlushValues). The zero
-// value is empty and covers no columns until Grow.
+// value beside each column (GrowValues, Add, FlushValues), and for a row
+// whose columns lie in a narrow window skips the summary (AddWindow,
+// AddRun, FlushWindow). The zero value is empty and covers no columns
+// until Grow.
 type TwoLevel struct {
 	words   []uint64
 	summary []uint64
@@ -40,15 +42,6 @@ func (t *TwoLevel) Add(col int32, v float64) {
 	seg := col >> 6
 	t.summary[seg>>6] |= 1 << (uint32(seg) & 63)
 	t.words[seg] |= 1 << (uint32(col) & 63)
-}
-
-// AddRevisit is Add testing the column's bit first, so a column already
-// recorded costs a load, not a store.
-func (t *TwoLevel) AddRevisit(col int32, v float64) {
-	t.vals[col] += v
-	if seg, m := col>>6, uint64(1)<<(uint32(col)&63); t.words[seg]&m == 0 {
-		t.AddSegment(seg, m)
-	}
 }
 
 // Grow resizes an empty accumulator to cover columns [0, width) and no
@@ -99,44 +92,112 @@ func (t *TwoLevel) FlushCols(cols []int32) []int32 {
 			continue
 		}
 		t.summary[si] = 0
-		for ; sum != 0; sum &= sum - 1 {
-			w := si<<6 + bits.TrailingZeros64(sum)
-			base, word := int32(w<<6), t.words[w]
-			t.words[w] = 0
-			if cap(cols)-n < FlushSlack {
-				cols = cols[:n]
-				for ; word != 0; word &= word - 1 {
-					cols = append(cols, base+int32(bits.TrailingZeros64(word)))
-				}
-				n = len(cols)
-				continue
-			}
-			out := cols[n : n+FlushSlack]
-			out[0] = base + int32(bits.TrailingZeros64(word)) // a touched word is non-zero
-			word &= word - 1
-			out[1] = base + int32(bits.TrailingZeros64(word)&63)
-			k := 1 + int((word|-word)>>63) // 2 if the word had a second column
-			for word &= word - 1; word != 0; word &= word - 1 {
-				out[k&63] = base + int32(bits.TrailingZeros64(word))
-				k++
-			}
-			n += k
-		}
+		cols, n = t.flushWords(cols, n, si<<6, sum)
 	}
 	return cols[:n]
+}
+
+// flushWords is FlushCols' body for one summary word: it appends, to
+// cols[:n], the columns of word first+j for each set bit j of touched,
+// ascending, and clears those words. Every word it names is non-zero.
+func (t *TwoLevel) flushWords(cols []int32, n, first int, touched uint64) ([]int32, int) {
+	for ; touched != 0; touched &= touched - 1 {
+		w := first + bits.TrailingZeros64(touched)
+		base, word := int32(w<<6), t.words[w]
+		t.words[w] = 0
+		if cap(cols)-n < FlushSlack {
+			cols = cols[:n]
+			for ; word != 0; word &= word - 1 {
+				cols = append(cols, base+int32(bits.TrailingZeros64(word)))
+			}
+			n = len(cols)
+			continue
+		}
+		out := cols[n : n+FlushSlack]
+		out[0] = base + int32(bits.TrailingZeros64(word)) // a touched word is non-zero
+		word &= word - 1
+		out[1] = base + int32(bits.TrailingZeros64(word)&63)
+		k := 1 + int((word|-word)>>63) // 2 if the word had a second column
+		for word &= word - 1; word != 0; word &= word - 1 {
+			out[k&63] = base + int32(bits.TrailingZeros64(word))
+			k++
+		}
+		n += k
+	}
+	return cols, n
 }
 
 // FlushValues is FlushCols also appending each value (reset to −0.0);
 // nan reports whether one of them is a NaN.
 func (t *TwoLevel) FlushValues(cols []int32, vals []float64) (_ []int32, _ []float64, nan bool) {
 	n := len(cols)
-	cols = t.FlushCols(cols)
+	return t.appendValues(t.FlushCols(cols), n, vals)
+}
+
+// appendValues appends the value of each column in cols[n:] to vals,
+// resetting it to −0.0, and reports whether one of them is a NaN.
+func (t *TwoLevel) appendValues(cols []int32, n int, vals []float64) (_ []int32, _ []float64, nan bool) {
 	for _, col := range cols[n:] {
 		v := t.vals[col]
 		vals, nan = append(vals, v), nan || v != v
 		t.vals[col] = negZero
 	}
 	return cols, vals, nan
+}
+
+// WindowMaxWords is the widest column window, in occupancy words, that
+// the window adds (AddWindow, AddRun) and FlushWindow serve: the flush
+// gathers the window's touched words into one 64-bit mask.
+const WindowMaxWords = 64
+
+// AddWindow records column col and adds v to its value, with no summary
+// bit: a row whose columns all lie in a window of at most WindowMaxWords
+// words, flushed by FlushWindow over that window, needs none. A product
+// is a value add and a word OR.
+func (t *TwoLevel) AddWindow(col int32, v float64) {
+	t.vals[col] += v
+	t.words[col>>6] |= 1 << (uint32(col) & 63)
+}
+
+// AddRun is AddWindow for a B row whose ids are the run c0, c0+1, …,
+// c0+len(bv)−1: it adds float64(x*bv[q]) to column c0+q in one loop over
+// the values, then ORs the run's bits in at most ⌈len(bv)/64⌉+1 words.
+func (t *TwoLevel) AddRun(c0 int32, x float64, bv []float64) {
+	if len(bv) == 0 {
+		return
+	}
+	vs := t.vals[c0 : int(c0)+len(bv)]
+	for q, v := range bv {
+		vs[q] += float64(x * v)
+	}
+	last := int(c0) + len(bv) - 1
+	w, wl := int(c0)>>6, last>>6
+	lead, tail := ^uint64(0)<<(uint32(c0)&63), ^uint64(0)>>(63-uint32(last)&63)
+	if w == wl {
+		t.words[w] |= lead & tail
+		return
+	}
+	t.words[w] |= lead
+	for w++; w < wl; w++ {
+		t.words[w] = ^uint64(0)
+	}
+	t.words[wl] |= tail
+}
+
+// FlushWindow is FlushValues for a row accumulated by AddWindow and
+// AddRun in words [w0, w1] (w1 − w0 < WindowMaxWords): it walks only
+// those words, with FlushCols' body, and leaves them clear.
+func (t *TwoLevel) FlushWindow(w0, w1 int, cols []int32, vals []float64) (_ []int32, _ []float64, nan bool) {
+	if w1-w0 >= WindowMaxWords {
+		panic("accum: FlushWindow over more than WindowMaxWords words")
+	}
+	var touched uint64
+	for j, word := range t.words[w0 : w1+1] {
+		touched |= (word | -word) >> 63 << j
+	}
+	n := len(cols)
+	cols, end := t.flushWords(cols, n, w0, touched)
+	return t.appendValues(cols[:end], n, vals)
 }
 
 // FlushSymbolic reports the number of distinct columns and resets.

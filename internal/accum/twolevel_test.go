@@ -128,7 +128,7 @@ func TestFlushDoesNotAllocate(t *testing.T) {
 	for name, acc := range accs {
 		fill := func() {
 			for k := 0; k < 3*distinct; k++ {
-				acc.Add(int32((k*2654435761)%distinct*17%width), float64(k))
+				acc.Add(int32(int64(k)*2654435761%distinct*17%width), float64(k))
 			}
 		}
 		fill()
@@ -161,8 +161,8 @@ func TestFlushDoesNotAllocate(t *testing.T) {
 }
 
 // TestTwoLevelValues checks the one-phase accumulation against a map
-// that assigns a column's first value and adds the rest in order: both
-// Add bodies, a lone −0.0 (which 0 + −0.0 would turn into +0.0), NaN and
+// that assigns a column's first value and adds the rest in order: a
+// lone −0.0 (which 0 + −0.0 would turn into +0.0), NaN and
 // ±Inf, over a word and a summary boundary, with every value back to
 // −0.0 and every bit clear after each flush, and the flush's NaN report
 // about this row's values only (the prefix holds a NaN).
@@ -186,11 +186,7 @@ func TestTwoLevelValues(t *testing.T) {
 			} else {
 				want[c] = v
 			}
-			if row%2 == 0 {
-				two.Add(c, v)
-			} else {
-				two.AddRevisit(c, v)
-			}
+			two.Add(c, v)
 		}
 		cols, vals, nan := two.FlushValues([]int32{math.MaxInt32}, []float64{math.NaN()})
 		if cols[0] != math.MaxInt32 || !math.IsNaN(vals[0]) || len(cols) != len(want)+1 || len(vals) != len(cols) {
@@ -323,4 +319,126 @@ func TestFlushWordShapes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestTwoLevelWindow checks the window adds and flush against a map that
+// assigns a column's first value and adds the rest in (row, column)
+// order: runs (AddRun) of 0, 1, 3, 4, 63, 64 and 65 columns starting at bit
+// 0, at bit 63 and mid-word, so that runs end in, fill and cross words,
+// with single adds (AddWindow) onto and beside them; NaN, ±Inf and −0.0
+// values; windows of 1, 2, 63 and exactly 64 words at both ends of a
+// bitmap whose last word is partial; each flushed into a buffer with and
+// without FlushSlack spare entries. After every row every occupancy and
+// summary word must be clear and every value −0.0. A window of 65 words
+// is refused.
+func TestTwoLevelWindow(t *testing.T) {
+	const words = 70
+	const width = 64*(words-1) + 5
+	negZero := math.Copysign(0, -1)
+	pick := []float64{negZero, 0, 1.5, -2, math.Inf(1), math.Inf(-1), math.NaN(), 1e-300, 3}
+	rng := rand.New(rand.NewSource(11))
+	two := GetTwoLevel(width)
+	defer PutTwoLevel(two)
+	two.GrowValues(width)
+	row := 0
+	check := func(name string, w0, w1 int, adds func(add func(c0 int32, x float64, bv []float64))) {
+		t.Helper()
+		row++
+		want := map[int32]float64{}
+		record := func(c int32, v float64) {
+			if old, ok := want[c]; ok {
+				want[c] = old + v
+			} else {
+				want[c] = v
+			}
+		}
+		adds(func(c0 int32, x float64, bv []float64) {
+			if len(bv) == 1 && row%2 == 0 {
+				two.AddWindow(c0, float64(x*bv[0]))
+			} else {
+				two.AddRun(c0, x, bv)
+			}
+			for q, v := range bv {
+				record(c0+int32(q), float64(x*v))
+			}
+		})
+		keys := make([]int32, 0, len(want))
+		for c := range want {
+			keys = append(keys, c)
+		}
+		slices.Sort(keys)
+		spare := FlushSlack
+		if row%3 == 0 {
+			spare = rng.Intn(FlushSlack)
+		}
+		cols := append(make([]int32, 0, 1+len(keys)+spare), -7)
+		vals := append(make([]float64, 0, 1+len(keys)+spare), math.NaN())
+		cols, vals, nan := two.FlushWindow(w0, w1, cols, vals)
+		if cols[0] != -7 || !math.IsNaN(vals[0]) || !slices.Equal(cols[1:], keys) || len(vals) != len(cols) {
+			t.Fatalf("%s: FlushWindow ids %v, want -7 then %v", name, cols, keys)
+		}
+		if nan != slices.ContainsFunc(vals[1:], math.IsNaN) {
+			t.Fatalf("%s: nan = %v for %v", name, nan, vals[1:])
+		}
+		for j, c := range keys {
+			if g, w := vals[1+j], want[c]; math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+				t.Fatalf("%s: column %d = %v (%#x), want %v (%#x)", name, c, g, math.Float64bits(g), w, math.Float64bits(w))
+			}
+		}
+		requireZero(t, two, name)
+		for c, v := range two.vals {
+			if math.Float64bits(v) != math.Float64bits(negZero) {
+				t.Fatalf("%s: value %d left at %v", name, c, v)
+			}
+		}
+	}
+	values := func(n int) []float64 {
+		bv := make([]float64, n)
+		for q := range bv {
+			bv[q] = pick[rng.Intn(len(pick))]
+		}
+		return bv
+	}
+
+	for _, n := range []int{0, 1, 3, 4, 63, 64, 65} {
+		for _, bit := range []int{0, 63, 40} {
+			c0 := int32(5*64 + bit)
+			last := int(c0) + n - 1
+			name := fmt.Sprintf("run of %d at bit %d", n, bit)
+			check(name, int(c0)>>6, last>>6, func(add func(int32, float64, []float64)) {
+				add(c0, 1, values(n))
+			})
+			// The same run twice, a single add on its first and last
+			// columns and one beside it, in a window one word wider.
+			check(name+", revisited", int(c0)>>6-1, max(last, int(c0))>>6, func(add func(int32, float64, []float64)) {
+				add(c0, pick[rng.Intn(len(pick))], values(n))
+				add(c0, 2, values(n))
+				add(c0, 1, values(1))
+				add(int32(last), -1, values(1))
+				add(c0-1, 1, values(1))
+			})
+		}
+	}
+	for _, nw := range []int{1, 2, 63, WindowMaxWords} {
+		for _, w0 := range []int{0, words - nw} {
+			w1 := w0 + nw - 1
+			lo, hi := w0*64, min(w1*64+64, width)
+			check(fmt.Sprintf("window of %d words from word %d", nw, w0), w0, w1, func(add func(int32, float64, []float64)) {
+				add(int32(lo), 1, values(1))
+				add(int32(hi-1), 1, values(1))
+				for k := 0; k < 3*nw; k++ {
+					c0 := lo + rng.Intn(hi-lo)
+					n := 1 + rng.Intn(min(hi-c0, 130))
+					add(int32(c0), pick[rng.Intn(len(pick))], values(n))
+				}
+			})
+		}
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("FlushWindow over 65 words did not panic")
+		}
+	}()
+	two.FlushWindow(0, WindowMaxWords, nil, nil)
 }

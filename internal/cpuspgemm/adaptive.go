@@ -192,7 +192,7 @@ func multiplyAdaptive(a, b *csr.Matrix, opts Options, rowFlops []int64) (*csr.Ma
 			n := len(buf)
 			if onePhase {
 				var rowNaN bool
-				if buf, vbuf, rowNaN = kit.ComputeRow(a, b, i, buf, vbuf); rowNaN {
+				if buf, vbuf, rowNaN = kit.ComputeRow(a, b, i, rowFlops[i], buf, vbuf); rowNaN {
 					nan.Store(true)
 				}
 			} else {

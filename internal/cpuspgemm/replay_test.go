@@ -391,6 +391,55 @@ func TestNonFiniteOperands(t *testing.T) {
 	}
 }
 
+// TestWindowRouteNonFinite runs a band product, whose rows take the
+// one-phase kernel's window route (contiguous B rows added in one loop),
+// with NaN, ±Inf and −0.0 planted in both operands: the cold product must
+// run the numeric replay, agree with the warm replay bit for bit, with
+// the two-phase route bit for bit and with Sequential but for NaN
+// payloads, at one thread and at four.
+func TestWindowRouteNonFinite(t *testing.T) {
+	inf, nan, negZero := math.Inf(1), math.NaN(), math.Copysign(0, -1)
+	plant := func(m *csr.Matrix, every int, specials []float64) *csr.Matrix {
+		c := m.Clone()
+		for k := 3; k < len(c.Data); k += every {
+			c.Data[k] = specials[k%len(specials)]
+		}
+		return c
+	}
+	band := matgen.Band(600, 5, 76)
+	a := plant(band, 97, []float64{negZero, inf, -inf})
+	b := plant(band, 131, []float64{nan, negZero, -inf, 0})
+	for _, threads := range []int{1, 4} {
+		var colds [2]*csr.Matrix
+		for route, b := range []*csr.Matrix{b, padCols(b, 1<<20+1)} {
+			label := fmt.Sprintf("threads=%d, B %d columns", threads, b.Cols)
+			col := metrics.New()
+			opts := Options{Threads: threads, Metrics: col}
+			cold, sym, err := MultiplyPlanned(a, b, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !replayed(col) {
+				t.Fatalf("%s: a product holding a NaN skipped the numeric replay", label)
+			}
+			warm, err := Numeric(sym, a, b, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireBitsEqual(t, warm, cold, label+": warm vs cold")
+			want, err := Sequential(a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := csr.Diff(cold, want, 0); d != "" {
+				t.Fatalf("%s: cold vs Sequential: %s", label, d)
+			}
+			colds[route] = cold
+		}
+		requireBitsEqual(t, padCols(colds[0], 1<<20+1), colds[1], "one-phase vs two-phase")
+	}
+}
+
 // TestProductValueFingerprint pins the value bits of two fixed products,
 // cold, warm and bound: an RMAT square (stamped rows) and a
 // block-diagonal square (block groups). Every value is a division by 7,

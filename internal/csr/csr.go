@@ -369,7 +369,8 @@ func (m *Matrix) ExtractRows(lo, hi int) (*Matrix, error) {
 }
 
 // Equal reports whether the two matrices have identical structure and
-// values equal within the absolute-or-relative tolerance tol.
+// values equal within the absolute-or-relative tolerance tol. A NaN
+// equals only a NaN, and an infinity only itself.
 func Equal(a, b *Matrix, tol float64) bool {
 	return Diff(a, b, tol) == ""
 }
@@ -390,13 +391,30 @@ func Diff(a, b *Matrix, tol float64) string {
 			if ac[i] != bc[i] {
 				return fmt.Sprintf("row %d position %d column %d vs %d", r, i, ac[i], bc[i])
 			}
-			d := math.Abs(av[i] - bv[i])
-			if d > tol && d > tol*math.Max(math.Abs(av[i]), math.Abs(bv[i])) {
+			if valuesDiffer(av[i], bv[i], tol) {
 				return fmt.Sprintf("row %d col %d value %g vs %g", r, ac[i], av[i], bv[i])
 			}
 		}
 	}
 	return ""
+}
+
+// valuesDiffer reports whether x and y differ by more than the
+// absolute-or-relative tolerance tol. The difference of a NaN or an
+// infinity compares false against any tolerance, so those are decided
+// first: two NaNs are equal, a NaN and a number differ, and an infinity
+// differs from every value but itself.
+func valuesDiffer(x, y, tol float64) bool {
+	switch {
+	case x == y:
+		return false
+	case x != x || y != y:
+		return x == x || y == y
+	case math.IsInf(x, 0) || math.IsInf(y, 0):
+		return true
+	}
+	d := math.Abs(x - y)
+	return d > tol && d > tol*math.Max(math.Abs(x), math.Abs(y))
 }
 
 // Add returns A + B for two matrices of identical dimensions.

@@ -307,6 +307,39 @@ func TestEqualTolerance(t *testing.T) {
 	}
 }
 
+// TestEqualNonFinite pins what a tolerance cannot decide: a NaN equals
+// only a NaN, and an infinity only itself, at zero and non-zero
+// tolerance, compared either way round.
+func TestEqualNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		x, y  float64
+		equal bool
+	}{
+		{nan, 1, false},
+		{nan, 0, false},
+		{nan, nan, true},
+		{inf, -inf, false},
+		{inf, 1, false},
+		{-inf, -1e308, false},
+		{inf, nan, false},
+		{inf, inf, true},
+		{-inf, -inf, true},
+		{math.Copysign(0, -1), 0, true},
+	}
+	for _, c := range cases {
+		for _, tol := range []float64{0, 1e-9, 1} {
+			for _, pair := range [][2]float64{{c.x, c.y}, {c.y, c.x}} {
+				a := mustFromEntries(t, 1, 1, []Entry{{0, 0, pair[0]}})
+				b := mustFromEntries(t, 1, 1, []Entry{{0, 0, pair[1]}})
+				if got := Equal(a, b, tol); got != c.equal {
+					t.Errorf("Equal(%v, %v, tol %g) = %v, want %v (Diff %q)", pair[0], pair[1], tol, got, c.equal, Diff(a, b, tol))
+				}
+			}
+		}
+	}
+}
+
 // Property: round-tripping any set of entries through CSR preserves the
 // dense reconstruction.
 func TestQuickFromEntriesDenseRoundTrip(t *testing.T) {

@@ -18,17 +18,29 @@ import (
 // NaN only has to be a NaN (DESIGN.md §13), and must report a NaN
 // exactly when it emits one. A has rows of no entries, of one (the
 // scaled-copy path) and of many; B is 63, 64, 65 or 4096 + k columns
-// wide, with rows of scattered columns and runs that fill whole words and
-// the last partial one; NaN, ±Inf, −0.0 and 0 are mixed in at a fuzzed
-// rate. The rows are computed three ways: staged one after another into
-// a buffer holding each row's bound plus accum.FlushSlack, as the cold
-// stagers do; into buffers of exactly the row's size; and from nil.
+// wide. widthSel/4 picks B's rows: scattered columns and runs that fill
+// whole words and the last partial one; a band, each row a run of
+// consecutive columns one step right of the last (with a hole when the
+// step is odd and specials is not 0), read by A rows of consecutive B
+// rows, so that rows take ComputeRow's window route and its run loop;
+// or columns scattered over a window of 62 to 65 words (the window
+// route's edge) at a fuzzed offset. NaN, ±Inf, −0.0 and 0 are mixed in
+// at a fuzzed rate. The rows are computed three ways: staged one after
+// another into a buffer holding each row's bound plus accum.FlushSlack,
+// as the cold stagers do; into buffers of exactly the row's size; and
+// from nil.
 func FuzzComputeRow(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(9), uint8(20), uint8(30), uint8(0), int64(1))    // 63 columns
 	f.Add(uint8(1), uint8(0), uint8(5), uint8(30), uint8(80), uint8(40), int64(2))   // 64, specials
 	f.Add(uint8(2), uint8(0), uint8(11), uint8(39), uint8(200), uint8(8), int64(3))  // 65, dense rows
 	f.Add(uint8(3), uint8(7), uint8(7), uint8(25), uint8(36), uint8(0), int64(4))    // 4103, scattered rows
 	f.Add(uint8(3), uint8(63), uint8(3), uint8(12), uint8(255), uint8(64), int64(5)) // 4159, runs and specials
+	f.Add(uint8(7), uint8(1), uint8(11), uint8(39), uint8(16), uint8(0), int64(6))   // 4097, band of 17-column rows
+	f.Add(uint8(7), uint8(5), uint8(11), uint8(30), uint8(100), uint8(30), int64(7)) // 4101, band of 101-column runs
+	f.Add(uint8(6), uint8(2), uint8(9), uint8(20), uint8(8), uint8(20), int64(8))    // 65, band of 9-column rows with holes
+	f.Add(uint8(11), uint8(2), uint8(11), uint8(39), uint8(12), uint8(0), int64(9))  // 4098, 64-word windows
+	f.Add(uint8(11), uint8(3), uint8(11), uint8(39), uint8(12), uint8(0), int64(10)) // 4099, 65-word windows
+	f.Add(uint8(11), uint8(0), uint8(11), uint8(39), uint8(4), uint8(20), int64(11)) // 4096, 62 words, few products
 	f.Fuzz(func(t *testing.T, widthSel, k, rows, inner, density, specials uint8, seed int64) {
 		width := []int{63, 64, 65, 4096 + int(k%64)}[widthSel%4]
 		m, n := 1+int(inner%40), 1+int(rows%12)
@@ -60,7 +72,30 @@ func FuzzComputeRow(f *testing.F) {
 			}
 			return ids
 		}
-		b := build(m, width, func(int) []int32 {
+		shape := widthSel / 4 % 3
+		step, span, off := 1+int(k%4), min(width, 64*(62+int(k%4))), 0
+		if shape == 2 { // the other shapes draw what they drew before
+			off = rng.Intn(width - span + 1)
+		}
+		b := build(m, width, func(r int) []int32 {
+			switch shape {
+			case 1: // a band: a run one step right of the last B row's
+				n := min(width, 1+int(density)%130)
+				run := make([]int32, 0, n)
+				for c := min(r*step, width-n); len(run) < n; c++ {
+					run = append(run, int32(c))
+				}
+				if step%2 == 1 && specials > 0 && n > 2 {
+					run = slices.Delete(run, n/2, n/2+1)
+				}
+				return run
+			case 2: // columns scattered over a window of span columns
+				ids := distinct(span, rng.Intn(1+int(density)))
+				for j := range ids {
+					ids[j] += int32(off)
+				}
+				return ids
+			}
 			if rng.Intn(4) == 0 { // a run: whole words, or the last partial one
 				lo := rng.Intn(width)
 				if rng.Intn(2) == 0 {
@@ -76,11 +111,19 @@ func FuzzComputeRow(f *testing.F) {
 			return distinct(width, rng.Intn(1+int(density)))
 		})
 		a := build(n, m, func(i int) []int32 {
-			switch i % 4 {
-			case 0:
+			switch {
+			case i%4 == 0:
 				return nil
-			case 1:
+			case i%4 == 1:
 				return distinct(m, 1)
+			case shape == 1: // consecutive B rows, as a band's A row reads
+				d := min(m, 2+rng.Intn(m))
+				k0 := rng.Intn(m - d + 1)
+				ks := make([]int32, d)
+				for j := range ks {
+					ks[j] = int32(k0 + j)
+				}
+				return ks
 			default:
 				return distinct(m, 2+rng.Intn(m))
 			}
@@ -118,7 +161,7 @@ func FuzzComputeRow(f *testing.F) {
 					cols, vals = make([]int32, 0, hi-lo), make([]float64, 0, hi-lo)
 				}
 				at := len(cols)
-				cols, vals, nan := kit.ComputeRow(a, b, i, cols, vals)
+				cols, vals, nan := kit.ComputeRow(a, b, i, rowFlops[i], cols, vals)
 				gotCols, gotVals := cols[at:], vals[at:]
 				if !slices.Equal(gotCols, c.ColIDs[lo:hi]) {
 					t.Fatalf("%s: row %d ids %v, want %v", mode, i, gotCols, c.ColIDs[lo:hi])

@@ -88,11 +88,10 @@ type RowAccumulator interface {
 // once per member and reused across every row and chunk the worker
 // claims, so pool traffic does not scale with the chunk count.
 type Kit struct {
-	list    *accum.List
-	hash    *accum.Hash
-	cseg    *accum.CSeg
-	two     *accum.TwoLevel
-	revisit bool // ComputeRow's loop body for the next row
+	list *accum.List
+	hash *accum.Hash
+	cseg *accum.CSeg
+	two  *accum.TwoLevel
 }
 
 // Release returns the kit's accumulators to their pools.
@@ -378,17 +377,27 @@ func (p *SymbolicPass) AppendCols(kit *Kit, i int, cols []int32) []int32 {
 // a cold CPU product computes its rows in one walk (Kit.ComputeRow).
 func OnePhase(width int) bool { return width <= bitmapTierMax }
 
-const revisitCR = 4 // products per column of a kit's last row that pick AddRevisit
+const (
+	// windowMinProducts is the fewest products of a row whose column
+	// window ComputeRow reads: below it a row pays no extra B id loads.
+	windowMinProducts = 64
+	// windowCR is the fewest products per window word of a row that
+	// takes the window route.
+	windowCR = 2
+)
 
 // ComputeRow is the one-phase row kernel of the bitmap tier: row i of
 // A·B in one walk of its B rows, every product added beside its column's
 // bit in the kit's two-level bitmap (assigned on first touch, added in
 // (p, q) order after, as NumericRows does), then one ascending bit scan
-// appending (col, value) to cols and vals. A row of A with one entry is
-// a scaled copy of its B row. Add ORs every bit; AddRevisit tests it
-// first, which pays on rows that revisit columns (DESIGN.md §13). nan
-// reports a NaN among the values: its payload may not be NumericRows'.
-func (k *Kit) ComputeRow(a, b *csr.Matrix, i int, cols []int32, vals []float64) (_ []int32, _ []float64, nan bool) {
+// appending (col, value) to cols and vals. flops is the row's flop count
+// (csr.RowFlops). A row of A with one entry is a scaled copy of its B
+// row. A row of at least windowMinProducts products whose columns lie in
+// at most accum.WindowMaxWords words, windowCR products or more per word,
+// takes the window route: no summary bit, a contiguous B row added in one
+// loop (AddRun), and a flush of the window's words only (DESIGN.md §13).
+// nan reports a NaN among the values: its payload may not be NumericRows'.
+func (k *Kit) ComputeRow(a, b *csr.Matrix, i int, flops int64, cols []int32, vals []float64) (_ []int32, _ []float64, nan bool) {
 	ac, av := a.Row(i)
 	if len(ac) == 1 {
 		bc, bv := b.Row(int(ac[0]))
@@ -404,26 +413,47 @@ func (k *Kit) ComputeRow(a, b *csr.Matrix, i int, cols []int32, vals []float64) 
 	}
 	two := k.two
 	two.GrowValues(b.Cols) // a compare, unless the kit's bitmap served symbolic rows
-	products := 0
+	if flops >= 2*windowMinProducts {
+		if w0, w1, ok := colWindow(b, ac, flops/2); ok {
+			for p, kb := range ac {
+				bc, bv := b.Row(int(kb))
+				bv = bv[:len(bc)]
+				x := av[p]
+				if n := len(bc); n > 1 && int(bc[n-1]-bc[0]) == n-1 {
+					two.AddRun(bc[0], x, bv)
+					continue
+				}
+				for q, col := range bc {
+					two.AddWindow(col, float64(x*bv[q]))
+				}
+			}
+			return two.FlushWindow(w0, w1, cols, vals)
+		}
+	}
 	for p, kb := range ac {
 		bc, bv := b.Row(int(kb))
 		bv = bv[:len(bc)]
 		x := av[p]
-		products += len(bc)
-		if k.revisit {
-			for q, col := range bc {
-				two.AddRevisit(col, float64(x*bv[q]))
-			}
-		} else {
-			for q, col := range bc {
-				two.Add(col, float64(x*bv[q]))
-			}
+		for q, col := range bc {
+			two.Add(col, float64(x*bv[q]))
 		}
 	}
-	n := len(cols)
-	cols, vals, nan = two.FlushValues(cols, vals)
-	k.revisit = products >= revisitCR*(len(cols)-n)
-	return cols, vals, nan
+	return two.FlushValues(cols, vals)
+}
+
+// colWindow bounds the columns of the B rows kb in ac to occupancy words
+// [w0, w1] from each B row's first and last id (ids ascend), and reports
+// whether a row of that many products takes the window route.
+func colWindow(b *csr.Matrix, ac []int32, products int64) (w0, w1 int, ok bool) {
+	lo, hi := int32(math.MaxInt32), int32(-1)
+	for _, kb := range ac {
+		if s, e := b.RowOffsets[kb], b.RowOffsets[kb+1]; s < e {
+			lo, hi = min(lo, b.ColIDs[s]), max(hi, b.ColIDs[e-1])
+		}
+	}
+	w0, w1 = int(lo>>6), int(hi>>6)
+	nw := w1 - w0 + 1
+	return w0, w1, hi >= 0 && nw <= accum.WindowMaxWords && products >= windowCR*int64(nw)
 }
 
 // walk counts and emits every row of A·B in one walk: the rows are cut

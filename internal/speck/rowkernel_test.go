@@ -185,7 +185,7 @@ func requirePassMatchesOracle(t *testing.T, name string, a, b *csr.Matrix) *Symb
 		if !OnePhase(b.Cols) {
 			continue
 		}
-		cols, vals, nan := kit.ComputeRow(a, b, i, nil, nil)
+		cols, vals, nan := kit.ComputeRow(a, b, i, want.RowFlops[i], nil, nil)
 		if !slices.Equal(cols, wantCols) {
 			t.Fatalf("%s: one-phase row %d computes %d columns, oracle %d", name, i, len(cols), len(wantCols))
 		}
@@ -199,6 +199,84 @@ func requirePassMatchesOracle(t *testing.T, name string, a, b *csr.Matrix) *Symb
 		}
 	}
 	return pass
+}
+
+// TestComputeRowWindowGate pins the window route's edges: a row of 63
+// products and one of 64 in one word, windows of exactly 64 words at
+// exactly two products per word and at one fewer product, a window of 64
+// words that starts past word 0, and one of 65 words. Each row must be
+// routed as stated and, on either route, computed bit for bit as the
+// oracle computes it.
+func TestComputeRowWindowGate(t *testing.T) {
+	const width = 64 * 70
+	run := func(lo, hi int) (ids []int32) {
+		for c := lo; c < hi; c++ {
+			ids = append(ids, int32(c))
+		}
+		return ids
+	}
+	var spread []int32 // 126 ids, every 32nd column: words 0 to 62
+	for j := 0; j < 126; j++ {
+		spread = append(spread, int32(32*j))
+	}
+	bRows := [][]int32{
+		run(0, 32),                // 0
+		run(0, 31),                // 1
+		run(0, 32),                // 2
+		{1, 64*63 + 1},            // 3: words 0 and 63
+		spread,                    // 4
+		{64*63 + 1},               // 5: word 63
+		run(64*64, 64*65),         // 6: word 64, whole
+		run(64, 64+130),           // 7: words 1 to 3
+		{64*64 + 63},              // 8: word 64
+		{7, 64*63 + 5, 64*64 + 9}, // 9: a hole-y row over words 0 to 64
+	}
+	rows := []struct {
+		name   string
+		bRows  []int32
+		window bool
+	}{
+		{"63 products in one word", []int32{0, 1}, false},
+		{"64 products in one word", []int32{0, 2}, true},
+		{"64 words at 2 products per word", []int32{4, 3}, true},
+		{"64 words at 127 products", []int32{4, 5}, false},
+		{"65 words", []int32{4, 6}, false},
+		{"64 words from word 1", []int32{7, 8}, true},
+		{"65 words of scattered rows", []int32{9, 4, 6}, false},
+	}
+	negZero := math.Copysign(0, -1)
+	var eb, ea []csr.Entry
+	for r, ids := range bRows {
+		for j, c := range ids {
+			v := 1 + float64((r*7+j)%11)/8
+			if j%13 == 5 {
+				v = negZero
+			}
+			eb = append(eb, csr.Entry{Row: int32(r), Col: c, Val: v})
+		}
+	}
+	for i, row := range rows {
+		for p, k := range row.bRows {
+			ea = append(ea, csr.Entry{Row: int32(i), Col: k, Val: 0.5 + float64(p)})
+		}
+	}
+	b, err := csr.FromEntries(len(bRows), width, eb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := csr.FromEntries(len(rows), len(bRows), ea)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flops := csr.RowFlops(a, b, 1)
+	for i, row := range rows {
+		ac, _ := a.Row(i)
+		_, _, ok := colWindow(b, ac, flops[i]/2)
+		if got := flops[i] >= 2*windowMinProducts && ok; got != row.window {
+			t.Errorf("%s (%d products): window route %v, want %v", row.name, flops[i]/2, got, row.window)
+		}
+	}
+	requirePassMatchesOracle(t, "window gate", a, b)
 }
 
 // TestDegreeOneRowsTouchNoAccumulator pins the short-circuit: a row of A
@@ -229,7 +307,7 @@ func TestDegreeOneRowsTouchNoAccumulator(t *testing.T) {
 		if got := len(pass.AppendCols(&kit, i, nil)); got != int(hi-lo) {
 			t.Fatalf("row %d: emits %d columns, want %d", i, got, hi-lo)
 		}
-		cols, vals, _ := kit.ComputeRow(a, b, i, pass.AppendCols(&kit, i, nil), nil)
+		cols, vals, _ := kit.ComputeRow(a, b, i, want.RowFlops[i], pass.AppendCols(&kit, i, nil), nil)
 		if !slices.Equal(cols[:hi-lo], cols[hi-lo:]) || !slices.Equal(cols[:hi-lo], want.ColIDs[lo:hi]) {
 			t.Fatalf("row %d: ids %v, want %v twice", i, cols, want.ColIDs[lo:hi])
 		}
