@@ -1,6 +1,7 @@
 package cpuspgemm
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,7 +17,8 @@ import (
 // shared with speck's per-chunk products and the whole-matrix row
 // analysis) driven over dynamically claimed chunks, one Kit per worker.
 // On the bitmap tier one pass computes each row's (column, value) pairs
-// (Kit.ComputeRow); wider panels emit column ids, then run the replay a
+// (Kit.ComputeRow), and block rows four at a time on the replay's body
+// (Kit.ComputeGroups); wider panels emit column ids, then run the replay a
 // warm Numeric call runs (replay, in plan.go) over them. Same-column
 // products sum in first-touch arrival order, so the product is
 // bit-for-bit Sequential's.
@@ -39,8 +41,27 @@ type ClassStats struct {
 // Names returns the class names in Classes order.
 func (s *ClassStats) Names() [speck.NumKinds]string { return speck.KindNames }
 
+// classParts is one chunk's shares, gathered locally.
+type classParts [speck.NumKinds]ClassStat
+
+// add books rows [lo, hi) of the one pass, the rows with flops each to
+// its class, and the time since t0 to row lo's; it returns the time now.
+func (p *classParts) add(pass *speck.SymbolicPass, lo, hi int, rowFlops, rowNnz []int64, t0 time.Time) time.Time {
+	t1 := time.Now()
+	p[pass.Kind(lo)].SymbolicNs += t1.Sub(t0).Nanoseconds()
+	for i := lo; i < hi; i++ {
+		if rowFlops[i] != 0 {
+			c := &p[pass.Kind(i)]
+			c.Rows++
+			c.Flops += rowFlops[i]
+			c.Nnz += rowNnz[i]
+		}
+	}
+	return t1
+}
+
 // merge adds one chunk's locally gathered shares.
-func (s *ClassStats) merge(part *[speck.NumKinds]ClassStat) {
+func (s *ClassStats) merge(part *classParts) {
 	for k := range part {
 		c, p := &s.Classes[k], &part[k]
 		atomic.AddInt64(&c.Rows, p.Rows)
@@ -175,18 +196,44 @@ func multiplyAdaptive(a, b *csr.Matrix, opts Options, rowFlops []int64) (*csr.Ma
 		kit, st := &kits[w], &stages[w]
 		buf, vbuf, first := st.tail, st.vtail, lo
 		t0 := time.Now()
-		var part [speck.NumKinds]ClassStat
+		var part classParts
 		for i := lo; i < hi; i++ {
 			if rowFlops[i] == 0 {
 				continue
 			}
 			// A row holds at most one id per product and per column; the
-			// bitmap's flush writes whole words past them.
-			if bound := int(min(rowFlops[i]/2, int64(b.Cols))) + accum.FlushSlack; cap(buf)-len(buf) < bound {
+			// bitmap's flush writes whole words past them. A row that may
+			// start a block group (speck.MayGroup) reserves room for a
+			// group, whose rows each hold as many ids as it does.
+			bound := int(min(rowFlops[i]/2, int64(b.Cols))) + accum.FlushSlack
+			group := onePhase && speck.MayGroup(a, i, hi)
+			if group {
+				bound *= speck.GroupRows
+			}
+			if cap(buf)-len(buf) < bound {
 				st.spans = append(st.spans, colSpan{first, i, buf, vbuf})
 				buf, first = stage[int32](accum.ColBlocks, &st.blocks, bound), i
 				if onePhase {
 					vbuf = stage[float64](accum.ValBlocks, &st.vblocks, bound)
+				}
+			}
+			if group {
+				var end int
+				var runNaN bool
+				var err error
+				if end, buf, vbuf, runNaN, err = kit.ComputeGroups(a, b, i, hi, rowNnz, buf, vbuf); err != nil {
+					werr.set(fmt.Errorf("cpuspgemm: %w", err))
+					return
+				}
+				if end > i {
+					if runNaN {
+						nan.Store(true)
+					}
+					if opts.ClassStats != nil {
+						t0 = part.add(pass, i, end, rowFlops, rowNnz, t0)
+					}
+					i = end - 1
+					continue
 				}
 			}
 			n := len(buf)
@@ -200,13 +247,7 @@ func multiplyAdaptive(a, b *csr.Matrix, opts Options, rowFlops []int64) (*csr.Ma
 			}
 			rowNnz[i] = int64(len(buf) - n)
 			if opts.ClassStats != nil {
-				t1 := time.Now()
-				c := &part[pass.Kind(i)]
-				c.SymbolicNs += t1.Sub(t0).Nanoseconds()
-				t0 = t1
-				c.Rows++
-				c.Flops += rowFlops[i]
-				c.Nnz += rowNnz[i]
+				t0 = part.add(pass, i, i+1, rowFlops, rowNnz, t0)
 			}
 		}
 		st.spans = append(st.spans, colSpan{first, hi, buf, vbuf})

@@ -39,12 +39,13 @@ func ladderRungs() []struct {
 // BenchmarkLadder times a cold Multiply, a warm Numeric and a bound warm
 // replay (NumericScheduled on the schedule a plan cache keeps for operands
 // with records) per rung; the same three for er4096, ER(4096, 6/4096)²,
-// the shape of serve_payload_cold's product; and both replays of the
+// the shape of serve_payload_cold's product; and the same three of the
 // block-diagonal shapes the warm workloads replay (cluster_batch_chain's
 // BlockDiag(256, 32), serve_small_warm's BlockDiag(512, 8)), every row of
-// which NumericRows computes in groups whose B rows are a block; their
-// bound replays also run under each of the groups' bodies
-// (speck.UseBody) the host has, as bound/<shape>/<body>. Both replays
+// which a cold product (Kit.ComputeGroups) and a replay (NumericRows)
+// compute in groups whose B rows are a block; their bound replays also
+// run under each of the groups' bodies (speck.UseBody) the host has, as
+// bound/<shape>/<body>. Both replays
 // write into one value array of nnz(C) made before the timer starts, as
 // a plan-cache replay writes into a spare, so they time no allocation
 // and no zeroing of C.
@@ -75,15 +76,13 @@ func BenchmarkLadder(b *testing.B) {
 	}{{"er4096", er4096, er4096}, {"block32", block32, block32}, {"block8", block8, block8}}...)
 	for _, r := range rungs {
 		block := r.name == "block32" || r.name == "block8"
-		if !block {
-			b.Run("cold/"+r.name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := Multiply(r.a, r.b, opts); err != nil {
-						b.Fatal(err)
-					}
+		b.Run("cold/"+r.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := Multiply(r.a, r.b, opts); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 		b.Run("warm/"+r.name, func(b *testing.B) { warm(b, r.a, r.b, false) })
 		b.Run("bound/"+r.name, func(b *testing.B) { warm(b, r.a, r.b, true) })
 		if block {

@@ -176,7 +176,7 @@ func replay(w speck.Window, a, b *csr.Matrix, bounds []int, opts Options, pass *
 			step = 1
 		}
 		t0 := time.Now()
-		var part [speck.NumKinds]ClassStat
+		var part classParts
 		for i := lo; i < hi; i += step {
 			if err := speck.NumericRows(a, b, &w, scratch[wk], sched, i, i+step); err != nil {
 				werr.set(fmt.Errorf("cpuspgemm: numeric: %w", err))

@@ -260,11 +260,16 @@ func TestNonFiniteOperands(t *testing.T) {
 	a2, _ := csr.FromEntries(1, 2, []csr.Entry{{Row: 0, Col: 0, Val: 1}, {Row: 0, Col: 1, Val: inf}})
 	b2, _ := csr.FromEntries(2, 1, []csr.Entry{{Row: 0, Col: 0, Val: nan}, {Row: 1, Col: 0, Val: 0}})
 
-	// The one-phase kernel picks its loop body from the previous row, so
-	// a3 puts the collision after a row of four products onto one column
-	// (the revisit body), again after it (the plain body), and in a
-	// product of two NaNs, by a degree-1 row (the short-circuit) and a
-	// degree-2 one. At one thread one kit computes the rows in order.
+	// No row of a3 has more than four products, so on the one-phase route
+	// ComputeRow runs every one on its summary body (Add, FlushValues): no
+	// window route, and no block group — rows 1 and 2 share their A row,
+	// whose B rows 4 and 5 are a block, but a group takes four rows. a3
+	// puts the collision after a row of four products onto one column
+	// (row 1), in an equal row after it (row 2), and in a product of two
+	// NaNs, by a degree-1 row (the scaled copy, row 3) and a degree-2 one
+	// (row 4). The window route's NaN replay is TestWindowRouteNonFinite's;
+	// a group's is the last case below. At one thread one kit computes the
+	// rows in order.
 	nan1, nan2 := math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0x7ff8000000000002)
 	a3, _ := csr.FromEntries(5, 6, []csr.Entry{
 		{Row: 0, Col: 0, Val: 1}, {Row: 0, Col: 1, Val: 1}, {Row: 0, Col: 2, Val: 1}, {Row: 0, Col: 3, Val: 1},
@@ -387,6 +392,36 @@ func TestNonFiniteOperands(t *testing.T) {
 			if v := warm.Data[warm.RowOffsets[7]-1]; v != 0 || !math.Signbit(v) {
 				t.Fatalf("%s: a sum of -0.0 products came out as %v", route, v)
 			}
+		}
+
+		// A NaN inside a cold block group and nowhere else: rows 8-11 of
+		// grpA are a group over B's block 1, and row 9's multiplier of B
+		// row 8, whose column 11 is a NaN of another payload, is a NaN. Only
+		// the group's nan flag sends this product through the numeric
+		// replay. At one thread the group is whole and takes the run body;
+		// at four every chunk is one row.
+		grpA, grpB := matgen.BlockDiag(4, 8, 91), matgen.BlockDiag(4, 8, 92)
+		grpA.Data[9*8] = nan1
+		grpB.Data[8*8+3] = nan2
+		col := metrics.New()
+		groups := speck.GroupsComputed()
+		cold, sym, err := MultiplyPlanned(grpA, grpB, Options{Threads: threads, Metrics: col})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if threads == 1 && speck.GroupsComputed() == groups {
+			t.Fatal("NaN in a block group: no group took the run body")
+		}
+		if !replayed(col) {
+			t.Fatalf("threads=%d: a product whose only NaNs are a block group's skipped the numeric replay", threads)
+		}
+		warm, err := Numeric(sym, grpA, grpB, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireBitsEqual(t, warm, cold, fmt.Sprintf("NaN in a block group, threads=%d: warm vs cold", threads))
+		if v := cold.Data[9*8+3]; !math.IsNaN(v) {
+			t.Fatalf("NaN · NaN in a block group = %v, want a NaN", v)
 		}
 	}
 }

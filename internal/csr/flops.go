@@ -22,22 +22,18 @@ func Flops(a, b *Matrix) int64 {
 // framework's first GPU stage (Figure 3), used for load balancing and
 // for the hybrid work distribution. It feeds every engine's scheduler,
 // so the scan itself is row-parallel, on workers goroutines (0 means
-// GOMAXPROCS): the bound of the job it serves.
+// GOMAXPROCS): the bound of the job it serves. Like Flops it reads B's
+// row offsets directly, with no per-B-row count array.
 func RowFlops(a, b *Matrix, workers int) []int64 {
-	bRowNnz := make([]int64, b.Rows)
-	parallel.For(workers, b.Rows, parallel.Grain(b.Rows, workers), func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			bRowNnz[r] = b.RowNnz(r)
-		}
-	})
 	out := make([]int64, a.Rows)
+	aOffs, ids, bOffs := a.RowOffsets, a.ColIDs, b.RowOffsets
 	parallel.For(workers, a.Rows, parallel.Grain(a.Rows, workers), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			var f int64
-			for p := a.RowOffsets[i]; p < a.RowOffsets[i+1]; p++ {
-				f += 2 * bRowNnz[a.ColIDs[p]]
+			for _, k := range ids[aOffs[i]:aOffs[i+1]] {
+				f += bOffs[k+1] - bOffs[k]
 			}
-			out[i] = f
+			out[i] = 2 * f
 		}
 	})
 	return out

@@ -24,11 +24,17 @@ import (
 // step is odd and specials is not 0), read by A rows of consecutive B
 // rows, so that rows take ComputeRow's window route and its run loop;
 // or columns scattered over a window of 62 to 65 words (the window
-// route's edge) at a fuzzed offset. NaN, ±Inf, −0.0 and 0 are mixed in
-// at a fuzzed rate. The rows are computed three ways: staged one after
-// another into a buffer holding each row's bound plus accum.FlushSlack,
-// as the cold stagers do; into buffers of exactly the row's size; and
-// from nil.
+// route's edge) at a fuzzed offset; or blocks of 1 to 8 B rows sharing
+// their ids, read by block rows of 1 to 9 equal A rows, so that rows make
+// block groups, some broken by a B row with one id fewer or an A row of
+// its own. NaN, ±Inf, −0.0 and 0 are mixed in at a fuzzed rate. The rows
+// are computed four ways: staged one after another into a buffer holding
+// each row's bound plus accum.FlushSlack, as the cold stagers do; into
+// buffers of exactly the row's size; from nil; and staged as the cold
+// product's stager runs them, a row that may start a group (MayGroup)
+// through Kit.ComputeGroups, whose rows must carry the same ids and, but
+// where it reports a NaN (exactly when NumericRows' values hold one),
+// NumericRows' values bit for bit.
 func FuzzComputeRow(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(9), uint8(20), uint8(30), uint8(0), int64(1))    // 63 columns
 	f.Add(uint8(1), uint8(0), uint8(5), uint8(30), uint8(80), uint8(40), int64(2))   // 64, specials
@@ -41,9 +47,17 @@ func FuzzComputeRow(f *testing.F) {
 	f.Add(uint8(11), uint8(2), uint8(11), uint8(39), uint8(12), uint8(0), int64(9))  // 4098, 64-word windows
 	f.Add(uint8(11), uint8(3), uint8(11), uint8(39), uint8(12), uint8(0), int64(10)) // 4099, 65-word windows
 	f.Add(uint8(11), uint8(0), uint8(11), uint8(39), uint8(4), uint8(20), int64(11)) // 4096, 62 words, few products
+	f.Add(uint8(12), uint8(3), uint8(20), uint8(39), uint8(30), uint8(0), int64(12)) // 63, blocks of 4
+	f.Add(uint8(15), uint8(7), uint8(28), uint8(39), uint8(60), uint8(0), int64(13)) // 4103, blocks of 8
+	f.Add(uint8(14), uint8(5), uint8(25), uint8(30), uint8(20), uint8(9), int64(14)) // 65, blocks of 6, specials and broken groups
+	f.Add(uint8(15), uint8(0), uint8(16), uint8(10), uint8(9), uint8(0), int64(15))  // 4096, blocks of 1
 	f.Fuzz(func(t *testing.T, widthSel, k, rows, inner, density, specials uint8, seed int64) {
 		width := []int{63, 64, 65, 4096 + int(k%64)}[widthSel%4]
 		m, n := 1+int(inner%40), 1+int(rows%12)
+		shape := widthSel / 4 % 4
+		if shape == 3 {
+			n = 4 + int(rows%29)
+		}
 		rng := rand.New(rand.NewSource(seed))
 		specialValues := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0}
 		value := func() float64 {
@@ -72,13 +86,31 @@ func FuzzComputeRow(f *testing.F) {
 			}
 			return ids
 		}
-		shape := widthSel / 4 % 3
 		step, span, off := 1+int(k%4), min(width, 64*(62+int(k%4))), 0
 		if shape == 2 { // the other shapes draw what they drew before
 			off = rng.Intn(width - span + 1)
 		}
+		bs := 1 + int(k%8) // shape 3's B blocks: rows [j·bs, (j+1)·bs) share their ids
+		var blockIDs []int32
 		b := build(m, width, func(r int) []int32 {
 			switch shape {
+			case 3: // blocks, now and then a row with one id fewer
+				if r%bs == 0 {
+					if rng.Intn(2) == 0 {
+						blockIDs = distinct(width, 1+rng.Intn(1+int(density)))
+						slices.Sort(blockIDs)
+					} else {
+						lo := rng.Intn(width)
+						blockIDs = blockIDs[:0:0]
+						for c := lo; c < min(width, lo+1+int(density)); c++ {
+							blockIDs = append(blockIDs, int32(c))
+						}
+					}
+				}
+				if specials > 0 && len(blockIDs) > 1 && rng.Intn(8) == 0 {
+					return blockIDs[1:]
+				}
+				return blockIDs
 			case 1: // a band: a run one step right of the last B row's
 				n := min(width, 1+int(density)%130)
 				run := make([]int32, 0, n)
@@ -110,7 +142,28 @@ func FuzzComputeRow(f *testing.F) {
 			}
 			return distinct(width, rng.Intn(1+int(density)))
 		})
+		// Shape 3's A: block rows of 1 to 9 equal rows, each reading a
+		// range of one B block, now and then a row reading another range.
+		var blockRow []int32
+		left := 0
 		a := build(n, m, func(i int) []int32 {
+			if shape == 3 {
+				if left == 0 {
+					left = 1 + rng.Intn(9)
+					j := rng.Intn((m + bs - 1) / bs)
+					k0 := j*bs + rng.Intn(min(bs, m-j*bs))
+					d := 1 + rng.Intn(min(j*bs+bs, m)-k0)
+					blockRow = blockRow[:0:0]
+					for kb := k0; kb < k0+d; kb++ {
+						blockRow = append(blockRow, int32(kb))
+					}
+				}
+				left--
+				if specials > 0 && rng.Intn(8) == 0 {
+					return distinct(m, 1+rng.Intn(m))
+				}
+				return blockRow
+			}
 			switch {
 			case i%4 == 0:
 				return nil
@@ -143,16 +196,51 @@ func FuzzComputeRow(f *testing.F) {
 		}
 
 		rowFlops := csr.RowFlops(a, b, 0)
-		for _, mode := range []string{"staged with slack", "exact capacity", "nil"} {
+		for _, mode := range []string{"staged with slack", "exact capacity", "nil", "grouped"} {
 			var kit speck.Kit
 			var buf []int32
 			var vbuf []float64
+			nnz := make([]int64, a.Rows)
 			for i := 0; i < a.Rows; i++ {
+				if mode == "grouped" && speck.MayGroup(a, i, a.Rows) {
+					// As the cold stager runs a row that may start a group:
+					// room for GroupRows rows as long as it, then the groups.
+					if bound := int(min(rowFlops[i]/2, int64(width)))*speck.GroupRows + accum.FlushSlack; cap(buf)-len(buf) < bound {
+						buf, vbuf = make([]int32, 0, bound+rng.Intn(100)), make([]float64, 0, bound)
+					}
+					at := len(buf)
+					end, cols, vals, nan, err := kit.ComputeGroups(a, b, i, a.Rows, nnz, buf, vbuf)
+					if err != nil {
+						t.Fatalf("rows %d-: %v", i, err)
+					}
+					if end > i {
+						lo, hi := c.RowOffsets[i], c.RowOffsets[end]
+						if !slices.Equal(cols[at:], c.ColIDs[lo:hi]) || len(vals)-at != len(cols)-at {
+							t.Fatalf("groups of rows %d-%d: ids %v (%d values), want %v", i, end, cols[at:], len(vals)-at, c.ColIDs[lo:hi])
+						}
+						for r := i; r < end; r++ {
+							if nnz[r] != c.RowNnz(r) {
+								t.Fatalf("group row %d: size %d, want %d", r, nnz[r], c.RowNnz(r))
+							}
+						}
+						if want := slices.ContainsFunc(c.Data[lo:hi], math.IsNaN); nan != want {
+							t.Fatalf("groups of rows %d-%d: nan = %v, NumericRows' values hold a NaN: %v", i, end, nan, want)
+						}
+						for j, g := range vals[at:] {
+							if wv := c.Data[lo+int64(j)]; !nan && math.Float64bits(g) != math.Float64bits(wv) {
+								t.Fatalf("groups of rows %d-%d: value %d: %v (%#x), want %v (%#x)", i, end, j, g, math.Float64bits(g), wv, math.Float64bits(wv))
+							}
+						}
+						buf, vbuf = cols, vals
+						i = end - 1
+						continue
+					}
+				}
 				lo, hi := c.RowOffsets[i], c.RowOffsets[i+1]
 				var cols []int32
 				var vals []float64
 				switch mode {
-				case "staged with slack":
+				case "staged with slack", "grouped":
 					if bound := int(min(rowFlops[i]/2, int64(width))) + accum.FlushSlack; cap(buf)-len(buf) < bound {
 						buf, vbuf = make([]int32, 0, bound+rng.Intn(100)), make([]float64, 0, bound)
 					}
@@ -175,7 +263,7 @@ func FuzzComputeRow(f *testing.F) {
 						t.Fatalf("%s: row %d column %d: %v (%#x), want %v (%#x)", mode, i, gotCols[j], g, math.Float64bits(g), wv, math.Float64bits(wv))
 					}
 				}
-				if mode == "staged with slack" {
+				if mode == "staged with slack" || mode == "grouped" {
 					buf, vbuf = cols, vals
 				}
 			}

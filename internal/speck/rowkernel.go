@@ -30,7 +30,8 @@ import (
 // the symbolic half fixed — or, for four block rows sharing their A row
 // and a block of B rows, column by column in registers.
 // ComputeRow, the cold CPU product's row on the bitmap tier, sums in the
-// same order: bit for bit but NaN payloads (§13).
+// same order: bit for bit but NaN payloads (§13); ComputeGroups, its
+// block groups, runs the replay's own register body on them.
 
 const (
 	// bitmapTierMax is the widest B panel whose rows all accumulate into
@@ -92,6 +93,7 @@ type Kit struct {
 	hash *accum.Hash
 	cseg *accum.CSeg
 	two  *accum.TwoLevel
+	grp  *groupScratch
 }
 
 // Release returns the kit's accumulators to their pools.
@@ -107,6 +109,9 @@ func (k *Kit) Release() {
 	}
 	if k.two != nil {
 		accum.PutTwoLevel(k.two)
+	}
+	if k.grp != nil {
+		groupScratches.Put(k.grp)
 	}
 	*k = Kit{}
 }
@@ -456,6 +461,83 @@ func colWindow(b *csr.Matrix, ac []int32, products int64) (w0, w1 int, ok bool) 
 	return w0, w1, hi >= 0 && nw <= accum.WindowMaxWords && products >= windowCR*int64(nw)
 }
 
+// MayGroup is the cold stager's probe for Kit.ComputeGroups: whether row
+// i, not one of the last GroupRows-1 rows before hi, is as long as row
+// i+1 and starts at the same column. Most rows of a product that is not
+// block-structured stop at it; it inlines into the stager's loop.
+func MayGroup(a *csr.Matrix, i, hi int) bool {
+	if i+GroupRows > hi {
+		return false
+	}
+	offs := a.RowOffsets[i : i+3]
+	o, e := offs[0], offs[1]
+	return o < e && offs[2]-e == e-o && a.ColIDs[o] == a.ColIDs[e]
+}
+
+// groupScratch holds one run of Kit.ComputeGroups: its groups' spans and
+// their rows' offsets into the value buffer.
+type groupScratch struct {
+	run  [runGroups]span
+	offs [runGroups * GroupRows]int64
+}
+
+var groupScratches = sync.Pool{New: func() any { return new(groupScratch) }}
+
+var groupsComputed atomic.Int64
+
+// GroupsComputed counts the block groups cold products computed on the
+// run body (Kit.ComputeGroups), process-wide and monotonic like
+// SchedulesBuilt.
+func GroupsComputed() int64 { return groupsComputed.Load() }
+
+// ComputeGroups is ComputeRow for the run of block groups from row i: the
+// groups of GroupRows rows with row i's column ids of A whose B rows are a
+// block (isGroup), one after another below row hi, at most runGroups of
+// them and as many as cols and vals have room for. Each group's rows get
+// the block's column ids, and their values from the run body (sumRun) the
+// warm replay runs, so that a block row cold and warm is one computation,
+// bit for bit; nnz[r] gets row r's size. end is the row after the run, i
+// where row i starts no group that fits. nan reports a group holding a
+// NaN: its values and those of the groups after it are not computed, and
+// the caller replays the product (NumericRows), as it does for a NaN from
+// ComputeRow. Like NumericRows, it runs the body only on a run that passes
+// groupRun's bounds checks, and returns an error for one that does not:
+// an operand whose value array is shorter than its offsets claim.
+func (k *Kit) ComputeGroups(a, b *csr.Matrix, i, hi int, nnz []int64, cols []int32, vals []float64) (end int, _ []int32, _ []float64, nan bool, err error) {
+	if k.grp == nil {
+		k.grp = groupScratches.Get().(*groupScratch)
+	}
+	run, offs := k.grp.run[:0], k.grp.offs[:0]
+	n0, at := len(cols), int64(len(vals))
+	room := int64(min(cap(cols)-n0, cap(vals)-len(vals)))
+	var blk block
+	g := i
+	for ; g+GroupRows <= hi && len(run) < runGroups && isGroup(a, b, &blk, g) && GroupRows*blk.m <= room; g += GroupRows {
+		ids := b.ColIDs[blk.at:][:blk.m]
+		for r := range GroupRows {
+			offs = append(offs, at)
+			at += blk.m
+			cols = append(cols, ids...)
+			nnz[g+r] = blk.m
+		}
+		room -= GroupRows * blk.m
+		run = append(run, span{lo: g - i, hi: g - i + GroupRows, at: blk.at, n: blk.n, m: blk.m})
+	}
+	if len(run) == 0 {
+		return i, cols, vals, false, nil
+	}
+	// The run's rows counted from i: its multipliers' offsets are A's from
+	// row i on, its windows its rows' offsets into vals.
+	aOffs := a.RowOffsets[i:]
+	view := csr.Matrix{RowOffsets: aOffs, Data: a.Data}
+	w := Window{Offs: offs, Stride: 1, Data: vals[:at]}
+	if _, ok := groupRun(&view, b, &w, run, 0, g-i); !ok {
+		return i, cols[:n0], vals, false, fmt.Errorf("speck: rows %d-%d: the groups reach past the operands' value arrays", i, g)
+	}
+	groupsComputed.Add(int64(len(run)))
+	return g, cols, w.Data, sumRun(a.Data, b.Data, w.Data, aOffs, offs, 1, run) < len(run), nil
+}
+
 // walk counts and emits every row of A·B in one walk: the rows are cut
 // into flop-balanced ranges, one per worker, and each range runs on a
 // Kit of its own, staging its ids in pooled fixed-size blocks
@@ -581,9 +663,10 @@ func WholeWindow(c *csr.Matrix) Window {
 // RowNnz reports the size of row i's window.
 func (w Window) RowNnz(i int) int64 { return w.Offs[i*w.Stride+1] - w.Offs[i*w.Stride] }
 
-// groupRows is the size of NumericRows' groups: groupRows consecutive
-// rows of A with the same column ids whose B rows are a block (isGroup).
-const groupRows = 4
+// GroupRows is the size of the groups NumericRows and Kit.ComputeGroups
+// compute on the run body: GroupRows consecutive rows of A with the same
+// column ids whose B rows are a block (isGroup).
+const GroupRows = 4
 
 // NumericRows is the numeric row kernel: for each row i in [lo, hi) of
 // A·B, whose structure is row i of w, it computes the row's values into
@@ -669,7 +752,7 @@ func groupRun(a, b *csr.Matrix, w *Window, spans []span, k, hi int) (j int, ok b
 		}
 		ao, at := aOffs[sp.lo], sp.lo*stride
 		o0, o1, o2, o3 := wOffs[at], wOffs[at+stride], wOffs[at+2*stride], wOffs[at+3*stride]
-		aRoom, wRoom := al-groupRows*sp.n, wl-sp.m
+		aRoom, wRoom := al-GroupRows*sp.n, wl-sp.m
 		signs |= aRoom | ao | (aRoom - ao) | (bl - sp.n*sp.m - sp.at) |
 			wRoom | (o0 | o1 | o2 | o3) | (wRoom - o0) | (wRoom - o1) | (wRoom - o2) | (wRoom - o3)
 	}
@@ -678,7 +761,7 @@ func groupRun(a, b *csr.Matrix, w *Window, spans []span, k, hi int) (j int, ok b
 
 // Schedule is NumericRows' plan of a row range, a function of the
 // structures of A, B and the window alone: which rows are groups —
-// groupRows rows sharing their A row's column ids whose B rows are a
+// GroupRows rows sharing their A row's column ids whose B rows are a
 // block (consecutive, holding one set of column ids), the rows a
 // block-diagonal pattern is made of — each with its block. Building it
 // runs every check of the groups (nextGroup, isGroup, findBlock,
@@ -725,10 +808,10 @@ func (sc *Schedule) build(a, b *csr.Matrix, w *Window, lo, hi int) {
 		if lo < g {
 			sc.spans = append(sc.spans, span{lo: lo, hi: g})
 		}
-		for ; g+groupRows <= hi && isGroup(a, b, &blk, g); g += groupRows {
-			sp := span{lo: g, hi: g + groupRows, at: blk.at, n: blk.n, m: blk.m}
+		for ; g+GroupRows <= hi && isGroup(a, b, &blk, g); g += GroupRows {
+			sp := span{lo: g, hi: g + GroupRows, at: blk.at, n: blk.n, m: blk.m}
 			if !windowsAre(b.ColIDs[blk.at:blk.at+blk.m], w, g) {
-				sp = span{lo: g, hi: g + groupRows, check: true}
+				sp = span{lo: g, hi: g + GroupRows, check: true}
 			}
 			sc.spans = append(sc.spans, sp)
 		}
@@ -797,12 +880,12 @@ func stamped(cols []int32, stamp []uint32, gen uint32) bool {
 // hi. A row's A row must be as long as the next one and start at the
 // same column before isGroup is asked: most rows stop at that.
 func nextGroup(a, b *csr.Matrix, blk *block, lo, hi int) int {
-	if lo+groupRows > hi {
+	if lo+GroupRows > hi {
 		return hi
 	}
 	offs, ids := a.RowOffsets[:hi+1], a.ColIDs
 	o, e := offs[lo], offs[lo+1]
-	for g := lo; g+groupRows <= hi; g++ {
+	for g := lo; g+GroupRows <= hi; g++ {
 		f := offs[g+2]
 		if o < e && f-e == e-o && ids[o] == ids[e] && isGroup(a, b, blk, g) {
 			return g
@@ -822,7 +905,7 @@ type block struct {
 	ok           bool
 }
 
-// isGroup reports whether rows i..i+groupRows-1 share row i's column ids
+// isGroup reports whether rows i..i+GroupRows-1 share row i's column ids
 // of A and the B rows those name are a block, which it leaves in blk. The
 // ids ascend strictly (csr.Validate), so they name consecutive B rows
 // exactly when the last is the first plus n-1, and blk, kept from the
@@ -831,7 +914,7 @@ func isGroup(a, b *csr.Matrix, blk *block, i int) bool {
 	offs := a.RowOffsets
 	lo, hi := offs[i], offs[i+1]
 	ac := a.ColIDs[lo:hi]
-	for r := i + 1; r < i+groupRows; r++ {
+	for r := i + 1; r < i+GroupRows; r++ {
 		if !slices.Equal(a.ColIDs[offs[r]:offs[r+1]], ac) {
 			return false
 		}
@@ -864,7 +947,7 @@ func findBlock(b *csr.Matrix, k0, n int64) block {
 // windowsAre reports whether the windows of group i's rows are each bc,
 // shifted by ColBase: the columns its products touch.
 func windowsAre(bc []int32, w *Window, i int) bool {
-	for r := range groupRows {
+	for r := range GroupRows {
 		at := (i + r) * w.Stride
 		cols := w.Cols[w.Offs[at]:w.Offs[at+1]]
 		if len(cols) != len(bc) {

@@ -652,7 +652,7 @@ func testNumericRowsGroupedBitIdentical(t *testing.T) {
 			nb = 2
 		}
 		m := matgen.BlockDiag(nb, bs, int64(bs))
-		cases = append(cases, tcase{fmt.Sprintf("blocks of %d", bs), m, m, 1, 1, nb * (bs % groupRows)})
+		cases = append(cases, tcase{fmt.Sprintf("blocks of %d", bs), m, m, 1, 1, nb * (bs % GroupRows)})
 	}
 	plain := func(r, c int) float64 { return 1 + float64((7*r+c)%5)/4 }
 	all := func(i, j int) bool { return true }
@@ -745,7 +745,7 @@ func testNumericRowsGroupedBitIdentical(t *testing.T) {
 		})
 		nb := blockMatrix(3, bs, all, plain)
 		cases = append(cases,
-			tcase{fmt.Sprintf("NaN in a middle group, blocks of %d", bs), na, nb, 1, 1, 3*(bs%groupRows) + groupRows},
+			tcase{fmt.Sprintf("NaN in a middle group, blocks of %d", bs), na, nb, 1, 1, 3*(bs%GroupRows) + GroupRows},
 			tcase{fmt.Sprintf("NaN in a middle group, blocks of %d, 2×2 grid", bs), na, nb, 2, 2, -1})
 	}
 
@@ -813,14 +813,14 @@ func TestSumColumnsWidthSweep(t *testing.T) {
 				}
 			}},
 		}
-		for r := range groupRows {
+		for r := range GroupRows {
 			specials = append(specials, special{fmt.Sprintf("Inf·0 in row %d", r), func(av, bv []float64, n, m, col int) { av[r*n], bv[col] = inf, 0 }})
 		}
 		const groups, stride, gap = 3, 2, 3
 		unwritten := math.Float64frombits(0x7ff0dead) // a NaN no kernel writes
 		for _, n := range []int{1, 2, 3, 33} {
 			for m := 1; m <= 70; m++ {
-				av, bv := make([]float64, groups*groupRows*n), make([]float64, groups*n*m)
+				av, bv := make([]float64, groups*GroupRows*n), make([]float64, groups*n*m)
 				for i := range av {
 					av[i] = 0.5 + rng.Float64() // positive: a -0.0 B value makes a -0.0 product
 				}
@@ -828,8 +828,8 @@ func TestSumColumnsWidthSweep(t *testing.T) {
 					bv[i] = rng.NormFloat64()
 				}
 				run := make([]span, groups)
-				aOffs := make([]int64, groups*groupRows+1)
-				wOffs := make([]int64, groups*groupRows*stride+1)
+				aOffs := make([]int64, groups*GroupRows+1)
+				wOffs := make([]int64, groups*GroupRows*stride+1)
 				for i := range aOffs {
 					aOffs[i] = int64(i * n)
 				}
@@ -837,7 +837,7 @@ func TestSumColumnsWidthSweep(t *testing.T) {
 					wOffs[i] = int64(i / stride * (m + gap))
 				}
 				for g := range run {
-					run[g] = span{lo: g * groupRows, hi: (g + 1) * groupRows, at: int64(g * n * m), n: int64(n), m: int64(m)}
+					run[g] = span{lo: g * GroupRows, hi: (g + 1) * GroupRows, at: int64(g * n * m), n: int64(n), m: int64(m)}
 				}
 				var cols []int
 				for _, r := range [][2]int{{0, m &^ 15}, {m &^ 15, m &^ 7}, {m &^ 7, m &^ 3}, {m &^ 3, m}} {
@@ -850,19 +850,19 @@ func TestSumColumnsWidthSweep(t *testing.T) {
 						a, b := slices.Clone(av), slices.Clone(bv)
 						mid := run[1]
 						sp.plant(a[aOffs[mid.lo]:], b[mid.at:], n, m, col)
-						data := make([]float64, groups*groupRows*(m+gap))
+						data := make([]float64, groups*GroupRows*(m+gap))
 						for i := range data {
 							data[i] = unwritten
 						}
 						what := fmt.Sprintf("m=%d, n=%d, %s in column %d", m, n, sp.name, col)
 						stop := sumRun(a, b, data, aOffs, wOffs, stride, run)
-						_, midNaN := scalarColumns(a[aOffs[mid.lo]:][:groupRows*n], b[mid.at:][:n*m], m)
+						_, midNaN := scalarColumns(a[aOffs[mid.lo]:][:GroupRows*n], b[mid.at:][:n*m], m)
 						if want := map[bool]int{true: 1, false: groups}[midNaN]; stop != want {
 							t.Fatalf("%s: the run stops at group %d, want %d", what, stop, want)
 						}
 						for g, gs := range run {
-							want, _ := scalarColumns(a[aOffs[gs.lo]:][:groupRows*n], b[gs.at:][:n*m], m)
-							for i, v := range data[g*groupRows*(m+gap):][:groupRows*(m+gap)] {
+							want, _ := scalarColumns(a[aOffs[gs.lo]:][:GroupRows*n], b[gs.at:][:n*m], m)
+							for i, v := range data[g*GroupRows*(m+gap):][:GroupRows*(m+gap)] {
 								r, q := i/(m+gap), i%(m+gap)
 								switch {
 								case q >= m || g > stop:
@@ -973,9 +973,9 @@ func TestSpanLayout(t *testing.T) {
 // column q is Σ_p av[r·n+p] · bv[p·m+q], from -0.0 in p order, every
 // product rounded.
 func scalarColumns(av, bv []float64, m int) (vals []float64, nan bool) {
-	n := len(av) / groupRows
-	vals = make([]float64, groupRows*m)
-	for r := range groupRows {
+	n := len(av) / GroupRows
+	vals = make([]float64, GroupRows*m)
+	for r := range GroupRows {
 		for q := range m {
 			s := math.Copysign(0, -1)
 			for p := range n {

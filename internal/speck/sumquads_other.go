@@ -16,7 +16,7 @@ func sumRun(aData, bData, wData []float64, aOffs, wOffs []int64, stride int, run
 		n, m := int(sp.n), int(sp.m)
 		// Four slices of one length: the inner loop indexes them unchecked and
 		// keeps their bases and its counters in registers.
-		x0s := aData[aOffs[sp.lo]:][:groupRows*n]
+		x0s := aData[aOffs[sp.lo]:][:GroupRows*n]
 		x1s, x2s, x3s := x0s[n : 2*n][:n], x0s[2*n : 3*n][:n], x0s[3*n:][:n]
 		x0s = x0s[:n]
 		bv := bData[sp.at:][:n*m]
