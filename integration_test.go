@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"repro/spgemm"
-	"repro/spgemm/amg"
-	"repro/spgemm/graph"
 )
 
 // TestEndToEndFileWorkflow exercises the full user workflow: generate
@@ -63,44 +61,13 @@ func TestEndToEndFileWorkflow(t *testing.T) {
 	}
 }
 
-// TestEndToEndApplications drives both application substrates through
-// the out-of-core engine on one shared device configuration.
-func TestEndToEndApplications(t *testing.T) {
-	cfg := spgemm.V100WithMemory(8 << 20)
-	gpu, _ := spgemm.ByName("gpu")
-	mult := func(a, b *spgemm.Matrix) (*spgemm.Matrix, error) {
-		opts, err := spgemm.Plan(a, b, cfg)
-		if err != nil {
-			return nil, err
-		}
-		c, _, err := gpu.Run(a, b, &spgemm.RunOptions{Device: &cfg, Core: opts})
-		return c, err
-	}
-
-	// AMG: solve a Poisson problem with Galerkin products on the
-	// simulated GPU.
-	lap := spgemm.Stencil2D(40, 40)
-	pinned := lap.Clone()
-	pinned.Data[0] += 1
-	h, err := amg.Build(pinned, amg.Options{Multiply: mult})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := make([]float64, pinned.Rows)
-	for i := range b {
-		b[i] = 1
-	}
-	_, rel, cycles, err := h.Solve(b, 1e-8, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel > 1e-8 {
-		t.Fatalf("AMG did not converge: %.2e after %d cycles", rel, cycles)
-	}
-
-	// Graph: triangles of a scale-free graph via A² on the same device.
+// TestEnginesAgreeOutOfCore runs realistic operands through the device
+// engines on a device too small to hold them and compares every product
+// with the cpu engine's, bit for bit: A² of a symmetrised scale-free
+// graph, and a Galerkin-shaped triple product Pᵀ(AP) on a 2-D Poisson
+// stencil, P a smoothed 4-to-1 aggregation prolongator.
+func TestEnginesAgreeOutOfCore(t *testing.T) {
 	g := spgemm.RMAT(9, 6, 0.57, 0.19, 0.19, 82)
-	// Symmetrize so triangle counting semantics hold.
 	var es []spgemm.Entry
 	for r := 0; r < g.Rows; r++ {
 		cols, _ := g.Row(r)
@@ -117,19 +84,60 @@ func TestEndToEndApplications(t *testing.T) {
 	for i := range sym.Data {
 		sym.Data[i] = 1
 	}
-	viaGPU, err := graph.Triangles(sym, mult)
+
+	lap := spgemm.Stencil2D(40, 40)
+	agg := make([]spgemm.Entry, lap.Rows)
+	for i := range agg {
+		agg[i] = spgemm.Entry{Row: int32(i), Col: int32(i / 4), Val: 1}
+	}
+	p0, err := spgemm.FromEntries(lap.Rows, (lap.Rows+3)/4, agg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaCPU, err := graph.Triangles(sym, nil)
-	if err != nil {
-		t.Fatal(err)
+	mustMultiply := func(a, b *spgemm.Matrix) *spgemm.Matrix {
+		t.Helper()
+		c, err := spgemm.Multiply(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
 	}
-	if viaGPU != viaCPU {
-		t.Fatalf("triangle counts differ: %d vs %d", viaGPU, viaCPU)
+	p := mustMultiply(lap, p0)
+	ap := mustMultiply(lap, p)
+
+	products := []struct {
+		name string
+		a, b *spgemm.Matrix
+	}{
+		{"A^2", sym, sym},
+		{"AP", lap, p},
+		{"Pt(AP)", p.Transpose(), ap},
 	}
-	if viaGPU == 0 {
-		t.Fatal("scale-free graph has no triangles (implausible)")
+	for _, pr := range products {
+		ref := mustMultiply(pr.a, pr.b)
+		cfg := spgemm.V100WithMemory(ref.Bytes()/2 + 2*(pr.a.Bytes()+pr.b.Bytes()))
+		opts, err := spgemm.Plan(pr.a, pr.b, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"gpu", "hybrid", "multigpu"} {
+			eng, _ := spgemm.ByName(name)
+			c, report, err := eng.Run(pr.a, pr.b, &spgemm.RunOptions{Device: &cfg, Core: opts, NumGPUs: 2})
+			if err != nil {
+				t.Fatalf("%s on %s: %v", pr.name, name, err)
+			}
+			if !spgemm.Equal(c, ref, 0) {
+				t.Fatalf("%s on %s differs from the cpu engine's product", pr.name, name)
+			}
+			if name != "gpu" {
+				continue
+			}
+			chunks := report.(spgemm.Stats).Chunks
+			if chunks < 2 {
+				t.Fatalf("%s on gpu was not out-of-core: %d chunks", pr.name, chunks)
+			}
+			t.Logf("%s on gpu: %d chunks", pr.name, chunks)
+		}
 	}
 }
 

@@ -115,8 +115,8 @@ func sum(xs []int64) int64 {
 // would turn a lone -0.0 product into +0.0). Each row's columns are
 // sorted and appended straight into C.
 func Sequential(a, b *csr.Matrix) (*csr.Matrix, error) {
-	if a.Cols != b.Rows {
-		return nil, errDims(a, b)
+	if err := checkOperands(a, b); err != nil {
+		return nil, err
 	}
 	c := &csr.Matrix{Rows: a.Rows, Cols: b.Cols, RowOffsets: make([]int64, a.Rows+1), ColIDs: []int32{}, Data: []float64{}}
 	row := map[int32]float64{}
@@ -154,13 +154,24 @@ func Sequential(a, b *csr.Matrix) (*csr.Matrix, error) {
 // static range), its one pass (two past 2^20 columns of B) claims chunks
 // dynamically, and each worker keeps one kit of pooled accumulators.
 func Multiply(a, b *csr.Matrix, opts Options) (*csr.Matrix, error) {
-	if a.Cols != b.Rows {
-		return nil, errDims(a, b)
+	if err := checkOperands(a, b); err != nil {
+		return nil, err
 	}
 	return multiplyAdaptive(a, b, opts, nil)
 }
 
-// errDims formats the standard dimension-mismatch error.
-func errDims(a, b *csr.Matrix) error {
-	return fmt.Errorf("cpuspgemm: dimension mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
+// checkOperands is every product's O(1) entry check: the inner
+// dimensions match, and each operand's arrays are as long as its shape
+// says, so no row is read past an array's end.
+func checkOperands(a, b *csr.Matrix) error {
+	if a.Cols != b.Rows {
+		return fmt.Errorf("cpuspgemm: dimension mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
+	}
+	if err := a.CheckLengths(); err != nil {
+		return fmt.Errorf("cpuspgemm: A: %w", err)
+	}
+	if err := b.CheckLengths(); err != nil {
+		return fmt.Errorf("cpuspgemm: B: %w", err)
+	}
+	return nil
 }

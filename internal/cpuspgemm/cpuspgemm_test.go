@@ -3,6 +3,7 @@ package cpuspgemm
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/csr"
@@ -121,6 +122,53 @@ func TestMultiplyDimensionMismatch(t *testing.T) {
 	}
 	if _, err := Sequential(a, b); err == nil {
 		t.Fatal("expected dimension mismatch error")
+	}
+}
+
+// TestShortArraysNeverMultiply hands every product entry an operand
+// whose ColIDs, Data or RowOffsets is shorter than its shape says, with
+// the cut entries still in capacity behind it. Each must return an error
+// or panic on a bounds check, never read behind the length into a
+// product.
+func TestShortArraysNeverMultiply(t *testing.T) {
+	entries := map[string]func(a, b *csr.Matrix) (*csr.Matrix, error){
+		"Sequential": Sequential,
+		"Multiply": func(a, b *csr.Matrix) (*csr.Matrix, error) {
+			return Multiply(a, b, Options{Threads: 1})
+		},
+		"MultiplyPlanned": func(a, b *csr.Matrix) (*csr.Matrix, error) {
+			c, _, err := MultiplyPlanned(a, b, Options{Threads: 1})
+			return c, err
+		},
+	}
+	cuts := map[string]func(m *csr.Matrix){
+		"ColIDs":     func(m *csr.Matrix) { m.ColIDs = m.ColIDs[:len(m.ColIDs)-3] },
+		"Data":       func(m *csr.Matrix) { m.Data = m.Data[:len(m.Data)-3] },
+		"RowOffsets": func(m *csr.Matrix) { m.RowOffsets = m.RowOffsets[:len(m.RowOffsets)-3] },
+	}
+	for entry, run := range entries {
+		for array, cut := range cuts {
+			for _, operand := range []string{"A", "B"} {
+				t.Run(entry+"/"+operand+"."+array, func(t *testing.T) {
+					a, b := matgen.ER(256, 256, 0.05, 1), matgen.ER(256, 256, 0.05, 2)
+					if operand == "A" {
+						cut(a)
+					} else {
+						cut(b)
+					}
+					defer func() {
+						if r := recover(); r != nil {
+							if _, ok := r.(runtime.Error); !ok {
+								t.Fatalf("panic %v is not a runtime check", r)
+							}
+						}
+					}()
+					if c, err := run(a, b); err == nil {
+						t.Fatalf("returned a %dx%d product with %d entries and no error", c.Rows, c.Cols, c.Nnz())
+					}
+				})
+			}
+		}
 	}
 }
 

@@ -54,8 +54,8 @@ func (s *SymbolicResult) Flops() int64 { return sum(s.RowFlops) }
 // structure-reuse fast path — every later Numeric call of the pattern
 // replays into this plan.
 func MultiplyPlanned(a, b *csr.Matrix, opts Options) (*csr.Matrix, *SymbolicResult, error) {
-	if a.Cols != b.Rows {
-		return nil, nil, errDims(a, b)
+	if err := checkOperands(a, b); err != nil {
+		return nil, nil, err
 	}
 	rowFlops := csr.RowFlops(a, b, opts.threads())
 	c, err := multiplyAdaptive(a, b, opts, rowFlops)

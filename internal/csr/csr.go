@@ -51,9 +51,24 @@ func (m *Matrix) RowNnz(r int) int64 {
 
 // Row returns the column ids and values of row r as sub-slices of the
 // matrix storage. The caller must not modify the returned slices' length.
+// An offset past an array's length panics, even with capacity behind it.
 func (m *Matrix) Row(r int) ([]int32, []float64) {
 	lo, hi := m.RowOffsets[r], m.RowOffsets[r+1]
-	return m.ColIDs[lo:hi], m.Data[lo:hi]
+	return m.ColIDs[lo:hi:len(m.ColIDs)], m.Data[lo:hi:len(m.Data)]
+}
+
+// CheckLengths reports, in O(1), whether m's arrays are as long as its
+// shape says: Rows+1 offsets, and as many ids and values as the last
+// offset. A kernel that trusts its operands checks this much at its
+// entry; Validate checks every invariant at O(nnz).
+func (m *Matrix) CheckLengths() error {
+	if m.Rows < 0 || len(m.RowOffsets) != m.Rows+1 {
+		return fmt.Errorf("csr: RowOffsets length %d, want %d", len(m.RowOffsets), m.Rows+1)
+	}
+	if nnz := m.RowOffsets[m.Rows]; int64(len(m.ColIDs)) != nnz || int64(len(m.Data)) != nnz {
+		return fmt.Errorf("csr: nnz %d but len(ColIDs)=%d len(Data)=%d", nnz, len(m.ColIDs), len(m.Data))
+	}
+	return nil
 }
 
 // New creates an empty matrix with the given dimensions and a zero

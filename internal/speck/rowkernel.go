@@ -627,7 +627,7 @@ type StructureError struct {
 
 func (e *StructureError) Error() string {
 	if e.Touched == e.Want {
-		return fmt.Sprintf("row %d touches %d distinct columns, not the %d its symbolic structure holds", e.Row, e.Touched, e.Want)
+		return fmt.Sprintf("row %d touches a different set of %d columns than its symbolic structure holds", e.Row, e.Touched)
 	}
 	return fmt.Sprintf("row %d touches %d distinct columns, its symbolic structure holds %d", e.Row, e.Touched, e.Want)
 }

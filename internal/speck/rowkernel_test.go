@@ -397,6 +397,22 @@ func dedup(es []csr.Entry) []csr.Entry {
 	return out
 }
 
+// TestStructureErrorMessage pins both wordings: a count that differs
+// from the structure's, and an equal count of other columns.
+func TestStructureErrorMessage(t *testing.T) {
+	for _, tc := range []struct {
+		err  StructureError
+		want string
+	}{
+		{StructureError{Row: 3, Touched: 5, Want: 4}, "row 3 touches 5 distinct columns, its symbolic structure holds 4"},
+		{StructureError{Row: 1, Touched: 1, Want: 1}, "row 1 touches a different set of 1 columns than its symbolic structure holds"},
+	} {
+		if got := tc.err.Error(); got != tc.want {
+			t.Errorf("%+v: Error() = %q, want %q", tc.err, got, tc.want)
+		}
+	}
+}
+
 // TestNumericRowsStructureError pins the kernel's one invariant: a row
 // whose products touch other columns than its structure holds is a
 // typed error from both drivers, never a panic or a silently wrong row.
