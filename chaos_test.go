@@ -13,12 +13,15 @@ package repro
 import (
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/serve"
 	"repro/spgemm"
@@ -417,21 +420,38 @@ func TestChaosServeFaultyJobPlanCacheBypass(t *testing.T) {
 	}
 }
 
-// buildChaosCluster assembles an n-replica coordinator over in-process
-// serve servers wrapped in seeded chaos backends, with retry backoff
-// sleeps stubbed out so the sweep runs at full speed.
-func buildChaosCluster(n int) (*cluster.Coordinator, []*cluster.ChaosBackend) {
+// buildChaosCluster assembles an n-replica coordinator over serve
+// servers on loopback sockets, each behind a faults.NetProxy that a
+// kill partitions (every dial refused) and a revive reopens, with
+// retry backoff sleeps stubbed out so the sweep runs at full speed.
+func buildChaosCluster(t *testing.T, n int) (*cluster.Coordinator, []*faults.NetProxy) {
+	t.Helper()
 	backends := make([]cluster.Backend, n)
-	chaos := make([]*cluster.ChaosBackend, n)
+	proxies := make([]*faults.NetProxy, n)
 	for i := 0; i < n; i++ {
 		srv := serve.New(serve.Config{MaxConcurrent: 2})
-		cb := cluster.NewChaosBackend(
-			cluster.NewLocalReplica(fmt.Sprintf("r%d", i), srv),
-			cluster.ChaosConfig{Seed: int64(i + 1)},
-		)
-		backends[i], chaos[i] = cb, cb
+		ts := httptest.NewServer(srv.Handler())
+		p := faults.NewNetProxy(faults.NetProxyConfig{Seed: int64(i + 1), Target: strings.TrimPrefix(ts.URL, "http://")})
+		addr, err := p.Start()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { p.Close(); ts.Close(); srv.Drain(0) })
+		// Keep-alives off: a partition refuses the next request, not
+		// only the next new connection.
+		client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+		backends[i] = cluster.NewRemoteReplica(fmt.Sprintf("r%d", i), "http://"+addr, cluster.RemoteConfig{HTTP: client})
+		proxies[i] = p
 	}
-	return cluster.New(cluster.Config{Sleep: func(time.Duration) {}}, backends...), chaos
+	return cluster.New(cluster.Config{Sleep: func(time.Duration) {}}, backends...), proxies
+}
+
+// setDown kills (true) or revives (false) a replica behind its proxy.
+func setDown(t *testing.T, p *faults.NetProxy, down bool) {
+	t.Helper()
+	if err := p.Partition(down); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // runClusterKillScenario streams requests through a 3-replica cluster
@@ -448,7 +468,7 @@ func runClusterKillScenario(t *testing.T, schedule []int) map[string]int64 {
 	t.Helper()
 	const phase = 10
 	requests := phase * (len(schedule) + 2)
-	coord, chaos := buildChaosCluster(3)
+	coord, proxies := buildChaosCluster(t, 3)
 	defer coord.Drain(time.Second)
 
 	a := spgemm.ER(48, 48, 0.08, 401)
@@ -461,14 +481,14 @@ func runClusterKillScenario(t *testing.T, schedule []int) map[string]int64 {
 	for i := 0; i < requests; i++ {
 		if k := i/phase - 1; i%phase == 0 && k >= 0 && k < len(schedule) {
 			if victim >= 0 {
-				chaos[victim].Revive()
+				setDown(t, proxies[victim], false)
 				coord.Probe()
 			}
 			// Mid-stream kill, no probe: the request path itself must
 			// discover the dead replica (ErrReplicaDown on first touch),
 			// condemn it, and fail over to the ring successor.
 			victim = schedule[k]
-			chaos[victim].Kill()
+			setDown(t, proxies[victim], true)
 		}
 		var resp *apiv1.MultiplyResponse
 		if i%2 == 0 {
@@ -491,7 +511,7 @@ func runClusterKillScenario(t *testing.T, schedule []int) map[string]int64 {
 			t.Fatalf("request %d lost after killing r%d: %v", i, victim, err)
 		}
 	}
-	chaos[victim].Revive()
+	setDown(t, proxies[victim], false)
 	coord.Probe()
 
 	counters := coord.Counters()
@@ -509,6 +529,10 @@ func runClusterKillScenario(t *testing.T, schedule []int) map[string]int64 {
 	kills := int64(len(schedule))
 	if d, u := counters[metrics.CounterClusterReplicaDown], counters[metrics.CounterClusterReplicaUp]; d != kills || u != kills {
 		t.Fatalf("kill %v: down/up transitions = %d/%d, want %d/%d", schedule, d, u, kills, kills)
+	}
+	// Each kill was discovered on the wire: a dial the proxy refused.
+	if refused := counters[metrics.CounterClusterRemoteRefused]; refused < kills {
+		t.Fatalf("kill %v: %d refused dials, want at least %d", schedule, refused, kills)
 	}
 	return counters
 }

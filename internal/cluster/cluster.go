@@ -103,8 +103,8 @@ type replicaState struct {
 	backend    Backend
 	health     string
 	probeFails int
-	// url is the advertised base URL of a joined remote replica (""
-	// for in-process backends); the membership table keys rejoin
+	// url is the advertised base URL of a joined replica ("" for the
+	// backends New was given); the membership table keys rejoin
 	// detection on it.
 	url string
 }

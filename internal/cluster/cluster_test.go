@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,37 +17,61 @@ import (
 
 // --- harness ----------------------------------------------------------
 
-// testCluster is an in-process cluster: N real serve.Servers, each
-// behind a seeded ChaosBackend, under one Coordinator.
+// testCluster is N real serve.Servers on loopback sockets, each behind
+// a faults.NetProxy, under one Coordinator that reaches them through
+// RemoteReplicas: the production transport, with a kill a refused
+// connection.
 type testCluster struct {
 	c       *Coordinator
-	servers []*serve.Server
-	chaos   map[string]*ChaosBackend
+	servers map[string]*serve.Server
+	proxies map[string]*faults.NetProxy
 }
 
 func newTestCluster(t *testing.T, n int, cfg Config) *testCluster {
 	t.Helper()
-	tc := &testCluster{chaos: map[string]*ChaosBackend{}}
+	tc := &testCluster{servers: map[string]*serve.Server{}, proxies: map[string]*faults.NetProxy{}}
 	var backends []Backend
 	for i := 0; i < n; i++ {
-		s := serve.New(serve.Config{MaxConcurrent: 2})
 		name := fmt.Sprintf("r%d", i)
-		cb := NewChaosBackend(NewLocalReplica(name, s), ChaosConfig{Seed: int64(i + 1)})
-		tc.servers = append(tc.servers, s)
-		tc.chaos[name] = cb
-		backends = append(backends, cb)
+		s, ts := remoteServe(t, serve.Config{MaxConcurrent: 2})
+		p := faults.NewNetProxy(faults.NetProxyConfig{Seed: int64(i + 1), Target: strings.TrimPrefix(ts.URL, "http://")})
+		addr, err := p.Start()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(p.Close)
+		tc.servers[name], tc.proxies[name] = s, p
+		backends = append(backends, NewRemoteReplica(name, "http://"+addr, RemoteConfig{HTTP: oneShot()}))
 	}
 	if cfg.Sleep == nil {
 		cfg.Sleep = func(time.Duration) {} // no real backoff waits in tests
 	}
 	tc.c = New(cfg, backends...)
 	t.Cleanup(func() {
-		for _, cb := range tc.chaos {
-			cb.Revive() // drain must reach the servers
+		for name := range tc.proxies {
+			tc.revive(t, name) // drain must reach the servers
 		}
 		tc.c.Drain(0)
 	})
 	return tc
+}
+
+// kill closes a replica's proxy listener: every dial, probes included,
+// is refused, as for a process that is gone. The server keeps its
+// state, so revive brings the same replica back.
+func (tc *testCluster) kill(t *testing.T, name string) {
+	t.Helper()
+	if err := tc.proxies[name].Partition(true); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// revive reopens a killed replica's listener on the same address.
+func (tc *testCluster) revive(t *testing.T, name string) {
+	t.Helper()
+	if err := tc.proxies[name].Partition(false); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // ownerOf reports the healthy route order for a matrix's fingerprint.
@@ -86,8 +111,8 @@ func TestClusterRoutesByFingerprint(t *testing.T) {
 			t.Fatalf("multiply %d: nnz %d, want %d", i, resp.NnzC, want.Nnz())
 		}
 	}
-	for name, cb := range tc.chaos {
-		accepted := cb.Counters()[metrics.CounterServeAccepted]
+	for name, s := range tc.servers {
+		accepted := s.Snapshot()[metrics.CounterServeAccepted]
 		if name == owner && accepted != 3 {
 			t.Fatalf("owner %s accepted %d jobs, want 3", name, accepted)
 		}
@@ -95,7 +120,7 @@ func TestClusterRoutesByFingerprint(t *testing.T) {
 			t.Fatalf("non-owner %s accepted %d jobs, want 0", name, accepted)
 		}
 	}
-	if hits := tc.chaos[owner].Counters()[metrics.CounterPlanCacheHits]; hits != 2 {
+	if hits := tc.servers[owner].Snapshot()[metrics.CounterPlanCacheHits]; hits != 2 {
 		t.Fatalf("owner plan cache hits = %d, want 2 (one cold, two warm)", hits)
 	}
 	snap := tc.c.Snapshot()
@@ -126,7 +151,7 @@ func TestClusterFailoverOnKilledReplica(t *testing.T) {
 	// Kill the owner mid-stream: the very next request re-routes to the
 	// ring successor, which gets the operand re-uploaded from the
 	// coordinator's spill copy. No admitted request is lost.
-	tc.chaos[owner].Kill()
+	tc.kill(t, owner)
 	resp, err := tc.c.Multiply(apiv1.MultiplyRequest{Engine: "cpu", AHandle: handle})
 	if err != nil {
 		t.Fatalf("multiply after kill: %v", err)
@@ -137,7 +162,7 @@ func TestClusterFailoverOnKilledReplica(t *testing.T) {
 	if got := tc.c.Health()[owner]; got != HealthDown {
 		t.Fatalf("killed owner health %q, want down", got)
 	}
-	if accepted := tc.chaos[successor].Counters()[metrics.CounterServeAccepted]; accepted != 1 {
+	if accepted := tc.servers[successor].Snapshot()[metrics.CounterServeAccepted]; accepted != 1 {
 		t.Fatalf("successor accepted %d jobs, want 1", accepted)
 	}
 	snap := tc.c.Snapshot()
@@ -150,10 +175,14 @@ func TestClusterFailoverOnKilledReplica(t *testing.T) {
 	if snap[metrics.CounterClusterReplicaDown] != 1 {
 		t.Fatalf("down transitions = %d, want 1", snap[metrics.CounterClusterReplicaDown])
 	}
+	// The kill crossed a socket: the coordinator's dial was refused.
+	if refused := tc.c.Counters()[metrics.CounterClusterRemoteRefused]; refused < 1 {
+		t.Fatalf("refused dials = %d after the kill, want at least 1", refused)
+	}
 
-	// Revive + probe: the owner rejoins. Its store is empty (the kill
-	// wiped it), so the next owner-routed request re-uploads again.
-	tc.chaos[owner].Revive()
+	// Revive + probe: the owner rejoins. Its placements were voided when
+	// it was condemned, so the next owner-routed request re-uploads again.
+	tc.revive(t, owner)
 	tc.c.Probe()
 	if got := tc.c.Health()[owner]; got != HealthUp {
 		t.Fatalf("revived owner health %q, want up", got)
@@ -180,7 +209,7 @@ func TestClusterFailoverOnKilledReplica(t *testing.T) {
 		t.Fatalf("spill of product %q is %+v, want one placement and fingerprint %x", stored.CHandle, ent, spgemm.Fingerprint(want))
 	}
 	for holder := range ent.placed {
-		tc.chaos[holder].Kill()
+		tc.kill(t, holder)
 	}
 	want2, err := spgemm.Multiply(want, want)
 	if err != nil {
@@ -211,7 +240,7 @@ func TestClusterBatchFailover(t *testing.T) {
 		{ID: "cube", A: apiv1.Operand{Node: "sq"}, B: &apiv1.Operand{Handle: handle}},
 	}}
 	owner := tc.c.candidates(batchKey(req))[0]
-	tc.chaos[owner].Kill()
+	tc.kill(t, owner)
 
 	resp, err := tc.c.SubmitBatch(req)
 	if err != nil {
@@ -235,7 +264,7 @@ func TestClusterRevalueWhileOwnerDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc.chaos[tc.ownerOf(m)[0]].Kill()
+	tc.kill(t, tc.ownerOf(m)[0])
 
 	resp, err := tc.c.StoreFromRequest(apiv1.MatrixRequest{Handle: handle, ValuesSeed: 99})
 	if err != nil {
@@ -256,8 +285,8 @@ func TestClusterRevalueWhileOwnerDown(t *testing.T) {
 
 func TestClusterDegradedSingleSurvivor(t *testing.T) {
 	tc := newTestCluster(t, 3, Config{})
-	tc.chaos["r0"].Kill()
-	tc.chaos["r1"].Kill()
+	tc.kill(t, "r0")
+	tc.kill(t, "r1")
 	tc.c.Probe()
 	tc.c.Probe() // two failed rounds condemn suspect -> down
 	health := tc.c.Health()
@@ -288,15 +317,15 @@ func TestClusterDegradedSingleSurvivor(t *testing.T) {
 	if snap[metrics.CounterClusterDegraded] != n {
 		t.Fatalf("degraded requests = %d, want %d", snap[metrics.CounterClusterDegraded], n)
 	}
-	if accepted := tc.chaos["r2"].Counters()[metrics.CounterServeAccepted]; accepted != n {
+	if accepted := tc.servers["r2"].Snapshot()[metrics.CounterServeAccepted]; accepted != n {
 		t.Fatalf("survivor accepted %d, want %d", accepted, n)
 	}
 }
 
 func TestClusterNoHealthyReplica(t *testing.T) {
 	tc := newTestCluster(t, 2, Config{})
-	tc.chaos["r0"].Kill()
-	tc.chaos["r1"].Kill()
+	tc.kill(t, "r0")
+	tc.kill(t, "r1")
 	tc.c.Probe()
 	tc.c.Probe()
 	_, err := tc.c.Multiply(apiv1.MultiplyRequest{
@@ -315,7 +344,7 @@ func TestClusterNoHealthyReplica(t *testing.T) {
 
 func TestClusterProbeStateMachine(t *testing.T) {
 	tc := newTestCluster(t, 2, Config{})
-	tc.chaos["r0"].Kill()
+	tc.kill(t, "r0")
 
 	tc.c.Probe()
 	if got := tc.c.Health()["r0"]; got != HealthSuspect {
@@ -331,7 +360,7 @@ func TestClusterProbeStateMachine(t *testing.T) {
 		t.Fatalf("after two failed probes: %q, want down", got)
 	}
 
-	tc.chaos["r0"].Revive()
+	tc.revive(t, "r0")
 	tc.c.Probe()
 	if got := tc.c.Health()["r0"]; got != HealthUp {
 		t.Fatalf("after revival probe: %q, want up", got)
@@ -351,14 +380,8 @@ func TestClusterProbeSeesDraining(t *testing.T) {
 	tc := newTestCluster(t, 2, Config{})
 	// Drain one server out-of-band (an operator action the coordinator
 	// discovers by probing, exactly like a rolling restart).
-	var drained string
-	for i, s := range tc.servers {
-		name := fmt.Sprintf("r%d", i)
-		if name == "r0" {
-			s.Drain(0)
-			drained = name
-		}
-	}
+	drained := "r0"
+	tc.servers[drained].Drain(0)
 	tc.c.Probe()
 	if got := tc.c.Health()[drained]; got != HealthDraining {
 		t.Fatalf("drained replica health %q, want draining", got)
@@ -372,7 +395,7 @@ func TestClusterProbeSeesDraining(t *testing.T) {
 			t.Fatalf("multiply %d with draining replica: %v", i, err)
 		}
 	}
-	if accepted := tc.chaos[drained].Counters()[metrics.CounterServeAccepted]; accepted != 0 {
+	if accepted := tc.servers[drained].Snapshot()[metrics.CounterServeAccepted]; accepted != 0 {
 		t.Fatalf("draining replica accepted %d jobs", accepted)
 	}
 }
@@ -528,11 +551,11 @@ func TestClusterDeleteEverywhere(t *testing.T) {
 	}
 	// Spread the handle to a second replica via failover.
 	route := tc.ownerOf(m)
-	tc.chaos[route[0]].Kill()
+	tc.kill(t, route[0])
 	if _, err := tc.c.Multiply(apiv1.MultiplyRequest{Engine: "cpu", AHandle: handle}); err != nil {
 		t.Fatal(err)
 	}
-	tc.chaos[route[0]].Revive()
+	tc.revive(t, route[0])
 	tc.c.Probe()
 
 	if !tc.c.DeleteMatrix(handle) {

@@ -178,7 +178,7 @@ func TestClusterHTTPRetryAfterOnReplicaDown(t *testing.T) {
 	tc := newTestCluster(t, 1, Config{})
 	ts := httptest.NewServer(tc.c.Handler())
 	defer ts.Close()
-	tc.chaos["r0"].Kill()
+	tc.kill(t, "r0")
 	tc.c.Probe()
 	tc.c.Probe()
 
@@ -209,7 +209,7 @@ func TestClusterHTTPDegradedAndDown(t *testing.T) {
 	ts := httptest.NewServer(tc.c.Handler())
 	defer ts.Close()
 
-	tc.chaos["r0"].Kill()
+	tc.kill(t, "r0")
 	tc.c.Probe()
 	tc.c.Probe()
 	resp, err := http.Get(ts.URL + "/readyz")
@@ -225,7 +225,7 @@ func TestClusterHTTPDegradedAndDown(t *testing.T) {
 
 	// Both replicas gone: 503 with the replica_down code and a
 	// Retry-After hint, so clients treat it like any other shed.
-	tc.chaos["r1"].Kill()
+	tc.kill(t, "r1")
 	tc.c.Probe()
 	tc.c.Probe()
 	mr, mbody := postJSON(t, ts.URL+"/v1/multiply", apiv1.MultiplyRequest{

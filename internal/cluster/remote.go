@@ -20,9 +20,9 @@ import (
 
 // Transport failure kinds. The distinction feeds the health machine
 // with different evidence weights: a refused connection means no
-// process is listening (condemn immediately, like a killed in-process
-// replica), while a timeout or a reset may be a slow peer or one bad
-// exchange (one unit of suspect evidence; downAfter of them condemn).
+// process is listening (condemn immediately), while a timeout or a
+// reset may be a slow peer or one bad exchange (one unit of suspect
+// evidence; downAfter of them condemn).
 const (
 	// TransportRefused: connect failed outright — nothing listening.
 	TransportRefused = "refused"
@@ -113,12 +113,11 @@ func (c RemoteConfig) withDefaults() RemoteConfig {
 }
 
 // RemoteReplica is a serve replica behind a real socket, adapted to
-// the Backend interface over apiv1. The coordinator cannot tell it
-// from a localReplica except through latency: wire error envelopes are
-// decoded back into the exact typed errors the in-process server
-// returns, so every dispatch the coordinator performs (shed retry,
-// draining exclusion, failover, unknown-handle re-upload) works
-// unchanged.
+// the Backend interface over apiv1. Wire error envelopes are decoded
+// back into the exact typed errors the serve.Server raised, so every
+// dispatch the coordinator performs (shed retry, draining exclusion,
+// failover, unknown-handle re-upload) reads the same errors the server
+// returns in process.
 type RemoteReplica struct {
 	name   string
 	cfg    RemoteConfig

@@ -7,11 +7,13 @@ import (
 )
 
 // Ring is a consistent-hash ring over replica names. Each member owns
-// vnodes points on the ring, so keys spread evenly and removing
-// one member redistributes only its own arc to the survivors — the
-// other replicas' plan caches and matrix stores stay warm, which is
-// the entire reason the coordinator shards by structural fingerprint
-// instead of round-robining.
+// vnodes points on the ring, so keys spread evenly; a joining member
+// takes over only the keys of its own arcs, and a down member's keys
+// walk on to its ring successors — the other replicas' plan caches and
+// matrix stores stay warm, which is the entire reason the coordinator
+// shards by structural fingerprint instead of round-robining. Members
+// are never removed: leaving is the coordinator's health machine's
+// call.
 //
 // Ring is not safe for concurrent mutation; the Coordinator guards it
 // with its own lock.
@@ -50,32 +52,6 @@ func (r *Ring) Add(member string) {
 		r.points = append(r.points, ringPoint{hash: vnodeHash(member, v), member: member})
 	}
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
-}
-
-// Remove drops a member's virtual nodes; removing a non-member is a
-// no-op.
-func (r *Ring) Remove(member string) {
-	if !r.members[member] {
-		return
-	}
-	delete(r.members, member)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.member != member {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-}
-
-// Members lists the current members in sorted order.
-func (r *Ring) Members() []string {
-	out := make([]string, 0, len(r.members))
-	for m := range r.members {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Size reports the member count.

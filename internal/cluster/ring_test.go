@@ -40,8 +40,9 @@ func TestRingBalance(t *testing.T) {
 }
 
 // TestRingMinimalDisruption is the consistent-hashing property the
-// cluster exists for: removing one member moves only that member's
-// keys, so the survivors' matrix stores and plan caches stay warm.
+// cluster exists for: a member joining (what /v1/join does) takes keys
+// only for itself — every key that moves, moves to the new member — so
+// the other replicas' matrix stores and plan caches stay warm.
 func TestRingMinimalDisruption(t *testing.T) {
 	r := NewRing(64)
 	for _, m := range []string{"r0", "r1", "r2"} {
@@ -51,15 +52,19 @@ func TestRingMinimalDisruption(t *testing.T) {
 	for key := uint64(0); key < 2000; key++ {
 		before[key] = r.Owner(key)
 	}
-	r.Remove("r1")
+	r.Add("r3")
+	moved := 0
 	for key, owner := range before {
 		after := r.Owner(key)
-		if owner != "r1" && after != owner {
-			t.Fatalf("key %d moved %s -> %s though %s stayed", key, owner, after, owner)
+		if after != owner && after != "r3" {
+			t.Fatalf("key %d moved %s -> %s, not to the new member", key, owner, after)
 		}
-		if owner == "r1" && after == "r1" {
-			t.Fatalf("key %d still owned by removed member", key)
+		if after != owner {
+			moved++
 		}
+	}
+	if moved == 0 {
+		t.Fatal("the new member took over no key")
 	}
 }
 

@@ -487,13 +487,6 @@ func mergedRowLen(a, b *Matrix, r int) int {
 	return n
 }
 
-// Scale multiplies every stored value by s, in place.
-func (m *Matrix) Scale(s float64) {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
-}
-
 // Bytes reports the storage footprint of the matrix in bytes using the
 // framework's on-device layout: 8 bytes per row offset, 4 per column id,
 // 8 per value. This is the quantity whose transfer the out-of-core

@@ -279,15 +279,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestScale(t *testing.T) {
-	m := mustFromEntries(t, 1, 3, []Entry{{0, 0, 1}, {0, 2, -2}})
-	m.Scale(2.5)
-	_, vals := m.Row(0)
-	if vals[0] != 2.5 || vals[1] != -5 {
-		t.Fatalf("Scale values = %v", vals)
-	}
-}
-
 func TestBytes(t *testing.T) {
 	m := mustFromEntries(t, 2, 2, []Entry{{0, 0, 1}, {1, 1, 2}})
 	want := int64(3*8 + 2*4 + 2*8)

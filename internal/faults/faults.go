@@ -290,7 +290,7 @@ func (i *Injector) Kernel() (slowdown float64, err error) {
 }
 
 // Alloc decides the fate of one allocation-class operation (Malloc,
-// Free, Reserve): only device loss applies; allocations do not fault
+// Free): only device loss applies; allocations do not fault
 // transiently, they fail for real when usable memory runs out.
 func (i *Injector) Alloc() error {
 	if i == nil {

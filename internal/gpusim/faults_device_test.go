@@ -76,7 +76,7 @@ func TestDeviceFaultSequenceDeterministic(t *testing.T) {
 }
 
 // TestUsableBytesShrink: OOM pressure withholds a fraction of device
-// memory from Malloc and Reserve without touching accounting.
+// memory from Malloc without touching accounting.
 func TestUsableBytesShrink(t *testing.T) {
 	env := sim.NewEnv()
 	cfg := testConfig()

@@ -318,32 +318,6 @@ func (d *Device) barrier(p *sim.Proc, label string) {
 	p.Release(d.Compute)
 }
 
-// Reserve adjusts memory accounting without a device stall, for
-// pre-allocated arenas that suballocate by offset (Section IV-B's
-// "doing our own memory management").
-func (d *Device) Reserve(bytes int64) error {
-	if usable := d.UsableBytes(); d.memUsed+bytes > usable {
-		return fmt.Errorf("gpusim: %d used + %d requested > %d usable: %w",
-			d.memUsed, bytes, usable, faults.ErrOOM)
-	}
-	d.memUsed += bytes
-	if d.memUsed > d.memPeak {
-		d.memPeak = d.memUsed
-	}
-	return nil
-}
-
-// Unreserve returns memory accounted via Reserve. Returning more than
-// is reserved is an accounting bug in the caller; it is reported
-// rather than silently driving memUsed negative.
-func (d *Device) Unreserve(bytes int64) error {
-	if bytes > d.memUsed {
-		return fmt.Errorf("gpusim: unreserve of %d bytes exceeds %d in use", bytes, d.memUsed)
-	}
-	d.memUsed -= bytes
-	return nil
-}
-
 // UMRead models a unified-memory read of bytes resident on the host:
 // the data migrates page by page over the H2D engine, paying a fault
 // latency per page and the (lower) UM bandwidth.

@@ -181,69 +181,6 @@ func TestDoubleFreeError(t *testing.T) {
 	}
 }
 
-func TestReserveUnreserve(t *testing.T) {
-	env := sim.NewEnv()
-	cfg := testConfig()
-	cfg.MemoryBytes = 100
-	dev := NewDevice(env, cfg)
-	if err := dev.Reserve(80); err != nil {
-		t.Fatal(err)
-	}
-	if err := dev.Reserve(30); err == nil {
-		t.Fatal("expected reserve OOM")
-	}
-	if err := dev.Unreserve(80); err != nil {
-		t.Fatal(err)
-	}
-	if dev.MemUsed() != 0 {
-		t.Fatalf("MemUsed = %d", dev.MemUsed())
-	}
-	if dev.MemPeak() != 80 {
-		t.Fatalf("MemPeak = %d", dev.MemPeak())
-	}
-}
-
-// TestUnreserveUnderflowGuard checks that unbalanced Unreserve calls
-// are rejected instead of driving memUsed negative, and that Reserve
-// and Unreserve stay paired through a mixed sequence.
-func TestUnreserveUnderflowGuard(t *testing.T) {
-	env := sim.NewEnv()
-	cfg := testConfig()
-	cfg.MemoryBytes = 100
-	dev := NewDevice(env, cfg)
-	if err := dev.Unreserve(1); err == nil {
-		t.Fatal("expected error for unreserve with nothing in use")
-	}
-	// A paired sequence of reserves and unreserves must balance to 0
-	// and every unbalanced step must be rejected with state unchanged.
-	steps := []struct {
-		reserve bool
-		bytes   int64
-		wantErr bool
-	}{
-		{true, 40, false},
-		{true, 50, false},
-		{false, 100, true}, // exceeds the 90 in use
-		{false, 50, false},
-		{false, 41, true}, // exceeds the 40 in use
-		{false, 40, false},
-	}
-	for i, s := range steps {
-		var err error
-		if s.reserve {
-			err = dev.Reserve(s.bytes)
-		} else {
-			err = dev.Unreserve(s.bytes)
-		}
-		if (err != nil) != s.wantErr {
-			t.Fatalf("step %d: err = %v, wantErr = %v", i, err, s.wantErr)
-		}
-	}
-	if dev.MemUsed() != 0 {
-		t.Fatalf("MemUsed after balanced sequence = %d", dev.MemUsed())
-	}
-}
-
 func TestUnifiedMemoryCost(t *testing.T) {
 	env := sim.NewEnv()
 	cfg := testConfig()
@@ -307,29 +244,6 @@ func TestTwoStreamsOverlapComputeAndTransfer(t *testing.T) {
 	}
 	if env.Now() != sim.Time(sim.Seconds(2)) {
 		t.Fatalf("finished at %v: streams did not overlap", env.Now())
-	}
-}
-
-func TestStreamSync(t *testing.T) {
-	env := sim.NewEnv()
-	dev := NewDevice(env, testConfig())
-	s := dev.NewStream("s")
-	var syncAt sim.Time
-	env.Spawn("host", func(p *sim.Proc) {
-		s.Enqueue("k", func(q *sim.Proc) { dev.Kernel(q, "k", 5) })
-		s.Sync(p)
-		syncAt = env.Now()
-		// Sync on an idle stream returns immediately.
-		s.Sync(p)
-		if env.Now() != syncAt {
-			t.Error("Sync on idle stream advanced time")
-		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if syncAt != sim.Time(sim.Seconds(5)) {
-		t.Fatalf("Sync returned at %v", syncAt)
 	}
 }
 

@@ -28,9 +28,6 @@ func (d *Device) NewStream(name string) *Stream {
 	return &Stream{dev: d, name: name}
 }
 
-// Name returns the stream name.
-func (s *Stream) Name() string { return s.name }
-
 // Enqueue appends an operation and returns its completion signal. The
 // operation function runs in the stream's worker process and may use
 // any Device method.
@@ -53,22 +50,4 @@ func (s *Stream) drain(p *sim.Proc) {
 		op.done.Fire(p)
 	}
 	s.running = false
-}
-
-// Sync blocks the calling process until every operation enqueued so
-// far has completed.
-func (s *Stream) Sync(p *sim.Proc) {
-	var last *sim.Signal
-	if n := len(s.queue); n > 0 {
-		last = s.queue[n-1].done
-	}
-	if last == nil {
-		if !s.running {
-			return
-		}
-		// Operations may be mid-flight with an empty queue; enqueue a
-		// no-op marker and wait for it.
-		last = s.Enqueue("sync", func(*sim.Proc) {})
-	}
-	p.Await(last)
 }

@@ -119,17 +119,11 @@ func For(workers, n, grain int, fn func(lo, hi int)) {
 	})
 }
 
-// ForChunks runs fn over each precomputed range [bounds[k],
-// bounds[k+1]), with chunks claimed dynamically by workers goroutines.
-// Empty ranges are skipped. Use CostBounds to derive bounds from a
-// per-item cost array.
-func ForChunks(workers int, bounds []int, fn func(lo, hi int)) {
-	ForChunksW(workers, bounds, func(_, lo, hi int) { fn(lo, hi) })
-}
-
-// ForChunksW is ForChunks with the claiming worker's index passed to
-// fn (w in [0, workers)). A given w is never active on two chunks at
-// once, so callers can keep per-worker state — pooled accumulators,
+// ForChunksW runs fn over each precomputed range [bounds[k],
+// bounds[k+1]), with chunks claimed dynamically by workers goroutines;
+// empty ranges are skipped. CostBounds derives bounds from a per-item
+// cost array. fn gets the claiming worker's index (w in [0, workers)).
+// A given w is never active on two chunks at once, so callers can keep per-worker state — pooled accumulators,
 // scratch arrays — fetched once per phase instead of once per chunk
 // (a per-chunk re-fetch, and the re-Grow churn it causes, costs a
 // balanced input more than dynamic claiming saves it).
@@ -167,7 +161,7 @@ func ForChunksW(workers int, bounds []int, fn func(w, lo, hi int)) {
 // ListSchedule replays measured per-chunk durations through the
 // dynamic claiming discipline with the given worker count and returns
 // the makespan: chunks are claimed in order, each by the worker that
-// frees up first — exactly what ForChunks does when every worker runs
+// frees up first — exactly what ForChunksW does when every worker runs
 // at the same speed. The ratio sum(durations)/makespan is the
 // *scheduled speedup*: how much the chunking + dynamic claiming let N
 // equal workers overlap the measured work. cpuspgemm's
@@ -197,13 +191,6 @@ func ListSchedule(durations []float64, workers int) float64 {
 		}
 	}
 	return makespan
-}
-
-// ForCost runs fn over [0, len(cost)) in dynamically claimed chunks
-// whose boundaries are auto-tuned from the per-item cost array (e.g.
-// per-row flops): each chunk carries roughly equal total cost.
-func ForCost(workers int, cost []int64, fn func(lo, hi int)) {
-	ForChunks(workers, CostBounds(cost, workers), fn)
 }
 
 // CostBounds cuts [0, len(cost)) into chunks of roughly equal total

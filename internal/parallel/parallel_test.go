@@ -87,7 +87,7 @@ func TestForChunksCoversExactlyOnce(t *testing.T) {
 		n := bounds[len(bounds)-1]
 		for _, workers := range []int{1, 4} {
 			c := &coverageCheck{seen: make([]int, n)}
-			ForChunks(workers, bounds, c.visit)
+			ForChunksW(workers, bounds, func(_, lo, hi int) { c.visit(lo, hi) })
 			c.assertOnce(t, n)
 		}
 	}
@@ -101,7 +101,7 @@ func TestForCostCoversExactlyOnce(t *testing.T) {
 	}
 	cost[17] = 1 << 40 // one pathologically expensive row
 	c := &coverageCheck{seen: make([]int, len(cost))}
-	ForCost(4, cost, c.visit)
+	ForChunksW(4, CostBounds(cost, 4), func(_, lo, hi int) { c.visit(lo, hi) })
 	c.assertOnce(t, len(cost))
 }
 

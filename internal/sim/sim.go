@@ -87,9 +87,6 @@ type Proc struct {
 // Name returns the process name given at Spawn.
 func (p *Proc) Name() string { return p.name }
 
-// Env returns the environment the process belongs to.
-func (p *Proc) Env() *Env { return p.env }
-
 type timerItem struct {
 	at   Time
 	seq  uint64
@@ -192,9 +189,6 @@ type Signal struct {
 	fired   bool
 	waiters []*Proc
 }
-
-// Fired reports whether the signal has fired.
-func (s *Signal) Fired() bool { return s.fired }
 
 // Fire marks the signal fired and wakes all waiters at the current
 // virtual time. Firing twice is a no-op. Must be called from process

@@ -112,7 +112,7 @@ func TestSignalBroadcast(t *testing.T) {
 			t.Fatalf("waiter woke at %d", w)
 		}
 	}
-	if !sig.Fired() {
+	if !sig.fired {
 		t.Fatal("signal not marked fired")
 	}
 }
