@@ -9,18 +9,11 @@ import (
 // CSeg's DenseHashMap over compressed column indices: the open
 // addressing table is keyed by 64-column *segment* (column id >> 6)
 // and each slot holds a 64-bit occupancy mask, so one probe covers up
-// to 64 columns. Two effects make it faster than the per-column Hash
-// on clustered patterns:
-//
-//   - the symbolic phase consumes segment-compressed B rows
-//     (csr.Segments) with one probe + word-OR per segment instead of
-//     one probe per column, dividing the symbolic work by the
-//     compression ratio;
-//   - the numeric phase still touches every product, but the table has
-//     one entry per distinct segment rather than per distinct column —
-//     a smaller, hotter table with far fewer collisions — and values
-//     land in per-segment 64-slot blocks addressed by the low bits,
-//     with no per-column probe chain.
+// to 64 columns, and a segment-compressed B row (csr.Segments) adds one
+// probe and word-OR per segment; values land in per-segment 64-slot
+// blocks addressed by the low bits. No engine runs on it (the row
+// kernel's accumulators are Hash and TwoLevel); it stays as the
+// compressed class the benchmark's accumulator probe times.
 //
 // Like Hash, Dense, List and Bitmap, CSeg assigns on first touch and
 // accumulates in product-arrival order, and Flush walks the segments

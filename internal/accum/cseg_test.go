@@ -155,17 +155,16 @@ func TestCSegSymbolic(t *testing.T) {
 	}
 }
 
-// TestCSegPoolReuse round-trips through the pool and checks a reused
-// accumulator starts empty and still produces correct output.
-func TestCSegPoolReuse(t *testing.T) {
-	c := GetCSeg(8)
-	c.Add(1000, 1.5)
-	c.Add(2000, 2.5)
-	PutCSeg(c)
-
-	r := GetCSeg(8)
+// TestCSegResetReuse checks an accumulator reused after Reset starts
+// empty and still produces correct output.
+func TestCSegResetReuse(t *testing.T) {
+	r := NewCSeg(8)
+	r.Add(1000, 1.5)
+	r.Add(2000, 2.5)
+	r.Reset()
+	r.Grow(8)
 	if r.Len() != 0 {
-		t.Fatalf("pooled CSeg not empty: Len=%d", r.Len())
+		t.Fatalf("reset CSeg not empty: Len=%d", r.Len())
 	}
 	r.Add(64, 3.0)
 	r.Add(64, 0.25)
@@ -173,7 +172,6 @@ func TestCSegPoolReuse(t *testing.T) {
 	if len(cols) != 1 || cols[0] != 64 || vals[0] != 3.25 {
 		t.Fatalf("reused CSeg flush = (%v, %v)", cols, vals)
 	}
-	PutCSeg(r)
 }
 
 // TestCSegGrowPreservesEmptyContract verifies Grow on an empty (reset)

@@ -6,10 +6,10 @@ import "slices"
 // sparse: intermediate products land in a short unordered array that
 // is scanned on every insert. For a handful of distinct columns the
 // scan beats both the hash probe (no hashing, no collisions, perfect
-// locality) and the dense array (no width-sized state to touch). The
-// row kernel routes rows whose expected output is tiny here in panels
-// too wide for its bitmap tier — the "merge-like" small-row class of
-// its dense/hash/list selection.
+// locality) and the dense array (no width-sized state to touch). No
+// engine runs on it (the row kernel's accumulators are Hash and
+// TwoLevel); it stays as the small-row class the benchmark's accumulator
+// probe times.
 //
 // Like Hash and Dense, List assigns on first touch and accumulates in
 // product-arrival order, and Flush emits the columns sorted — so a row

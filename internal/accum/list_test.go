@@ -79,7 +79,9 @@ func TestListSymbolic(t *testing.T) {
 	}
 }
 
-func TestListGrowAndPool(t *testing.T) {
+// TestListGrowAndReset grows a list past its capacity and reuses it
+// after Reset, which must leave it empty.
+func TestListGrowAndReset(t *testing.T) {
 	l := NewList(0)
 	l.Grow(128)
 	for i := int32(0); i < 128; i++ {
@@ -88,11 +90,13 @@ func TestListGrowAndPool(t *testing.T) {
 	if l.Len() != 128 {
 		t.Fatalf("Len = %d", l.Len())
 	}
-	PutList(l)
-	got := GetList(64)
-	if got.Len() != 0 {
-		t.Fatal("pooled list not reset")
+	l.Reset()
+	l.Grow(64)
+	if l.Len() != 0 {
+		t.Fatal("reset list not empty")
 	}
-	got.Add(1, 1)
-	PutList(got)
+	l.Add(1, 1)
+	if cols, vals := l.Flush(nil, nil); len(cols) != 1 || cols[0] != 1 || vals[0] != 1 {
+		t.Fatalf("reused list flush = (%v, %v)", cols, vals)
+	}
 }

@@ -21,8 +21,6 @@ import (
 
 var (
 	hashPool = sync.Pool{New: func() any { poolNews.Add(1); return NewHash(16) }}
-	listPool = sync.Pool{New: func() any { poolNews.Add(1); return NewList(16) }}
-	csegPool = sync.Pool{New: func() any { poolNews.Add(1); return NewCSeg(16) }}
 	twoPool  = sync.Pool{New: func() any { poolNews.Add(1); return &TwoLevel{} }}
 
 	// poolGets counts Get* calls and poolNews the pool misses that fell
@@ -53,36 +51,6 @@ func GetHash(capacity int) *Hash {
 func PutHash(h *Hash) {
 	h.Reset()
 	hashPool.Put(h)
-}
-
-// GetList returns an empty pooled list accumulator with room for at
-// least capacity distinct columns before growing.
-func GetList(capacity int) *List {
-	poolGets.Add(1)
-	l := listPool.Get().(*List)
-	l.Grow(capacity)
-	return l
-}
-
-// PutList resets l and returns it to the pool.
-func PutList(l *List) {
-	l.Reset()
-	listPool.Put(l)
-}
-
-// GetCSeg returns an empty pooled compressed-segment accumulator able
-// to hold at least capacity distinct segments before growing.
-func GetCSeg(capacity int) *CSeg {
-	poolGets.Add(1)
-	c := csegPool.Get().(*CSeg)
-	c.Grow(capacity)
-	return c
-}
-
-// PutCSeg resets c and returns it to the pool.
-func PutCSeg(c *CSeg) {
-	c.Reset()
-	csegPool.Put(c)
 }
 
 // GetTwoLevel returns an empty pooled two-level bitmap covering

@@ -29,32 +29,23 @@ func TestPooledAccumulatorsAreEmptyAndCorrect(t *testing.T) {
 		for i := range cols {
 			want[cols[i]] += vals[i]
 		}
-		for _, pooled := range []struct {
-			get func() Accumulator
-			put func(Accumulator)
-		}{
-			{func() Accumulator { return GetHash(n) }, func(a Accumulator) { PutHash(a.(*Hash)) }},
-			{func() Accumulator { return GetList(n) }, func(a Accumulator) { PutList(a.(*List)) }},
-			{func() Accumulator { return GetCSeg(n) }, func(a Accumulator) { PutCSeg(a.(*CSeg)) }},
-		} {
-			a := pooled.get()
-			if a.Len() != 0 {
-				t.Fatalf("round %d: pooled accumulator not empty: %d", round, a.Len())
-			}
-			gc, gv := fillAndFlush(a, cols, vals)
-			if len(gc) != len(want) {
-				t.Fatalf("round %d: %d distinct, want %d", round, len(gc), len(want))
-			}
-			for i := range gc {
-				if i > 0 && gc[i] <= gc[i-1] {
-					t.Fatalf("round %d: output not sorted", round)
-				}
-				if d := gv[i] - want[gc[i]]; d > 1e-12 || d < -1e-12 {
-					t.Fatalf("round %d: col %d = %g, want %g", round, gc[i], gv[i], want[gc[i]])
-				}
-			}
-			pooled.put(a)
+		a := GetHash(n)
+		if a.Len() != 0 {
+			t.Fatalf("round %d: pooled accumulator not empty: %d", round, a.Len())
 		}
+		gc, gv := fillAndFlush(a, cols, vals)
+		if len(gc) != len(want) {
+			t.Fatalf("round %d: %d distinct, want %d", round, len(gc), len(want))
+		}
+		for i := range gc {
+			if i > 0 && gc[i] <= gc[i-1] {
+				t.Fatalf("round %d: output not sorted", round)
+			}
+			if d := gv[i] - want[gc[i]]; d > 1e-12 || d < -1e-12 {
+				t.Fatalf("round %d: col %d = %g, want %g", round, gc[i], gv[i], want[gc[i]])
+			}
+		}
+		PutHash(a)
 	}
 }
 

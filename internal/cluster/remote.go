@@ -314,18 +314,6 @@ func (r *RemoteReplica) Counters() map[string]int64 {
 	return out
 }
 
-// TransportCounters returns a copy of only the local transport-failure
-// counters (tests and the coordinator's own snapshot use it).
-func (r *RemoteReplica) TransportCounters() map[string]int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]int64, len(r.transport))
-	for k, v := range r.transport {
-		out[k] = v
-	}
-	return out
-}
-
 // Drain asks the remote process to drain and returns its final
 // counters. The context allows the drain deadline plus slack for the
 // transport; an unreachable replica answers nil (there is nothing to

@@ -117,8 +117,8 @@ func TestRemoteReplicaFailoverOnKilledServer(t *testing.T) {
 		t.Fatalf("spill reupload bytes = %d, want %d", snap[metrics.CounterClusterSpillReuploadBytes], m.Bytes())
 	}
 	dead := map[string]*RemoteReplica{"r0": r0, "r1": r1}[owner]
-	if dead.TransportCounters()[metrics.CounterClusterRemoteRefused] == 0 {
-		t.Fatalf("no refused transport counted on the dead replica: %v", dead.TransportCounters())
+	if got := dead.Counters(); got[metrics.CounterClusterRemoteRefused] == 0 {
+		t.Fatalf("no refused transport counted on the dead replica: %v", got)
 	}
 }
 
@@ -184,8 +184,10 @@ func TestRemoteErrorTaxonomy(t *testing.T) {
 		t.Fatalf("replica_down not ErrReplicaDown: %v", err)
 	}
 	// Typed envelopes are the replica answering, not transport failure.
-	if n := len(r.TransportCounters()); n != 0 {
-		t.Fatalf("typed errors counted as transport failures: %v", r.TransportCounters())
+	for k, v := range r.Counters() {
+		if strings.HasPrefix(k, "cluster_remote_") && v != 0 {
+			t.Fatalf("typed errors counted as transport failures: %s = %d", k, v)
+		}
 	}
 }
 
@@ -220,8 +222,10 @@ func TestRemoteTransportClassification(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			// The counter scrape goes through the proxy too: bound it by
+			// the case's timeout, so that the latency does not stretch it.
 			r := NewRemoteReplica("r0", "http://"+addr, RemoteConfig{
-				MultiplyTimeout: tcase.timeout, HTTP: oneShot(),
+				MultiplyTimeout: tcase.timeout, ProbeTimeout: tcase.timeout, HTTP: oneShot(),
 			})
 			_, err = r.Multiply(apiv1.MultiplyRequest{
 				Engine: "cpu",
@@ -234,8 +238,8 @@ func TestRemoteTransportClassification(t *testing.T) {
 			if !errors.Is(err, faults.ErrReplicaDown) {
 				t.Fatalf("%s transport error does not match ErrReplicaDown", tcase.kind)
 			}
-			if got := r.TransportCounters()[tcase.counter]; got != 1 {
-				t.Fatalf("%s counter = %d, want 1 (%v)", tcase.counter, got, r.TransportCounters())
+			if counters := r.Counters(); counters[tcase.counter] != 1 {
+				t.Fatalf("%s counter = %d, want 1 (%v)", tcase.counter, counters[tcase.counter], counters)
 			}
 		})
 	}

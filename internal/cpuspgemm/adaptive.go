@@ -16,12 +16,12 @@ import (
 // The kernel layer: the row kernel of internal/speck (rowkernel.go,
 // shared with speck's per-chunk products and the whole-matrix row
 // analysis) driven over dynamically claimed chunks, one Kit per worker.
-// On the bitmap tier one pass computes each row's (column, value) pairs
-// (Kit.ComputeRow), and block rows four at a time on the replay's body
-// (Kit.ComputeGroups); wider panels emit column ids, then run the replay a
-// warm Numeric call runs (replay, in plan.go) over them. Same-column
-// products sum in first-touch arrival order, so the product is
-// bit-for-bit Sequential's.
+// At every panel width one pass computes each row's (column, value)
+// pairs (Kit.ComputeRow, on the accumulator speck's one rule picks), and
+// block rows four at a time on the replay's body (Kit.ComputeGroups); only
+// a product holding a NaN then runs the replay a warm Numeric call runs
+// (replay, in plan.go), for its payloads. Same-column products sum in
+// first-touch arrival order, so the product is bit-for-bit Sequential's.
 
 // ClassStat aggregates one kernel class's share of a multiply.
 type ClassStat struct {
@@ -33,7 +33,8 @@ type ClassStat struct {
 // atomically across workers when Options.ClassStats is set. The per-phase
 // nanoseconds are measured per row (two clock reads per row per phase),
 // so attach it only to instrumented runs — bench/ uses a dedicated pass,
-// never the timed repetitions. A one-phase row's time is all SymbolicNs.
+// never the timed repetitions. A row's time is all SymbolicNs: the one
+// pass books no numeric time.
 type ClassStats struct {
 	Classes [speck.NumKinds]ClassStat
 }
@@ -68,7 +69,6 @@ func (s *ClassStats) merge(part *classParts) {
 		atomic.AddInt64(&c.Flops, p.Flops)
 		atomic.AddInt64(&c.Nnz, p.Nnz)
 		atomic.AddInt64(&c.SymbolicNs, p.SymbolicNs)
-		atomic.AddInt64(&c.NumericNs, p.NumericNs)
 	}
 }
 
@@ -78,50 +78,41 @@ type ChunkSpan struct {
 	Seconds float64
 }
 
-// ChunkLog records per-chunk wall durations of the two phases when
-// attached via Options.ChunkLog (a one-phase product's only as Symbolic).
-// Replaying the measured durations through parallel.ListSchedule gives
-// the scheduled speedup at thread counts the machine cannot physically
-// host (TestAdaptiveChunkLogAndWorkers holds its floors).
+// ChunkLog records per-chunk wall durations of the cold pass, which
+// computes structure and values at once, as Symbolic. Replayed through
+// parallel.ListSchedule they give the scheduled speedup at thread counts
+// the host lacks (TestAdaptiveChunkLogAndWorkers holds its floors).
 type ChunkLog struct {
 	mu       sync.Mutex
 	Symbolic []ChunkSpan
-	Numeric  []ChunkSpan
-}
-
-func (l *ChunkLog) record(symbolic bool, lo, hi int, sec float64) {
-	l.mu.Lock()
-	if symbolic {
-		l.Symbolic = append(l.Symbolic, ChunkSpan{lo, hi, sec})
-	} else {
-		l.Numeric = append(l.Numeric, ChunkSpan{lo, hi, sec})
-	}
-	l.mu.Unlock()
 }
 
 // forChunksLogged is ForChunksW with optional per-chunk wall timing
-// recorded into log (symbolic selects which phase list receives it).
-func forChunksLogged(nt int, bounds []int, log *ChunkLog, symbolic bool, fn func(w, lo, hi int)) {
+// recorded into log.
+func forChunksLogged(nt int, bounds []int, log *ChunkLog, fn func(w, lo, hi int)) {
 	body := fn
 	if log != nil {
 		body = func(w, lo, hi int) {
 			t0 := time.Now()
 			fn(w, lo, hi)
-			log.record(symbolic, lo, hi, time.Since(t0).Seconds())
+			span := ChunkSpan{lo, hi, time.Since(t0).Seconds()}
+			log.mu.Lock()
+			log.Symbolic = append(log.Symbolic, span)
+			log.mu.Unlock()
 		}
 	}
 	parallel.ForChunksW(nt, bounds, body)
 }
 
-// colSpan holds the column ids of rows [lo, hi), in row order, where the
-// symbolic phase staged them, and on the one-phase route their values.
+// colSpan holds the column ids and values of rows [lo, hi), in row
+// order, where the pass staged them.
 type colSpan struct {
 	lo, hi int
 	ids    []int32
 	vals   []float64
 }
 
-// colStage is one worker's staged rows: ids (and one-phase values) in
+// colStage is one worker's staged rows: ids and values in
 // pooled fixed-size blocks, a span ending where a chunk ends or where
 // the next row might not fit the current block's tail.
 type colStage struct {
@@ -144,9 +135,9 @@ func stage[T any](pool *sync.Pool, blocks *[]*[]T, n int) []T {
 }
 
 // multiplyAdaptive is the cold pipeline behind Multiply and
-// MultiplyPlanned: one pass on the bitmap tier (speck.OnePhase), else
-// symbolic emit then numeric replay. rowFlops, when non-nil, is the
-// precomputed row analysis (MultiplyPlanned keeps it for the plan).
+// MultiplyPlanned: one pass, then the numeric replay only for a product
+// holding a NaN. rowFlops, when non-nil, is the precomputed row analysis
+// (MultiplyPlanned keeps it for the plan).
 func multiplyAdaptive(a, b *csr.Matrix, opts Options, rowFlops []int64) (*csr.Matrix, error) {
 	nt := opts.threads()
 	chunkNT := nt
@@ -160,11 +151,10 @@ func multiplyAdaptive(a, b *csr.Matrix, opts Options, rowFlops []int64) (*csr.Ma
 	}
 	bounds := parallel.CostBounds(rowFlops, chunkNT)
 
-	// Label rows by work class and segment-compress B when the multiply
-	// amortizes it; the one-phase route reads neither but ClassStats' labels.
-	onePhase := speck.OnePhase(b.Cols)
+	// ClassStats labels rows by work class, from B's segment compression
+	// when the multiply amortizes it; the pass itself reads neither.
 	var pass *speck.SymbolicPass
-	if !onePhase || opts.ClassStats != nil {
+	if opts.ClassStats != nil {
 		pass = speck.NewSymbolicPass(a, b, rowFlops)
 	}
 	stopAnalysis()
@@ -181,11 +171,11 @@ func multiplyAdaptive(a, b *csr.Matrix, opts Options, rowFlops []int64) (*csr.Ma
 	stages := make([]colStage, len(kits))
 	defer releaseKits(kits)
 
-	// Symbolic phase (or the one pass): each worker stages its rows'
-	// ascending column ids (and values); row sizes fall out of the append.
+	// The one pass: each worker stages its rows' ascending column ids and
+	// values; row sizes fall out of the append.
 	stopSymbolic := opts.Metrics.StartWall("cpu", "symbolic")
-	var nan atomic.Bool // a one-phase row emitted a NaN
-	forChunksLogged(nt, bounds, opts.ChunkLog, true, func(w, lo, hi int) {
+	var nan atomic.Bool // a row emitted a NaN
+	forChunksLogged(nt, bounds, opts.ChunkLog, func(w, lo, hi int) {
 		if werr.get() != nil {
 			return
 		}
@@ -206,16 +196,14 @@ func multiplyAdaptive(a, b *csr.Matrix, opts Options, rowFlops []int64) (*csr.Ma
 			// start a block group (speck.MayGroup) reserves room for a
 			// group, whose rows each hold as many ids as it does.
 			bound := int(min(rowFlops[i]/2, int64(b.Cols))) + accum.FlushSlack
-			group := onePhase && speck.MayGroup(a, i, hi)
+			group := speck.MayGroup(a, i, hi)
 			if group {
 				bound *= speck.GroupRows
 			}
 			if cap(buf)-len(buf) < bound {
 				st.spans = append(st.spans, colSpan{first, i, buf, vbuf})
 				buf, first = stage[int32](accum.ColBlocks, &st.blocks, bound), i
-				if onePhase {
-					vbuf = stage[float64](accum.ValBlocks, &st.vblocks, bound)
-				}
+				vbuf = stage[float64](accum.ValBlocks, &st.vblocks, bound)
 			}
 			if group {
 				var end int
@@ -237,13 +225,9 @@ func multiplyAdaptive(a, b *csr.Matrix, opts Options, rowFlops []int64) (*csr.Ma
 				}
 			}
 			n := len(buf)
-			if onePhase {
-				var rowNaN bool
-				if buf, vbuf, rowNaN = kit.ComputeRow(a, b, i, rowFlops[i], buf, vbuf); rowNaN {
-					nan.Store(true)
-				}
-			} else {
-				buf = pass.AppendCols(kit, i, buf)
+			var rowNaN bool
+			if buf, vbuf, rowNaN = kit.ComputeRow(a, b, i, rowFlops[i], buf, vbuf); rowNaN {
+				nan.Store(true)
 			}
 			rowNnz[i] = int64(len(buf) - n)
 			if opts.ClassStats != nil {
@@ -282,11 +266,11 @@ func multiplyAdaptive(a, b *csr.Matrix, opts Options, rowFlops []int64) (*csr.Ma
 		}
 	})
 
-	// Numeric phase: replay the values into the structure — on the
-	// one-phase route only to give NaNs the warm replay's payloads (§13).
-	if !onePhase || nan.Load() {
+	// Numeric phase: replay the values into the structure, only to give
+	// NaNs the warm replay's payloads (§13).
+	if nan.Load() {
 		stopNumeric := opts.Metrics.StartWall("cpu", "numeric")
-		_, err := replay(speck.WholeWindow(c), a, b, bounds, opts, pass, nil)
+		_, err := replay(speck.WholeWindow(c), a, b, bounds, opts, nil)
 		stopNumeric()
 		if err != nil {
 			return nil, err

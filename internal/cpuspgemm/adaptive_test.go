@@ -94,8 +94,7 @@ func TestAdaptiveClassStats(t *testing.T) {
 	}
 }
 
-// TestClassStatsTotalsMatchLabels: on the bitmap tier, whose symbolic
-// pass labels no row until asked, ClassStats' per-kind rows, flops and
+// TestClassStatsTotalsMatchLabels: ClassStats' per-kind rows, flops and
 // output non-zeros are the tally of each flop-bearing row's
 // speck.PickKind label — from its expected output size and, when the
 // multiply does at least two flops per non-zero of B, B's
@@ -111,9 +110,6 @@ func TestClassStatsTotalsMatchLabels(t *testing.T) {
 		"er-band": {er, band}, "rmat": {rmat, rmat}, "uncompressed": {sparse, sparse},
 	} {
 		a, b := ops[0], ops[1]
-		if !speck.OnePhase(b.Cols) {
-			t.Fatalf("%s: B has %d columns, past the bitmap tier", name, b.Cols)
-		}
 		rf := csr.RowFlops(a, b, 1)
 		var flops int64
 		for _, f := range rf {
@@ -166,13 +162,25 @@ func padCols(m *csr.Matrix, cols int) *csr.Matrix {
 	return &p
 }
 
+// spreadCols returns m with every column id multiplied by stride, on a
+// panel stride times as wide: the same structure, its columns stride
+// apart, so that a short row of two or more columns misses every window.
+func spreadCols(m *csr.Matrix, stride int) *csr.Matrix {
+	p := *m
+	p.ColIDs = make([]int32, len(m.ColIDs))
+	for j, c := range m.ColIDs {
+		p.ColIDs[j] = c * int32(stride)
+	}
+	p.Cols = m.Cols * stride
+	return &p
+}
+
 // TestAdaptiveChunkLogAndWorkers checks the scheduled-speedup plumbing
-// and holds the scheduler's scaling floors on both routes — the one pass
-// of a B within the bitmap tier, the two phases of one wider than 2^20
-// columns: ChunkWorkers cuts N-worker granularity while running serially
-// (so every logged duration is a true single-thread measurement, on any
-// machine), every row appears in exactly one chunk per pass, a one-phase
-// product logs no numeric chunk, and the logged durations replayed
+// and holds the scheduler's scaling floors with B on the bitmap tier and
+// padded past it (wider than 2^20 columns): ChunkWorkers cuts N-worker
+// granularity while running serially (so every logged duration is a true
+// single-thread measurement, on any machine), every row appears in
+// exactly one chunk of the pass, and the logged durations replayed
 // through ListSchedule at N equal workers reach a work-weighted
 // sum/makespan of at least 2.5 at 4 workers and 4.0 at 8 (1 means no
 // overlap, N perfect balance). Best of three logs, since scheduler noise
@@ -180,7 +188,6 @@ func padCols(m *csr.Matrix, cols int) *csr.Matrix {
 func TestAdaptiveChunkLogAndWorkers(t *testing.T) {
 	a := matgen.RMAT(12, 16, 0.6, 0.19, 0.19, 7)
 	for _, b := range []*csr.Matrix{a, padCols(a, 1<<20+64)} {
-		onePhase := speck.OnePhase(b.Cols)
 		for _, tc := range []struct {
 			workers int
 			floor   float64
@@ -191,45 +198,33 @@ func TestAdaptiveChunkLogAndWorkers(t *testing.T) {
 				if _, err := Multiply(a, b, Options{Threads: 1, ChunkWorkers: tc.workers, ChunkLog: &log}); err != nil {
 					t.Fatal(err)
 				}
-				passes := map[string][]ChunkSpan{"symbolic": log.Symbolic, "numeric": log.Numeric}
-				if onePhase {
-					if len(log.Numeric) != 0 {
-						t.Fatalf("one-phase product logged %d numeric chunks", len(log.Numeric))
-					}
-					delete(passes, "numeric")
+				spans := log.Symbolic
+				if len(spans) < tc.workers {
+					t.Fatalf("only %d chunks logged with ChunkWorkers=%d", len(spans), tc.workers)
 				}
-				var sum, makespan float64
-				for phase, spans := range passes {
-					if len(spans) < tc.workers {
-						t.Fatalf("%s: only %d chunks logged with ChunkWorkers=%d", phase, len(spans), tc.workers)
+				covered := make([]int, a.Rows)
+				durations := make([]float64, 0, len(spans))
+				var sum float64
+				for _, s := range spans {
+					if s.Seconds < 0 {
+						t.Fatalf("negative duration %v", s.Seconds)
 					}
-					covered := make([]int, a.Rows)
-					durations := make([]float64, 0, len(spans))
-					var phaseSum float64
-					for _, s := range spans {
-						if s.Seconds < 0 {
-							t.Fatalf("%s: negative duration %v", phase, s.Seconds)
-						}
-						durations = append(durations, s.Seconds)
-						phaseSum += s.Seconds
-						for i := s.Lo; i < s.Hi; i++ {
-							covered[i]++
-						}
+					durations = append(durations, s.Seconds)
+					sum += s.Seconds
+					for i := s.Lo; i < s.Hi; i++ {
+						covered[i]++
 					}
-					for i, c := range covered {
-						if c != 1 {
-							t.Fatalf("%s: row %d covered %d times", phase, i, c)
-						}
-					}
-					mk := parallel.ListSchedule(durations, tc.workers)
-					if mk > phaseSum || mk < phaseSum/float64(tc.workers) {
-						t.Fatalf("%s: makespan %v outside [sum/%d, sum] = [%v, %v]",
-							phase, mk, tc.workers, phaseSum/float64(tc.workers), phaseSum)
-					}
-					sum += phaseSum
-					makespan += mk
 				}
-				best = max(best, sum/makespan)
+				for i, c := range covered {
+					if c != 1 {
+						t.Fatalf("row %d covered %d times", i, c)
+					}
+				}
+				mk := parallel.ListSchedule(durations, tc.workers)
+				if mk > sum || mk < sum/float64(tc.workers) {
+					t.Fatalf("makespan %v outside [sum/%d, sum] = [%v, %v]", mk, tc.workers, sum/float64(tc.workers), sum)
+				}
+				best = max(best, sum/mk)
 			}
 			t.Logf("B %d columns, %d workers: scheduled speedup %.2f (floor %.1f)", b.Cols, tc.workers, best, tc.floor)
 			if best < tc.floor {
@@ -240,8 +235,8 @@ func TestAdaptiveChunkLogAndWorkers(t *testing.T) {
 }
 
 // TestAdaptiveCancel checks cancellation still propagates through the
-// adaptive pipeline on both routes: before the first chunk, and in the
-// middle of the pass.
+// adaptive pipeline, with B on the bitmap tier and past it: before the
+// first chunk, and in the middle of the pass.
 func TestAdaptiveCancel(t *testing.T) {
 	a := matgen.RMAT(9, 8, 0.57, 0.19, 0.19, 13)
 	for _, b := range []*csr.Matrix{a, padCols(a, 1<<20+1)} {

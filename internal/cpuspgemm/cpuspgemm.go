@@ -73,8 +73,8 @@ type Options struct {
 	// instrumented runs, never timed repetitions.
 	ClassStats *ClassStats
 	// ChunkLog, when non-nil, records each dynamically claimed chunk's
-	// wall duration per phase (see ChunkLog for the scheduled-speedup
-	// replay built from it).
+	// wall duration (see ChunkLog for the scheduled-speedup replay built
+	// from it).
 	ChunkLog *ChunkLog
 	// ChunkWorkers, when positive, overrides the worker count used to
 	// cut chunk boundaries without changing how many goroutines run:

@@ -3,7 +3,6 @@ package cpuspgemm
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/accum"
 	"repro/internal/csr"
@@ -114,7 +113,7 @@ func NumericScheduled(sym *SymbolicResult, sched *speck.Schedule, dst []float64,
 		sym.memo.Store(memo)
 	}
 	stopNumeric := opts.Metrics.StartWall("cpu", "numeric (warm)")
-	_, err := replay(speck.WholeWindow(c), a, b, memo.bounds, opts, nil, sched)
+	_, err := replay(speck.WholeWindow(c), a, b, memo.bounds, opts, sched)
 	stopNumeric()
 	if err != nil {
 		return nil, err
@@ -139,28 +138,21 @@ func (s *SymbolicResult) Schedule(a, b *csr.Matrix) *speck.Schedule {
 // Options.Cancel stopped it. The out-of-core engine computes its whole
 // product this way; rowFlops balances the chunked replay as in Numeric.
 func NumericInto(w speck.Window, a, b *csr.Matrix, rowFlops []int64, opts Options) (int64, error) {
-	return replay(w, a, b, parallel.CostBounds(rowFlops, opts.threads()), opts, nil, nil)
+	return replay(w, a, b, parallel.CostBounds(rowFlops, opts.threads()), opts, nil)
 }
 
 // replay is the numeric phase of every exact product, cold and warm:
 // speck.NumericRows over w's fixed structure in dynamically claimed
 // chunks, writing w.Data, one pooled scratch per worker fetched on its
-// first chunk (see parallel.ForChunksW). pass, non-nil on the cold path,
-// turns on Options.ChunkLog and labels rows for Options.ClassStats, under
-// which the kernel runs one row per call so each can be timed. sched, if
-// not nil, is w's schedule for a and b; otherwise each call builds one.
-// It returns the number of rows whose chunk it finished.
-func replay(w speck.Window, a, b *csr.Matrix, bounds []int, opts Options, pass *speck.SymbolicPass, sched *speck.Schedule) (int64, error) {
+// first chunk (see parallel.ForChunksW). sched, if not nil, is w's
+// schedule for a and b; otherwise each call builds one. It returns the
+// number of rows whose chunk it finished.
+func replay(w speck.Window, a, b *csr.Matrix, bounds []int, opts Options, sched *speck.Schedule) (int64, error) {
 	nt := opts.threads()
-	var log *ChunkLog
-	var stats *ClassStats
-	if pass != nil {
-		log, stats = opts.ChunkLog, opts.ClassStats
-	}
 	var werr firstErr
 	var rows atomic.Int64
 	scratch := make([]*accum.Scratch, parallel.Workers(nt))
-	forChunksLogged(nt, bounds, log, false, func(wk, lo, hi int) {
+	parallel.ForChunksW(nt, bounds, func(wk, lo, hi int) {
 		if werr.get() != nil {
 			return
 		}
@@ -171,25 +163,9 @@ func replay(w speck.Window, a, b *csr.Matrix, bounds []int, opts Options, pass *
 		if scratch[wk] == nil {
 			scratch[wk] = accum.GetScratch(w.Width)
 		}
-		step := hi - lo
-		if stats != nil {
-			step = 1
-		}
-		t0 := time.Now()
-		var part classParts
-		for i := lo; i < hi; i += step {
-			if err := speck.NumericRows(a, b, &w, scratch[wk], sched, i, i+step); err != nil {
-				werr.set(fmt.Errorf("cpuspgemm: numeric: %w", err))
-				return
-			}
-			if stats != nil && w.RowNnz(i) != 0 {
-				t1 := time.Now()
-				part[pass.Kind(i)].NumericNs += t1.Sub(t0).Nanoseconds()
-				t0 = t1
-			}
-		}
-		if stats != nil {
-			stats.merge(&part)
+		if err := speck.NumericRows(a, b, &w, scratch[wk], sched, lo, hi); err != nil {
+			werr.set(fmt.Errorf("cpuspgemm: numeric: %w", err))
+			return
 		}
 		rows.Add(int64(hi - lo))
 	})

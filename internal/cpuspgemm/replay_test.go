@@ -33,16 +33,12 @@ func families() map[string]*csr.Matrix {
 // thread counts, with chunkings finer than the worker count so the
 // numeric phase reads column ids another worker's buffer supplied, and
 // each run uninstrumented and under ClassStats (which labels rows the
-// uninstrumented one-phase pass does not). Under ClassStats every row
-// with flops, every flop and every output non-zero is accounted exactly
-// once, and a one-phase product (finite here) runs no numeric replay and
-// books no numeric time. Then the same products with B padded to 2^20
-// columns, the widest panel of the one-phase route, and to one more, the
-// narrowest of the two-phase one.
+// uninstrumented pass does not). Under ClassStats every row with flops,
+// every flop and every output non-zero is accounted exactly once, and a
+// product (finite here) runs no numeric replay and books no numeric time.
+// Then the same products with B padded to 2^20 columns, the widest panel
+// of the bitmap tier, and to one more, the narrowest past it.
 func TestColdSequentialWarmBitIdentical(t *testing.T) {
-	if !speck.OnePhase(1<<20) || speck.OnePhase(1<<20+1) {
-		t.Fatal("the bitmap tier no longer ends at 2^20 columns: move the widths below")
-	}
 	for name, a := range families() {
 		for _, threads := range []int{1, 2, 4, 8} {
 			for _, chunkWorkers := range []int{0, 3, 16} {
@@ -81,8 +77,8 @@ func requireColdSequentialWarm(t *testing.T, label string, a, b *csr.Matrix, thr
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		if replayed(col) == speck.OnePhase(b.Cols) {
-			t.Fatalf("%s: numeric replay ran = %v on a finite product", label, replayed(col))
+		if replayed(col) {
+			t.Fatalf("%s: numeric replay ran on a finite product", label)
 		}
 		if err := cold.Validate(); err != nil {
 			t.Fatalf("%s: invalid product: %v", label, err)
@@ -108,8 +104,8 @@ func requireColdSequentialWarm(t *testing.T, label string, a, b *csr.Matrix, thr
 			t.Fatalf("%s: class totals (rows %d, flops %d, nnz %d) != matrix (%d, %d, %d)",
 				label, rows, classFlops, nnz, flopRows, flops, len(cold.ColIDs))
 		}
-		if speck.OnePhase(b.Cols) && numericNs != 0 {
-			t.Fatalf("%s: one-phase product booked %d ns of numeric time", label, numericNs)
+		if numericNs != 0 {
+			t.Fatalf("%s: product booked %d ns of numeric time", label, numericNs)
 		}
 	}
 }
@@ -134,9 +130,8 @@ func replayed(col *metrics.Collector) bool {
 // TestStagedStructureAcrossBlocks drives the staging through its three
 // cases: rows that fill several pooled blocks, spans cut in the middle of
 // a chunk, and a hub row whose bound exceeds a block and stages in a
-// buffer of its own — on the one-phase route, where every id block has a
-// value block beside it, and on the two-phase route (B wider than 2^20
-// columns), where only ids are staged.
+// buffer of its own, every id block with a value block beside it — with
+// B on the bitmap tier and padded past it (wider than 2^20 columns).
 func TestStagedStructureAcrossBlocks(t *testing.T) {
 	const inner, width = 200, accum.ColBlockLen + 5000
 	b := matgen.ER(inner, width, 400/float64(width), 81)
@@ -254,13 +249,13 @@ func TestNonFiniteOperands(t *testing.T) {
 	// different payloads meet in one sum or product, the payload that
 	// survives is the one the compiler made the first operand, so against
 	// another implementation only "it is a NaN" is defined. Cold and warm
-	// agree on those bits too, in every build (-race included): a
-	// one-phase product holding a NaN is replayed by NumericRows, the
-	// loop the warm replay and the two-phase route run.
+	// agree on those bits too, in every build (-race included): a cold
+	// product holding a NaN is replayed by NumericRows, the loop the warm
+	// replay runs.
 	a2, _ := csr.FromEntries(1, 2, []csr.Entry{{Row: 0, Col: 0, Val: 1}, {Row: 0, Col: 1, Val: inf}})
 	b2, _ := csr.FromEntries(2, 1, []csr.Entry{{Row: 0, Col: 0, Val: nan}, {Row: 1, Col: 0, Val: 0}})
 
-	// No row of a3 has more than four products, so on the one-phase route
+	// No row of a3 has more than four products, so on the bitmap tier
 	// ComputeRow runs every one on its summary body (Add, FlushValues): no
 	// window route, and no block group — rows 1 and 2 share their A row,
 	// whose B rows 4 and 5 are a block, but a group takes four rows. a3
@@ -281,6 +276,14 @@ func TestNonFiniteOperands(t *testing.T) {
 	b3, _ := csr.FromEntries(6, 2, []csr.Entry{
 		{Row: 0, Col: 0, Val: 1}, {Row: 1, Col: 0, Val: 1}, {Row: 2, Col: 0, Val: 1}, {Row: 3, Col: 0, Val: 1},
 		{Row: 4, Col: 1, Val: nan1}, {Row: 5, Col: 1, Val: 0},
+	})
+	// a4's one row spans both of b4's columns, so with B's columns spread
+	// apart past the tier it misses every window and runs on the hash:
+	// nan1 + Inf·0 in column 0, 1 + Inf·nan2 in column 1.
+	a4, _ := csr.FromEntries(1, 2, []csr.Entry{{Row: 0, Col: 0, Val: 1}, {Row: 0, Col: 1, Val: inf}})
+	b4, _ := csr.FromEntries(2, 2, []csr.Entry{
+		{Row: 0, Col: 0, Val: nan1}, {Row: 0, Col: 1, Val: 1},
+		{Row: 1, Col: 0, Val: 0}, {Row: 1, Col: 1, Val: nan2},
 	})
 
 	// Block-diagonal pairs: full blocks of A against lower-triangular
@@ -321,7 +324,7 @@ func TestNonFiniteOperands(t *testing.T) {
 	blockB, _ := csr.FromEntries(24, 24, eb)
 	fullB, _ := csr.FromEntries(24, 24, ef)
 
-	const wide = 1<<20 + 1 // B padded past the bitmap tier: the two-phase route
+	const wide = 1<<20 + 1 // B padded past the bitmap tier
 	for _, threads := range []int{1, 4} {
 		opts := Options{Threads: threads}
 		for _, b := range []*csr.Matrix{b, padCols(b, wide)} {
@@ -344,9 +347,10 @@ func TestNonFiniteOperands(t *testing.T) {
 			requireBitsEqual(t, warm, want, route+": warm vs Sequential")
 		}
 
-		for _, pair := range [][2]*csr.Matrix{{a2, b2}, {a3, b3}} {
-			var colds [2]*csr.Matrix
-			for route, b := range []*csr.Matrix{pair[1], padCols(pair[1], wide)} {
+		for _, pair := range [][2]*csr.Matrix{{a2, b2}, {a3, b3}, {a4, b4}} {
+			stride := 1<<20/pair[1].Cols + 1 // spread past the tier
+			var colds [3]*csr.Matrix
+			for route, b := range []*csr.Matrix{pair[1], padCols(pair[1], wide), spreadCols(pair[1], stride)} {
 				col := metrics.New()
 				cold, sym, err := MultiplyPlanned(pair[0], b, Options{Threads: threads, Metrics: col})
 				if err != nil {
@@ -365,7 +369,8 @@ func TestNonFiniteOperands(t *testing.T) {
 				}
 				colds[route] = cold
 			}
-			requireBitsEqual(t, padCols(colds[0], wide), colds[1], "NaN + NaN: one-phase vs two-phase")
+			requireBitsEqual(t, padCols(colds[0], wide), colds[1], "NaN + NaN: bitmap tier vs past it")
+			requireBitsEqual(t, spreadCols(colds[0], stride), colds[2], "NaN + NaN: bitmap tier vs spread past it")
 		}
 
 		for _, b := range []*csr.Matrix{blockB, padCols(blockB, wide), fullB, padCols(fullB, wide)} {
@@ -430,8 +435,8 @@ func TestNonFiniteOperands(t *testing.T) {
 // one-phase kernel's window route (contiguous B rows added in one loop),
 // with NaN, ±Inf and −0.0 planted in both operands: the cold product must
 // run the numeric replay, agree with the warm replay bit for bit, with
-// the two-phase route bit for bit and with Sequential but for NaN
-// payloads, at one thread and at four.
+// the product of B padded past the bitmap tier bit for bit and with
+// Sequential but for NaN payloads, at one thread and at four.
 func TestWindowRouteNonFinite(t *testing.T) {
 	inf, nan, negZero := math.Inf(1), math.NaN(), math.Copysign(0, -1)
 	plant := func(m *csr.Matrix, every int, specials []float64) *csr.Matrix {
@@ -471,7 +476,7 @@ func TestWindowRouteNonFinite(t *testing.T) {
 			}
 			colds[route] = cold
 		}
-		requireBitsEqual(t, padCols(colds[0], 1<<20+1), colds[1], "one-phase vs two-phase")
+		requireBitsEqual(t, padCols(colds[0], 1<<20+1), colds[1], "bitmap tier vs past it")
 	}
 }
 

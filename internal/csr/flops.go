@@ -52,15 +52,3 @@ func RowUpperBounds(a, b *Matrix) []int64 {
 	}
 	return out
 }
-
-// CompressionRatio reports flop(A·B) / nnz(A·B) given the product
-// matrix c. The paper uses this ratio (Table II) as the key predictor of
-// out-of-core performance: it compares the amount of computation with
-// the amount of output data that must cross the PCIe bus.
-func CompressionRatio(a, b, c *Matrix) float64 {
-	n := c.Nnz()
-	if n == 0 {
-		return 0
-	}
-	return float64(Flops(a, b)) / float64(n)
-}

@@ -78,13 +78,6 @@ func TestFlopsIdentity(t *testing.T) {
 	}
 }
 
-func TestCompressionRatioEmptyProduct(t *testing.T) {
-	a := New(4, 4)
-	if r := CompressionRatio(a, a, New(4, 4)); r != 0 {
-		t.Fatalf("CompressionRatio of empty product = %v, want 0", r)
-	}
-}
-
 // TestRowFlopsHonoursWorkers: the scan runs on the workers it is given —
 // one is its caller's goroutine, on a host of four processors — and its
 // counts do not depend on how many.

@@ -18,8 +18,13 @@ import (
 // NaN only has to be a NaN (DESIGN.md §13), and must report a NaN
 // exactly when it emits one. A has rows of no entries, of one (the
 // scaled-copy path) and of many; B is 63, 64, 65 or 4096 + k columns
-// wide. widthSel/4 picks B's rows: scattered columns and runs that fill
-// whole words and the last partial one; a band, each row a run of
+// wide, and widthSel/16 takes it past the bitmap tier (2^20 columns) or
+// not: padded, its ids kept and an empty tail added, so that rows lie in
+// a window of at most 65 words; or spread, its ids scaled by a stride
+// that puts it near 2^21 columns, so that rows of two or more columns
+// miss every window and take the hash unless they hold a product per
+// summary word. widthSel/4 picks B's rows: scattered columns and runs
+// that fill whole words and the last partial one; a band, each row a run of
 // consecutive columns one step right of the last (with a hole when the
 // step is odd and specials is not 0), read by A rows of consecutive B
 // rows, so that rows take ComputeRow's window route and its run loop;
@@ -36,21 +41,24 @@ import (
 // where it reports a NaN (exactly when NumericRows' values hold one),
 // NumericRows' values bit for bit.
 func FuzzComputeRow(f *testing.F) {
-	f.Add(uint8(0), uint8(0), uint8(9), uint8(20), uint8(30), uint8(0), int64(1))    // 63 columns
-	f.Add(uint8(1), uint8(0), uint8(5), uint8(30), uint8(80), uint8(40), int64(2))   // 64, specials
-	f.Add(uint8(2), uint8(0), uint8(11), uint8(39), uint8(200), uint8(8), int64(3))  // 65, dense rows
-	f.Add(uint8(3), uint8(7), uint8(7), uint8(25), uint8(36), uint8(0), int64(4))    // 4103, scattered rows
-	f.Add(uint8(3), uint8(63), uint8(3), uint8(12), uint8(255), uint8(64), int64(5)) // 4159, runs and specials
-	f.Add(uint8(7), uint8(1), uint8(11), uint8(39), uint8(16), uint8(0), int64(6))   // 4097, band of 17-column rows
-	f.Add(uint8(7), uint8(5), uint8(11), uint8(30), uint8(100), uint8(30), int64(7)) // 4101, band of 101-column runs
-	f.Add(uint8(6), uint8(2), uint8(9), uint8(20), uint8(8), uint8(20), int64(8))    // 65, band of 9-column rows with holes
-	f.Add(uint8(11), uint8(2), uint8(11), uint8(39), uint8(12), uint8(0), int64(9))  // 4098, 64-word windows
-	f.Add(uint8(11), uint8(3), uint8(11), uint8(39), uint8(12), uint8(0), int64(10)) // 4099, 65-word windows
-	f.Add(uint8(11), uint8(0), uint8(11), uint8(39), uint8(4), uint8(20), int64(11)) // 4096, 62 words, few products
-	f.Add(uint8(12), uint8(3), uint8(20), uint8(39), uint8(30), uint8(0), int64(12)) // 63, blocks of 4
-	f.Add(uint8(15), uint8(7), uint8(28), uint8(39), uint8(60), uint8(0), int64(13)) // 4103, blocks of 8
-	f.Add(uint8(14), uint8(5), uint8(25), uint8(30), uint8(20), uint8(9), int64(14)) // 65, blocks of 6, specials and broken groups
-	f.Add(uint8(15), uint8(0), uint8(16), uint8(10), uint8(9), uint8(0), int64(15))  // 4096, blocks of 1
+	f.Add(uint8(0), uint8(0), uint8(9), uint8(20), uint8(30), uint8(0), int64(1))     // 63 columns
+	f.Add(uint8(1), uint8(0), uint8(5), uint8(30), uint8(80), uint8(40), int64(2))    // 64, specials
+	f.Add(uint8(2), uint8(0), uint8(11), uint8(39), uint8(200), uint8(8), int64(3))   // 65, dense rows
+	f.Add(uint8(3), uint8(7), uint8(7), uint8(25), uint8(36), uint8(0), int64(4))     // 4103, scattered rows
+	f.Add(uint8(3), uint8(63), uint8(3), uint8(12), uint8(255), uint8(64), int64(5))  // 4159, runs and specials
+	f.Add(uint8(7), uint8(1), uint8(11), uint8(39), uint8(16), uint8(0), int64(6))    // 4097, band of 17-column rows
+	f.Add(uint8(7), uint8(5), uint8(11), uint8(30), uint8(100), uint8(30), int64(7))  // 4101, band of 101-column runs
+	f.Add(uint8(6), uint8(2), uint8(9), uint8(20), uint8(8), uint8(20), int64(8))     // 65, band of 9-column rows with holes
+	f.Add(uint8(11), uint8(2), uint8(11), uint8(39), uint8(12), uint8(0), int64(9))   // 4098, 64-word windows
+	f.Add(uint8(11), uint8(3), uint8(11), uint8(39), uint8(12), uint8(0), int64(10))  // 4099, 65-word windows
+	f.Add(uint8(11), uint8(0), uint8(11), uint8(39), uint8(4), uint8(20), int64(11))  // 4096, 62 words, few products
+	f.Add(uint8(12), uint8(3), uint8(20), uint8(39), uint8(30), uint8(0), int64(12))  // 63, blocks of 4
+	f.Add(uint8(15), uint8(7), uint8(28), uint8(39), uint8(60), uint8(0), int64(13))  // 4103, blocks of 8
+	f.Add(uint8(14), uint8(5), uint8(25), uint8(30), uint8(20), uint8(9), int64(14))  // 65, blocks of 6, specials and broken groups
+	f.Add(uint8(15), uint8(0), uint8(16), uint8(10), uint8(9), uint8(0), int64(15))   // 4096, blocks of 1
+	f.Add(uint8(35), uint8(7), uint8(7), uint8(25), uint8(36), uint8(40), int64(16))  // spread 4103, hash rows and specials
+	f.Add(uint8(23), uint8(1), uint8(11), uint8(39), uint8(16), uint8(30), int64(17)) // padded 4097, window rows of a band, specials
+	f.Add(uint8(34), uint8(0), uint8(11), uint8(39), uint8(200), uint8(8), int64(18)) // spread 65, long rows on the bitmap
 	f.Fuzz(func(t *testing.T, widthSel, k, rows, inner, density, specials uint8, seed int64) {
 		width := []int{63, 64, 65, 4096 + int(k%64)}[widthSel%4]
 		m, n := 1+int(inner%40), 1+int(rows%12)
@@ -181,6 +189,18 @@ func FuzzComputeRow(f *testing.F) {
 				return distinct(m, 2+rng.Intn(m))
 			}
 		})
+
+		switch widthSel / 16 % 3 {
+		case 1: // padded past the tier
+			b.Cols = 1<<20 + 1 + int(k)
+		case 2: // spread past the tier
+			stride := (1 << 21) / width
+			for j := range b.ColIDs {
+				b.ColIDs[j] *= int32(stride)
+			}
+			b.Cols = width * stride
+		}
+		width = b.Cols
 
 		want, err := cpuspgemm.Sequential(a, b)
 		if err != nil {

@@ -19,36 +19,32 @@ import (
 // analysis (Analyze), and both halves in one walk (Kit.ComputeRow).
 //
 // Symbolic half (SymbolicPass): count, or emit ascending, row i's
-// distinct output columns. For B panels up to bitmapTierMax columns
-// every row ORs into the worker's accum.TwoLevel — segment masks when B
-// was compressed (csr.Segments), column bits otherwise — whose flush
-// walks touched words only: no probe, no presizing, no sort. Wider
-// panels bin rows by kind to a list, CSeg or presized hash accumulator.
+// distinct output columns. A row ORs into the worker's accum.TwoLevel —
+// segment masks when B was compressed (csr.Segments), column bits
+// otherwise — whose flush walks touched words only: no probe, no
+// presizing, no sort; past the bitmap tier a short row of scattered
+// columns takes accum.Hash instead (routeOf, the one rule of both halves).
 //
 // Numeric half (NumericRows): scatter a row range's products into a
 // stamped scratch in arrival order and gather them through the structure
 // the symbolic half fixed — or, for four block rows sharing their A row
 // and a block of B rows, column by column in registers.
-// ComputeRow, the cold CPU product's row on the bitmap tier, sums in the
-// same order: bit for bit but NaN payloads (§13); ComputeGroups, its
-// block groups, runs the replay's own register body on them.
+// ComputeRow, the cold CPU product's row, sums in the same order: bit for
+// bit but NaN payloads (§13); ComputeGroups, its block groups, runs the
+// replay's own register body on them.
 
 const (
-	// bitmapTierMax is the widest B panel whose rows all accumulate into
-	// the two-level bitmap (128 KiB of words + 2 KiB of summary per
-	// worker; 256 summary reads per row). Measured against the kind-binned
-	// route on unclustered rows (DESIGN.md §13): rows of 1024 products win
-	// 2.5-4.8x from 2^18 columns up, rows of 36 win 1.35x at 2^20 and break
-	// even at 2^22, rows of 9 break even at 2^18, lose 1.25x at 2^20 and
-	// 2.1x at 2^22 (the summary walk outweighs nine ORs).
+	// bitmapTierMax is the widest B panel every row of which accumulates
+	// into the two-level bitmap (128 KiB of words + 2 KiB of summary per
+	// worker; 256 summary reads per row); past it routeOf may pick the
+	// hash (DESIGN.md §13).
 	bitmapTierMax = 1 << 20
 	// bitmapDirectMax is the panel width up to which a dense-class row
 	// is labelled KindDense rather than KindCSeg.
 	bitmapDirectMax = 1 << 16
 	// csegSymbolicRatio is the minimum B segment-compression ratio at
-	// which hash-class rows are labelled (and, past bitmapTierMax, run
-	// on) the compressed accumulator: below it a segment rarely covers
-	// more than one column, so the per-segment probe saves nothing.
+	// which hash-class rows are labelled KindCSeg: below it a segment
+	// rarely covers more than one column.
 	csegSymbolicRatio = 1.5
 	// compressMinFlopsPerNnz gates the O(nnz(B)) segment-compression
 	// pass: multiplies doing fewer than this many flops per B non-zero
@@ -61,8 +57,8 @@ const (
 
 // Kind is a row's work-class label — the three work classes, with the
 // compressed accumulator split out so the benchmark can report it
-// separately. ClassStats aggregates by it; for panels wider than
-// bitmapTierMax it also names the accumulator that serves the row.
+// separately. ClassStats aggregates by it; it names no accumulator
+// (routeOf picks those).
 type Kind uint8
 
 const (
@@ -78,34 +74,19 @@ var KindNames = [NumKinds]string{"list", "hash", "dense", "cseg"}
 
 func (k Kind) String() string { return KindNames[k] }
 
-// RowAccumulator is what every kit accumulator provides: the shared
-// accumulation contract plus the structure-only sorted flush.
-type RowAccumulator interface {
-	accum.Accumulator
-	FlushCols(cols []int32) []int32
-}
-
 // Kit is one worker's lazily pooled accumulator set, fetched at most
 // once per member and reused across every row and chunk the worker
 // claims, so pool traffic does not scale with the chunk count.
 type Kit struct {
-	list *accum.List
 	hash *accum.Hash
-	cseg *accum.CSeg
 	two  *accum.TwoLevel
 	grp  *groupScratch
 }
 
 // Release returns the kit's accumulators to their pools.
 func (k *Kit) Release() {
-	if k.list != nil {
-		accum.PutList(k.list)
-	}
 	if k.hash != nil {
 		accum.PutHash(k.hash)
-	}
-	if k.cseg != nil {
-		accum.PutCSeg(k.cseg)
 	}
 	if k.two != nil {
 		accum.PutTwoLevel(k.two)
@@ -116,40 +97,21 @@ func (k *Kit) Release() {
 	*k = Kit{}
 }
 
-// Get returns the worker's accumulator for kind, sized for a row with
-// at most bound distinct output columns in a width-column panel — the
-// row's own bound, never a chunk-wide maximum. Its callers serve panels
-// wider than bitmapTierMax, where PickKind labels no row KindDense.
-func (k *Kit) Get(kind Kind, bound int64, width int) RowAccumulator {
-	switch kind {
-	case KindList:
-		if k.list == nil {
-			k.list = accum.GetList(ListClassMax)
-		}
-		return k.list
-	case KindCSeg:
-		if k.cseg == nil {
-			k.cseg = accum.GetCSeg(16)
-		}
-		segBound := bound
-		if w := int64(width+63) / 64; segBound > w {
-			segBound = w
-		}
-		k.cseg.Grow(int(segBound))
-		return k.cseg
-	default:
-		if k.hash == nil {
-			k.hash = accum.GetHash(16)
-		}
-		if bound > int64(width) {
-			bound = int64(width)
-		}
-		if bound < 16 {
-			bound = 16
-		}
-		k.hash.Grow(int(bound))
-		return k.hash
+// hashFor returns the kit's hash, empty, sized for bound columns.
+func (k *Kit) hashFor(bound int64) *accum.Hash {
+	if k.hash == nil {
+		k.hash = accum.GetHash(16)
 	}
+	k.hash.Grow(int(bound))
+	return k.hash
+}
+
+// bitmap returns the kit's two-level bitmap over a width-column B.
+func (k *Kit) bitmap(width int) *accum.TwoLevel {
+	if k.two == nil {
+		k.two = accum.GetTwoLevel(width)
+	}
+	return k.two
 }
 
 // ExpectedDistinct is the balls-in-bins collision correction: throwing
@@ -189,8 +151,7 @@ func ExpectedDistinct(width, products int64) int64 {
 // the row holds one output per bitmapScanDiv/64 words; everything else
 // (sparse rows in very wide panels) is a hash row.
 const (
-	// ListClassMax is the largest expected row nnz served by the list
-	// accumulator.
+	// ListClassMax is the largest expected row nnz of a list-class row.
 	ListClassMax  = 24
 	denseClassCR  = denseCRThreshold
 	bitmapScanDiv = 256
@@ -243,13 +204,10 @@ func PickKind(rowFlops, estNnz, width int64, segRatio float64) Kind {
 
 // SymbolicPass is the symbolic row kernel prepared for one operand
 // pair: B's segment-compressed form when the multiply amortizes building
-// it and, for B panels wider than bitmapTierMax, every row's kind,
-// binned from its expected output size. The bitmap tier reads no kinds,
-// so there Kind computes a row's label when asked.
+// it. Kind labels a row when asked; no route reads the labels.
 type SymbolicPass struct {
 	a, b     *csr.Matrix
 	rowFlops []int64
-	kinds    []Kind
 	segs     *csr.Segments
 }
 
@@ -285,27 +243,12 @@ func NewSymbolicPass(a, b *csr.Matrix, rowFlops []int64) *SymbolicPass {
 // the multiply does not compress B.
 func newPass(a, b *csr.Matrix, rowFlops []int64, segs *csr.Segments) *SymbolicPass {
 	passesBuilt.Add(1)
-	p := &SymbolicPass{a: a, b: b, rowFlops: rowFlops, segs: segs}
-	if !OnePhase(b.Cols) {
-		p.kinds = make([]Kind, len(rowFlops))
-		for i := range p.kinds {
-			p.kinds[i] = p.pick(i)
-		}
-	}
-	return p
+	return &SymbolicPass{a: a, b: b, rowFlops: rowFlops, segs: segs}
 }
 
-// Kind reports row i's work-class label.
+// Kind bins row i from its expected output size and B's
+// segment-compression ratio: its work-class label.
 func (p *SymbolicPass) Kind(i int) Kind {
-	if p.kinds != nil {
-		return p.kinds[i]
-	}
-	return p.pick(i)
-}
-
-// pick bins row i from its expected output size and B's
-// segment-compression ratio.
-func (p *SymbolicPass) pick(i int) Kind {
 	segRatio := 1.0
 	if p.segs != nil {
 		segRatio = p.segs.Ratio()
@@ -314,94 +257,105 @@ func (p *SymbolicPass) pick(i int) Kind {
 	return PickKind(f, ExpectedDistinct(width, f/2), width, segRatio)
 }
 
-// loadedRow is an accumulator holding one row's distinct columns: emit
-// it, which resets it.
-type loadedRow interface {
-	FlushCols(cols []int32) []int32
-}
-
-// load runs row i's symbolic accumulation on kit and returns the
-// accumulator holding the row's distinct columns.
-func (p *SymbolicPass) load(kit *Kit, i int) loadedRow {
-	b, segs := p.b, p.segs
-	ac, _ := p.a.Row(i)
-	if b.Cols <= bitmapTierMax {
-		if kit.two == nil {
-			kit.two = accum.GetTwoLevel(b.Cols)
-		}
-		two := kit.two
-		if segs != nil {
-			for _, k := range ac {
-				sids, masks := segs.Row(int(k))
-				for j, sid := range sids {
-					two.AddSegment(sid, masks[j])
-				}
-			}
-		} else {
-			for _, k := range ac {
-				bc, _ := b.Row(int(k))
-				for _, col := range bc {
-					two.AddSymbolic(col)
-				}
-			}
-		}
-		return two
-	}
-	kind := p.kinds[i]
-	acc := kit.Get(kind, p.rowFlops[i]/2, b.Cols)
-	if segs != nil && kind == KindCSeg {
-		cseg := kit.cseg
-		for _, k := range ac {
-			sids, masks := segs.Row(int(k))
-			for j, sid := range sids {
-				cseg.AddSegment(sid, masks[j])
-			}
-		}
-		return acc
-	}
-	for _, k := range ac {
-		bc, _ := b.Row(int(k))
-		for _, col := range bc {
-			acc.AddSymbolic(col)
-		}
-	}
-	return acc
-}
-
-// AppendCols appends row i's output column ids, ascending, to cols. A
-// row of A with one entry copies its B row's (CSeg's degree-1 shortcut).
+// AppendCols appends row i's output column ids, ascending, to cols, from
+// the accumulator routeOf picks. A row of A with one entry copies its B
+// row's. It reads no values.
 func (p *SymbolicPass) AppendCols(kit *Kit, i int, cols []int32) []int32 {
-	if ac, _ := p.a.Row(i); len(ac) == 1 {
-		bc, _ := p.b.Row(int(ac[0]))
-		return append(cols, bc...)
+	b := p.b
+	ac := rowIDs(p.a, i)
+	if len(ac) == 1 {
+		return append(cols, rowIDs(b, int(ac[0]))...)
 	}
-	return p.load(kit, i).FlushCols(cols)
+	products := p.rowFlops[i] / 2
+	if r, _, _ := routeOf(b, ac, products, false); r == hashRoute {
+		h := kit.hashFor(products)
+		for _, k := range ac {
+			for _, col := range rowIDs(b, int(k)) {
+				h.AddSymbolic(col)
+			}
+		}
+		return h.FlushCols(cols)
+	}
+	two := kit.bitmap(b.Cols)
+	if p.segs != nil {
+		for _, k := range ac {
+			sids, masks := p.segs.Row(int(k))
+			for j, sid := range sids {
+				two.AddSegment(sid, masks[j])
+			}
+		}
+	} else {
+		for _, k := range ac {
+			for _, col := range rowIDs(b, int(k)) {
+				two.AddSymbolic(col)
+			}
+		}
+	}
+	return two.FlushCols(cols)
 }
 
-// OnePhase reports whether a width-column B is on the bitmap tier, where
-// a cold CPU product computes its rows in one walk (Kit.ComputeRow).
-func OnePhase(width int) bool { return width <= bitmapTierMax }
+// rowIDs is the column ids of row r of m (csr.(*Matrix).Row without the
+// values).
+func rowIDs(m *csr.Matrix, r int) []int32 {
+	lo, hi := m.RowOffsets[r], m.RowOffsets[r+1]
+	return m.ColIDs[lo:hi:len(m.ColIDs)]
+}
 
 const (
-	// windowMinProducts is the fewest products of a row whose column
-	// window ComputeRow reads: below it a row pays no extra B id loads.
+	// windowMinProducts is the fewest products of a row on the bitmap
+	// tier whose column window ComputeRow reads: below it a row pays no
+	// extra B id loads.
 	windowMinProducts = 64
-	// windowCR is the fewest products per window word of a row that
-	// takes the window route.
+	// windowCR is the fewest products per window word of a row on the
+	// bitmap tier that takes the window route.
 	windowCR = 2
+	// summaryShift: past the tier, a row of width>>summaryShift products,
+	// one per summary word its flush reads, keeps the whole bitmap.
+	summaryShift = 12
 )
 
-// ComputeRow is the one-phase row kernel of the bitmap tier: row i of
-// A·B in one walk of its B rows, every product added beside its column's
-// bit in the kit's two-level bitmap (assigned on first touch, added in
-// (p, q) order after, as NumericRows does), then one ascending bit scan
-// appending (col, value) to cols and vals. flops is the row's flop count
-// (csr.RowFlops). A row of A with one entry is a scaled copy of its B
-// row. A row of at least windowMinProducts products whose columns lie in
-// at most accum.WindowMaxWords words, windowCR products or more per word,
-// takes the window route: no summary bit, a contiguous B row added in one
-// loop (AddRun), and a flush of the window's words only (DESIGN.md §13).
-// nan reports a NaN among the values: its payload may not be NumericRows'.
+// A rowRoute is the accumulator a row of A·B takes (routeOf).
+type rowRoute uint8
+
+const (
+	bitmapRoute rowRoute = iota // the two-level bitmap, flushed through its summary
+	windowRoute                 // the bitmap's words [w0, w1] alone
+	hashRoute                   // accum.Hash, flushed by a sort
+)
+
+// routeOf picks the accumulator of a row of A·B whose B rows are ac's,
+// products products in all, for the one pass (onePass, Kit.ComputeRow)
+// and the symbolic walk (SymbolicPass.AppendCols) alike. It is the
+// two-level bitmap, except past the tier for a row whose columns span
+// more than accum.WindowMaxWords words and whose products fall short of
+// width>>summaryShift: that row takes accum.Hash. The one pass adds a row
+// whose columns lie in words [w0, w1], at most accum.WindowMaxWords of
+// them, in that window alone: past the tier every such row, on it a row
+// of windowMinProducts products or more, windowCR or more per word.
+func routeOf(b *csr.Matrix, ac []int32, products int64, onePass bool) (r rowRoute, w0, w1 int) {
+	wide := b.Cols > bitmapTierMax
+	if !wide && (!onePass || products < windowMinProducts) {
+		return bitmapRoute, 0, 0
+	}
+	w0, w1, nw := colWindow(b, ac)
+	switch {
+	case nw <= accum.WindowMaxWords && onePass && (wide || products >= windowCR*int64(nw)):
+		return windowRoute, w0, w1
+	case wide && nw > accum.WindowMaxWords && products < int64(b.Cols>>summaryShift):
+		return hashRoute, 0, 0
+	}
+	return bitmapRoute, 0, 0
+}
+
+// ComputeRow is the one-phase row kernel: row i of A·B in one walk of its
+// B rows, every product added beside its column in the accumulator
+// routeOf picks (assigned on first touch, added in (p, q) order after, as
+// NumericRows does), then one ascending flush appending (col, value) to
+// cols and vals. flops is the row's flop count (csr.RowFlops). A row of A
+// with one entry is a scaled copy of its B row. A window row sets no
+// summary bit, adds a contiguous B row in one loop (AddRun) and flushes
+// the window's words only (DESIGN.md §13). nan reports a NaN among the
+// values: its payload may not be NumericRows'.
 func (k *Kit) ComputeRow(a, b *csr.Matrix, i int, flops int64, cols []int32, vals []float64) (_ []int32, _ []float64, nan bool) {
 	ac, av := a.Row(i)
 	if len(ac) == 1 {
@@ -413,27 +367,40 @@ func (k *Kit) ComputeRow(a, b *csr.Matrix, i int, flops int64, cols []int32, val
 		}
 		return append(cols, bc...), vals, nan
 	}
-	if k.two == nil {
-		k.two = accum.GetTwoLevel(b.Cols)
-	}
-	two := k.two
-	two.GrowValues(b.Cols) // a compare, unless the kit's bitmap served symbolic rows
-	if flops >= 2*windowMinProducts {
-		if w0, w1, ok := colWindow(b, ac, flops/2); ok {
-			for p, kb := range ac {
-				bc, bv := b.Row(int(kb))
-				bv = bv[:len(bc)]
-				x := av[p]
-				if n := len(bc); n > 1 && int(bc[n-1]-bc[0]) == n-1 {
-					two.AddRun(bc[0], x, bv)
-					continue
-				}
-				for q, col := range bc {
-					two.AddWindow(col, float64(x*bv[q]))
-				}
+	r, w0, w1 := routeOf(b, ac, flops/2, true)
+	if r == hashRoute {
+		h := k.hashFor(flops / 2)
+		for p, kb := range ac {
+			bc, bv := b.Row(int(kb))
+			bv = bv[:len(bc)]
+			x := av[p]
+			for q, col := range bc {
+				h.Add(col, float64(x*bv[q]))
 			}
-			return two.FlushWindow(w0, w1, cols, vals)
 		}
+		n := len(vals)
+		cols, vals = h.Flush(cols, vals)
+		for _, v := range vals[n:] {
+			nan = nan || v != v
+		}
+		return cols, vals, nan
+	}
+	two := k.bitmap(b.Cols)
+	two.GrowValues(b.Cols) // a compare, unless the kit's bitmap served symbolic rows
+	if r == windowRoute {
+		for p, kb := range ac {
+			bc, bv := b.Row(int(kb))
+			bv = bv[:len(bc)]
+			x := av[p]
+			if n := len(bc); n > 1 && int(bc[n-1]-bc[0]) == n-1 {
+				two.AddRun(bc[0], x, bv)
+				continue
+			}
+			for q, col := range bc {
+				two.AddWindow(col, float64(x*bv[q]))
+			}
+		}
+		return two.FlushWindow(w0, w1, cols, vals)
 	}
 	for p, kb := range ac {
 		bc, bv := b.Row(int(kb))
@@ -447,18 +414,20 @@ func (k *Kit) ComputeRow(a, b *csr.Matrix, i int, flops int64, cols []int32, val
 }
 
 // colWindow bounds the columns of the B rows kb in ac to occupancy words
-// [w0, w1] from each B row's first and last id (ids ascend), and reports
-// whether a row of that many products takes the window route.
-func colWindow(b *csr.Matrix, ac []int32, products int64) (w0, w1 int, ok bool) {
+// [w0, w1] from each B row's first and last id (ids ascend); nw is their
+// number, 0 when the rows hold no column.
+func colWindow(b *csr.Matrix, ac []int32) (w0, w1, nw int) {
 	lo, hi := int32(math.MaxInt32), int32(-1)
 	for _, kb := range ac {
 		if s, e := b.RowOffsets[kb], b.RowOffsets[kb+1]; s < e {
 			lo, hi = min(lo, b.ColIDs[s]), max(hi, b.ColIDs[e-1])
 		}
 	}
+	if hi < 0 {
+		return 0, 0, 0
+	}
 	w0, w1 = int(lo>>6), int(hi>>6)
-	nw := w1 - w0 + 1
-	return w0, w1, hi >= 0 && nw <= accum.WindowMaxWords && products >= windowCR*int64(nw)
+	return w0, w1, w1 - w0 + 1
 }
 
 // MayGroup is the cold stager's probe for Kit.ComputeGroups: whether row
@@ -1029,7 +998,11 @@ func (r *RowAnalysis) Bytes() int64 {
 // walk that counts and emits every row, and the flop scan before it, on
 // workers goroutines (0 means GOMAXPROCS). The total flop count decides
 // whether B is compressed; when it is, one of the workers compresses B
-// while the others scan the row flops.
+// while the others scan the row flops. It reads no values and checks
+// nothing: its operands' shapes must agree (a.Cols == b.Rows) and their
+// offsets and ids must be as long as their shapes say, which its callers
+// check (SymbolicCompute in O(1); the engines and semiring.Multiply by
+// validating their operands).
 func Analyze(a, b *csr.Matrix, workers int) *RowAnalysis {
 	workers = parallel.Workers(workers)
 	r := &RowAnalysis{RowOffsets: make([]int64, a.Rows+1)}

@@ -91,8 +91,8 @@ func requireMatchesOracle(t *testing.T, name string, a, b *csr.Matrix) *Result {
 	return got
 }
 
-// kindsUsed reports which kernels the symbolic pass of A·B bins rows
-// with flops to.
+// kindsUsed reports which labels the symbolic pass of A·B gives rows
+// with flops.
 func kindsUsed(a, b *csr.Matrix) (used [NumKinds]bool) {
 	rf := csr.RowFlops(a, b, 0)
 	p := NewSymbolicPass(a, b, rf)
@@ -102,6 +102,45 @@ func kindsUsed(a, b *csr.Matrix) (used [NumKinds]bool) {
 		}
 	}
 	return used
+}
+
+// accumsServing reports which of a kit's accumulators serve the rows of
+// A·B with flops, each row computed on a kit of its own by the one pass
+// (Kit.ComputeRow) and by the symbolic walk (SymbolicPass.AppendCols),
+// which must fetch the same one.
+func accumsServing(t *testing.T, a, b *csr.Matrix) (hash, bitmap bool) {
+	t.Helper()
+	rf := csr.RowFlops(a, b, 0)
+	pass := NewSymbolicPass(a, b, rf)
+	for i, f := range rf {
+		if f == 0 {
+			continue
+		}
+		var one, walk Kit
+		one.ComputeRow(a, b, i, f, nil, nil)
+		pass.AppendCols(&walk, i, nil)
+		if (one.hash != nil) != (walk.hash != nil) || (one.two != nil) != (walk.two != nil) {
+			t.Fatalf("row %d: the one pass fetched hash %v, bitmap %v; the walk hash %v, bitmap %v",
+				i, one.hash != nil, one.two != nil, walk.hash != nil, walk.two != nil)
+		}
+		hash, bitmap = hash || one.hash != nil, bitmap || one.two != nil
+		one.Release()
+		walk.Release()
+	}
+	return hash, bitmap
+}
+
+// spreadCols returns m with every column id multiplied by stride, on a
+// panel stride times as wide: the same product structure, its columns
+// stride apart.
+func spreadCols(m *csr.Matrix, stride int) *csr.Matrix {
+	p := *m
+	p.ColIDs = slices.Clone(m.ColIDs)
+	for j := range p.ColIDs {
+		p.ColIDs[j] *= int32(stride)
+	}
+	p.Cols = m.Cols * stride
+	return &p
 }
 
 // TestRowKernelMatchesOracle is the shared kernel's property test from
@@ -134,22 +173,32 @@ func TestRowKernelMatchesOracle(t *testing.T) {
 	check("empty-rows", sparse, sparse)
 	check("zero", csr.New(5, 7), csr.New(7, 3))
 
-	// A panel wider than 2^16 columns has no direct bitmap: dense-class
-	// rows (here ~600 products each) must take the CSeg kernel.
+	// In a panel wider than 2^16 columns dense-class rows (here ~600
+	// products each) are labelled cseg, not dense; the bitmap serves them.
 	wideA := matgen.ER(40, 60, 0.5, 77)
 	wideB := matgen.ER(60, 1<<16+500, 20.0/(1<<16), 78)
 	check("wide-cseg", wideA, wideB)
 	if u := kindsUsed(wideA, wideB); !u[KindCSeg] || u[KindDense] {
-		t.Fatalf("wide panel: kinds %v, want cseg and no bitmap", u)
+		t.Fatalf("wide panel: kinds %v, want cseg and no dense", u)
+	}
+	if hash, _ := accumsServing(t, wideA, wideB); hash {
+		t.Fatal("wide panel on the bitmap tier: a row took the hash")
 	}
 
-	// Sparse rows of an unclustered product in a wide panel stay on the
-	// presized hash.
-	check("wide-hash", matgen.ER(200, 400, 0.03, 79), matgen.ER(400, 1<<14, 5.0/(1<<14), 80))
+	// Sparse rows of an unclustered product in a wide panel are labelled
+	// hash; past the tier, their columns spread 64 words apart, the hash
+	// serves them.
+	sparseA, sparseB := matgen.ER(200, 400, 0.03, 79), matgen.ER(400, 1<<14, 5.0/(1<<14), 80)
+	check("wide-hash", sparseA, sparseB)
+	spread := spreadCols(sparseB, 64*64)
+	check("past-tier-hash", sparseA, spread)
+	if hash, bitmap := accumsServing(t, sparseA, spread); !hash || bitmap {
+		t.Fatalf("scattered short rows past the tier: hash %v, bitmap %v; want the hash alone", hash, bitmap)
+	}
 
 	for k, u := range used {
 		if !u {
-			t.Errorf("no test input reaches the %s kernel", Kind(k))
+			t.Errorf("no test input is labelled %s", Kind(k))
 		}
 	}
 }
@@ -158,9 +207,8 @@ func TestRowKernelMatchesOracle(t *testing.T) {
 // kit — emitting even rows into a fresh slice and odd ones after a
 // prefix, so each flush hands the accumulator to the next — against the
 // single-Hash oracle's structure, and checks the kit's bitmap is empty
-// after every flush. On
-// the bitmap tier it also runs the one-phase kernel on every row, on the
-// same kit, against the oracle's values too, bit for bit.
+// after every flush. It also runs the one-phase kernel on every row, on
+// the same kit, against the oracle's values too, bit for bit.
 func requirePassMatchesOracle(t *testing.T, name string, a, b *csr.Matrix) *SymbolicPass {
 	t.Helper()
 	want, wantData := oracleCompute(a, b, model())
@@ -181,9 +229,6 @@ func requirePassMatchesOracle(t *testing.T, name string, a, b *csr.Matrix) *Symb
 			if left := kit.two.FlushSymbolic(); left != 0 {
 				t.Fatalf("%s: row %d left %d columns in the bitmap", name, i, left)
 			}
-		}
-		if !OnePhase(b.Cols) {
-			continue
 		}
 		cols, vals, nan := kit.ComputeRow(a, b, i, want.RowFlops[i], nil, nil)
 		if !slices.Equal(cols, wantCols) {
@@ -271,8 +316,8 @@ func TestComputeRowWindowGate(t *testing.T) {
 	flops := csr.RowFlops(a, b, 1)
 	for i, row := range rows {
 		ac, _ := a.Row(i)
-		_, _, ok := colWindow(b, ac, flops[i]/2)
-		if got := flops[i] >= 2*windowMinProducts && ok; got != row.window {
+		r, _, _ := routeOf(b, ac, flops[i]/2, true)
+		if got := r == windowRoute; got != row.window {
 			t.Errorf("%s (%d products): window route %v, want %v", row.name, flops[i]/2, got, row.window)
 		}
 	}
@@ -325,8 +370,9 @@ func TestDegreeOneRowsTouchNoAccumulator(t *testing.T) {
 // TestBitmapTierWidths runs the kernel over the panel widths where an
 // occupancy word, a summary word and the tier itself end, on operands
 // with empty rows and a hub row that touches every occupancy word, with
-// B consumed compressed and uncompressed. One past the cap the rows
-// must leave the bitmap for the CSeg/hash route.
+// B consumed compressed and uncompressed. Up to the cap no row takes the
+// hash; one past it the heavy rows, which read the hub row (a product per
+// word), keep the bitmap, in the one pass and the walk alike.
 func TestBitmapTierWidths(t *testing.T) {
 	for _, width := range []int{1, 63, 64, 65, 4095, 4096, 4097, bitmapTierMax, bitmapTierMax + 1} {
 		// B: a few random rows, one empty row, and row 0 holding one
@@ -376,9 +422,9 @@ func TestBitmapTierWidths(t *testing.T) {
 			if compressed := pass.segs != nil; compressed != heavy {
 				t.Fatalf("%s: B compressed = %v, want %v (compressMinFlopsPerNnz)", name, compressed, heavy)
 			}
-			used := kindsUsed(a, b)
-			if width > bitmapTierMax && (used[KindDense] || !(used[KindCSeg] || used[KindHash] || used[KindList])) {
-				t.Fatalf("%s: kinds %v past the tier, want the cseg/hash/list route", name, used)
+			hash, bitmap := accumsServing(t, a, b)
+			if hash || heavy && !bitmap {
+				t.Fatalf("%s: hash %v, bitmap %v; want the bitmap alone", name, hash, bitmap)
 			}
 		}
 	}
@@ -1162,25 +1208,27 @@ func TestAnalyzeEqualsChunkGrid(t *testing.T) {
 // serial emit of every row on one kit, with the same HashFlops and
 // DenseFlops — on the bitmap tier with and without a compressed B, past
 // the tier (a padded B), for a zero-row A, for empty and degree-1 rows,
-// and with more workers than rows. Analyze's gate on the total flops
-// compresses B exactly when the pass's gate on the row flops does, and
-// only a pass past the tier labels rows up front.
+// and with more workers than rows; past the tier also with B's columns
+// spread 64 words apart, so that short rows take the hash. Analyze's gate
+// on the total flops compresses B exactly when the pass's gate on the row
+// flops does.
 func TestAnalyzeWorkersMatchSerialWalk(t *testing.T) {
 	rmat := matgen.RMAT(9, 8, 0.57, 0.19, 0.19, 91)
 	band := matgen.Band(700, 6, 92)
 	thin, er := matgen.ER(300, 300, 0.002, 93), matgen.ER(300, 300, 0.02, 94)
 	pad := func(m *csr.Matrix) *csr.Matrix { p := *m; p.Cols = bitmapTierMax + 1; return &p }
 	cases := []struct {
-		name       string
-		a, b       *csr.Matrix
-		compressed bool
+		name             string
+		a, b             *csr.Matrix
+		compressed, hash bool
 	}{
-		{"bitmap", thin, er, false},
-		{"bitmap-compressed", band, band, true},
-		{"wide", thin, pad(er), false},
-		{"wide-compressed", rmat, pad(rmat), true},
-		{"zero-rows", csr.New(0, 300), er, false},
-		{"few-rows", matgen.ER(3, 512, 0.3, 95), rmat, false},
+		{"bitmap", thin, er, false, false},
+		{"bitmap-compressed", band, band, true, false},
+		{"wide", thin, pad(er), false, false},
+		{"wide-compressed", rmat, pad(rmat), true, false},
+		{"wide-hash", er, spreadCols(er, 64*64), true, true},
+		{"zero-rows", csr.New(0, 300), er, false, false},
+		{"few-rows", matgen.ER(3, 512, 0.3, 95), rmat, false, false},
 	}
 	var empty, degree1 bool
 	for _, tc := range cases {
@@ -1192,8 +1240,8 @@ func TestAnalyzeWorkersMatchSerialWalk(t *testing.T) {
 		if gate := compressPays(tc.b, csr.Flops(tc.a, tc.b)); gate != tc.compressed {
 			t.Fatalf("%s: Analyze's gate compresses B = %v, want %v", tc.name, gate, tc.compressed)
 		}
-		if labelled := pass.kinds != nil; labelled == OnePhase(tc.b.Cols) {
-			t.Fatalf("%s: %d-column B: the pass labels rows up front = %v", tc.name, tc.b.Cols, labelled)
+		if hash, _ := accumsServing(t, tc.a, tc.b); hash != tc.hash {
+			t.Fatalf("%s: the hash serves rows = %v, want %v", tc.name, hash, tc.hash)
 		}
 		ratio, width := 1.0, int64(tc.b.Cols)
 		if pass.segs != nil {
@@ -1319,5 +1367,37 @@ func TestNumericRowsCheckSet(t *testing.T) {
 	var se *StructureError
 	if !errors.As(err, &se) || se.Row != row || se.Touched != se.Want {
 		t.Fatalf("with CheckSet: err = %v, want a *StructureError of equal counts at row %d", err, row)
+	}
+}
+
+// BenchmarkAnalyze times the whole-matrix walk on one worker over
+// cpuspgemm's wide rungs (its ladder_test.go builds the same four, from
+// the same seeds): B wider than the bitmap tier, short rows that miss
+// every window (wide_er), rows of one product per summary word
+// (wide_long), and rows inside a window (wide_band, wide_rmat).
+func BenchmarkAnalyze(b *testing.B) {
+	er := func(perRow float64) (*csr.Matrix, *csr.Matrix) {
+		return matgen.ER(1<<11, 1<<14, perRow/(1<<14), 909), matgen.ER(1<<14, 1<<22, perRow/(1<<22), 910)
+	}
+	pad := func(m *csr.Matrix) *csr.Matrix { p := *m; p.Cols = 1 << 21; return &p }
+	erA, erB := er(6)
+	longA, longB := er(32)
+	band := matgen.Band(17<<12, 8, 905)
+	bandTop, _ := band.ExtractRows(0, 1<<12)
+	rmat := matgen.RMAT(11, 8, 0.57, 0.19, 0.19, 901)
+	for _, r := range []struct {
+		name string
+		a, b *csr.Matrix
+	}{
+		{"wide_er", erA, erB},
+		{"wide_long", longA, longB},
+		{"wide_band", bandTop, pad(band)},
+		{"wide_rmat", rmat, pad(rmat)},
+	} {
+		b.Run(r.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				Analyze(r.a, r.b, 1)
+			}
+		})
 	}
 }

@@ -99,7 +99,8 @@ const maxConcurrentRows = 80
 // panel-local column ids) and returns the exact chunk product together
 // with phase costs under the model. It is exactly SymbolicCompute
 // followed by Numeric — the split the structure-reuse fast path caches
-// across multiplies with an unchanged sparsity pattern.
+// across multiplies with an unchanged sparsity pattern — and so returns
+// an error for an operand whose arrays are shorter than its shape says.
 func Compute(a, b *csr.Matrix, cm CostModel) (*Result, error) {
 	sym, err := SymbolicCompute(a, b, cm)
 	if err != nil {

@@ -270,3 +270,59 @@ func TestAnalyzeConsistentWithCompute(t *testing.T) {
 		}
 	}
 }
+
+// TestShortArraysNeverCompute hands each speck entry that takes operands
+// an operand whose ColIDs, Data or RowOffsets is shorter than its shape
+// says, with the cut entries still in capacity behind it — the cases of
+// cpuspgemm's TestShortArraysNeverMultiply. Each must return an error,
+// not panic, except that SymbolicCompute, which reads no values, must
+// compute a structure-only operand's product.
+func TestShortArraysNeverCompute(t *testing.T) {
+	operands := func() (*csr.Matrix, *csr.Matrix) {
+		return matgen.ER(256, 256, 0.05, 1), matgen.ER(256, 256, 0.05, 2)
+	}
+	a0, b0 := operands()
+	sym, err := SymbolicCompute(a0, b0, model())
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := map[string]func(a, b *csr.Matrix) error{
+		"SymbolicCompute": func(a, b *csr.Matrix) error { _, err := SymbolicCompute(a, b, model()); return err },
+		"Numeric":         func(a, b *csr.Matrix) error { _, err := Numeric(sym, a, b); return err },
+		"Compute":         func(a, b *csr.Matrix) error { _, err := Compute(a, b, model()); return err },
+	}
+	cuts := map[string]func(m *csr.Matrix){
+		"ColIDs":     func(m *csr.Matrix) { m.ColIDs = m.ColIDs[:len(m.ColIDs)-3] },
+		"Data":       func(m *csr.Matrix) { m.Data = m.Data[:len(m.Data)-3] },
+		"RowOffsets": func(m *csr.Matrix) { m.RowOffsets = m.RowOffsets[:len(m.RowOffsets)-3] },
+	}
+	for entry, run := range entries {
+		for array, cut := range cuts {
+			for _, operand := range []string{"A", "B"} {
+				t.Run(entry+"/"+operand+"."+array, func(t *testing.T) {
+					a, b := operands()
+					if operand == "A" {
+						cut(a)
+					} else {
+						cut(b)
+					}
+					defer func() {
+						if r := recover(); r != nil {
+							t.Fatalf("panicked: %v", r)
+						}
+					}()
+					err := run(a, b)
+					if entry == "SymbolicCompute" && array == "Data" {
+						if err != nil {
+							t.Fatalf("a structure-only operand: %v", err)
+						}
+						return
+					}
+					if err == nil {
+						t.Fatal("returned a product and no error")
+					}
+				})
+			}
+		}
+	}
+}

@@ -56,10 +56,14 @@ func (s *Symbolic) Bytes() int64 {
 // symbolic structure (exact output row sizes and column ids) and host
 // grouping — without touching any numeric value. Compute is exactly
 // SymbolicCompute followed by Numeric, so a cached Symbolic replays
-// into a byte-identical product.
+// into a byte-identical product. It returns an error for operands whose
+// offsets or ids are shorter than their shapes say.
 func SymbolicCompute(a, b *csr.Matrix, cm CostModel) (*Symbolic, error) {
 	if a.Cols != b.Rows {
 		return nil, fmt.Errorf("speck: dimension mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
+	}
+	if err := checkLengths(a, b, false); err != nil {
+		return nil, err
 	}
 	// Symbolic phase: exact output structure, each row on the kernel its
 	// class picks. Every class flushes ascending — the order the numeric
@@ -161,13 +165,16 @@ func finalizeSymbolic(sym *Symbolic, rowOffsets []int64, width int, cm CostModel
 // array.
 //
 // The operands must carry the same sparsity pattern the symbolic
-// result was computed from; Numeric checks the shape and each row's
-// first-touch count, while pattern equality is the caller's contract —
-// the plan cache enforces it by fingerprint.
+// result was computed from; Numeric checks the shape, the operands'
+// array lengths and each row's first-touch count, while pattern equality
+// is the caller's contract — the plan cache enforces it by fingerprint.
 func Numeric(sym *Symbolic, a, b *csr.Matrix) (*Result, error) {
 	if a.Rows != sym.Rows || a.Cols != sym.ACols || b.Rows != sym.ACols || b.Cols != sym.Cols {
 		return nil, fmt.Errorf("speck: numeric shape %dx%d · %dx%d does not match plan %dx%d · %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, sym.Rows, sym.ACols, sym.ACols, sym.Cols)
+	}
+	if err := checkLengths(a, b, true); err != nil {
+		return nil, err
 	}
 	c := &csr.Matrix{
 		Rows:       sym.Rows,
@@ -183,4 +190,20 @@ func Numeric(sym *Symbolic, a, b *csr.Matrix) (*Result, error) {
 		return nil, fmt.Errorf("speck: numeric: %w", err)
 	}
 	return &Result{C: c, Symbolic: sym}, nil
+}
+
+// checkLengths is csr.CheckLengths of A and B, in O(1). Without values it
+// passes an operand whose value array alone is short, as a structure-only
+// operand's is: the symbolic pass reads no value.
+func checkLengths(a, b *csr.Matrix, values bool) error {
+	for i, m := range [2]*csr.Matrix{a, b} {
+		err := m.CheckLengths()
+		if err != nil && !values && m.Rows >= 0 && len(m.RowOffsets) == m.Rows+1 && int64(len(m.ColIDs)) == m.RowOffsets[m.Rows] {
+			err = nil
+		}
+		if err != nil {
+			return fmt.Errorf("speck: %s: %w", "AB"[i:i+1], err)
+		}
+	}
+	return nil
 }
