@@ -283,12 +283,13 @@ func NewEngine(dev *gpusim.Device, a, b *csr.Matrix, opts Options, lanes int) (*
 	var cps []partition.ColPanel
 	var ent *planEntry
 	var key planKey
+	var collided bool
 	prod := &product{lanes: max(lanes, 1)}
 	if pc != nil {
 		stopFP := opts.Metrics.StartWall("host", "fingerprint")
 		key = planKey{KeyOf(a, b, opts.AID, opts.BID, opts.Metrics), opts.RowPanels, opts.ColPanels, cm}
 		stopFP()
-		ent = pc.acquire(key)
+		ent, collided = pc.acquire(key, a, b, opts.AID, opts.BID)
 	}
 	if ent != nil {
 		// Warm: the cached column panels are structure, which is all a
@@ -315,9 +316,18 @@ func NewEngine(dev *gpusim.Device, a, b *csr.Matrix, opts Options, lanes int) (*
 		}
 		stopPartition()
 		if pc != nil {
-			ent = pc.store(key, rps, cps)
 			opts.Metrics.Add(metrics.CounterPlanCacheMisses, 1)
-		} else {
+			if !collided {
+				ent = pc.store(key, rps, cps, a, b, opts.AID, opts.BID)
+			}
+			if ent == nil {
+				// Another pattern's plan holds the key: run as a run
+				// without a cache does, and leave that plan be.
+				opts.Metrics.Add(metrics.CounterPlanCacheCollisions, 1)
+				pc = nil
+			}
+		}
+		if ent == nil {
 			ent = &planEntry{syms: map[int]*speck.Symbolic{}}
 		}
 	}

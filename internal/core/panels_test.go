@@ -42,10 +42,11 @@ func TestWireBytesFromStructure(t *testing.T) {
 	}
 }
 
-// TestPlanCacheStoresStructureOnly: a device plan keeps no array of the
-// operands it was planned from — a row panel keeps only its offsets,
-// which the partitioner made — and no values, and a warm engine's row
-// panels are views of the warm A.
+// TestPlanCacheStoresStructureOnly: a device plan's panels keep no array
+// of the operands they were planned from — a row panel keeps only its
+// offsets, which the partitioner made — and no values, and a warm
+// engine's row panels are views of the warm A. (The plan keeps the
+// operands' structure apart, for its check on a hit.)
 func TestPlanCacheStoresStructureOnly(t *testing.T) {
 	a := matgen.RMAT(9, 8, 0.57, 0.19, 0.19, 32)
 	pc := NewPlanCache(0)

@@ -32,10 +32,20 @@ import (
 // All three share one lock, one byte budget and one LRU order, and one
 // eviction rule: the least recently used entry goes first until the
 // cache fits, and the entry just stored, hit or grown never goes, so an
-// entry larger than the budget still serves its pattern. An evicted
-// entry stays valid for a run that holds it; nothing more is charged to
-// it. Len and Counters count plans only: a grid memo is neither a hit
-// nor a miss, so hits+misses is the number of cache-eligible multiplies.
+// entry larger than the budget still serves its pattern. Eviction is the
+// only way out: a plan outlives the operands it was built from, and the
+// budget alone bounds the plans of patterns nobody multiplies any more.
+// An evicted entry stays valid for a run that holds it; nothing more is
+// charged to it. Len and Counters count plans only: a grid memo is
+// neither a hit nor a miss, so hits+misses is the number of
+// cache-eligible multiplies.
+//
+// A key is a lookup, not an identity: two patterns of one shape and
+// size can share one. So a plan keeps the structure of the operands it
+// was built from (built) and a hit is checked against it; a plan of
+// another pattern is a miss that runs cold and leaves the plan in place
+// (a collision). A grid memo is not checked: an aliased one only
+// misprices a job and hands it another pattern's grid.
 //
 // The cache is safe for concurrent use; the serving layer shares one
 // across jobs. A nil *PlanCache disables caching entirely and leaves
@@ -54,8 +64,9 @@ type PlanCache struct {
 
 // PairKey identifies a structure pair, which is what every kind of entry
 // is cached under: both structural fingerprints plus the shape and
-// non-zero counts, so a fingerprint collision can at worst alias two
-// patterns of one shape and size, never misindex. Comparable.
+// non-zero counts, so a fingerprint collision can at worst put two
+// patterns of one shape and size under one key, which a plan's check on
+// a hit tells apart. Comparable.
 type PairKey struct {
 	fpA, fpB          uint64
 	rows, aCols, cols int
@@ -73,12 +84,41 @@ func KeyOf(a, b *csr.Matrix, aID, bID *csr.Identity, m *metrics.Collector) PairK
 }
 
 // slot is an entry's place in the cache: its pair, its element of the
-// LRU order and the bytes charged to it. Every kind of entry embeds one.
+// LRU order (nil once dropped) and the bytes charged to it. Every kind
+// of entry embeds one.
 type slot struct {
 	pair  PairKey
 	elem  *list.Element
 	bytes int64
 }
+
+// built is what a plan was built from: the structure of its operands a
+// and b, which every hit is checked against, and the record pairs that
+// have passed that check, each of which passes again in O(1). Its arrays
+// are never written: they are the operands' own when those came with
+// their records (a record's arrays are immutable), copies otherwise. c
+// is a CPU plan's product structure, arrays the plan holds already. The
+// pairs change under the cache's lock.
+type built struct {
+	a, b, c *csr.Matrix // structure only
+	pairs   []checked   // at most maxPairs, the most recently passed last
+}
+
+// checked is a record pair that passed a plan's check and, for a CPU
+// plan, the replay schedule bound to it, nil until a replay of the pair
+// has run without error.
+type checked struct {
+	aID, bID *csr.Identity
+	sched    *speck.Schedule
+	bytes    int64 // what the pair is charged: sched, and its arrays the plan holds nowhere else
+}
+
+// maxPairs bounds the record pairs a plan remembers; the least recently
+// passed goes first. Two serve a chain of powers: its first node
+// multiplies the stored matrix by itself, every later one the plan's own
+// product by it. With one, the two pairs displace each other and every
+// node compares the operands' structure again.
+const maxPairs = 2
 
 func (s *slot) at() *slot { return s }
 
@@ -101,6 +141,7 @@ type planKey struct {
 // index work.
 type planEntry struct {
 	slot
+	built
 	key planKey
 	rps []partition.RowPanel
 	cps []partition.ColPanel
@@ -151,39 +192,25 @@ type gridMemo struct {
 const gridMemoBytes = 512
 
 // CPUPlan is one cached CPU plan and what else is structural about its
-// pair: Flops, the sum of the plan's RowFlops taken when it is stored;
-// up to maxSchedules replay schedules, each bound to the records of the
-// operands it was checked against; up to maxSpares value arrays of the
-// product's length (KeepSpare), which warm replays write into; and —
-// minted on first request — the identity of the product, whose
-// structure arrays are the plan's own (every replayed product shares
-// them). All of them are charged to the plan. scheds and spares are
+// pair: the operands' structure it was built from and the record pairs
+// checked against it, each with the replay schedule bound to it (built);
+// Flops, the sum of the plan's RowFlops taken when it is stored; up to
+// maxSpares value arrays of the product's length (KeepSpare), which warm
+// replays write into; and — minted on first request — the identity of
+// the product, whose structure arrays are the plan's own (every replayed
+// product shares them). All of them are charged to the plan. spares are
 // changed under the cache's lock, and a published schedule is never
 // written.
 type CPUPlan struct {
 	slot
+	built
 	Sym    *cpuspgemm.SymbolicResult
 	Flops  int64
-	scheds []boundSchedule
 	spares [][]float64
 
 	mu  sync.Mutex
 	cid *csr.Identity
 }
-
-// boundSchedule is a replay schedule of the plan and the records of the
-// operands it was checked against: a replay whose operands come with
-// these records, and are of them (Identity.Of: the same structure
-// arrays), runs it without checking it again.
-type boundSchedule struct {
-	aID, bID *csr.Identity
-	sched    *speck.Schedule
-}
-
-// maxSchedules bounds the schedules a plan keeps. Two serve a chain of
-// powers: its first node multiplies the stored matrix by itself, every
-// later one the plan's own product by it.
-const maxSchedules = 2
 
 const maxSpares = 4 // a plan's spare value arrays: one per concurrent replay
 
@@ -263,29 +290,6 @@ func (pc *PlanCache) HasPlan(key PairKey) bool {
 	return false
 }
 
-// Invalidate drops every entry of any kind that references the
-// structural fingerprint (as either operand) and reports how many it
-// dropped. Callers invalidate when a pattern is retired (the serving
-// layer's matrix store evicting the last matrix with that structure); a
-// values-only change keeps the fingerprint and must NOT invalidate.
-func (pc *PlanCache) Invalidate(fp uint64) int {
-	if pc == nil {
-		return 0
-	}
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	n := 0
-	for el := pc.order.Front(); el != nil; {
-		next := el.Next()
-		if k := el.Value.(entry).at().pair; k.fpA == fp || k.fpB == fp {
-			pc.dropLocked(el)
-			n++
-		}
-		el = next
-	}
-	return n
-}
-
 // addLocked files a new entry as the most recently used, charged n
 // bytes.
 func (pc *PlanCache) addLocked(ent entry, n int64) {
@@ -311,6 +315,7 @@ func (pc *PlanCache) touchLocked(s *slot, n int64) {
 // dropLocked removes an entry of any kind and returns it.
 func (pc *PlanCache) dropLocked(el *list.Element) entry {
 	ent := pc.order.Remove(el).(entry)
+	ent.at().elem = nil
 	switch e := ent.(type) {
 	case *CPUPlan:
 		delete(pc.cpu, e.pair)
@@ -323,69 +328,180 @@ func (pc *PlanCache) dropLocked(el *list.Element) entry {
 	return ent
 }
 
-// PeekCPU looks a CPU plan up without counting a hit or a miss and
-// without touching the LRU order: admission estimates and the batch
-// planner probe, they do not use the plan.
-func (pc *PlanCache) PeekCPU(key PairKey) *CPUPlan {
+// chargeLocked makes s the most recently used and charges it n more
+// bytes, as touchLocked does, if it is still cached; a dropped entry is
+// charged nothing.
+func (pc *PlanCache) chargeLocked(s *slot, n int64) {
+	if s.elem != nil {
+		pc.touchLocked(s, n)
+	}
+}
+
+// keep returns what a plan built from a and b keeps of them, and the
+// bytes it is charged: each operand's structure arrays, shared when its
+// record (aID, bID) is of it and copied otherwise, and b's not again when
+// it shares a's. A pair of records of both is the plan's first checked
+// pair.
+func keep(a, b *csr.Matrix, aID, bID *csr.Identity) (built, int64) {
+	one := func(m *csr.Matrix, id *csr.Identity) *csr.Matrix {
+		k := &csr.Matrix{Rows: m.Rows, Cols: m.Cols, RowOffsets: m.RowOffsets, ColIDs: m.ColIDs}
+		if !id.Of(m) {
+			k.RowOffsets, k.ColIDs = slices.Clone(m.RowOffsets), slices.Clone(m.ColIDs)
+		}
+		return k
+	}
+	op, n := built{a: one(a, aID)}, structBytes(a)
+	if op.b = op.a; !sameArrays(a, b) {
+		op.b, n = one(b, bID), n+structBytes(b)
+	}
+	if aID.Of(a) && bID.Of(b) {
+		op.pairs = []checked{{aID: aID, bID: bID}}
+	}
+	return op, n
+}
+
+// structBytes is what m's structure arrays take.
+func structBytes(m *csr.Matrix) int64 { return int64(len(m.RowOffsets))*8 + int64(len(m.ColIDs))*4 }
+
+// sameArrays reports in O(1) whether x and y have one shape and share
+// their structure arrays.
+func sameArrays(x, y *csr.Matrix) bool {
+	return y != nil && csr.ArraysOf(x) == csr.ArraysOf(y) && len(x.RowOffsets) == len(y.RowOffsets)
+}
+
+// passLocked checks a hit on the plan at s, built from op, against the
+// operands a and b: it passes in O(1) when aID and bID are records of a
+// and b that op has passed before, or a and b are op's own arrays, and
+// otherwise when one compare finds op's structure, made with the lock
+// released. A pair of records that passes is remembered, and returned
+// with its bound schedule. Call it with pc.mu held, which it holds again
+// on return; s may have been dropped meanwhile, which leaves the plan
+// valid for the run.
+func (pc *PlanCache) passLocked(s *slot, op *built, a, b *csr.Matrix, aID, bID *csr.Identity) (ok bool, sched *speck.Schedule) {
+	records := aID.Of(a) && bID.Of(b)
+	if records {
+		if i := op.pairIndex(aID, bID); i >= 0 {
+			p := op.pairs[i]
+			copy(op.pairs[i:], op.pairs[i+1:])
+			op.pairs[len(op.pairs)-1] = p
+			return true, p.sched
+		}
+	}
+	if !sameArrays(a, op.a) || !sameArrays(b, op.b) {
+		pc.mu.Unlock()
+		same := csr.SameStructure(op.a, a) && csr.SameStructure(op.b, b)
+		pc.mu.Lock()
+		if !same {
+			return false, nil
+		}
+	}
+	if records && op.pairIndex(aID, bID) < 0 {
+		p := checked{aID: aID, bID: bID, bytes: op.extra(a, b)}
+		n := p.bytes
+		if len(op.pairs) == maxPairs {
+			n -= op.pairs[0].bytes
+			op.pairs = append(op.pairs[:0], op.pairs[1:]...)
+		}
+		op.pairs = append(op.pairs, p)
+		pc.chargeLocked(s, n)
+	}
+	return true, nil
+}
+
+// pairIndex is the index of the record pair in op.pairs, -1 if absent.
+func (op *built) pairIndex(aID, bID *csr.Identity) int {
+	return slices.IndexFunc(op.pairs, func(p checked) bool { return p.aID == aID && p.bID == bID })
+}
+
+// extra is what a record pair of a and b adds to the plan: the
+// structure arrays of each that the plan holds nowhere else, which the
+// records keep alive.
+func (op *built) extra(a, b *csr.Matrix) int64 {
+	var n int64
+	for i, m := range []*csr.Matrix{a, b} {
+		if (i == 0 || !sameArrays(a, b)) && !sameArrays(m, op.a) && !sameArrays(m, op.b) && !sameArrays(m, op.c) {
+			n += structBytes(m)
+		}
+	}
+	return n
+}
+
+// PeekCPU looks up the CPU plan of a·b, its operands' records aID and
+// bID (either may be nil), without counting a hit or a miss: admission
+// estimates and the batch planner probe, they do not replay. It returns
+// nil when no plan is cached or the plan was built from another
+// structure; the check is a hit's (passLocked).
+func (pc *PlanCache) PeekCPU(key PairKey, a, b *csr.Matrix, aID, bID *csr.Identity) *CPUPlan {
 	if pc == nil {
 		return nil
 	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	return pc.cpu[key]
-}
-
-// AcquireCPU looks a CPU plan up for a replay, counting a hit or a miss,
-// and takes one of its spare value arrays, if it has one.
-func (pc *PlanCache) AcquireCPU(key PairKey) (*CPUPlan, []float64) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
 	ent := pc.cpu[key]
 	if ent == nil {
+		return nil
+	}
+	if ok, _ := pc.passLocked(&ent.slot, &ent.built, a, b, aID, bID); !ok {
+		return nil
+	}
+	return ent
+}
+
+// AcquireCPU looks up the CPU plan of a·b for a replay, its operands'
+// records aID and bID (either may be nil), and checks it (passLocked).
+// A plan that passes counts a hit and comes with the schedule bound to
+// the records, if any, and one of the plan's spare value arrays, if it
+// has one. No plan counts a miss; a plan of another structure counts a
+// miss and is a collision: the caller runs cold and the plan stays.
+func (pc *PlanCache) AcquireCPU(key PairKey, a, b *csr.Matrix, aID, bID *csr.Identity) (ent *CPUPlan, sched *speck.Schedule, spare []float64, collided bool) {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	if ent = pc.cpu[key]; ent == nil {
 		pc.misses++
-		return nil, nil
+		return nil, nil, nil, false
+	}
+	ok, sched := pc.passLocked(&ent.slot, &ent.built, a, b, aID, bID)
+	if !ok {
+		pc.misses++
+		return nil, nil, nil, true
 	}
 	pc.hits++
-	var spare []float64
 	if n := len(ent.spares); n > 0 {
 		spare, ent.spares = ent.spares[n-1], ent.spares[:n-1]
 	}
-	pc.touchLocked(&ent.slot, -int64(len(spare))*8)
-	return ent, spare
+	pc.chargeLocked(&ent.slot, -int64(len(spare))*8)
+	return ent, sched, spare, false
 }
 
-// StoreCPU records a cold run's plan and returns the pair's flop count;
-// of concurrent cold runs on one pattern the first store wins.
-func (pc *PlanCache) StoreCPU(key PairKey, sym *cpuspgemm.SymbolicResult) int64 {
+// StoreCPU records a cold run's plan of a·b, keeping the operands'
+// structure (keep), and returns the pair's flop count; of concurrent
+// cold runs on one key the first store wins, and a plan already cached
+// under it, of this structure or a colliding one, stays.
+func (pc *PlanCache) StoreCPU(key PairKey, sym *cpuspgemm.SymbolicResult, a, b *csr.Matrix, aID, bID *csr.Identity) int64 {
 	flops := sym.Flops()
+	op, n := keep(a, b, aID, bID)
+	op.c = &csr.Matrix{Rows: sym.Rows, Cols: sym.Cols, RowOffsets: sym.RowOffsets, ColIDs: sym.ColIDs}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	if pc.cpu[key] == nil {
-		ent := &CPUPlan{slot: slot{pair: key}, Sym: sym, Flops: flops}
+		ent := &CPUPlan{slot: slot{pair: key}, built: op, Sym: sym, Flops: flops}
 		pc.cpu[key] = ent
-		pc.addLocked(ent, sym.Bytes()+csr.IdentityBytes)
+		pc.addLocked(ent, sym.Bytes()+csr.IdentityBytes+n)
 	}
 	return flops
 }
 
-// Bound returns ent's schedule bound to the records aID and bID of a
-// and b. Given sched, which a replay of a and b has just run without
-// error, it binds sched first if there is none, ent is still cached and
-// has room. It charges sched's bytes and those of a's and b's structure
-// arrays, which the records keep alive.
-func (pc *PlanCache) Bound(ent *CPUPlan, a, b *csr.Matrix, aID, bID *csr.Identity, sched *speck.Schedule) *speck.Schedule {
+// Bind binds sched, which a replay of ent with the records aID and bID
+// has just run without error, to that pair if ent still remembers it
+// without a schedule, and charges sched's bytes.
+func (pc *PlanCache) Bind(ent *CPUPlan, aID, bID *csr.Identity, sched *speck.Schedule) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	for _, bs := range ent.scheds {
-		if bs.aID == aID && bs.bID == bID {
-			return bs.sched
-		}
+	if i := ent.pairIndex(aID, bID); i >= 0 && ent.pairs[i].sched == nil {
+		n := sched.Bytes()
+		ent.pairs[i].sched, ent.pairs[i].bytes = sched, ent.pairs[i].bytes+n
+		pc.chargeLocked(&ent.slot, n)
 	}
-	if sched != nil && len(ent.scheds) < maxSchedules && pc.cpu[ent.pair] == ent {
-		ent.scheds = append(ent.scheds, boundSchedule{aID, bID, sched})
-		pc.touchLocked(&ent.slot, sched.Bytes()+int64(len(a.RowOffsets)+len(b.RowOffsets))*8+int64(len(a.ColIDs)+len(b.ColIDs))*4)
-	}
-	return sched
 }
 
 // KeepSpare hands c.Data to the CPU plan under key, for a later replay
@@ -414,7 +530,12 @@ func (pc *PlanCache) KeepSpare(key PairKey, c *csr.Matrix) {
 func (pc *PlanCache) Held(ent *CPUPlan) (bytes int64, scheds, spares int) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	return ent.bytes, len(ent.scheds), len(ent.spares)
+	for _, p := range ent.pairs {
+		if p.sched != nil {
+			scheds++
+		}
+	}
+	return ent.bytes, scheds, len(ent.spares)
 }
 
 // Identity returns the record of the plan's product with values data,
@@ -426,8 +547,9 @@ func (ent *CPUPlan) Identity(data []float64, m *metrics.Collector) *csr.Identity
 	defer ent.mu.Unlock()
 	if ent.cid == nil {
 		m.Add(metrics.CounterIdentityPasses, 2)
-		sym := ent.Sym
-		ent.cid, _ = csr.Identify(&csr.Matrix{Rows: sym.Rows, Cols: sym.Cols, RowOffsets: sym.RowOffsets, ColIDs: sym.ColIDs, Data: data})
+		c := *ent.c
+		c.Data = data
+		ent.cid, _ = csr.Identify(&c)
 	}
 	return ent.cid
 }
@@ -459,36 +581,45 @@ func (pc *PlanCache) StoreGrid(key PairKey, memBytes int64, rows, cols int, flop
 	}
 }
 
-// acquire looks up the device plan for key, counting a hit or a miss and
-// marking it used. It returns nil on a miss.
-func (pc *PlanCache) acquire(key planKey) *planEntry {
+// acquire looks up the device plan of a·b under key, its operands'
+// records aID and bID (either may be nil), and checks it as AcquireCPU
+// does: it counts a hit and marks the plan used, or counts a miss and
+// returns nil, collided when a plan of another structure holds the key.
+func (pc *PlanCache) acquire(key planKey, a, b *csr.Matrix, aID, bID *csr.Identity) (ent *planEntry, collided bool) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	ent := pc.dev[key]
-	if ent == nil {
+	if ent = pc.dev[key]; ent == nil {
 		pc.misses++
-		return nil
+		return nil, false
+	}
+	if ok, _ := pc.passLocked(&ent.slot, &ent.built, a, b, aID, bID); !ok {
+		pc.misses++
+		return nil, true
 	}
 	pc.hits++
-	pc.touchLocked(&ent.slot, 0)
-	return ent
+	pc.chargeLocked(&ent.slot, 0)
+	return ent, false
 }
 
-// store inserts a freshly built device plan. It keeps panel structure
-// only, in arrays the partitioner made and no operand shares: a row
-// panel's offsets (its ids and values are the cold run's A, which a
-// warm run reslices afresh) and the column panels, which carry no
-// values.
-func (pc *PlanCache) store(key planKey, rps []partition.RowPanel, cps []partition.ColPanel) *planEntry {
+// store inserts a freshly built device plan of a·b. It keeps panel
+// structure only, in arrays the partitioner made and no operand shares:
+// a row panel's offsets (its ids and values are the cold run's A, which
+// a warm run reslices afresh) and the column panels, which carry no
+// values; and the operands' structure (keep). If a concurrent cold run
+// stored first, its plan is handed out instead when it is of a's and
+// b's structure; when it is not, store returns nil (a collision) and the
+// caller runs uncached.
+func (pc *PlanCache) store(key planKey, rps []partition.RowPanel, cps []partition.ColPanel, a, b *csr.Matrix, aID, bID *csr.Identity) *planEntry {
+	op, n := keep(a, b, aID, bID)
 	ent := &planEntry{
 		slot:     slot{pair: key.PairKey},
+		built:    op,
 		key:      key,
 		rps:      make([]partition.RowPanel, len(rps)),
 		cps:      cps,
 		syms:     map[int]*speck.Symbolic{},
 		resident: map[string]map[string]struct{}{},
 	}
-	var n int64
 	for i, rp := range rps {
 		ent.rps[i] = partition.RowPanel{Start: rp.Start, End: rp.End,
 			M: &csr.Matrix{Rows: rp.M.Rows, Cols: rp.M.Cols, RowOffsets: rp.M.RowOffsets}}
@@ -500,9 +631,10 @@ func (pc *PlanCache) store(key planKey, rps []partition.RowPanel, cps []partitio
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	if old := pc.dev[key]; old != nil {
-		// A concurrent cold run on the same pattern beat us to the
-		// store; keep the existing entry and hand it out instead.
-		pc.touchLocked(&old.slot, 0)
+		if ok, _ := pc.passLocked(&old.slot, &old.built, a, b, aID, bID); !ok {
+			return nil
+		}
+		pc.chargeLocked(&old.slot, 0)
 		return old
 	}
 	pc.dev[key] = ent

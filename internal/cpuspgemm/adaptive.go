@@ -24,6 +24,10 @@ import (
 // first-touch arrival order, so the product is bit-for-bit Sequential's.
 
 // ClassStat aggregates one kernel class's share of a multiply.
+// NumericNs is always zero: the one pass books a row's time as
+// SymbolicNs. It is kept only because the benchmark's frozen per-layer
+// rows (bench/layers.go) still read it; it goes when those rows are
+// rebuilt.
 type ClassStat struct {
 	Rows, Flops, Nnz      int64
 	SymbolicNs, NumericNs int64

@@ -151,8 +151,9 @@ func Sequential(a, b *csr.Matrix) (*csr.Matrix, error) {
 // Multiply computes C = A·B with the multi-core algorithm on the
 // work-stealing runtime: chunk boundaries are auto-tuned from the
 // per-row flops (so a skewed row cannot strand one worker behind a
-// static range), its one pass (two past 2^20 columns of B) claims chunks
-// dynamically, and each worker keeps one kit of pooled accumulators.
+// static range), its one pass per row, at every width of B, claims
+// chunks dynamically, and each worker keeps one kit of pooled
+// accumulators.
 func Multiply(a, b *csr.Matrix, opts Options) (*csr.Matrix, error) {
 	if err := checkOperands(a, b); err != nil {
 		return nil, err

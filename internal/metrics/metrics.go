@@ -285,11 +285,14 @@ const (
 	// Plan-cache counters, published per run by engines given a
 	// core.PlanCache (hits+misses reconciles with the job count) and in
 	// aggregate by the serving layer's /metricsz. Evictions counts
-	// entries dropped to keep the cache under its byte budget or
-	// invalidated by a device loss or matrix-store eviction.
-	CounterPlanCacheHits      = "plan_cache_hits"
-	CounterPlanCacheMisses    = "plan_cache_misses"
-	CounterPlanCacheEvictions = "plan_cache_evictions"
+	// plans dropped to keep the cache under its byte budget, the only
+	// way a plan leaves it. Collisions counts the misses on which the
+	// cache held a plan under the operands' key that was built from
+	// another structure: the run went cold and left that plan in place.
+	CounterPlanCacheHits       = "plan_cache_hits"
+	CounterPlanCacheMisses     = "plan_cache_misses"
+	CounterPlanCacheEvictions  = "plan_cache_evictions"
+	CounterPlanCacheCollisions = "plan_cache_collisions"
 
 	// CounterIdentityPasses counts the O(nnz) passes spent establishing
 	// what an operand is rather than multiplying it: one per structure

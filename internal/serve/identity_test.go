@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/csr"
 	"repro/internal/metrics"
 	"repro/spgemm"
 	apiv1 "repro/spgemm/api/v1"
@@ -51,7 +52,7 @@ func hostileSquare(rng *rand.Rand, n int, density float64) *spgemm.Matrix {
 
 func bitIdentical(a, b *spgemm.Matrix) bool {
 	return a.Rows == b.Rows && a.Cols == b.Cols &&
-		slices.Equal(a.RowOffsets, b.RowOffsets) && slices.Equal(a.ColIDs, b.ColIDs) && sameBits(a.Data, b.Data)
+		slices.Equal(a.RowOffsets, b.RowOffsets) && slices.Equal(a.ColIDs, b.ColIDs) && csr.SameBits(a.Data, b.Data)
 }
 
 func identityPasses(s *Server) int64 { return s.Snapshot()[metrics.CounterIdentityPasses] }
@@ -367,7 +368,7 @@ func TestStoreRefusesValuesCollision(t *testing.T) {
 	w1, w2 := math.Float64bits(first.Data[n-2]), math.Float64bits(first.Data[n-1])
 	second.Data[n-2] = first.Data[n-2] + 1
 	second.Data[n-1] = math.Float64frombits(collidingSuffix(h, w1, w2, math.Float64bits(second.Data[n-2])))
-	if spgemm.FingerprintValues(first) != spgemm.FingerprintValues(second) || sameBits(first.Data, second.Data) {
+	if spgemm.FingerprintValues(first) != spgemm.FingerprintValues(second) || csr.SameBits(first.Data, second.Data) {
 		t.Fatal("the constructed values do not collide")
 	}
 
@@ -380,7 +381,7 @@ func TestStoreRefusesValuesCollision(t *testing.T) {
 	if !errors.As(err, &ce) || ce.Structure || ce.Handle != h1 {
 		t.Fatalf("colliding values: err = %v, want a values CollisionError on %s", err, h1)
 	}
-	if got, _ := s.Matrix(h1); !sameBits(got.Data, first.Data) {
+	if got, _ := s.Matrix(h1); !csr.SameBits(got.Data, first.Data) {
 		t.Fatal("the resident matrix changed")
 	}
 	if entries, _, _, _, _ := s.store.stats(); entries != 1 {
@@ -392,18 +393,14 @@ func TestStoreRefusesValuesCollision(t *testing.T) {
 	}
 }
 
-// TestStoreRefusesStructureCollision: two different sparsity patterns of
-// one shape and nnz under one structural fingerprint. On a wide matrix
-// with one entry per row the column-id pairs the hash folds straddle
-// row boundaries and are constrained only to the column range, so the
-// last pair is solved for. The collider is refused under equal values
-// (same handle) and under fresh ones (another handle, same pattern id):
-// it never aliases the resident matrix, and having no handle it can
-// never be multiplied under the resident pattern's plans.
-func TestStoreRefusesStructureCollision(t *testing.T) {
-	const cols = math.MaxInt32
-	resident := &spgemm.Matrix{
-		Rows: 4, Cols: cols,
+// collidingPatterns returns two different sparsity patterns of one shape
+// (4 × cols) and nnz under one structural fingerprint, with one entry
+// per row valued 1, 2, 3, 4. On a wide matrix with one entry per row the
+// column-id pairs the hash folds straddle row boundaries and are
+// constrained only to the column range, so the last pair is solved for.
+func collidingPatterns(t testing.TB, cols int32) (resident, collider *spgemm.Matrix) {
+	resident = &spgemm.Matrix{
+		Rows: 4, Cols: int(cols),
 		RowOffsets: []int64{0, 1, 2, 3, 4},
 		ColIDs:     []int32{11, 222, 3333, 44444},
 		Data:       []float64{1, 2, 3, 4},
@@ -414,7 +411,7 @@ func TestStoreRefusesStructureCollision(t *testing.T) {
 	}
 	pair := func(lo, hi int32) uint64 { return uint64(uint32(lo)) | uint64(uint32(hi))<<32 }
 	w1, w2 := pair(11, 222), pair(3333, 44444)
-	collider := resident.Clone()
+	collider = resident.Clone()
 	for first := int32(12); ; first++ {
 		w := collidingSuffix(h, w1, w2, pair(first, 222))
 		lo, hi := int32(uint32(w)), int32(uint32(w>>32))
@@ -429,6 +426,18 @@ func TestStoreRefusesStructureCollision(t *testing.T) {
 	if spgemm.Fingerprint(resident) != spgemm.Fingerprint(collider) || slices.Equal(resident.ColIDs, collider.ColIDs) {
 		t.Fatal("the constructed patterns do not collide")
 	}
+	return resident, collider
+}
+
+// TestStoreRefusesStructureCollision: two different sparsity patterns of
+// one shape and nnz under one structural fingerprint (collidingPatterns).
+// The collider is refused under equal values (same handle) and under
+// fresh ones (another handle, same pattern id): it never aliases the
+// resident matrix. (Stored once the resident is gone, it meets the
+// resident's plans in the plan cache, which refuses to replay them:
+// TestCollidingReuploadRunsCold.)
+func TestStoreRefusesStructureCollision(t *testing.T) {
+	resident, collider := collidingPatterns(t, math.MaxInt32)
 
 	s := New(Config{MaxConcurrent: 1})
 	defer s.Drain(0)

@@ -52,7 +52,7 @@ func TestResidentChainProductSkipsTheHash(t *testing.T) {
 		stored = chain()
 	}
 	pc := (*core.PlanCache)(s.PlanCache())
-	plan := pc.PeekCPU(spgemm.RunOptions{}.PlanKey(a, a))
+	plan := pc.PeekCPU(spgemm.RunOptions{}.PlanKey(a, a), a, a, nil, nil)
 	if plan == nil {
 		t.Fatal("no CPU plan for the chain's pattern")
 	}
@@ -92,7 +92,7 @@ func TestResidentChainProductSkipsTheHash(t *testing.T) {
 // TestResidentLastValueDiffers: values equal to the candidate's in all
 // but the last position are another matrix, with a handle of its own.
 func TestResidentLastValueDiffers(t *testing.T) {
-	s := newMatrixStore(0, nil, nil)
+	s := newMatrixStore(0, nil)
 	a := spgemm.ER(40, 40, 0.1, 5)
 	h, _, err := s.put(a, nil)
 	if err != nil {
@@ -105,7 +105,7 @@ func TestResidentLastValueDiffers(t *testing.T) {
 	if err != nil || h2 == h || !adopted {
 		t.Fatalf("values differing in the last place: %s (adopted %v), %v; the candidate is %s", h2, adopted, err, h)
 	}
-	if m, _, ok := s.get(h2); !ok || !sameBits(m.Data, next.Data) {
+	if m, _, ok := s.get(h2); !ok || !csr.SameBits(m.Data, next.Data) {
 		t.Fatal("the stored matrix does not hold the values put")
 	}
 }
@@ -123,7 +123,7 @@ func TestResidentComparesBitsNotFloats(t *testing.T) {
 		{"the sign of a zero", 0, math.Copysign(0, -1)},
 		{"a NaN payload", math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0x7ff8000000000002)},
 	} {
-		s := newMatrixStore(0, nil, nil)
+		s := newMatrixStore(0, nil)
 		a := spgemm.ER(40, 40, 0.1, 6)
 		a.Data[3] = tc.resident
 		h, _, err := s.put(a, nil)
@@ -137,7 +137,7 @@ func TestResidentComparesBitsNotFloats(t *testing.T) {
 		if err != nil || got == h || !adopted {
 			t.Fatalf("%s: %s (adopted %v), %v; the resident matrix is %s", tc.name, got, adopted, err, h)
 		}
-		if m, _, _ := s.get(got); !sameBits(m.Data, data) {
+		if m, _, _ := s.get(got); !csr.SameBits(m.Data, data) {
 			t.Fatalf("%s: the stored values differ from those put", tc.name)
 		}
 		// The resident values in arrays of their own are still its handle.
@@ -155,7 +155,7 @@ func TestResidentDroppedLastTakesTheHash(t *testing.T) {
 	x := withValues(a, slices.Clone(a.Data))
 	x.Data[0]++
 	for _, drop := range []string{"delete", "evict"} {
-		s := newMatrixStore(2*a.Bytes(), nil, nil)
+		s := newMatrixStore(2*a.Bytes(), nil)
 		ha, _, err := s.put(a, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -181,7 +181,7 @@ func TestResidentDroppedLastTakesTheHash(t *testing.T) {
 		if err != nil || again != hx || !adopted {
 			t.Fatalf("%s: the put after the drop answered %s (adopted %v), %v, want %s stored anew", drop, again, adopted, err, hx)
 		}
-		if m, _, ok := s.get(hx); !ok || !sameBits(m.Data, x.Data) {
+		if m, _, ok := s.get(hx); !ok || !csr.SameBits(m.Data, x.Data) {
 			t.Fatalf("%s: %s is not resident with the values put", drop, hx)
 		}
 	}
@@ -210,7 +210,7 @@ func TestResidentCompareRacesEviction(t *testing.T) {
 	budget := a.Bytes() + filler.Bytes()
 
 	round := func(delay time.Duration) (bool, string) {
-		s := newMatrixStore(budget, nil, nil) // a, then filler: a is evicted first
+		s := newMatrixStore(budget, nil) // a, then filler: a is evicted first
 		if _, _, err := s.put(a, aID); err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +247,7 @@ func TestResidentCompareRacesEviction(t *testing.T) {
 	// The compare's span, measured on a store without the eviction.
 	span := time.Duration(math.MaxInt64)
 	for i := 0; i < 5; i++ {
-		s := newMatrixStore(0, nil, nil)
+		s := newMatrixStore(0, nil)
 		s.put(a, aID)
 		t0 := time.Now()
 		s.put(x, aID)

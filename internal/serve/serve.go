@@ -220,7 +220,7 @@ func New(cfg Config) *Server {
 	if cfg.PlanCacheBytes >= 0 {
 		s.plans = spgemm.NewPlanCache(cfg.PlanCacheBytes)
 	}
-	s.store = newMatrixStore(cfg.MatrixStoreBytes, s.metrics, s.plans)
+	s.store = newMatrixStore(cfg.MatrixStoreBytes, s.metrics)
 	return s
 }
 

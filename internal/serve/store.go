@@ -1,11 +1,9 @@
 package serve
 
 import (
-	"bytes"
 	"container/list"
 	"fmt"
 	"sync"
-	"unsafe"
 
 	"repro/internal/csr"
 	"repro/internal/metrics"
@@ -32,9 +30,12 @@ import (
 //
 // The store is LRU-bounded by matrix bytes. When the last stored
 // matrix carrying a given sparsity pattern leaves the store (eviction
-// or explicit delete), the pattern's plan-cache entries are
-// invalidated with it: a plan without any resident operand can never
-// get a warm hit again, it is pure dead weight.
+// or explicit delete), the pattern is retired and nothing else: its
+// plans stay in the plan cache, which checks every hit against the
+// structure a plan was built from, so a re-upload of the pattern — or
+// of a colliding one — is served correctly, the first warm, the second
+// cold. The plan cache's byte budget bounds the plans of retired
+// patterns.
 type matrixStore struct {
 	mu       sync.Mutex
 	max      int64
@@ -43,7 +44,6 @@ type matrixStore struct {
 	patterns map[uint64]*pattern
 	order    list.List // of *storeEntry, LRU: oldest first
 	col      *metrics.Collector
-	pc       *spgemm.PlanCache
 
 	hits, misses, evictions int64
 }
@@ -72,8 +72,8 @@ type storeEntry struct {
 	elem   *list.Element
 	// pins counts admitted-but-unfinished jobs and batch nodes holding
 	// this handle; LRU eviction never drops a pinned entry, so a
-	// running batch cannot lose a handle (or its pattern's cached
-	// plans) to eviction pressure from concurrent uploads. Explicit
+	// running batch cannot lose a handle to eviction pressure from
+	// concurrent uploads. Explicit
 	// DELETE is operator intent and still wins.
 	pins int
 }
@@ -81,13 +81,13 @@ type storeEntry struct {
 // DefaultMatrixStoreBytes bounds the store when Config leaves it zero.
 const DefaultMatrixStoreBytes = 512 << 20
 
-func newMatrixStore(maxBytes int64, col *metrics.Collector, pc *spgemm.PlanCache) *matrixStore {
+func newMatrixStore(maxBytes int64, col *metrics.Collector) *matrixStore {
 	if maxBytes <= 0 {
 		maxBytes = DefaultMatrixStoreBytes
 	}
 	return &matrixStore{
 		max: maxBytes, entries: map[string]*storeEntry{}, patterns: map[uint64]*pattern{},
-		col: col, pc: pc,
+		col: col,
 	}
 }
 
@@ -190,7 +190,7 @@ func (s *matrixStore) resident(m *spgemm.Matrix, fp uint64) (string, bool) {
 		last = pat.last
 	}
 	s.mu.Unlock()
-	if last == nil || !sameBits(last.m.Data, m.Data) {
+	if last == nil || !csr.SameBits(last.m.Data, m.Data) {
 		return "", false
 	}
 	s.mu.Lock()
@@ -206,30 +206,13 @@ func (s *matrixStore) resident(m *spgemm.Matrix, fp uint64) (string, bool) {
 // its fingerprints matched (either may be nil) and reports a mismatch.
 // Values the upload shares with the resident copy compare in O(1).
 func collision(h string, m *spgemm.Matrix, structure *spgemm.Matrix, ent *storeEntry) error {
-	if structure != nil && !(bytes.Equal(bitsOf(structure.RowOffsets), bitsOf(m.RowOffsets)) &&
-		bytes.Equal(bitsOf(structure.ColIDs), bitsOf(m.ColIDs))) {
+	if structure != nil && !csr.SameStructure(structure, m) {
 		return &CollisionError{Handle: h, Structure: true}
 	}
-	if ent != nil && !sameBits(ent.m.Data, m.Data) {
+	if ent != nil && !csr.SameBits(ent.m.Data, m.Data) {
 		return &CollisionError{Handle: h}
 	}
 	return nil
-}
-
-// sameBits compares two value arrays bit for bit (NaN payloads and the
-// sign of zero included, as the values fingerprint hashes them).
-func sameBits(x, y []float64) bool { return bytes.Equal(bitsOf(x), bitsOf(y)) }
-
-// bitsOf returns the memory of an array as bytes, without copying: the
-// package's only use of unsafe. Two arrays of one element type hold the
-// same bits exactly when their byte views are equal, whatever the host's
-// byte order, and bytes.Equal compares the views many bytes at a time
-// where an element loop compares one element at a time.
-func bitsOf[T int64 | int32 | float64](s []T) []byte {
-	if len(s) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), uintptr(len(s))*unsafe.Sizeof(s[0]))
 }
 
 // get resolves a handle to its matrix and identity record, counting
@@ -287,8 +270,7 @@ func (s *matrixStore) revalue(handle string, seed int64) (string, error) {
 	return h, err
 }
 
-// delete removes a handle and reports whether it existed. Plan-cache
-// invalidation follows the last-pattern-out rule.
+// delete removes a handle and reports whether it existed.
 func (s *matrixStore) delete(handle string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -318,8 +300,9 @@ func (s *matrixStore) evictLocked() bool {
 }
 
 // dropLocked removes an entry and, when it was the last resident matrix
-// of its sparsity pattern, retires the pattern and invalidates its
-// cached plans.
+// of its sparsity pattern, retires the pattern. The pattern's cached
+// plans stay: a re-upload of it replays them, and the plan cache's
+// budget bounds them.
 func (s *matrixStore) dropLocked(ent *storeEntry) {
 	s.order.Remove(ent.elem)
 	delete(s.entries, ent.handle)
@@ -328,9 +311,7 @@ func (s *matrixStore) dropLocked(ent *storeEntry) {
 		ent.pat.last = nil
 	}
 	if ent.pat.n--; ent.pat.n == 0 {
-		fp := ent.pat.id.Fingerprint()
-		delete(s.patterns, fp)
-		s.pc.Invalidate(fp)
+		delete(s.patterns, ent.pat.id.Fingerprint())
 	}
 }
 

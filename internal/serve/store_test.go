@@ -62,8 +62,9 @@ func TestMatrixStoreContentAddressing(t *testing.T) {
 
 // TestServeHandleRepeatsHitPlanCache is the acceptance scenario:
 // repeated handle-based multiplies on one pattern hit the plan cache,
-// a values-only change (re-value) invalidates nothing and stays warm,
-// and deleting a pattern invalidates exactly its entries.
+// a values-only change (re-value) drops nothing and stays warm, and
+// deleting a pattern retires it from the store while its plan stays: a
+// re-upload of the pattern replays warm.
 func TestServeHandleRepeatsHitPlanCache(t *testing.T) {
 	s := New(Config{MaxConcurrent: 1})
 	defer s.Drain(0)
@@ -122,14 +123,14 @@ func TestServeHandleRepeatsHitPlanCache(t *testing.T) {
 		t.Fatalf("values-only change changed cached entries %d -> %d", lenBefore, s.PlanCache().Len())
 	}
 
-	// Pattern change: delete both of pattern a's handles. The second
-	// delete retires the pattern and must invalidate exactly its
-	// entries — pattern b stays warm.
+	// Pattern retirement: delete both of pattern a's handles. The second
+	// delete retires the pattern from the store; the plan cache keeps
+	// every plan, and pattern b stays warm.
 	if !s.DeleteMatrix(ha) || !s.DeleteMatrix(ha2) {
 		t.Fatal("delete of stored handles failed")
 	}
-	if s.PlanCache().Len() != lenBefore-1 {
-		t.Fatalf("pattern delete left %d entries, want %d", s.PlanCache().Len(), lenBefore-1)
+	if s.PlanCache().Len() != lenBefore {
+		t.Fatalf("pattern delete left %d entries, want all %d", s.PlanCache().Len(), lenBefore)
 	}
 	if _, err := s.Submit(Job{Engine: "cpu", AHandle: hb, BHandle: hb}); err != nil {
 		t.Fatal(err)
@@ -152,6 +153,23 @@ func TestServeHandleRepeatsHitPlanCache(t *testing.T) {
 		}
 	}
 
+	// The retired pattern, uploaded again in arrays of its own, replays
+	// the plan it left behind: a hit, no miss.
+	ha3, err := s.StoreMatrix(a.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := s.Submit(Job{Engine: "cpu", AHandle: ha3, BHandle: ha3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits4, misses4, _ := s.PlanCache().Counters(); hits4 != hits3+1 || misses4 != misses2 {
+		t.Fatalf("re-uploaded retired pattern: hits %d -> %d, misses %d -> %d; want one hit, no miss", hits3, hits4, misses2, misses4)
+	}
+	if !spgemm.Equal(first.C, again.C, 0) {
+		t.Fatal("the re-uploaded pattern's warm product differs from the first run")
+	}
+
 	// Counters reconcile in the snapshot: the serving totals match the
 	// cache's own view.
 	snap := s.Snapshot()
@@ -162,12 +180,13 @@ func TestServeHandleRepeatsHitPlanCache(t *testing.T) {
 	}
 }
 
-// TestMatrixStoreLRUEviction bounds the store by bytes and checks the
-// last-pattern-out rule invalidates the evicted pattern's plans.
+// TestMatrixStoreLRUEviction bounds the store by bytes, and checks that
+// an evicted pattern's plan outlives it in the plan cache until the
+// cache's own budget evicts it.
 func TestMatrixStoreLRUEviction(t *testing.T) {
 	a := spgemm.ER(64, 64, 0.05, 10)
 	budget := 2*a.Bytes() + a.Bytes()/2 // room for two matrices, not three
-	s := New(Config{MaxConcurrent: 1, MatrixStoreBytes: budget})
+	s := New(Config{MaxConcurrent: 1, MatrixStoreBytes: budget, PlanCacheBytes: 1 << 20})
 	defer s.Drain(0)
 	ha, err := s.StoreMatrix(a)
 	if err != nil {
@@ -205,12 +224,27 @@ func TestMatrixStoreLRUEviction(t *testing.T) {
 	if _, ok := s.Matrix(hb); !ok {
 		t.Fatal("the recently resolved matrix (hb) was evicted instead of the oldest")
 	}
-	if s.PlanCache().Len() != 0 {
-		t.Fatalf("evicted pattern's plans survived: %d entries", s.PlanCache().Len())
+	key := spgemm.RunOptions{}.PlanKey(a, a)
+	if s.PlanCache().Len() != planned || !s.PlanCache().HasPlan(key) {
+		t.Fatalf("the evicted pattern's plan left with it: %d plans, want %d", s.PlanCache().Len(), planned)
 	}
 	snap := s.Snapshot()
 	if snap[metrics.CounterMatrixStoreEvictions] == 0 {
 		t.Fatal("no store eviction counted")
+	}
+	// Only the plan cache's budget evicts the plan: inline products of
+	// new patterns fill the cache until it goes.
+	for seed := int64(100); s.PlanCache().HasPlan(key); seed++ {
+		m := spgemm.ER(400, 400, 0.02, seed)
+		if _, err := s.Submit(Job{Engine: "cpu", A: m, B: m}); err != nil {
+			t.Fatal(err)
+		}
+		if seed == 200 {
+			t.Fatal("a hundred new patterns did not evict the retired pattern's plan")
+		}
+	}
+	if _, _, evictions := s.PlanCache().Counters(); evictions == 0 {
+		t.Fatal("the plan left the cache without an eviction")
 	}
 	// Oversized upload is rejected outright.
 	if _, err := s.StoreMatrix(spgemm.ER(512, 512, 0.2, 13)); err == nil {

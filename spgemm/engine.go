@@ -321,11 +321,12 @@ func (s CPUStats) Counters() map[string]int64 {
 }
 
 // flops is the pair's flop count: the plan cache's memo when the
-// operands come with their records and the pattern has a CPU plan (an
-// O(1) probe that moves no counter), one scan otherwise.
+// operands come with their records and a CPU plan built from their
+// structure is cached (a probe that moves no counter: O(1) for records
+// the plan has checked, one compare the first time), one scan otherwise.
 func (o RunOptions) flops(a, b *Matrix) int64 {
 	if o.AID.Of(a) && o.BID.Of(b) {
-		if ent := (*core.PlanCache)(o.PlanCache).PeekCPU(o.PlanKey(a, b)); ent != nil {
+		if ent := (*core.PlanCache)(o.PlanCache).PeekCPU(o.PlanKey(a, b), a, b, o.AID, o.BID); ent != nil {
 			return ent.Flops
 		}
 	}
@@ -363,7 +364,7 @@ func nodeEngine(name, describe string, async bool, node func(o RunOptions) (gpus
 func init() {
 	Register(&engine{
 		name:     "cpu",
-		describe: "real multi-core Gustavson SpGEMM: each row in one pass on a two-level bitmap (two-phase past 2^20 columns); a plan cache replays warm products",
+		describe: "real multi-core Gustavson SpGEMM: each row in one pass at every width (a two-level bitmap, a hash past 2^20 columns); a plan cache replays warm products",
 		run: func(a, b *Matrix, o RunOptions) (*Matrix, Report, error) {
 			copts := cpuspgemm.Options{
 				Threads: o.Threads, Metrics: o.Metrics, Cancel: o.wallDeadline(),

@@ -320,36 +320,77 @@ func TestEstimateCostReadsThePlansMemo(t *testing.T) {
 func TestPlanCacheCPULRUOrder(t *testing.T) {
 	pats := []*Matrix{BlockDiag(30, 4, 1), BlockDiag(31, 4, 1), BlockDiag(32, 4, 1), BlockDiag(33, 4, 1)}
 	var plans []*cpuspgemm.SymbolicResult
-	var keys []PlanKey
 	var size int64
 	for _, m := range pats {
 		_, sym, err := cpuspgemm.MultiplyPlanned(m, m, cpuspgemm.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		plans, keys = append(plans, sym), append(keys, RunOptions{}.PlanKey(m, m))
-		size = max(size, sym.Bytes()+csr.IdentityBytes)
+		plans = append(plans, sym)
+		size = max(size, sym.Bytes()+csr.IdentityBytes+structBytes(m))
 	}
 	pc := NewPlanCache(3 * size) // holds three plans, not four
+	store := func(i int) { pc.storeCPU(pats[i], pats[i], RunOptions{}, plans[i]) }
 	for i := 0; i < 3; i++ {
-		pc.storeCPU(keys[i], plans[i])
+		store(i)
 	}
-	if ent, _ := pc.acquireCPU(keys[0]); ent == nil { // 0 is now the youngest: order 1, 2, 0
+	if ent, _ := pc.acquireCPU(pats[0], pats[0], RunOptions{}); ent == nil { // 0 is now the youngest: order 1, 2, 0
 		t.Fatal("plan 0 missing before any eviction")
 	}
-	pc.storeCPU(keys[3], plans[3]) // evicts 1
+	store(3) // evicts 1
 	for i, want := range []bool{true, false, true, true} {
-		if got := pc.peekCPU(keys[i]) != nil; got != want {
+		if got := pc.peekCPU(pats[i], pats[i], RunOptions{}) != nil; got != want {
 			t.Fatalf("after the first eviction plan %d resident = %v, want %v", i, got, want)
 		}
 	}
-	pc.storeCPU(keys[1], plans[1]) // evicts 2: order 0, 3, 1
+	store(1) // evicts 2: order 0, 3, 1
 	for i, want := range []bool{true, true, false, true} {
-		if got := pc.peekCPU(keys[i]) != nil; got != want {
+		if got := pc.peekCPU(pats[i], pats[i], RunOptions{}) != nil; got != want {
 			t.Fatalf("after the second eviction plan %d resident = %v, want %v", i, got, want)
 		}
 	}
 	if _, _, ev := pc.Counters(); ev != 2 {
 		t.Fatalf("%d evictions counted, want 2", ev)
+	}
+}
+
+// TestEstimateCostChecksThePlan: admission takes the pair's flop count
+// from a cached CPU plan only when the plan was built from the operands'
+// structure. An A colliding with the planned one (one key) is scanned:
+// its flop count is its own, not the plan's.
+func TestEstimateCostChecksThePlan(t *testing.T) {
+	ids, collider := collidingIDs(t)
+	b := &Matrix{Rows: wideCols, Cols: 3, RowOffsets: make([]int64, wideCols+1)}
+	for r := range wideCols {
+		for c := range 1 + r%3 { // rows of one, two and three entries
+			b.ColIDs, b.Data = append(b.ColIDs, int32(c)), append(b.Data, float64(r+c))
+		}
+		b.RowOffsets[r+1] = int64(len(b.ColIDs))
+	}
+	a, other := wideRows(ids, 1), wideRows(collider, 1)
+	if Flops(a, b) == Flops(other, b) {
+		t.Fatal("the colliding products have one flop count; the test shows nothing")
+	}
+	aid, bid, oid := mustIdentify(t, a), mustIdentify(t, b), mustIdentify(t, other)
+	pc := NewPlanCache(0)
+	eng, _ := ByName("cpu")
+	if _, _, err := eng.Run(a, b, &RunOptions{PlanCache: pc, AID: aid, BID: bid}); err != nil {
+		t.Fatal(err)
+	}
+	for what, o := range map[string]*RunOptions{
+		"the planned pair":   {PlanCache: pc, AID: aid, BID: bid, Metrics: NewCollector()},
+		"the colliding pair": {PlanCache: pc, AID: oid, BID: bid, Metrics: NewCollector()},
+	} {
+		x := a
+		if o.AID == oid {
+			x = other
+		}
+		cost, err := EstimateCost("cpu", x, b, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cost.Flops != Flops(x, b) {
+			t.Fatalf("%s: admitted at %d flops, want its own %d", what, cost.Flops, Flops(x, b))
+		}
 	}
 }

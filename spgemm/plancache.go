@@ -5,7 +5,6 @@ import (
 	"repro/internal/cpuspgemm"
 	"repro/internal/csr"
 	"repro/internal/metrics"
-	"repro/internal/speck"
 )
 
 // Fingerprint hashes a matrix's sparsity *structure* (dimensions, row
@@ -37,16 +36,28 @@ func FingerprintValues(m *Matrix) uint64 { return csr.FingerprintValues(m) }
 //     admission control and warm runs skip the planning scan entirely.
 //
 // All three kinds share one byte budget and one eviction rule (DESIGN.md
-// §8). A nil *PlanCache is valid everywhere and disables the fast path;
-// every run then behaves byte-identically to a build without it.
-// PlanCache is safe for concurrent use.
+// §8), which is also the only way out: a plan outlives the operands it
+// was built from, so a pattern that comes back — re-uploaded, or with new
+// values — replays warm. A fingerprint match is a lookup, not an
+// identity: each plan keeps the structure of the operands it was built
+// from (their own arrays when they came with their records, a copy
+// charged to the budget otherwise) and every hit is checked against it,
+// in O(1) for a pair of records the plan has checked before and by one
+// compare otherwise. A plan of another pattern under the same key is a
+// miss: the run goes cold, counts plan_cache_collisions and leaves the
+// plan cached. Grid memos are not checked; an aliased one only misprices
+// a job and hands it another pattern's grid. A nil *PlanCache is valid
+// everywhere and disables the fast path; every run then behaves
+// byte-identically to a build without it. PlanCache is safe for
+// concurrent use.
 type PlanCache core.PlanCache
 
 // PlanKey identifies a structure pair, which is what a plan is cached
 // under: both structural fingerprints plus the shape and non-zero
-// counts, so a fingerprint collision can at worst alias two patterns of
-// one shape and size. Comparable; the serving layer's batch planner
-// groups nodes by it.
+// counts, so a fingerprint collision can at worst put two patterns of
+// one shape and size under one key, where the check on a hit tells them
+// apart. Comparable; the serving layer's batch planner groups nodes by
+// it.
 type PlanKey = core.PairKey
 
 // PlanKey is the plan-cache key of the pair: O(1) for operands that
@@ -74,14 +85,6 @@ func (p *PlanCache) Counters() (hits, misses, evictions int64) {
 // counted.
 func (p *PlanCache) Len() int { return (*core.PlanCache)(p).Len() }
 
-// Invalidate drops every cached entry that references the structural
-// fingerprint — CPU symbolic results, device plans, and memoized
-// chunk grids — and reports how many entries were removed. Callers
-// invalidate when a pattern is retired (e.g. the serving layer's
-// matrix store evicting the last matrix with that structure); a
-// values-only change keeps the fingerprint and must NOT invalidate.
-func (p *PlanCache) Invalidate(fp uint64) int { return (*core.PlanCache)(p).Invalidate(fp) }
-
 // HasPlan reports whether the cache already holds a plan under key — a
 // CPU symbolic entry or a device chunk plan under any grid. The serving
 // layer's batch planner probes it so plan groups whose pattern is
@@ -99,7 +102,7 @@ func (p *PlanCache) ProductIdentity(a, b, c *Matrix, o RunOptions) *Identity {
 	if !o.AID.Of(a) || !o.BID.Of(b) {
 		return nil
 	}
-	ent := (*core.PlanCache)(p).PeekCPU(o.PlanKey(a, b))
+	ent := (*core.PlanCache)(p).PeekCPU(o.PlanKey(a, b), a, b, o.AID, o.BID)
 	if ent == nil {
 		return nil
 	}
@@ -125,35 +128,36 @@ func (p *PlanCache) Release(a, b, c *Matrix, o RunOptions) {
 // multiplyCPU is the cpu engine's cached path: a warm call replays
 // only the numeric phase into the cached symbolic structure, so warm
 // output is byte-identical to cold, written into a spare value array of
-// the plan if it has one (a failed replay drops it). Operands with
-// their records replay the schedule bound to those records, building
-// and binding it on their first replay. It also returns the pair's flop
-// count, which the plan memoizes.
+// the plan if it has one (a failed replay drops it). A plan built from
+// another structure under the operands' key is not replayed: the call
+// runs cold, counts a collision and leaves the plan cached. Operands
+// with their records replay the schedule bound to those records,
+// building and binding it on their first replay. It also returns the
+// pair's flop count, which the plan memoizes.
 func (p *PlanCache) multiplyCPU(a, b *Matrix, o RunOptions, opts cpuspgemm.Options) (*Matrix, int64, error) {
 	pc, key := (*core.PlanCache)(p), o.PlanKey(a, b)
-	if ent, spare := pc.AcquireCPU(key); ent != nil {
+	ent, sched, spare, collided := pc.AcquireCPU(key, a, b, o.AID, o.BID)
+	if ent != nil {
 		opts.Metrics.Add(metrics.CounterPlanCacheHits, 1)
-		var sched *speck.Schedule
-		records := o.AID.Of(a) && o.BID.Of(b)
-		if records {
-			sched = pc.Bound(ent, a, b, o.AID, o.BID, nil)
-		}
-		fresh := records && sched == nil
+		fresh := sched == nil && o.AID.Of(a) && o.BID.Of(b)
 		if fresh {
 			sched = ent.Sym.Schedule(a, b)
 		}
 		c, err := cpuspgemm.NumericScheduled(ent.Sym, sched, spare, a, b, opts)
 		if err == nil && fresh {
-			pc.Bound(ent, a, b, o.AID, o.BID, sched)
+			pc.Bind(ent, o.AID, o.BID, sched)
 		}
 		return c, ent.Flops, err
 	}
 	opts.Metrics.Add(metrics.CounterPlanCacheMisses, 1)
+	if collided {
+		opts.Metrics.Add(metrics.CounterPlanCacheCollisions, 1)
+	}
 	c, sym, err := cpuspgemm.MultiplyPlanned(a, b, opts)
 	if err != nil {
 		return nil, 0, err
 	}
-	return c, pc.StoreCPU(key, sym), nil
+	return c, pc.StoreCPU(key, sym, a, b, o.AID, o.BID), nil
 }
 
 // plan memoizes the chunk-grid planner per structure pair and device

@@ -193,8 +193,10 @@ func TestPlanCacheGridMemo(t *testing.T) {
 
 // TestPlanCacheConcurrentColdRuns starts N cpu-engine runs of one
 // pattern on an empty shared cache: however many of them miss and plan,
-// the cache ends with one entry accounted once (first store wins), each
-// run counts as exactly one hit or miss, and every product is the same.
+// the cache ends with one entry accounted once (first store wins: the
+// plan, the product's record and one copy of the operand structure,
+// which is A's and B's both), each run counts as exactly one hit or
+// miss, and every product is the same.
 func TestPlanCacheConcurrentColdRuns(t *testing.T) {
 	a := RMAT(10, 8, 0.57, 0.19, 0.19, 44)
 	pc := NewPlanCache(0)
@@ -227,13 +229,12 @@ func TestPlanCacheConcurrentColdRuns(t *testing.T) {
 	if pc.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", pc.Len())
 	}
-	key := RunOptions{}.PlanKey(a, a)
-	stored, _ := pc.acquireCPU(key)
+	stored, _ := pc.acquireCPU(a, a, RunOptions{})
 	if stored == nil {
 		t.Fatal("no plan cached")
 	}
 	storedBytes, _, _ := pc.core().Held(stored)
-	if pc.core().Bytes() != storedBytes || storedBytes != stored.Sym.Bytes()+csr.IdentityBytes {
+	if pc.core().Bytes() != storedBytes || storedBytes != stored.Sym.Bytes()+csr.IdentityBytes+structBytes(a) {
 		t.Fatalf("cache accounts %d bytes, want one plan's %d", pc.core().Bytes(), storedBytes)
 	}
 	// A late store of the same pattern — what a run that missed beside
@@ -242,51 +243,9 @@ func TestPlanCacheConcurrentColdRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc.storeCPU(key, late)
-	if got, _ := pc.acquireCPU(key); got != stored || pc.core().Bytes() != storedBytes || pc.Len() != 1 {
+	pc.storeCPU(a, a, RunOptions{}, late)
+	if got, _ := pc.acquireCPU(a, a, RunOptions{}); got != stored || pc.core().Bytes() != storedBytes || pc.Len() != 1 {
 		t.Fatal("a second store of one pattern displaced or double-counted the first")
-	}
-}
-
-// TestPlanCacheInvalidateFacade invalidates one pattern's fingerprint
-// and checks exactly its entries (cpu and device halves) disappear.
-func TestPlanCacheInvalidateFacade(t *testing.T) {
-	a := ER(200, 200, 0.03, 44)
-	b := ER(200, 200, 0.03, 45)
-	pc := NewPlanCache(0)
-	for _, eng := range []string{"cpu", "gpu"} {
-		e, _ := ByName(eng)
-		for _, m := range []*Matrix{a, b} {
-			opts := runOptsFor(eng)
-			opts.PlanCache = pc
-			if _, _, err := e.Run(m, m, opts); err != nil {
-				t.Fatalf("%s: %v", eng, err)
-			}
-		}
-	}
-	before := pc.Len()
-	if before != 4 { // 2 patterns x (cpu sym + device plan)
-		t.Fatalf("cache has %d entries, want 4", before)
-	}
-	if n := pc.Invalidate(Fingerprint(a)); n < 2 {
-		t.Fatalf("invalidated %d entries for pattern a, want >= 2 (cpu + device)", n)
-	}
-	if pc.Len() != 2 {
-		t.Fatalf("cache has %d entries after invalidate, want 2", pc.Len())
-	}
-	// Pattern b must still be warm on both engines.
-	h0, _, _ := pc.Counters()
-	for _, eng := range []string{"cpu", "gpu"} {
-		e, _ := ByName(eng)
-		opts := runOptsFor(eng)
-		opts.PlanCache = pc
-		if _, _, err := e.Run(b, b, opts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	h1, _, _ := pc.Counters()
-	if h1-h0 != 2 {
-		t.Fatalf("pattern b got %d hits after invalidating a, want 2", h1-h0)
 	}
 }
 
@@ -328,12 +287,14 @@ func TestEstimateCostPlansOnce(t *testing.T) {
 
 // TestPlanCacheBindsSchedules: the first warm replay whose operands come
 // with their records builds and checks the plan's replay schedule and
-// binds it to those records, charged to the entry's bytes with the
-// operands' structure arrays the records keep alive; a later
-// replay with the same records builds none and is bit for bit the
-// checked replay's product. Operands without records or with a record
-// of another matrix take the checked build per chunk and bind nothing,
-// and so does a third pair of records once two are bound.
+// binds it to those records, charged to the entry's bytes beside the
+// plan, the product's record and the operands' structure, charged once
+// (the plan shares A's arrays, which are B's too); a later replay with
+// the same records builds none and is bit for bit the checked replay's
+// product. Operands without records or with a record of another matrix
+// take the checked build per chunk and bind nothing. The plan remembers
+// two record pairs, the least recently passed going first when a third
+// arrives; a pair of the plan's own arrays adds no operand bytes.
 func TestPlanCacheBindsSchedules(t *testing.T) {
 	a := BlockDiag(40, 8, 3)
 	eng, _ := ByName("cpu")
@@ -343,7 +304,7 @@ func TestPlanCacheBindsSchedules(t *testing.T) {
 	if _, _, err := eng.Run(a, a, bound); err != nil {
 		t.Fatal(err)
 	}
-	ent := pc.peekCPU(bound.PlanKey(a, a))
+	ent := pc.peekCPU(a, a, *bound)
 	fresh := refreshValues(a, 5) // a's structure arrays, other values
 	want, _, err := eng.Run(fresh, fresh, nil)
 	if err != nil {
@@ -359,20 +320,21 @@ func TestPlanCacheBindsSchedules(t *testing.T) {
 		mustBitIdentical(t, want, got)
 		return speck.SchedulesBuilt() - before
 	}
-	scheds := func() int {
-		_, n, _ := pc.core().Held(ent)
-		return n
+	schedBytes := ent.Sym.Schedule(a, a).Bytes()
+	held := func(what string, wantScheds int) {
+		t.Helper()
+		entBytes, n, _ := pc.core().Held(ent)
+		want := ent.Sym.Bytes() + csr.IdentityBytes + structBytes(a) + int64(wantScheds)*schedBytes
+		if n != wantScheds || entBytes != want || pc.core().Bytes() != entBytes {
+			t.Fatalf("%s: %d schedules bound, entry charged %d bytes, cache %d; want %d and %d (plan, record, operand structure once, schedules)",
+				what, n, entBytes, pc.core().Bytes(), wantScheds, want)
+		}
 	}
 
-	if n := run("first bound replay", bound); n != 1 || scheds() != 1 {
-		t.Fatalf("first bound replay: %d schedules built, %d bound; want 1 and 1", n, scheds())
+	if n := run("first bound replay", bound); n != 1 {
+		t.Fatalf("first bound replay: %d schedules built, want 1", n)
 	}
-	structure := 2 * (int64(len(a.RowOffsets))*8 + int64(len(a.ColIDs))*4) // kept alive by the bound records
-	entBytes, _, _ := pc.core().Held(ent)
-	sched := pc.core().Bound(ent, a, a, aid, aid, nil)
-	if b := ent.Sym.Bytes() + csr.IdentityBytes + sched.Bytes() + structure; pc.core().Bytes() != entBytes || entBytes != b {
-		t.Fatalf("cache accounts %d bytes, entry %d, want plan, record, schedule and operand structure: %d", pc.core().Bytes(), entBytes, b)
-	}
+	held("first bound replay", 1)
 	for i := 0; i < 3; i++ {
 		if n := run("bound replay", bound); n != 0 {
 			t.Fatalf("bound replay %d built %d schedules, want 0", i, n)
@@ -384,23 +346,41 @@ func TestPlanCacheBindsSchedules(t *testing.T) {
 		"a record of another matrix": {PlanCache: pc, AID: foreign, BID: foreign, Threads: 1},
 		"one record of two":          {PlanCache: pc, AID: aid, Threads: 1},
 	} {
-		if n := run(what, o); n == 0 || scheds() != 1 {
-			t.Fatalf("%s: %d schedules built, %d bound; want a checked build and 1", what, n, scheds())
+		if n := run(what, o); n == 0 {
+			t.Fatalf("%s: no schedule built, want a checked build", what)
 		}
+		held(what, 1)
 	}
-	for i, wantBound := range []int{2, 2} {
+	pair := func() *RunOptions {
 		id := mustIdentify(t, a) // a's arrays, another record
-		o := &RunOptions{PlanCache: pc, AID: id, BID: id, Threads: 1}
-		if n := run("another pair of records", o); n == 0 || scheds() != wantBound {
-			t.Fatalf("pair of records %d: %d schedules built, %d bound; want a build and %d", i+2, n, scheds(), wantBound)
+		return &RunOptions{PlanCache: pc, AID: id, BID: id, Threads: 1}
+	}
+	second, third := pair(), pair()
+	for _, step := range []struct {
+		what  string
+		o     *RunOptions
+		built int64
+	}{
+		{"a second pair", second, 1},
+		{"the first pair beside the second", bound, 0},
+		{"a third pair, displacing the second", third, 1},
+		{"the first pair beside the third", bound, 0},
+		{"the third pair", third, 0},
+		{"the displaced second pair", second, 1},
+	} {
+		if n := run(step.what, step.o); n != step.built {
+			t.Fatalf("%s: %d schedules built, want %d", step.what, n, step.built)
 		}
+		held(step.what, 2)
 	}
 }
 
 // TestPlanCacheScheduleConcurrentReplays runs bound, unbound and binding
-// warm replays of one plan from several goroutines (a race detector run
-// checks the publication of schedules); every product is the checked
-// replay's, bit for bit.
+// warm replays of one plan from several goroutines, on the plan's own
+// operand arrays and on a copy of them that each hit compares (a race
+// detector run checks the publication of schedules and the record pairs
+// that pass, displace each other and are charged); every product is the
+// checked replay's, bit for bit.
 func TestPlanCacheScheduleConcurrentReplays(t *testing.T) {
 	a := BlockDiag(32, 8, 6)
 	eng, _ := ByName("cpu")
@@ -413,7 +393,13 @@ func TestPlanCacheScheduleConcurrentReplays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := []*Identity{nil, mustIdentify(t, a), mustIdentify(t, a), mustIdentify(t, a)}
+	copied := fresh.Clone() // the pattern in arrays of its own
+	type operand struct {
+		m  *Matrix
+		id *Identity
+	}
+	ops := []operand{{fresh, nil}, {fresh, mustIdentify(t, a)}, {fresh, mustIdentify(t, a)}, {fresh, mustIdentify(t, a)},
+		{copied, nil}, {copied, mustIdentify(t, copied)}}
 	var wg sync.WaitGroup
 	errs := make(chan error, 8*10)
 	for g := 0; g < 8; g++ {
@@ -421,8 +407,8 @@ func TestPlanCacheScheduleConcurrentReplays(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				id := ids[(g+i)%len(ids)]
-				got, _, err := eng.Run(fresh, fresh, &RunOptions{PlanCache: pc, AID: id, BID: id, Threads: 2})
+				op := ops[(g+i)%len(ops)]
+				got, _, err := eng.Run(op.m, op.m, &RunOptions{PlanCache: pc, AID: op.id, BID: op.id, Threads: 2})
 				if err == nil && !slices.EqualFunc(got.Data, want.Data, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
 					err = errors.New("a concurrent warm replay differs from the checked one")
 				}
@@ -472,6 +458,8 @@ func TestPlanCacheBoundsGridMemos(t *testing.T) {
 
 // TestPlanCacheOneBudget fills a cache with CPU plans only: they may use
 // the whole budget, not half of it, and none is evicted while they fit.
+// Each is charged its plan, its product's record and one copy of its
+// operand's structure.
 func TestPlanCacheOneBudget(t *testing.T) {
 	const budget = 1 << 20
 	pc := NewPlanCache(budget)
@@ -487,7 +475,7 @@ func TestPlanCacheOneBudget(t *testing.T) {
 		if _, _, err := eng.Run(a, a, &RunOptions{PlanCache: pc}); err != nil {
 			t.Fatal(err)
 		}
-		total += sym.Bytes() + csr.IdentityBytes
+		total += sym.Bytes() + csr.IdentityBytes + structBytes(a)
 		plans++
 	}
 	if total > budget {

@@ -3,6 +3,8 @@ package spgemm
 import (
 	"math"
 	"testing"
+
+	"repro/internal/cpuspgemm"
 )
 
 // garble overwrites every value with what a product must never show: NaN
@@ -29,7 +31,7 @@ func garble(data []float64) {
 // spares reports the spare value arrays the cache's CPU plan for (a, b)
 // holds.
 func spares(pc *PlanCache, a, b *Matrix, o RunOptions) int {
-	ent := pc.peekCPU(o.PlanKey(a, b))
+	ent := pc.peekCPU(a, b, o)
 	if ent == nil {
 		return -1
 	}
@@ -154,10 +156,62 @@ func TestReleaseTakesOnlyThePlansProduct(t *testing.T) {
 	if &w3.Data[0] != &w1.Data[0] || &w4.Data[0] == &w3.Data[0] || pc.core().Bytes() != before {
 		t.Fatal("a spare was not taken by exactly one replay, or its bytes stayed charged")
 	}
-	pc.Release(a, a, w3, *oa)
-	pc.Invalidate(Fingerprint(a))
-	pc.Invalidate(Fingerprint(b))
-	if pc.core().Bytes() != 0 {
-		t.Fatalf("%d bytes charged after every plan left the cache", pc.core().Bytes())
+	if pc.Release(a, a, w3, *oa); pc.core().Bytes() != before+int64(len(w3.Data))*8 {
+		t.Fatalf("a spare handed back again is charged %d bytes, want %d", pc.core().Bytes()-before, len(w3.Data)*8)
+	}
+}
+
+// TestEvictionReleasesAPlansBytes: plans leave the cache by its budget
+// alone, and a plan that leaves takes every byte charged to it along —
+// its operand structure, checked record pairs, bound schedules and spare
+// value arrays — so a cache that has evicted all but its youngest plan
+// is charged exactly what that plan holds.
+func TestEvictionReleasesAPlansBytes(t *testing.T) {
+	cpu, _ := ByName("cpu")
+	first := BlockDiag(32, 8, 3)
+	fid := mustIdentify(t, first)
+	o := &RunOptions{AID: fid, BID: fid}
+	_, sym, err := cpuspgemm.MultiplyPlanned(first, first, cpuspgemm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Room for the first plan with its schedule, a second pair and a
+	// spare, not for a second plan beside it.
+	pc := NewPlanCache(2 * (sym.Bytes() + structBytes(first) + int64(len(sym.ColIDs))*8))
+	o.PlanCache = pc
+	for range 3 {
+		if _, _, err := cpu.Run(first, first, o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	other := first.Clone() // the pattern in arrays of its own: a pair that costs its structure
+	oid := mustIdentify(t, other)
+	w, _, err := cpu.Run(other, other, &RunOptions{PlanCache: pc, AID: oid, BID: oid})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc.Release(other, other, w, RunOptions{PlanCache: pc, AID: oid, BID: oid})
+	ent := pc.peekCPU(first, first, *o)
+	held, scheds, spares := pc.core().Held(ent)
+	if scheds != 2 || spares != 1 || held != pc.core().Bytes() {
+		t.Fatalf("the first plan holds %d bytes, %d schedules and %d spares, the cache %d bytes; want 2, 1 and all of it",
+			held, scheds, spares, pc.core().Bytes())
+	}
+	for seed := int64(1); pc.Len() > 1 || pc.peekCPU(first, first, *o) != nil; seed++ {
+		m := ER(300, 300, 0.02, seed)
+		if _, _, err := cpu.Run(m, m, &RunOptions{PlanCache: pc}); err != nil {
+			t.Fatal(err)
+		}
+		if seed == 50 {
+			t.Fatal("fifty new patterns did not evict the first plan")
+		}
+	}
+	m := ER(300, 300, 0.02, 99)
+	if _, _, err := cpu.Run(m, m, &RunOptions{PlanCache: pc}); err != nil {
+		t.Fatal(err)
+	}
+	last := pc.peekCPU(m, m, RunOptions{})
+	if held, _, _ := pc.core().Held(last); pc.Len() != 1 || pc.core().Bytes() != held {
+		t.Fatalf("%d plans charged %d bytes after the evictions, want the youngest alone and its %d", pc.Len(), pc.core().Bytes(), held)
 	}
 }
